@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench fuzz cover
+.PHONY: check fmt vet lint build test race bench bench-compare fuzz cover
 
 ## check: the full CI gate — formatting, vet, invariant lint, build,
 ## tests, race detector.
@@ -39,27 +39,27 @@ race:
 		-run '^Test(FanIn|Recorder|SpanWriter|FleetTrace|LeaseTrace)' \
 		./internal/fabric/ ./internal/obs/
 
-## bench: the campaign throughput benchmarks (Figure reproductions live
-## in bench_test.go at the repo root), plus the machine-readable runtime
-## comparisons: seed path vs prefix engine vs streaming runner
-## (BENCH_2.json), ABFT off vs site-only vs all-layer checking
-## (BENCH_3.json), tracing off vs sampled vs every-trial probes
-## (BENCH_4.json), serial vs continuous-batching decode at widths
-## 8/16/32 (BENCH_5.json), serving-under-faults latency/SLO/detection
-## with ABFT off/site/all over 8 request streams (BENCH_6.json), and the
-## observability plane's overhead — spans off vs sampled vs full on both
-## the campaign and serving planes (BENCH_7.json; sampled must stay
-## within 5%). Works from a fresh clone: prior BENCH_*.json files are
-## not required, and the final dump tolerates any that are missing.
+## bench: the repository benchmark (benchmark/, the contract in
+## BENCHMARK.json): six workloads, each in a fresh child process, three
+## plain runs and one traced run, one report — campaign_serial vs
+## campaign_batched is the width-1 vs width-16 decode-loop comparison.
+## BENCH_OUT names the report file. The older single-purpose emitters
+## still record their own files: seed path vs prefix engine vs streaming
+## runner (BENCH_2.json), ABFT off vs site-only vs all-layer checking
+## (BENCH_3.json), serving-under-faults latency/SLO/detection
+## (BENCH_6.json), plus the figure reproductions in bench_test.go.
+BENCH_OUT ?= /tmp/llmfi-bench.json
 bench:
+	$(GO) run ./benchmark -trace 1 -out $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 	BENCH_JSON_OUT=$(CURDIR)/BENCH_2.json $(GO) test -run '^TestEmitBenchJSON$$' -v ./internal/core/
 	BENCH3_JSON_OUT=$(CURDIR)/BENCH_3.json $(GO) test -run '^TestEmitABFTBenchJSON$$' -v ./internal/core/
-	BENCH4_JSON_OUT=$(CURDIR)/BENCH_4.json $(GO) test -run '^TestEmitTraceBenchJSON$$' -v ./internal/core/
-	BENCH5_JSON_OUT=$(CURDIR)/BENCH_5.json $(GO) test -run '^TestEmitBatchBenchJSON$$' -v ./internal/core/
 	BENCH6_JSON_OUT=$(CURDIR)/BENCH_6.json $(GO) test -run '^TestEmitServeBenchJSON$$' -v ./internal/serve/
-	BENCH7_JSON_OUT=$(CURDIR)/BENCH_7.json $(GO) test -run '^TestEmitObsBenchJSON$$' -v ./internal/serve/
-	@for f in $(CURDIR)/BENCH_*.json; do [ -f "$$f" ] && cat "$$f" || true; done
+
+## bench-compare: compare two `make bench` reports metric by metric —
+## make bench-compare A=/tmp/parent.json B=/tmp/change.json
+bench-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 ## fuzz: short smoke sessions of the fuzz targets (also run in CI).
 fuzz:

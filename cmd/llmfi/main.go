@@ -32,11 +32,12 @@
 //	llmfi -suite wmt16-like -model QwenS -fault 2bits-comp -trace traces.jsonl -trace-sample 16
 //	llmfi -suite wmt16-like -model QwenS -trials 5000 -progress -http :9090
 //
-// -decode-batch N turns on continuous-batching decode: each worker
+// -decode-batch N sets the decode-loop width (default 1): each worker
 // keeps up to N trials in flight through one stacked forward pass per
-// token. Results are bit-identical to the serial path; campaigns the
-// batched scheduler cannot express (multiple-choice, memory faults,
-// beam search) fall back to serial automatically:
+// token. Results are identical at every width — serial decode is the
+// same loop at width 1; campaigns a batch row cannot express
+// (multiple-choice, memory faults, beam search) run one trial at a
+// time whatever the width:
 //
 //	llmfi -suite wmt16-like -model QwenS -fault 2bits-comp -decode-batch 16
 //
@@ -131,7 +132,7 @@ func main() {
 		dtypeName = flag.String("dtype", "", "override datatype for dense models: FP16|FP32|BF16")
 		dir       = flag.String("pretrained", "", "checkpoint directory (default: auto-locate)")
 		workers   = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS)")
-		batchDec  = flag.Int("decode-batch", 0, "continuous-batching decode width per worker (<=1 = serial; results are bit-identical)")
+		batchDec  = flag.Int("decode-batch", 1, "decode-loop width per worker: trials in flight through one stacked forward pass per token (results are identical at every width)")
 		ckptPath  = flag.String("checkpoint", "", "persist completed trials to this file (periodically and on SIGINT)")
 		ckptEvery = flag.Int("checkpoint-every", 64, "completed trials between periodic checkpoint writes")
 		resume    = flag.String("resume", "", "resume from this checkpoint file, skipping completed trials")

@@ -239,109 +239,6 @@ func TestEmitABFTBenchJSON(t *testing.T) {
 	}
 }
 
-// bench4SerialTrialsPerSec is the serial (tracing-off) arm recorded in
-// BENCH_4.json when the observability PR landed — the baseline the
-// batched-decode acceptance bar is set against: a batch >= 8 arm of
-// BENCH_5 must at least double it. The figure is pinned here rather
-// than re-read from BENCH_4.json because `make bench` regenerates that
-// file with whatever kernel improvements this PR brought, which would
-// move the yardstick while it is being used.
-const bench4SerialTrialsPerSec = 227.1
-
-// TestEmitBatchBenchJSON measures the continuous-batching decode
-// scheduler — serial vs batch widths 8/16/32 on the same workload,
-// each arm's throughput paired with its measured batch occupancy —
-// written to BENCH_5.json. Gated behind BENCH5_JSON_OUT so it only
-// runs from `make bench`. The trial budget is larger than the other
-// benchmarks so the shared-baseline evaluation does not dilute the
-// decode-loop throughput being compared. Acceptance: some batch >= 8
-// arm reaches >= 2x the BENCH_4 serial arm. (On a single-core host the
-// batched and serial arms of the same run are expected to be close:
-// every batch row carries its own KV cache and hook context, so
-// batching amortizes scheduling and allocation, not compute — the 2x
-// comes from the kernel work that rode in with the batched engine, and
-// the same-run serial ratio is reported alongside for honesty.)
-func TestEmitBatchBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH5_JSON_OUT")
-	if out == "" {
-		t.Skip("set BENCH5_JSON_OUT to emit the batched-decode benchmark JSON")
-	}
-
-	type arm struct {
-		TPS float64 `json:"trials_per_sec"`
-		Occ float64 `json:"batch_occupancy,omitempty"`
-	}
-	run := func(batch int) arm {
-		c := benchCase(false)
-		c.Trials = 384
-		c.BatchDecode = batch
-		r := NewRunner(c)
-		start := time.Now()
-		if _, err := r.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return arm{
-			TPS: float64(c.Trials) / time.Since(start).Seconds(),
-			Occ: r.Telemetry().Snapshot().BatchOccupancy,
-		}
-	}
-
-	run(0) // warmup
-
-	// Interleave repetitions and keep each arm's best, as in the ABFT and
-	// tracing benchmarks: allocator growth and clock drift must not read
-	// as batching speedup (or its absence).
-	best := func(a, b arm) arm {
-		if b.TPS > a.TPS {
-			return b
-		}
-		return a
-	}
-	var serial, b8, b16, b32 arm
-	for rep := 0; rep < 4; rep++ {
-		serial = best(serial, run(0))
-		b8 = best(b8, run(8))
-		b16 = best(b16, run(16))
-		b32 = best(b32, run(32))
-	}
-
-	bestBatched := best(b8, best(b16, b32))
-	report := struct {
-		Workload      string  `json:"workload"`
-		Trials        int     `json:"trials"`
-		Serial        arm     `json:"serial"`
-		Batch8        arm     `json:"batch8"`
-		Batch16       arm     `json:"batch16"`
-		Batch32       arm     `json:"batch32"`
-		SerialSpeedup float64 `json:"best_batched_speedup_vs_serial"`
-		Bench4Serial  float64 `json:"bench4_serial_trials_per_sec"`
-		Bench4Speedup float64 `json:"best_batched_speedup_vs_bench4_serial"`
-	}{
-		Workload:      "selfref generative, 120-token prompts, comp-2bit",
-		Trials:        384,
-		Serial:        serial,
-		Batch8:        b8,
-		Batch16:       b16,
-		Batch32:       b32,
-		SerialSpeedup: bestBatched.TPS / serial.TPS,
-		Bench4Serial:  bench4SerialTrialsPerSec,
-		Bench4Speedup: bestBatched.TPS / bench4SerialTrialsPerSec,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("serial=%.2f batch8=%.2f (occ %.1f) batch16=%.2f (occ %.1f) batch32=%.2f (occ %.1f) trials/s, %.2fx vs same-run serial, %.2fx vs BENCH_4 serial",
-		serial.TPS, b8.TPS, b8.Occ, b16.TPS, b16.Occ, b32.TPS, b32.Occ, report.SerialSpeedup, report.Bench4Speedup)
-	if report.Bench4Speedup < 2 {
-		t.Errorf("best batched arm %.2f trials/s is %.2fx the BENCH_4 serial arm (%.1f); the acceptance bar is 2x",
-			bestBatched.TPS, report.Bench4Speedup, bench4SerialTrialsPerSec)
-	}
-}
-
 // TestEmitTraceBenchJSON measures the tracing layer's campaign cost —
 // tracing off vs sampled (every 16th trial, the -trace-sample default)
 // vs full (every trial) — written to BENCH_4.json. Gated behind

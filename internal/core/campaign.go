@@ -12,7 +12,6 @@ import (
 	"repro/internal/mitigate"
 	"repro/internal/model"
 	"repro/internal/outcome"
-	"repro/internal/prng"
 	"repro/internal/tasks"
 	"repro/internal/token"
 	"repro/internal/trace"
@@ -57,16 +56,18 @@ type Campaign struct {
 	// armed, and each trial's verdicts land in Trial.Detection. The
 	// baseline runs unchecked — it is the fault-free reference.
 	ABFT *ABFTConfig
-	// BatchDecode enables continuous-batching decode: each worker keeps up
-	// to BatchDecode trials in flight, running one stacked forward pass
-	// per token across all of them and admitting the next trial as soon as
-	// one retires (≤1 = serial decode). Observationally inert — every
+	// BatchDecode is the decode-loop width: each worker keeps up to
+	// BatchDecode trials in flight on one gen.Loop, running one stacked
+	// forward pass per token across all of them and admitting the next
+	// trial as soon as one retires (≤1 = width 1, serial decode — the
+	// same loop, not a second path). Observationally inert — every
 	// trial's computation, hooks, checker verdicts, and sampled randomness
-	// are bit-identical to the serial path — so it is deliberately
-	// excluded from the checkpoint Fingerprint (like tracing, a resumed
-	// campaign may change it freely). Campaigns the batched path cannot
-	// express (multiple-choice scoring, memory faults, beam search) fall
-	// back to serial decode automatically; see batchEligible.
+	// are identical at every width — so it is deliberately excluded from
+	// the checkpoint Fingerprint (like tracing, a resumed campaign may
+	// change it freely). Campaigns a batch row cannot express
+	// (multiple-choice scoring, memory faults, beam search) run one trial
+	// at a time on the worker's model whatever the width; see
+	// batchEligible.
 	BatchDecode int
 
 	// noPrefixReuse forces every trial through full prefill and
@@ -241,14 +242,6 @@ func (sp *spanTimes) spans() []trace.Span {
 	return append(s, trace.Span{Phase: trace.PhaseClassify, Seconds: sp.classify.Seconds()})
 }
 
-// trialInstr carries the runner's per-trial instrumentation decisions
-// into runTrial: whether this trial is propagation-traced and at what
-// divergence tolerance.
-type trialInstr struct {
-	traced bool
-	tol    float64
-}
-
 // timedChecker wraps the worker's LinearChecker to measure total time
 // inside checks; the mitigation share is recovered from the inner
 // checker's own clock so detection and repair report as separate phases.
@@ -263,147 +256,15 @@ func (tc *timedChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight,
 	tc.total += since(start)
 }
 
-// runTrial performs one injection on the worker's model clone. checker is
-// the worker's ABFT detector (nil when the campaign runs without one).
-// sp receives the trial's phase timings; a non-nil Record is returned
-// when instr requested tracing.
-func (c Campaign) runTrial(wm *model.Model, sampler *faults.Sampler, src *prng.Source, t int, baseline *Baseline, gs gen.Settings, check AnswerChecker, checker *abft.Checker, instr trialInstr, sp *spanTimes) (Trial, *trace.Record, error) {
-	idx := t % len(c.Suite.Instances)
-	inst := c.Suite.Instances[idx]
-	base := &baseline.Instances[idx]
-
-	// Effective reference: gold, or the fault-free output (self-relative).
-	if inst.Reference == "" {
-		inst.Reference = base.Reference
-	}
-
-	maxIters, promptLen := c.faultWindow(&inst, base)
-	site := sampler.Sample(src, c.Fault, maxIters)
-
-	// strikePos is the absolute token position a transient fault fires at;
-	// resident (memory) faults are live everywhere (-1).
-	strikePos := -1
-	if !c.Fault.IsMemory() && c.Suite.Type != tasks.MultipleChoice {
-		strikePos = promptLen + site.GenIter
-	}
-	var probe *trace.Probe
-	if instr.traced && base.capture != nil {
-		probe = trace.NewProbe(base.capture, trace.ProbeConfig{
-			Tol: instr.tol, StrikePos: strikePos, Site: site.Layer,
-		})
-	}
-
-	var timed *timedChecker
-	if checker != nil {
-		// Checksums must snapshot clean weights, so Protect precedes Arm.
-		var perr error
-		if c.ABFT.AllLayers {
-			perr = checker.ProtectAll(wm)
-		} else {
-			perr = checker.Protect(wm, site.Layer)
-		}
-		if perr != nil {
-			return Trial{}, nil, &TrialError{Index: t, Site: site, Err: perr}
-		}
-		checker.Reset()
-		timed = &timedChecker{inner: checker}
-		wm.SetChecker(timed)
-		sp.abftOn = true
-	}
-
-	inj, err := faults.Arm(wm, site, promptLen)
-	if err != nil {
-		wm.SetChecker(nil)
-		return Trial{}, nil, &TrialError{Index: t, Site: site, Err: err}
-	}
-	if c.ExtraHook != nil {
-		// Mitigations observe values after the fault hook mutated them.
-		wm.AddHook(c.ExtraHook())
-	}
-	if probe != nil {
-		// The probe observes last — after the fault and any mitigation
-		// hook have mutated the row — and never modifies it.
-		wm.AddHook(probe.Hook())
-	}
-	var ib InstanceBaseline
-	if c.reusePrefix(base) {
-		ib = c.resumeInstance(wm, base, &inst, gs, check, sp)
-	} else {
-		ib = evalInstance(wm, c.Suite, &inst, gs, check, false, false, sp)
-	}
-	fired := inj.Fired
-	inj.Disarm()
-	wm.ClearHooks()
-
-	trial := Trial{
-		Site:     site,
-		Instance: idx,
-		Fired:    fired,
-		AnswerOK: ib.AnswerOK,
-		Choice:   ib.Choice,
-		Metrics:  ib.Metrics,
-		Steps:    ib.Steps,
-	}
-	if checker != nil {
-		wm.SetChecker(nil)
-		sp.mitigate = checker.MitigationTime()
-		sp.abft = timed.total - sp.mitigate
-		classifyStart := now()
-		trial.Detection = summarizeDetection(checker, site, promptLen, fired)
-		sp.classify += since(classifyStart)
-	}
-	classifyStart := now()
-	if c.Suite.Type == tasks.MultipleChoice {
-		masked := ib.Choice == base.Choice
-		trial.Outcome = outcome.Analysis{Changed: !masked}
-		if !masked {
-			trial.Outcome.Class = outcome.SDCSubtle
-		}
-	} else {
-		trial.Outcome = outcome.Classify(ib.Tokens, base.Tokens, ib.AnswerOK, c.Thresholds)
-		if wm.Cfg.IsMoE() && gs.NumBeams <= 1 {
-			trial.ExpertChanged = !expertTraceEqual(ib.ExpertTrace, base.ExpertTrace)
-		}
-	}
-	sp.classify += since(classifyStart)
-
-	var rec *trace.Record
-	if instr.traced {
-		rec = &trace.Record{
-			Schema:     trace.SchemaVersion,
-			Trial:      t,
-			Instance:   idx,
-			Fault:      site.Fault.String(),
-			Site:       site.String(),
-			Layer:      site.Layer.String(),
-			Block:      site.Layer.Block,
-			Bits:       site.Bits,
-			HighestBit: site.HighestBit(),
-			GenIter:    site.GenIter,
-			StrikePos:  strikePos,
-			Fired:      fired,
-			Outcome:    trial.Outcome.Class.String(),
-			AnswerOK:   trial.AnswerOK,
-			Steps:      trial.Steps,
-		}
-		if probe != nil {
-			probe.Fill(rec)
-		}
-		rec.Spans = sp.spans()
-	}
-	return trial, rec, nil
-}
-
-// batchEligible reports whether the campaign's trials can run through
-// the continuous-batching decode scheduler. The batched path decodes
-// from the baseline's post-prompt snapshot with per-row fault hooks, so
-// it requires everything prefix reuse requires — and additionally a
-// single greedy decode stream per trial: multiple-choice scoring has no
-// decode loop, memory faults mutate the weights every in-flight sibling
-// shares, and beam search forks states mid-decode.
+// batchEligible reports whether the campaign's trials run as rows of
+// the decode loop. A row decodes from the baseline's post-prompt
+// snapshot with row-scoped fault hooks, so it requires everything prefix
+// reuse requires — and additionally a single greedy decode stream per
+// trial: multiple-choice scoring has no decode loop, memory faults
+// mutate the weights every in-flight sibling shares, and beam search
+// forks states mid-decode.
 func (c Campaign) batchEligible(gs gen.Settings) bool {
-	return c.BatchDecode > 1 &&
-		c.Suite.Type != tasks.MultipleChoice &&
+	return c.Suite.Type != tasks.MultipleChoice &&
 		!c.Fault.IsMemory() &&
 		gs.NumBeams <= 1 &&
 		!c.noPrefixReuse
@@ -422,43 +283,6 @@ func (c Campaign) reusePrefix(base *InstanceBaseline) bool {
 		c.Suite.Type != tasks.MultipleChoice &&
 		!c.Fault.IsMemory() &&
 		base.prefix != nil
-}
-
-// resumeInstance runs a trial from the baseline's shared prefix: the
-// snapshot is forked onto the worker's clone (so the worker's fault and
-// mitigation hooks fire from the first generated token) and decoding
-// continues from a private copy of the snapshot logits — both decode
-// strategies mask logits in place, so the shared slice must not be handed
-// over directly.
-func (c Campaign) resumeInstance(wm *model.Model, base *InstanceBaseline, inst *tasks.Instance, gs gen.Settings, check AnswerChecker, sp *spanTimes) InstanceBaseline {
-	var ib InstanceBaseline
-	gs.MaxNewTokens = inst.MaxNew
-	gs.MinNewTokens = inst.MinNew
-	prefillStart := now()
-	st := base.prefix.ForkFor(wm)
-	logits := append([]float32(nil), base.prefixLogits...)
-	if sp != nil {
-		// The fork stands in for prefill on this path.
-		sp.prefill += since(prefillStart)
-	}
-	decodeStart := now()
-	res := gen.GenerateFrom(wm, st, logits, gs)
-	if sp != nil {
-		sp.decode += since(decodeStart)
-		sp.steps = res.Steps
-	}
-	// Steps is the runtime proxy for the modeled inference, which still
-	// includes the prompt the snapshot stands in for.
-	res.Steps += len(inst.Prompt)
-	if wm.Cfg.IsMoE() && gs.NumBeams <= 1 {
-		ib.ExpertTrace = st.ExpertTrace
-	}
-	classifyStart := now()
-	finishGenerative(&ib, c.Suite, inst, res, check, false)
-	if sp != nil {
-		sp.classify += since(classifyStart)
-	}
-	return ib
 }
 
 // faultWindow returns the iteration window and the Arm promptLen for an

@@ -61,12 +61,11 @@ func WithABFT(cfg ABFTConfig) Option {
 	return func(c *Campaign) { c.ABFT = &cfg }
 }
 
-// WithDecodeBatch sets the continuous-batching decode width: each
-// worker keeps up to n trials in flight, stepping them through one
-// stacked forward pass per token (≤1 = serial decode). Results are
-// bit-identical to the serial path; campaigns the batched scheduler
-// cannot express (multiple-choice, memory faults, beam search) fall
-// back to serial automatically.
+// WithDecodeBatch sets the decode-loop width: each worker keeps up to n
+// trials in flight, stepping them through one stacked forward pass per
+// token (≤1 = 1, serial decode). Results are identical at every width;
+// campaigns a batch row cannot express (multiple-choice, memory faults,
+// beam search) run one trial at a time whatever the width.
 func WithDecodeBatch(n int) Option {
 	return func(c *Campaign) { c.BatchDecode = n }
 }

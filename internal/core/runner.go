@@ -322,15 +322,17 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 		}
 	}
 
-	batched := c.batchEligible(gs)
-	batch := 1
-	if batched {
-		batch = c.BatchDecode
+	// Eligible campaigns ride the decode loop at the configured width
+	// (serial decode is width 1); the rest run one trial per worker.
+	rows := c.batchEligible(gs)
+	width := 1
+	if rows && c.BatchDecode > 1 {
+		width = c.BatchDecode
 	}
 	workers := 0
 	threadsPer := 1
 	if len(pending) > 0 {
-		workers, threadsPer = poolShape(len(pending), c.Workers, batch, runtime.GOMAXPROCS(0))
+		workers, threadsPer = poolShape(len(pending), c.Workers, width, runtime.GOMAXPROCS(0))
 	}
 	r.tel.begin(c.Trials, workers)
 	// Fold checkpointed trials into the cumulative counters so tallies
@@ -376,56 +378,24 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 			}
 			wm.SetThreads(threadsPer)
 			sampler, err := faults.NewSampler(wm, c.Filter)
-			if err != nil {
-				results <- trialResult{index: -1, worker: worker, err: err}
-				cancel()
-				return
-			}
-			if batched {
-				bw := &batchedWorker{
+			t := -1 // the failing trial; -1 when the worker never got to one
+			if err == nil {
+				env := &trialEnv{
 					c: c, r: r, worker: worker, wm: wm,
 					sampler: sampler, seedSrc: seedSrc,
-					base: baseline, gs: gs, check: check,
+					base: baseline, gs: gs, check: check, rows: rows,
 					traceOn: traceOn, traceTol: traceTol,
-					results: results, cancel: cancel,
 				}
 				if c.ABFT != nil {
-					bw.cache = abft.NewCache()
+					env.cache = abft.NewCache()
 				}
-				bw.run(runCtx, jobs)
-				return
+				t, err = env.run(runCtx, jobs, results, width)
 			}
-			// The worker's ABFT detector: checksums of layers it has
-			// protected are cached across its trials (Disarm restores the
-			// weights, so the clean-weight sums stay valid).
-			var checker *abft.Checker
-			if c.ABFT != nil {
-				checker = abft.New(abft.Config{Tol: c.ABFT.Tol, Policy: c.ABFT.Policy})
-			}
-			for t := range jobs {
-				if runCtx.Err() != nil {
-					return
-				}
-				instr := trialInstr{
-					traced: traceOn && t%r.traceEvery == 0,
-					tol:    traceTol,
-				}
-				sp := &spanTimes{}
-				start := now()
-				trial, rec, err := c.runTrial(wm, sampler, seedSrc.Split(uint64(t)), t, baseline, gs, check, checker, instr, sp)
-				if err != nil {
-					// First failure cancels the pool; the collector
-					// surfaces it through the event stream immediately.
-					results <- trialResult{index: t, worker: worker, err: err}
-					cancel()
-					return
-				}
-				r.tel.observeSpans(sp)
-				tr := trialResult{index: t, worker: worker, trial: trial, rec: rec, busy: since(start)}
-				if r.spanObs != nil {
-					tr.spans = sp.spans()
-				}
-				results <- tr
+			if err != nil {
+				// First failure cancels the pool; the collector surfaces
+				// it through the event stream immediately.
+				results <- trialResult{index: t, worker: worker, err: err}
+				cancel()
 			}
 		}(w)
 	}
@@ -496,26 +466,20 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 }
 
 // poolShape sizes the worker pool and each worker's matmul thread
-// share from the actual in-flight shape. Serially, one worker carries
-// one trial, so the pool is capped by the pending count; under batched
-// decode a worker carries up to batch trials, so the cap is
-// ceil(pending/batch) — spawning more would leave workers whose batch
-// could never fill, each still claiming a core share. The threads-per-
-// worker split then divides the machine among the workers that actually
-// exist, so a small batched pool reclaims the cores a serial pool of
-// the same campaign would have fragmented.
-func poolShape(pending, requested, batch, procs int) (workers, threads int) {
+// share from the actual in-flight shape. A worker carries up to width
+// trials (one when the campaign does not ride the decode loop), so the
+// pool is capped by ceil(pending/width) — spawning more would leave
+// workers whose rows could never fill, each still claiming a core share.
+// The threads-per-worker split then divides the machine among the
+// workers that actually exist, so a small wide pool reclaims the cores a
+// width-1 pool of the same campaign would have fragmented.
+func poolShape(pending, requested, width, procs int) (workers, threads int) {
 	workers = requested
 	if workers <= 0 {
 		workers = procs
 	}
-	if batch > 1 {
-		if need := (pending + batch - 1) / batch; workers > need {
-			workers = need
-		}
-	}
-	if workers > pending {
-		workers = pending
+	if need := (pending + width - 1) / width; workers > need {
+		workers = need
 	}
 	if workers < 1 {
 		workers = 1

@@ -14,348 +14,345 @@ import (
 	"repro/internal/trace"
 )
 
-// batchedWorker is one pool worker running the continuous-batching
-// decode scheduler: it admits up to Campaign.BatchDecode trials into a
-// model.Batch, steps every in-flight trial through one stacked forward
-// pass per token, and retires each trial the moment its own greedy loop
-// finishes — immediately refilling the freed row from the jobs channel.
+// trialEnv is one pool worker: its model clone, its sampler and ABFT
+// checksum cache, and the campaign state every trial reads. A worker
+// executes trials one of two ways, fixed per campaign by batchEligible:
 //
-// Bit-identity to the serial path holds trial by trial: admission
-// mirrors runTrial's preamble exactly (same Split(t) seeding, same
-// sampled site, same prefix fork, same hook order), each decode step
-// runs the row's computation in MatVec accumulation order with the
-// trial's own hooks and checker observing only its rows (model.Batch's
-// contract), and retirement mirrors runTrial's postamble. Scheduling
-// therefore cannot influence any trial's outcome — only wall-clock.
-type batchedWorker struct {
-	c       Campaign
-	r       *Runner
-	worker  int
-	wm      *model.Model
-	sampler *faults.Sampler
-	seedSrc *prng.Source
-	base    *Baseline
-	gs      gen.Settings
-	check   AnswerChecker
-	// cache shares clean-weight checksums across the worker's per-trial
-	// ABFT checkers (nil without Campaign.ABFT).
-	cache    *abft.Cache
+//   - rows: each trial is a sequence on the worker's gen.Loop, forked
+//     from the baseline's post-prompt snapshot with its fault, extra hook,
+//     probe and checker scoped to its own batch row. Width
+//     max(1, BatchDecode); serial decode is width 1.
+//   - whole-model (runTrial): what a row cannot express — multiple-choice
+//     scoring, memory faults, beam search, and the seed path
+//     (noPrefixReuse) — arms the worker's model and runs one inference.
+//
+// Both go through the same arm and seal, so the trial contract — what is
+// sampled from Split(t), what observes the inference and in which order,
+// how the outcome is assembled — is written once; that a row's inference
+// equals the whole-model one is gen.Loop's argument.
+type trialEnv struct {
+	c        Campaign
+	r        *Runner
+	worker   int
+	wm       *model.Model
+	sampler  *faults.Sampler
+	seedSrc  *prng.Source
+	base     *Baseline
+	gs       gen.Settings
+	check    AnswerChecker
+	rows     bool
 	traceOn  bool
 	traceTol float64
-	results  chan<- trialResult
-	cancel   context.CancelFunc
-	// free recycles retired rows: a slot turnover reuses the retired
-	// trial's KV-cache and logits allocations for the admitted trial
-	// (ForkForInto) instead of churning the allocator once per trial.
-	free []*model.DecodeRow
+	// cache shares clean-weight checksums across the worker's per-trial
+	// ABFT checkers (nil without Campaign.ABFT). Sound across trials
+	// because Disarm restores the weights.
+	cache *abft.Cache
 }
 
-// inFlight is one admitted trial riding a batch row until it retires.
-type inFlight struct {
+// armed is one trial between arm and seal.
+type armed struct {
 	t, idx    int
 	inst      tasks.Instance
 	base      *InstanceBaseline
 	site      faults.Site
 	promptLen int
+	// strikePos is the absolute token position a transient fault fires
+	// at; resident (memory) faults are live everywhere (-1).
 	strikePos int
 	inj       *faults.Injection
 	probe     *trace.Probe
 	checker   *abft.Checker
 	timed     *timedChecker
-	row       *model.DecodeRow
-	stepper   *gen.Stepper
-	sp        *spanTimes
-	instr     trialInstr
-	// busy accumulates the trial's attributed wall time: its admission
-	// and retirement run whole, plus an equal share of every batch step
-	// it rode in — so worker utilization stays comparable to serial.
+	// hooks and lc are the trial's observers in firing order — fault
+	// (rows only; faults.Arm registers the whole-model one itself),
+	// ExtraHook, probe — and its checker as the model sees it.
+	hooks  []model.Hook
+	lc     model.LinearChecker
+	traced bool
+	sp     spanTimes
+	// busy is the trial's attributed wall time: arm, inference and seal,
+	// with a row charged an equal share of every stacked step it rode in
+	// so worker utilization stays comparable across widths.
 	busy time.Duration
 }
 
-// run drains the jobs channel through the batch engine. On a trial
-// error it reports, cancels the pool, and returns; on context
-// cancellation it abandons the in-flight trials (they are not reported
-// as completed, so checkpoint resume re-executes them).
-func (bw *batchedWorker) run(ctx context.Context, jobs <-chan int) {
-	bt := bw.wm.NewBatch(bw.c.BatchDecode)
-	maxSeq := bw.wm.Cfg.MaxSeq
-	active := make([]*inFlight, 0, bt.Capacity())
-	rows := make([]*model.DecodeRow, 0, bt.Capacity())
-
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		// Refill every free row. A trial that finishes on its very first
-		// token (admit returns done) never occupies a row at all.
-		for len(active) < bt.Capacity() {
-			t, ok := <-jobs
-			if !ok {
-				break
-			}
-			f, done, err := bw.admit(t)
-			if err != nil {
-				bw.results <- trialResult{index: t, worker: bw.worker, err: err}
-				bw.cancel()
-				return
-			}
-			if done != nil {
-				bw.results <- *done
-				if done.err != nil {
-					bw.cancel()
-					return
-				}
-				continue
-			}
-			active = append(active, f)
-		}
-		if len(active) == 0 {
-			return
-		}
-
-		rows = rows[:0]
-		for _, f := range active {
-			rows = append(rows, f.row)
-		}
-		stepStart := now()
-		bt.Step(rows)
-		share := since(stepStart) / time.Duration(len(active))
-		bw.r.tel.observeBatch(len(active))
-
-		keep := active[:0]
-		for _, f := range active {
-			f.sp.decode += share
-			f.busy += share
-			tok, step := f.stepper.Next(f.row.Logits, f.row.St.Pos, maxSeq)
-			if step {
-				f.row.Tok = tok
-				keep = append(keep, f)
-				continue
-			}
-			bw.results <- bw.retire(f)
-		}
-		active = keep
-	}
-}
-
-// admit prepares trial t for the batch: it mirrors runTrial's preamble —
-// site sampling from Split(t), ABFT protection before arming, the
-// fault/mitigation/probe hook chain — but arms the fault as a row hook
-// and forks the baseline prefix onto a DecodeRow instead of running a
-// serial generation. A trial whose greedy loop ends on the prefix
-// logits (zero-token budget, immediate stop) is completed inline and
-// returned as done.
-func (bw *batchedWorker) admit(t int) (*inFlight, *trialResult, error) {
-	c := bw.c
-	start := now()
+// arm is the trial preamble: sample trial t's site from Split(t), build
+// its probe, protect the checked layers, arm the fault, and order the
+// hooks. On the whole-model path the observers are installed on the
+// worker's model; on the rows path they are returned for the trial's row.
+func (e *trialEnv) arm(t int) (*armed, error) {
+	c := e.c
 	idx := t % len(c.Suite.Instances)
-	inst := c.Suite.Instances[idx]
-	base := &bw.base.Instances[idx]
-	if inst.Reference == "" {
-		inst.Reference = base.Reference
+	a := &armed{
+		t: t, idx: idx, inst: c.Suite.Instances[idx], base: &e.base.Instances[idx],
+		traced: e.traceOn && t%e.r.traceEvery == 0,
 	}
-	if base.prefix == nil {
-		// No snapshot to fork (defensive; evalBaseline always snapshots
-		// generative suites). Run the trial serially between batch steps —
-		// Batch.Step ignores model-level hooks and checker, so a complete
-		// serial trial cannot observe or perturb the in-flight rows.
-		return nil, bw.serialFallback(t), nil
+	// Effective reference: gold, or the fault-free output (self-relative).
+	if a.inst.Reference == "" {
+		a.inst.Reference = a.base.Reference
 	}
 
-	maxIters, promptLen := c.faultWindow(&inst, base)
-	site := bw.sampler.Sample(bw.seedSrc.Split(uint64(t)), c.Fault, maxIters)
-	strikePos := promptLen + site.GenIter
+	var maxIters int
+	maxIters, a.promptLen = c.faultWindow(&a.inst, a.base)
+	a.site = e.sampler.Sample(e.seedSrc.Split(uint64(t)), c.Fault, maxIters)
+	fail := func(err error) (*armed, error) {
+		return nil, &TrialError{Index: t, Site: a.site, Err: err}
+	}
 
-	instr := trialInstr{traced: bw.traceOn && t%bw.r.traceEvery == 0, tol: bw.traceTol}
-	var probe *trace.Probe
-	if instr.traced && base.capture != nil {
-		probe = trace.NewProbe(base.capture, trace.ProbeConfig{
-			Tol: instr.tol, StrikePos: strikePos, Site: site.Layer,
+	a.strikePos = -1
+	if !c.Fault.IsMemory() && c.Suite.Type != tasks.MultipleChoice {
+		a.strikePos = a.promptLen + a.site.GenIter
+	}
+	if a.traced && a.base.capture != nil {
+		a.probe = trace.NewProbe(a.base.capture, trace.ProbeConfig{
+			Tol: e.traceTol, StrikePos: a.strikePos, Site: a.site.Layer,
 		})
 	}
 
-	sp := &spanTimes{}
-	var checker *abft.Checker
-	var timed *timedChecker
 	if c.ABFT != nil {
-		// Per-trial checker over the worker's shared checksum cache: each
-		// in-flight trial keeps its own events and stats while the
-		// O(k·n) clean-weight sums are computed once per layer per worker.
-		// Protect precedes ArmHook as in the serial path (moot here —
-		// row hooks never touch the weights — but kept for symmetry).
-		checker = abft.NewWithCache(abft.Config{Tol: c.ABFT.Tol, Policy: c.ABFT.Policy}, bw.cache)
-		var perr error
+		// Checksums must snapshot clean weights, so Protect precedes Arm.
+		a.checker = abft.NewWithCache(abft.Config{Tol: c.ABFT.Tol, Policy: c.ABFT.Policy}, e.cache)
+		var err error
 		if c.ABFT.AllLayers {
-			perr = checker.ProtectAll(bw.wm)
+			err = a.checker.ProtectAll(e.wm)
 		} else {
-			perr = checker.Protect(bw.wm, site.Layer)
+			err = a.checker.Protect(e.wm, a.site.Layer)
 		}
-		if perr != nil {
-			return nil, nil, &TrialError{Index: t, Site: site, Err: perr}
+		if err != nil {
+			return fail(err)
 		}
-		timed = &timedChecker{inner: checker}
-		sp.abftOn = true
+		a.timed = &timedChecker{inner: a.checker}
+		a.lc = a.timed
+		a.sp.abftOn = true
 	}
 
-	inj, hook, err := faults.ArmHook(bw.wm, site, promptLen)
-	if err != nil {
-		return nil, nil, &TrialError{Index: t, Site: site, Err: err}
+	var err error
+	if e.rows {
+		var hook model.Hook
+		a.inj, hook, err = faults.ArmHook(e.wm, a.site, a.promptLen)
+		a.hooks = append(a.hooks, hook)
+	} else {
+		a.inj, err = faults.Arm(e.wm, a.site, a.promptLen)
 	}
-	hooks := []model.Hook{hook}
+	if err != nil {
+		return fail(err)
+	}
 	if c.ExtraHook != nil {
 		// Mitigations observe values after the fault hook mutated them.
-		hooks = append(hooks, c.ExtraHook())
+		a.hooks = append(a.hooks, c.ExtraHook())
 	}
-	if probe != nil {
+	if a.probe != nil {
 		// The probe observes last — after the fault and any mitigation
 		// hook have mutated the row — and never modifies it.
-		hooks = append(hooks, probe.Hook())
+		a.hooks = append(a.hooks, a.probe.Hook())
 	}
-
-	gs := bw.gs
-	gs.MaxNewTokens = inst.MaxNew
-	gs.MinNewTokens = inst.MinNew
-	prefillStart := now()
-	var row *model.DecodeRow
-	if n := len(bw.free); n > 0 {
-		row = bw.free[n-1]
-		bw.free = bw.free[:n-1]
-		base.prefix.ForkForInto(bw.wm, row.St)
-	} else {
-		row = &model.DecodeRow{St: base.prefix.ForkFor(bw.wm), Logits: make([]float32, c.Model.Cfg.Vocab)}
+	if !e.rows {
+		for _, h := range a.hooks {
+			e.wm.AddHook(h)
+		}
+		e.wm.SetChecker(a.lc)
 	}
-	row.Hooks = hooks
-	row.Checker = nil
-	copy(row.Logits, base.prefixLogits)
-	// The fork stands in for prefill on this path (as in resumeInstance).
-	sp.prefill += since(prefillStart)
-	if timed != nil {
-		row.Checker = timed
-	}
-	st := row.St
-
-	f := &inFlight{
-		t: t, idx: idx, inst: inst, base: base,
-		site: site, promptLen: promptLen, strikePos: strikePos,
-		inj: inj, probe: probe, checker: checker, timed: timed,
-		row: row, stepper: gen.NewStepper(gs), sp: sp, instr: instr,
-	}
-	// First stepper call consumes the prefix logits, exactly as the
-	// serial ContinueGreedy does before its first DecodeStep.
-	tok, step := f.stepper.Next(row.Logits, st.Pos, bw.wm.Cfg.MaxSeq)
-	f.busy += since(start)
-	if !step {
-		// The trial finished without a single decode step.
-		done := bw.retire(f)
-		return nil, &done, nil
-	}
-	row.Tok = tok
-	return f, nil, nil
+	return a, nil
 }
 
-// retire finishes an in-flight trial: it mirrors runTrial's postamble —
-// scoring, detection summary, outcome classification, trace record —
-// over the stepper's accumulated Result.
-func (bw *batchedWorker) retire(f *inFlight) trialResult {
-	c := bw.c
+// seal is the trial postamble: disarm, then assemble the Trial, its
+// Detection, the outcome class and (for a traced trial) the propagation
+// Record from the finished inference ib.
+func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
+	c := e.c
 	start := now()
-	res := f.stepper.Result()
-	f.sp.steps = res.Steps
-	// Steps is the runtime proxy for the modeled inference, which still
-	// includes the prompt the snapshot stands in for.
-	res.Steps += len(f.inst.Prompt)
-
-	var ib InstanceBaseline
-	moeTrace := bw.wm.Cfg.IsMoE() && bw.gs.NumBeams <= 1
-	if moeTrace {
-		ib.ExpertTrace = f.row.St.ExpertTrace
+	sp := &a.sp
+	fired := a.inj.Fired
+	a.inj.Disarm()
+	if !e.rows {
+		e.wm.ClearHooks()
+		e.wm.SetChecker(nil)
 	}
-	classifyStart := now()
-	finishGenerative(&ib, c.Suite, &f.inst, res, bw.check, false)
-	f.sp.classify += since(classifyStart)
-
-	fired := f.inj.Fired
-	f.inj.Disarm() // no-op for row hooks; kept for protocol symmetry
 
 	trial := Trial{
-		Site:     f.site,
-		Instance: f.idx,
+		Site:     a.site,
+		Instance: a.idx,
 		Fired:    fired,
 		AnswerOK: ib.AnswerOK,
 		Choice:   ib.Choice,
 		Metrics:  ib.Metrics,
 		Steps:    ib.Steps,
 	}
-	if f.checker != nil {
-		f.sp.mitigate = f.checker.MitigationTime()
-		f.sp.abft = f.timed.total - f.sp.mitigate
-		classifyStart := now()
-		trial.Detection = summarizeDetection(f.checker, f.site, f.promptLen, fired)
-		f.sp.classify += since(classifyStart)
+	if a.checker != nil {
+		sp.mitigate = a.checker.MitigationTime()
+		sp.abft = a.timed.total - sp.mitigate
+		trial.Detection = summarizeDetection(a.checker, a.site, a.promptLen, fired)
 	}
-	classifyStart = now()
-	trial.Outcome = outcome.Classify(ib.Tokens, f.base.Tokens, ib.AnswerOK, c.Thresholds)
-	if moeTrace {
-		trial.ExpertChanged = !expertTraceEqual(ib.ExpertTrace, f.base.ExpertTrace)
+	if c.Suite.Type == tasks.MultipleChoice {
+		masked := ib.Choice == a.base.Choice
+		trial.Outcome = outcome.Analysis{Changed: !masked}
+		if !masked {
+			trial.Outcome.Class = outcome.SDCSubtle
+		}
+	} else {
+		trial.Outcome = outcome.Classify(ib.Tokens, a.base.Tokens, ib.AnswerOK, c.Thresholds)
+		if e.wm.Cfg.IsMoE() && e.gs.NumBeams <= 1 {
+			trial.ExpertChanged = !expertTraceEqual(ib.ExpertTrace, a.base.ExpertTrace)
+		}
 	}
-	f.sp.classify += since(classifyStart)
+	sp.classify += since(start)
 
 	var rec *trace.Record
-	if f.instr.traced {
+	if a.traced {
 		rec = &trace.Record{
 			Schema:     trace.SchemaVersion,
-			Trial:      f.t,
-			Instance:   f.idx,
-			Fault:      f.site.Fault.String(),
-			Site:       f.site.String(),
-			Layer:      f.site.Layer.String(),
-			Block:      f.site.Layer.Block,
-			Bits:       f.site.Bits,
-			HighestBit: f.site.HighestBit(),
-			GenIter:    f.site.GenIter,
-			StrikePos:  f.strikePos,
+			Trial:      a.t,
+			Instance:   a.idx,
+			Fault:      a.site.Fault.String(),
+			Site:       a.site.String(),
+			Layer:      a.site.Layer.String(),
+			Block:      a.site.Layer.Block,
+			Bits:       a.site.Bits,
+			HighestBit: a.site.HighestBit(),
+			GenIter:    a.site.GenIter,
+			StrikePos:  a.strikePos,
 			Fired:      fired,
 			Outcome:    trial.Outcome.Class.String(),
 			AnswerOK:   trial.AnswerOK,
 			Steps:      trial.Steps,
 		}
-		if f.probe != nil {
-			f.probe.Fill(rec)
+		if a.probe != nil {
+			a.probe.Fill(rec)
 		}
-		rec.Spans = f.sp.spans()
+		rec.Spans = sp.spans()
 	}
-	bw.r.tel.observeSpans(f.sp)
-	f.busy += since(start)
-	// The row's buffers are dead from here: everything retirement needed
-	// has been copied out, so the next admission may reuse them.
-	bw.free = append(bw.free, f.row)
-	tr := trialResult{index: f.t, worker: bw.worker, trial: trial, rec: rec, busy: f.busy}
-	if bw.r.spanObs != nil {
-		tr.spans = f.sp.spans()
+	e.r.tel.observeSpans(sp)
+	a.busy += since(start)
+	tr := trialResult{index: a.t, worker: e.worker, trial: trial, rec: rec, busy: a.busy}
+	if e.r.spanObs != nil {
+		tr.spans = sp.spans()
 	}
 	return tr
 }
 
-// serialFallback runs trial t through the ordinary serial runTrial. Used
-// only when an instance carries no prefix snapshot; the serial checker
-// still shares the worker's checksum cache.
-func (bw *batchedWorker) serialFallback(t int) *trialResult {
-	c := bw.c
-	var checker *abft.Checker
-	if c.ABFT != nil {
-		checker = abft.NewWithCache(abft.Config{Tol: c.ABFT.Tol, Policy: c.ABFT.Policy}, bw.cache)
+// run drains the jobs channel. A trial that cannot be armed stops the
+// worker and is returned with its index; on context cancellation the
+// in-flight trials are abandoned (never reported as completed, so
+// checkpoint resume re-executes them).
+func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- trialResult, width int) (int, error) {
+	if !e.rows {
+		for t := range jobs {
+			if ctx.Err() != nil {
+				break
+			}
+			tr, err := e.runTrial(t)
+			if err != nil {
+				return t, err
+			}
+			results <- tr
+		}
+		return 0, nil
 	}
-	instr := trialInstr{traced: bw.traceOn && t%bw.r.traceEvery == 0, tol: bw.traceTol}
-	sp := &spanTimes{}
+
+	loop := gen.NewLoop[*armed](e.wm, width)
+	retire := func(s *gen.Seq[*armed]) {
+		a := s.Owner
+		start := now()
+		ib := e.scoreResumed(a, s.State(), s.Result())
+		loop.Release(s)
+		a.busy += since(start)
+		results <- e.seal(a, ib)
+	}
+	for ctx.Err() == nil {
+		// Refill every free row, each freed one immediately.
+		for loop.Free() > 0 {
+			t, ok := <-jobs
+			if !ok {
+				break
+			}
+			start := now()
+			a, err := e.arm(t)
+			if err != nil {
+				return t, err
+			}
+			gs := e.gs
+			gs.MaxNewTokens = a.inst.MaxNew
+			gs.MinNewTokens = a.inst.MinNew
+			forkStart := now()
+			s := loop.AdmitFork(a.base.prefix, a.base.prefixLogits, gs, gen.Arm{Hooks: a.hooks, Checker: a.lc}, a)
+			// The fork stands in for prefill on this path.
+			a.sp.prefill += since(forkStart)
+			a.busy += since(start)
+			if s.Done() {
+				retire(s)
+			}
+		}
+		n := loop.Len()
+		if n == 0 {
+			break
+		}
+		stepStart := now()
+		finished := loop.Step()
+		share := since(stepStart) / time.Duration(n)
+		e.r.tel.observeBatch(n)
+		charge := func(a *armed) {
+			a.sp.decode += share
+			a.busy += share
+		}
+		for _, s := range loop.Live() {
+			charge(s.Owner)
+		}
+		for _, s := range finished {
+			charge(s.Owner)
+			retire(s)
+		}
+	}
+	return 0, nil
+}
+
+// runTrial executes trial t on the worker's model itself.
+func (e *trialEnv) runTrial(t int) (trialResult, error) {
 	start := now()
-	trial, rec, err := c.runTrial(bw.wm, bw.sampler, bw.seedSrc.Split(uint64(t)), t, bw.base, bw.gs, bw.check, checker, instr, sp)
+	a, err := e.arm(t)
 	if err != nil {
-		return &trialResult{index: t, worker: bw.worker, err: err}
+		return trialResult{}, err
 	}
-	bw.r.tel.observeSpans(sp)
-	tr := &trialResult{index: t, worker: bw.worker, trial: trial, rec: rec, busy: since(start)}
-	if bw.r.spanObs != nil {
-		tr.spans = sp.spans()
+	var ib InstanceBaseline
+	if e.c.reusePrefix(a.base) {
+		ib = e.resumeBeam(a)
+	} else {
+		ib = evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, false, &a.sp)
 	}
-	return tr
+	a.busy = since(start)
+	return e.seal(a, ib), nil
+}
+
+// resumeBeam runs a beam-search trial from the baseline's shared prefix
+// (greedy prefix reuse is a decode-loop row, never this): the snapshot is
+// forked onto the worker's clone, so the worker's fault and mitigation
+// hooks fire from the first generated token.
+func (e *trialEnv) resumeBeam(a *armed) InstanceBaseline {
+	gs := e.gs
+	gs.MaxNewTokens = a.inst.MaxNew
+	gs.MinNewTokens = a.inst.MinNew
+	prefillStart := now()
+	st := a.base.prefix.ForkFor(e.wm)
+	// The fork stands in for prefill on this path.
+	a.sp.prefill += since(prefillStart)
+	decodeStart := now()
+	res := gen.ContinueBeam(e.wm, st, a.base.prefixLogits, gs)
+	a.sp.decode += since(decodeStart)
+	return e.scoreResumed(a, st, res)
+}
+
+// scoreResumed scores a generation that continued from the baseline's
+// prefix snapshot on st.
+func (e *trialEnv) scoreResumed(a *armed, st *model.State, res gen.Result) InstanceBaseline {
+	var ib InstanceBaseline
+	a.sp.steps = res.Steps
+	// Steps is the runtime proxy for the modeled inference, which still
+	// includes the prompt the snapshot stands in for.
+	res.Steps += len(a.inst.Prompt)
+	if e.wm.Cfg.IsMoE() && e.gs.NumBeams <= 1 {
+		ib.ExpertTrace = st.ExpertTrace
+	}
+	classifyStart := now()
+	finishGenerative(&ib, e.c.Suite, &a.inst, res, e.check, false)
+	a.sp.classify += since(classifyStart)
+	return ib
 }

@@ -156,13 +156,14 @@ func TestBatchedRaggedRetirement(t *testing.T) {
 	if s.DecodeBatchRows < s.DecodeBatchSteps {
 		t.Fatalf("batch rows %d < steps %d", s.DecodeBatchRows, s.DecodeBatchSteps)
 	}
-	// The serial run must not touch the batch counters.
+	// A default campaign is the same loop at width 1: every step carries
+	// exactly one row.
 	tel2 := NewTelemetry()
 	if _, err := NewRunner(serial, WithTelemetry(tel2)).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if s2 := tel2.Snapshot(); s2.DecodeBatchSteps != 0 || s2.BatchOccupancy != 0 {
-		t.Fatalf("serial campaign recorded batch occupancy: %+v", s2)
+	if s2 := tel2.Snapshot(); s2.DecodeBatchSteps == 0 || s2.BatchOccupancy != 1 {
+		t.Fatalf("width-1 campaign: steps %d occupancy %v, want >0 and exactly 1", s2.DecodeBatchSteps, s2.BatchOccupancy)
 	}
 }
 
@@ -248,7 +249,8 @@ func TestBatchedInterruptThenResume(t *testing.T) {
 	requireSameResult(t, ref, res)
 }
 
-// TestBatchEligible pins the serial-fallback conditions.
+// TestBatchEligible pins which campaigns ride decode-loop rows and which
+// fall back to whole-model trials.
 func TestBatchEligible(t *testing.T) {
 	gen1 := gen.Settings{NumBeams: 1}
 	genSuite := tasks.NewSelfRefSuite("elig-gen", 3, 2, 12, 4, []metrics.Kind{metrics.KindBLEU})
@@ -260,8 +262,9 @@ func TestBatchEligible(t *testing.T) {
 	if !c.batchEligible(gen1) {
 		t.Fatal("generative computational greedy campaign must be batch-eligible")
 	}
-	if (Campaign{Suite: genSuite, Fault: faults.Comp2Bit, BatchDecode: 1}).batchEligible(gen1) {
-		t.Fatal("BatchDecode 1 means serial")
+	if !(Campaign{Suite: genSuite, Fault: faults.Comp2Bit, BatchDecode: 1}).batchEligible(gen1) ||
+		!(Campaign{Suite: genSuite, Fault: faults.Comp2Bit}).batchEligible(gen1) {
+		t.Fatal("BatchDecode <= 1 is the same loop at width 1, not a serial path")
 	}
 	if (Campaign{Suite: genSuite, Fault: faults.Mem2Bit, BatchDecode: 8}).batchEligible(gen1) {
 		t.Fatal("memory faults must fall back to serial")

@@ -256,9 +256,10 @@ type TelemetrySnapshot struct {
 	Distorted      int     `json:"sdc_distorted"`
 	HookFires      int64   `json:"hook_fires"`
 	TracedTrials   int64   `json:"traced_trials,omitempty"`
-	// Continuous-batching decode occupancy (all zero without
-	// Campaign.BatchDecode): stacked decode steps, the trial rows they
-	// carried, and their ratio — the mean in-flight batch size.
+	// Decode-loop occupancy: stacked decode steps (width-1 steps
+	// included), the trial rows they carried, and their ratio — the mean
+	// in-flight batch size. All zero only for campaigns that never ride
+	// the loop (multiple-choice, memory faults, beam search).
 	DecodeBatchSteps int64   `json:"decode_batch_steps,omitempty"`
 	DecodeBatchRows  int64   `json:"decode_batch_rows,omitempty"`
 	BatchOccupancy   float64 `json:"batch_occupancy,omitempty"`

@@ -9,10 +9,10 @@ import (
 // modelStateTypes are the named types whose reachable memory belongs to
 // the model: a store through any of them from inside a hook would let an
 // observer perturb the computation it observes. Batch and DecodeRow are
-// the continuous-batching decode state (PR 6): a hook runs on behalf of
-// one row, so writing through a Batch or another row's DecodeRow would
-// perturb co-scheduled trials.
-var modelStateTypes = []string{"Model", "Block", "MLPWeights", "Tensor", "Dense", "Weight", "Batch", "DecodeRow"}
+// the continuous-batching decode state, and Loop and Seq the decode loop
+// (gen.Loop) that owns them: a hook runs on behalf of one row, so writing
+// through any of them would perturb co-scheduled trials.
+var modelStateTypes = []string{"Model", "Block", "MLPWeights", "Tensor", "Dense", "Weight", "Batch", "DecodeRow", "Loop", "Seq"}
 
 // AnalyzerHookPurity enforces the "observational by construction"
 // contract of forward hooks and linear checkers: a hook may read layer

@@ -126,6 +126,25 @@ func badBatchTensorHook(b *Batch) func(LayerRef, int, []float32) {
 	}
 }
 
+// Seq and Loop mirror the decode loop that owns the rows (gen.Seq /
+// gen.Loop): a hook may not reschedule the sequences it rides beside.
+type Seq[T any] struct {
+	Owner T
+	row   *DecodeRow
+}
+
+type Loop[T any] struct {
+	live []*Seq[T]
+}
+
+// badLoopHook drops every co-scheduled sequence from inside a hook:
+// flagged.
+func badLoopHook(l *Loop[int]) func(LayerRef, int, []float32) {
+	return func(ref LayerRef, step int, out []float32) {
+		l.live = nil // want `stores to model-reachable memory`
+	}
+}
+
 // checker mirrors a LinearChecker implementation.
 type checker struct{ events int }
 

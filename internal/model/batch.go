@@ -37,31 +37,6 @@ type DecodeRow struct {
 
 func (r *DecodeRow) rc() rowCtx { return rowCtx{hooks: r.Hooks, checker: r.Checker} }
 
-// rowsForwarder is implemented by weights that can push the leading rows
-// of an activation tensor through the layer at once, leaving the rest of
-// out untouched. Like batchForwarder, every computed row must be
-// bit-identical to Forward on that row.
-type rowsForwarder interface {
-	ForwardRows(out, x *tensor.Tensor, rows, workers int)
-}
-
-// ForwardRows computes the first rows rows of out = x · W.
-func (d *Dense) ForwardRows(out, x *tensor.Tensor, rows, workers int) {
-	tensor.MatMulRows(out, x, d.T, rows, workers)
-}
-
-// forwardNRows runs the first rows rows of x through w into out, batched
-// when the weight supports it.
-func forwardNRows(w Weight, out, x *tensor.Tensor, rows, workers int) {
-	if rf, ok := w.(rowsForwarder); ok {
-		rf.ForwardRows(out, x, rows, workers)
-		return
-	}
-	for i := 0; i < rows; i++ {
-		w.Forward(out.Row(i), x.Row(i))
-	}
-}
-
 // Batch is a continuous-batching decode engine: capacity-sized activation
 // tensors over one model's weights, stepping up to capacity independent
 // trial states through one stacked forward pass per token. Rows are
@@ -178,11 +153,11 @@ func (b *Batch) Step(rows []*DecodeRow) {
 		}
 		normRows(b.h, blk.AttnNorm)
 
-		forwardNRows(blk.Wq, b.q, b.h, n, threads)
+		forwardRows(blk.Wq, b.q, b.h, n, threads)
 		finishRows(LayerRef{bi, KindQ, -1}, blk.Wq, b.h, b.q)
-		forwardNRows(blk.Wk, b.kb, b.h, n, threads)
+		forwardRows(blk.Wk, b.kb, b.h, n, threads)
 		finishRows(LayerRef{bi, KindK, -1}, blk.Wk, b.h, b.kb)
-		forwardNRows(blk.Wv, b.vb, b.h, n, threads)
+		forwardRows(blk.Wv, b.vb, b.h, n, threads)
 		finishRows(LayerRef{bi, KindV, -1}, blk.Wv, b.h, b.vb)
 
 		for i, row := range rows {
@@ -202,7 +177,7 @@ func (b *Batch) Step(rows []*DecodeRow) {
 			}
 		}
 
-		forwardNRows(blk.Wo, b.h, b.a, n, threads)
+		forwardRows(blk.Wo, b.h, b.a, n, threads)
 		finishRows(LayerRef{bi, KindOut, -1}, blk.Wo, b.a, b.h)
 		addRows(b.x, b.h)
 
@@ -213,28 +188,28 @@ func (b *Batch) Step(rows []*DecodeRow) {
 		normRows(b.h, blk.MLPNorm)
 
 		if blk.Router != nil {
-			forwardNRows(blk.Router, b.r, b.h, n, threads)
+			forwardRows(blk.Router, b.r, b.h, n, threads)
 			finishRows(LayerRef{bi, KindRouter, -1}, blk.Router, b.h, b.r)
 			for i, row := range rows {
 				m.moeMix(row.rc(), row.St, blk, bi, row.St.Pos, b.r.Row(i), b.h.Row(i), b.d.Row(i))
 			}
 		} else {
-			forwardNRows(blk.MLP.WGate, b.ff1, b.h, n, threads)
+			forwardRows(blk.MLP.WGate, b.ff1, b.h, n, threads)
 			finishRows(LayerRef{bi, KindGate, -1}, blk.MLP.WGate, b.h, b.ff1)
-			forwardNRows(blk.MLP.WUp, b.ff2, b.h, n, threads)
+			forwardRows(blk.MLP.WUp, b.ff2, b.h, n, threads)
 			finishRows(LayerRef{bi, KindUp, -1}, blk.MLP.WUp, b.h, b.ff2)
 			for i := 0; i < n*cfg.FFHidden; i++ {
 				g := b.ff1.Data[i]
 				b.ffa.Data[i] = float32(float64(g)/(1+math.Exp(-float64(g)))) * b.ff2.Data[i]
 			}
-			forwardNRows(blk.MLP.WDown, b.d, b.ffa, n, threads)
+			forwardRows(blk.MLP.WDown, b.d, b.ffa, n, threads)
 			finishRows(LayerRef{bi, KindDown, -1}, blk.MLP.WDown, b.ffa, b.d)
 		}
 		addRows(b.x, b.d)
 	}
 
 	normRows(b.x, m.FinalNorm)
-	forwardNRows(m.LMHead, b.l, b.x, n, threads)
+	forwardRows(m.LMHead, b.l, b.x, n, threads)
 	finishRows(LayerRef{-1, KindLMHead, -1}, m.LMHead, b.x, b.l)
 
 	for i, row := range rows {

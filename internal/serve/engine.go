@@ -10,9 +10,10 @@
 // accumulation order, injection hooks and ABFT checkers are row-scoped,
 // and fault sites are a pure function of the request's seed — never of
 // admission order or batch composition. Weight-resident faults (norm,
-// embedding, linear memory) cannot be row-scoped, so those requests run
-// serially on a private copy-on-write clone, exactly as offline
-// campaigns serialize memory-fault trials per model instance.
+// embedding, linear memory) cannot be row-scoped, so those requests
+// decode alone — the same loop at width 1 — on a private copy-on-write
+// clone, exactly as offline campaigns serialize memory-fault trials per
+// model instance.
 package serve
 
 import (
@@ -163,25 +164,37 @@ type reqTiming struct {
 
 // pending is a prefilled request waiting for a batch slot.
 type pending struct {
-	req    Request
-	ctx    context.Context
-	start  time.Time
-	st     *model.State
+	req   Request
+	ctx   context.Context
+	start time.Time
+	st    *model.State
+	// prefix is st's own logits buffer: nothing steps st between prefill
+	// and admission, and the decode loop copies it on Admit.
 	prefix []float32
 	site   *faults.Site
 	tm     reqTiming
 	resp   chan Response
 }
 
-// flight is one admitted request occupying a batch row.
+// flight is one admitted request occupying a decode-loop row.
 type flight struct {
 	p       *pending
-	row     *model.DecodeRow
-	stepper *gen.Stepper
 	inj     *faults.Injection
 	sf      *faults.StateFault
 	checker *abft.Checker
 	lastTok time.Time // last decode-step completion, for inter-token gaps
+}
+
+// lane is a decode loop plus what arming a request on it needs: the
+// model its rows run on and that model's clean-weight checksum cache.
+// The scheduler owns one at Config.Width over the engine's model; each
+// weight-resident request owns one at width 1 over its private clone.
+// gen.Loop is the one greedy decode driver, shared with offline
+// campaigns, and where the bit-identity argument lives.
+type lane struct {
+	loop  *gen.Loop[*flight]
+	m     *model.Model
+	cache *abft.Cache
 }
 
 // Engine is the serving core. Create with NewEngine, start the
@@ -194,8 +207,8 @@ type Engine struct {
 	met     *Metrics
 	sampler *faults.Sampler
 	// cache holds clean-weight ABFT checksums. It is not safe for
-	// concurrent use; only the scheduler goroutine touches it (the
-	// serial fault path builds private caches).
+	// concurrent use; only the scheduler goroutine touches it (a
+	// weight-resident request builds a private one for its clone).
 	cache *abft.Cache
 	queue chan *pending
 	done  chan struct{}
@@ -328,11 +341,6 @@ func (e *Engine) sampleTrace(req *Request) reqTiming {
 	return tm
 }
 
-// genSettings builds the per-request greedy-decode settings.
-func (e *Engine) genSettings(maxNew int) gen.Settings {
-	return gen.Defaults(maxNew)
-}
-
 // validate normalizes req in place.
 func (e *Engine) validate(req *Request) error {
 	if len(req.Prompt) == 0 {
@@ -391,33 +399,24 @@ func (e *Engine) Submit(ctx context.Context, req Request) Response {
 		site = &s
 	}
 
+	p := &pending{req: req, ctx: ctx, start: start, site: site, tm: tm, resp: make(chan Response, 1)}
 	if site != nil && site.WeightResident() {
 		// Weight-resident faults flip shared parameter storage; they
-		// cannot ride a shared batch. Run serially on a private
-		// copy-on-write clone in this goroutine.
+		// cannot ride a shared batch. Decode alone on a private
+		// copy-on-write clone, in this goroutine.
 		if !e.trackSerial() {
 			e.met.observeRejected(statusDraining)
 			return Response{ID: req.ID, Err: ErrDraining}
 		}
 		defer e.serial.Done()
-		return e.runSerial(ctx, req, *site, start, tm)
+		return e.runAlone(p)
 	}
 
 	// Prefill here, concurrently with other submitters: the state is
 	// private and the shared weights are read-only on this path.
-	st := e.m.NewState()
-	logits := st.Prefill(req.Prompt)
-	tm.enq = time.Now()
-	p := &pending{
-		req:    req,
-		ctx:    ctx,
-		start:  start,
-		st:     st,
-		prefix: append([]float32(nil), logits...),
-		site:   site,
-		tm:     tm,
-		resp:   make(chan Response, 1),
-	}
+	p.st = e.m.NewState()
+	p.prefix = p.st.Prefill(req.Prompt)
+	p.tm.enq = time.Now()
 	select {
 	case e.queue <- p:
 	case <-ctx.Done():
@@ -452,15 +451,13 @@ func (e *Engine) trackSerial() bool {
 	return true
 }
 
-// Run is the scheduler: it owns the decode batch, admits pending
-// requests into free rows, steps the batch, and retires finished rows.
-// It returns after ctx is cancelled AND every in-flight request (batched
-// and serial) has finished — the graceful-drain contract behind the
-// SIGINT handling in cmd/llmfi.
+// Run is the scheduler: it owns the engine's decode loop, admits pending
+// requests into free rows and steps them to completion. It returns
+// after ctx is cancelled AND every in-flight request (batched and
+// alone) has finished — the graceful-drain contract behind the SIGINT
+// handling in cmd/llmfi.
 func (e *Engine) Run(ctx context.Context) error {
-	bt := e.m.NewBatch(e.cfg.Width)
-	live := make([]*flight, 0, e.cfg.Width)
-	rows := make([]*model.DecodeRow, 0, e.cfg.Width)
+	ln := &lane{loop: gen.NewLoop[*flight](e.m, e.cfg.Width), m: e.m, cache: e.cache}
 	running := true
 
 	for {
@@ -471,79 +468,29 @@ func (e *Engine) Run(ctx context.Context) error {
 			e.mu.Unlock()
 			e.failQueued()
 		}
-		if len(live) == 0 {
+		if ln.loop.Len() == 0 {
 			if !running {
 				break
 			}
 			select {
 			case p := <-e.queue:
-				if f := e.admit(p); f != nil {
-					live = append(live, f)
-				}
+				e.admit(ln, p)
 			case <-ctx.Done():
 			}
 			continue
 		}
 		if running {
 		topUp:
-			for len(live) < e.cfg.Width {
+			for ln.loop.Free() > 0 {
 				select {
 				case p := <-e.queue:
-					if f := e.admit(p); f != nil {
-						live = append(live, f)
-					}
+					e.admit(ln, p)
 				default:
 					break topUp
 				}
 			}
 		}
-
-		// Sweep cancelled/expired requests before spending a step on them.
-		keep := live[:0]
-		for _, f := range live {
-			if err := f.p.ctx.Err(); err != nil {
-				e.retire(f, err)
-				continue
-			}
-			keep = append(keep, f)
-		}
-		live = keep
-		if len(live) == 0 {
-			continue
-		}
-
-		// Land KV-cache strikes due this iteration, then step.
-		rows = rows[:0]
-		for _, f := range live {
-			if f.sf != nil {
-				f.sf.BeforeStep(f.row.St)
-			}
-			rows = append(rows, f.row)
-		}
-		bt.Step(rows)
-
-		// One clock read covers the whole stacked step: each live flight
-		// produced one token, so the gap since its previous token is an
-		// inter-token latency sample.
-		stepAt := time.Now()
-		for _, f := range live {
-			if !f.lastTok.IsZero() {
-				e.met.observeInterToken(stepAt.Sub(f.lastTok))
-			}
-			f.lastTok = stepAt
-		}
-
-		keep = live[:0]
-		for _, f := range live {
-			tok, ok := f.stepper.Next(f.row.Logits, f.row.St.Pos, e.m.Cfg.MaxSeq)
-			if !ok {
-				e.retire(f, nil)
-				continue
-			}
-			f.row.Tok = tok
-			keep = append(keep, f)
-		}
-		live = keep
+		e.step(ln)
 	}
 
 	e.serial.Wait()
@@ -564,83 +511,138 @@ func (e *Engine) failQueued() {
 	}
 }
 
-// admit turns a pending request into a flight: build its stepper, arm
-// its fault and checker on the row (scheduler goroutine — the checksum
-// cache is single-threaded by construction), and consume the prefix
-// logits for the first token. Returns nil if the request finished
-// during admission (first token was EOS).
-func (e *Engine) admit(p *pending) *flight {
-	f := &flight{
-		p:       p,
-		stepper: gen.NewStepper(e.genSettings(p.req.MaxNew)),
-		row:     &model.DecodeRow{St: p.st, Logits: make([]float32, e.m.Cfg.Vocab)},
+// runAlone serves a weight-resident-fault request on a private
+// copy-on-write clone: clean prefill, then the scheduler's own admit and
+// step on a width-1 loop over the clone. Sibling requests never observe
+// the flip — the clone privatizes the struck storage before writing.
+// Without a queue, TTFT is prefill time.
+func (e *Engine) runAlone(p *pending) Response {
+	wm := e.m.CloneShared()
+	p.st = wm.NewState()
+	p.prefix = p.st.Prefill(p.req.Prompt)
+	// Private cache: the engine's belongs to the scheduler goroutine.
+	ln := &lane{loop: gen.NewLoop[*flight](wm, 1), m: wm, cache: abft.NewCache()}
+	e.admit(ln, p)
+	for ln.loop.Len() > 0 {
+		e.step(ln)
 	}
+	return <-p.resp
+}
+
+// admit puts a prefilled request on ln: arm its fault and checker on its
+// own row (on the goroutine that owns ln — the checksum cache is
+// single-threaded by construction) and take the first token off the
+// prefix logits. A request that ends there is answered without ever
+// occupying a row.
+func (e *Engine) admit(ln *lane, p *pending) {
+	f := &flight{p: p}
+	var arm gen.Arm
 	if p.site != nil {
-		if err := e.armRow(f); err != nil {
-			e.retire(f, fmt.Errorf("%w: %v", ErrInvalid, err))
-			return nil
+		var err error
+		if arm, err = e.arm(ln, f); err != nil {
+			e.respond(f, gen.Result{}, fmt.Errorf("%w: %v", ErrInvalid, err))
+			return
 		}
 	}
-	tok, ok := f.stepper.Next(p.prefix, p.st.Pos, e.m.Cfg.MaxSeq)
-	if !ok {
-		e.retire(f, nil)
-		return nil
+	s := ln.loop.Admit(p.st, p.prefix, gen.Defaults(p.req.MaxNew), arm, f)
+	if s.Done() {
+		e.retire(ln, s, nil)
+		return
 	}
 	// The first generated token materializes here, off the prefix
 	// logits: this is the request's TTFT.
 	p.tm.admitted = time.Now()
-	p.tm.queueWait = p.tm.admitted.Sub(p.tm.enq)
+	if !p.tm.enq.IsZero() { // a request on a lane of its own never queued
+		p.tm.queueWait = p.tm.admitted.Sub(p.tm.enq)
+	}
 	p.tm.ttft = p.tm.admitted.Sub(p.start)
 	p.tm.hasTTFT = true
 	e.met.observeTTFT(p.tm.ttft)
 	f.lastTok = p.tm.admitted
-	f.row.Tok = tok
-	return f
 }
 
-// armRow scopes the request's fault and checker to its own batch row.
-func (e *Engine) armRow(f *flight) error {
+// arm protects, then arms, the request's fault on ln's model — checksums
+// must capture clean weights, so Protect precedes a weight flip — and
+// returns the observers scoped to the request's own row.
+func (e *Engine) arm(ln *lane, f *flight) (gen.Arm, error) {
 	site := *f.p.site
 	promptLen := len(f.p.req.Prompt)
-	switch site.Surface {
-	case faults.SurfaceKV:
-		sf, err := faults.ArmKV(site, promptLen)
-		if err != nil {
-			return err
-		}
-		f.sf = sf
-	default:
-		inj, hook, err := faults.ArmHook(e.m, site, promptLen)
-		if err != nil {
-			return err
-		}
-		f.inj = inj
-		if site.Surface == faults.SurfaceAttn {
-			f.row.AttnHooks = []model.Hook{hook}
-		} else {
-			f.row.Hooks = []model.Hook{hook}
-		}
-	}
+	var arm gen.Arm
 	if a := e.cfg.Inject.ABFT; a != nil {
-		ck := abft.NewWithCache(abft.Config{Tol: a.Tol, Policy: a.Policy}, e.cache)
+		ck := abft.NewWithCache(abft.Config{Tol: a.Tol, Policy: a.Policy}, ln.cache)
+		var err error
 		if a.AllLayers {
-			if err := ck.ProtectAll(e.m); err != nil {
-				return err
-			}
+			err = ck.ProtectAll(ln.m)
 		} else if site.Surface == faults.SurfaceLinear {
-			if err := ck.Protect(e.m, site.Layer); err != nil {
-				return err
-			}
+			err = ck.Protect(ln.m, site.Layer)
+		}
+		if err != nil {
+			return arm, err
 		}
 		f.checker = ck
-		f.row.Checker = ck
+		arm.Checker = ck
 	}
-	return nil
+	var err error
+	switch {
+	case site.Surface == faults.SurfaceKV:
+		if f.sf, err = faults.ArmKV(site, promptLen); err == nil {
+			arm.BeforeStep = f.sf.BeforeStep
+		}
+	case site.WeightResident():
+		// Submit routes these to runAlone: ln.m is a private clone.
+		f.inj, err = faults.Arm(ln.m, site, promptLen)
+	default:
+		var hook model.Hook
+		f.inj, hook, err = faults.ArmHook(ln.m, site, promptLen)
+		if site.Surface == faults.SurfaceAttn {
+			arm.AttnHooks = []model.Hook{hook}
+		} else {
+			arm.Hooks = []model.Hook{hook}
+		}
+	}
+	return arm, err
 }
 
-// retire finishes a flight: score, classify, record, respond.
-func (e *Engine) retire(f *flight, err error) {
-	res := f.stepper.Result()
+// step advances every live request on ln by one token. Cancelled and
+// expired requests are swept out first, so no step is spent on them.
+func (e *Engine) step(ln *lane) {
+	ln.loop.Drop(func(s *gen.Seq[*flight]) bool {
+		err := s.Owner.p.ctx.Err()
+		if err != nil {
+			e.retire(ln, s, err)
+		}
+		return err != nil
+	})
+	if ln.loop.Len() == 0 {
+		return
+	}
+	finished := ln.loop.Step()
+
+	// One clock read covers the whole stacked step: each request that
+	// rode it produced one token, so the gap since its previous token is
+	// an inter-token latency sample.
+	stepAt := time.Now()
+	tick := func(f *flight) {
+		e.met.observeInterToken(stepAt.Sub(f.lastTok))
+		f.lastTok = stepAt
+	}
+	for _, s := range ln.loop.Live() {
+		tick(s.Owner)
+	}
+	for _, s := range finished {
+		tick(s.Owner)
+		e.retire(ln, s, nil)
+	}
+}
+
+// retire takes a finished or abandoned request off ln and answers it.
+func (e *Engine) retire(ln *lane, s *gen.Seq[*flight], err error) {
+	ln.loop.Release(s)
+	e.respond(s.Owner, s.Result(), err)
+}
+
+// respond finishes a flight: score, classify, record, reply.
+func (e *Engine) respond(f *flight, res gen.Result, err error) {
 	fired := false
 	if f.inj != nil {
 		fired = f.inj.Fired
@@ -654,73 +656,6 @@ func (e *Engine) retire(f *flight, err error) {
 		e.met.observeDetection(detected)
 	}
 	f.p.resp <- e.finish(f.p.req, f.p.start, res.Tokens, res.Steps, f.p.site, err, fired, detected, f.p.tm)
-}
-
-// runSerial executes a weight-resident-fault request on a private
-// copy-on-write clone: clean prefill, checksum capture, arm, serial
-// decode with per-token cancellation checks, disarm. Sibling requests
-// never observe the flip — the clone privatizes the struck storage
-// before writing.
-func (e *Engine) runSerial(ctx context.Context, req Request, site faults.Site, start time.Time, tm reqTiming) Response {
-	wm := e.m.CloneShared()
-	st := wm.NewState()
-	logits := st.Prefill(req.Prompt)
-
-	var ck *abft.Checker
-	if a := e.cfg.Inject.ABFT; a != nil {
-		// Private cache: the engine's cache belongs to the scheduler
-		// goroutine. Protect before Arm so checksums capture clean weights.
-		ck = abft.NewWithCache(abft.Config{Tol: a.Tol, Policy: a.Policy}, abft.NewCache())
-		var err error
-		if a.AllLayers {
-			err = ck.ProtectAll(wm)
-		} else if site.Surface == faults.SurfaceLinear {
-			err = ck.Protect(wm, site.Layer)
-		}
-		if err != nil {
-			e.met.observeRejected(statusInvalid)
-			return Response{ID: req.ID, Err: fmt.Errorf("%w: %v", ErrInvalid, err)}
-		}
-		wm.SetChecker(ck)
-	}
-
-	inj, err := faults.Arm(wm, site, len(req.Prompt))
-	if err != nil {
-		e.met.observeRejected(statusInvalid)
-		return Response{ID: req.ID, Err: fmt.Errorf("%w: %v", ErrInvalid, err)}
-	}
-	defer inj.Disarm()
-
-	stepper := gen.NewStepper(e.genSettings(req.MaxNew))
-	tok, ok := stepper.Next(logits, st.Pos, wm.Cfg.MaxSeq)
-	last := time.Now()
-	if ok {
-		// Serial path has no queue: its first token lands right after
-		// prefill, so queue wait is zero and TTFT is prefill time.
-		tm.admitted = last
-		tm.ttft = last.Sub(start)
-		tm.hasTTFT = true
-		e.met.observeTTFT(tm.ttft)
-	}
-	var ctxErr error
-	for ok {
-		if err := ctx.Err(); err != nil {
-			ctxErr = err
-			break
-		}
-		logits = st.DecodeStep(tok)
-		stepAt := time.Now()
-		e.met.observeInterToken(stepAt.Sub(last))
-		last = stepAt
-		tok, ok = stepper.Next(logits, st.Pos, wm.Cfg.MaxSeq)
-	}
-	res := stepper.Result()
-	detected := 0
-	if ck != nil {
-		detected = ck.Stats().Flagged
-		e.met.observeDetection(detected)
-	}
-	return e.finish(req, start, res.Tokens, res.Steps, &site, ctxErr, inj.Fired, detected, tm)
 }
 
 // finish assembles the Response and records the request's metrics,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abft"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/mitigate"
@@ -389,5 +390,107 @@ func TestServeCampaignClassification(t *testing.T) {
 		if !reflect.DeepEqual(resp.Tokens, want[i]) {
 			t.Fatalf("prompt %d corrupted after campaign: %v vs %v", i, resp.Tokens, want[i])
 		}
+	}
+}
+
+// stepsThenCancel is a context that reports cancellation from its
+// (n+1)-th Err call on: the decode loop polls Err once per step, so a
+// request submitted under it is abandoned after exactly n decode steps.
+type stepsThenCancel struct {
+	context.Context
+	n int
+}
+
+func (c *stepsThenCancel) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestServeWeightResidentThroughLoop pins the weight-resident path — a
+// width-1 decode loop over a private clone, checker on the row — to the
+// seed oracle: for every weight-resident surface, tokens, Fired and
+// Detected equal gen.ContinueGreedy on a clone armed identically (clean
+// prefill, protect, arm; the model's own checker observing). Cancelling
+// mid-decode returns the tokens chosen so far with the context error.
+func TestServeWeightResidentThroughLoop(t *testing.T) {
+	m, vocab := testServeModel(t)
+	prompts := testPrompts()
+	const maxNew = 12
+	e, stop := startEngine(t, serve.Config{
+		Model: m, Vocab: vocab, Width: 4,
+		Inject: &serve.InjectConfig{
+			Fault:    faults.Mem2Bit,
+			Surfaces: []faults.Surface{faults.SurfaceLinear, faults.SurfaceNorm, faults.SurfaceEmbed},
+			Seed:     99,
+			ABFT:     &serve.ABFTConfig{Policy: mitigate.PolicyDetect, AllLayers: true},
+		},
+	})
+	defer stop()
+
+	surfaces := map[string]int{}
+	var long *serve.Request // a request whose full decode outlasts the cancellation below
+	var longTokens []int
+	for i := 0; i < 18; i++ {
+		req := serve.Request{ID: fmt.Sprintf("wr%d", i), Prompt: prompts[i%len(prompts)], MaxNew: maxNew, Seed: uint64(i)}
+		site, err := e.SampleSiteForTest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !site.WeightResident() {
+			t.Fatalf("request %d drew %v, not a weight-resident site", i, site)
+		}
+
+		clone := m.CloneShared()
+		st := clone.NewState()
+		logits := st.Prefill(req.Prompt)
+		ck := abft.New(abft.Config{Policy: mitigate.PolicyDetect})
+		if err := ck.ProtectAll(clone); err != nil {
+			t.Fatal(err)
+		}
+		clone.SetChecker(ck)
+		inj, err := faults.Arm(clone, site, len(req.Prompt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := gen.ContinueGreedy(clone, st, logits, gen.Defaults(maxNew))
+
+		resp := e.Submit(context.Background(), req)
+		if resp.Err != nil {
+			t.Fatalf("request %d: %v", i, resp.Err)
+		}
+		if !reflect.DeepEqual(resp.Tokens, want.Tokens) || resp.Steps != want.Steps {
+			t.Fatalf("request %d (%v): served %v (%d steps), oracle %v (%d steps)",
+				i, site, resp.Tokens, resp.Steps, want.Tokens, want.Steps)
+		}
+		if resp.Fired != inj.Fired || resp.Detected != ck.Stats().Flagged {
+			t.Fatalf("request %d (%v): fired %v detected %d, oracle fired %v flagged %d",
+				i, site, resp.Fired, resp.Detected, inj.Fired, ck.Stats().Flagged)
+		}
+		surfaces[resp.Surface]++
+		if long == nil && len(resp.Tokens) > 6 {
+			r := req
+			long, longTokens = &r, resp.Tokens
+		}
+	}
+	if len(surfaces) != 3 {
+		t.Fatalf("expected all three weight-resident surfaces, got %v", surfaces)
+	}
+	if long == nil {
+		t.Fatal("no request decoded long enough to cancel mid-decode")
+	}
+
+	// First token off the prefix logits, then three decode steps.
+	resp := e.Submit(&stepsThenCancel{Context: context.Background(), n: 3}, *long)
+	if !errors.Is(resp.Err, context.Canceled) {
+		t.Fatalf("cancelled request err = %v, want context.Canceled", resp.Err)
+	}
+	if !reflect.DeepEqual(resp.Tokens, longTokens[:4]) {
+		t.Fatalf("cancelled request returned %v, want the first four of %v", resp.Tokens, longTokens)
+	}
+	if got := e.Metrics().Snapshot().Requests[serve.StatusCanceledForTest]; got != 1 {
+		t.Fatalf("canceled count = %d", got)
 	}
 }

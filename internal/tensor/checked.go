@@ -93,7 +93,7 @@ func (c Checksums) CheckRowsN(a, out *Tensor, rows int, tol float64) []int {
 	return bad
 }
 
-// MatMulChecked computes out = a·b through the same blocked kernel as
+// MatMulChecked computes out = a·b through the same row kernel as
 // MatMulP — the result is bit-identical to MatMul for every worker count —
 // and then verifies each output row against float64 checksums of b,
 // returning the indices of rows that violate the relative tolerance (nil

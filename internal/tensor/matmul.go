@@ -19,63 +19,43 @@ func MatMul(out, a, b *Tensor) {
 
 // MatMulP computes out = a · b where a is m×k and b is k×n, using at most
 // workers goroutines (values < 1 mean serial). out must be m×n and
-// distinct from a and b. Work is split across rows of a when the product
-// is large enough, so the per-row arithmetic — and therefore the result —
-// is bit-identical for every worker count.
-//
-// The kernel iterates k in the middle loop with b accessed row-wise so the
-// inner loop is a contiguous saxpy — the standard cache-friendly ikj
-// ordering. Accumulation is in float32, matching GPU tensor-core GEMM
-// behaviour closely enough for this study (fault magnitudes dwarf
-// accumulation-order noise).
+// distinct from a and b. It is MatMulRows over every row of a.
 func MatMulP(out, a, b *Tensor, workers int) {
-	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic("tensor: MatMul shape mismatch")
-	}
-	if workers > 1 && a.Rows >= minRowsPerWorker*2 {
-		parallelRows(a.Rows, workers, func(r0, r1 int) {
-			matmulRowsBlocked(out, a, b, r0, r1)
-		})
-		return
-	}
-	matmulRowsBlocked(out, a, b, 0, a.Rows)
+	MatMulRows(out, a, b, a.Rows, workers)
 }
 
 // MatMulRows computes the first rows rows of out = a · b, leaving the
-// remaining rows of out untouched. This is the batched-decode GEMM entry
-// point: a continuous-batching scheduler keeps activation tensors sized
-// for its batch capacity and stacks however many trials are currently in
-// flight into the leading rows. Each output row's accumulation sequence
-// is bit-identical to MatVec on that row (p ascending with zero inputs
-// skipped, then the contiguous saxpy in x ascending order), so one
-// rows×k matmul per layer per step replaces rows GEMVs without changing
-// a single bit of any trial's result — for every worker count.
+// remaining rows of out untouched — the one GEMM behind prefill (all
+// rows) and batched decode (a scheduler keeps activation tensors sized
+// for its capacity and stacks however many trials are in flight into the
+// leading rows). Each output row's accumulation sequence is
+// bit-identical to MatVec on that row (p ascending with zero inputs
+// skipped, float32 accumulation), so one rows×k matmul per layer
+// replaces rows GEMVs without changing a single bit of any row's
+// result. Large products are split across rows, so that holds for every
+// worker count.
 func MatMulRows(out, a, b *Tensor, rows, workers int) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic("tensor: MatMulRows shape mismatch")
+		panic("tensor: MatMul shape mismatch")
 	}
 	if rows < 0 || rows > a.Rows {
 		panic("tensor: MatMulRows row count out of range")
 	}
 	if workers > 1 && rows >= minRowsPerWorker*2 {
 		parallelRows(rows, workers, func(r0, r1 int) {
-			matmulRowsBlocked(out, a, b, r0, r1)
+			matmulRowsTiled(out, a, b, r0, r1)
 		})
 		return
 	}
-	matmulRowsBlocked(out, a, b, 0, rows)
+	matmulRowsTiled(out, a, b, 0, rows)
 }
 
-// matmulRowsBlocked computes rows [r0, r1) of out = a·b through the
-// register-tiled row kernel behind MatVec. Per-row dispatch is a
-// deliberate choice over cross-row register blocking: the weight
-// matrices of this study are L1-resident, so sharing loaded b elements
-// across rows buys nothing, while the extra per-row zero-skip branching
-// a shared-load kernel needs (each row must skip exactly the inputs
-// MatVec would skip, or bit-identity breaks) costs more than the loads
-// it saves — measured in BenchmarkMatMulRows vs BenchmarkMatVecLoop.
-// Rows remain the parallel-split axis for multi-worker calls.
-func matmulRowsBlocked(out, a, b *Tensor, r0, r1 int) {
+// matmulRowsTiled computes rows [r0, r1) of out = a·b, one row at a time
+// through the register-tiled kernel behind MatVec. Rows share no loads:
+// the weight matrices of this study are L1-resident, and a shared-load
+// kernel would need per-row zero-skip branching to stay bit-identical
+// to MatVec, which costs more than the loads it saves.
+func matmulRowsTiled(out, a, b *Tensor, r0, r1 int) {
 	n := b.Cols
 	k := a.Cols
 	for i := r0; i < r1; i++ {
@@ -83,7 +63,8 @@ func matmulRowsBlocked(out, a, b *Tensor, r0, r1 int) {
 	}
 }
 
-// matmulRows computes rows [r0, r1) of out = a·b.
+// matmulRows computes rows [r0, r1) of out = a·b in the saxpy form — the
+// reference the kernel tests pin matVecTiled to.
 func matmulRows(out, a, b *Tensor, r0, r1 int) {
 	n := b.Cols
 	k := a.Cols
