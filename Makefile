@@ -36,8 +36,8 @@ race:
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Serve|Handler|Loadgen)' ./internal/serve/...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(FanIn|Recorder|SpanWriter|FleetTrace|LeaseTrace)' \
-		./internal/fabric/ ./internal/obs/
+		-run '^Test(FanIn|Recorder|SpanWriter|FleetTrace|LeaseTrace|HistConcurrent)' \
+		./internal/fabric/ ./internal/obs/ ./internal/prom/
 
 ## bench: the repository benchmark (benchmark/, the contract in
 ## BENCHMARK.json): six workloads, each in a fresh child process, three

@@ -4,14 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/prom"
 	"repro/internal/report"
 	"repro/internal/version"
 )
@@ -395,7 +398,7 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// Fan-in registration rides the join: a worker advertising an
 	// observability address gets its /metrics scraped from now on.
 	co.fan.Register(name, req.HTTPAddr)
-	writeJSON(w, resp)
+	report.WriteJSON(w, resp)
 }
 
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -443,7 +446,7 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		// ignore it — the JSON payload is unchanged either way.
 		w.Header().Set(obs.TraceparentHeader, leaseCtx.Traceparent())
 	}
-	writeJSON(w, resp)
+	report.WriteJSON(w, resp)
 }
 
 func (co *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -533,7 +536,7 @@ func (co *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		report.WriteAPIError(w, http.StatusInternalServerError, "checkpoint_failed", ckptErr.Error())
 		return
 	}
-	writeJSON(w, resp)
+	report.WriteJSON(w, resp)
 }
 
 // retireLeasesLocked drops leases whose every index is done, so the
@@ -582,7 +585,7 @@ func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		report.WriteAPIError(w, http.StatusMethodNotAllowed, "method_not_allowed", r.Method+" not allowed; use GET")
 		return
 	}
-	writeJSON(w, co.Status())
+	report.WriteJSON(w, co.Status())
 }
 
 // Status renders the fleet-level progress snapshot.
@@ -638,11 +641,16 @@ func (co *Coordinator) Status() StatusResponse {
 }
 
 func (co *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", report.ContentTypeMetrics)
-	_ = report.WriteBuildInfoText(w, SchemaVersion)
-	_ = WriteFleetMetricsText(w, co.Status())
-	// The aggregated worker series (llmfi_fleet_*) render after the
-	// coordinator's own fabric families.
+	w.Header().Set("Content-Type", prom.ContentType)
+	co.writeMetrics(w, co.Status())
+}
+
+// writeMetrics renders the coordinator surface for both /metrics and
+// the /debug/fleet dashboard: build info, the coordinator's own fabric
+// families, then the aggregated worker series (llmfi_fleet_*).
+func (co *Coordinator) writeMetrics(w io.Writer, s StatusResponse) {
+	_ = prom.WriteBuildInfo(w, SchemaVersion)
+	_ = WriteFleetMetricsText(w, s)
 	_ = co.fan.WriteText(w)
 }
 
@@ -666,9 +674,7 @@ func (co *Coordinator) dashboardData() obs.DashboardData {
 		})
 	}
 	var metrics strings.Builder
-	_ = report.WriteBuildInfoText(&metrics, SchemaVersion)
-	_ = WriteFleetMetricsText(&metrics, s)
-	_ = co.fan.WriteText(&metrics)
+	co.writeMetrics(&metrics, s)
 	return obs.DashboardData{
 		Title:    "llmfi fleet",
 		Version:  version.Version,
@@ -680,7 +686,7 @@ func (co *Coordinator) dashboardData() obs.DashboardData {
 
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	done, total := co.Done()
-	writeJSON(w, struct {
+	report.WriteJSON(w, struct {
 		Status   string `json:"status"`
 		Done     int    `json:"done"`
 		Total    int    `json:"total"`
@@ -718,6 +724,6 @@ func sortedWorkers(m map[string]*workerRec) []string {
 	for name := range m {
 		names = append(names, name)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
 }

@@ -1,83 +1,46 @@
 package fabric
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"net/http"
-	"sort"
-	"strconv"
-	"strings"
+
+	"repro/internal/prom"
 )
 
 // WriteFleetMetricsText renders the fleet status in the Prometheus text
-// exposition format (version 0.0.4) — the multi-node counterpart of
+// exposition format — the multi-node counterpart of
 // report.WriteMetricsText. Output is deterministic for a given status
 // (fixed family order, workers sorted by name), so it can be golden
 // tested and diffed across scrapes.
-func WriteFleetMetricsText(w io.Writer, s StatusResponse) error {
-	var b strings.Builder
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-			name, help, name, name, fmtVal(v))
-	}
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %s\n",
-			name, help, name, name, fmtVal(v))
-	}
-
-	gauge("llmfi_fabric_trials_total", "Trials configured for the distributed campaign.", float64(s.Trials))
-	gauge("llmfi_fabric_trials_done", "Trials merged by the coordinator.", float64(s.Done))
-	gauge("llmfi_fabric_trials_outstanding", "Leased, not-yet-submitted trial indices.", float64(s.OutstandingTrials))
-	gauge("llmfi_fabric_leases_outstanding", "Live leases across the fleet.", float64(s.OutstandingLeases))
-	counter("llmfi_fabric_leases_reissued_total", "Leases expired past their TTL and returned to the pool.", float64(s.ReissuedLeases))
-	counter("llmfi_fabric_duplicate_trials_total", "Submitted trials discarded by index-keyed dedup.", float64(s.DuplicateTrials))
-	counter("llmfi_fabric_stitched_results_total", "Result submissions carrying the lease's trace context (coordinator/worker trace stitch).", float64(s.StitchedResults))
-	gauge("llmfi_fabric_workers", "Workers that have joined the fleet.", float64(len(s.Workers)))
-	gauge("llmfi_fabric_trials_per_second", "Fleet-wide merge throughput (restored trials excluded).", s.TrialsPerSec)
-	gauge("llmfi_fabric_elapsed_seconds", "Wall time since the coordinator started.", s.ElapsedSec)
+func WriteFleetMetricsText(out io.Writer, s StatusResponse) error {
+	w := prom.NewWriter(out)
+	w.Gauge("llmfi_fabric_trials_total", "Trials configured for the distributed campaign.", float64(s.Trials))
+	w.Gauge("llmfi_fabric_trials_done", "Trials merged by the coordinator.", float64(s.Done))
+	w.Gauge("llmfi_fabric_trials_outstanding", "Leased, not-yet-submitted trial indices.", float64(s.OutstandingTrials))
+	w.Gauge("llmfi_fabric_leases_outstanding", "Live leases across the fleet.", float64(s.OutstandingLeases))
+	w.Counter("llmfi_fabric_leases_reissued_total", "Leases expired past their TTL and returned to the pool.", int64(s.ReissuedLeases))
+	w.Counter("llmfi_fabric_duplicate_trials_total", "Submitted trials discarded by index-keyed dedup.", int64(s.DuplicateTrials))
+	w.Counter("llmfi_fabric_stitched_results_total", "Result submissions carrying the lease's trace context (coordinator/worker trace stitch).", int64(s.StitchedResults))
+	w.Gauge("llmfi_fabric_workers", "Workers that have joined the fleet.", float64(len(s.Workers)))
+	w.Gauge("llmfi_fabric_trials_per_second", "Fleet-wide merge throughput (restored trials excluded).", s.TrialsPerSec)
+	w.Gauge("llmfi_fabric_elapsed_seconds", "Wall time since the coordinator started.", s.ElapsedSec)
 	finished := 0.0
 	if s.Finished {
 		finished = 1
 	}
-	gauge("llmfi_fabric_finished", "Whether every trial is merged (0/1).", finished)
+	w.Gauge("llmfi_fabric_finished", "Whether every trial is merged (0/1).", finished)
 
-	if len(s.Workers) > 0 {
-		fmt.Fprintf(&b, "# HELP llmfi_fabric_worker_trials Trials accepted per worker.\n# TYPE llmfi_fabric_worker_trials gauge\n")
-		for _, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_fabric_worker_trials{worker=%q} %d\n", ws.Worker, ws.Trials)
-		}
-		fmt.Fprintf(&b, "# HELP llmfi_fabric_worker_trials_per_second Accepted-trial rate per worker since it joined.\n# TYPE llmfi_fabric_worker_trials_per_second gauge\n")
-		for _, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_fabric_worker_trials_per_second{worker=%q} %s\n", ws.Worker, fmtVal(ws.TrialsPerSec))
-		}
-		fmt.Fprintf(&b, "# HELP llmfi_fabric_worker_outstanding_trials Leased, unsubmitted indices per worker.\n# TYPE llmfi_fabric_worker_outstanding_trials gauge\n")
-		for _, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_fabric_worker_outstanding_trials{worker=%q} %d\n", ws.Worker, ws.OutstandingTrials)
-		}
-		fmt.Fprintf(&b, "# HELP llmfi_fabric_worker_last_seen_seconds Seconds since each worker's last request.\n# TYPE llmfi_fabric_worker_last_seen_seconds gauge\n")
-		for _, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_fabric_worker_last_seen_seconds{worker=%q} %s\n", ws.Worker, fmtVal(ws.LastSeenSec))
-		}
+	worker := func(ws WorkerStatus) prom.Label { return prom.Label{Key: "worker", Val: ws.Worker} }
+	for _, ws := range s.Workers {
+		w.Gauge("llmfi_fabric_worker_trials", "Trials accepted per worker.", float64(ws.Trials), worker(ws))
 	}
-
-	_, err := io.WriteString(w, b.String())
-	return err
+	for _, ws := range s.Workers {
+		w.Gauge("llmfi_fabric_worker_trials_per_second", "Accepted-trial rate per worker since it joined.", ws.TrialsPerSec, worker(ws))
+	}
+	for _, ws := range s.Workers {
+		w.Gauge("llmfi_fabric_worker_outstanding_trials", "Leased, unsubmitted indices per worker.", float64(ws.OutstandingTrials), worker(ws))
+	}
+	for _, ws := range s.Workers {
+		w.Gauge("llmfi_fabric_worker_last_seen_seconds", "Seconds since each worker's last request.", ws.LastSeenSec, worker(ws))
+	}
+	return w.Flush()
 }
-
-// fmtVal renders a sample value the way Prometheus clients do: shortest
-// round-trip representation, integers without a decimal point.
-func fmtVal(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// writeJSON writes an indented JSON response body.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// sortStrings orders worker names deterministically.
-func sortStrings(s []string) { sort.Strings(s) }

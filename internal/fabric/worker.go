@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/prom"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/version"
@@ -131,7 +132,7 @@ func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", w.handleMetrics)
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
-		writeJSON(rw, struct {
+		report.WriteJSON(rw, struct {
 			Status string `json:"status"`
 			Worker string `json:"worker"`
 			Trials int64  `json:"trials"`
@@ -141,19 +142,18 @@ func (w *Worker) Handler() http.Handler {
 }
 
 func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
-	rw.Header().Set("Content-Type", report.ContentTypeMetrics)
-	_ = report.WriteBuildInfoText(rw, SchemaVersion)
+	rw.Header().Set("Content-Type", prom.ContentType)
+	_ = prom.WriteBuildInfo(rw, SchemaVersion)
 	// The llmfi_worker_self_* prefix keeps these distinct from the
 	// campaign telemetry's llmfi_worker_* (pool workers) and the
 	// coordinator's llmfi_fabric_worker_* (fleet view) families.
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("llmfi_worker_self_leases_total", "Leases this worker has executed.", w.selfLeases.Load())
-	counter("llmfi_worker_self_trials_total", "Trials this worker has completed and submitted.", w.selfTrials.Load())
-	counter("llmfi_worker_self_submits_total", "Result submissions posted to the coordinator.", w.selfSubmits.Load())
-	counter("llmfi_worker_self_duplicates_total", "Submitted trials the coordinator discarded as duplicates.", w.selfDuplicates.Load())
-	counter("llmfi_worker_self_spans_total", "Spans recorded by this worker's recorder.", int64(w.cfg.Recorder.Count()))
+	pw := prom.NewWriter(rw)
+	pw.Counter("llmfi_worker_self_leases_total", "Leases this worker has executed.", w.selfLeases.Load())
+	pw.Counter("llmfi_worker_self_trials_total", "Trials this worker has completed and submitted.", w.selfTrials.Load())
+	pw.Counter("llmfi_worker_self_submits_total", "Result submissions posted to the coordinator.", w.selfSubmits.Load())
+	pw.Counter("llmfi_worker_self_duplicates_total", "Submitted trials the coordinator discarded as duplicates.", w.selfDuplicates.Load())
+	pw.Counter("llmfi_worker_self_spans_total", "Spans recorded by this worker's recorder.", int64(w.cfg.Recorder.Count()))
+	_ = pw.Flush()
 }
 
 // Run joins the fleet and works leases until the campaign completes

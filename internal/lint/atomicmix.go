@@ -7,8 +7,9 @@ import "sort"
 // (or the field is declared with an atomic.Int64-style box), every other
 // access must be atomic too. A single plain read beside an atomic
 // counter is exactly the half-torn bug class the metrics registries
-// (core.Telemetry, serve.Metrics, the fabric worker's self-counters) are
-// most exposed to, and the race detector only catches it when both sides
+// (core.Telemetry, serve.Metrics, the fabric worker's self-counters, and
+// the prom.Hist histograms the first two are built from) are most
+// exposed to, and the race detector only catches it when both sides
 // happen to run concurrently under -race. The facts are cross-package:
 // an atomic op in the defining package poisons plain accesses observed
 // anywhere else. Pre-publication construction (the field's owner still

@@ -1,142 +1,17 @@
 package obs
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/prom"
 )
-
-// Label is one Prometheus label pair.
-type Label struct {
-	Key string
-	Val string
-}
-
-// Sample is one parsed Prometheus sample line.
-type Sample struct {
-	Name   string
-	Labels []Label
-	Value  float64
-}
-
-// ParseMetricsText parses Prometheus text exposition format 0.0.4 into
-// samples, skipping comment/TYPE/HELP lines. It understands quoted
-// label values with \\, \" and \n escapes. Lines that do not parse are
-// reported as errors: a worker /metrics surface is ours end to end, so
-// malformed lines indicate a bug, not foreign input.
-func ParseMetricsText(r io.Reader) ([]Sample, error) {
-	var out []Sample
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		smp, err := parseSampleLine(s)
-		if err != nil {
-			return nil, fmt.Errorf("metrics line %d: %w", line, err)
-		}
-		out = append(out, smp)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func parseSampleLine(s string) (Sample, error) {
-	var smp Sample
-	i := strings.IndexAny(s, "{ \t")
-	if i < 0 {
-		return smp, fmt.Errorf("no value: %q", s)
-	}
-	smp.Name = s[:i]
-	rest := s[i:]
-	if rest[0] == '{' {
-		labels, tail, err := parseLabels(rest[1:])
-		if err != nil {
-			return smp, err
-		}
-		smp.Labels = labels
-		rest = tail
-	}
-	rest = strings.TrimSpace(rest)
-	// A timestamp may follow the value; llmfi surfaces never emit one,
-	// but tolerate it for robustness.
-	if j := strings.IndexAny(rest, " \t"); j >= 0 {
-		rest = rest[:j]
-	}
-	v, err := strconv.ParseFloat(rest, 64)
-	if err != nil {
-		return smp, fmt.Errorf("bad value %q: %v", rest, err)
-	}
-	smp.Value = v
-	return smp, nil
-}
-
-// parseLabels parses `key="val",...}` returning the labels and the text
-// after the closing brace.
-func parseLabels(s string) ([]Label, string, error) {
-	var labels []Label
-	for {
-		s = strings.TrimLeft(s, ", ")
-		if s == "" {
-			return nil, "", fmt.Errorf("unterminated label set")
-		}
-		if s[0] == '}' {
-			return labels, s[1:], nil
-		}
-		eq := strings.IndexByte(s, '=')
-		if eq < 0 {
-			return nil, "", fmt.Errorf("label without '='")
-		}
-		key := s[:eq]
-		s = s[eq+1:]
-		if s == "" || s[0] != '"' {
-			return nil, "", fmt.Errorf("unquoted label value for %q", key)
-		}
-		s = s[1:]
-		var val strings.Builder
-		for {
-			if s == "" {
-				return nil, "", fmt.Errorf("unterminated label value for %q", key)
-			}
-			c := s[0]
-			if c == '"' {
-				s = s[1:]
-				break
-			}
-			if c == '\\' {
-				if len(s) < 2 {
-					return nil, "", fmt.Errorf("dangling escape in label %q", key)
-				}
-				switch s[1] {
-				case 'n':
-					val.WriteByte('\n')
-				case '\\', '"':
-					val.WriteByte(s[1])
-				default:
-					val.WriteByte(s[1])
-				}
-				s = s[2:]
-				continue
-			}
-			val.WriteByte(c)
-			s = s[1:]
-		}
-		labels = append(labels, Label{Key: key, Val: val.String()})
-	}
-}
 
 // scrapeState is one registered worker's latest scrape. Samples are
 // retained across scrape failures so a churned worker's last-known
@@ -147,7 +22,7 @@ type scrapeState struct {
 	up      bool
 	scrapes uint64
 	errors  uint64
-	samples []Sample
+	samples []prom.Sample
 }
 
 // FanIn scrapes registered workers' /metrics endpoints and re-exports
@@ -230,7 +105,7 @@ func (f *FanIn) ScrapeOnce(ctx context.Context) {
 	}
 }
 
-func (f *FanIn) scrape(ctx context.Context, addr string) ([]Sample, error) {
+func (f *FanIn) scrape(ctx context.Context, addr string) ([]prom.Sample, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/metrics", nil)
 	if err != nil {
 		return nil, err
@@ -244,7 +119,7 @@ func (f *FanIn) scrape(ctx context.Context, addr string) ([]Sample, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("scrape %s: status %d", addr, resp.StatusCode)
 	}
-	return ParseMetricsText(io.LimitReader(resp.Body, 4<<20))
+	return prom.Parse(io.LimitReader(resp.Body, 4<<20))
 }
 
 // Run scrapes on the given interval until ctx is done. Intended as a
@@ -266,30 +141,11 @@ func (f *FanIn) Run(ctx context.Context, every time.Duration) {
 	}
 }
 
-// labelsKey renders labels canonically for grouping and output.
-func labelsKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	parts := make([]string, 0, len(labels))
-	for _, l := range labels {
-		parts = append(parts, l.Key+`="`+escapeLabel(l.Val)+`"`)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
-
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
 // WriteText renders the fan-in state as Prometheus text: per-worker
 // liveness/scrape counters, then for every scraped llmfi_* family the
 // fleet aggregate (sum and max across workers) and the per-worker
 // series, deterministically ordered.
-func (f *FanIn) WriteText(w io.Writer) error {
+func (f *FanIn) WriteText(out io.Writer) error {
 	f.mu.Lock()
 	type workerSnap struct {
 		name string
@@ -302,99 +158,82 @@ func (f *FanIn) WriteText(w io.Writer) error {
 	f.mu.Unlock()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].name < snaps[j].name })
 
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# HELP llmfi_fleet_worker_up Whether the last scrape of this worker's /metrics succeeded.\n")
-	fmt.Fprintf(bw, "# TYPE llmfi_fleet_worker_up gauge\n")
+	w := prom.NewWriter(out)
+	worker := func(name string) prom.Label { return prom.Label{Key: "worker", Val: name} }
 	for _, s := range snaps {
-		up := 0
+		up := 0.0
 		if s.st.up {
 			up = 1
 		}
-		fmt.Fprintf(bw, "llmfi_fleet_worker_up{worker=%q} %d\n", s.name, up)
+		w.Gauge("llmfi_fleet_worker_up", "Whether the last scrape of this worker's /metrics succeeded.", up, worker(s.name))
 	}
-	fmt.Fprintf(bw, "# HELP llmfi_fleet_worker_scrapes_total Scrape attempts against this worker.\n")
-	fmt.Fprintf(bw, "# TYPE llmfi_fleet_worker_scrapes_total counter\n")
 	for _, s := range snaps {
-		fmt.Fprintf(bw, "llmfi_fleet_worker_scrapes_total{worker=%q} %d\n", s.name, s.st.scrapes)
+		w.Counter("llmfi_fleet_worker_scrapes_total", "Scrape attempts against this worker.", int64(s.st.scrapes), worker(s.name))
 	}
-	fmt.Fprintf(bw, "# HELP llmfi_fleet_worker_scrape_errors_total Failed scrapes against this worker.\n")
-	fmt.Fprintf(bw, "# TYPE llmfi_fleet_worker_scrape_errors_total counter\n")
 	for _, s := range snaps {
-		fmt.Fprintf(bw, "llmfi_fleet_worker_scrape_errors_total{worker=%q} %d\n", s.name, s.st.errors)
+		w.Counter("llmfi_fleet_worker_scrape_errors_total", "Failed scrapes against this worker.", int64(s.st.errors), worker(s.name))
 	}
 
-	// Group samples: family -> labelset key -> per-worker values.
+	// Group samples: family (its name past llmfi_) -> one cell per
+	// (worker, labelset). A cell's key is its labelset sorted and
+	// rendered, so the same series groups across workers whatever order
+	// they listed their labels in.
 	type cell struct {
 		worker string
-		labels string
+		key    string
+		labels []prom.Label
 		value  float64
 	}
 	families := make(map[string][]cell)
 	for _, s := range snaps {
 		for _, smp := range s.st.samples {
-			if !strings.HasPrefix(smp.Name, "llmfi_") {
+			// Only llmfi_* series, and (the fleet-of-fleets guard) none that
+			// are themselves fan-in output.
+			base, ok := strings.CutPrefix(smp.Name, "llmfi_")
+			if !ok || strings.HasPrefix(base, "fleet_") {
 				continue
 			}
-			// Fleet-of-fleets guard: don't re-aggregate series that are
-			// themselves fan-in output.
-			if strings.HasPrefix(smp.Name, "llmfi_fleet_") {
-				continue
-			}
-			fam := "llmfi_fleet_" + strings.TrimPrefix(smp.Name, "llmfi_")
-			families[fam] = append(families[fam], cell{
+			labels := append([]prom.Label(nil), smp.Labels...)
+			sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
+			families[base] = append(families[base], cell{
 				worker: s.name,
-				labels: labelsKey(smp.Labels),
+				key:    prom.FormatLabels(labels),
+				labels: labels,
 				value:  smp.Value,
 			})
 		}
 	}
-	famNames := make([]string, 0, len(families))
-	for fam := range families {
-		famNames = append(famNames, fam)
+	bases := make([]string, 0, len(families))
+	for base := range families {
+		bases = append(bases, base)
 	}
-	sort.Strings(famNames)
-	for _, fam := range famNames {
-		cells := families[fam]
-		fmt.Fprintf(bw, "# HELP %s Fleet aggregate of the workers' %s.\n", fam, "llmfi_"+strings.TrimPrefix(fam, "llmfi_fleet_"))
-		fmt.Fprintf(bw, "# TYPE %s untyped\n", fam)
-		// Aggregate per original labelset across workers.
-		sums := make(map[string]float64)
-		maxs := make(map[string]float64)
-		seen := make(map[string]bool)
-		var keys []string
-		for _, c := range cells {
-			if !seen[c.labels] {
-				seen[c.labels] = true
-				keys = append(keys, c.labels)
-				maxs[c.labels] = c.value
-			} else if c.value > maxs[c.labels] {
-				maxs[c.labels] = c.value
+	sort.Strings(bases)
+	for _, base := range bases {
+		cells, fam := families[base], "llmfi_fleet_"+base
+		w.Family(fam, "untyped", "Fleet aggregate of the workers' llmfi_"+base+".")
+		sort.SliceStable(cells, func(i, j int) bool { return cells[i].key < cells[j].key })
+		// Cells of one labelset are now adjacent, workers in name order.
+		for i := 0; i < len(cells); {
+			sum, max, j := 0.0, cells[i].value, i
+			for ; j < len(cells) && cells[j].key == cells[i].key; j++ {
+				sum += cells[j].value
+				if cells[j].value > max {
+					max = cells[j].value
+				}
 			}
-			sums[c.labels] += c.value
+			w.Sample(fam, sum, withLabel("agg", "sum", cells[i].labels)...)
+			w.Sample(fam, max, withLabel("agg", "max", cells[i].labels)...)
+			i = j
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(bw, "%s{%s} %s\n", fam, joinLabels(`agg="sum"`, k), fmtVal(sums[k]))
-			fmt.Fprintf(bw, "%s{%s} %s\n", fam, joinLabels(`agg="max"`, k), fmtVal(maxs[k]))
-		}
-		sort.Slice(cells, func(i, j int) bool {
-			if cells[i].worker != cells[j].worker {
-				return cells[i].worker < cells[j].worker
-			}
-			return cells[i].labels < cells[j].labels
-		})
+		sort.SliceStable(cells, func(i, j int) bool { return cells[i].worker < cells[j].worker })
 		for _, c := range cells {
-			fmt.Fprintf(bw, "%s{%s} %s\n", fam, joinLabels(`worker="`+escapeLabel(c.worker)+`"`, c.labels), fmtVal(c.value))
+			w.Sample(fam, c.value, withLabel("worker", c.worker, c.labels)...)
 		}
 	}
-	return bw.Flush()
+	return w.Flush()
 }
 
-func joinLabels(first, rest string) string {
-	if rest == "" {
-		return first
-	}
-	return first + "," + rest
+// withLabel returns rest with one label in front.
+func withLabel(key, val string, rest []prom.Label) []prom.Label {
+	return append([]prom.Label{{Key: key, Val: val}}, rest...)
 }
-
-func fmtVal(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

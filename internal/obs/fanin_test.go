@@ -10,38 +10,6 @@ import (
 	"testing"
 )
 
-// TestParseMetricsText pins the exposition parser: labels (with
-// escapes), timestamps tolerated, comments skipped, malformed rejected.
-func TestParseMetricsText(t *testing.T) {
-	in := `# HELP llmfi_x A thing.
-# TYPE llmfi_x counter
-llmfi_x 41
-llmfi_y{worker="w1",q="a\"b\\c\nd"} 2.5
-llmfi_z{s="v"} 7 1712345678
-`
-	got, err := ParseMetricsText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d samples, want 3", len(got))
-	}
-	if got[0].Name != "llmfi_x" || got[0].Value != 41 || got[0].Labels != nil {
-		t.Fatalf("sample 0 = %+v", got[0])
-	}
-	if got[1].Labels[1].Val != "a\"b\\c\nd" {
-		t.Fatalf("escape decoding: %q", got[1].Labels[1].Val)
-	}
-	if got[2].Value != 7 {
-		t.Fatalf("timestamped sample value = %v", got[2].Value)
-	}
-	for _, bad := range []string{"just_a_name\n", "llmfi_x{unterminated 1\n", "llmfi_x notanumber\n"} {
-		if _, err := ParseMetricsText(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseMetricsText accepted %q", bad)
-		}
-	}
-}
-
 // metricsStub serves a fixed Prometheus body.
 func metricsStub(t *testing.T, body string) *httptest.Server {
 	t.Helper()

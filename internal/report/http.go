@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/prom"
 	"repro/internal/trace"
 )
 
@@ -111,8 +112,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", ContentTypeMetrics)
-	_ = WriteBuildInfoText(w, trace.SchemaVersion)
+	w.Header().Set("Content-Type", prom.ContentType)
+	_ = prom.WriteBuildInfo(w, trace.SchemaVersion)
 	_ = WriteMetricsText(w, s.tel.Snapshot())
 }
 
@@ -127,7 +128,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Error    string `json:"error,omitempty"`
 	}{Status: "ok", Label: s.label, Done: s.done, Total: s.total, Finished: s.finished, Error: s.errMsg}
 	s.mu.Unlock()
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 func (s *Server) handleTrials(w http.ResponseWriter, r *http.Request) {
@@ -145,10 +146,12 @@ func (s *Server) handleTrials(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON writes v as an indented JSON response body — the one JSON
+// success writer of every llmfi HTTP surface.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,117 +1,69 @@
 package report
 
 import (
-	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
-	"repro/internal/version"
+	"repro/internal/prom"
 )
 
-// ContentTypeMetrics is the Content-Type every llmfi /metrics endpoint
-// serves: Prometheus text exposition format 0.0.4.
-const ContentTypeMetrics = "text/plain; version=0.0.4; charset=utf-8"
-
-// WriteBuildInfoText emits the llmfi_build_info gauge shared by every
-// Prometheus surface (report, serve, fabric). Its labels pin the build:
-// version from internal/version — the single source of truth the fleet
-// handshake also compares — and the schema version of whatever record
-// stream that surface exports (trace, span, or wire schema).
-func WriteBuildInfoText(w io.Writer, schema int) error {
-	_, err := fmt.Fprintf(w,
-		"# HELP llmfi_build_info Build identity of this llmfi process.\n"+
-			"# TYPE llmfi_build_info gauge\n"+
-			"llmfi_build_info{version=%q,schema=\"%d\"} 1\n",
-		version.Version, schema)
-	return err
-}
-
 // WriteMetricsText renders a telemetry snapshot in the Prometheus text
-// exposition format (version 0.0.4): campaign gauges, outcome-class and
-// ABFT counters, per-worker series, and the per-phase latency
-// histograms. Output is deterministic for a given snapshot — families in
-// a fixed order, label values in input order — so it can be golden
-// tested and diffed across scrapes.
-func WriteMetricsText(w io.Writer, s core.TelemetrySnapshot) error {
-	var b strings.Builder
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-			name, help, name, name, fmtVal(v))
+// exposition format: campaign gauges, outcome-class and ABFT counters,
+// per-worker series, and the per-phase latency histograms. Output is
+// deterministic for a given snapshot — families in a fixed order, label
+// values in input order — so it can be golden tested and diffed across
+// scrapes.
+func WriteMetricsText(out io.Writer, s core.TelemetrySnapshot) error {
+	w := prom.NewWriter(out)
+
+	w.Gauge("llmfi_trials_total", "Trials configured for the campaign.", float64(s.TotalTrials))
+	w.Gauge("llmfi_trials_done", "Completed trials, including any restored from a resume checkpoint.", float64(s.DoneTrials))
+	w.Gauge("llmfi_trials_resumed", "Trials restored from a resume checkpoint (counted in llmfi_trials_done).", float64(s.ResumedTrials))
+	w.Gauge("llmfi_trials_fired", "Trials whose fault actually struck.", float64(s.Fired))
+	w.Gauge("llmfi_fired_rate", "Fraction of completed trials whose fault struck.", s.FiredRate)
+	w.Gauge("llmfi_trials_per_second", "Throughput of this run (resumed trials excluded).", s.TrialsPerSec)
+	w.Gauge("llmfi_elapsed_seconds", "Wall time since the campaign (or resumed run) started.", s.ElapsedSeconds)
+
+	outcome := func(class string, n int) {
+		w.Gauge("llmfi_outcome_trials", "Completed trials by outcome class.", float64(n),
+			prom.Label{Key: "class", Val: class})
 	}
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %s\n",
-			name, help, name, name, fmtVal(v))
+	outcome("masked", s.Masked)
+	outcome("sdc_subtle", s.Subtle)
+	outcome("sdc_distorted", s.Distorted)
+
+	w.Counter("llmfi_hook_fires_total", "Forward-hook invocations of the mitigation (ExtraHook) slot.", s.HookFires)
+	w.Counter("llmfi_traced_trials_total", "Trials that produced a propagation-trace record.", s.TracedTrials)
+
+	w.Counter("llmfi_decode_batch_steps_total", "Stacked decode steps of the continuous-batching scheduler.", s.DecodeBatchSteps)
+	w.Counter("llmfi_decode_batch_rows_total", "Trial rows carried by stacked decode steps.", s.DecodeBatchRows)
+	w.Gauge("llmfi_decode_batch_occupancy", "Mean in-flight trials per stacked decode step.", s.BatchOccupancy)
+
+	w.Counter("llmfi_abft_checks_total", "ABFT checksum evaluations.", int64(s.AbftChecks))
+	w.Counter("llmfi_abft_flagged_total", "ABFT checksum violations.", int64(s.AbftFlagged))
+	w.Counter("llmfi_abft_detected_total", "Fired trials flagged at the injection site.", int64(s.AbftDetected))
+	w.Counter("llmfi_abft_missed_total", "Fired trials the checker did not flag at the site.", int64(s.AbftMissed))
+	w.Counter("llmfi_abft_false_positives_total", "Violations with no fault active.", int64(s.AbftFalsePositives))
+	w.Counter("llmfi_abft_cascaded_total", "Downstream violations of a live fault.", int64(s.AbftCascaded))
+	w.Counter("llmfi_abft_corrected_total", "Flagged rows repaired by recomputation.", int64(s.AbftCorrected))
+	w.Counter("llmfi_abft_skipped_total", "Flagged rows zeroed after failed recomputation.", int64(s.AbftSkipped))
+
+	worker := func(i int) prom.Label { return prom.Label{Key: "worker", Val: strconv.Itoa(i)} }
+	for i, ws := range s.Workers {
+		w.Gauge("llmfi_worker_trials", "Trials completed per pool worker.", float64(ws.Trials), worker(i))
 	}
-
-	gauge("llmfi_trials_total", "Trials configured for the campaign.", float64(s.TotalTrials))
-	gauge("llmfi_trials_done", "Completed trials, including any restored from a resume checkpoint.", float64(s.DoneTrials))
-	gauge("llmfi_trials_resumed", "Trials restored from a resume checkpoint (counted in llmfi_trials_done).", float64(s.ResumedTrials))
-	gauge("llmfi_trials_fired", "Trials whose fault actually struck.", float64(s.Fired))
-	gauge("llmfi_fired_rate", "Fraction of completed trials whose fault struck.", s.FiredRate)
-	gauge("llmfi_trials_per_second", "Throughput of this run (resumed trials excluded).", s.TrialsPerSec)
-	gauge("llmfi_elapsed_seconds", "Wall time since the campaign (or resumed run) started.", s.ElapsedSeconds)
-
-	fmt.Fprintf(&b, "# HELP llmfi_outcome_trials Completed trials by outcome class.\n# TYPE llmfi_outcome_trials gauge\n")
-	fmt.Fprintf(&b, "llmfi_outcome_trials{class=\"masked\"} %d\n", s.Masked)
-	fmt.Fprintf(&b, "llmfi_outcome_trials{class=\"sdc_subtle\"} %d\n", s.Subtle)
-	fmt.Fprintf(&b, "llmfi_outcome_trials{class=\"sdc_distorted\"} %d\n", s.Distorted)
-
-	counter("llmfi_hook_fires_total", "Forward-hook invocations of the mitigation (ExtraHook) slot.", float64(s.HookFires))
-	counter("llmfi_traced_trials_total", "Trials that produced a propagation-trace record.", float64(s.TracedTrials))
-
-	counter("llmfi_decode_batch_steps_total", "Stacked decode steps of the continuous-batching scheduler.", float64(s.DecodeBatchSteps))
-	counter("llmfi_decode_batch_rows_total", "Trial rows carried by stacked decode steps.", float64(s.DecodeBatchRows))
-	gauge("llmfi_decode_batch_occupancy", "Mean in-flight trials per stacked decode step.", s.BatchOccupancy)
-
-	counter("llmfi_abft_checks_total", "ABFT checksum evaluations.", float64(s.AbftChecks))
-	counter("llmfi_abft_flagged_total", "ABFT checksum violations.", float64(s.AbftFlagged))
-	counter("llmfi_abft_detected_total", "Fired trials flagged at the injection site.", float64(s.AbftDetected))
-	counter("llmfi_abft_missed_total", "Fired trials the checker did not flag at the site.", float64(s.AbftMissed))
-	counter("llmfi_abft_false_positives_total", "Violations with no fault active.", float64(s.AbftFalsePositives))
-	counter("llmfi_abft_cascaded_total", "Downstream violations of a live fault.", float64(s.AbftCascaded))
-	counter("llmfi_abft_corrected_total", "Flagged rows repaired by recomputation.", float64(s.AbftCorrected))
-	counter("llmfi_abft_skipped_total", "Flagged rows zeroed after failed recomputation.", float64(s.AbftSkipped))
-
-	if len(s.Workers) > 0 {
-		fmt.Fprintf(&b, "# HELP llmfi_worker_trials Trials completed per pool worker.\n# TYPE llmfi_worker_trials gauge\n")
-		for i, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_worker_trials{worker=\"%d\"} %d\n", i, ws.Trials)
-		}
-		fmt.Fprintf(&b, "# HELP llmfi_worker_busy_seconds Time each worker spent inside trials.\n# TYPE llmfi_worker_busy_seconds gauge\n")
-		for i, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_worker_busy_seconds{worker=\"%d\"} %s\n", i, fmtVal(ws.BusySeconds))
-		}
-		fmt.Fprintf(&b, "# HELP llmfi_worker_utilization Worker busy time over campaign wall time.\n# TYPE llmfi_worker_utilization gauge\n")
-		for i, ws := range s.Workers {
-			fmt.Fprintf(&b, "llmfi_worker_utilization{worker=\"%d\"} %s\n", i, fmtVal(ws.Utilization))
-		}
+	for i, ws := range s.Workers {
+		w.Gauge("llmfi_worker_busy_seconds", "Time each worker spent inside trials.", ws.BusySeconds, worker(i))
+	}
+	for i, ws := range s.Workers {
+		w.Gauge("llmfi_worker_utilization", "Worker busy time over campaign wall time.", ws.Utilization, worker(i))
 	}
 
-	if len(s.Phases) > 0 {
-		fmt.Fprintf(&b, "# HELP llmfi_phase_latency_seconds Per-trial latency by campaign phase.\n# TYPE llmfi_phase_latency_seconds histogram\n")
-		for _, ph := range s.Phases {
-			cum := int64(0)
-			for i, n := range ph.Buckets {
-				cum += n
-				le := "+Inf"
-				if i < len(s.PhaseBucketBounds) {
-					le = fmtVal(s.PhaseBucketBounds[i])
-				}
-				fmt.Fprintf(&b, "llmfi_phase_latency_seconds_bucket{phase=%q,le=%q} %d\n", ph.Phase, le, cum)
-			}
-			fmt.Fprintf(&b, "llmfi_phase_latency_seconds_sum{phase=%q} %s\n", ph.Phase, fmtVal(ph.SumSeconds))
-			fmt.Fprintf(&b, "llmfi_phase_latency_seconds_count{phase=%q} %d\n", ph.Phase, ph.Count)
-		}
+	for _, ph := range s.Phases {
+		w.Histogram("llmfi_phase_latency_seconds", "Per-trial latency by campaign phase.",
+			s.PhaseBucketBounds, ph.Buckets, ph.SumSeconds, ph.Count,
+			prom.Label{Key: "phase", Val: ph.Phase})
 	}
-
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// fmtVal renders a sample value the way Prometheus clients do: shortest
-// round-trip representation, integers without a decimal point.
-func fmtVal(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return w.Flush()
 }

@@ -15,21 +15,6 @@ import (
 	"repro/internal/version"
 )
 
-// TestWriteBuildInfoText pins the exact shape of the build-identity
-// gauge every /metrics surface emits first.
-func TestWriteBuildInfoText(t *testing.T) {
-	var b strings.Builder
-	if err := WriteBuildInfoText(&b, 7); err != nil {
-		t.Fatal(err)
-	}
-	want := "# HELP llmfi_build_info Build identity of this llmfi process.\n" +
-		"# TYPE llmfi_build_info gauge\n" +
-		fmt.Sprintf("llmfi_build_info{version=%q,schema=\"7\"} 1\n", version.Version)
-	if b.String() != want {
-		t.Fatalf("WriteBuildInfoText:\n got %q\nwant %q", b.String(), want)
-	}
-}
-
 // promSnapshot is the fixed snapshot behind the golden exposition test.
 func promSnapshot() core.TelemetrySnapshot {
 	return core.TelemetrySnapshot{

@@ -1,77 +1,23 @@
 package report
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"os"
-	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 // TraceWriter streams propagation-trace records as JSON Lines: one
-// trace.Record object per line, schema-versioned via Record.Schema.
-// Write is safe for concurrent use, though the campaign runner already
+// trace.Record object per line, schema-versioned via Record.Schema. Its
+// Write satisfies the runner's trace-sink signature (core.WithTrace) and
+// is safe for concurrent use, though the campaign runner already
 // serializes sink calls through its collector goroutine.
-type TraceWriter struct {
-	mu sync.Mutex
-	bw *bufio.Writer
-	c  io.Closer
-	n  int
-}
+type TraceWriter = obs.RecordWriter[trace.Record]
 
 // NewTraceWriter wraps w (buffered). If w is an io.Closer, Close closes
 // it after flushing.
-func NewTraceWriter(w io.Writer) *TraceWriter {
-	tw := &TraceWriter{bw: bufio.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		tw.c = c
-	}
-	return tw
-}
-
-// Write appends one record as a JSON line. It satisfies the runner's
-// trace-sink signature (core.WithTrace).
-func (tw *TraceWriter) Write(rec trace.Record) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("trace record: %w", err)
-	}
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if _, err := tw.bw.Write(data); err != nil {
-		return err
-	}
-	if err := tw.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	tw.n++
-	return nil
-}
-
-// Count reports records written so far.
-func (tw *TraceWriter) Count() int {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	return tw.n
-}
-
-// Close flushes buffered lines and closes the underlying writer when it
-// is closable.
-func (tw *TraceWriter) Close() error {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	err := tw.bw.Flush()
-	if tw.c != nil {
-		if cerr := tw.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+func NewTraceWriter(w io.Writer) *TraceWriter { return obs.NewRecordWriter[trace.Record](w) }
 
 // OpenTrace opens a trace file for writing. A fresh campaign truncates
 // path (standard output-file semantics); a resumed campaign appends, so
@@ -96,25 +42,7 @@ func OpenTrace(path string, resuming bool) (f *os.File, appended bool, err error
 
 // ReadTraces decodes a JSONL trace stream back into records — the
 // round-trip counterpart of TraceWriter for analysis and tests. It
-// verifies each record's schema version and rejects unknown fields:
-// extra keys mean the file was written by a newer schema than this
-// reader understands.
+// refuses foreign schema versions and unknown fields (obs.ReadRecords).
 func ReadTraces(r io.Reader) ([]trace.Record, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	dec.DisallowUnknownFields()
-	var recs []trace.Record
-	for {
-		var rec trace.Record
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				return recs, nil
-			}
-			return recs, fmt.Errorf("trace record %d: %w", len(recs), err)
-		}
-		if rec.Schema != trace.SchemaVersion {
-			return recs, fmt.Errorf("trace record %d: schema %d, want %d",
-				len(recs), rec.Schema, trace.SchemaVersion)
-		}
-		recs = append(recs, rec)
-	}
+	return obs.ReadRecords(r, "trace", trace.SchemaVersion, func(rec *trace.Record) int { return rec.Schema })
 }

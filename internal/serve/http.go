@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/prom"
 	"repro/internal/report"
 	"repro/internal/token"
 	"repro/internal/version"
@@ -198,8 +199,7 @@ func (e *Engine) dashboardData() obs.DashboardData {
 		})
 	}
 	var metrics strings.Builder
-	_ = report.WriteBuildInfoText(&metrics, obs.SchemaVersion)
-	_ = WriteMetricsText(&metrics, s)
+	writeMetrics(&metrics, s)
 	return obs.DashboardData{
 		Title:    "llmfi serve",
 		Version:  version.Version,
@@ -259,10 +259,7 @@ func (e *Engine) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		report.WriteAPIError(w, status, code, resp.Err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(wireGenerateResponse{
+	report.WriteJSON(w, wireGenerateResponse{
 		ID:        resp.ID,
 		Text:      resp.Text,
 		Tokens:    resp.Tokens,
@@ -279,10 +276,7 @@ func (e *Engine) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz reports liveness and load.
 func (e *Engine) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]any{
+	report.WriteJSON(w, map[string]any{
 		"status":    "ok",
 		"in_flight": e.met.Snapshot().InFlight,
 	})
@@ -290,7 +284,13 @@ func (e *Engine) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics exposes the serving metrics in Prometheus text format.
 func (e *Engine) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", report.ContentTypeMetrics)
-	_ = report.WriteBuildInfoText(w, obs.SchemaVersion)
-	_ = WriteMetricsText(w, e.met.Snapshot())
+	w.Header().Set("Content-Type", prom.ContentType)
+	writeMetrics(w, e.met.Snapshot())
+}
+
+// writeMetrics renders the serving surface — build info, then the
+// snapshot — for both /metrics and the /debug/fleet dashboard.
+func writeMetrics(w io.Writer, s MetricsSnapshot) {
+	_ = prom.WriteBuildInfo(w, obs.SchemaVersion)
+	_ = WriteMetricsText(w, s)
 }

@@ -3,11 +3,11 @@ package serve
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/outcome"
+	"repro/internal/prom"
 )
 
 // reqStatus labels a finished (or rejected) request.
@@ -41,26 +41,14 @@ func (s reqStatus) String() string {
 	}
 }
 
-// nLatencyBuckets and latencyBucketBounds mirror the campaign
-// telemetry's phase-latency histogram shape (internal/core): exponential
-// bounds starting at 1µs and doubling per bucket. Requests live longer
-// than kernel phases, so the request histogram carries 26 finite buckets
-// (~33.6s) before +Inf.
+// nLatencyBuckets is the finite bucket count of the serving latency
+// histograms. Requests live longer than campaign phases (22 buckets,
+// internal/core), so these carry 26 (prom.ExpBounds: 1µs doubling up to
+// ~33.6s) before +Inf.
 const nLatencyBuckets = 26
 
-// latencyBucketBounds returns the finite bucket upper bounds in seconds.
-func latencyBucketBounds() [nLatencyBuckets]float64 {
-	var b [nLatencyBuckets]float64
-	v := 1e-6
-	for i := range b {
-		b[i] = v
-		v *= 2
-	}
-	return b
-}
-
 // Metrics is the per-request serving instrumentation: request counters
-// by status, an exponential latency histogram, SLO violations, the
+// by status, exponential latency histograms, SLO violations, the
 // in-flight gauge, and campaign-mode injection/outcome counters. All
 // methods are safe for concurrent use (lock-free atomics on the hot
 // path, matching the campaign telemetry's design).
@@ -70,17 +58,9 @@ type Metrics struct {
 	tokens        atomic.Int64
 	sloViolations atomic.Int64
 
-	latBuckets [nLatencyBuckets + 1]atomic.Int64
-	latCount   atomic.Int64
-	latSumNS   atomic.Int64
-
-	ttftBuckets [nLatencyBuckets + 1]atomic.Int64
-	ttftCount   atomic.Int64
-	ttftSumNS   atomic.Int64
-
-	itBuckets [nLatencyBuckets + 1]atomic.Int64
-	itCount   atomic.Int64
-	itSumNS   atomic.Int64
+	latency    *prom.Hist
+	ttft       *prom.Hist
+	interToken *prom.Hist
 
 	injected atomic.Int64
 	detected atomic.Int64
@@ -88,46 +68,30 @@ type Metrics struct {
 }
 
 // NewMetrics returns zeroed serving metrics.
-func NewMetrics() *Metrics { return &Metrics{} }
+func NewMetrics() *Metrics {
+	return &Metrics{
+		latency:    prom.NewHist(nLatencyBuckets),
+		ttft:       prom.NewHist(nLatencyBuckets),
+		interToken: prom.NewHist(nLatencyBuckets),
+	}
+}
 
 func (m *Metrics) requestStarted() { m.inFlight.Add(1) }
 func (m *Metrics) requestDone()    { m.inFlight.Add(-1) }
-
-// bucketIndex places a latency into the shared exponential bucket shape.
-func bucketIndex(latency time.Duration) int {
-	sec := latency.Seconds()
-	bounds := latencyBucketBounds()
-	for i, b := range bounds {
-		if sec <= b {
-			return i
-		}
-	}
-	return nLatencyBuckets // +Inf
-}
 
 // observeRequest records one finished request.
 func (m *Metrics) observeRequest(st reqStatus, latency time.Duration, tokens int) {
 	m.requests[st].Add(1)
 	m.tokens.Add(int64(tokens))
-	m.latBuckets[bucketIndex(latency)].Add(1)
-	m.latCount.Add(1)
-	m.latSumNS.Add(int64(latency))
+	m.latency.Observe(latency)
 }
 
 // observeTTFT records one request's time to first token.
-func (m *Metrics) observeTTFT(d time.Duration) {
-	m.ttftBuckets[bucketIndex(d)].Add(1)
-	m.ttftCount.Add(1)
-	m.ttftSumNS.Add(int64(d))
-}
+func (m *Metrics) observeTTFT(d time.Duration) { m.ttft.Observe(d) }
 
 // observeInterToken records one gap between consecutive decode tokens
 // of a request.
-func (m *Metrics) observeInterToken(d time.Duration) {
-	m.itBuckets[bucketIndex(d)].Add(1)
-	m.itCount.Add(1)
-	m.itSumNS.Add(int64(d))
-}
+func (m *Metrics) observeInterToken(d time.Duration) { m.interToken.Observe(d) }
 
 // observeRejected records a request refused before it ran.
 func (m *Metrics) observeRejected(st reqStatus) { m.requests[st].Add(1) }
@@ -174,21 +138,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	s.Tokens = m.tokens.Load()
 	s.SLOViolations = m.sloViolations.Load()
-	for i := range s.LatBuckets {
-		s.LatBuckets[i] = m.latBuckets[i].Load()
-	}
-	s.LatCount = m.latCount.Load()
-	s.LatSum = time.Duration(m.latSumNS.Load()).Seconds()
-	for i := range s.TTFTBuckets {
-		s.TTFTBuckets[i] = m.ttftBuckets[i].Load()
-	}
-	s.TTFTCount = m.ttftCount.Load()
-	s.TTFTSum = time.Duration(m.ttftSumNS.Load()).Seconds()
-	for i := range s.ITBuckets {
-		s.ITBuckets[i] = m.itBuckets[i].Load()
-	}
-	s.ITCount = m.itCount.Load()
-	s.ITSum = time.Duration(m.itSumNS.Load()).Seconds()
+	s.LatCount, s.LatSum = m.latency.Load(s.LatBuckets[:])
+	s.TTFTCount, s.TTFTSum = m.ttft.Load(s.TTFTBuckets[:])
+	s.ITCount, s.ITSum = m.interToken.Load(s.ITBuckets[:])
 	s.Injected = m.injected.Load()
 	s.Detected = m.detected.Load()
 	for i := range s.Outcomes {
@@ -198,68 +150,30 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 }
 
 // WriteMetricsText renders the snapshot in Prometheus text exposition
-// format 0.0.4, deterministically (fixed family and label order), in
-// the same style as the campaign metrics renderer (internal/report).
-func WriteMetricsText(w io.Writer, s MetricsSnapshot) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	fv := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-	p("# HELP llmfi_serve_in_flight Requests currently being served.\n")
-	p("# TYPE llmfi_serve_in_flight gauge\n")
-	p("llmfi_serve_in_flight %d\n", s.InFlight)
-
-	p("# HELP llmfi_serve_requests_total Finished requests by terminal status.\n")
-	p("# TYPE llmfi_serve_requests_total counter\n")
+// format, deterministically (fixed family and label order).
+func WriteMetricsText(out io.Writer, s MetricsSnapshot) error {
+	w := prom.NewWriter(out)
+	w.Gauge("llmfi_serve_in_flight", "Requests currently being served.", float64(s.InFlight))
 	for st := reqStatus(0); st < nStatus; st++ {
-		p("llmfi_serve_requests_total{status=%q} %d\n", st.String(), s.Requests[st])
+		w.Counter("llmfi_serve_requests_total", "Finished requests by terminal status.", s.Requests[st],
+			prom.Label{Key: "status", Val: st.String()})
 	}
+	w.Counter("llmfi_serve_tokens_total", "Generated tokens returned to clients.", s.Tokens)
+	w.Counter("llmfi_serve_slo_violations_total", "Finished requests slower than the configured SLO.", s.SLOViolations)
 
-	p("# HELP llmfi_serve_tokens_total Generated tokens returned to clients.\n")
-	p("# TYPE llmfi_serve_tokens_total counter\n")
-	p("llmfi_serve_tokens_total %d\n", s.Tokens)
+	bounds := prom.ExpBounds(nLatencyBuckets)
+	w.Histogram("llmfi_serve_request_latency_seconds", "End-to-end request latency.",
+		bounds, s.LatBuckets[:], s.LatSum, s.LatCount)
+	w.Histogram("llmfi_serve_ttft_seconds", "Time from request submission to first generated token.",
+		bounds, s.TTFTBuckets[:], s.TTFTSum, s.TTFTCount)
+	w.Histogram("llmfi_serve_inter_token_seconds", "Gap between consecutive decode tokens of a request.",
+		bounds, s.ITBuckets[:], s.ITSum, s.ITCount)
 
-	p("# HELP llmfi_serve_slo_violations_total Finished requests slower than the configured SLO.\n")
-	p("# TYPE llmfi_serve_slo_violations_total counter\n")
-	p("llmfi_serve_slo_violations_total %d\n", s.SLOViolations)
-
-	hist := func(name, help string, buckets [nLatencyBuckets + 1]int64, count int64, sum float64) {
-		p("# HELP %s %s\n", name, help)
-		p("# TYPE %s histogram\n", name)
-		bounds := latencyBucketBounds()
-		var cum int64
-		for i, b := range bounds {
-			cum += buckets[i]
-			p("%s_bucket{le=%q} %d\n", name, fv(b), cum)
-		}
-		cum += buckets[nLatencyBuckets]
-		p("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-		p("%s_sum %s\n", name, fv(sum))
-		p("%s_count %d\n", name, count)
-	}
-	hist("llmfi_serve_request_latency_seconds", "End-to-end request latency.",
-		s.LatBuckets, s.LatCount, s.LatSum)
-	hist("llmfi_serve_ttft_seconds", "Time from request submission to first generated token.",
-		s.TTFTBuckets, s.TTFTCount, s.TTFTSum)
-	hist("llmfi_serve_inter_token_seconds", "Gap between consecutive decode tokens of a request.",
-		s.ITBuckets, s.ITCount, s.ITSum)
-
-	p("# HELP llmfi_serve_injected_total Requests served with an armed fault.\n")
-	p("# TYPE llmfi_serve_injected_total counter\n")
-	p("llmfi_serve_injected_total %d\n", s.Injected)
-
-	p("# HELP llmfi_serve_detected_total ABFT checks flagged across served requests.\n")
-	p("# TYPE llmfi_serve_detected_total counter\n")
-	p("llmfi_serve_detected_total %d\n", s.Detected)
-
-	p("# HELP llmfi_serve_outcome_total Classified request outcomes under injection.\n")
-	p("# TYPE llmfi_serve_outcome_total counter\n")
+	w.Counter("llmfi_serve_injected_total", "Requests served with an armed fault.", s.Injected)
+	w.Counter("llmfi_serve_detected_total", "ABFT checks flagged across served requests.", s.Detected)
 	for c := outcome.Masked; c <= outcome.SDCDistorted; c++ {
-		p("llmfi_serve_outcome_total{class=%q} %d\n", c.String(), s.Outcomes[c])
+		w.Counter("llmfi_serve_outcome_total", "Classified request outcomes under injection.", s.Outcomes[c],
+			prom.Label{Key: "class", Val: c.String()})
 	}
-	return err
+	return w.Flush()
 }
