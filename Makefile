@@ -32,6 +32,8 @@ test:
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
+		-run '^Test(BatchStep|LoopSharded)' ./internal/model/ ./internal/gen/
+	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched)' ./internal/core/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Serve|Handler|Loadgen)' ./internal/serve/...
@@ -58,6 +60,9 @@ bench:
 
 ## bench-compare: compare two `make bench` reports metric by metric —
 ## make bench-compare A=/tmp/parent.json B=/tmp/change.json
+## A perf PR's paired runs are one workload at a time, the same command
+## in a checkout of each commit, alternating which side goes first:
+## go run ./benchmark --workload campaign_batched --seed N --seconds 12 --trace 0|1
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
 

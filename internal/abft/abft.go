@@ -87,8 +87,9 @@ type Stats struct {
 }
 
 // Checker verifies protected linear layers through the model.LinearChecker
-// interface. It is not safe for concurrent use: the campaign engine gives
-// each worker its own Checker, armed on that worker's model clone.
+// interface. It is not safe for concurrent use: the campaign and serving
+// engines give every trial its own Checker, observing that trial's batch
+// row or armed on its worker's model clone.
 //
 // Clean-weight checksums are cached per layer across trials — sound
 // because every trial restores the weights on Disarm — so only the first
@@ -119,8 +120,10 @@ func New(cfg Config) *Checker {
 // the same Cache (NewWithCache) compute each layer's O(k·n) sums once
 // between them — the batched decode scheduler gives every in-flight
 // trial its own Checker (own events, stats, tolerance bookkeeping) over
-// the worker's single Cache. Like Checker it is not safe for concurrent
-// use; a worker's trials all run on one goroutine.
+// the worker's single Cache. It is written only at Protect — between
+// decode steps, on the goroutine that owns the worker — and read-only
+// inside a step, where the Checkers of different rows read it
+// concurrently.
 type Cache struct {
 	sums map[model.LayerRef]layerSums
 }

@@ -128,6 +128,24 @@ type Baseline struct {
 	TotalSteps int
 }
 
+// Scores returns a copy of b that keeps every exported field — the
+// fault-free outputs and scores a Result is read for — and drops the
+// engine's working set: each instance's post-prompt KV snapshot, its
+// prefix logits and its activation capture, which only a running
+// campaign reads. A Result carries this copy, so holding Results does not
+// pin megabytes of KV cache per campaign; BaselineReady and WithBaseline
+// carry the full baseline, which is what a runner needs to fork trials
+// from the shared prefix.
+func (b *Baseline) Scores() *Baseline {
+	s := *b
+	s.Instances = make([]InstanceBaseline, len(b.Instances))
+	for i, ib := range b.Instances {
+		ib.prefix, ib.prefixLogits, ib.capture = nil, nil, nil
+		s.Instances[i] = ib
+	}
+	return &s
+}
+
 // EvalBaseline runs the suite fault-free on m with the given generation
 // settings (NumBeams etc.; MaxNewTokens is set per instance).
 func EvalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check AnswerChecker) *Baseline {

@@ -48,7 +48,9 @@ type Campaign struct {
 	// restriction, internal/mitigate) run, seeing the corrupted values
 	// exactly as real protection software would. The factory is invoked
 	// once per installation; share state through the closure if the
-	// mitigation needs campaign-wide counters.
+	// mitigation needs campaign-wide counters — synchronised, since
+	// trials run concurrently, across workers and across the rows of one
+	// worker's decode step.
 	ExtraHook func() model.Hook
 	// ABFT, when non-nil, arms the online checksum detector
 	// (internal/abft) for every trial: each worker owns a Checker whose
@@ -150,6 +152,9 @@ type Trial struct {
 // Result is a completed campaign.
 type Result struct {
 	Campaign Campaign
+	// Baseline is the scores-only copy of the fault-free baseline
+	// (Baseline.Scores): outputs and metrics, not the KV snapshots trials
+	// forked from. Reuse across runs takes the BaselineReady one.
 	Baseline *Baseline
 	Trials   []Trial
 }

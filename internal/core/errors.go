@@ -20,6 +20,10 @@ var (
 	// ErrCheckpointMismatch reports a resume checkpoint whose fingerprint
 	// does not match the campaign being resumed.
 	ErrCheckpointMismatch = errors.New("core: checkpoint does not match this campaign")
+	// ErrBaselineNoPrefix reports a WithBaseline baseline without the
+	// prefix snapshots the campaign's trials fork from — a Result's
+	// scores-only copy instead of a BaselineReady one.
+	ErrBaselineNoPrefix = errors.New("core: supplied baseline has no prefix snapshots (scores-only copy?)")
 )
 
 // TrialError locates a worker failure at the trial that caused it: the

@@ -15,7 +15,9 @@ import (
 type Event interface{ isEvent() }
 
 // BaselineReady reports the completed fault-free baseline evaluation —
-// the first event of every stream, emitted before any trial runs.
+// the first event of every stream, emitted before any trial runs. It
+// carries the full baseline, prefix snapshots included: the one to hand
+// WithBaseline (Result.Baseline is the scores-only copy).
 type BaselineReady struct {
 	Baseline *Baseline
 }

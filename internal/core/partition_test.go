@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -112,8 +113,22 @@ func TestWithBaselineReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Baseline != base {
-		t.Fatal("result did not adopt the provided baseline")
+	// The Result adopts the provided baseline's scores, not its KV
+	// snapshots (DeepEqual sees the unexported fields Scores clears):
+	// holding a Result must not pin the engine's working set. The
+	// provided baseline keeps its own.
+	if !reflect.DeepEqual(res.Baseline, base.Scores()) {
+		t.Fatal("result did not adopt the provided baseline's scores")
+	}
+	for i := range base.Instances {
+		if res.Baseline.Instances[i].prefix != nil || base.Instances[i].prefix == nil {
+			t.Fatalf("instance %d: the result must drop the prefix snapshot and the provided baseline keep it", i)
+		}
+	}
+	// A scores-only baseline cannot seed a campaign that forks trials from
+	// the prefix: refused up front, not a nil snapshot in a worker.
+	if _, err := NewRunner(c, WithBaseline(res.Baseline)).Run(context.Background()); !errors.Is(err, ErrBaselineNoPrefix) {
+		t.Fatalf("scores-only baseline: err = %v, want ErrBaselineNoPrefix", err)
 	}
 	for i := range full.Trials {
 		if !reflect.DeepEqual(res.Trials[i], full.Trials[i]) {

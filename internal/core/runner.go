@@ -100,7 +100,9 @@ func WithOnly(indices []int) RunnerOption {
 // skipping the runner's own baseline evaluation. The baseline must come
 // from an equivalent campaign on the same model value (in practice: a
 // prior run's BaselineReady event — the fabric worker evaluates it once
-// and reuses it across leases). A baseline captured without activation
+// and reuses it across leases; a Result's scores-only copy has no prefix
+// snapshots to fork trials from, and a campaign that needs them refuses
+// it with ErrBaselineNoPrefix). A baseline captured without activation
 // capture silently disables propagation probes for traced trials.
 func WithBaseline(b *Baseline) RunnerOption {
 	return func(r *Runner) { r.baseline = b }
@@ -290,7 +292,7 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	}
 	emit(BaselineReady{Baseline: baseline})
 
-	res := &Result{Campaign: c, Baseline: baseline, Trials: make([]Trial, c.Trials)}
+	res := &Result{Campaign: c, Baseline: baseline.Scores(), Trials: make([]Trial, c.Trials)}
 	completed := make([]bool, c.Trials)
 	done := 0
 	var restored []Trial
@@ -325,6 +327,13 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	// Eligible campaigns ride the decode loop at the configured width
 	// (serial decode is width 1); the rest run one trial per worker.
 	rows := c.batchEligible(gs)
+	if rows {
+		for i := range baseline.Instances {
+			if baseline.Instances[i].prefix == nil {
+				return nil, ErrBaselineNoPrefix
+			}
+		}
+	}
 	width := 1
 	if rows && c.BatchDecode > 1 {
 		width = c.BatchDecode
@@ -465,14 +474,16 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	return res, nil
 }
 
-// poolShape sizes the worker pool and each worker's matmul thread
-// share from the actual in-flight shape. A worker carries up to width
-// trials (one when the campaign does not ride the decode loop), so the
-// pool is capped by ceil(pending/width) — spawning more would leave
-// workers whose rows could never fill, each still claiming a core share.
-// The threads-per-worker split then divides the machine among the
-// workers that actually exist, so a small wide pool reclaims the cores a
-// width-1 pool of the same campaign would have fragmented.
+// poolShape sizes the worker pool and each worker's thread budget from
+// the actual in-flight shape. A worker carries up to width trials (one
+// when the campaign does not ride the decode loop), so the pool is
+// capped by ceil(pending/width) — spawning more would leave workers whose
+// rows could never fill, each still claiming a core share. The machine is
+// then divided among the workers that actually exist. A worker spends its
+// share (Model.SetThreads) in two places: prefill's row-parallel GEMMs,
+// and the decode step, which shards its rows over that many goroutines
+// (model.Batch.Step) — so one width-16 worker on two cores decodes on
+// both, while a pool of one-core workers forks nothing.
 func poolShape(pending, requested, width, procs int) (workers, threads int) {
 	workers = requested
 	if workers <= 0 {

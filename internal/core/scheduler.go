@@ -286,6 +286,8 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 		if n == 0 {
 			break
 		}
+		// A row is charged step wall / n however many threads the step
+		// sharded over: phase time is the worker's wall clock, not CPU.
 		stepStart := now()
 		finished := loop.Step()
 		share := since(stepStart) / time.Duration(n)

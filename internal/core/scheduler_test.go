@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -76,6 +78,87 @@ func TestBatchedGoldenEquivalence(t *testing.T) {
 				Seed:   41,
 				ABFT:   tc.abft,
 			}, 8)
+		})
+	}
+}
+
+// TestBatchedShardedGoldenEquivalence runs a width-16 campaign on one
+// worker whose decode steps shard over 1, 2 and 4 threads — the budget
+// poolShape hands a one-worker pool is GOMAXPROCS, so the test sets it,
+// whatever the machine has — and requires the width-1 Result: the same
+// trials and detections, the same counts in the telemetry. The ExtraHook
+// arm has every row's mitigation hook firing from concurrent shards; the
+// ABFT arm has every row's checker reading the worker's one checksum
+// cache. Sharding must not change the batch shape either: steps and rows
+// are those of threads 1.
+func TestBatchedShardedGoldenEquivalence(t *testing.T) {
+	suite := tasks.NewSelfRefSuite("batch-sharded", 23, 4, 20, 9, []metrics.Kind{metrics.KindBLEU})
+	// counts keeps what a snapshot counted and drops what it timed.
+	counts := func(s TelemetrySnapshot) TelemetrySnapshot {
+		s.ElapsedSeconds, s.TrialsPerSec = 0, 0
+		s.Workers, s.PhaseBucketBounds, s.Phases = nil, nil, nil
+		return s
+	}
+	run := func(c Campaign) (*Result, TelemetrySnapshot) {
+		t.Helper()
+		tel := NewTelemetry()
+		res, err := NewRunner(c, WithTelemetry(tel)).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, counts(tel.Snapshot())
+	}
+	for _, tc := range []struct {
+		name  string
+		hook  bool
+		abft  *ABFTConfig
+		fault faults.Model
+	}{
+		{"comp2-extrahook", true, nil, faults.Comp2Bit},
+		{"comp2-abft-all-correct", false, &ABFTConfig{Policy: mitigate.PolicyCorrect, AllLayers: true}, faults.Comp2Bit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Campaign{
+				Model:   goldenModel(t, model.QwenS, false),
+				Suite:   suite,
+				Fault:   tc.fault,
+				Trials:  40,
+				Seed:    47,
+				ABFT:    tc.abft,
+				Workers: 1,
+			}
+			if tc.hook {
+				c.ExtraHook = func() model.Hook {
+					return func(model.LayerRef, int, []float32) {}
+				}
+			}
+			ref, refCounts := run(c)
+
+			c.BatchDecode = 16
+			var shape [2]int64 // steps, rows at threads 1
+			for _, threads := range []int{1, 2, 4} {
+				got, gotCounts := func() (*Result, TelemetrySnapshot) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
+					return run(c)
+				}()
+				requireSameResult(t, ref, got)
+
+				steps, rows := gotCounts.DecodeBatchSteps, gotCounts.DecodeBatchRows
+				if threads == 1 {
+					shape = [2]int64{steps, rows}
+				} else if shape != [2]int64{steps, rows} {
+					t.Fatalf("threads %d: %d steps carrying %d rows, threads 1 had %v", threads, steps, rows, shape)
+				}
+				if rows != refCounts.DecodeBatchRows || steps >= refCounts.DecodeBatchSteps {
+					t.Fatalf("threads %d: %d steps carrying %d rows; width 1 took %d steps for %d rows",
+						threads, steps, rows, refCounts.DecodeBatchSteps, refCounts.DecodeBatchRows)
+				}
+				// Everything else the telemetry counted is the width-1 run's.
+				gotCounts.DecodeBatchSteps, gotCounts.BatchOccupancy = refCounts.DecodeBatchSteps, refCounts.BatchOccupancy
+				if !reflect.DeepEqual(gotCounts, refCounts) {
+					t.Fatalf("threads %d: telemetry counts differ from width 1:\n got %+v\nwant %+v", threads, gotCounts, refCounts)
+				}
+			}
 		})
 	}
 }
@@ -285,7 +368,9 @@ func TestBatchEligible(t *testing.T) {
 // TestPoolShape pins the worker/thread split against the in-flight
 // shape: batched workers carry up to batch trials each, so the pool is
 // capped by ceil(pending/batch) and the freed cores flow back into each
-// remaining worker's matmul thread share.
+// remaining worker's thread share — which its decode steps shard their
+// rows over ("batch-one-worker-two-procs" is the benchmark's
+// campaign_batched on the two-core reference machine).
 func TestPoolShape(t *testing.T) {
 	cases := []struct {
 		name                             string
@@ -299,6 +384,7 @@ func TestPoolShape(t *testing.T) {
 		{"batch-one-worker-enough", 8, 0, 8, 8, 1, 8},
 		{"batch-reclaims-threads", 16, 0, 8, 8, 2, 4},
 		{"batch-respects-request", 16, 1, 8, 8, 1, 8},
+		{"batch-one-worker-two-procs", 480, 1, 16, 2, 1, 2},
 		{"batch-more-requested-than-needed", 8, 4, 8, 8, 1, 8},
 		{"single-core", 100, 0, 8, 1, 1, 1},
 		{"pending-below-everything", 1, 4, 8, 8, 1, 8},

@@ -258,7 +258,7 @@ func (co *Coordinator) Result(ctx context.Context) (*core.Result, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	baseline := co.cfg.Campaign.EvalBaseline()
+	baseline := co.cfg.Campaign.EvalBaseline().Scores()
 	co.mu.Lock()
 	trials := append([]core.Trial(nil), co.trials...)
 	co.mu.Unlock()

@@ -4,7 +4,10 @@ import "repro/internal/model"
 
 // Arm is what a caller arms on one admitted sequence. Every observer is
 // scoped to that sequence's batch row: it sees, and may strike, only
-// that sequence's activations.
+// that sequence's activations. Observers of different sequences may run
+// concurrently inside one Step (model.DecodeRow), so state they share
+// must be synchronised; BeforeStep runs on the caller's goroutine, before
+// the step.
 type Arm struct {
 	// Hooks fire on each linear-layer output, in order.
 	Hooks []model.Hook
@@ -59,10 +62,13 @@ func (s *Seq[T]) next(maxSeq int) bool {
 // own row. Batch.Step computes every row in MatVec accumulation order
 // with only that row's hooks and checker observing it (model.Batch's
 // contract), so which other sequences share a step — and therefore
-// admission order, width and scheduling — cannot change any sequence's
-// tokens, hook observations or checker verdicts; only wall-clock.
+// admission order, width, scheduling, and how many threads the step
+// shards its rows over — cannot change any sequence's tokens, hook
+// observations or checker verdicts; only wall-clock.
 //
-// A Loop must not be shared between goroutines.
+// A Loop must not be shared between goroutines. Everything but the
+// forward pass inside Step — admission, BeforeStep, every Stepper.Next —
+// runs on the caller's.
 type Loop[T any] struct {
 	m    *model.Model
 	bt   *model.Batch

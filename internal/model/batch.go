@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -11,6 +12,13 @@ import (
 // KV-cache state over the shared weights, the token to decode this step,
 // the trial's own observation context (fault hook, extra hooks, probe,
 // ABFT checker), and the buffer its next-token logits are copied into.
+//
+// One row's observers fire in the serial order, on one goroutine per
+// step. Observers of different rows may run concurrently inside a step
+// (Batch.Step shards its rows), so whatever they touch must be private
+// to the row or synchronised — as mitigate.Restrictor's atomic counters
+// are. That is the rule concurrent campaign workers already put on
+// anything shared between trials.
 type DecodeRow struct {
 	// St is the trial's inference state. It must be bound to the same
 	// model the Batch was created from (ForkFor onto the worker clone).
@@ -40,19 +48,24 @@ func (r *DecodeRow) rc() rowCtx { return rowCtx{hooks: r.Hooks, checker: r.Check
 // Batch is a continuous-batching decode engine: capacity-sized activation
 // tensors over one model's weights, stepping up to capacity independent
 // trial states through one stacked forward pass per token. Rows are
-// independent — each reads and writes only its own State's KV cache, its
-// own hooks and checker observe only its own activation rows, and every
-// computed value is bit-identical to the same trial stepping alone
-// through State.DecodeStep (the batched GEMM's per-row accumulation
-// order matches MatVec, and norms, RoPE, attention, SwiGLU, and MoE
-// routing act on rows independently). A Batch must not be shared between
-// goroutines.
+// independent — each reads and writes only its own State's KV cache and
+// scratch and its own rows of the stacked tensors, its own hooks and
+// checker observe only its own activation rows, and every computed value
+// is bit-identical to the same trial stepping alone through
+// State.DecodeStep (the batched GEMM's per-row accumulation order matches
+// MatVec, and norms, RoPE, attention, SwiGLU, and MoE routing act on rows
+// independently). Nothing a row computes, shows a hook or hands a checker
+// therefore depends on which rows share its step, or — the same argument
+// — on how Step shards the rows over goroutines: the shards share only
+// what a step never writes (weights, RoPE tables, the checkers' checksum
+// cache). A Batch must not be shared between goroutines; the goroutines
+// Step starts are its own and have exited when it returns.
 type Batch struct {
 	m   *Model
 	cap int
 
 	// Stacked activations, capacity × dim; only the leading len(rows)
-	// rows of each are touched by a Step.
+	// rows of each are touched by a Step, each by the shard that owns it.
 	x, h, q, kb, vb, a, d *tensor.Tensor // capacity × DModel
 	ff1, ff2, ffa         *tensor.Tensor // capacity × FFHidden
 	r                     *tensor.Tensor // capacity × NumExperts (MoE only)
@@ -90,11 +103,17 @@ func (m *Model) NewBatch(capacity int) *Batch {
 func (b *Batch) Capacity() int { return b.cap }
 
 // Step decodes one token for every row: each row's Tok enters at its
-// state's position, the linear layers run as one stacked GEMM over all
-// rows, and each row's next-token logits land in its Logits buffer with
-// its state advanced by one. Rows may sit at different positions. The
+// state's position, the linear layers run as stacked GEMMs over the rows,
+// and each row's next-token logits land in its Logits buffer with its
+// state advanced by one. Rows may sit at different positions. The
 // model's registered hooks and checker are ignored; each row's own
 // Hooks/Checker observe its rows (see DecodeRow).
+//
+// The rows are split into min(threads, len(rows)) contiguous ranges (the
+// model's SetThreads budget) and each range runs the whole forward pass
+// on its own goroutine, the first on the caller's: one fork–join per
+// step, not one per GEMM, because a 16-row GEMM is too small to repay a
+// fork–join of its own. One thread is the one-range case of the same code.
 func (b *Batch) Step(rows []*DecodeRow) {
 	n := len(rows)
 	if n == 0 {
@@ -105,9 +124,9 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	}
 	m := b.m
 	cfg := &m.Cfg
-	threads := m.matmulThreads()
-
-	for i, row := range rows {
+	// Contract violations panic here, on the caller's goroutine, before
+	// any shard starts.
+	for _, row := range rows {
 		if row.St.m != m {
 			panic("model: decode row state bound to a different model")
 		}
@@ -117,57 +136,82 @@ func (b *Batch) Step(rows []*DecodeRow) {
 		if len(row.Logits) != cfg.Vocab {
 			panic("model: decode row logits buffer has wrong length")
 		}
-		tok := row.Tok
+	}
+
+	shards := min(m.matmulThreads(), n)
+	var wg sync.WaitGroup
+	for s := 1; s < shards; s++ {
+		wg.Add(1)
+		go func(r0, r1 int) {
+			defer wg.Done()
+			b.stepRange(rows, r0, r1)
+		}(s*n/shards, (s+1)*n/shards)
+	}
+	b.stepRange(rows, 0, n/shards)
+	wg.Wait()
+}
+
+// stepRange runs the whole forward pass for rows [r0, r1): it reads and
+// writes only those rows of the stacked tensors, those rows' States and
+// observers, and (read-only) the model's weights and tables, so ranges
+// run concurrently without synchronisation. Its GEMMs run serially — the
+// step's thread budget is already spent on the ranges.
+func (b *Batch) stepRange(rows []*DecodeRow, r0, r1 int) {
+	m := b.m
+	cfg := &m.Cfg
+
+	for i := r0; i < r1; i++ {
+		tok := rows[i].Tok
 		if tok < 0 || tok >= cfg.Vocab {
 			tok = 0
 		}
 		copy(b.x.Row(i), m.Embed.Row(tok))
 	}
 
-	// finishRows applies each row's own context to its output row, in
-	// row order — the per-trial hook/checker dispatch that keeps every
-	// trial's observations identical to its serial run.
-	finishRows := func(ref LayerRef, w Weight, in, out *tensor.Tensor) {
-		for i, row := range rows {
+	// linear runs the range through w and then applies each row's own
+	// context to its output row, in row order — the per-trial hook/checker
+	// dispatch that keeps every trial's observations identical to its
+	// serial run.
+	linear := func(ref LayerRef, w Weight, in, out *tensor.Tensor) {
+		forwardRows(w, out, in, r0, r1, 1)
+		for i := r0; i < r1; i++ {
+			row := rows[i]
 			m.finishLinearRC(row.rc(), ref, row.St.Pos, w, in.Row(i), out.Row(i))
 		}
 	}
+	// span is the range's slice of a stacked tensor's data.
+	span := func(t *tensor.Tensor) []float32 { return t.Data[r0*t.Cols : r1*t.Cols] }
 	normRows := func(t *tensor.Tensor, gain []float32) {
-		for i := 0; i < n; i++ {
+		for i := r0; i < r1; i++ {
 			tensor.RMSNormRow(t.Row(i), gain, cfg.Eps)
 		}
 	}
 	addRows := func(dst, src *tensor.Tensor) {
-		for i := 0; i < n; i++ {
-			drow, srow := dst.Row(i), src.Row(i)
-			for j := range drow {
-				drow[j] += srow[j]
-			}
+		d, s := span(dst), span(src)
+		for j := range d {
+			d[j] += s[j]
 		}
 	}
 
 	for bi, blk := range m.Blocks {
 		// --- attention sub-block ---
-		for i := 0; i < n; i++ {
-			copy(b.h.Row(i), b.x.Row(i))
-		}
+		copy(span(b.h), span(b.x))
 		normRows(b.h, blk.AttnNorm)
 
-		forwardRows(blk.Wq, b.q, b.h, n, threads)
-		finishRows(LayerRef{bi, KindQ, -1}, blk.Wq, b.h, b.q)
-		forwardRows(blk.Wk, b.kb, b.h, n, threads)
-		finishRows(LayerRef{bi, KindK, -1}, blk.Wk, b.h, b.kb)
-		forwardRows(blk.Wv, b.vb, b.h, n, threads)
-		finishRows(LayerRef{bi, KindV, -1}, blk.Wv, b.h, b.vb)
+		linear(LayerRef{bi, KindQ, -1}, blk.Wq, b.h, b.q)
+		linear(LayerRef{bi, KindK, -1}, blk.Wk, b.h, b.kb)
+		linear(LayerRef{bi, KindV, -1}, blk.Wv, b.h, b.vb)
 
-		for i, row := range rows {
-			pos := row.St.Pos
+		for i := r0; i < r1; i++ {
+			st := rows[i].St
+			pos := st.Pos
 			m.applyRoPE(b.q.Row(i), pos)
 			m.applyRoPE(b.kb.Row(i), pos)
-			copy(row.St.K[bi].Row(pos), b.kb.Row(i))
-			copy(row.St.V[bi].Row(pos), b.vb.Row(i))
+			copy(st.K[bi].Row(pos), b.kb.Row(i))
+			copy(st.V[bi].Row(pos), b.vb.Row(i))
 		}
-		for i, row := range rows {
+		for i := r0; i < r1; i++ {
+			row := rows[i]
 			m.attendAt(row.St, bi, row.St.Pos, b.q.Row(i), b.a.Row(i))
 			if len(row.AttnHooks) > 0 {
 				ref := LayerRef{bi, KindAttnAct, -1}
@@ -177,43 +221,36 @@ func (b *Batch) Step(rows []*DecodeRow) {
 			}
 		}
 
-		forwardRows(blk.Wo, b.h, b.a, n, threads)
-		finishRows(LayerRef{bi, KindOut, -1}, blk.Wo, b.a, b.h)
+		linear(LayerRef{bi, KindOut, -1}, blk.Wo, b.a, b.h)
 		addRows(b.x, b.h)
 
 		// --- MLP / MoE sub-block ---
-		for i := 0; i < n; i++ {
-			copy(b.h.Row(i), b.x.Row(i))
-		}
+		copy(span(b.h), span(b.x))
 		normRows(b.h, blk.MLPNorm)
 
 		if blk.Router != nil {
-			forwardRows(blk.Router, b.r, b.h, n, threads)
-			finishRows(LayerRef{bi, KindRouter, -1}, blk.Router, b.h, b.r)
-			for i, row := range rows {
+			linear(LayerRef{bi, KindRouter, -1}, blk.Router, b.h, b.r)
+			for i := r0; i < r1; i++ {
+				row := rows[i]
 				m.moeMix(row.rc(), row.St, blk, bi, row.St.Pos, b.r.Row(i), b.h.Row(i), b.d.Row(i))
 			}
 		} else {
-			forwardRows(blk.MLP.WGate, b.ff1, b.h, n, threads)
-			finishRows(LayerRef{bi, KindGate, -1}, blk.MLP.WGate, b.h, b.ff1)
-			forwardRows(blk.MLP.WUp, b.ff2, b.h, n, threads)
-			finishRows(LayerRef{bi, KindUp, -1}, blk.MLP.WUp, b.h, b.ff2)
-			for i := 0; i < n*cfg.FFHidden; i++ {
-				g := b.ff1.Data[i]
-				b.ffa.Data[i] = float32(float64(g)/(1+math.Exp(-float64(g)))) * b.ff2.Data[i]
+			linear(LayerRef{bi, KindGate, -1}, blk.MLP.WGate, b.h, b.ff1)
+			linear(LayerRef{bi, KindUp, -1}, blk.MLP.WUp, b.h, b.ff2)
+			gate, up, act := span(b.ff1), span(b.ff2), span(b.ffa)
+			for j, g := range gate {
+				act[j] = float32(float64(g)/(1+math.Exp(-float64(g)))) * up[j]
 			}
-			forwardRows(blk.MLP.WDown, b.d, b.ffa, n, threads)
-			finishRows(LayerRef{bi, KindDown, -1}, blk.MLP.WDown, b.ffa, b.d)
+			linear(LayerRef{bi, KindDown, -1}, blk.MLP.WDown, b.ffa, b.d)
 		}
 		addRows(b.x, b.d)
 	}
 
 	normRows(b.x, m.FinalNorm)
-	forwardRows(m.LMHead, b.l, b.x, n, threads)
-	finishRows(LayerRef{-1, KindLMHead, -1}, m.LMHead, b.x, b.l)
+	linear(LayerRef{-1, KindLMHead, -1}, m.LMHead, b.x, b.l)
 
-	for i, row := range rows {
-		copy(row.Logits, b.l.Row(i))
-		row.St.Pos++
+	for i := r0; i < r1; i++ {
+		copy(rows[i].Logits, b.l.Row(i))
+		rows[i].St.Pos++
 	}
 }

@@ -25,10 +25,79 @@ func (c *recordingChecker) CheckLinear(ref LayerRef, pos int, w Weight, in, out 
 	c.calls = append(c.calls, hookKey{ref, pos})
 }
 
+// The sharded step is pinned at every (threads, rows) shape below: one
+// thread, one row, fewer rows than threads, rows the threads do not
+// divide. SetThreads forces the shape, so none of it depends on the
+// test machine's core count.
+var (
+	shardThreads = []int{1, 2, 3, 5}
+	shardRows    = []int{1, 2, 3, 7, 16}
+)
+
+func forShardShapes(t *testing.T, m *Model, f func(t *testing.T, n int)) {
+	for _, threads := range shardThreads {
+		for _, n := range shardRows {
+			t.Run(fmt.Sprintf("threads%d/rows%d", threads, n), func(t *testing.T) {
+				m.SetThreads(threads)
+				f(t, n)
+			})
+		}
+	}
+}
+
+// Row i of the shard tests sits at its own position and decodes its own
+// token stream.
+const shardSteps = 5
+
+func shardPrompt(i, vocab int) []int  { return promptOf(2+i%6, vocab) }
+func shardTok(i, step, vocab int) int { return (i*5 + step*11 + 1) % vocab }
+
+// shardState prefills row i's prompt on a fresh state.
+func shardState(m *Model, i int) *State {
+	st := m.NewState()
+	if m.Cfg.IsMoE() {
+		st.EnableExpertTrace()
+	}
+	st.Prefill(shardPrompt(i, m.Cfg.Vocab))
+	return st
+}
+
+// shardSerial is row i's reference: its stream through DecodeStep, alone,
+// from a state shardState prefilled, under whatever hooks and checker
+// the model has registered by now.
+func shardSerial(st *State, i int) [][]float32 {
+	toks := make([]int, shardSteps)
+	for step := range toks {
+		toks[step] = shardTok(i, step, st.m.Cfg.Vocab)
+	}
+	return serialDecode(st, toks)
+}
+
+// shardBatch steps rows through a fresh Batch, checking row i's logits
+// after every step against want[i].
+func shardBatch(t *testing.T, m *Model, rows []*DecodeRow, want [][][]float32) {
+	t.Helper()
+	b := m.NewBatch(len(rows) + 2) // spare capacity: partial batches
+	for step := 0; step < shardSteps; step++ {
+		for i, row := range rows {
+			row.Tok = shardTok(i, step, m.Cfg.Vocab)
+		}
+		b.Step(rows)
+		for i, row := range rows {
+			for j, v := range row.Logits {
+				if v != want[i][step][j] {
+					t.Fatalf("row %d step %d logit %d: batch %g serial %g", i, step, j, v, want[i][step][j])
+				}
+			}
+		}
+	}
+}
+
 // TestBatchStepGolden pins Batch.Step bit-for-bit to per-row DecodeStep:
 // rows prefilled to different positions, decoding different token
-// streams, over dense and MoE profiles. Logits after every step and the
-// final KV caches must be identical to each row stepping alone.
+// streams, over dense and MoE profiles and every shard shape. Logits
+// after every step and the final KV caches and expert traces must be
+// identical to each row stepping alone.
 func TestBatchStepGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -39,167 +108,148 @@ func TestBatchStepGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := MustBuild(tc.spec)
-			vocab := tc.spec.Config.Vocab
-			trace := tc.spec.Config.IsMoE()
-
-			// Three rows at ragged positions with distinct token streams.
-			prompts := [][]int{promptOf(3, vocab), promptOf(7, vocab), promptOf(5, vocab)}
-			streams := [][]int{
-				{1, 9, 17, 2, 30},
-				{4, 4, 11, 0, 23},
-				{29, 6, 13, 19, 7},
+			maxRows := shardRows[len(shardRows)-1]
+			serialSts := make([]*State, maxRows)
+			want := make([][][]float32, maxRows)
+			for i := range want {
+				serialSts[i] = shardState(m, i)
+				want[i] = shardSerial(serialSts[i], i)
 			}
-
-			prep := func() []*State {
-				sts := make([]*State, len(prompts))
-				for i, p := range prompts {
-					sts[i] = m.NewState()
-					if trace {
-						sts[i].EnableExpertTrace()
-					}
-					sts[i].Prefill(p)
+			forShardShapes(t, m, func(t *testing.T, n int) {
+				rows := make([]*DecodeRow, n)
+				for i := range rows {
+					rows[i] = &DecodeRow{St: shardState(m, i), Logits: make([]float32, m.Cfg.Vocab)}
 				}
-				return sts
-			}
-
-			want := make([][][]float32, len(prompts))
-			serialSts := prep()
-			for i, st := range serialSts {
-				want[i] = serialDecode(st, streams[i])
-			}
-
-			batchSts := prep()
-			b := m.NewBatch(len(prompts) + 2) // spare capacity: partial batches
-			rows := make([]*DecodeRow, len(batchSts))
-			for i, st := range batchSts {
-				rows[i] = &DecodeRow{St: st, Logits: make([]float32, vocab)}
-			}
-			for step := 0; step < len(streams[0]); step++ {
+				shardBatch(t, m, rows, want)
 				for i, row := range rows {
-					row.Tok = streams[i][step]
-				}
-				b.Step(rows)
-				for i, row := range rows {
-					for j, v := range row.Logits {
-						if v != want[i][step][j] {
-							t.Fatalf("row %d step %d logit %d: batch %g serial %g",
-								i, step, j, v, want[i][step][j])
-						}
+					if err := statesEqual(serialSts[i], row.St); err != nil {
+						t.Fatalf("row %d state: %v", i, err)
 					}
 				}
-			}
-			for i := range serialSts {
-				if err := statesEqual(serialSts[i], batchSts[i]); err != nil {
-					t.Fatalf("row %d state: %v", i, err)
-				}
-			}
+			})
 		})
 	}
 }
 
-// TestBatchStepPerRowHooks checks fault isolation: a mutating hook on one
-// row must corrupt exactly that row's output (identically to the same
-// hook on a serial run) and leave sibling rows bit-identical to clean
-// serial runs. Each row's capture hook must also see only its own
-// positions.
+// TestBatchStepPerRowHooks checks fault isolation at every shard shape: a
+// mutating hook on one row must corrupt exactly that row's output
+// (identically to the same hook on a serial run) and leave sibling rows
+// bit-identical to clean serial runs, and every row's own capture hook
+// must observe exactly the vectors its serial run shows a hook — its own
+// positions, nobody else's.
 func TestBatchStepPerRowHooks(t *testing.T) {
-	spec := testSpec(QwenS)
-	m := MustBuild(spec)
-	vocab := spec.Config.Vocab
-	prompts := [][]int{promptOf(4, vocab), promptOf(6, vocab)}
-	toks := []int{3, 21, 8}
+	m := MustBuild(testSpec(QwenS))
+	vocab := m.Cfg.Vocab
 	target := LayerRef{0, KindUp, -1}
-	faultPos := len(prompts[0]) + 1 // second decoded position of row 0
-	fault := func(ref LayerRef, pos int, out []float32) {
-		if ref == target && pos == faultPos {
-			out[3] += 40
-		}
-	}
-
-	// Serial twins: row 0 with the hook installed on the model, row 1 clean.
-	st0 := m.NewState()
-	st0.Prefill(prompts[0])
-	m.AddHook(fault)
-	wantFaulty := serialDecode(st0, toks)
-	m.ClearHooks()
-	st1 := m.NewState()
-	st1.Prefill(prompts[1])
-	wantClean := serialDecode(st1, toks)
-
-	// Batched: hook rides on row 0 only; row 1 carries a capture hook.
-	caps := map[hookKey][]float32{}
-	b0 := m.NewState()
-	b0.Prefill(prompts[0])
-	b1 := m.NewState()
-	b1.Prefill(prompts[1])
-	rows := []*DecodeRow{
-		{St: b0, Hooks: []Hook{fault}, Logits: make([]float32, vocab)},
-		{St: b1, Hooks: []Hook{captureHook(caps)}, Logits: make([]float32, vocab)},
-	}
-	bt := m.NewBatch(2)
-	for step, tok := range toks {
-		rows[0].Tok, rows[1].Tok = tok, tok
-		bt.Step(rows)
-		for j := range rows[0].Logits {
-			if rows[0].Logits[j] != wantFaulty[step][j] {
-				t.Fatalf("faulted row step %d logit %d diverges from serial faulted run", step, j)
-			}
-			if rows[1].Logits[j] != wantClean[step][j] {
-				t.Fatalf("clean sibling step %d logit %d contaminated", step, j)
+	// faultOn strikes row i's second decoded position.
+	faultOn := func(i int) Hook {
+		faultPos := len(shardPrompt(i, vocab)) + 1
+		return func(ref LayerRef, pos int, out []float32) {
+			if ref == target && pos == faultPos {
+				out[3] += 40
 			}
 		}
 	}
-	// Row 1's hook saw only row-1 positions.
-	for k := range caps {
-		if k.pos < len(prompts[1]) || k.pos >= len(prompts[1])+len(toks) {
-			t.Fatalf("row 1 hook observed foreign position %d", k.pos)
+	// serial decodes row i alone with hook registered on the model.
+	serial := func(i int, hook Hook) [][]float32 {
+		st := shardState(m, i)
+		m.AddHook(hook)
+		defer m.ClearHooks()
+		return shardSerial(st, i)
+	}
+
+	maxRows := shardRows[len(shardRows)-1]
+	wantClean := make([][][]float32, maxRows)
+	wantFaulty := make([][][]float32, maxRows)
+	wantCaps := make([]map[hookKey][]float32, maxRows)
+	for i := range wantClean {
+		wantCaps[i] = map[hookKey][]float32{}
+		wantClean[i] = serial(i, captureHook(wantCaps[i]))
+		wantFaulty[i] = serial(i, faultOn(i))
+	}
+
+	forShardShapes(t, m, func(t *testing.T, n int) {
+		faulted := n / 2
+		want := append([][][]float32(nil), wantClean[:n]...)
+		want[faulted] = wantFaulty[faulted]
+		// Every other row carries a capture hook over a map of its own:
+		// observers of different rows run concurrently.
+		caps := make([]map[hookKey][]float32, n)
+		rows := make([]*DecodeRow, n)
+		for i := range rows {
+			caps[i] = map[hookKey][]float32{}
+			hook := captureHook(caps[i])
+			if i == faulted {
+				hook = faultOn(i)
+			}
+			rows[i] = &DecodeRow{St: shardState(m, i), Hooks: []Hook{hook}, Logits: make([]float32, vocab)}
 		}
-	}
-	if len(caps) == 0 {
-		t.Fatal("row hook never fired")
-	}
+		shardBatch(t, m, rows, want)
+		for i := range rows {
+			if i == faulted {
+				continue
+			}
+			if len(caps[i]) != len(wantCaps[i]) {
+				t.Fatalf("row %d hook saw %d call sites, serial %d", i, len(caps[i]), len(wantCaps[i]))
+			}
+			for k, got := range caps[i] {
+				ref, ok := wantCaps[i][k]
+				if !ok {
+					t.Fatalf("row %d hook observed foreign site %+v", i, k)
+				}
+				for j := range got {
+					if got[j] != ref[j] {
+						t.Fatalf("row %d site %+v element %d: batch %g serial %g", i, k, j, got[j], ref[j])
+					}
+				}
+			}
+		}
+	})
 }
 
-// TestBatchStepPerRowChecker checks checker dispatch: only the row
-// carrying a checker is checked, at exactly the (layer, position) sites
-// its serial run would visit.
+// TestBatchStepPerRowChecker checks checker dispatch at every shard
+// shape: only the rows carrying a checker are checked, each at exactly
+// the (layer, position) sites, in the order, its serial run would visit.
 func TestBatchStepPerRowChecker(t *testing.T) {
-	spec := testSpec(FalconS)
-	m := MustBuild(spec)
-	vocab := spec.Config.Vocab
-	prompt := promptOf(5, vocab)
-	toks := []int{2, 12}
+	m := MustBuild(testSpec(FalconS))
+	maxRows := shardRows[len(shardRows)-1]
+	want := make([][][]float32, maxRows)
+	wantCalls := make([][]hookKey, maxRows)
+	for i := range want {
+		ref := &recordingChecker{}
+		st := shardState(m, i)
+		m.SetChecker(ref)
+		want[i] = shardSerial(st, i)
+		m.SetChecker(nil)
+		wantCalls[i] = ref.calls
+	}
 
-	// Serial reference: checker armed on the model.
-	ref := &recordingChecker{}
-	st := m.NewState()
-	st.Prefill(prompt)
-	m.SetChecker(ref)
-	serialDecode(st, toks)
-	m.SetChecker(nil)
-
-	got := &recordingChecker{}
-	b0 := m.NewState()
-	b0.Prefill(prompt)
-	b1 := m.NewState()
-	b1.Prefill(prompt)
-	rows := []*DecodeRow{
-		{St: b0, Checker: got, Logits: make([]float32, vocab)},
-		{St: b1, Logits: make([]float32, vocab)},
-	}
-	bt := m.NewBatch(2)
-	for _, tok := range toks {
-		rows[0].Tok, rows[1].Tok = tok, tok
-		bt.Step(rows)
-	}
-	if len(got.calls) != len(ref.calls) {
-		t.Fatalf("checked row saw %d checks, serial saw %d", len(got.calls), len(ref.calls))
-	}
-	for i := range got.calls {
-		if got.calls[i] != ref.calls[i] {
-			t.Fatalf("check %d: batch %+v serial %+v", i, got.calls[i], ref.calls[i])
+	forShardShapes(t, m, func(t *testing.T, n int) {
+		// Even rows carry a checker each; odd rows none.
+		checkers := make([]*recordingChecker, n)
+		rows := make([]*DecodeRow, n)
+		for i := range rows {
+			rows[i] = &DecodeRow{St: shardState(m, i), Logits: make([]float32, m.Cfg.Vocab)}
+			if i%2 == 0 {
+				checkers[i] = &recordingChecker{}
+				rows[i].Checker = checkers[i]
+			}
 		}
-	}
+		shardBatch(t, m, rows, want)
+		for i, got := range checkers {
+			if got == nil {
+				continue
+			}
+			if len(got.calls) != len(wantCalls[i]) {
+				t.Fatalf("row %d saw %d checks, serial saw %d", i, len(got.calls), len(wantCalls[i]))
+			}
+			for c := range got.calls {
+				if got.calls[c] != wantCalls[i][c] {
+					t.Fatalf("row %d check %d: batch %+v serial %+v", i, c, got.calls[c], wantCalls[i][c])
+				}
+			}
+		}
+	})
 }
 
 // TestBatchStepIgnoresModelHooks: hooks registered on the model itself

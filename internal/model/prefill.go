@@ -7,32 +7,32 @@ import (
 	"repro/internal/tensor"
 )
 
-// rowsForwarder is implemented by weights that can push the leading rows
-// of an activation tensor through the layer at once, leaving the rest of
-// out untouched. Implementations must keep every computed row
+// rowsForwarder is implemented by weights that can push a contiguous
+// range of an activation tensor's rows through the layer at once, leaving
+// the rest of out untouched. Implementations must keep every computed row
 // bit-identical to Forward on that row; Dense reuses the row-parallel
 // matmul, whose per-row accumulation order matches MatVec. Weights
 // without the interface (e.g. quantized storage) fall back to a per-row
 // Forward loop, which is trivially identical.
 type rowsForwarder interface {
-	ForwardRows(out, x *tensor.Tensor, rows, workers int)
+	ForwardRows(out, x *tensor.Tensor, r0, r1, workers int)
 }
 
-// ForwardRows computes the first rows rows of out = x · W with up to
-// workers goroutines.
-func (d *Dense) ForwardRows(out, x *tensor.Tensor, rows, workers int) {
-	tensor.MatMulRows(out, x, d.T, rows, workers)
+// ForwardRows computes rows [r0, r1) of out = x · W with up to workers
+// goroutines.
+func (d *Dense) ForwardRows(out, x *tensor.Tensor, r0, r1, workers int) {
+	tensor.MatMulRange(out, x, d.T, r0, r1, workers)
 }
 
-// forwardRows runs the first rows rows of x through w into out, batched
-// when the weight supports it. Prefill passes every row; the decode
-// batch passes however many are in flight.
-func forwardRows(w Weight, out, x *tensor.Tensor, rows, workers int) {
+// forwardRows runs rows [r0, r1) of x through w into out, batched when
+// the weight supports it. Prefill passes every row and its thread budget;
+// each shard of a decode step passes its own range and runs it serially.
+func forwardRows(w Weight, out, x *tensor.Tensor, r0, r1, workers int) {
 	if rf, ok := w.(rowsForwarder); ok {
-		rf.ForwardRows(out, x, rows, workers)
+		rf.ForwardRows(out, x, r0, r1, workers)
 		return
 	}
-	for i := 0; i < rows; i++ {
+	for i := r0; i < r1; i++ {
 		w.Forward(out.Row(i), x.Row(i))
 	}
 }
@@ -115,11 +115,11 @@ func (st *State) Prefill(prompt []int) []float32 {
 		H.CopyFrom(X)
 		normRows(H, blk.AttnNorm)
 
-		forwardRows(blk.Wq, Q, H, n, threads)
+		forwardRows(blk.Wq, Q, H, 0, n, threads)
 		finishRows(LayerRef{bi, KindQ, -1}, blk.Wq, H, Q)
-		forwardRows(blk.Wk, Kb, H, n, threads)
+		forwardRows(blk.Wk, Kb, H, 0, n, threads)
 		finishRows(LayerRef{bi, KindK, -1}, blk.Wk, H, Kb)
-		forwardRows(blk.Wv, Vb, H, n, threads)
+		forwardRows(blk.Wv, Vb, H, 0, n, threads)
 		finishRows(LayerRef{bi, KindV, -1}, blk.Wv, H, Vb)
 
 		for i := 0; i < n; i++ {
@@ -134,7 +134,7 @@ func (st *State) Prefill(prompt []int) []float32 {
 			m.attendAt(st, bi, base+i, Q.Row(i), A.Row(i))
 		}
 
-		forwardRows(blk.Wo, H, A, n, threads)
+		forwardRows(blk.Wo, H, A, 0, n, threads)
 		finishRows(LayerRef{bi, KindOut, -1}, blk.Wo, A, H)
 		X.AddInPlace(H)
 
@@ -143,20 +143,20 @@ func (st *State) Prefill(prompt []int) []float32 {
 		normRows(H, blk.MLPNorm)
 
 		if blk.Router != nil {
-			forwardRows(blk.Router, R, H, n, threads)
+			forwardRows(blk.Router, R, H, 0, n, threads)
 			finishRows(LayerRef{bi, KindRouter, -1}, blk.Router, H, R)
 			for i := 0; i < n; i++ {
 				m.moeMix(m.rc(), st, blk, bi, base+i, R.Row(i), H.Row(i), D.Row(i))
 			}
 		} else {
-			forwardRows(blk.MLP.WGate, FF1, H, n, threads)
+			forwardRows(blk.MLP.WGate, FF1, H, 0, n, threads)
 			finishRows(LayerRef{bi, KindGate, -1}, blk.MLP.WGate, H, FF1)
-			forwardRows(blk.MLP.WUp, FF2, H, n, threads)
+			forwardRows(blk.MLP.WUp, FF2, H, 0, n, threads)
 			finishRows(LayerRef{bi, KindUp, -1}, blk.MLP.WUp, H, FF2)
 			for i, g := range FF1.Data {
 				FFA.Data[i] = float32(float64(g)/(1+math.Exp(-float64(g)))) * FF2.Data[i]
 			}
-			forwardRows(blk.MLP.WDown, D, FFA, n, threads)
+			forwardRows(blk.MLP.WDown, D, FFA, 0, n, threads)
 			finishRows(LayerRef{bi, KindDown, -1}, blk.MLP.WDown, FFA, D)
 		}
 		X.AddInPlace(D)
@@ -167,7 +167,7 @@ func (st *State) Prefill(prompt []int) []float32 {
 		// Hooks observe (and may mutate) the LM-head output of every
 		// position in the sequential path; keep that visible behaviour.
 		L := tensor.New(n, cfg.Vocab)
-		forwardRows(m.LMHead, L, X, n, threads)
+		forwardRows(m.LMHead, L, X, 0, n, threads)
 		finishRows(LayerRef{-1, KindLMHead, -1}, m.LMHead, X, L)
 		copy(st.logits, L.Row(n-1))
 	} else {

@@ -125,9 +125,10 @@ type Model struct {
 	// attention-path faults.
 	attnHooks []Hook
 
-	// threads bounds the goroutines batched prefill may use for its
-	// matmuls (0 = GOMAXPROCS). Campaigns set it per worker clone so the
-	// worker pool cannot oversubscribe the machine.
+	// threads bounds the goroutines one forward pass may use — batched
+	// prefill for its matmuls, a decode batch step for its row shards
+	// (0 = GOMAXPROCS). Campaigns set it per worker clone so the worker
+	// pool cannot oversubscribe the machine.
 	threads int
 
 	// sharedWeights marks a CloneShared copy: parameter storage is shared
@@ -147,12 +148,13 @@ type Model struct {
 	checker LinearChecker
 }
 
-// SetThreads bounds the worker goroutines batched prefill may use for its
-// matmuls (0 restores the GOMAXPROCS default). A campaign running W
+// SetThreads bounds the goroutines one forward pass on m may use (0
+// restores the GOMAXPROCS default): batched prefill splits each matmul's
+// rows over them, Batch.Step its decode rows. A campaign running W
 // workers sets each worker clone to GOMAXPROCS/W, min 1.
 func (m *Model) SetThreads(n int) { m.threads = n }
 
-// matmulThreads resolves the effective matmul worker count.
+// matmulThreads resolves the effective thread budget.
 func (m *Model) matmulThreads() int {
 	if m.threads > 0 {
 		return m.threads

@@ -206,9 +206,10 @@ type Engine struct {
 	m       *model.Model
 	met     *Metrics
 	sampler *faults.Sampler
-	// cache holds clean-weight ABFT checksums. It is not safe for
-	// concurrent use; only the scheduler goroutine touches it (a
-	// weight-resident request builds a private one for its clone).
+	// cache holds clean-weight ABFT checksums. Only the scheduler
+	// goroutine writes it (Protect, at admission, between steps); inside
+	// a step the rows' checkers only read it. A weight-resident request
+	// builds a private one for its clone.
 	cache *abft.Cache
 	queue chan *pending
 	done  chan struct{}
@@ -530,8 +531,8 @@ func (e *Engine) runAlone(p *pending) Response {
 }
 
 // admit puts a prefilled request on ln: arm its fault and checker on its
-// own row (on the goroutine that owns ln — the checksum cache is
-// single-threaded by construction) and take the first token off the
+// own row (on the goroutine that owns ln, between steps — the only
+// writer of the checksum cache) and take the first token off the
 // prefix logits. A request that ends there is answered without ever
 // occupying a row.
 func (e *Engine) admit(ln *lane, p *pending) {

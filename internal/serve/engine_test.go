@@ -409,6 +409,76 @@ func (c *stepsThenCancel) Err() error {
 	return nil
 }
 
+// TestServeShardedStep pins serving to the sharded decode step: the
+// scheduler's steps shard their rows over the engine model's thread
+// budget, forced to four here whatever the machine has. The five-surface
+// campaign (attention and KV strikes among them, a checker on every row)
+// must answer every request exactly as at one thread, and a request
+// cancelled while its siblings keep stepping must come back with the
+// tokens chosen so far and leave the siblings their serial outputs.
+func TestServeShardedStep(t *testing.T) {
+	m, vocab := testServeModel(t)
+	m.SetThreads(1)
+	want := campaignStats(t, m, vocab, 8)
+	m.SetThreads(4)
+	got := campaignStats(t, m, vocab, 8)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("request %d differs at four threads:\n got %s\nwant %s", i, got[i], want[i])
+		}
+	}
+
+	prompts := testPrompts()
+	const maxNew = 12
+	baselines := baselinesFor(m, prompts, maxNew)
+	e, stop := startEngine(t, serve.Config{Model: m, Vocab: vocab, Width: 8})
+	defer stop()
+	// Seven siblings, one request abandoned after three decode steps, and
+	// one cancelled from outside at no particular step.
+	raceCtx, cancelRace := context.WithCancel(context.Background())
+	defer cancelRace()
+	resps := make([]serve.Response, 9)
+	var wg sync.WaitGroup
+	for i := range resps {
+		ctx := context.Background()
+		switch i {
+		case 3:
+			ctx = &stepsThenCancel{Context: ctx, n: 3}
+		case 5:
+			ctx = raceCtx
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i] = e.Submit(ctx, serve.Request{ID: fmt.Sprintf("s%d", i), Prompt: prompts[i%len(prompts)], MaxNew: maxNew})
+			if i == 0 {
+				cancelRace()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, resp := range resps {
+		base := baselines[i%len(prompts)]
+		switch i {
+		case 3:
+			if !errors.Is(resp.Err, context.Canceled) || !reflect.DeepEqual(resp.Tokens, base[:4]) {
+				t.Fatalf("request abandoned after three steps: %v, err %v; want the first four of %v", resp.Tokens, resp.Err, base)
+			}
+		case 5:
+			if resp.Err != nil && !errors.Is(resp.Err, context.Canceled) {
+				t.Fatalf("cancelled request: err %v", resp.Err)
+			}
+			if len(resp.Tokens) > len(base) || !reflect.DeepEqual(resp.Tokens, base[:len(resp.Tokens)]) {
+				t.Fatalf("cancelled request returned %v, not a prefix of %v", resp.Tokens, base)
+			}
+		default:
+			if resp.Err != nil || !reflect.DeepEqual(resp.Tokens, base) {
+				t.Fatalf("sibling %d: %v, err %v; want %v", i, resp.Tokens, resp.Err, base)
+			}
+		}
+	}
+}
+
 // TestServeWeightResidentThroughLoop pins the weight-resident path — a
 // width-1 decode loop over a private clone, checker on the row — to the
 // seed oracle: for every weight-resident surface, tokens, Fired and

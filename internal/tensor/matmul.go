@@ -25,29 +25,36 @@ func MatMulP(out, a, b *Tensor, workers int) {
 }
 
 // MatMulRows computes the first rows rows of out = a · b, leaving the
-// remaining rows of out untouched — the one GEMM behind prefill (all
-// rows) and batched decode (a scheduler keeps activation tensors sized
-// for its capacity and stacks however many trials are in flight into the
-// leading rows). Each output row's accumulation sequence is
-// bit-identical to MatVec on that row (p ascending with zero inputs
-// skipped, float32 accumulation), so one rows×k matmul per layer
-// replaces rows GEMVs without changing a single bit of any row's
-// result. Large products are split across rows, so that holds for every
-// worker count.
+// remaining rows of out untouched: MatMulRange over [0, rows).
 func MatMulRows(out, a, b *Tensor, rows, workers int) {
+	MatMulRange(out, a, b, 0, rows, workers)
+}
+
+// MatMulRange computes rows [r0, r1) of out = a · b, leaving every other
+// row of out untouched — the one GEMM behind prefill (all rows) and
+// batched decode (a scheduler keeps activation tensors sized for its
+// capacity, stacks however many trials are in flight into the leading
+// rows, and hands each of its shards a contiguous range of them). Each
+// output row's accumulation sequence is bit-identical to MatVec on that
+// row (p ascending with zero inputs skipped, float32 accumulation), so
+// one matmul per layer replaces r1-r0 GEMVs without changing a single
+// bit of any row's result. Large products are split across rows, so that
+// holds for every worker count; calls on disjoint ranges of one out may
+// run concurrently.
+func MatMulRange(out, a, b *Tensor, r0, r1, workers int) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic("tensor: MatMul shape mismatch")
 	}
-	if rows < 0 || rows > a.Rows {
-		panic("tensor: MatMulRows row count out of range")
+	if r0 < 0 || r0 > r1 || r1 > a.Rows {
+		panic("tensor: MatMulRange rows out of range")
 	}
-	if workers > 1 && rows >= minRowsPerWorker*2 {
-		parallelRows(rows, workers, func(r0, r1 int) {
-			matmulRowsTiled(out, a, b, r0, r1)
+	if workers > 1 && r1-r0 >= minRowsPerWorker*2 {
+		parallelRows(r1-r0, workers, func(s0, s1 int) {
+			matmulRowsTiled(out, a, b, r0+s0, r0+s1)
 		})
 		return
 	}
-	matmulRowsTiled(out, a, b, 0, rows)
+	matmulRowsTiled(out, a, b, r0, r1)
 }
 
 // matmulRowsTiled computes rows [r0, r1) of out = a·b, one row at a time

@@ -71,9 +71,10 @@ func TestMatVecMatchesReference(t *testing.T) {
 }
 
 // TestMatMulRowsMatchesMatVec is the batched-decode bit-identity
-// contract: every computed row of MatMulRows must equal MatVec on that
-// row exactly, for every in-flight row count (including the ragged
-// remainders of the 4-row blocking) and every worker count.
+// contract: every computed row of MatMulRange must equal MatVec on that
+// row exactly, for every row range (a decode step's shards each take
+// one; MatMulRows is the ranges starting at 0) and every worker count,
+// and no row outside the range may be written.
 func TestMatMulRowsMatchesMatVec(t *testing.T) {
 	r := &testRand{s: 7}
 	const capacity, k, n = 19, 48, 37
@@ -86,20 +87,27 @@ func TestMatMulRowsMatchesMatVec(t *testing.T) {
 	for i := 0; i < capacity; i++ {
 		MatVec(want.Row(i), a.Row(i), b)
 	}
-	for rows := 0; rows <= capacity; rows++ {
-		for _, workers := range []int{1, 3} {
-			out := New(capacity, n)
-			out.Fill(float32(math.NaN())) // untouched rows must stay untouched
-			MatMulRows(out, a, b, rows, workers)
-			for i := 0; i < rows; i++ {
-				if !bitsEqual(out.Row(i), want.Row(i)) {
-					t.Fatalf("rows=%d workers=%d: row %d differs from MatVec", rows, workers, i)
+	for r0 := 0; r0 <= capacity; r0++ {
+		for r1 := r0; r1 <= capacity; r1++ {
+			for _, workers := range []int{1, 3} {
+				out := New(capacity, n)
+				out.Fill(float32(math.NaN())) // untouched rows must stay untouched
+				if r0 == 0 {
+					MatMulRows(out, a, b, r1, workers)
+				} else {
+					MatMulRange(out, a, b, r0, r1, workers)
 				}
-			}
-			for i := rows; i < capacity; i++ {
-				for x, v := range out.Row(i) {
-					if !math.IsNaN(float64(v)) {
-						t.Fatalf("rows=%d: untouched row %d col %d was written (%v)", rows, i, x, v)
+				for i := 0; i < capacity; i++ {
+					if i >= r0 && i < r1 {
+						if !bitsEqual(out.Row(i), want.Row(i)) {
+							t.Fatalf("rows [%d,%d) workers=%d: row %d differs from MatVec", r0, r1, workers, i)
+						}
+						continue
+					}
+					for x, v := range out.Row(i) {
+						if !math.IsNaN(float64(v)) {
+							t.Fatalf("rows [%d,%d): untouched row %d col %d was written (%v)", r0, r1, i, x, v)
+						}
 					}
 				}
 			}
