@@ -32,7 +32,7 @@ test:
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(BatchStep|LoopSharded)' ./internal/model/ ./internal/gen/
+		-run '^Test(BatchStep|LoopSharded|StackedForward)' ./internal/model/ ./internal/gen/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched)' ./internal/core/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \

@@ -214,23 +214,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Checkpoint wiring: -checkpoint names the file; a bare -resume reuses
-	// its file so the resumed run keeps checkpointing. In fabric modes the
-	// campaign itself carries no path — trial persistence belongs to the
-	// coordinator (workers must never write a local checkpoint).
-	saveTo := *ckptPath
-	if saveTo == "" {
-		saveTo = *resume
-	}
 	opts := []core.Option{
 		core.WithWorkers(*workers),
 		core.WithDecodeBatch(*batchDec),
 		core.WithGen(gen.Settings{NumBeams: *beams}),
 		core.WithReasoningOnly(*reasoning),
-		core.WithCheckpointInterval(*ckptEvery),
-	}
-	if saveTo != "" && *coordAddr == "" && *workerURL == "" {
-		opts = append(opts, core.WithCheckpointPath(saveTo))
 	}
 	if *gateOnly {
 		opts = append(opts, core.WithFilter(faults.GateOnly))
@@ -291,9 +279,18 @@ func main() {
 		return
 	}
 
+	// Checkpoint wiring (single-process only; in a fleet, trial persistence
+	// belongs to the coordinator): -checkpoint names the file; a bare
+	// -resume reuses its file so the resumed run keeps checkpointing.
+	saveTo := *ckptPath
+	if saveTo == "" {
+		saveTo = *resume
+	}
 	tel := core.NewTelemetry()
 	ropts := []core.RunnerOption{
 		core.WithTelemetry(tel),
+		core.WithCheckpoint(saveTo),
+		core.WithCheckpointEvery(*ckptEvery),
 	}
 	if *resume != "" {
 		ck, err := core.LoadCheckpoint(*resume)
@@ -354,13 +351,8 @@ func main() {
 	var srv *report.Server
 	if *httpAddr != "" {
 		srv = report.NewServer(label, tel)
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln) //llmfi:allow golife listener lifetime is owned by the deferred hs.Close, not a ctx
-		defer hs.Close()
+		ln := listen(*httpAddr)
+		defer serveOn(ln, srv.Handler())()
 		fmt.Fprintf(os.Stderr, "llmfi: serving /metrics /healthz /api/v1/trials /debug/pprof on http://%s\n", ln.Addr())
 	}
 
@@ -436,6 +428,24 @@ func main() {
 	}
 }
 
+// listen opens the TCP listener every serving mode of the CLI starts
+// from, exiting on failure.
+func listen(addr string) net.Listener {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return ln
+}
+
+// serveOn serves h on ln in the background and returns the call that
+// shuts the server down; every caller defers it.
+func serveOn(ln net.Listener, h http.Handler) (stop func() error) {
+	hs := &http.Server{Handler: h}
+	go hs.Serve(ln) //llmfi:allow golife the server's lifetime is owned by the stop every caller defers, not a ctx
+	return hs.Close
+}
+
 // runCoordinator serves the fleet API on addr and blocks until every
 // trial is merged, then prints the campaign result exactly like a
 // single-process run (the merge is bit-identical).
@@ -455,13 +465,8 @@ func runCoordinator(ctx context.Context, c core.Campaign, addr, ckptPath string,
 	if n := co.Restored(); n > 0 {
 		fmt.Fprintf(os.Stderr, "llmfi: coordinator restored %d/%d trials from %s\n", n, c.Trials, ckptPath)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: co.Handler()}
-	go hs.Serve(ln) //llmfi:allow golife listener lifetime is owned by the deferred hs.Close, not a ctx
-	defer hs.Close()
+	ln := listen(addr)
+	defer serveOn(ln, co.Handler())()
 	go co.RunScrapes(ctx)
 	fmt.Fprintf(os.Stderr, "llmfi: coordinating %d trials on http://%s (join with -worker; dashboard at /debug/fleet)\n", c.Trials, ln.Addr())
 
@@ -509,10 +514,7 @@ func runWorker(ctx context.Context, c core.Campaign, url, name, httpAddr string,
 	}
 	var ln net.Listener
 	if httpAddr != "" {
-		var err error
-		if ln, err = net.Listen("tcp", httpAddr); err != nil {
-			log.Fatal(err)
-		}
+		ln = listen(httpAddr)
 		cfg.HTTPAddr = advertiseURL(ln.Addr())
 	}
 	wk, err := fabric.NewWorker(cfg)
@@ -520,9 +522,7 @@ func runWorker(ctx context.Context, c core.Campaign, url, name, httpAddr string,
 		log.Fatal(err)
 	}
 	if ln != nil {
-		hs := &http.Server{Handler: wk.Handler()}
-		go hs.Serve(ln) //llmfi:allow golife listener lifetime is owned by the deferred hs.Close, not a ctx
-		defer hs.Close()
+		defer serveOn(ln, wk.Handler())()
 		fmt.Fprintf(os.Stderr, "llmfi: worker metrics on %s/metrics\n", cfg.HTTPAddr)
 	}
 	if err := wk.Run(ctx); err != nil {
@@ -546,13 +546,8 @@ func runServe(ctx context.Context, m *model.Model, suite *tasks.Suite, addr stri
 	if err != nil {
 		log.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: e.Handler()}
-	go hs.Serve(ln) //llmfi:allow golife listener lifetime is owned by the deferred hs.Close, not a ctx
-	defer hs.Close()
+	ln := listen(addr)
+	defer serveOn(ln, e.Handler())()
 	mode := "clean"
 	if inj != nil {
 		mode = fmt.Sprintf("fault campaign: %v over %d surfaces", inj.Fault, len(inj.Surfaces))

@@ -78,15 +78,6 @@ type Campaign struct {
 	// equivalence tests; production campaigns leave them false.
 	noPrefixReuse bool
 	deepClones    bool
-
-	// ckptPath/ckptEvery are the campaign-level checkpoint settings
-	// (WithCheckpointPath / WithCheckpointInterval); NewRunner adopts
-	// them as its defaults so Campaign.Run checkpoints without an
-	// explicit RunnerOption. Deliberately outside the Fingerprint:
-	// where (and how often) completed trials are persisted never
-	// changes what they contain.
-	ckptPath  string
-	ckptEvery int
 }
 
 // ABFTConfig configures the campaign's online detection layer.

@@ -70,21 +70,6 @@ func WithDecodeBatch(n int) Option {
 	return func(c *Campaign) { c.BatchDecode = n }
 }
 
-// WithCheckpointPath makes every runner of the campaign persist
-// completed trials to path — periodically, and finally when the run
-// completes, errors, or is cancelled. The campaign-level twin of the
-// runner option WithCheckpoint, so the canonical core.New path covers
-// checkpointing without constructing a Runner explicitly.
-func WithCheckpointPath(path string) Option {
-	return func(c *Campaign) { c.ckptPath = path }
-}
-
-// WithCheckpointInterval sets the number of completed trials between
-// periodic checkpoint writes (default 64; needs WithCheckpointPath).
-func WithCheckpointInterval(n int) Option {
-	return func(c *Campaign) { c.ckptEvery = n }
-}
-
 // WithReasoningOnly restricts computational-fault iterations to the
 // reasoning segment of the baseline output (the CoT study, §4.3.2).
 func WithReasoningOnly(on bool) Option {

@@ -33,14 +33,12 @@ type Runner struct {
 	ckptEvery int
 	resume    *Checkpoint
 	tel       *Telemetry
-	progEvery int
 
 	only     []int
 	baseline *Baseline
 
 	traceEvery int
 	traceSink  func(trace.Record) error
-	traceTol   float64
 
 	spanObs func(index int, spans []trace.Span, busy time.Duration)
 }
@@ -72,12 +70,6 @@ func WithResumeFrom(ck *Checkpoint) RunnerOption {
 // snapshot it during or after the run.
 func WithTelemetry(t *Telemetry) RunnerOption {
 	return func(r *Runner) { r.tel = t }
-}
-
-// WithProgressEvery sets how many completed trials separate Progress
-// events (default 1: one per trial).
-func WithProgressEvery(n int) RunnerOption {
-	return func(r *Runner) { r.progEvery = n }
 }
 
 // WithOnly restricts execution to the given trial indices — the
@@ -127,12 +119,6 @@ func WithTrace(n int, sink func(trace.Record) error) RunnerOption {
 	}
 }
 
-// WithTraceTol overrides the relative-L2 divergence tolerance of the
-// propagation probes (default trace.DefaultTol).
-func WithTraceTol(tol float64) RunnerOption {
-	return func(r *Runner) { r.traceTol = tol }
-}
-
 // WithSpanObserver delivers every completed trial's phase timing spans
 // (the same prefill/decode/abft/classify breakdown the telemetry
 // histograms aggregate) plus its wall-clock busy time to fn, from the
@@ -145,11 +131,9 @@ func WithSpanObserver(fn func(index int, spans []trace.Span, busy time.Duration)
 	return func(r *Runner) { r.spanObs = fn }
 }
 
-// NewRunner wraps a Campaign in the streaming runtime. Campaign-level
-// checkpoint settings (WithCheckpointPath / WithCheckpointInterval) seed
-// the runner's defaults; RunnerOptions override them.
+// NewRunner wraps a Campaign in the streaming runtime.
 func NewRunner(c Campaign, opts ...RunnerOption) *Runner {
-	r := &Runner{c: c, ckptPath: c.ckptPath, ckptEvery: c.ckptEvery, progEvery: 1}
+	r := &Runner{c: c}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -158,9 +142,6 @@ func NewRunner(c Campaign, opts ...RunnerOption) *Runner {
 	}
 	if r.ckptEvery <= 0 {
 		r.ckptEvery = 64
-	}
-	if r.progEvery <= 0 {
-		r.progEvery = 1
 	}
 	return r
 }
@@ -263,10 +244,6 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	// search (forked decode states) run untraced.
 	traceOn := r.traceEvery > 0 &&
 		c.Suite.Type != tasks.MultipleChoice && gs.NumBeams <= 1
-	traceTol := r.traceTol
-	if traceTol <= 0 {
-		traceTol = trace.DefaultTol
-	}
 
 	baseline := r.baseline
 	if baseline == nil {
@@ -393,7 +370,7 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 					c: c, r: r, worker: worker, wm: wm,
 					sampler: sampler, seedSrc: seedSrc,
 					base: baseline, gs: gs, check: check, rows: rows,
-					traceOn: traceOn, traceTol: traceTol,
+					traceOn: traceOn,
 				}
 				if c.ABFT != nil {
 					env.cache = abft.NewCache()
@@ -444,9 +421,7 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 			}
 		}
 		emit(TrialDone{Index: tr.index, Worker: tr.worker, Trial: tr.trial, Trace: tr.rec})
-		if done%r.progEvery == 0 || done == c.Trials {
-			emit(r.tel.progress(done, c.Trials))
-		}
+		emit(r.tel.progress(done, c.Trials))
 		if r.ckptPath != "" && sinceCkpt >= r.ckptEvery {
 			if err := r.checkpoint(res, completed); err != nil {
 				if firstErr == nil {

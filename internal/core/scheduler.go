@@ -31,18 +31,17 @@ import (
 // how the outcome is assembled — is written once; that a row's inference
 // equals the whole-model one is gen.Loop's argument.
 type trialEnv struct {
-	c        Campaign
-	r        *Runner
-	worker   int
-	wm       *model.Model
-	sampler  *faults.Sampler
-	seedSrc  *prng.Source
-	base     *Baseline
-	gs       gen.Settings
-	check    AnswerChecker
-	rows     bool
-	traceOn  bool
-	traceTol float64
+	c       Campaign
+	r       *Runner
+	worker  int
+	wm      *model.Model
+	sampler *faults.Sampler
+	seedSrc *prng.Source
+	base    *Baseline
+	gs      gen.Settings
+	check   AnswerChecker
+	rows    bool
+	traceOn bool
 	// cache shares clean-weight checksums across the worker's per-trial
 	// ABFT checkers (nil without Campaign.ABFT). Sound across trials
 	// because Disarm restores the weights.
@@ -105,7 +104,7 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 	}
 	if a.traced && a.base.capture != nil {
 		a.probe = trace.NewProbe(a.base.capture, trace.ProbeConfig{
-			Tol: e.traceTol, StrikePos: a.strikePos, Site: a.site.Layer,
+			Tol: trace.DefaultTol, StrikePos: a.strikePos, Site: a.site.Layer,
 		})
 	}
 

@@ -74,7 +74,7 @@ func postRaw(t *testing.T, url string, req any, traceparent string) *http.Respon
 func runLeaseTrials(t *testing.T, c core.Campaign, indices []int) []TrialResult {
 	t.Helper()
 	var out []TrialResult
-	r := core.NewRunner(c, core.WithOnly(indices), core.WithCheckpoint(""))
+	r := core.NewRunner(c, core.WithOnly(indices))
 	for ev := range r.Stream(context.Background()) {
 		switch e := ev.(type) {
 		case core.TrialDone:

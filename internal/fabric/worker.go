@@ -227,11 +227,9 @@ func (w *Worker) join(ctx context.Context) error {
 func (w *Worker) execute(ctx context.Context, l *Lease) error {
 	w.cfg.Logf("fabric worker %s: lease %d — %d trials", w.name, l.ID, len(l.Indices))
 	w.selfLeases.Add(1)
-	// The worker must not write the campaign's own checkpoint: trial
-	// persistence is the coordinator's job, and two workers sharing a
-	// path would clobber each other. WithCheckpoint("") clears any
-	// checkpoint path configured on the campaign.
-	opts := []core.RunnerOption{core.WithOnly(l.Indices), core.WithCheckpoint("")}
+	// No WithCheckpoint: trial persistence is the coordinator's job, and
+	// two workers sharing a path would clobber each other.
+	opts := []core.RunnerOption{core.WithOnly(l.Indices)}
 	if w.baseline != nil {
 		opts = append(opts, core.WithBaseline(w.baseline))
 	}

@@ -97,6 +97,7 @@ func TestAttnHookIgnoredByBatch(t *testing.T) {
 
 	st := m.NewState()
 	st.Prefill(promptOf(4, vocab))
+	fired = 0
 	row := &DecodeRow{St: st, Tok: 3, Logits: make([]float32, vocab)}
 	m.NewBatch(1).Step([]*DecodeRow{row})
 	if fired != 0 {

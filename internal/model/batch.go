@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/tensor"
@@ -43,33 +42,21 @@ type DecodeRow struct {
 	Logits []float32
 }
 
-func (r *DecodeRow) rc() rowCtx { return rowCtx{hooks: r.Hooks, checker: r.Checker} }
-
 // Batch is a continuous-batching decode engine: capacity-sized activation
-// tensors over one model's weights, stepping up to capacity independent
-// trial states through one stacked forward pass per token. Rows are
-// independent — each reads and writes only its own State's KV cache and
-// scratch and its own rows of the stacked tensors, its own hooks and
-// checker observe only its own activation rows, and every computed value
-// is bit-identical to the same trial stepping alone through
-// State.DecodeStep (the batched GEMM's per-row accumulation order matches
-// MatVec, and norms, RoPE, attention, SwiGLU, and MoE routing act on rows
-// independently). Nothing a row computes, shows a hook or hands a checker
-// therefore depends on which rows share its step, or — the same argument
-// — on how Step shards the rows over goroutines: the shards share only
-// what a step never writes (weights, RoPE tables, the checkers' checksum
-// cache). A Batch must not be shared between goroutines; the goroutines
-// Step starts are its own and have exited when it returns.
+// scratch over one model's weights, stepping up to capacity independent
+// trial states through one stacked forward pass (forwardStack) per token.
+// Each row reads and writes only its own State and its own rows of the
+// scratch, and its own hooks and checker observe only its own activation
+// rows, so nothing a row computes, shows a hook or hands a checker depends
+// on which rows share its step or on how Step shards them over goroutines
+// — every value is bit-identical to the same trial stepping alone through
+// State.DecodeStep. A Batch must not be shared between goroutines; the
+// goroutines Step starts are its own and have exited when it returns.
 type Batch struct {
-	m   *Model
-	cap int
-
-	// Stacked activations, capacity × dim; only the leading len(rows)
-	// rows of each are touched by a Step, each by the shard that owns it.
-	x, h, q, kb, vb, a, d *tensor.Tensor // capacity × DModel
-	ff1, ff2, ffa         *tensor.Tensor // capacity × FFHidden
-	r                     *tensor.Tensor // capacity × NumExperts (MoE only)
-	l                     *tensor.Tensor // capacity × Vocab
+	m    *Model
+	sk   *stack
+	l    *tensor.Tensor // capacity × Vocab
+	rows []stackRow     // capacity views, filled for one Step and cleared after it
 }
 
 // NewBatch allocates a decode batch engine of the given capacity over m.
@@ -77,37 +64,23 @@ func (m *Model) NewBatch(capacity int) *Batch {
 	if capacity < 1 {
 		panic("model: batch capacity must be at least 1")
 	}
-	cfg := &m.Cfg
-	b := &Batch{
-		m:   m,
-		cap: capacity,
-		x:   tensor.New(capacity, cfg.DModel),
-		h:   tensor.New(capacity, cfg.DModel),
-		q:   tensor.New(capacity, cfg.DModel),
-		kb:  tensor.New(capacity, cfg.DModel),
-		vb:  tensor.New(capacity, cfg.DModel),
-		a:   tensor.New(capacity, cfg.DModel),
-		d:   tensor.New(capacity, cfg.DModel),
-		ff1: tensor.New(capacity, cfg.FFHidden),
-		ff2: tensor.New(capacity, cfg.FFHidden),
-		ffa: tensor.New(capacity, cfg.FFHidden),
-		l:   tensor.New(capacity, cfg.Vocab),
+	return &Batch{
+		m:    m,
+		sk:   m.newStack(capacity),
+		l:    tensor.New(capacity, m.Cfg.Vocab),
+		rows: make([]stackRow, capacity),
 	}
-	if cfg.IsMoE() {
-		b.r = tensor.New(capacity, cfg.NumExperts)
-	}
-	return b
 }
 
 // Capacity returns the maximum number of rows a Step may carry.
-func (b *Batch) Capacity() int { return b.cap }
+func (b *Batch) Capacity() int { return len(b.rows) }
 
 // Step decodes one token for every row: each row's Tok enters at its
 // state's position, the linear layers run as stacked GEMMs over the rows,
 // and each row's next-token logits land in its Logits buffer with its
 // state advanced by one. Rows may sit at different positions. The
-// model's registered hooks and checker are ignored; each row's own
-// Hooks/Checker observe its rows (see DecodeRow).
+// model's registered hooks, attention hooks and checker are ignored; each
+// row's own Hooks/AttnHooks/Checker observe its rows (see DecodeRow).
 //
 // The rows are split into min(threads, len(rows)) contiguous ranges (the
 // model's SetThreads budget) and each range runs the whole forward pass
@@ -119,8 +92,8 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	if n == 0 {
 		return
 	}
-	if n > b.cap {
-		panic(fmt.Sprintf("model: decode batch of %d exceeds capacity %d", n, b.cap))
+	if n > len(b.rows) {
+		panic(fmt.Sprintf("model: decode batch of %d exceeds capacity %d", n, len(b.rows)))
 	}
 	m := b.m
 	cfg := &m.Cfg
@@ -137,6 +110,14 @@ func (b *Batch) Step(rows []*DecodeRow) {
 			panic("model: decode row logits buffer has wrong length")
 		}
 	}
+	views := b.rows[:n]
+	for i, row := range rows {
+		views[i] = stackRow{
+			st: row.St, pos: row.St.Pos, tok: row.Tok,
+			rc:        rowCtx{hooks: row.Hooks, checker: row.Checker},
+			attnHooks: row.AttnHooks,
+		}
+	}
 
 	shards := min(m.matmulThreads(), n)
 	var wg sync.WaitGroup
@@ -149,106 +130,20 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	}
 	b.stepRange(rows, 0, n/shards)
 	wg.Wait()
+	// A Batch outlives the trials it steps: a view left in place would pin
+	// a finished trial's State and checker until the slot is next filled.
+	clear(views)
 }
 
-// stepRange runs the whole forward pass for rows [r0, r1): it reads and
-// writes only those rows of the stacked tensors, those rows' States and
-// observers, and (read-only) the model's weights and tables, so ranges
-// run concurrently without synchronisation. Its GEMMs run serially — the
-// step's thread budget is already spent on the ranges.
+// stepRange runs the whole forward pass for rows [r0, r1) and hands each
+// its logits: it reads and writes only those rows of the scratch, those
+// rows' States and observers, and (read-only) the model's weights and
+// tables, so ranges run concurrently without synchronisation. Its GEMMs
+// run serially — the step's thread budget is already spent on the ranges.
 func (b *Batch) stepRange(rows []*DecodeRow, r0, r1 int) {
 	m := b.m
-	cfg := &m.Cfg
-
-	for i := r0; i < r1; i++ {
-		tok := rows[i].Tok
-		if tok < 0 || tok >= cfg.Vocab {
-			tok = 0
-		}
-		copy(b.x.Row(i), m.Embed.Row(tok))
-	}
-
-	// linear runs the range through w and then applies each row's own
-	// context to its output row, in row order — the per-trial hook/checker
-	// dispatch that keeps every trial's observations identical to its
-	// serial run.
-	linear := func(ref LayerRef, w Weight, in, out *tensor.Tensor) {
-		forwardRows(w, out, in, r0, r1, 1)
-		for i := r0; i < r1; i++ {
-			row := rows[i]
-			m.finishLinearRC(row.rc(), ref, row.St.Pos, w, in.Row(i), out.Row(i))
-		}
-	}
-	// span is the range's slice of a stacked tensor's data.
-	span := func(t *tensor.Tensor) []float32 { return t.Data[r0*t.Cols : r1*t.Cols] }
-	normRows := func(t *tensor.Tensor, gain []float32) {
-		for i := r0; i < r1; i++ {
-			tensor.RMSNormRow(t.Row(i), gain, cfg.Eps)
-		}
-	}
-	addRows := func(dst, src *tensor.Tensor) {
-		d, s := span(dst), span(src)
-		for j := range d {
-			d[j] += s[j]
-		}
-	}
-
-	for bi, blk := range m.Blocks {
-		// --- attention sub-block ---
-		copy(span(b.h), span(b.x))
-		normRows(b.h, blk.AttnNorm)
-
-		linear(LayerRef{bi, KindQ, -1}, blk.Wq, b.h, b.q)
-		linear(LayerRef{bi, KindK, -1}, blk.Wk, b.h, b.kb)
-		linear(LayerRef{bi, KindV, -1}, blk.Wv, b.h, b.vb)
-
-		for i := r0; i < r1; i++ {
-			st := rows[i].St
-			pos := st.Pos
-			m.applyRoPE(b.q.Row(i), pos)
-			m.applyRoPE(b.kb.Row(i), pos)
-			copy(st.K[bi].Row(pos), b.kb.Row(i))
-			copy(st.V[bi].Row(pos), b.vb.Row(i))
-		}
-		for i := r0; i < r1; i++ {
-			row := rows[i]
-			m.attendAt(row.St, bi, row.St.Pos, b.q.Row(i), b.a.Row(i))
-			if len(row.AttnHooks) > 0 {
-				ref := LayerRef{bi, KindAttnAct, -1}
-				for _, h := range row.AttnHooks {
-					h(ref, row.St.Pos, b.a.Row(i))
-				}
-			}
-		}
-
-		linear(LayerRef{bi, KindOut, -1}, blk.Wo, b.a, b.h)
-		addRows(b.x, b.h)
-
-		// --- MLP / MoE sub-block ---
-		copy(span(b.h), span(b.x))
-		normRows(b.h, blk.MLPNorm)
-
-		if blk.Router != nil {
-			linear(LayerRef{bi, KindRouter, -1}, blk.Router, b.h, b.r)
-			for i := r0; i < r1; i++ {
-				row := rows[i]
-				m.moeMix(row.rc(), row.St, blk, bi, row.St.Pos, b.r.Row(i), b.h.Row(i), b.d.Row(i))
-			}
-		} else {
-			linear(LayerRef{bi, KindGate, -1}, blk.MLP.WGate, b.h, b.ff1)
-			linear(LayerRef{bi, KindUp, -1}, blk.MLP.WUp, b.h, b.ff2)
-			gate, up, act := span(b.ff1), span(b.ff2), span(b.ffa)
-			for j, g := range gate {
-				act[j] = float32(float64(g)/(1+math.Exp(-float64(g)))) * up[j]
-			}
-			linear(LayerRef{bi, KindDown, -1}, blk.MLP.WDown, b.ffa, b.d)
-		}
-		addRows(b.x, b.d)
-	}
-
-	normRows(b.x, m.FinalNorm)
-	linear(LayerRef{-1, KindLMHead, -1}, m.LMHead, b.x, b.l)
-
+	m.forwardStack(b.sk, b.rows, r0, r1, 1)
+	m.linearRows(b.rows, LayerRef{-1, KindLMHead, -1}, m.LMHead, b.sk.x, b.l, r0, r1, 1)
 	for i := r0; i < r1; i++ {
 		copy(rows[i].Logits, b.l.Row(i))
 		rows[i].St.Pos++

@@ -221,9 +221,9 @@ func (m *Model) moeForward(st *State, blk *Block, bi, pos int) {
 
 // moeMix routes the post-norm row h through the top-K experts selected by
 // the already-finished router logits and writes the probability-weighted
-// mixture to dst. dst may alias h. Batched prefill runs the router linear
-// for all positions at once and then mixes per position through here; the
-// decode batch engine does the same, handing each row's own rc.
+// mixture to dst. dst may alias h. forwardStack runs the router linear for
+// all its rows at once and then mixes per row through here, under each
+// row's own rc.
 func (m *Model) moeMix(rc rowCtx, st *State, blk *Block, bi, pos int, routerLogits, h, dst []float32) {
 	cfg := &m.Cfg
 	sel := tensor.TopK(routerLogits, cfg.TopK)

@@ -191,9 +191,10 @@ func (m *Model) PopHook() {
 }
 
 // AddAttnHook registers h on the attention-activation surface: it fires
-// once per block per decode step on the post-attention row (ref kind
-// KindAttnAct), after the head outputs are mixed and before the out_proj
-// GEMM consumes them. This is a separate slot from the linear-layer
+// once per block per position — every DecodeStep and every prompt
+// position of Prefill — on the post-attention row (ref kind KindAttnAct),
+// after the head outputs are mixed and before the out_proj GEMM consumes
+// them. This is a separate slot from the linear-layer
 // hooks so activation-surface injection never perturbs what the linear
 // hooks (probes, ABFT baselines) observe; with no attention hooks
 // registered the decode path is bit-identical by construction — nothing

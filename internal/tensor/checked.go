@@ -74,18 +74,8 @@ func (c Checksums) CheckRow(x, out []float32, tol float64) (ok bool, dev, scale 
 // CheckRows verifies every row of out = a·b, returning the indices of the
 // rows whose deviation exceeds tolerance.
 func (c Checksums) CheckRows(a, out *Tensor, tol float64) []int {
-	return c.CheckRowsN(a, out, a.Rows, tol)
-}
-
-// CheckRowsN verifies the first rows rows of out = a·b — the shape a
-// partially occupied decode batch produces — returning the indices of
-// rows whose deviation exceeds tolerance.
-func (c Checksums) CheckRowsN(a, out *Tensor, rows int, tol float64) []int {
-	if rows < 0 || rows > a.Rows {
-		panic("tensor: CheckRowsN row count out of range")
-	}
 	var bad []int
-	for i := 0; i < rows; i++ {
+	for i := 0; i < a.Rows; i++ {
 		if ok, _, _ := c.CheckRow(a.Row(i), out.Row(i), tol); !ok {
 			bad = append(bad, i)
 		}
@@ -102,17 +92,6 @@ func MatMulChecked(out, a, b *Tensor, workers int, tol float64) []int {
 	MatMulP(out, a, b, workers)
 	cs := NewChecksums(b)
 	return cs.CheckRows(a, out, tol)
-}
-
-// MatMulRowsChecked computes the first rows rows of out = a·b through the
-// batched-decode kernel (bit-identical to per-row MatVec) and verifies
-// each computed row against cs, returning the indices of rows violating
-// the relative tolerance. Unlike MatMulChecked it takes precomputed
-// checksums: a batched scheduler checks the same weights every step, so
-// recomputing the O(k·n) sums per call would dwarf the GEMM itself.
-func MatMulRowsChecked(out, a, b *Tensor, rows, workers int, cs Checksums, tol float64) []int {
-	MatMulRows(out, a, b, rows, workers)
-	return cs.CheckRowsN(a, out, rows, tol)
 }
 
 func isFinite(v float64) bool {

@@ -162,43 +162,6 @@ func TestMatMulPBlockedEquivalence(t *testing.T) {
 	}
 }
 
-// TestMatMulRowsChecked exercises the precomputed-checksum batched check:
-// clean rows pass, a corrupted row among clean siblings is the only one
-// flagged, and untouched tail rows are never checked.
-func TestMatMulRowsChecked(t *testing.T) {
-	r := &testRand{s: 19}
-	const capacity, k, n = 8, 32, 24
-	b := New(k, n)
-	fillRandom(b, r, 0)
-	a := New(capacity, k)
-	fillRandom(a, r, 0)
-	cs := NewChecksums(b)
-
-	out := New(capacity, n)
-	if bad := MatMulRowsChecked(out, a, b, 5, 1, cs, 1e-5); len(bad) != 0 {
-		t.Fatalf("clean batch flagged rows %v", bad)
-	}
-	// Corrupt one computed row's output (post-GEMM, as a fault hook would).
-	MatMulRows(out, a, b, 5, 1)
-	out.Set(2, 7, out.At(2, 7)*1024)
-	if bad := cs.CheckRowsN(a, out, 5, 1e-5); len(bad) != 1 || bad[0] != 2 {
-		t.Fatalf("corrupted row not isolated: flagged %v", bad)
-	}
-}
-
-// TestCheckRowsNBounds verifies the row-count guards.
-func TestCheckRowsNBounds(t *testing.T) {
-	b := New(4, 4)
-	cs := NewChecksums(b)
-	a, out := New(3, 4), New(3, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CheckRowsN out-of-range rows must panic")
-		}
-	}()
-	cs.CheckRowsN(a, out, 4, 1e-6)
-}
-
 // sink prevents dead-code elimination in benchmarks.
 var sink uint64
 
