@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-compare fuzz cover
+.PHONY: check fmt vet lint build cross test race bench bench-compare fuzz cover
 
-## check: the full CI gate — formatting, vet, invariant lint, build,
-## tests, race detector.
-check: fmt vet lint build test race
+## check: the full CI gate — formatting, vet, invariant lint, build
+## (native, and arm64 for the portable row kernel), tests, race detector.
+check: fmt vet lint build cross test race
 
 fmt:
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
@@ -26,13 +26,20 @@ lint:
 build:
 	$(GO) build ./...
 
+## cross: the row kernel's assembly is amd64-only; the portable kernel
+## must compile and vet clean where the .s file does not.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/model/
+
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(BatchStep|LoopSharded|StackedForward)' ./internal/model/ ./internal/gen/
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward)' \
+		./internal/tensor/ ./internal/model/ ./internal/gen/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched)' ./internal/core/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
@@ -71,6 +78,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHalfRoundTrip$$' -fuzztime 10s ./internal/numerics/
 	$(GO) test -run '^$$' -fuzz '^FuzzFlipBits$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerateRequest$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowKernel$$' -fuzztime 10s ./internal/tensor/
 
 ## cover: the detection-layer coverage gate enforced by CI — the ABFT and
 ## mitigation packages must stay above 85% combined.

@@ -94,6 +94,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/serve/loadgen"
 	"repro/internal/tasks"
+	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/version"
 )
@@ -165,7 +166,7 @@ func main() {
 		spansPath = flag.String("spans", "", "export sampled end-to-end spans (JSONL, one span per line) to this file")
 		spanN     = flag.Int("span-sample", 16, "span sampling stride: trace every N-th root (1 = all, 0 = off)")
 		scrapeEv  = flag.Duration("scrape-every", 0, "with -coordinator: worker /metrics scrape interval for the llmfi_fleet_* fan-in (0 = default 2s)")
-		showVer   = flag.Bool("version", false, "print the llmfi version and exit")
+		showVer   = flag.Bool("version", false, "print the llmfi version and row kernel (avx or portable) and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: llmfi [flags]\n\nflags:\n")
@@ -175,7 +176,10 @@ func main() {
 	flag.Parse()
 
 	if *showVer {
-		fmt.Println("llmfi " + version.Version)
+		// The kernel changes speed, never results: it is printed so a
+		// throughput number from another machine is attributable, and is
+		// not part of the version the fleet handshake compares.
+		fmt.Println("llmfi " + version.Version + " kernel=" + tensor.Kernel())
 		return
 	}
 	if *list {

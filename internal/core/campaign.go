@@ -129,7 +129,9 @@ type Trial struct {
 	AnswerOK bool
 	// Choice is the selected option (multiple-choice suites).
 	Choice int
-	// Metrics are the trial's quality scores.
+	// Metrics are the trial's quality scores. Read-only: a trial that
+	// scored exactly its instance's baseline shares the baseline's map
+	// (nothing writes a Trial's Metrics after construction).
 	Metrics map[metrics.Kind]float64
 	// ExpertChanged reports a different MoE expert-selection trace than
 	// the baseline (MoE greedy campaigns only).

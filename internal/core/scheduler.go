@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"time"
 
 	"repro/internal/abft"
@@ -193,6 +194,11 @@ func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
 		if e.wm.Cfg.IsMoE() && e.gs.NumBeams <= 1 {
 			trial.ExpertChanged = !expertTraceEqual(ib.ExpertTrace, a.base.ExpertTrace)
 		}
+	}
+	if maps.Equal(trial.Metrics, a.base.Metrics) {
+		// Most trials score exactly their instance's baseline, and a
+		// Result retains every trial: those share the baseline's map.
+		trial.Metrics = a.base.Metrics
 	}
 	sp.classify += since(start)
 

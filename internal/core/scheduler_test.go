@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"maps"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -397,5 +401,55 @@ func TestPoolShape(t *testing.T) {
 					tc.pending, tc.requested, tc.batch, tc.procs, w, th, tc.workers, tc.threads)
 			}
 		})
+	}
+}
+
+// sharesMap reports whether two maps are the same map, not merely equal.
+func sharesMap(a, b map[metrics.Kind]float64) bool {
+	return a != nil && reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// TestTrialsShareBaselineScores: a trial whose scores equal its instance's
+// baseline holds the baseline's map rather than its own copy (most trials
+// are masked, and a Result retains every one of them), and nothing can
+// tell: the trials DeepEqual ones holding private maps, marshal to the
+// same JSON and survive a gob checkpoint round-trip unchanged.
+func TestTrialsShareBaselineScores(t *testing.T) {
+	suite := tasks.NewSelfRefSuite("share", 4, 3, 20, 8, []metrics.Kind{metrics.KindBLEU, metrics.KindChrF})
+	for _, width := range []int{0, 4} {
+		c := Campaign{Model: goldenModel(t, model.QwenS, false), Suite: suite, Fault: faults.Comp2Bit, Trials: 48, Seed: 5, BatchDecode: width}
+		res, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		private := slices.Clone(res.Trials)
+		shared := 0
+		for i, tr := range res.Trials {
+			base := res.Baseline.Instances[tr.Instance].Metrics
+			if sharesMap(tr.Metrics, base) != maps.Equal(tr.Metrics, base) {
+				t.Fatalf("width %d trial %d: scores %v, baseline %v, shared %v", width, i, tr.Metrics, base, sharesMap(tr.Metrics, base))
+			}
+			if sharesMap(tr.Metrics, base) {
+				shared++
+			}
+			private[i].Metrics = maps.Clone(tr.Metrics)
+		}
+		if shared == 0 || !reflect.DeepEqual(res.Trials, private) {
+			t.Fatalf("width %d: %d of %d trials share their baseline's scores; DeepEqual private copies: %v",
+				width, shared, len(res.Trials), reflect.DeepEqual(res.Trials, private))
+		}
+		a, errA := json.Marshal(res.Trials)
+		b, errB := json.Marshal(private)
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("width %d: JSON of shared and private trials differs (%v, %v)", width, errA, errB)
+		}
+		path := filepath.Join(t.TempDir(), "ck.gob")
+		if err := (&Checkpoint{Fingerprint: c.Fingerprint(), Indices: make([]int, len(res.Trials)), Trials: res.Trials}).Save(path); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil || !reflect.DeepEqual(ck.Trials, private) {
+			t.Fatalf("width %d: checkpoint round-trip changed the trials (%v)", width, err)
+		}
 	}
 }

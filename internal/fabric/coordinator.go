@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"sort"
@@ -262,6 +263,13 @@ func (co *Coordinator) Result(ctx context.Context) (*core.Result, error) {
 	co.mu.Lock()
 	trials := append([]core.Trial(nil), co.trials...)
 	co.mu.Unlock()
+	for i := range trials {
+		// As in a single-process run, a trial that scored exactly its
+		// instance's baseline shares the baseline's map.
+		if base := baseline.Instances[trials[i].Instance].Metrics; maps.Equal(trials[i].Metrics, base) {
+			trials[i].Metrics = base
+		}
+	}
 	return &core.Result{Campaign: co.cfg.Campaign, Baseline: baseline, Trials: trials}, nil
 }
 

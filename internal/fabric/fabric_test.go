@@ -520,6 +520,49 @@ func TestTrialWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMergedTrialsShareBaselineScores: trials arrive over the wire each
+// with its own decoded score map; the merged Result hands back the
+// baseline's map wherever the scores equal it, exactly as a single-process
+// run does, so a retained fabric Result is no larger than a local one.
+func TestMergedTrialsShareBaselineScores(t *testing.T) {
+	co, err := NewCoordinator(CoordinatorConfig{Campaign: testCampaign(t), LeaseTrials: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+	wk, err := NewWorker(WorkerConfig{Campaign: testCampaign(t), Coordinator: ts.URL, Poll: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wk.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := co.Result(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMap := func(a, b map[metrics.Kind]float64) bool {
+		return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+	}
+	shared := 0
+	for i, tr := range res.Trials {
+		base := res.Baseline.Instances[tr.Instance].Metrics
+		if sameMap(tr.Metrics, base) != reflect.DeepEqual(tr.Metrics, base) {
+			t.Fatalf("trial %d: scores %v, baseline %v, shared %v", i, tr.Metrics, base, sameMap(tr.Metrics, base))
+		}
+		if sameMap(tr.Metrics, base) {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no merged trial shares its baseline's scores")
+	}
+	requireGolden(t, res, singleProcess(t))
+}
+
 // TestFleetMetricsText smoke-tests the Prometheus rendering: all fleet
 // families present, worker series labeled, deterministic output.
 func TestFleetMetricsText(t *testing.T) {

@@ -321,97 +321,10 @@ func (m *Model) attendAt(st *State, bi, pos int, qrow, out []float32) {
 			scores[t] = float32(dot * scale)
 		}
 		tensor.SoftmaxRow(scores[:n])
-		// Attention-weighted value mix, eight output channels per pass
-		// held in register accumulators — the matVecTiled layout. Each
-		// output element still sums w·v in t-ascending order with
-		// zero-weight positions skipped, exactly as the one-channel loop
-		// below, so the mix is bit-identical while the per-t load/store
-		// of the output row disappears.
-		o := out[off : off+hd]
-		i := 0
-		for ; i+8 <= hd; i += 8 {
-			lo := off + i
-			var s0, s1, s2, s3, s4, s5, s6, s7 float32
-			// Four value positions per pass (their loads overlap as four
-			// independent streams); each accumulator still receives its
-			// w·v terms strictly in t-ascending order with zero weights
-			// skipped, so the unroll is bit-identical to the tail loop.
-			t := 0
-			for ; t+4 <= n; t += 4 {
-				if w := scores[t]; w != 0 {
-					vr := V.Row(t)[lo : lo+8 : lo+8]
-					s0 += w * vr[0]
-					s1 += w * vr[1]
-					s2 += w * vr[2]
-					s3 += w * vr[3]
-					s4 += w * vr[4]
-					s5 += w * vr[5]
-					s6 += w * vr[6]
-					s7 += w * vr[7]
-				}
-				if w := scores[t+1]; w != 0 {
-					vr := V.Row(t + 1)[lo : lo+8 : lo+8]
-					s0 += w * vr[0]
-					s1 += w * vr[1]
-					s2 += w * vr[2]
-					s3 += w * vr[3]
-					s4 += w * vr[4]
-					s5 += w * vr[5]
-					s6 += w * vr[6]
-					s7 += w * vr[7]
-				}
-				if w := scores[t+2]; w != 0 {
-					vr := V.Row(t + 2)[lo : lo+8 : lo+8]
-					s0 += w * vr[0]
-					s1 += w * vr[1]
-					s2 += w * vr[2]
-					s3 += w * vr[3]
-					s4 += w * vr[4]
-					s5 += w * vr[5]
-					s6 += w * vr[6]
-					s7 += w * vr[7]
-				}
-				if w := scores[t+3]; w != 0 {
-					vr := V.Row(t + 3)[lo : lo+8 : lo+8]
-					s0 += w * vr[0]
-					s1 += w * vr[1]
-					s2 += w * vr[2]
-					s3 += w * vr[3]
-					s4 += w * vr[4]
-					s5 += w * vr[5]
-					s6 += w * vr[6]
-					s7 += w * vr[7]
-				}
-			}
-			for ; t < n; t++ {
-				w := scores[t]
-				if w == 0 {
-					continue
-				}
-				vr := V.Row(t)[lo : lo+8 : lo+8]
-				s0 += w * vr[0]
-				s1 += w * vr[1]
-				s2 += w * vr[2]
-				s3 += w * vr[3]
-				s4 += w * vr[4]
-				s5 += w * vr[5]
-				s6 += w * vr[6]
-				s7 += w * vr[7]
-			}
-			o[i], o[i+1], o[i+2], o[i+3] = s0, s1, s2, s3
-			o[i+4], o[i+5], o[i+6], o[i+7] = s4, s5, s6, s7
-		}
-		for ; i < hd; i++ {
-			var s float32
-			for t := 0; t < n; t++ {
-				w := scores[t]
-				if w == 0 {
-					continue
-				}
-				s += w * V.Row(t)[off+i]
-			}
-			o[i] = s
-		}
+		// Attention-weighted value mix through the one row kernel: each
+		// output channel sums w·v in t-ascending order with zero-weight
+		// positions skipped, over this head's columns of the V cache.
+		tensor.MatVecStrided(out[off:off+hd], scores, V.Data[off:], V.Cols)
 	}
 }
 

@@ -58,39 +58,12 @@ func MatMulRange(out, a, b *Tensor, r0, r1, workers int) {
 }
 
 // matmulRowsTiled computes rows [r0, r1) of out = a·b, one row at a time
-// through the register-tiled kernel behind MatVec. Rows share no loads:
-// the weight matrices of this study are L1-resident, and a shared-load
-// kernel would need per-row zero-skip branching to stay bit-identical
-// to MatVec, which costs more than the loads it saves.
+// through the row kernel behind MatVec.
 func matmulRowsTiled(out, a, b *Tensor, r0, r1 int) {
 	n := b.Cols
 	k := a.Cols
 	for i := r0; i < r1; i++ {
-		matVecTiled(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, n)
-	}
-}
-
-// matmulRows computes rows [r0, r1) of out = a·b in the saxpy form — the
-// reference the kernel tests pin matVecTiled to.
-func matmulRows(out, a, b *Tensor, r0, r1 int) {
-	n := b.Cols
-	k := a.Cols
-	for i := r0; i < r1; i++ {
-		orow := out.Data[i*n : (i+1)*n]
-		for x := range orow {
-			orow[x] = 0
-		}
-		arow := a.Data[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*n : (p+1)*n]
-			for x, bv := range brow {
-				orow[x] += av * bv
-			}
-		}
+		MatVecStrided(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, n)
 	}
 }
 
@@ -194,53 +167,13 @@ func parallelRows(rows, workers int, body func(r0, r1 int)) {
 }
 
 // MatVec computes out = x · w where x is a 1×k row vector and w is k×n.
-// It is the hot path of single-token decoding. The kernel tiles eight
-// output columns into register accumulators per pass over x, replacing
-// the saxpy form's per-element load/store of out with one store per
-// column; each out element's accumulation sequence (p ascending, zero
-// inputs skipped) is unchanged, so the rewrite is bit-identical to the
-// reference saxpy kernel — the contract every batched and blocked GEMM
-// in this package is pinned to.
+// It is the hot path of single-token decoding: MatVecStrided over a
+// whole matrix, whose per-element accumulation sequence (p ascending,
+// zero inputs skipped) is the contract every batched and blocked GEMM in
+// this package is pinned to.
 func MatVec(out []float32, x []float32, w *Tensor) {
 	if len(x) != w.Rows || len(out) != w.Cols {
 		panic("tensor: MatVec shape mismatch")
 	}
-	matVecTiled(out, x, w.Data, w.Cols)
-}
-
-// matVecTiled is the shared row kernel: out = x · w for one activation
-// row, where wd is the k×n weight data laid out row-major.
-func matVecTiled(out, x, wd []float32, n int) {
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		var s0, s1, s2, s3, s4, s5, s6, s7 float32
-		off := i
-		for _, xv := range x {
-			if xv != 0 {
-				wr := wd[off : off+8 : off+8]
-				s0 += xv * wr[0]
-				s1 += xv * wr[1]
-				s2 += xv * wr[2]
-				s3 += xv * wr[3]
-				s4 += xv * wr[4]
-				s5 += xv * wr[5]
-				s6 += xv * wr[6]
-				s7 += xv * wr[7]
-			}
-			off += n
-		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-		out[i+4], out[i+5], out[i+6], out[i+7] = s4, s5, s6, s7
-	}
-	for ; i < n; i++ {
-		var s float32
-		off := i
-		for _, xv := range x {
-			if xv != 0 {
-				s += xv * wd[off]
-			}
-			off += n
-		}
-		out[i] = s
-	}
+	MatVecStrided(out, x, w.Data, w.Cols)
 }

@@ -47,6 +47,30 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
+// matmulRows computes rows [r0, r1) of out = a·b in the saxpy form — the
+// reference the kernel tests pin the row kernel to.
+func matmulRows(out, a, b *Tensor, r0, r1 int) {
+	n := b.Cols
+	k := a.Cols
+	for i := r0; i < r1; i++ {
+		orow := out.Data[i*n : (i+1)*n]
+		for x := range orow {
+			orow[x] = 0
+		}
+		arow := a.Data[i*k : (i+1)*k]
+		for p := 0; p < k; p++ {
+			av := arow[p]
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[p*n : (p+1)*n]
+			for x, bv := range brow {
+				orow[x] += av * bv
+			}
+		}
+	}
+}
+
 // TestMatVecMatchesReference pins the register-tiled MatVec to the
 // original saxpy kernel (matmulRows on a 1-row matrix): the per-element
 // accumulation order — p ascending, zero inputs skipped — is the
