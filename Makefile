@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build cross test race bench bench-compare fuzz cover
+.PHONY: check fmt vet lint build cross test race bench bench-compare fuzz cover identity
 
 ## check: the full CI gate — formatting, vet, invariant lint, build
 ## (native, and arm64 for the portable row kernel), tests, race detector.
@@ -90,3 +90,37 @@ cover:
 	echo "abft+mitigate combined coverage: $$total%"; \
 	awk -v t="$$total" 'BEGIN { exit (t+0 >= 85.0) ? 0 : 1 }' \
 		|| { echo "coverage $$total% below the 85% gate"; exit 1; }
+
+## identity: the check a refactor that claims "no bit changed" owes — build
+## cmd/llmfi from REF (a `git archive` snapshot in a temp dir: nothing to
+## fetch, nothing left behind) and from this tree, run each campaign below
+## through both, and cmp stdout and the per-trial CSV. They cover the
+## decode loop at width 8 and 1 under site ABFT, memory faults under
+## all-layer correcting ABFT, multiple-choice scoring, MoE beam search and
+## gate-only MoE memory faults; a few seconds on two cores.
+## make identity REF=HEAD~1
+REF ?= HEAD~1
+define IDENTITY_CAMPAIGNS
+-model QwenS -suite wmt16-like -fault 2bits-comp -trials 300 -decode-batch 8 -abft
+-model QwenS -suite wmt16-like -fault 2bits-comp -trials 300 -decode-batch 1 -abft
+-model math-qwens -suite gsm8k -fault 2bits-mem -trials 300 -abft -abft-all -abft-policy correct
+-model QwenS -suite mmlu -fault 1bit-comp -trials 300
+-model moe -suite wmt16-like -fault 2bits-comp -trials 120 -beams 3
+-model moe -suite wmt16-like -fault 2bits-mem -trials 120 -gate-only
+endef
+export IDENTITY_CAMPAIGNS
+identity:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/ref"; git archive $(REF) | tar -x -C "$$tmp/ref"; \
+	(cd "$$tmp/ref" && $(GO) build -o "$$tmp/llmfi.ref" ./cmd/llmfi); \
+	$(GO) build -o "$$tmp/llmfi.new" ./cmd/llmfi; \
+	printf '%s\n' "$$IDENTITY_CAMPAIGNS" > "$$tmp/campaigns"; \
+	while read -r args; do \
+		for side in ref new; do \
+			"$$tmp/llmfi.$$side" $$args -instances 4 -seed 7 -pretrained $(CURDIR)/pretrained \
+				-csv "$$tmp/$$side.csv" > "$$tmp/$$side.out"; \
+		done; \
+		cmp "$$tmp/ref.out" "$$tmp/new.out" && cmp "$$tmp/ref.csv" "$$tmp/new.csv" \
+			|| { echo "DIFFERS from $(REF): $$args"; exit 1; }; \
+		echo "identical to $(REF) ($$(wc -l < "$$tmp/new.csv") csv lines): $$args"; \
+	done < "$$tmp/campaigns"

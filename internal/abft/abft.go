@@ -66,6 +66,41 @@ type Config struct {
 	Policy mitigate.Policy
 }
 
+// Protection is how a campaign or a serving engine asks for detection:
+// the Checker Config every trial shares, plus which layers each trial's
+// Checker covers.
+type Protection struct {
+	// Tol and Policy are Config's.
+	Tol    float64
+	Policy mitigate.Policy
+	// AllLayers protects every block linear layer instead of only the
+	// layers handed to Checker — each trial's own injection site.
+	// Site-only protection is the measurement configuration (the checked
+	// layer is always the struck one); AllLayers is the deployment
+	// configuration whose full coverage cost the BENCH_3 comparison
+	// measures.
+	AllLayers bool
+}
+
+// Checker returns one trial's Checker over cache, protecting every block
+// linear of m under AllLayers and otherwise exactly site (none: nothing
+// is checked). It reads m as the clean reference, so it runs before the
+// trial's fault is armed (faults.New): a memory fault flips the very
+// storage the checksums are summed from.
+func (p Protection) Checker(m *model.Model, cache *Cache, site ...model.LayerRef) (*Checker, error) {
+	c := NewWithCache(Config{Tol: p.Tol, Policy: p.Policy}, cache)
+	var err error
+	if p.AllLayers {
+		err = c.ProtectAll(m)
+	} else {
+		err = c.Protect(m, site...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // Event is one flagged check.
 type Event struct {
 	Ref model.LayerRef
@@ -94,8 +129,7 @@ type Stats struct {
 // Clean-weight checksums are cached per layer across trials — sound
 // because every trial restores the weights on Disarm — so only the first
 // trial touching a layer pays the O(k·n) summation. Protect must
-// therefore run before faults.Arm: a memory fault flips the very storage
-// the checksums are the reference for.
+// therefore run before the fault is armed (see Protection.Checker).
 type Checker struct {
 	cfg     Config
 	sums    map[model.LayerRef]layerSums

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/mitigate"
 	"repro/internal/model"
@@ -278,6 +279,82 @@ func TestProtectUnknownLayer(t *testing.T) {
 	bad := model.LayerRef{Block: 99, Kind: model.KindQ, Expert: -1}
 	if err := ch.Protect(m, bad); err == nil {
 		t.Fatal("Protect accepted an out-of-range layer")
+	}
+}
+
+// TestProtectionCheckerPrecedesFault pins the ordering Protection.Checker
+// documents. Its checksums are summed from the model it is handed, so a
+// Checker built before a memory fault is armed flags the struck layer,
+// and one built after it (over a fresh cache) has taken the corrupted
+// weight for its reference and sees nothing. Also pins which layers the
+// three shapes of Protection cover.
+func TestProtectionCheckerPrecedesFault(t *testing.T) {
+	m := testModel(t, false)
+	ref, w, in, _ := corruptionCase(t, m)
+	other := model.LayerRef{Block: 0, Kind: model.KindQ, Expert: -1}
+	site := faults.Site{Fault: faults.Mem2Bit, Layer: ref, Row: 2, Col: 3, Bits: []int{13, 14}}
+	p := Protection{Policy: mitigate.PolicyDetect}
+	// check runs at's forward on the shared input row through ck.
+	check := func(ck *Checker, at model.LayerRef) Stats {
+		t.Helper()
+		lw, err := m.Layer(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float32, lw.Out())
+		lw.Forward(out, in)
+		ck.Reset()
+		ck.CheckLinear(at, 0, lw, in, out)
+		return ck.Stats()
+	}
+	build := func(p Protection, site ...model.LayerRef) *Checker {
+		t.Helper()
+		ck, err := p.Checker(m, NewCache(), site...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+
+	before := build(p, ref)
+	all := build(Protection{AllLayers: true})
+	none := build(p)
+	clean := w.Get(site.Row, site.Col)
+	inj, err := faults.New(m, site, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := build(p, ref)
+
+	if st := check(before, ref); st.Checks != 1 || st.Flagged != 1 {
+		t.Errorf("checker built before the fault: %+v at the struck layer, want 1 check 1 flag", st)
+	}
+	if st := check(after, ref); st.Checks != 1 || st.Flagged != 0 {
+		t.Errorf("checker built after the fault: %+v, want 1 check 0 flags (its reference is the corrupted weight)", st)
+	}
+	if st := check(all, ref); st.Flagged != 1 {
+		t.Errorf("all-layer checker at the struck layer: %+v, want a flag", st)
+	}
+	if st := check(all, other); st.Checks != 1 || st.Flagged != 0 {
+		t.Errorf("all-layer checker at a clean layer: %+v, want 1 check 0 flags", st)
+	}
+	if st := check(before, other); st.Checks != 0 {
+		t.Errorf("site-only checker off its site: %+v, want no checks", st)
+	}
+	if st := check(none, ref); st.Checks != 0 {
+		t.Errorf("checker with no site: %+v, want no checks", st)
+	}
+
+	inj.Disarm()
+	if got := w.Get(site.Row, site.Col); got != clean {
+		t.Fatalf("weight %g after Disarm, want %g", got, clean)
+	}
+	if st := check(before, ref); st.Flagged != 0 {
+		t.Errorf("disarmed: %+v, want no flags", st)
+	}
+	bad := model.LayerRef{Block: 99, Kind: model.KindQ, Expert: -1}
+	if ck, err := p.Checker(m, NewCache(), bad); err == nil || ck != nil {
+		t.Fatalf("Checker(%v) = %v, %v; want nil and an error", bad, ck, err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/metrics"
-	"repro/internal/mitigate"
 	"repro/internal/model"
 	"repro/internal/outcome"
 	"repro/internal/tasks"
@@ -81,20 +80,7 @@ type Campaign struct {
 }
 
 // ABFTConfig configures the campaign's online detection layer.
-type ABFTConfig struct {
-	// Tol overrides the per-layer derived tolerance (0 = abft.DefaultTol
-	// of each protected layer's input width).
-	Tol float64
-	// Policy is the response escalation: detect-only, recompute-correct,
-	// or correct-or-skip (zero the row when recomputation still fails).
-	Policy mitigate.Policy
-	// AllLayers protects every block linear layer instead of only each
-	// trial's sampled injection-site layer. Site-only protection is the
-	// measurement configuration (the checked layer is always the struck
-	// one); AllLayers is the deployment configuration whose full coverage
-	// cost the BENCH_3 comparison measures.
-	AllLayers bool
-}
+type ABFTConfig = abft.Protection
 
 // Detection summarizes one trial's ABFT verdicts.
 type Detection struct {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/outcome"
 	"repro/internal/tasks"
 )
 
@@ -29,11 +28,6 @@ func WithWorkers(n int) Option {
 	return func(c *Campaign) { c.Workers = n }
 }
 
-// WithThresholds tunes the distortion classifier.
-func WithThresholds(t outcome.Thresholds) Option {
-	return func(c *Campaign) { c.Thresholds = t }
-}
-
 // WithExtraHook installs an additional forward-hook factory — the slot
 // where deployed mitigations run, after the fault hook.
 func WithExtraHook(f func() model.Hook) Option {
@@ -48,11 +42,6 @@ func WithGen(gs gen.Settings) Option {
 // WithFilter restricts the injectable layers (e.g. faults.GateOnly).
 func WithFilter(f faults.TargetFilter) Option {
 	return func(c *Campaign) { c.Filter = f }
-}
-
-// WithChecker overrides the answer criterion (nil = DefaultChecker).
-func WithChecker(ch AnswerChecker) Option {
-	return func(c *Campaign) { c.Check = ch }
 }
 
 // WithABFT arms the online checksum detector (internal/abft) for every

@@ -63,8 +63,7 @@ type armed struct {
 	probe     *trace.Probe
 	checker   *abft.Checker
 	timed     *timedChecker
-	// hooks and lc are the trial's observers in firing order — fault
-	// (rows only; faults.Arm registers the whole-model one itself),
+	// hooks and lc are the trial's observers in firing order — fault,
 	// ExtraHook, probe — and its checker as the model sees it.
 	hooks  []model.Hook
 	lc     model.LinearChecker
@@ -77,9 +76,10 @@ type armed struct {
 }
 
 // arm is the trial preamble: sample trial t's site from Split(t), build
-// its probe, protect the checked layers, arm the fault, and order the
-// hooks. On the whole-model path the observers are installed on the
-// worker's model; on the rows path they are returned for the trial's row.
+// its probe, protect the checked layers, arm the fault (in that order:
+// see abft.Protection.Checker), and order the hooks. On the whole-model
+// path the observers are installed on the worker's model; on the rows
+// path they are returned for the trial's row.
 func (e *trialEnv) arm(t int) (*armed, error) {
 	c := e.c
 	idx := t % len(c.Suite.Instances)
@@ -109,33 +109,20 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 		})
 	}
 
+	var err error
 	if c.ABFT != nil {
-		// Checksums must snapshot clean weights, so Protect precedes Arm.
-		a.checker = abft.NewWithCache(abft.Config{Tol: c.ABFT.Tol, Policy: c.ABFT.Policy}, e.cache)
-		var err error
-		if c.ABFT.AllLayers {
-			err = a.checker.ProtectAll(e.wm)
-		} else {
-			err = a.checker.Protect(e.wm, a.site.Layer)
-		}
-		if err != nil {
+		if a.checker, err = c.ABFT.Checker(e.wm, e.cache, a.site.Layer); err != nil {
 			return fail(err)
 		}
 		a.timed = &timedChecker{inner: a.checker}
 		a.lc = a.timed
 		a.sp.abftOn = true
 	}
-
-	var err error
-	if e.rows {
-		var hook model.Hook
-		a.inj, hook, err = faults.ArmHook(e.wm, a.site, a.promptLen)
-		a.hooks = append(a.hooks, hook)
-	} else {
-		a.inj, err = faults.Arm(e.wm, a.site, a.promptLen)
-	}
-	if err != nil {
+	if a.inj, err = faults.New(e.wm, a.site, a.promptLen); err != nil {
 		return fail(err)
+	}
+	if a.inj.Hook != nil {
+		a.hooks = append(a.hooks, a.inj.Hook)
 	}
 	if c.ExtraHook != nil {
 		// Mitigations observe values after the fault hook mutated them.

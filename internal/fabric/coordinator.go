@@ -87,8 +87,6 @@ type CoordinatorConfig struct {
 	// ScrapeEvery is the worker /metrics fan-in interval used by
 	// RunScrapes (default 2s).
 	ScrapeEvery time.Duration
-	// ScrapeClient overrides the fan-in's HTTP client (test seam).
-	ScrapeClient *http.Client
 }
 
 // Coordinator owns a campaign's trial-index space and merges worker
@@ -126,6 +124,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Campaign.Trials <= 0 {
 		return nil, core.ErrNoTrials
 	}
+	if len(cfg.Campaign.Suite.Instances) == 0 {
+		return nil, core.ErrEmptySuite
+	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
 	}
@@ -152,7 +153,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.ScrapeEvery = 2 * time.Second
 		co.cfg.ScrapeEvery = cfg.ScrapeEvery
 	}
-	co.fan = obs.NewFanIn(cfg.ScrapeClient)
+	co.fan = obs.NewFanIn(nil)
 	if cfg.Recorder.SampleRoot() {
 		// The whole distributed campaign is one trace: the root span
 		// spans coordinator start → last merge, and every lease is a
@@ -195,12 +196,23 @@ func (co *Coordinator) restore(path string) error {
 		if t < 0 || t >= len(co.state) || co.state[t] == stateDone {
 			continue
 		}
+		if got, want := ck.Trials[i].Instance, co.instanceOf(t); got != want {
+			return fmt.Errorf("fabric: checkpoint %s: trial %d names instance %d, want %d", path, t, got, want)
+		}
 		co.state[t] = stateDone
 		co.trials[t] = ck.Trials[i]
 		co.done++
 	}
 	co.restored = co.done
 	return nil
+}
+
+// instanceOf is the suite instance trial t runs on. It is a pure function
+// of the index (core arms trial t on instance t mod the suite size), and
+// Result indexes the baseline with it, so a trial from the wire or a
+// checkpoint naming any other instance is refused, never merged.
+func (co *Coordinator) instanceOf(t int) int {
+	return t % len(co.cfg.Campaign.Suite.Instances)
 }
 
 // Restored returns the number of trials recovered from the checkpoint.
@@ -481,6 +493,11 @@ func (co *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		if tr.Index < 0 || tr.Index >= total {
 			report.WriteAPIError(w, http.StatusBadRequest, "index_out_of_range",
 				fmt.Sprintf("trial index %d outside [0, %d)", tr.Index, total))
+			return
+		}
+		if got, want := tr.Trial.Instance, co.instanceOf(tr.Index); got != want {
+			report.WriteAPIError(w, http.StatusBadRequest, "instance_mismatch",
+				fmt.Sprintf("trial %d names instance %d, want %d", tr.Index, got, want))
 			return
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/numerics"
+	"repro/internal/report"
 	"repro/internal/tasks"
 	"repro/internal/version"
 )
@@ -322,6 +323,74 @@ func TestDuplicateSubmissionIdempotent(t *testing.T) {
 		Trials: []TrialResult{{Index: 999}},
 	}, &bad); code != http.StatusBadRequest {
 		t.Fatalf("out-of-range index status %d, want 400", code)
+	}
+}
+
+// TestHostileInstanceRefused: a trial's instance is a pure function of
+// its index, and Result indexes the baseline with it. A submission — here
+// from a worker that never joined — whose trials name any other instance
+// is refused whole with a 400 and leaves the campaign untouched (merged,
+// it would finish the campaign and panic Result on the main goroutine);
+// a checkpoint carrying such a trial is refused at restore.
+func TestHostileInstanceRefused(t *testing.T) {
+	single := singleProcess(t)
+	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
+	co, err := NewCoordinator(CoordinatorConfig{Campaign: testCampaign(t), CheckpointPath: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(co.Handler())
+	defer ts.Close()
+
+	hostile := make([]TrialResult, len(single.Trials))
+	for i := range hostile {
+		hostile[i] = TrialResult{Index: i, Trial: core.Trial{Instance: 1 << 20}}
+	}
+	// One bad trial among honest ones, off by one instance but in range.
+	mixed := []TrialResult{{Index: 0, Trial: single.Trials[0]}, {Index: 1, Trial: single.Trials[1]}}
+	mixed[1].Trial.Instance = (mixed[1].Trial.Instance + 1) % len(single.Baseline.Instances)
+	for name, trials := range map[string][]TrialResult{"out of range": hostile, "wrong instance": mixed} {
+		body, err := json.Marshal(ResultsRequest{Schema: SchemaVersion, Worker: "never-joined", Trials: trials})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hres, err := http.Post(ts.URL+PathResults, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env report.APIError
+		err = json.NewDecoder(hres.Body).Decode(&env)
+		hres.Body.Close()
+		if hres.StatusCode != http.StatusBadRequest || err != nil || env.Error.Code != "instance_mismatch" {
+			t.Fatalf("%s: status %d, envelope %+v (%v); want 400 instance_mismatch", name, hres.StatusCode, env, err)
+		}
+		if done, _ := co.Done(); done != 0 {
+			t.Fatalf("%s: %d trials merged from a refused submission", name, done)
+		}
+	}
+	select {
+	case <-co.Finished():
+		t.Fatal("campaign finished on refused submissions")
+	default:
+	}
+
+	// The same trial arriving through a checkpoint: an error, not a
+	// coordinator that panics once the campaign completes.
+	ck := &core.Checkpoint{Fingerprint: co.cfg.Campaign.Fingerprint(), Indices: []int{0, 1}, Trials: []core.Trial{single.Trials[0], hostile[1].Trial}}
+	if err := ck.Save(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if co2, err := NewCoordinator(CoordinatorConfig{Campaign: testCampaign(t), CheckpointPath: ckpt}); err == nil {
+		t.Fatalf("coordinator restored %d trials from a checkpoint naming instance %d", co2.Restored(), 1<<20)
+	}
+	// An honest checkpoint of the same shape still restores.
+	ck.Trials[1] = single.Trials[1]
+	if err := ck.Save(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	co3, err := NewCoordinator(CoordinatorConfig{Campaign: testCampaign(t), CheckpointPath: ckpt})
+	if err != nil || co3.Restored() != 2 {
+		t.Fatalf("honest checkpoint: restored %v, err %v", co3, err)
 	}
 }
 

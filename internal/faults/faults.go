@@ -156,9 +156,6 @@ type TargetFilter func(model.LayerRef) bool
 // Figure 15 campaign.
 func GateOnly(ref model.LayerRef) bool { return ref.Kind == model.KindRouter }
 
-// ExcludeRouters excludes MoE routers, leaving ordinary linears.
-func ExcludeRouters(ref model.LayerRef) bool { return ref.Kind != model.KindRouter }
-
 // Sampler draws injection sites for a model following §3.2's hierarchy:
 // "the block ID is randomly selected among all decoder blocks, and the
 // layer ID is the type of the target linear layer" — i.e. a uniform

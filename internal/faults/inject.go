@@ -7,32 +7,41 @@ import (
 	"repro/internal/numerics"
 )
 
-// Injection is an armed fault. Arm it immediately before an inference and
-// Disarm it immediately after, so the next trial starts from a fault-free
-// model (§3.2's flip-back protocol). Exactly one Injection may be armed
-// on a model at a time; the campaign engine enforces this.
+// Injection is one armed fault: §3.2's flip, run, flip back. New is its
+// only constructor and the only code that knows how a Site strikes.
+//
+// A weight-resident site (linear memory fault, norm gain, embedding
+// element) has flipped the model's storage when New returns, and Disarm
+// flips it back; one such Injection may be armed on a model at a time. A
+// transient site strikes through exactly one observer — Hook, AttnHook
+// or BeforeStep — that New builds and installs nowhere: the caller
+// carries it on the decode-loop row the fault belongs to (gen.Arm), or
+// has Arm install it on the whole model. It fires at most once, and
+// dropping it retires the fault.
 type Injection struct {
-	Site       Site
-	m          *model.Model
-	restore    func()
-	hooked     bool
-	attnHooked bool
-	// Fired reports whether a computational fault actually struck (its
-	// target iteration was reached). Memory faults always count as fired.
+	Site Site
+	// Hook strikes the site layer's linear output row.
+	Hook model.Hook
+	// AttnHook strikes the site block's post-attention activation row,
+	// before out_proj consumes it.
+	AttnHook model.Hook
+	// BeforeStep strikes the KV cache of the state it is handed; the
+	// decode loop calls it immediately before each step of that state.
+	// Never calling it leaves every bit of the inference untouched.
+	BeforeStep func(*model.State)
+	// Fired reports whether the fault struck: a transient one once its
+	// target iteration was reached, a weight-resident one always.
 	Fired bool
+
+	undo func()
 }
 
-// Arm applies the fault described by site to m. promptLen is the length
-// of the prompt that will be fed before generation starts; computational
-// faults trigger at absolute position promptLen + site.GenIter.
-//
-// Non-linear surfaces arm here too: norm and embedding sites flip their
-// storage through the copy-on-write write paths (NormForWrite,
-// EmbedForWrite) and restore on Disarm; attention-activation sites
-// install a one-shot attention hook. KV-cache sites mutate a State, not
-// the model — arm those with ArmKV.
-func Arm(m *model.Model, site Site, promptLen int) (*Injection, error) {
-	inj := &Injection{Site: site, m: m}
+// New arms the fault described by site on m. promptLen is the length of
+// the prompt fed before generation starts: a transient fault strikes at
+// absolute position promptLen + site.GenIter.
+func New(m *model.Model, site Site, promptLen int) (*Injection, error) {
+	inj := &Injection{Site: site}
+	target := promptLen + site.GenIter
 	switch site.Surface {
 	case SurfaceNorm:
 		g, err := m.NormForWrite(site.Layer)
@@ -42,33 +51,28 @@ func Arm(m *model.Model, site Site, promptLen int) (*Injection, error) {
 		if site.Col >= len(g) {
 			return nil, fmt.Errorf("faults: site %v out of range for %d-gain norm", site, len(g))
 		}
-		old := g[site.Col]
-		g[site.Col] = float32(numerics.FlipBits(numerics.FP32, float64(old), site.Bits...))
-		inj.restore = func() { g[site.Col] = old }
-		inj.Fired = true
-		return inj, nil
+		inj.flipStored(&g[site.Col])
 	case SurfaceEmbed:
 		t := m.EmbedForWrite()
 		if site.Row >= t.Rows || site.Col >= t.Cols {
 			return nil, fmt.Errorf("faults: site %v out of range for %dx%d embedding", site, t.Rows, t.Cols)
 		}
-		old := t.At(site.Row, site.Col)
-		t.Set(site.Row, site.Col, float32(numerics.FlipBits(numerics.FP32, float64(old), site.Bits...)))
-		inj.restore = func() { t.Set(site.Row, site.Col, old) }
-		inj.Fired = true
-		return inj, nil
+		inj.flipStored(&t.Row(site.Row)[site.Col])
 	case SurfaceAttn:
-		hook, err := attnFaultHook(inj, site, promptLen)
-		if err != nil {
-			return nil, err
+		if site.Layer.Kind != model.KindAttnAct {
+			return nil, fmt.Errorf("faults: attn site %v must address attn_act", site)
 		}
-		inj.attnHooked = true
-		m.AddAttnHook(hook)
-		return inj, nil
+		inj.AttnHook = inj.flipOnce(numerics.FP32, target)
 	case SurfaceKV:
-		return nil, fmt.Errorf("faults: kv site %v is state-scoped; arm with ArmKV", site)
-	}
-	if site.Fault.IsMemory() {
+		if site.Layer.Kind != model.KindK && site.Layer.Kind != model.KindV {
+			return nil, fmt.Errorf("faults: kv site %v must address k_proj or v_proj cache", site)
+		}
+		inj.BeforeStep = func(st *model.State) { inj.strikeKV(st, target) }
+	default:
+		if !site.Fault.IsMemory() {
+			inj.Hook = inj.flipOnce(m.Cfg.DType, target)
+			return inj, nil
+		}
 		// LayerForWrite privatizes the target tensor on a weight-sharing
 		// clone before the flip, so sibling campaign workers never observe
 		// each other's faults.
@@ -79,102 +83,92 @@ func Arm(m *model.Model, site Site, promptLen int) (*Injection, error) {
 		if site.Row >= w.In() || site.Col >= w.Out() {
 			return nil, fmt.Errorf("faults: site %v out of range for %dx%d weight", site, w.In(), w.Out())
 		}
-		inj.restore = w.FlipBits(site.Row, site.Col, site.Bits)
+		inj.undo = w.FlipBits(site.Row, site.Col, site.Bits)
 		inj.Fired = true
-		return inj, nil
 	}
-
-	// Computational fault: a one-shot forward hook. It fires the first
-	// time the target layer computes the target position — with beam
-	// search this corrupts exactly one hypothesis's row, which is how a
-	// transient in a batched GEMM behaves (one row of the output tensor),
-	// and is the mechanism behind Observation #9.
-	target := promptLen + site.GenIter
-	dt := m.Cfg.DType
-	inj.hooked = true
-	m.AddHook(func(ref model.LayerRef, pos int, out []float32) {
-		if inj.Fired || ref != site.Layer || pos != target {
-			return
-		}
-		if site.Col < len(out) {
-			out[site.Col] = float32(numerics.FlipBits(dt, float64(out[site.Col]), site.Bits...))
-			inj.Fired = true
-		}
-	})
 	return inj, nil
 }
 
-// ArmHook builds the one-shot computational-fault hook for site without
-// installing it on any model — the batched decode scheduler dispatches
-// it on the trial's own batch row, so the fault strikes exactly that
-// row's activations and never a sibling trial's. Weight-resident faults
-// mutate shared storage and cannot be scoped to a row; they return an
-// error (the scheduler routes such trials through the serial path).
-// Attention-activation sites are row-scopeable: their hook must go in
-// the row's AttnHooks slot, not Hooks (check Site.Surface). The
-// returned Injection has nothing to restore: Disarm is a no-op, and
-// dropping the hook retires the fault.
-func ArmHook(m *model.Model, site Site, promptLen int) (*Injection, model.Hook, error) {
-	if site.WeightResident() {
-		return nil, nil, fmt.Errorf("faults: weight-resident fault %v cannot arm as a row hook", site)
-	}
-	if site.Surface == SurfaceKV {
-		return nil, nil, fmt.Errorf("faults: kv site %v is state-scoped; arm with ArmKV", site)
-	}
-	inj := &Injection{Site: site, m: m}
-	if site.Surface == SurfaceAttn {
-		hook, err := attnFaultHook(inj, site, promptLen)
-		return inj, hook, err
-	}
-	target := promptLen + site.GenIter
-	dt := m.Cfg.DType
-	hook := func(ref model.LayerRef, pos int, out []float32) {
-		if inj.Fired || ref != site.Layer || pos != target {
-			return
-		}
-		if site.Col < len(out) {
-			out[site.Col] = float32(numerics.FlipBits(dt, float64(out[site.Col]), site.Bits...))
-			inj.Fired = true
-		}
-	}
-	return inj, hook, nil
+// flipStored flips the site's bits in one float32 parameter (a norm gain
+// or embedding element: FP32 storage, see surfaceBits) in place.
+func (inj *Injection) flipStored(p *float32) {
+	old := *p
+	*p = float32(numerics.FlipBits(numerics.FP32, float64(old), inj.Site.Bits...))
+	inj.undo = func() { *p = old }
+	inj.Fired = true
 }
 
-// attnFaultHook builds the one-shot attention-activation flip: it fires
-// on the site's block the first time the attention output row for the
-// target position is observed, flipping the FP32 pattern of one neuron
-// of the concatenated head outputs before out_proj consumes them.
-func attnFaultHook(inj *Injection, site Site, promptLen int) (model.Hook, error) {
-	if site.Layer.Kind != model.KindAttnAct {
-		return nil, fmt.Errorf("faults: attn site %v must address attn_act", site)
-	}
-	target := promptLen + site.GenIter
+// flipOnce builds the one-shot strike on an observed row: the first time
+// the site layer computes position target, neuron Site.Col has the
+// site's bits of its dt pattern flipped. With beam search this corrupts
+// exactly one hypothesis's row, which is how a transient in a batched
+// GEMM behaves (one row of the output tensor), and is the mechanism
+// behind Observation #9.
+func (inj *Injection) flipOnce(dt numerics.DType, target int) model.Hook {
 	return func(ref model.LayerRef, pos int, out []float32) {
-		if inj.Fired || ref != site.Layer || pos != target {
+		site := &inj.Site
+		if inj.Fired || ref != site.Layer || pos != target || site.Col >= len(out) {
 			return
 		}
-		if site.Col < len(out) {
-			out[site.Col] = float32(numerics.FlipBits(numerics.FP32, float64(out[site.Col]), site.Bits...))
-			inj.Fired = true
-		}
-	}, nil
+		out[site.Col] = float32(numerics.FlipBits(dt, float64(out[site.Col]), site.Bits...))
+		inj.Fired = true
+	}
+}
+
+// strikeKV flips the cache bits once st has reached position target; the
+// step that follows (and every later one) attends over the corrupted
+// entry. Out-of-range sites (a request shorter than the sampled strike)
+// simply never fire.
+func (inj *Injection) strikeKV(st *model.State, target int) {
+	site := &inj.Site
+	if inj.Fired || st.Pos < target {
+		return
+	}
+	b := site.Layer.Block
+	if b < 0 || b >= len(st.K) {
+		return
+	}
+	plane := st.K[b]
+	if site.Layer.Kind == model.KindV {
+		plane = st.V[b]
+	}
+	if site.Row >= st.Pos || site.Col >= plane.Cols {
+		return
+	}
+	v := plane.At(site.Row, site.Col)
+	plane.Set(site.Row, site.Col, float32(numerics.FlipBits(numerics.FP32, float64(v), site.Bits...)))
+	inj.Fired = true
+}
+
+// Arm is New for a whole-model inference: the observer goes on m itself,
+// so the next inference over m is the faulty one, and Disarm clears m's
+// hooks of that kind wholesale — the caller owns the hook lists for the
+// trial. A KV strike belongs to one State, which a model has no slot
+// for, so Arm refuses kv sites.
+func Arm(m *model.Model, site Site, promptLen int) (*Injection, error) {
+	if site.Surface == SurfaceKV {
+		return nil, fmt.Errorf("faults: kv site %v is state-scoped; carry New's BeforeStep on the decode loop", site)
+	}
+	inj, err := New(m, site, promptLen)
+	if err != nil {
+		return nil, err
+	}
+	if inj.Hook != nil {
+		m.AddHook(inj.Hook)
+		inj.undo = m.ClearHooks
+	}
+	if inj.AttnHook != nil {
+		m.AddAttnHook(inj.AttnHook)
+		inj.undo = m.ClearAttnHooks
+	}
+	return inj, nil
 }
 
 // Disarm restores the model to its fault-free configuration.
 func (inj *Injection) Disarm() {
-	if inj.restore != nil {
-		inj.restore()
-		inj.restore = nil
-	}
-	if inj.hooked {
-		// Hooks are cleared wholesale: the campaign engine owns the hook
-		// list during a trial.
-		inj.m.ClearHooks()
-		inj.hooked = false
-	}
-	if inj.attnHooked {
-		inj.m.ClearAttnHooks()
-		inj.attnHooked = false
+	if inj.undo != nil {
+		inj.undo()
+		inj.undo = nil
 	}
 }
 

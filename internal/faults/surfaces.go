@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/numerics"
 	"repro/internal/prng"
 )
 
@@ -83,7 +82,8 @@ const surfaceBits = 32
 // SampleKV draws a KV-cache site for m: uniform block, K or V plane,
 // strike iteration g in [0, maxGenIters), struck cache position in
 // [0, promptLen+g) (any row written before the strike), and dimension.
-// Arm with ArmKV; the strike lands before decode iteration g computes.
+// The strike (Injection.BeforeStep) lands before decode iteration g
+// computes.
 func SampleKV(src *prng.Source, m *model.Model, fm Model, maxGenIters, promptLen int) Site {
 	if maxGenIters < 1 {
 		maxGenIters = 1
@@ -109,7 +109,7 @@ func SampleKV(src *prng.Source, m *model.Model, fm Model, maxGenIters, promptLen
 
 // SampleNorm draws a norm-gain site: uniform over the 2·NBlocks+1 gain
 // vectors (attention and MLP norms per block, plus the final norm), then
-// a uniform element. Weight-resident; arm with Arm.
+// a uniform element. Weight-resident.
 func SampleNorm(src *prng.Source, m *model.Model, fm Model) Site {
 	n := 2*m.Cfg.NBlocks + 1
 	pick := src.Intn(n)
@@ -131,7 +131,7 @@ func SampleNorm(src *prng.Source, m *model.Model, fm Model) Site {
 }
 
 // SampleEmbed draws an embedding-table site: uniform token row and
-// dimension. Weight-resident; arm with Arm.
+// dimension. Weight-resident.
 func SampleEmbed(src *prng.Source, m *model.Model, fm Model) Site {
 	return Site{
 		Fault:   fm,
@@ -144,8 +144,8 @@ func SampleEmbed(src *prng.Source, m *model.Model, fm Model) Site {
 }
 
 // SampleAttn draws an attention-activation site: uniform block, neuron
-// of the concatenated head outputs, and strike iteration. Arm with Arm
-// (serial) or ArmHook (per decode-batch row, via DecodeRow.AttnHooks).
+// of the concatenated head outputs, and strike iteration; the strike is
+// Injection.AttnHook.
 func SampleAttn(src *prng.Source, m *model.Model, fm Model, maxGenIters int) Site {
 	if maxGenIters < 1 {
 		maxGenIters = 1
@@ -180,56 +180,4 @@ func SampleSurface(src *prng.Source, sp *Sampler, m *model.Model, surf Surface, 
 		return SampleAttn(src, m, fm, maxGenIters), nil
 	}
 	return Site{}, fmt.Errorf("faults: unknown surface %v", surf)
-}
-
-// StateFault is an armed KV-cache fault. Unlike an Injection it mutates
-// a State, not a Model: the decode loop calls BeforeStep between steps,
-// and the flip lands exactly once, when the state reaches the strike
-// iteration. Never calling BeforeStep leaves every bit of the inference
-// untouched — disarmed KV injection is bit-identical by construction.
-type StateFault struct {
-	Site Site
-	// target is the absolute position whose decode step first reads the
-	// corrupted cache entry.
-	target int
-	// Fired reports whether the flip has landed.
-	Fired bool
-}
-
-// ArmKV prepares a KV-cache fault for a request whose prompt is
-// promptLen tokens long. The site must have Surface SurfaceKV.
-func ArmKV(site Site, promptLen int) (*StateFault, error) {
-	if site.Surface != SurfaceKV {
-		return nil, fmt.Errorf("faults: ArmKV wants a kv site, got %v", site)
-	}
-	if site.Layer.Kind != model.KindK && site.Layer.Kind != model.KindV {
-		return nil, fmt.Errorf("faults: kv site %v must address k_proj or v_proj cache", site)
-	}
-	return &StateFault{Site: site, target: promptLen + site.GenIter}, nil
-}
-
-// BeforeStep flips the cache bits once st has reached the strike
-// iteration; the step that follows (and every later one) attends over
-// the corrupted entry. Call it immediately before each DecodeStep or
-// Batch.Step covering st. Out-of-range sites (a request shorter than
-// the sampled strike) simply never fire.
-func (sf *StateFault) BeforeStep(st *model.State) {
-	if sf.Fired || st.Pos < sf.target {
-		return
-	}
-	b := sf.Site.Layer.Block
-	if b < 0 || b >= len(st.K) {
-		return
-	}
-	plane := st.K[b]
-	if sf.Site.Layer.Kind == model.KindV {
-		plane = st.V[b]
-	}
-	if sf.Site.Row >= st.Pos || sf.Site.Col >= plane.Cols {
-		return
-	}
-	v := plane.At(sf.Site.Row, sf.Site.Col)
-	plane.Set(sf.Site.Row, sf.Site.Col,
-		float32(numerics.FlipBits(numerics.FP32, float64(v), sf.Site.Bits...)))
-	sf.Fired = true
 }

@@ -20,13 +20,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/abft"
 	"repro/internal/faults"
 	"repro/internal/gen"
-	"repro/internal/mitigate"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/outcome"
@@ -41,18 +41,12 @@ var ErrDraining = errors.New("serve: engine draining")
 // to a 400 envelope).
 var ErrInvalid = errors.New("serve: invalid request")
 
-// ABFTConfig arms checksum detection on served requests.
-type ABFTConfig struct {
-	// Tol overrides the derived per-layer tolerance (0 = DefaultTol).
-	Tol float64
-	// Policy selects the detection response (detect/correct/skip).
-	Policy mitigate.Policy
-	// AllLayers protects every block linear; false protects only the
-	// request's own injection site, and only when that site is a linear
-	// layer — the non-linear surfaces have no checksum to violate,
-	// which is exactly the coverage boundary fig_serving measures.
-	AllLayers bool
-}
+// ABFTConfig arms checksum detection on served requests. Without
+// AllLayers only the request's own injection site is protected, and only
+// when that site is a linear layer — the non-linear surfaces have no
+// checksum to violate, which is exactly the coverage boundary
+// fig_serving measures.
+type ABFTConfig = abft.Protection
 
 // InjectConfig turns the engine into a live fault campaign: each
 // admitted request receives one fault whose site is a pure function of
@@ -76,10 +70,9 @@ type Config struct {
 	// Vocab, when non-nil, fills Response.Text and enables the HTTP
 	// prompt codec.
 	Vocab *token.Vocab
-	// Width is the decode-batch capacity (default 8).
+	// Width is the decode-batch capacity (default 8); the admission
+	// queue holds 2×Width more before Submit blocks.
 	Width int
-	// Queue bounds admission backlog before Submit blocks (default 2×Width).
-	Queue int
 	// DefaultMaxNew is max_tokens for requests that omit it (default 32).
 	DefaultMaxNew int
 	// MaxNewCap bounds per-request max_tokens (default MaxSeq).
@@ -94,10 +87,11 @@ type Config struct {
 	// observational: tokens, outcomes, and fault sampling are
 	// bit-identical with recording on or off.
 	Recorder *obs.Recorder
-	// SlowLog bounds the ring of recent SLO-violating requests kept for
-	// the dashboard (default 64).
-	SlowLog int
 }
+
+// slowLog bounds the ring of recent SLO-violating requests kept for the
+// dashboard.
+const slowLog = 64
 
 // Request is one generate call.
 type Request struct {
@@ -180,7 +174,6 @@ type pending struct {
 type flight struct {
 	p       *pending
 	inj     *faults.Injection
-	sf      *faults.StateFault
 	checker *abft.Checker
 	lastTok time.Time // last decode-step completion, for inter-token gaps
 }
@@ -244,13 +237,13 @@ type SlowRequest struct {
 func (e *Engine) noteSlow(sr SlowRequest) {
 	e.slowMu.Lock()
 	defer e.slowMu.Unlock()
-	if len(e.slow) < e.cfg.SlowLog {
+	if len(e.slow) < slowLog {
 		e.slow = append(e.slow, sr)
-		e.slowNext = len(e.slow) % e.cfg.SlowLog
+		e.slowNext = len(e.slow) % slowLog
 		return
 	}
 	e.slow[e.slowNext] = sr
-	e.slowNext = (e.slowNext + 1) % e.cfg.SlowLog
+	e.slowNext = (e.slowNext + 1) % slowLog
 }
 
 // SlowRequests returns the retained SLO violations, newest first.
@@ -277,9 +270,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Width <= 0 {
 		cfg.Width = 8
 	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 2 * cfg.Width
-	}
 	if cfg.DefaultMaxNew <= 0 {
 		cfg.DefaultMaxNew = 32
 	}
@@ -289,14 +279,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.DefaultMaxNew > cfg.MaxNewCap {
 		cfg.DefaultMaxNew = cfg.MaxNewCap
 	}
-	if cfg.SlowLog <= 0 {
-		cfg.SlowLog = 64
-	}
 	e := &Engine{
 		cfg:   cfg,
 		m:     cfg.Model,
 		met:   NewMetrics(),
-		queue: make(chan *pending, cfg.Queue),
+		queue: make(chan *pending, 2*cfg.Width),
 		done:  make(chan struct{}),
 	}
 	if inj := cfg.Inject; inj != nil {
@@ -562,46 +549,37 @@ func (e *Engine) admit(ln *lane, p *pending) {
 	f.lastTok = p.tm.admitted
 }
 
-// arm protects, then arms, the request's fault on ln's model — checksums
-// must capture clean weights, so Protect precedes a weight flip — and
-// returns the observers scoped to the request's own row.
+// arm protects, then arms (in that order: see abft.Protection.Checker),
+// the request's fault on ln's model and returns the observers scoped to
+// the request's own row. A weight-resident site flips ln.m itself:
+// Submit routed it to runAlone, where ln.m is a private clone.
 func (e *Engine) arm(ln *lane, f *flight) (gen.Arm, error) {
 	site := *f.p.site
-	promptLen := len(f.p.req.Prompt)
 	var arm gen.Arm
+	var err error
 	if a := e.cfg.Inject.ABFT; a != nil {
-		ck := abft.NewWithCache(abft.Config{Tol: a.Tol, Policy: a.Policy}, ln.cache)
-		var err error
-		if a.AllLayers {
-			err = ck.ProtectAll(ln.m)
-		} else if site.Surface == faults.SurfaceLinear {
-			err = ck.Protect(ln.m, site.Layer)
+		// Only a linear site has a checksum to protect; a kv site's
+		// Layer.Kind names a linear layer, but the strike is in the cache.
+		var protect []model.LayerRef
+		if site.Surface == faults.SurfaceLinear {
+			protect = []model.LayerRef{site.Layer}
 		}
-		if err != nil {
+		if f.checker, err = a.Checker(ln.m, ln.cache, protect...); err != nil {
 			return arm, err
 		}
-		f.checker = ck
-		arm.Checker = ck
+		arm.Checker = f.checker
 	}
-	var err error
-	switch {
-	case site.Surface == faults.SurfaceKV:
-		if f.sf, err = faults.ArmKV(site, promptLen); err == nil {
-			arm.BeforeStep = f.sf.BeforeStep
-		}
-	case site.WeightResident():
-		// Submit routes these to runAlone: ln.m is a private clone.
-		f.inj, err = faults.Arm(ln.m, site, promptLen)
-	default:
-		var hook model.Hook
-		f.inj, hook, err = faults.ArmHook(ln.m, site, promptLen)
-		if site.Surface == faults.SurfaceAttn {
-			arm.AttnHooks = []model.Hook{hook}
-		} else {
-			arm.Hooks = []model.Hook{hook}
-		}
+	if f.inj, err = faults.New(ln.m, site, len(f.p.req.Prompt)); err != nil {
+		return arm, err
 	}
-	return arm, err
+	if h := f.inj.Hook; h != nil {
+		arm.Hooks = []model.Hook{h}
+	}
+	if h := f.inj.AttnHook; h != nil {
+		arm.AttnHooks = []model.Hook{h}
+	}
+	arm.BeforeStep = f.inj.BeforeStep
+	return arm, nil
 }
 
 // step advances every live request on ln by one token. Cancelled and
@@ -648,8 +626,6 @@ func (e *Engine) respond(f *flight, res gen.Result, err error) {
 	if f.inj != nil {
 		fired = f.inj.Fired
 		f.inj.Disarm()
-	} else if f.sf != nil {
-		fired = f.sf.Fired
 	}
 	detected := 0
 	if f.checker != nil {
@@ -690,7 +666,7 @@ func (e *Engine) finish(req Request, start time.Time, tokens []int, steps int, s
 		resp.Surface = site.Surface.String()
 		e.met.observeInjected()
 		if req.Baseline != nil && err == nil {
-			an := outcome.Classify(tokens, req.Baseline, tokensEqual(tokens, req.Baseline), outcome.Thresholds{})
+			an := outcome.Classify(tokens, req.Baseline, slices.Equal(tokens, req.Baseline), outcome.Thresholds{})
 			resp.Outcome = an.Class.String()
 			e.met.observeOutcome(an.Class)
 		}
@@ -774,17 +750,4 @@ func (e *Engine) finishErr(id string, start time.Time, err error) Response {
 		e.met.observeSLOViolation()
 	}
 	return Response{ID: id, Latency: latency, Err: err}
-}
-
-// tokensEqual reports exact sequence equality.
-func tokensEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -265,14 +265,10 @@ func TestServeInvalidRequests(t *testing.T) {
 	}
 }
 
-// campaignStats runs one injection campaign over the engine and renders
-// each response as a comparable line (latency excluded — everything else
-// must be a pure function of the load config).
-func campaignStats(t *testing.T, m *model.Model, vocab *token.Vocab, streams int) []string {
-	t.Helper()
-	prompts := testPrompts()
-	const maxNew = 10
-	e, stop := startEngine(t, serve.Config{
+// sitePolicyConfig is the live campaign over all five surfaces with ABFT
+// protecting only each request's own site.
+func sitePolicyConfig(m *model.Model, vocab *token.Vocab) serve.Config {
+	return serve.Config{
 		Model: m, Vocab: vocab, Width: 4,
 		Inject: &serve.InjectConfig{
 			Fault:    faults.Comp1Bit,
@@ -280,7 +276,17 @@ func campaignStats(t *testing.T, m *model.Model, vocab *token.Vocab, streams int
 			Seed:     4242,
 			ABFT:     &serve.ABFTConfig{Policy: mitigate.PolicyDetect},
 		},
-	})
+	}
+}
+
+// campaignStats runs one injection campaign over the engine and renders
+// each response as a comparable line (latency excluded — everything else
+// must be a pure function of the load config).
+func campaignStats(t *testing.T, m *model.Model, vocab *token.Vocab, streams int) []string {
+	t.Helper()
+	prompts := testPrompts()
+	const maxNew = 10
+	e, stop := startEngine(t, sitePolicyConfig(m, vocab))
 	defer stop()
 	st, err := loadgen.Run(context.Background(), e, loadgen.Config{
 		Streams: streams, Requests: 24, Prompts: prompts,
@@ -325,6 +331,31 @@ func TestServeCampaignDeterminism(t *testing.T) {
 	}
 	if injected != 24 {
 		t.Fatalf("expected 24 responses, got %d", injected)
+	}
+
+	// Site policy checks a request's own site only when that site is a
+	// linear layer. The other four surfaces have no checksum to violate
+	// and must run zero checks — including kv, whose Layer.Kind
+	// (k_proj/v_proj) names a linear layer though the strike is in the
+	// cache. Response.Detected cannot tell: a checked-but-clean GEMM
+	// flags nothing either.
+	e, err := serve.NewEngine(sitePolicyConfig(m, vocab))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[faults.Surface]bool{}
+	for seed := uint64(0); seed < 200 && len(seen) < len(faults.Surfaces); seed++ {
+		site, checks, err := e.ChecksForTest(serve.Request{Prompt: testPrompts()[0], MaxNew: 10, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if linear := site.Surface == faults.SurfaceLinear; (checks > 0) != linear {
+			t.Errorf("site %v ran %d ABFT checks under site policy", site, checks)
+		}
+		seen[site.Surface] = true
+	}
+	if len(seen) != len(faults.Surfaces) {
+		t.Fatalf("200 seeds drew only %v", seen)
 	}
 }
 

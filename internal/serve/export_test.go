@@ -1,6 +1,12 @@
 package serve
 
-import "repro/internal/faults"
+import (
+	"context"
+
+	"repro/internal/abft"
+	"repro/internal/faults"
+	"repro/internal/gen"
+)
 
 // Status indexes re-exported for the external scenario tests
 // (package serve_test imports loadgen, which imports serve, so those
@@ -18,4 +24,31 @@ const (
 // reference clone. req.MaxNew must be set.
 func (e *Engine) SampleSiteForTest(req Request) (faults.Site, error) {
 	return e.sampleSite(&req)
+}
+
+// ChecksForTest arms req's campaign fault the way admission does — the
+// engine's own arm, on a lane over a private clone — decodes it to the
+// end and returns the site and how many ABFT checks the request's
+// checker ran: Response carries only the flagged ones. req.MaxNew must
+// be set, and the engine must have Inject.ABFT.
+func (e *Engine) ChecksForTest(req Request) (faults.Site, int, error) {
+	site, err := e.sampleSite(&req)
+	if err != nil {
+		return site, 0, err
+	}
+	wm := e.m.CloneShared()
+	st := wm.NewState()
+	prefix := st.Prefill(req.Prompt)
+	ln := &lane{loop: gen.NewLoop[*flight](wm, 1), m: wm, cache: abft.NewCache()}
+	f := &flight{p: &pending{req: req, ctx: context.Background(), site: &site}}
+	arm, err := e.arm(ln, f)
+	if err != nil {
+		return site, 0, err
+	}
+	s := ln.loop.Admit(st, prefix, gen.Defaults(req.MaxNew), arm, f)
+	for !s.Done() {
+		ln.loop.Step()
+	}
+	f.inj.Disarm()
+	return site, f.checker.Stats().Checks, nil
 }

@@ -205,16 +205,6 @@ func (t *MathTask) Suite(seed uint64, n int, cot bool) *Suite {
 	return s
 }
 
-// AnswerMatches reports whether the extracted answer of a generation
-// equals the reference answer string.
-func (t *MathTask) AnswerMatches(generated []int, reference string) bool {
-	want, err := strconv.Atoi(reference)
-	if err != nil {
-		return false
-	}
-	return t.ExtractAnswer(generated) == want
-}
-
 // ReasoningLength returns the number of generated tokens before the '#'
 // answer marker in a token sequence (the reasoning segment length used to
 // restrict computational-fault iterations in the CoT study, §4.3.2).

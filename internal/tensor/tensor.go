@@ -53,14 +53,6 @@ func (t *Tensor) Clone() *Tensor {
 	return out
 }
 
-// CopyFrom copies src's contents into t; shapes must match.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if t.Rows != src.Rows || t.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: copy shape mismatch %dx%d vs %dx%d", t.Rows, t.Cols, src.Rows, src.Cols))
-	}
-	copy(t.Data, src.Data)
-}
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {
@@ -127,13 +119,6 @@ func (t *Tensor) MulInPlace(other *Tensor) {
 func (t *Tensor) ScaleInPlace(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
-	}
-}
-
-// Apply replaces each element x with f(x).
-func (t *Tensor) Apply(f func(float32) float32) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
 	}
 }
 
