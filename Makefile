@@ -38,10 +38,10 @@ test:
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward)' \
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|AdmitFork)' \
 		./internal/tensor/ ./internal/model/ ./internal/gen/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched)' ./internal/core/
+		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops)' ./internal/core/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Serve|Handler|Loadgen)' ./internal/serve/...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
@@ -95,14 +95,21 @@ cover:
 ## cmd/llmfi from REF (a `git archive` snapshot in a temp dir: nothing to
 ## fetch, nothing left behind) and from this tree, run each campaign below
 ## through both, and cmp stdout and the per-trial CSV. They cover the
-## decode loop at width 8 and 1 under site ABFT, memory faults under
-## all-layer correcting ABFT, multiple-choice scoring, MoE beam search and
-## gate-only MoE memory faults; a few seconds on two cores.
+## decode loop at width 8 and 1 under site ABFT (rows forked post-prompt),
+## the same loop unobserved (rows fast-forwarded to their strike: width 8
+## and 1, MoE with its expert trace, and the math suite's EOS stops and
+## reasoning window), memory faults under all-layer correcting ABFT,
+## multiple-choice scoring, MoE beam search and gate-only MoE memory
+## faults; a few seconds on two cores.
 ## make identity REF=HEAD~1
 REF ?= HEAD~1
 define IDENTITY_CAMPAIGNS
 -model QwenS -suite wmt16-like -fault 2bits-comp -trials 300 -decode-batch 8 -abft
 -model QwenS -suite wmt16-like -fault 2bits-comp -trials 300 -decode-batch 1 -abft
+-model QwenS -suite wmt16-like -fault 2bits-comp -trials 300 -decode-batch 8
+-model QwenS -suite wmt16-like -fault 1bit-comp -trials 300
+-model moe -suite wmt16-like -fault 2bits-comp -trials 120
+-model math-qwens -suite gsm8k -fault 2bits-comp -trials 300
 -model math-qwens -suite gsm8k -fault 2bits-mem -trials 300 -abft -abft-all -abft-policy correct
 -model QwenS -suite mmlu -fault 1bit-comp -trials 300
 -model moe -suite wmt16-like -fault 2bits-comp -trials 120 -beams 3

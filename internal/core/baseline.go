@@ -101,12 +101,18 @@ type InstanceBaseline struct {
 	// Steps counts decode steps (the runtime proxy of Figure 19).
 	Steps int
 
-	// prefix is the post-prompt KV snapshot captured during the fault-free
-	// run, and prefixLogits the logits after the final prompt token. The
-	// campaign engine forks trials from them instead of re-running prefill
-	// when that is sound (generative computational faults, whose target
-	// iteration lies past the prompt). Baseline-only; nil after Rerun.
-	prefix       *model.State
+	// state and resume are what the campaign engine forks trials from
+	// instead of re-running the part of the inference a transient fault
+	// cannot reach (generative computational faults, which strike at
+	// promptLen + GenIter). A greedy baseline keeps the state it finished
+	// on — its KV rows below any position p are the clean state at p —
+	// and one gen.Resume per generated token, resume[0] being the
+	// post-prompt point. Beam search forks states mid-decode and has no
+	// single finished state: it keeps the post-prompt snapshot and
+	// prefixLogits, the logits after the final prompt token, instead.
+	// Baseline-only; nil after Rerun.
+	state        *model.State
+	resume       []gen.Resume
 	prefixLogits []float32
 	// capture holds the instance's clean per-layer activations when the
 	// runner traces the campaign: the propagation probes of sampled
@@ -130,17 +136,16 @@ type Baseline struct {
 
 // Scores returns a copy of b that keeps every exported field — the
 // fault-free outputs and scores a Result is read for — and drops the
-// engine's working set: each instance's post-prompt KV snapshot, its
-// prefix logits and its activation capture, which only a running
-// campaign reads. A Result carries this copy, so holding Results does not
-// pin megabytes of KV cache per campaign; BaselineReady and WithBaseline
-// carry the full baseline, which is what a runner needs to fork trials
-// from the shared prefix.
+// engine's working set: each instance's KV state, resume points, prefix
+// logits and activation capture, which only a running campaign reads. A
+// Result carries this copy, so holding Results does not pin megabytes of
+// KV cache per campaign; BaselineReady and WithBaseline carry the full
+// baseline, which is what a runner needs to fork trials from.
 func (b *Baseline) Scores() *Baseline {
 	s := *b
 	s.Instances = make([]InstanceBaseline, len(b.Instances))
 	for i, ib := range b.Instances {
-		ib.prefix, ib.prefixLogits, ib.capture = nil, nil, nil
+		ib.state, ib.resume, ib.prefixLogits, ib.capture = nil, nil, nil, nil
 		s.Instances[i] = ib
 	}
 	return &s
@@ -205,10 +210,10 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 
 // evalInstance runs one instance on the (possibly fault-armed) model.
 // selfRefOK makes an empty instance reference count as a correct answer
-// (fault-free runs define the reference). snap additionally captures the
-// post-prompt state and logits into the returned baseline so later trials
-// can resume from the shared prefix. sp, when non-nil, receives the
-// phase timings (prefill/decode/classify) of the run.
+// (fault-free runs define the reference). snap additionally keeps what
+// later trials resume from (InstanceBaseline.state) in the returned
+// baseline. sp, when non-nil, receives the phase timings
+// (prefill/decode/classify) of the run.
 func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs gen.Settings, check AnswerChecker, selfRefOK, snap bool, sp *spanTimes) InstanceBaseline {
 	var ib InstanceBaseline
 	if suite.Type == tasks.MultipleChoice {
@@ -232,7 +237,8 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 	st := m.NewState()
 	// Expert-trace comparison is only defined for the single-path greedy
 	// mode used by the MoE study (beam search forks states).
-	expertTrace := m.Cfg.IsMoE() && gs.NumBeams <= 1
+	greedy := gs.NumBeams <= 1
+	expertTrace := m.Cfg.IsMoE() && greedy
 	if expertTrace {
 		st.EnableExpertTrace()
 	}
@@ -241,12 +247,18 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 	if sp != nil {
 		sp.prefill += since(prefillStart)
 	}
-	if snap {
-		ib.prefix = st.Fork()
+	if snap && !greedy {
+		ib.state = st.Fork()
 		ib.prefixLogits = append([]float32(nil), logits...)
 	}
 	decodeStart := now()
-	res := gen.GenerateFrom(m, st, logits, gs)
+	var res gen.Result
+	if snap && greedy {
+		res, ib.resume = gen.ResumableGreedy(m, st, logits, gs)
+		ib.state = st
+	} else {
+		res = gen.GenerateFrom(m, st, logits, gs)
+	}
 	if sp != nil {
 		sp.decode += since(decodeStart)
 		sp.steps = res.Steps

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-
+	"reflect"
 	"testing"
 
 	"repro/internal/faults"
@@ -149,6 +149,59 @@ func TestRerunInstanceMatchesBaseline(t *testing.T) {
 	for i := range suite.Instances {
 		if got := RerunInstance(m, suite, &suite.Instances[i]); got != b.Instances[i].Text {
 			t.Fatalf("RerunInstance %d = %q, baseline %q", i, got, b.Instances[i].Text)
+		}
+	}
+}
+
+// engineFields names the unexported fields of ib that are set. They are
+// the engine's working set — KV state, resume points, captures — and
+// whatever a later PR adds beside them.
+func engineFields(ib *InstanceBaseline) []string {
+	var set []string
+	v := reflect.ValueOf(ib).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); !f.IsExported() && !v.Field(i).IsZero() {
+			set = append(set, f.Name)
+		}
+	}
+	return set
+}
+
+// TestScoresDropsEngineState walks InstanceBaseline by reflection: no
+// unexported field may survive Scores(), or every retained Result pins
+// that field — a KV cache per instance, the last time it happened. The
+// baselines below (greedy with activation capture, and beam) must between
+// them populate every such field, so a new one cannot dodge the check by
+// being nil here.
+func TestScoresDropsEngineState(t *testing.T) {
+	m := goldenModel(t, model.QwenS, false)
+	suite := tasks.NewSelfRefSuite("scores", 3, 2, 10, 5, []metrics.Kind{metrics.KindBLEU})
+	gs := defaultGen()
+	traced := evalBaseline(m, suite, gs, nil, func(inst *tasks.Instance) int { return len(inst.Prompt) })
+	gs.NumBeams = 2
+	beam := EvalBaseline(m, suite, gs, nil)
+
+	populated := map[string]bool{}
+	for _, b := range []*Baseline{traced, beam} {
+		for i := range b.Instances {
+			for _, name := range engineFields(&b.Instances[i]) {
+				populated[name] = true
+			}
+		}
+		scores := b.Scores()
+		for i := range scores.Instances {
+			if kept := engineFields(&scores.Instances[i]); len(kept) > 0 {
+				t.Fatalf("instance %d: Scores() kept engine state %v", i, kept)
+			}
+			if scores.Instances[i].Text != b.Instances[i].Text {
+				t.Fatalf("instance %d: Scores() lost the fault-free output", i)
+			}
+		}
+	}
+	typ := reflect.TypeOf(InstanceBaseline{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); !f.IsExported() && !populated[f.Name] {
+			t.Errorf("no baseline here sets %s: extend the test so Scores() is checked against it", f.Name)
 		}
 	}
 }

@@ -197,8 +197,11 @@ type spanTimes struct {
 	classify time.Duration
 	abft     time.Duration
 	mitigate time.Duration
-	// steps is the decode-step count behind the decode span (0 for
-	// multiple-choice scoring, where per-token timing is undefined).
+	// steps is the number of decode steps the trial executed behind the
+	// decode span — on a decode-loop row, the stacked steps it rode in,
+	// not the clean ones its resume point skipped; Trial.Steps stays the
+	// modelled inference (0 for multiple-choice scoring, where per-token
+	// timing is undefined).
 	steps int
 	// abftOn marks that a checker ran, so zero-duration check spans are
 	// still meaningful observations.
@@ -241,9 +244,9 @@ func (tc *timedChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight,
 }
 
 // batchEligible reports whether the campaign's trials run as rows of
-// the decode loop. A row decodes from the baseline's post-prompt
-// snapshot with row-scoped fault hooks, so it requires everything prefix
-// reuse requires — and additionally a single greedy decode stream per
+// the decode loop. A row decodes from a fork of the baseline's state
+// with row-scoped fault hooks, so it requires everything prefix reuse
+// requires — and additionally a single greedy decode stream per
 // trial: multiple-choice scoring has no decode loop, memory faults
 // mutate the weights every in-flight sibling shares, and beam search
 // forks states mid-decode.
@@ -254,19 +257,20 @@ func (c Campaign) batchEligible(gs gen.Settings) bool {
 		!c.noPrefixReuse
 }
 
-// reusePrefix reports whether a trial may resume from the baseline's
-// post-prompt snapshot instead of re-running prefill. Sound only when the
-// faulted computation is bit-identical to the fault-free one over the
-// whole prompt: generative computational faults target absolute position
-// promptLen + GenIter, which never lands inside the prompt. Memory faults
-// corrupt the weights prefill itself reads, and multiple-choice scoring
-// (promptLen 0) can be struck at any prompt position, so both keep the
-// full path.
+// reusePrefix reports whether a whole-model trial may resume from the
+// baseline's post-prompt snapshot instead of re-running prefill — beam
+// search, that is: a greedy trial that can reuse anything is a decode-loop
+// row (batchEligible). Sound only when the faulted computation is
+// bit-identical to the fault-free one over the whole prompt: generative
+// computational faults target absolute position promptLen + GenIter,
+// which never lands inside the prompt. Memory faults corrupt the weights
+// prefill itself reads, and multiple-choice scoring (promptLen 0) can be
+// struck at any prompt position, so both keep the full path.
 func (c Campaign) reusePrefix(base *InstanceBaseline) bool {
 	return !c.noPrefixReuse &&
 		c.Suite.Type != tasks.MultipleChoice &&
 		!c.Fault.IsMemory() &&
-		base.prefix != nil
+		base.prefixLogits != nil
 }
 
 // faultWindow returns the iteration window and the Arm promptLen for an

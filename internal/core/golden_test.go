@@ -41,12 +41,7 @@ func seedEquivalent(t *testing.T, c Campaign) {
 		t.Fatal(err)
 	}
 
-	seed := c
-	seed.Model = c.Model.Clone()
-	seed.Model.SetSequentialPrefill(true)
-	seed.noPrefixReuse = true
-	seed.deepClones = true
-	seedRes, err := seed.Run(context.Background())
+	seedRes, err := seedPath(c).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,17 +143,31 @@ func TestEngineGoldenWithMitigation(t *testing.T) {
 
 // TestEngineReusesPrefix asserts the fast path actually engages: a
 // generative computational-fault campaign must resume every trial from
-// the baseline snapshot rather than silently falling back.
+// the baseline's state rather than silently falling back — a greedy one
+// as a decode-loop row from a resume point per generated token, a beam
+// one from the post-prompt snapshot.
 func TestEngineReusesPrefix(t *testing.T) {
 	m := goldenModel(t, model.QwenS, false)
 	suite := tasks.NewSelfRefSuite("golden-reuse", 3, 2, 16, 6, []metrics.Kind{metrics.KindBLEU})
 	gs := defaultGen()
-	base := EvalBaseline(m, suite, gs, nil)
-
 	c := Campaign{Model: m, Suite: suite, Fault: faults.Comp2Bit, Trials: 4, Seed: 1}
+
+	greedy := EvalBaseline(m, suite, gs, nil)
+	if !c.batchEligible(gs) {
+		t.Fatal("greedy computational generative campaign should ride the decode loop")
+	}
+	for i, ib := range greedy.Instances {
+		if ib.state == nil || len(ib.resume) < len(ib.Tokens) || ib.prefixLogits != nil {
+			t.Fatalf("instance %d: greedy baseline keeps its finished state and a resume point per token, got %d points for %d tokens",
+				i, len(ib.resume), len(ib.Tokens))
+		}
+	}
+
+	gs.NumBeams = 3
+	base := EvalBaseline(m, suite, gs, nil)
 	for i := range base.Instances {
-		if !c.reusePrefix(&base.Instances[i]) {
-			t.Fatalf("instance %d: computational generative trial should reuse prefix", i)
+		if !c.reusePrefix(&base.Instances[i]) || base.Instances[i].resume != nil {
+			t.Fatalf("instance %d: computational generative beam trial should reuse the post-prompt snapshot", i)
 		}
 	}
 	c.Fault = faults.Mem2Bit
@@ -167,7 +176,7 @@ func TestEngineReusesPrefix(t *testing.T) {
 	}
 	c.Fault = faults.Comp2Bit
 	c.noPrefixReuse = true
-	if c.reusePrefix(&base.Instances[0]) {
+	if c.reusePrefix(&base.Instances[0]) || c.batchEligible(defaultGen()) {
 		t.Fatal("noPrefixReuse knob must disable reuse")
 	}
 	// RerunInstance baselines carry no snapshot.

@@ -121,8 +121,11 @@ func TestWithBaselineReuse(t *testing.T) {
 		t.Fatal("result did not adopt the provided baseline's scores")
 	}
 	for i := range base.Instances {
-		if res.Baseline.Instances[i].prefix != nil || base.Instances[i].prefix == nil {
-			t.Fatalf("instance %d: the result must drop the prefix snapshot and the provided baseline keep it", i)
+		if kept := engineFields(&res.Baseline.Instances[i]); len(kept) > 0 {
+			t.Fatalf("instance %d: the result's baseline still holds %v", i, kept)
+		}
+		if base.Instances[i].state == nil {
+			t.Fatalf("instance %d: the provided baseline must keep the state trials fork from", i)
 		}
 	}
 	// A scores-only baseline cannot seed a campaign that forks trials from

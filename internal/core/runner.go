@@ -306,7 +306,7 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	rows := c.batchEligible(gs)
 	if rows {
 		for i := range baseline.Instances {
-			if baseline.Instances[i].prefix == nil {
+			if baseline.Instances[i].resume == nil {
 				return nil, ErrBaselineNoPrefix
 			}
 		}

@@ -20,9 +20,10 @@ import (
 // executes trials one of two ways, fixed per campaign by batchEligible:
 //
 //   - rows: each trial is a sequence on the worker's gen.Loop, forked
-//     from the baseline's post-prompt snapshot with its fault, extra hook,
-//     probe and checker scoped to its own batch row. Width
-//     max(1, BatchDecode); serial decode is width 1.
+//     from the baseline's finished state at one of its resume points
+//     (armed.resumeAt) with its fault, extra hook, probe and checker
+//     scoped to its own batch row. Width max(1, BatchDecode); serial
+//     decode is width 1.
 //   - whole-model (runTrial): what a row cannot express — multiple-choice
 //     scoring, memory faults, beam search, and the seed path
 //     (noPrefixReuse) — arms the worker's model and runs one inference.
@@ -140,6 +141,22 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 		e.wm.SetChecker(a.lc)
 	}
 	return a, nil
+}
+
+// resumeAt picks the baseline resume point the trial's row starts from.
+// Every step before the strike recomputes, bit for bit, a row the
+// baseline's state already holds (decoding is greedy and a fault only
+// propagates forward), so a row nothing but the fault hook observes
+// starts at the strike step itself, resume point GenIter. A checker, an
+// ExtraHook or a probe counts clean positions too — Detection.Checks,
+// mitigation counters, Record.Compared, the margin trajectory — so a row
+// one of them rides starts at point 0, the post-prompt fork.
+func (a *armed) resumeAt(c *Campaign) gen.Resume {
+	g := 0
+	if c.ABFT == nil && c.ExtraHook == nil && a.probe == nil {
+		g = a.site.GenIter
+	}
+	return a.base.resume[g]
 }
 
 // seal is the trial postamble: disarm, then assemble the Trial, its
@@ -262,11 +279,8 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 			if err != nil {
 				return t, err
 			}
-			gs := e.gs
-			gs.MaxNewTokens = a.inst.MaxNew
-			gs.MinNewTokens = a.inst.MinNew
 			forkStart := now()
-			s := loop.AdmitFork(a.base.prefix, a.base.prefixLogits, gs, gen.Arm{Hooks: a.hooks, Checker: a.lc}, a)
+			s := loop.AdmitFork(a.base.state, a.resumeAt(&e.c), gen.Arm{Hooks: a.hooks, Checker: a.lc}, a)
 			// The fork stands in for prefill on this path.
 			a.sp.prefill += since(forkStart)
 			a.busy += since(start)
@@ -286,6 +300,7 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 		e.r.tel.observeBatch(n)
 		charge := func(a *armed) {
 			a.sp.decode += share
+			a.sp.steps++
 			a.busy += share
 		}
 		for _, s := range loop.Live() {
@@ -325,12 +340,13 @@ func (e *trialEnv) resumeBeam(a *armed) InstanceBaseline {
 	gs.MaxNewTokens = a.inst.MaxNew
 	gs.MinNewTokens = a.inst.MinNew
 	prefillStart := now()
-	st := a.base.prefix.ForkFor(e.wm)
+	st := a.base.state.ForkFor(e.wm)
 	// The fork stands in for prefill on this path.
 	a.sp.prefill += since(prefillStart)
 	decodeStart := now()
 	res := gen.ContinueBeam(e.wm, st, a.base.prefixLogits, gs)
 	a.sp.decode += since(decodeStart)
+	a.sp.steps = res.Steps
 	return e.scoreResumed(a, st, res)
 }
 
@@ -338,7 +354,6 @@ func (e *trialEnv) resumeBeam(a *armed) InstanceBaseline {
 // prefix snapshot on st.
 func (e *trialEnv) scoreResumed(a *armed, st *model.State, res gen.Result) InstanceBaseline {
 	var ib InstanceBaseline
-	a.sp.steps = res.Steps
 	// Steps is the runtime proxy for the modeled inference, which still
 	// includes the prompt the snapshot stands in for.
 	res.Steps += len(a.inst.Prompt)

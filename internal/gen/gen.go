@@ -7,6 +7,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -109,15 +110,54 @@ func greedy(m *model.Model, prompt []int, s Settings) Result {
 // expert tracing enabled) prefill themselves and hand over here. The
 // returned Steps counts only the continuation.
 func ContinueGreedy(m *model.Model, st *model.State, logits []float32, s Settings) Result {
+	res, _ := continueGreedy(m, st, logits, s, false)
+	return res
+}
+
+// Resume is one point a finished greedy decode can be re-entered at: the
+// Stepper as it stood after choosing a token, the token it queued, and
+// the position that token decodes at. Together with the state the decode
+// finished on — whose KV rows below pos are the state at pos, because
+// decoding only appends (model.State.ForkAtInto) — it is everything
+// Loop.AdmitFork needs to run the decode's remaining steps and nothing
+// before them. A Resume is immutable and may be admitted any number of
+// times, concurrently.
+type Resume struct {
+	sp   Stepper
+	tok  int
+	pos  int
+	live bool // the decode went on to step tok; false at its last point
+}
+
+// ResumableGreedy is ContinueGreedy that also returns one Resume per
+// Stepper.Next call: point g follows the choice of generated token g,
+// point 0 being taken off the given logits with st as prefilled, and the
+// last is where the decode ended. It leaves st on the state the decode
+// finished on, which the caller keeps to fork from.
+func ResumableGreedy(m *model.Model, st *model.State, logits []float32, s Settings) (Result, []Resume) {
+	return continueGreedy(m, st, logits, s, true)
+}
+
+func continueGreedy(m *model.Model, st *model.State, logits []float32, s Settings, record bool) (Result, []Resume) {
 	sp := NewStepper(s)
+	var points []Resume
 	for {
-		tok, step := sp.Next(logits, st.Pos, m.Cfg.MaxSeq)
+		pos := st.Pos
+		tok, step := sp.Next(logits, pos, m.Cfg.MaxSeq)
+		if record {
+			at := Resume{sp: *sp, tok: tok, pos: pos, live: step}
+			// Capacity clipped to length: the decode appends on into the
+			// shared backing array, and a resumed sequence's first append
+			// must copy rather than write beside it.
+			at.sp.res.Tokens = slices.Clip(at.sp.res.Tokens)
+			points = append(points, at)
+		}
 		if !step {
 			break
 		}
 		logits = st.DecodeStep(tok)
 	}
-	return sp.Result()
+	return sp.Result(), points
 }
 
 // hypothesis is one live beam.

@@ -181,3 +181,24 @@ func TestGenerationStopsOnEOS(t *testing.T) {
 		t.Fatalf("generated %d tokens after forced EOS", len(res.Tokens))
 	}
 }
+
+// TestStepperNextDoesNotAllocate: Next runs once per token of every
+// campaign trial and every served request, and reads one log-probability
+// off the logits — no vocabulary-wide scratch. (Tokens has room here; its
+// amortised growth is the caller's output, not scratch.)
+func TestStepperNextDoesNotAllocate(t *testing.T) {
+	m := testModel(3)
+	logits := append([]float32(nil), m.NewState().Prefill([]int{1, 5, 6})...)
+	s := Defaults(1 << 20)
+	s.StopToken = -1 // never chosen: every call takes the full path
+	sp := NewStepper(s)
+	sp.res.Tokens = make([]int, 0, 4096)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, step := sp.Next(logits, 3, m.Cfg.MaxSeq); !step {
+			t.Fatal("decode ended; the measurement would cover the early return only")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Stepper.Next allocates %v times per token", allocs)
+	}
+}

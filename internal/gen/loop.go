@@ -59,12 +59,17 @@ func (s *Seq[T]) next(maxSeq int) bool {
 // The bit-identity argument lives here and is made once. Each sequence
 // is one Stepper fed exactly the logits ContinueGreedy would feed it:
 // first the prefix logits (Admit), then each Batch.Step output for its
-// own row. Batch.Step computes every row in MatVec accumulation order
-// with only that row's hooks and checker observing it (model.Batch's
-// contract), so which other sequences share a step — and therefore
-// admission order, width, scheduling, and how many threads the step
-// shards its rows over — cannot change any sequence's tokens, hook
-// observations or checker verdicts; only wall-clock.
+// own row. A sequence admitted at a resume point (AdmitFork) starts on a
+// Stepper that has already been fed exactly the logits ContinueGreedy
+// would have fed it — by the decode the point was recorded on — over a
+// KV cache holding exactly the rows that decode had written by then: it
+// is the same sequence from that step on, and what the caller arms on the
+// row observes that step and the ones after it. Batch.Step computes every
+// row in MatVec accumulation order with only that row's hooks and checker
+// observing it (model.Batch's contract), so which other sequences share a
+// step — and therefore admission order, width, scheduling, and how many
+// threads the step shards its rows over — cannot change any sequence's
+// tokens, hook observations or checker verdicts; only wall-clock.
 //
 // A Loop must not be shared between goroutines. Everything but the
 // forward pass inside Step — admission, BeforeStep, every Stepper.Next —
@@ -104,16 +109,29 @@ func (l *Loop[T]) Live() []*Seq[T] { return l.live }
 func (l *Loop[T]) Admit(st *model.State, logits []float32, s Settings, arm Arm, owner T) *Seq[T] {
 	row := l.takeRow()
 	row.St = st
-	return l.start(row, logits, s, arm, owner)
+	seq := l.seat(row, arm, owner)
+	copy(row.Logits, logits)
+	seq.sp = Stepper{s: s}
+	if seq.next(l.m.Cfg.MaxSeq) {
+		l.live = append(l.live, seq)
+	}
+	return seq
 }
 
-// AdmitFork is Admit on a fork of the shared snapshot prefix, reusing a
-// released fork's KV-cache allocation when there is one.
-func (l *Loop[T]) AdmitFork(prefix *model.State, logits []float32, s Settings, arm Arm, owner T) *Seq[T] {
+// AdmitFork re-enters a finished greedy decode at one of its resume
+// points: the sequence takes a fork of from — the state that decode
+// finished on — cut back to the point's position (reusing a released
+// fork's KV-cache allocation when there is one), a copy of the point's
+// Stepper with its token queued, and its first Step is the decode's step
+// at that position. A point the decode ended on comes back Done.
+func (l *Loop[T]) AdmitFork(from *model.State, at Resume, arm Arm, owner T) *Seq[T] {
 	row := l.takeRow()
-	row.St = prefix.ForkForInto(l.m, row.St)
-	seq := l.start(row, logits, s, arm, owner)
-	seq.forked = true
+	row.St = from.ForkAtInto(l.m, row.St, at.pos)
+	seq := l.seat(row, arm, owner)
+	seq.sp, seq.row.Tok, seq.live, seq.forked = at.sp, at.tok, at.live, true
+	if seq.live {
+		l.live = append(l.live, seq)
+	}
 	return seq
 }
 
@@ -129,19 +147,14 @@ func (l *Loop[T]) takeRow() *model.DecodeRow {
 	return &model.DecodeRow{Logits: make([]float32, l.m.Cfg.Vocab)}
 }
 
-func (l *Loop[T]) start(row *model.DecodeRow, logits []float32, s Settings, arm Arm, owner T) *Seq[T] {
-	// A recycled row is re-armed whole: any observer slot left standing
-	// would strike the next tenant.
+// seat arms row for a new tenant. A recycled row is re-armed whole: any
+// observer slot left standing would strike the next tenant.
+func (l *Loop[T]) seat(row *model.DecodeRow, arm Arm, owner T) *Seq[T] {
 	*row = model.DecodeRow{
 		St: row.St, Logits: row.Logits,
 		Hooks: arm.Hooks, AttnHooks: arm.AttnHooks, Checker: arm.Checker,
 	}
-	copy(row.Logits, logits)
-	seq := &Seq[T]{Owner: owner, row: row, sp: Stepper{s: s}, beforeStep: arm.BeforeStep}
-	if seq.next(l.m.Cfg.MaxSeq) {
-		l.live = append(l.live, seq)
-	}
-	return seq
+	return &Seq[T]{Owner: owner, row: row, beforeStep: arm.BeforeStep}
 }
 
 // Step decodes one token for every live sequence in one stacked forward

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/token"
 )
 
 // serialRef decodes prompt through the seed oracle: ContinueGreedy over
@@ -153,7 +154,8 @@ func TestLoopRecycledRowStartsClean(t *testing.T) {
 	}
 	var checks int
 	l := NewLoop[int](m, 1)
-	first := l.AdmitFork(prefilled(m, prompt), prefixLogits(m, prompt), s, Arm{
+	from, points := decoded(m, prompt, s)
+	first := l.AdmitFork(from, points[0], Arm{
 		Hooks:     []model.Hook{strike},
 		AttnHooks: []model.Hook{strike},
 		Checker:   countingChecker{&checks},
@@ -171,7 +173,7 @@ func TestLoopRecycledRowStartsClean(t *testing.T) {
 	}
 
 	checks = 0
-	l.AdmitFork(prefilled(m, prompt), prefixLogits(m, prompt), s, Arm{}, 1)
+	l.AdmitFork(from, points[0], Arm{}, 1)
 	next := make(map[int]Result)
 	drain(l, next)
 	if !reflect.DeepEqual(next[1], clean) {
@@ -192,8 +194,10 @@ func TestLoopDrop(t *testing.T) {
 	want := serialRef(m, b, s)
 
 	l := NewLoop[string](m, 2)
-	sa := l.AdmitFork(prefilled(m, a), prefixLogits(m, a), s, Arm{}, "a")
-	sb := l.AdmitFork(prefilled(m, b), prefixLogits(m, b), s, Arm{}, "b")
+	fromA, pointsA := decoded(m, a, s)
+	fromB, pointsB := decoded(m, b, s)
+	sa := l.AdmitFork(fromA, pointsA[0], Arm{}, "a")
+	sb := l.AdmitFork(fromB, pointsB[0], Arm{}, "b")
 	l.Step()
 	l.Step()
 	l.Drop(func(q *Seq[string]) bool { return q.Owner == "a" })
@@ -212,18 +216,124 @@ func TestLoopDrop(t *testing.T) {
 	}
 }
 
-func prefilled(m *model.Model, prompt []int) *model.State {
+// decoded runs the clean greedy decode of prompt and returns the state
+// it finished on with its resume points — what AdmitFork re-enters.
+func decoded(m *model.Model, prompt []int, s Settings) (*model.State, []Resume) {
 	st := m.NewState()
-	st.Prefill(prompt)
-	return st
-}
-
-func prefixLogits(m *model.Model, prompt []int) []float32 {
-	return append([]float32(nil), m.NewState().Prefill(prompt)...)
+	_, points := ResumableGreedy(m, st, st.Prefill(prompt), s)
+	return st, points
 }
 
 type countingChecker struct{ n *int }
 
 func (c countingChecker) CheckLinear(model.LayerRef, int, model.Weight, []float32, []float32) {
 	*c.n++
+}
+
+// TestAdmitForkAtEveryResumePoint re-enters a clean decode at each of its
+// resume points g with a strike armed on the row at position promptLen+g,
+// and requires the Result — Tokens, LogProb, Steps, Stopped — of
+// ContinueGreedy run from the prompt under the same strike: the steps
+// before g are the clean decode's own. The row's hook must see exactly
+// the calls the whole run's hook sees from the strike position on, and
+// none before it. The decodes end three ways: on the token budget, on an
+// EOS (forced at a fixed position, in the clean decode and every struck
+// one alike) and on the model's MaxSeq; each one's last resume point is
+// where it ended, and comes back Done.
+func TestAdmitForkAtEveryResumePoint(t *testing.T) {
+	m := testModel(9)
+	long := make([]int, m.Cfg.MaxSeq-5)
+	for i := range long {
+		long[i] = 1 + (i*7)%(m.Cfg.Vocab-1)
+	}
+	noStop := func(n int) Settings {
+		s := Defaults(n)
+		s.MinNewTokens = n
+		return s
+	}
+	cases := []struct {
+		name     string
+		prompt   []int
+		s        Settings
+		eosAt    int // force EOS from this position on (0 = never)
+		wantLive bool
+	}{
+		{"budget", []int{1, 5, 6, 3}, noStop(9), 0, true},
+		{"eos", []int{1, 5, 6, 3}, Defaults(12), 4 + 5, false},
+		{"maxseq", long, noStop(20), 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// observer builds the hook of one run: the forced EOS, a strike
+			// at strikePos (none when negative), and a count of the calls
+			// from position from on.
+			observer := func(strikePos, from int, calls *int, early *bool) model.Hook {
+				return func(ref model.LayerRef, pos int, out []float32) {
+					if pos >= from {
+						*calls++
+					} else {
+						*early = true
+					}
+					if pos == strikePos && ref.Kind == model.KindDown && ref.Block == 0 {
+						for i := range out {
+							out[i] = -3 * out[i]
+						}
+					}
+					if tc.eosAt > 0 && ref.Kind == model.KindLMHead && pos >= tc.eosAt {
+						out[token.EOS] = 1e4
+					}
+				}
+			}
+			var n int
+			var early bool
+			m.AddHook(observer(-1, len(tc.prompt), &n, &early))
+			from, points := decoded(m, tc.prompt, tc.s)
+			m.ClearHooks()
+			clean := points[len(points)-1].sp.Result()
+			if last := points[len(points)-1]; last.live || points[0].pos != len(tc.prompt) ||
+				len(points) < len(clean.Tokens) || clean.Stopped != (tc.eosAt > 0) {
+				t.Fatalf("%d resume points for %d tokens (stopped %v), first at %d, last live %v",
+					len(points), len(clean.Tokens), clean.Stopped, points[0].pos, last.live)
+			}
+
+			changed := 0
+			l := NewLoop[int](m, 1)
+			for g, at := range points {
+				strikePos := len(tc.prompt) + g
+				var wantCalls, gotCalls int
+				var ignored, gotEarly bool
+				st := m.NewState()
+				logits := st.Prefill(tc.prompt)
+				m.AddHook(observer(strikePos, strikePos, &wantCalls, &ignored))
+				want := ContinueGreedy(m, st, logits, tc.s)
+				m.ClearHooks()
+
+				seq := l.AdmitFork(from, at, Arm{Hooks: []model.Hook{observer(strikePos, strikePos, &gotCalls, &gotEarly)}}, g)
+				if seq.Done() != !at.live {
+					t.Fatalf("point %d: admitted Done %v, decode went on %v", g, seq.Done(), at.live)
+				}
+				for l.Len() > 0 {
+					l.Step()
+				}
+				if got := seq.Result(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("point %d: resumed decode %+v, want %+v", g, got, want)
+				}
+				if gotCalls != wantCalls || gotEarly {
+					t.Fatalf("point %d: row hook saw %d calls (before the strike: %v), whole run %d", g, gotCalls, gotEarly, wantCalls)
+				}
+				if !reflect.DeepEqual(want.Tokens, clean.Tokens) {
+					changed++
+				}
+				l.Release(seq)
+			}
+			if tc.wantLive && changed == 0 {
+				t.Fatal("no strike changed the output; the test would not notice a strike that never lands")
+			}
+			// The points share the clean decode's token array; a resumed
+			// sequence appending to its copy must not have written into it.
+			if again := points[len(points)-1].sp.Result(); !reflect.DeepEqual(again, clean) {
+				t.Fatalf("resumed sequences rewrote the clean decode: %+v, was %+v", again, clean)
+			}
+		})
+	}
 }

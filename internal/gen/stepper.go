@@ -37,9 +37,8 @@ func (sp *Stepper) Next(logits []float32, pos, maxSeq int) (tok int, step bool) 
 		return 0, false
 	}
 	masked := maskLogits(logits, sp.s, sp.i)
-	lsm := tensor.LogSoftmaxRow(masked)
 	next := tensor.Argmax(masked)
-	sp.res.LogProb += lsm[next]
+	sp.res.LogProb += tensor.LogSoftmaxAt(masked, next)
 	sp.res.Steps++
 	sp.i++
 	if next == sp.s.StopToken {

@@ -71,15 +71,10 @@ func (st *State) Fork() *State { return st.ForkFor(st.m) }
 
 // ForkFor returns a copy of the state bound to m2, which must be the
 // state's own model or a clone with the same architecture. Campaign
-// workers fork the baseline's post-prompt snapshot onto their own clone
-// so the clone's hooks — not the baseline model's — fire when generation
-// continues from the shared prefix.
-func (st *State) ForkFor(m2 *Model) *State {
-	if m2.Cfg.DModel != st.m.Cfg.DModel || m2.Cfg.NBlocks != st.m.Cfg.NBlocks || m2.Cfg.MaxSeq != st.m.Cfg.MaxSeq {
-		panic("model: ForkFor across different architectures")
-	}
-	return st.forkInto(m2.NewState())
-}
+// workers fork the baseline's state onto their own clone so the clone's
+// hooks — not the baseline model's — fire when generation continues from
+// the shared prefix.
+func (st *State) ForkFor(m2 *Model) *State { return st.ForkAtInto(m2, nil, st.Pos) }
 
 // ForkForInto is ForkFor recycling a retired state's buffers instead of
 // allocating fresh ones: dst must have come from NewState/ForkFor on a
@@ -88,35 +83,60 @@ func (st *State) ForkFor(m2 *Model) *State {
 // slot turnover; reusing the KV allocations keeps that churn off the
 // allocator. A nil dst falls back to a fresh fork.
 func (st *State) ForkForInto(m2 *Model, dst *State) *State {
-	if dst == nil {
-		return st.ForkFor(m2)
-	}
-	if m2.Cfg.DModel != st.m.Cfg.DModel || m2.Cfg.NBlocks != st.m.Cfg.NBlocks || m2.Cfg.MaxSeq != st.m.Cfg.MaxSeq {
-		panic("model: ForkForInto across different architectures")
-	}
-	dst.m = m2
-	dst.ExpertTrace = nil
-	return st.forkInto(dst)
+	return st.ForkAtInto(m2, dst, st.Pos)
 }
 
-// forkInto copies the prefix snapshot into ns. Rows of ns's KV cache at
-// or beyond st.Pos are left stale; attention only ever reads positions
-// below the state's cursor, and decode writes each row before the step
-// that reads it, so stale tails are unobservable.
-func (st *State) forkInto(ns *State) *State {
-	ns.Pos = st.Pos
-	for i := range st.K {
-		n := st.Pos * st.m.Cfg.DModel
-		copy(ns.K[i].Data[:n], st.K[i].Data[:n])
-		copy(ns.V[i].Data[:n], st.V[i].Data[:n])
+// ForkAtInto is the positional fork under every other: dst (a fresh
+// state when nil) becomes the state st was when its cursor stood at pos.
+// Decoding only ever appends — row p of the KV cache and a position's
+// ExpertTrace entries are written by the step at p and never again — so
+// the first pos rows of a state that has run on are exactly the state a
+// run stopped at pos would hold (unless something rewrote a row after
+// the fact, as a KV-cache strike does). Forking beyond the cursor panics.
+func (st *State) ForkAtInto(m2 *Model, dst *State, pos int) *State {
+	if m2.Cfg.DModel != st.m.Cfg.DModel || m2.Cfg.NBlocks != st.m.Cfg.NBlocks || m2.Cfg.MaxSeq != st.m.Cfg.MaxSeq {
+		panic("model: fork across different architectures")
 	}
+	if pos < 0 || pos > st.Pos {
+		panic(fmt.Sprintf("model: fork at position %d of a state at %d", pos, st.Pos))
+	}
+	if dst == nil {
+		dst = m2.NewState()
+	}
+	dst.m = m2
+	dst.Pos = pos
+	// Rows of dst's KV cache at or beyond pos are left stale; attention
+	// only ever reads positions below the state's cursor, and decode
+	// writes each row before the step that reads it, so stale tails are
+	// unobservable.
+	n := pos * st.m.Cfg.DModel
+	for i := range st.K {
+		copy(dst.K[i].Data[:n], st.K[i].Data[:n])
+		copy(dst.V[i].Data[:n], st.V[i].Data[:n])
+	}
+	dst.ExpertTrace = nil
 	if st.ExpertTrace != nil {
-		ns.ExpertTrace = make([][]int, len(st.ExpertTrace))
+		dst.ExpertTrace = make([][]int, len(st.ExpertTrace))
 		for i, tr := range st.ExpertTrace {
-			ns.ExpertTrace[i] = append([]int(nil), tr...)
+			dst.ExpertTrace[i] = append([]int(nil), tr[:st.traceLen(tr, pos)]...)
 		}
 	}
-	return ns
+	return dst
+}
+
+// traceLen returns how many entries of one block's expert trace belong
+// to positions below pos. Every routed position appends the same TopK
+// selections, so a trace that does not divide evenly (tracing enabled
+// mid-run, a NaN router row) has no positional prefix to take.
+func (st *State) traceLen(tr []int, pos int) int {
+	if pos == st.Pos {
+		return len(tr)
+	}
+	per := min(st.m.Cfg.TopK, st.m.Cfg.NumExperts)
+	if len(tr) != st.Pos*per && len(tr) != 0 {
+		panic("model: positional fork of a non-uniform expert trace")
+	}
+	return min(len(tr), pos*per)
 }
 
 // EnableExpertTrace starts recording MoE expert selections per block.

@@ -338,3 +338,65 @@ func TestForkForCrossModel(t *testing.T) {
 		snap.ForkFor(other)
 	}()
 }
+
+// TestForkAtPosition pins the positional fork: a state that has decoded
+// on, forked at p, equals — KV row for row and ExpertTrace entry for
+// entry — a state prefilled and decoded only as far as p, onto a recycled
+// dst that held something else and onto a fresh one; and the decode that
+// continues from the fork reproduces the original's logits. Forking
+// beyond the cursor has no rows to copy and panics.
+func TestForkAtPosition(t *testing.T) {
+	for name, spec := range map[string]Spec{"dense": testSpec(QwenS), "moe": moeSpec()} {
+		t.Run(name, func(t *testing.T) {
+			m := MustBuild(spec)
+			prompt := promptOf(6, spec.Config.Vocab)
+			toks := []int{5, 9, 2, 7, 3}
+			run := func(steps int) (*State, []float32) {
+				st := m.NewState()
+				if m.Cfg.IsMoE() {
+					st.EnableExpertTrace()
+				}
+				logits := st.Prefill(prompt)
+				for _, tok := range toks[:steps] {
+					logits = st.DecodeStep(tok)
+				}
+				return st, append([]float32(nil), logits...)
+			}
+			full, _ := run(len(toks))
+			clone := m.CloneShared()
+			recycled, _ := run(len(toks)) // stale rows and trace to overwrite
+			for steps := 0; steps <= len(toks); steps++ {
+				want, _ := run(steps)
+				p := len(prompt) + steps
+				for _, dst := range []*State{nil, recycled} {
+					got := full.ForkAtInto(clone, dst, p)
+					if err := statesEqual(want, got); err != nil {
+						t.Fatalf("fork at %d: %v", p, err)
+					}
+					if steps == len(toks) {
+						continue
+					}
+					_, next := run(steps + 1)
+					for i, v := range got.DecodeStep(toks[steps]) {
+						if v != next[i] {
+							t.Fatalf("fork at %d: continued logit %d is %g, want %g", p, i, v, next[i])
+						}
+					}
+				}
+			}
+			if err := statesEqual(full, full.ForkForInto(clone, recycled)); err != nil {
+				t.Fatalf("ForkForInto is the fork at the cursor: %v", err)
+			}
+			for _, p := range []int{-1, full.Pos + 1} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("fork at %d of a state at %d must panic", p, full.Pos)
+						}
+					}()
+					full.ForkAtInto(clone, nil, p)
+				}()
+			}
+		})
+	}
+}

@@ -72,6 +72,22 @@ func SoftmaxRow(row []float32) {
 // option scoring (summed token log-likelihoods) in multiple-choice tasks.
 func LogSoftmaxRow(row []float32) []float64 {
 	out := make([]float64, len(row))
+	logZ := logSumExp(row)
+	for i, v := range row {
+		out[i] = float64(v) - logZ
+	}
+	return out
+}
+
+// LogSoftmaxAt returns LogSoftmaxRow(row)[i], bit for bit, without the
+// vocabulary-wide slice: greedy decoding reads one entry per token.
+func LogSoftmaxAt(row []float32, i int) float64 {
+	return float64(row[i]) - logSumExp(row)
+}
+
+// logSumExp is the log-softmax normaliser: the row maximum plus the log
+// of the i-ascending float64 sum of exp(v - max).
+func logSumExp(row []float32) float64 {
 	maxv := float64(math.Inf(-1))
 	for _, v := range row {
 		if float64(v) > maxv {
@@ -82,11 +98,7 @@ func LogSoftmaxRow(row []float32) []float64 {
 	for _, v := range row {
 		sum += math.Exp(float64(v) - maxv)
 	}
-	logZ := maxv + math.Log(sum)
-	for i, v := range row {
-		out[i] = float64(v) - logZ
-	}
-	return out
+	return maxv + math.Log(sum)
 }
 
 // RMSNormRow normalizes row in place by its root-mean-square and applies

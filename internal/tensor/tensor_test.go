@@ -221,6 +221,31 @@ func TestLogSoftmaxConsistent(t *testing.T) {
 	}
 }
 
+// TestLogSoftmaxAtMatchesRow pins the one-entry form to the row form bit
+// for bit — NaN payloads included — on ordinary rows, rows masked with
+// -Inf (banned tokens), a +Inf entry, an all -Inf row and a NaN row.
+func TestLogSoftmaxAtMatchesRow(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	rows := [][]float32{
+		{0.5, -1, 3, 0},
+		{-40, 12.25, 12.25, -1e-3, 88},
+		{-inf, 2, -inf, 1, -inf},
+		{1, inf, 0},
+		{-inf, -inf, -inf},
+		{1, nan, 2},
+		{3e38, -3e38, 1},
+	}
+	for _, row := range rows {
+		lsm := LogSoftmaxRow(row)
+		for i := range row {
+			if got := LogSoftmaxAt(row, i); math.Float64bits(got) != math.Float64bits(lsm[i]) {
+				t.Fatalf("row %v entry %d: LogSoftmaxAt %v (%#x), LogSoftmaxRow %v (%#x)",
+					row, i, got, math.Float64bits(got), lsm[i], math.Float64bits(lsm[i]))
+			}
+		}
+	}
+}
+
 func TestRMSNormRowScaleInvariantDirection(t *testing.T) {
 	// RMSNorm output depends only on the direction of the input (up to
 	// eps): scaling the input by any positive constant barely changes the
