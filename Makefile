@@ -38,8 +38,8 @@ test:
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|AdmitFork)' \
-		./internal/tensor/ ./internal/model/ ./internal/gen/
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|AdmitFork|TableConcurrent)' \
+		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops)' ./internal/core/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
@@ -52,16 +52,17 @@ race:
 ## BENCHMARK.json): six workloads, each in a fresh child process, three
 ## plain runs and one traced run, one report — campaign_serial vs
 ## campaign_batched is the width-1 vs width-16 decode-loop comparison.
-## BENCH_OUT names the report file. The older single-purpose emitters
-## still record their own files: seed path vs prefix engine vs streaming
-## runner (BENCH_2.json), ABFT off vs site-only vs all-layer checking
-## (BENCH_3.json), serving-under-faults latency/SLO/detection
-## (BENCH_6.json), plus the figure reproductions in bench_test.go.
+## BENCH_OUT names the report file. Two older single-purpose emitters
+## still record what the report has no row for yet: ABFT off vs
+## site-only vs all-layer checking (BENCH_3.json) and
+## serving-under-faults latency/SLO/detection (BENCH_6.json); plus the
+## figure reproductions in bench_test.go. Seed-path, streaming, tracing
+## and span-plane cost are the report's ops_per_s@campaign_serial,
+## obs.overhead_frac and core.batch_speedup_vs_serial rows.
 BENCH_OUT ?= /tmp/llmfi-bench.json
 bench:
 	$(GO) run ./benchmark -trace 1 -out $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-	BENCH_JSON_OUT=$(CURDIR)/BENCH_2.json $(GO) test -run '^TestEmitBenchJSON$$' -v ./internal/core/
 	BENCH3_JSON_OUT=$(CURDIR)/BENCH_3.json $(GO) test -run '^TestEmitABFTBenchJSON$$' -v ./internal/core/
 	BENCH6_JSON_OUT=$(CURDIR)/BENCH_6.json $(GO) test -run '^TestEmitServeBenchJSON$$' -v ./internal/serve/
 
@@ -99,8 +100,11 @@ cover:
 ## the same loop unobserved (rows fast-forwarded to their strike: width 8
 ## and 1, MoE with its expert trace, and the math suite's EOS stops and
 ## reasoning window), memory faults under all-layer correcting ABFT,
-## multiple-choice scoring, MoE beam search and gate-only MoE memory
-## faults; a few seconds on two cores.
+## multiple-choice scoring, MoE beam search, gate-only MoE memory faults,
+## and the checksum table's three other shapes: site-only ABFT under
+## memory faults on the whole-model path (dense with correct-skip, MoE
+## with its expert layers) and all-layer ABFT on MoE rows; a few seconds
+## on two cores.
 ## make identity REF=HEAD~1
 REF ?= HEAD~1
 define IDENTITY_CAMPAIGNS
@@ -114,6 +118,9 @@ define IDENTITY_CAMPAIGNS
 -model QwenS -suite mmlu -fault 1bit-comp -trials 300
 -model moe -suite wmt16-like -fault 2bits-comp -trials 120 -beams 3
 -model moe -suite wmt16-like -fault 2bits-mem -trials 120 -gate-only
+-model QwenS -suite wmt16-like -fault 2bits-mem -trials 120 -abft -abft-policy correct-skip
+-model moe -suite wmt16-like -fault 2bits-mem -trials 120 -abft
+-model moe -suite wmt16-like -fault 2bits-comp -trials 120 -abft -abft-all -decode-batch 4
 endef
 export IDENTITY_CAMPAIGNS
 identity:

@@ -2,10 +2,13 @@
 // model's linear layers: every protected GEMM output row is verified
 // against precomputed float64 checksums of the clean weights, in the
 // style of the ReaLM line of work the paper's related-work section
-// discusses. A Checker plugs into model.SetChecker, so the check runs
-// after the fault-injection hooks (it observes corrupted values exactly
-// as a deployed detector would) and before datatype rounding (its noise
-// floor is the float32 kernel, not BF16 storage).
+// discusses. The checksums are a property of the fault-free model, so
+// they live in one immutable Table, summed once from the model nobody
+// strikes and read by every trial's Checker on whichever clone, batch
+// row or goroutine it runs. A Checker plugs into model.SetChecker, so
+// the check runs after the fault-injection hooks (it observes corrupted
+// values exactly as a deployed detector would) and before datatype
+// rounding (its noise floor is the float32 kernel, not BF16 storage).
 //
 // Detection physics under the repo's fault models: an exponent-bit flip
 // either multiplies the struck value by 2^2^i — a deviation that dwarfs
@@ -19,7 +22,9 @@
 package abft
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/mitigate"
@@ -57,21 +62,14 @@ func DefaultTol(k int) float64 {
 	return defaultMargin * math.Sqrt(float64(k)) * eps32
 }
 
-// Config parameterizes a Checker.
-type Config struct {
+// Protection is how a campaign or a serving engine asks for detection:
+// the tolerance its Table is summed under, the response policy, and
+// which layers each trial's Checker covers.
+type Protection struct {
 	// Tol overrides the per-layer derived tolerance (0 = DefaultTol of
-	// each protected layer's input width).
+	// each layer's input width).
 	Tol float64
 	// Policy selects the response escalation (default detect-only).
-	Policy mitigate.Policy
-}
-
-// Protection is how a campaign or a serving engine asks for detection:
-// the Checker Config every trial shares, plus which layers each trial's
-// Checker covers.
-type Protection struct {
-	// Tol and Policy are Config's.
-	Tol    float64
 	Policy mitigate.Policy
 	// AllLayers protects every block linear layer instead of only the
 	// layers handed to Checker — each trial's own injection site.
@@ -82,21 +80,44 @@ type Protection struct {
 	AllLayers bool
 }
 
-// Checker returns one trial's Checker over cache, protecting every block
-// linear of m under AllLayers and otherwise exactly site (none: nothing
-// is checked). It reads m as the clean reference, so it runs before the
-// trial's fault is armed (faults.New): a memory fault flips the very
-// storage the checksums are summed from.
-func (p Protection) Checker(m *model.Model, cache *Cache, site ...model.LayerRef) (*Checker, error) {
-	c := NewWithCache(Config{Tol: p.Tol, Policy: p.Policy}, cache)
-	var err error
-	if p.AllLayers {
-		err = c.ProtectAll(m)
-	} else {
-		err = c.Protect(m, site...)
+// Table holds the clean-weight row checksums and the tolerance of every
+// block linear layer of one model (the paper's injection sites). It is
+// built in one pass by Protection.Table and never written again, so any
+// number of Checkers on any goroutines read it without a rule between
+// them.
+type Table struct {
+	sums map[model.LayerRef]*layerSums
+}
+
+type layerSums struct {
+	cs  tensor.Checksums
+	tol float64
+}
+
+// Table sums every block linear layer of m under p.Tol. A caller that
+// goes on to strike m itself must build the table first: a memory fault
+// flips the very storage the checksums are summed from.
+func (p Protection) Table(m *model.Model) *Table {
+	layers := m.LinearLayers()
+	t := &Table{sums: make(map[model.LayerRef]*layerSums, len(layers))}
+	for _, li := range layers {
+		t.sums[li.Ref] = newLayerSums(li.Weight, p.Tol)
 	}
-	if err != nil {
-		return nil, err
+	return t
+}
+
+// Checker returns one trial's Checker over t, protecting every layer of
+// t under AllLayers and otherwise exactly site (none: nothing is
+// checked). A site t does not hold is an error.
+func (p Protection) Checker(t *Table, site ...model.LayerRef) (*Checker, error) {
+	c := &Checker{policy: p.Policy, table: t, all: p.AllLayers}
+	if !c.all {
+		for _, ref := range site {
+			if t.sums[ref] == nil {
+				return nil, fmt.Errorf("abft: no checksums for layer %v", ref)
+			}
+		}
+		c.site = slices.Clone(site)
 	}
 	return c, nil
 }
@@ -124,101 +145,26 @@ type Stats struct {
 // Checker verifies protected linear layers through the model.LinearChecker
 // interface. It is not safe for concurrent use: the campaign and serving
 // engines give every trial its own Checker, observing that trial's batch
-// row or armed on its worker's model clone.
-//
-// Clean-weight checksums are cached per layer across trials — sound
-// because every trial restores the weights on Disarm — so only the first
-// trial touching a layer pays the O(k·n) summation. Protect must
-// therefore run before the fault is armed (see Protection.Checker).
+// row or armed on its worker's model clone. What Checkers share is the
+// Table, which none of them writes.
 type Checker struct {
-	cfg     Config
-	sums    map[model.LayerRef]layerSums
-	active  map[model.LayerRef]bool
+	policy  mitigate.Policy
+	table   *Table
+	all     bool
+	site    []model.LayerRef
 	events  []Event
 	stats   Stats
 	scratch []float32
 	mitTime time.Duration
 }
 
-type layerSums struct {
-	cs  tensor.Checksums
-	tol float64
-}
-
-// New returns an empty Checker.
-func New(cfg Config) *Checker {
-	return NewWithCache(cfg, NewCache())
-}
-
-// Cache is a shareable clean-weight checksum store. Checkers built over
-// the same Cache (NewWithCache) compute each layer's O(k·n) sums once
-// between them — the batched decode scheduler gives every in-flight
-// trial its own Checker (own events, stats, tolerance bookkeeping) over
-// the worker's single Cache. It is written only at Protect — between
-// decode steps, on the goroutine that owns the worker — and read-only
-// inside a step, where the Checkers of different rows read it
-// concurrently.
-type Cache struct {
-	sums map[model.LayerRef]layerSums
-}
-
-// NewCache returns an empty checksum cache.
-func NewCache() *Cache {
-	return &Cache{sums: map[model.LayerRef]layerSums{}}
-}
-
-// NewWithCache returns a Checker whose clean-weight checksums live in
-// (and are shared through) cache. The per-layer tolerance is resolved by
-// whichever Checker first protects a layer, so Checkers sharing a cache
-// must agree on Config.Tol — the campaign engine derives one tolerance
-// per campaign, which every trial's Checker inherits.
-func NewWithCache(cfg Config, cache *Cache) *Checker {
-	return &Checker{
-		cfg:    cfg,
-		sums:   cache.sums,
-		active: map[model.LayerRef]bool{},
-	}
-}
-
-// Protect replaces the active layer set, computing (and caching)
-// clean-weight checksums for layers not seen before. It must be called
-// before the trial's fault is armed so the checksums reflect fault-free
-// weights.
-func (c *Checker) Protect(m *model.Model, refs ...model.LayerRef) error {
-	c.active = make(map[model.LayerRef]bool, len(refs))
-	for _, ref := range refs {
-		if _, ok := c.sums[ref]; !ok {
-			w, err := m.Layer(ref)
-			if err != nil {
-				return err
-			}
-			c.sums[ref] = c.newLayerSums(w)
-		}
-		c.active[ref] = true
-	}
-	return nil
-}
-
-// ProtectAll protects every block linear layer of m (the paper's
-// injection sites) — the full-coverage configuration whose runtime cost
-// the BENCH_3 comparison measures.
-func (c *Checker) ProtectAll(m *model.Model) error {
-	infos := m.LinearLayers()
-	refs := make([]model.LayerRef, len(infos))
-	for i, li := range infos {
-		refs[i] = li.Ref
-	}
-	return c.Protect(m, refs...)
-}
-
 // newLayerSums computes a layer's checksums, fast-pathing dense storage.
-func (c *Checker) newLayerSums(w model.Weight) layerSums {
-	tol := c.cfg.Tol
+func newLayerSums(w model.Weight, tol float64) *layerSums {
 	if tol <= 0 {
 		tol = DefaultTol(w.In())
 	}
 	if d, ok := w.(*model.Dense); ok {
-		return layerSums{cs: tensor.NewChecksums(d.T), tol: tol}
+		return &layerSums{cs: tensor.NewChecksums(d.T), tol: tol}
 	}
 	k, n := w.In(), w.Out()
 	cs := tensor.Checksums{Sum: make([]float64, k), Abs: make([]float64, k)}
@@ -232,40 +178,34 @@ func (c *Checker) newLayerSums(w model.Weight) layerSums {
 		cs.Sum[r] = s
 		cs.Abs[r] = a
 	}
-	return layerSums{cs: cs, tol: tol}
+	return &layerSums{cs: cs, tol: tol}
 }
 
-// Reset clears the event log and counters for a new trial. The checksum
-// cache and active set persist: Disarm restores the weights, so the
-// clean-weight sums stay valid across trials.
-func (c *Checker) Reset() {
-	c.events = c.events[:0]
-	c.stats = Stats{}
-	c.mitTime = 0
-}
-
-// MitigationTime returns the wall time spent inside the mitigation
-// escalation (recompute, verify, fallback) since the last Reset. The
-// telemetry layer subtracts it from the checker span so detection cost
-// and repair cost report as separate phases.
+// MitigationTime returns the wall time the trial spent inside the
+// mitigation escalation (recompute, verify, fallback). The telemetry
+// layer subtracts it from the checker span so detection cost and repair
+// cost report as separate phases.
 func (c *Checker) MitigationTime() time.Duration { return c.mitTime }
 
-// Events returns the flagged checks since the last Reset. The slice is
-// reused; copy it to retain past Reset.
+// Events returns the trial's flagged checks.
 func (c *Checker) Events() []Event { return c.events }
 
-// Stats returns the counters since the last Reset.
+// Stats returns the trial's counters.
 func (c *Checker) Stats() Stats { return c.stats }
 
 // CheckLinear implements model.LinearChecker: it verifies the output row
 // of a protected layer and, under a correcting policy, repairs it in
 // place via the mitigate escalation (recompute, verify, fall back to
-// zeroing the row). Unprotected layers cost one map lookup.
+// zeroing the row). A layer the table does not hold (the LM head) is
+// never checked.
 func (c *Checker) CheckLinear(ref model.LayerRef, pos int, w model.Weight, in, out []float32) {
-	if !c.active[ref] {
+	if !c.all && !slices.Contains(c.site, ref) {
 		return
 	}
-	ls := c.sums[ref]
+	ls := c.table.sums[ref]
+	if ls == nil {
+		return
+	}
 	c.stats.Checks++
 	ok, dev, scale := ls.cs.CheckRow(in, out, ls.tol)
 	if ok {
@@ -273,12 +213,12 @@ func (c *Checker) CheckLinear(ref model.LayerRef, pos int, w model.Weight, in, o
 	}
 	c.stats.Flagged++
 	ev := Event{Ref: ref, Pos: pos, Deviation: dev, Scale: scale, Action: mitigate.ActionDetect}
-	if c.cfg.Policy != mitigate.PolicyDetect {
+	if c.policy != mitigate.PolicyDetect {
 		if cap(c.scratch) < len(out) {
 			c.scratch = make([]float32, len(out))
 		}
 		mitStart := time.Now() //llmfi:allow determinism mitigation-latency telemetry; never feeds the detection decision
-		ev.Action = mitigate.Respond(c.cfg.Policy, out, c.scratch[:len(out)],
+		ev.Action = mitigate.Respond(c.policy, out, c.scratch[:len(out)],
 			func(dst []float32) { w.Forward(dst, in) },
 			func(cand []float32) bool {
 				ok, _, _ := ls.cs.CheckRow(in, cand, ls.tol)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/numerics"
 	"repro/internal/tasks"
-	"repro/internal/trace"
 )
 
 // benchCase builds the benchmark workload: a long-prompt generative
@@ -75,73 +74,6 @@ func BenchmarkCampaignStreamRunner(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(c.Trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-}
-
-// TestEmitBenchJSON renders the three-way throughput comparison (seed
-// path vs prefix engine vs streaming runner) as machine-readable JSON.
-// Gated behind BENCH_JSON_OUT so it only runs from `make bench`; it
-// lives here (not in a script) because the seed path is an unexported
-// test knob.
-func TestEmitBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON_OUT")
-	if out == "" {
-		t.Skip("set BENCH_JSON_OUT to emit the benchmark JSON")
-	}
-
-	run := func(c Campaign, stream bool) float64 {
-		start := time.Now()
-		if stream {
-			var final CampaignDone
-			for ev := range NewRunner(c).Stream(context.Background()) {
-				if e, ok := ev.(CampaignDone); ok {
-					final = e
-				}
-			}
-			if final.Err != nil {
-				t.Fatal(final.Err)
-			}
-		} else {
-			if _, err := c.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return float64(c.Trials) / time.Since(start).Seconds()
-	}
-
-	// Warm up once so page faults and allocator growth don't skew the
-	// first measured configuration.
-	run(benchCase(false), false)
-
-	seed := run(benchCase(true), false)
-	engine := run(benchCase(false), false)
-	streaming := run(benchCase(false), true)
-
-	report := struct {
-		Workload          string  `json:"workload"`
-		Trials            int     `json:"trials"`
-		SeedPath          float64 `json:"seed_path_trials_per_sec"`
-		Engine            float64 `json:"engine_trials_per_sec"`
-		Streaming         float64 `json:"streaming_trials_per_sec"`
-		EngineSpeedup     float64 `json:"engine_speedup_vs_seed"`
-		StreamingOverhead float64 `json:"streaming_overhead_frac"`
-	}{
-		Workload:          "selfref generative, 120-token prompts, comp-2bit",
-		Trials:            benchCase(false).Trials,
-		SeedPath:          seed,
-		Engine:            engine,
-		Streaming:         streaming,
-		EngineSpeedup:     engine / seed,
-		StreamingOverhead: (engine - streaming) / engine,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("seed=%.2f engine=%.2f streaming=%.2f trials/s (overhead %.1f%%)",
-		seed, engine, streaming, 100*report.StreamingOverhead)
 }
 
 // TestEmitABFTBenchJSON measures the checksum detector's campaign cost —
@@ -236,69 +168,5 @@ func TestEmitABFTBenchJSON(t *testing.T) {
 		off, site, all, 100*report.AllLayersOverhead, det.Recall(), expRecall, det.FalsePositives)
 	if report.AllLayersOverhead > 0.25 {
 		t.Errorf("all-layer checking overhead %.1f%% exceeds the 25%% budget", 100*report.AllLayersOverhead)
-	}
-}
-
-// TestEmitTraceBenchJSON measures the tracing layer's campaign cost —
-// tracing off vs sampled (every 16th trial, the -trace-sample default)
-// vs full (every trial) — written to BENCH_4.json. Gated behind
-// BENCH4_JSON_OUT so it only runs from `make bench`. Acceptance: sampled
-// tracing costs <= 5% of the untraced throughput.
-func TestEmitTraceBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH4_JSON_OUT")
-	if out == "" {
-		t.Skip("set BENCH4_JSON_OUT to emit the tracing benchmark JSON")
-	}
-
-	discard := func(trace.Record) error { return nil }
-	run := func(opts ...RunnerOption) float64 {
-		c := benchCase(false)
-		start := time.Now()
-		if _, err := NewRunner(c, opts...).Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return float64(c.Trials) / time.Since(start).Seconds()
-	}
-
-	run() // warmup
-
-	// Interleave repetitions and keep each arm's best throughput, as in
-	// the ABFT benchmark: allocator growth and clock drift must not read
-	// as tracing overhead on this sub-second workload.
-	var off, sampled, full float64
-	for rep := 0; rep < 4; rep++ {
-		off = math.Max(off, run())
-		sampled = math.Max(sampled, run(WithTrace(16, discard)))
-		full = math.Max(full, run(WithTrace(1, discard)))
-	}
-
-	report := struct {
-		Workload        string  `json:"workload"`
-		Trials          int     `json:"trials"`
-		Off             float64 `json:"trace_off_trials_per_sec"`
-		Sampled         float64 `json:"trace_sampled_trials_per_sec"`
-		Full            float64 `json:"trace_full_trials_per_sec"`
-		SampledOverhead float64 `json:"sampled_overhead_frac"`
-		FullOverhead    float64 `json:"full_overhead_frac"`
-	}{
-		Workload:        "selfref generative, 120-token prompts, comp-2bit",
-		Trials:          benchCase(false).Trials,
-		Off:             off,
-		Sampled:         sampled,
-		Full:            full,
-		SampledOverhead: (off - sampled) / off,
-		FullOverhead:    (off - full) / off,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("off=%.2f sampled=%.2f full=%.2f trials/s (sampled overhead %.1f%%, full %.1f%%)",
-		off, sampled, full, 100*report.SampledOverhead, 100*report.FullOverhead)
-	if report.SampledOverhead > 0.05 {
-		t.Errorf("sampled tracing overhead %.1f%% exceeds the 5%% budget", 100*report.SampledOverhead)
 	}
 }

@@ -210,9 +210,11 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	}
 	gs, check := c.effective()
 
-	// Validate the target filter once up front so configuration errors
-	// surface before any work starts.
-	if _, err := faults.NewSampler(c.Model, c.Filter); err != nil {
+	// One sampler serves every worker: it is immutable and reads only
+	// layer shapes and the dtype, which a worker's clone shares. Building
+	// it up front also surfaces a bad target filter before any work starts.
+	sampler, err := faults.NewSampler(c.Model, c.Filter)
+	if err != nil {
 		return nil, err
 	}
 	if r.resume != nil {
@@ -341,6 +343,12 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	defer cancel()
 
 	seedSrc := prng.New(c.Seed ^ 0xca3b417a)
+	// Clean-weight checksums are summed once, from the model nobody
+	// strikes: faults are armed only on the workers' copy-on-write clones.
+	var table *abft.Table
+	if c.ABFT != nil {
+		table = c.ABFT.Table(c.Model)
+	}
 	// The jobs channel is pre-filled and closed before workers start, so
 	// a worker that stops early never strands a blocked producer.
 	jobs := make(chan int, len(pending))
@@ -363,21 +371,13 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 				wm = c.Model.Clone()
 			}
 			wm.SetThreads(threadsPer)
-			sampler, err := faults.NewSampler(wm, c.Filter)
-			t := -1 // the failing trial; -1 when the worker never got to one
-			if err == nil {
-				env := &trialEnv{
-					c: c, r: r, worker: worker, wm: wm,
-					sampler: sampler, seedSrc: seedSrc,
-					base: baseline, gs: gs, check: check, rows: rows,
-					traceOn: traceOn,
-				}
-				if c.ABFT != nil {
-					env.cache = abft.NewCache()
-				}
-				t, err = env.run(runCtx, jobs, results, width)
+			env := &trialEnv{
+				c: c, r: r, worker: worker, wm: wm,
+				sampler: sampler, table: table, seedSrc: seedSrc,
+				base: baseline, gs: gs, check: check, rows: rows,
+				traceOn: traceOn,
 			}
-			if err != nil {
+			if t, err := env.run(runCtx, jobs, results, width); err != nil {
 				// First failure cancels the pool; the collector surfaces
 				// it through the event stream immediately.
 				results <- trialResult{index: t, worker: worker, err: err}

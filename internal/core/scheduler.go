@@ -15,9 +15,9 @@ import (
 	"repro/internal/trace"
 )
 
-// trialEnv is one pool worker: its model clone, its sampler and ABFT
-// checksum cache, and the campaign state every trial reads. A worker
-// executes trials one of two ways, fixed per campaign by batchEligible:
+// trialEnv is one pool worker: its model clone and the campaign state
+// every trial reads. A worker executes trials one of two ways, fixed per
+// campaign by batchEligible:
 //
 //   - rows: each trial is a sequence on the worker's gen.Loop, forked
 //     from the baseline's finished state at one of its resume points
@@ -38,16 +38,15 @@ type trialEnv struct {
 	worker  int
 	wm      *model.Model
 	sampler *faults.Sampler
+	// table holds the clean-weight checksums of Campaign.Model (nil
+	// without Campaign.ABFT), read by every worker's per-trial checkers.
+	table   *abft.Table
 	seedSrc *prng.Source
 	base    *Baseline
 	gs      gen.Settings
 	check   AnswerChecker
 	rows    bool
 	traceOn bool
-	// cache shares clean-weight checksums across the worker's per-trial
-	// ABFT checkers (nil without Campaign.ABFT). Sound across trials
-	// because Disarm restores the weights.
-	cache *abft.Cache
 }
 
 // armed is one trial between arm and seal.
@@ -77,10 +76,10 @@ type armed struct {
 }
 
 // arm is the trial preamble: sample trial t's site from Split(t), build
-// its probe, protect the checked layers, arm the fault (in that order:
-// see abft.Protection.Checker), and order the hooks. On the whole-model
-// path the observers are installed on the worker's model; on the rows
-// path they are returned for the trial's row.
+// its probe, its checker over the campaign's table and its fault, and
+// line up the hooks. On the whole-model path the observers are installed
+// on the worker's model; on the rows path they are returned for the
+// trial's row.
 func (e *trialEnv) arm(t int) (*armed, error) {
 	c := e.c
 	idx := t % len(c.Suite.Instances)
@@ -112,7 +111,7 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 
 	var err error
 	if c.ABFT != nil {
-		if a.checker, err = c.ABFT.Checker(e.wm, e.cache, a.site.Layer); err != nil {
+		if a.checker, err = c.ABFT.Checker(e.table, a.site.Layer); err != nil {
 			return fail(err)
 		}
 		a.timed = &timedChecker{inner: a.checker}

@@ -74,12 +74,12 @@ func runAbl3(ctx context.Context, cfg Config) (*Outcome, error) {
 			var norms [2]float64
 			for i, cot := range []bool{true, false} {
 				suite := mt.Suite(cfg.Seed, cfg.Instances, cot)
-				res, err := core.Campaign{
+				res, err := cfg.campaign(ctx, fmt.Sprintf("abl3 %s/%v/cot=%v", shortLabel(v.label), fm, cot), core.Campaign{
 					Model: m, Suite: suite, Fault: fm,
 					Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("abl3", v.label, fm.String(), fmt.Sprint(cot)),
 					ReasoningOnly: cot && fm == faults.Comp2Bit,
 					Workers:       cfg.Workers,
-				}.Run(ctx)
+				})
 				if err != nil {
 					return nil, err
 				}

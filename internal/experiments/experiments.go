@@ -66,16 +66,14 @@ func (c Config) loader() *pretrained.Loader {
 }
 
 // campaign executes one fault-injection campaign on behalf of an
-// experiment: blocking when neither a progress sink nor tracing is
-// configured, otherwise through the streaming runner with a live status
-// line labelled after the campaign.
+// experiment, through the streaming runner: traced when the config asks
+// for it, with a live status line labelled after the campaign when there
+// is a progress sink. Every campaign an experiment runs goes through
+// here, so cmd/figures -progress and -trace reach every figure.
 func (c Config) campaign(ctx context.Context, label string, camp core.Campaign) (*core.Result, error) {
 	var ropts []core.RunnerOption
 	if c.TraceEvery > 0 && c.TraceSink != nil {
 		ropts = append(ropts, core.WithTrace(c.TraceEvery, c.TraceSink))
-	}
-	if c.Progress == nil && len(ropts) == 0 {
-		return camp.Run(ctx)
 	}
 	var final core.CampaignDone
 	for ev := range core.NewRunner(camp, ropts...).Stream(ctx) {

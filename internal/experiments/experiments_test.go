@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // tinyCfg keeps experiment tests fast.
@@ -104,6 +107,26 @@ func TestFig6RowContainment(t *testing.T) {
 	if out.Numbers["fig6.next_layer_frac"] > 0.5 {
 		t.Errorf("computational fault should stay row-local, got %.3f",
 			out.Numbers["fig6.next_layer_frac"])
+	}
+}
+
+// TestProgressAndTraceReachEveryCampaign runs one of the experiments
+// that used to start its campaign without Config.campaign: the progress
+// writer and the trace sink cmd/figures wires must both hear from it.
+func TestProgressAndTraceReachEveryCampaign(t *testing.T) {
+	e, _ := Get("fig15")
+	var progress bytes.Buffer
+	traced := 0
+	cfg := Config{Trials: 4, Instances: 2, Seed: 11, Progress: &progress, TraceEvery: 1,
+		TraceSink: func(trace.Record) error { traced++; return nil }}
+	if _, err := e.Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(progress.String(), "fig15") {
+		t.Errorf("progress writer got %q, want fig15's status line", progress.String())
+	}
+	if traced != cfg.Trials {
+		t.Errorf("trace sink got %d records, want %d", traced, cfg.Trials)
 	}
 }
 

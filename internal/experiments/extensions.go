@@ -69,13 +69,13 @@ func runExt1(ctx context.Context, cfg Config) (*Outcome, error) {
 			Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("ext1", fm.String()),
 			Workers: cfg.Workers,
 		}
-		resPlain, err := base.Run(ctx)
+		resPlain, err := cfg.campaign(ctx, fmt.Sprintf("ext1 %v/plain", fm), base)
 		if err != nil {
 			return nil, err
 		}
 		restrictor := mitigate.NewRestrictor(profile)
 		base.ExtraHook = restrictor.Hook
-		resProt, err := base.Run(ctx)
+		resProt, err := cfg.campaign(ctx, fmt.Sprintf("ext1 %v/restricted", fm), base)
 		if err != nil {
 			return nil, err
 		}
@@ -165,11 +165,11 @@ func runAbl1(ctx context.Context, cfg Config) (*Outcome, error) {
 	}
 
 	// Layer-type-uniform (the paper's §3.2 hierarchy, our default).
-	resType, err := core.Campaign{
+	resType, err := cfg.campaign(ctx, "abl1 type-uniform", core.Campaign{
 		Model: moe, Suite: mmlu, Fault: faults.Mem2Bit,
 		Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("abl1", "type"),
 		Workers: cfg.Workers,
-	}.Run(ctx)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -182,19 +182,19 @@ func runAbl1(ctx context.Context, cfg Config) (*Outcome, error) {
 	// layers, mixing by instance counts.
 	expertOnly := func(ref model.LayerRef) bool { return ref.Expert >= 0 }
 	nonExpert := func(ref model.LayerRef) bool { return ref.Expert < 0 }
-	resExp, err := core.Campaign{
+	resExp, err := cfg.campaign(ctx, "abl1 experts", core.Campaign{
 		Model: moe, Suite: mmlu, Fault: faults.Mem2Bit,
 		Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("abl1", "exp"),
 		Filter: expertOnly, Workers: cfg.Workers,
-	}.Run(ctx)
+	})
 	if err != nil {
 		return nil, err
 	}
-	resNon, err := core.Campaign{
+	resNon, err := cfg.campaign(ctx, "abl1 non-experts", core.Campaign{
 		Model: moe, Suite: mmlu, Fault: faults.Mem2Bit,
 		Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("abl1", "non"),
 		Filter: nonExpert, Workers: cfg.Workers,
-	}.Run(ctx)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -232,11 +232,11 @@ func runAbl2(ctx context.Context, cfg Config) (*Outcome, error) {
 		{RepetitionFrac: 0.5, LengthExplosion: 3}, // defaults
 		{RepetitionFrac: 0.7, LengthExplosion: 5},
 	} {
-		res, err := core.Campaign{
+		res, err := cfg.campaign(ctx, fmt.Sprintf("abl2 rep%.1f", th.RepetitionFrac), core.Campaign{
 			Model: m, Suite: suite, Fault: faults.Mem2Bit,
 			Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("abl2"), // same faults each row
 			Thresholds: th, Workers: cfg.Workers,
-		}.Run(ctx)
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -136,8 +136,9 @@ func abftOverhead(m *model.Model, suite *tasks.Suite) (base, checked float64, er
 		}
 		return nil
 	}
-	ch := abft.New(abft.Config{})
-	if err := ch.ProtectAll(m); err != nil {
+	p := abft.Protection{AllLayers: true}
+	ch, err := p.Checker(p.Table(m))
+	if err != nil {
 		return 0, 0, err
 	}
 	// One untimed warmup pair, then interleaved timed reps.

@@ -163,11 +163,11 @@ func runFig14(ctx context.Context, cfg Config) (*Outcome, error) {
 	for _, suite := range suites {
 		var norms [2]float64
 		for i, m := range []*model.Model{dense, moe} {
-			res, err := core.Campaign{
+			res, err := cfg.campaign(ctx, fmt.Sprintf("fig14 %s/%s", suite.Name, m.Cfg.Name), core.Campaign{
 				Model: m, Suite: suite, Fault: faults.Mem2Bit,
 				Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("fig14", suite.Name, fmt.Sprint(i)),
 				Workers: cfg.Workers,
-			}.Run(ctx)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -195,11 +195,11 @@ func runFig15(ctx context.Context, cfg Config) (*Outcome, error) {
 		return nil, err
 	}
 	trans, _ := selfRefGenSuites(cfg)
-	res, err := core.Campaign{
+	res, err := cfg.campaign(ctx, "fig15 gate-only", core.Campaign{
 		Model: moe, Suite: trans, Fault: faults.Mem2Bit,
 		Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("fig15"),
 		Filter: faults.GateOnly, Workers: cfg.Workers,
-	}.Run(ctx)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -269,11 +269,11 @@ func runFig16(ctx context.Context, cfg Config) (*Outcome, error) {
 			suite *tasks.Suite
 			fm    faults.Model
 		}{{mmlu, faults.Mem2Bit}, {mmlu, faults.Comp2Bit}, {trans, faults.Mem2Bit}} {
-			res, err := core.Campaign{
+			res, err := cfg.campaign(ctx, fmt.Sprintf("fig16 %s/%s/%v", sc.label, run.suite.Name, run.fm), core.Campaign{
 				Model: m, Suite: run.suite, Fault: run.fm,
 				Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("fig16", sc.label, run.fm.String()),
 				Workers: cfg.Workers,
-			}.Run(ctx)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -320,11 +320,11 @@ func runFig17(ctx context.Context, cfg Config) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Campaign{
+		res, err := cfg.campaign(ctx, "fig17 "+v.label, core.Campaign{
 			Model: vm, Suite: suite, Fault: faults.Mem2Bit,
 			Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("fig17", v.label),
 			Workers: cfg.Workers,
-		}.Run(ctx)
+		})
 		if err != nil {
 			return nil, err
 		}

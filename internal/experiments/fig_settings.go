@@ -147,14 +147,14 @@ func runFig20(ctx context.Context, cfg Config) (*Outcome, error) {
 				suite     *tasks.Suite
 				reasoning bool
 			}{{cotSuite, fm == faults.Comp2Bit}, {directSuite, false}} {
-				res, err := core.Campaign{
+				res, err := cfg.campaign(ctx, fmt.Sprintf("fig20 %s/%v/%d", entry.disp, fm, i), core.Campaign{
 					Model: m, Suite: mode.suite, Fault: fm,
 					Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("fig20", entry.disp, fm.String(), fmt.Sprint(i)),
 					// Computational faults in the CoT arm strike only the
 					// reasoning-token iterations, as in §4.3.2.
 					ReasoningOnly: mode.reasoning,
 					Workers:       cfg.Workers,
-				}.Run(ctx)
+				})
 				if err != nil {
 					return nil, err
 				}
@@ -188,11 +188,11 @@ func runFig21(ctx context.Context, cfg Config) (*Outcome, error) {
 			return nil, err
 		}
 		for _, fm := range []faults.Model{faults.Comp2Bit, faults.Mem2Bit} {
-			res, err := core.Campaign{
+			res, err := cfg.campaign(ctx, fmt.Sprintf("fig21 %v/%v", dt, fm), core.Campaign{
 				Model: m, Suite: suite, Fault: fm,
 				Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("fig21", dt.String(), fm.String()),
 				Workers: cfg.Workers,
-			}.Run(ctx)
+			})
 			if err != nil {
 				return nil, err
 			}

@@ -178,16 +178,14 @@ type flight struct {
 	lastTok time.Time // last decode-step completion, for inter-token gaps
 }
 
-// lane is a decode loop plus what arming a request on it needs: the
-// model its rows run on and that model's clean-weight checksum cache.
-// The scheduler owns one at Config.Width over the engine's model; each
-// weight-resident request owns one at width 1 over its private clone.
-// gen.Loop is the one greedy decode driver, shared with offline
-// campaigns, and where the bit-identity argument lives.
+// lane is a decode loop and the model its rows run on, which arming a
+// request strikes. The scheduler owns one at Config.Width over the
+// engine's model; each weight-resident request owns one at width 1 over
+// its private clone. gen.Loop is the one greedy decode driver, shared
+// with offline campaigns, and where the bit-identity argument lives.
 type lane struct {
-	loop  *gen.Loop[*flight]
-	m     *model.Model
-	cache *abft.Cache
+	loop *gen.Loop[*flight]
+	m    *model.Model
 }
 
 // Engine is the serving core. Create with NewEngine, start the
@@ -199,11 +197,10 @@ type Engine struct {
 	m       *model.Model
 	met     *Metrics
 	sampler *faults.Sampler
-	// cache holds clean-weight ABFT checksums. Only the scheduler
-	// goroutine writes it (Protect, at admission, between steps); inside
-	// a step the rows' checkers only read it. A weight-resident request
-	// builds a private one for its clone.
-	cache *abft.Cache
+	// table holds the clean-weight ABFT checksums of Config.Model, which
+	// no request strikes (nil without Inject.ABFT): every request's
+	// checker reads it, on the scheduler's lane or on a clone's.
+	table *abft.Table
 	queue chan *pending
 	done  chan struct{}
 
@@ -300,7 +297,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			}
 		}
 		if inj.ABFT != nil {
-			e.cache = abft.NewCache()
+			e.table = inj.ABFT.Table(cfg.Model)
 		}
 	}
 	return e, nil
@@ -445,7 +442,7 @@ func (e *Engine) trackSerial() bool {
 // alone) has finished — the graceful-drain contract behind the SIGINT
 // handling in cmd/llmfi.
 func (e *Engine) Run(ctx context.Context) error {
-	ln := &lane{loop: gen.NewLoop[*flight](e.m, e.cfg.Width), m: e.m, cache: e.cache}
+	ln := &lane{loop: gen.NewLoop[*flight](e.m, e.cfg.Width), m: e.m}
 	running := true
 
 	for {
@@ -508,8 +505,7 @@ func (e *Engine) runAlone(p *pending) Response {
 	wm := e.m.CloneShared()
 	p.st = wm.NewState()
 	p.prefix = p.st.Prefill(p.req.Prompt)
-	// Private cache: the engine's belongs to the scheduler goroutine.
-	ln := &lane{loop: gen.NewLoop[*flight](wm, 1), m: wm, cache: abft.NewCache()}
+	ln := &lane{loop: gen.NewLoop[*flight](wm, 1), m: wm}
 	e.admit(ln, p)
 	for ln.loop.Len() > 0 {
 		e.step(ln)
@@ -518,9 +514,8 @@ func (e *Engine) runAlone(p *pending) Response {
 }
 
 // admit puts a prefilled request on ln: arm its fault and checker on its
-// own row (on the goroutine that owns ln, between steps — the only
-// writer of the checksum cache) and take the first token off the
-// prefix logits. A request that ends there is answered without ever
+// own row (on the goroutine that owns ln, between steps) and take the
+// first token off the prefix logits. A request that ends there is answered without ever
 // occupying a row.
 func (e *Engine) admit(ln *lane, p *pending) {
 	f := &flight{p: p}
@@ -549,9 +544,9 @@ func (e *Engine) admit(ln *lane, p *pending) {
 	f.lastTok = p.tm.admitted
 }
 
-// arm protects, then arms (in that order: see abft.Protection.Checker),
-// the request's fault on ln's model and returns the observers scoped to
-// the request's own row. A weight-resident site flips ln.m itself:
+// arm builds the request's checker over the engine's table, arms its
+// fault on ln's model and returns the observers scoped to the request's
+// own row. A weight-resident site flips ln.m itself:
 // Submit routed it to runAlone, where ln.m is a private clone.
 func (e *Engine) arm(ln *lane, f *flight) (gen.Arm, error) {
 	site := *f.p.site
@@ -564,7 +559,7 @@ func (e *Engine) arm(ln *lane, f *flight) (gen.Arm, error) {
 		if site.Surface == faults.SurfaceLinear {
 			protect = []model.LayerRef{site.Layer}
 		}
-		if f.checker, err = a.Checker(ln.m, ln.cache, protect...); err != nil {
+		if f.checker, err = a.Checker(e.table, protect...); err != nil {
 			return arm, err
 		}
 		arm.Checker = f.checker

@@ -547,8 +547,9 @@ func TestServeWeightResidentThroughLoop(t *testing.T) {
 		clone := m.CloneShared()
 		st := clone.NewState()
 		logits := st.Prefill(req.Prompt)
-		ck := abft.New(abft.Config{Policy: mitigate.PolicyDetect})
-		if err := ck.ProtectAll(clone); err != nil {
+		p := abft.Protection{Policy: mitigate.PolicyDetect, AllLayers: true}
+		ck, err := p.Checker(p.Table(clone))
+		if err != nil {
 			t.Fatal(err)
 		}
 		clone.SetChecker(ck)

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 
-	"repro/internal/abft"
 	"repro/internal/faults"
 	"repro/internal/gen"
 )
@@ -39,7 +38,7 @@ func (e *Engine) ChecksForTest(req Request) (faults.Site, int, error) {
 	wm := e.m.CloneShared()
 	st := wm.NewState()
 	prefix := st.Prefill(req.Prompt)
-	ln := &lane{loop: gen.NewLoop[*flight](wm, 1), m: wm, cache: abft.NewCache()}
+	ln := &lane{loop: gen.NewLoop[*flight](wm, 1), m: wm}
 	f := &flight{p: &pending{req: req, ctx: context.Background(), site: &site}}
 	arm, err := e.arm(ln, f)
 	if err != nil {

@@ -2,18 +2,11 @@ package tensor
 
 import "math"
 
-// Softmax replaces each row of t with its softmax. The max-subtraction
+// SoftmaxRow computes an in-place softmax over row. The max-subtraction
 // trick keeps the computation finite for ordinary rows; rows corrupted to
 // +Inf by a fault saturate to a one-hot distribution and rows containing
 // NaN stay NaN, both of which mirror what PyTorch produces and both of
 // which the outcome classifier must cope with.
-func Softmax(t *Tensor) {
-	for r := 0; r < t.Rows; r++ {
-		SoftmaxRow(t.Row(r))
-	}
-}
-
-// SoftmaxRow computes an in-place softmax over row.
 func SoftmaxRow(row []float32) {
 	maxv := float32(math.Inf(-1))
 	for _, v := range row {
@@ -115,17 +108,6 @@ func RMSNormRow(row, gain []float32, eps float32) {
 	for i := range row {
 		row[i] = float32(float64(row[i])*inv) * gain[i]
 	}
-}
-
-// SiLU applies x*sigmoid(x) elementwise, the activation inside SwiGLU.
-func SiLU(t *Tensor) {
-	for i, v := range t.Data {
-		t.Data[i] = siluScalar(v)
-	}
-}
-
-func siluScalar(v float32) float32 {
-	return float32(float64(v) / (1 + math.Exp(-float64(v))))
 }
 
 // Argmax returns the index of the largest value in row, with ties broken
