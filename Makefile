@@ -35,15 +35,21 @@ cross:
 test:
 	$(GO) test ./...
 
+## race: the whole suite under the race detector, then the tests that
+## share state across goroutines again, failing fast on the first race —
+## the row kernel (with its continuation entry), the sharded decode step,
+## forks of one shared Prefix, the checksum table; the campaign runtime;
+## serving with its prefix cache; the fan-in and recorders. CI runs this
+## target, so the lists live here only.
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|AdmitFork|TableConcurrent)' \
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|AdmitFork|TableConcurrent)' \
 		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops)' ./internal/core/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(Serve|Handler|Loadgen)' ./internal/serve/...
+		-run '^Test(Serve|PrefixCache|Handler|Loadgen)' ./internal/serve/...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(FanIn|Recorder|SpanWriter|FleetTrace|LeaseTrace|HistConcurrent)' \
 		./internal/fabric/ ./internal/obs/ ./internal/prom/

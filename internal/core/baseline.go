@@ -104,14 +104,15 @@ type InstanceBaseline struct {
 	// state and resume are what the campaign engine forks trials from
 	// instead of re-running the part of the inference a transient fault
 	// cannot reach (generative computational faults, which strike at
-	// promptLen + GenIter). A greedy baseline keeps the state it finished
-	// on — its KV rows below any position p are the clean state at p —
-	// and one gen.Resume per generated token, resume[0] being the
-	// post-prompt point. Beam search forks states mid-decode and has no
-	// single finished state: it keeps the post-prompt snapshot and
-	// prefixLogits, the logits after the final prompt token, instead.
+	// promptLen + GenIter). A greedy baseline keeps a snapshot of the
+	// state it finished on — its KV rows below any position p are the
+	// clean state at p, and every trial reads them by reference — and one
+	// gen.Resume per generated token, resume[0] being the post-prompt
+	// point. Beam search forks states mid-decode and has no single
+	// finished state: it keeps the post-prompt snapshot and prefixLogits,
+	// the logits after the final prompt token, instead.
 	// Baseline-only; nil after Rerun.
-	state        *model.State
+	state        *model.Prefix
 	resume       []gen.Resume
 	prefixLogits []float32
 	// capture holds the instance's clean per-layer activations when the
@@ -248,14 +249,14 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 		sp.prefill += since(prefillStart)
 	}
 	if snap && !greedy {
-		ib.state = st.Fork()
+		ib.state = st.Snapshot()
 		ib.prefixLogits = append([]float32(nil), logits...)
 	}
 	decodeStart := now()
 	var res gen.Result
 	if snap && greedy {
 		res, ib.resume = gen.ResumableGreedy(m, st, logits, gs)
-		ib.state = st
+		ib.state = st.Snapshot()
 	} else {
 		res = gen.GenerateFrom(m, st, logits, gs)
 	}

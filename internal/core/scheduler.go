@@ -332,14 +332,14 @@ func (e *trialEnv) runTrial(t int) (trialResult, error) {
 
 // resumeBeam runs a beam-search trial from the baseline's shared prefix
 // (greedy prefix reuse is a decode-loop row, never this): the snapshot is
-// forked onto the worker's clone, so the worker's fault and mitigation
-// hooks fire from the first generated token.
+// forked by reference onto the worker's clone, so the worker's fault and
+// mitigation hooks fire from the first generated token.
 func (e *trialEnv) resumeBeam(a *armed) InstanceBaseline {
 	gs := e.gs
 	gs.MaxNewTokens = a.inst.MaxNew
 	gs.MinNewTokens = a.inst.MinNew
 	prefillStart := now()
-	st := a.base.state.ForkFor(e.wm)
+	st := a.base.state.ForkInto(e.wm, nil, a.base.state.Pos())
 	// The fork stands in for prefill on this path.
 	a.sp.prefill += since(prefillStart)
 	decodeStart := now()

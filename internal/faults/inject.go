@@ -124,19 +124,12 @@ func (inj *Injection) strikeKV(st *model.State, target int) {
 	if inj.Fired || st.Pos < target {
 		return
 	}
-	b := site.Layer.Block
-	if b < 0 || b >= len(st.K) {
+	v, ok := st.KVAt(site.Layer, site.Row, site.Col)
+	if !ok {
 		return
 	}
-	plane := st.K[b]
-	if site.Layer.Kind == model.KindV {
-		plane = st.V[b]
-	}
-	if site.Row >= st.Pos || site.Col >= plane.Cols {
-		return
-	}
-	v := plane.At(site.Row, site.Col)
-	plane.Set(site.Row, site.Col, float32(numerics.FlipBits(numerics.FP32, float64(v), site.Bits...)))
+	// SetKV makes the struck row private to st if it is one st shares.
+	st.SetKV(site.Layer, site.Row, site.Col, float32(numerics.FlipBits(numerics.FP32, float64(v), site.Bits...)))
 	inj.Fired = true
 }
 

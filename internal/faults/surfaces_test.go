@@ -275,17 +275,24 @@ func TestKVStrikeFiresOnce(t *testing.T) {
 	}
 	st.DecodeStep(4)
 	st.DecodeStep(4)
-	before := st.V[1].At(2, 3)
+	struck := func() float32 {
+		v, ok := st.KVAt(site.Layer, site.Row, site.Col)
+		if !ok {
+			t.Fatalf("%v is outside the state's cache", site)
+		}
+		return v
+	}
+	before := struck()
 	inj.BeforeStep(st)
 	if !inj.Fired {
 		t.Fatal("did not fire at strike iteration")
 	}
-	if st.V[1].At(2, 3) == before {
+	if struck() == before {
 		t.Fatal("strike did not change the cache element")
 	}
-	after := st.V[1].At(2, 3)
+	after := struck()
 	inj.BeforeStep(st)
-	if st.V[1].At(2, 3) != after {
+	if struck() != after {
 		t.Fatal("second BeforeStep must be a no-op")
 	}
 }

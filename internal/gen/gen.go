@@ -116,11 +116,11 @@ func ContinueGreedy(m *model.Model, st *model.State, logits []float32, s Setting
 
 // Resume is one point a finished greedy decode can be re-entered at: the
 // Stepper as it stood after choosing a token, the token it queued, and
-// the position that token decodes at. Together with the state the decode
-// finished on — whose KV rows below pos are the state at pos, because
-// decoding only appends (model.State.ForkAtInto) — it is everything
-// Loop.AdmitFork needs to run the decode's remaining steps and nothing
-// before them. A Resume is immutable and may be admitted any number of
+// the position that token decodes at. Together with a snapshot of the
+// state the decode finished on — whose KV rows below pos are the state at
+// pos, because decoding only appends (model.State.ForkAtInto) — it is
+// everything Loop.AdmitFork needs to run the decode's remaining steps and
+// nothing before them. A Resume is immutable and may be admitted any number of
 // times, concurrently.
 type Resume struct {
 	sp   Stepper
@@ -133,7 +133,7 @@ type Resume struct {
 // Stepper.Next call: point g follows the choice of generated token g,
 // point 0 being taken off the given logits with st as prefilled, and the
 // last is where the decode ended. It leaves st on the state the decode
-// finished on, which the caller keeps to fork from.
+// finished on, which the caller snapshots to fork from.
 func ResumableGreedy(m *model.Model, st *model.State, logits []float32, s Settings) (Result, []Resume) {
 	return continueGreedy(m, st, logits, s, true)
 }

@@ -119,14 +119,15 @@ func (l *Loop[T]) Admit(st *model.State, logits []float32, s Settings, arm Arm, 
 }
 
 // AdmitFork re-enters a finished greedy decode at one of its resume
-// points: the sequence takes a fork of from — the state that decode
-// finished on — cut back to the point's position (reusing a released
-// fork's KV-cache allocation when there is one), a copy of the point's
-// Stepper with its token queued, and its first Step is the decode's step
-// at that position. A point the decode ended on comes back Done.
-func (l *Loop[T]) AdmitFork(from *model.State, at Resume, arm Arm, owner T) *Seq[T] {
+// points: the sequence takes a fork of from — a snapshot of the state
+// that decode finished on — at the point's position, reading the rows
+// below it by reference (and reusing a released fork's state for the rows
+// it appends), a copy of the point's Stepper with its token queued, and
+// its first Step is the decode's step at that position. A point the
+// decode ended on comes back Done.
+func (l *Loop[T]) AdmitFork(from *model.Prefix, at Resume, arm Arm, owner T) *Seq[T] {
 	row := l.takeRow()
-	row.St = from.ForkAtInto(l.m, row.St, at.pos)
+	row.St = from.ForkInto(l.m, row.St, at.pos)
 	seq := l.seat(row, arm, owner)
 	seq.sp, seq.row.Tok, seq.live, seq.forked = at.sp, at.tok, at.live, true
 	if seq.live {

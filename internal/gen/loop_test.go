@@ -216,12 +216,13 @@ func TestLoopDrop(t *testing.T) {
 	}
 }
 
-// decoded runs the clean greedy decode of prompt and returns the state
-// it finished on with its resume points — what AdmitFork re-enters.
-func decoded(m *model.Model, prompt []int, s Settings) (*model.State, []Resume) {
+// decoded runs the clean greedy decode of prompt and returns a snapshot
+// of the state it finished on with its resume points — what AdmitFork
+// re-enters.
+func decoded(m *model.Model, prompt []int, s Settings) (*model.Prefix, []Resume) {
 	st := m.NewState()
 	_, points := ResumableGreedy(m, st, st.Prefill(prompt), s)
-	return st, points
+	return st.Snapshot(), points
 }
 
 type countingChecker struct{ n *int }

@@ -46,7 +46,9 @@ func attendReference(cfg *Config, K, V *tensor.Tensor, pos int, q, out []float32
 // for head widths on both sides of the row kernel's eight-column vector:
 // 2 (portable tail only), 16 and 32. Two keys are scaled so their
 // softmax weight underflows to exactly zero, and the value rows at those
-// positions hold Inf, so the zero skip is observable.
+// positions hold Inf, so the zero skip is observable. Each case runs on
+// the cache in one piece and split, at points around the unroll and on
+// both sides of the zero-weight keys, into a shared Prefix and own rows.
 func TestAttendValueMixMatchesReference(t *testing.T) {
 	for _, hd := range []int{2, 16, 32} {
 		cfg := Config{
@@ -61,7 +63,8 @@ func TestAttendValueMixMatchesReference(t *testing.T) {
 		for i := range q {
 			q[i] = next()
 		}
-		K, V := st.K[0], st.V[0]
+		K := &tensor.Tensor{Rows: cfg.MaxSeq, Cols: cfg.DModel, Data: st.own[planeK][0]}
+		V := &tensor.Tensor{Rows: cfg.MaxSeq, Cols: cfg.DModel, Data: st.own[planeV][0]}
 		for i := range K.Data {
 			K.Data[i], V.Data[i] = next(), next()
 		}
@@ -78,16 +81,31 @@ func TestAttendValueMixMatchesReference(t *testing.T) {
 				}
 				zeros = 2
 			}
-			got, want := make([]float32, cfg.DModel), make([]float32, cfg.DModel)
-			m.attendAt(st, 0, n-1, q, got)
+			want := make([]float32, cfg.DModel)
 			attendReference(&cfg, K, V, n-1, q, want)
-			for c := range want {
-				if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
-					t.Fatalf("head dim %d n=%d: channel %d = %v (%08x), reference %v (%08x)", hd, n, c,
-						got[c], math.Float32bits(got[c]), want[c], math.Float32bits(want[c]))
+			// The same n rows held in two pieces, the first nb read from a
+			// Prefix: every split leaves the contiguous cache's bits.
+			st.Pos = n
+			snap := st.Snapshot()
+			for _, nb := range []int{0, 1, 3, 4, 5, 8, 64, n - 1} {
+				if nb >= n {
+					continue
 				}
-				if zeros > 0 && (math.IsNaN(float64(got[c])) || math.IsInf(float64(got[c]), 0)) {
-					t.Fatalf("head dim %d n=%d: channel %d = %v: a zero-weight position was not skipped", hd, n, c, got[c])
+				f := snap.ForkInto(m, nil, nb)
+				f.reserveNext(n - nb)
+				for pl := range f.own {
+					copy(f.own[pl][0], st.own[pl][0][nb*cfg.DModel:n*cfg.DModel])
+				}
+				got := make([]float32, cfg.DModel)
+				m.attendAt(f, 0, n-1, q, got)
+				for c := range want {
+					if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
+						t.Fatalf("head dim %d n=%d shared %d: channel %d = %v (%08x), reference %v (%08x)", hd, n, nb, c,
+							got[c], math.Float32bits(got[c]), want[c], math.Float32bits(want[c]))
+					}
+					if zeros > 0 && (math.IsNaN(float64(got[c])) || math.IsInf(float64(got[c]), 0)) {
+						t.Fatalf("head dim %d n=%d shared %d: channel %d = %v: a zero-weight position was not skipped", hd, n, nb, c, got[c])
+					}
 				}
 			}
 		}

@@ -109,6 +109,7 @@ func (b *Batch) Step(rows []*DecodeRow) {
 		if len(row.Logits) != cfg.Vocab {
 			panic("model: decode row logits buffer has wrong length")
 		}
+		row.St.reserveNext(1)
 	}
 	views := b.rows[:n]
 	for i, row := range rows {

@@ -15,8 +15,11 @@ type State struct {
 	m   *Model
 	Pos int // number of tokens processed so far
 
-	// Per block: cached keys and values, MaxSeq x DModel (head-major rows).
-	K, V []*tensor.Tensor
+	// The KV cache (kv.go): rows [0, nb) read from base, the rest own.
+	base *Prefix
+	nb   int
+	own  [2][][]float32 // [plane][block], rows × DModel
+	rows int            // own rows allocated per plane
 
 	// Scratch buffers reused across steps.
 	x, h, q, k, v, attnOut, ff1, ff2, ffa, logits []float32
@@ -30,14 +33,15 @@ type State struct {
 }
 
 // NewState allocates inference state for m.
-func (m *Model) NewState() *State {
+func (m *Model) NewState() *State { return m.newState(m.Cfg.MaxSeq) }
+
+// newState allocates a state with room for rows rows of its own.
+func (m *Model) newState(rows int) *State {
 	st := &State{m: m}
-	st.K = make([]*tensor.Tensor, m.Cfg.NBlocks)
-	st.V = make([]*tensor.Tensor, m.Cfg.NBlocks)
-	for i := range st.K {
-		st.K[i] = tensor.New(m.Cfg.MaxSeq, m.Cfg.DModel)
-		st.V[i] = tensor.New(m.Cfg.MaxSeq, m.Cfg.DModel)
+	for pl := range st.own {
+		st.own[pl] = make([][]float32, m.Cfg.NBlocks)
 	}
+	st.reserve(rows, 0)
 	d, ff := m.Cfg.DModel, m.Cfg.FFHidden
 	st.x = make([]float32, d)
 	st.h = make([]float32, d)
@@ -61,6 +65,7 @@ func (m *Model) NewState() *State {
 // reused for a fresh inference.
 func (st *State) Reset() {
 	st.Pos = 0
+	st.base, st.nb = nil, 0
 	st.ExpertTrace = nil
 }
 
@@ -70,29 +75,28 @@ func (st *State) Reset() {
 func (st *State) Fork() *State { return st.ForkFor(st.m) }
 
 // ForkFor returns a copy of the state bound to m2, which must be the
-// state's own model or a clone with the same architecture. Campaign
-// workers fork the baseline's state onto their own clone so the clone's
-// hooks — not the baseline model's — fire when generation continues from
-// the shared prefix.
+// state's own model or a clone with the same architecture, so that m2's
+// hooks — not the source model's — fire when generation continues.
 func (st *State) ForkFor(m2 *Model) *State { return st.ForkAtInto(m2, nil, st.Pos) }
 
 // ForkForInto is ForkFor recycling a retired state's buffers instead of
-// allocating fresh ones: dst must have come from NewState/ForkFor on a
+// allocating fresh ones: dst must have come from a state constructor on a
 // model of the same architecture, and everything it held is overwritten.
-// A continuous-batching scheduler retires and admits one trial state per
-// slot turnover; reusing the KV allocations keeps that churn off the
-// allocator. A nil dst falls back to a fresh fork.
+// A nil dst falls back to a fresh fork.
 func (st *State) ForkForInto(m2 *Model, dst *State) *State {
 	return st.ForkAtInto(m2, dst, st.Pos)
 }
 
-// ForkAtInto is the positional fork under every other: dst (a fresh
-// state when nil) becomes the state st was when its cursor stood at pos.
+// ForkAtInto is the positional fork of a live state: dst (a fresh state
+// when nil) becomes the state st was when its cursor stood at pos.
 // Decoding only ever appends — row p of the KV cache and a position's
 // ExpertTrace entries are written by the step at p and never again — so
 // the first pos rows of a state that has run on are exactly the state a
 // run stopped at pos would hold (unless something rewrote a row after
-// the fact, as a KV-cache strike does). Forking beyond the cursor panics.
+// the fact, as a KV-cache strike does). st may go on being written, so
+// the rows it owns are copied; rows it reads from a Prefix stay shared.
+// A source that is finished is snapshotted once and forked by reference
+// instead (Snapshot, Prefix.ForkInto). Forking beyond the cursor panics.
 func (st *State) ForkAtInto(m2 *Model, dst *State, pos int) *State {
 	if m2.Cfg.DModel != st.m.Cfg.DModel || m2.Cfg.NBlocks != st.m.Cfg.NBlocks || m2.Cfg.MaxSeq != st.m.Cfg.MaxSeq {
 		panic("model: fork across different architectures")
@@ -104,39 +108,20 @@ func (st *State) ForkAtInto(m2 *Model, dst *State, pos int) *State {
 		dst = m2.NewState()
 	}
 	dst.m = m2
-	dst.Pos = pos
-	// Rows of dst's KV cache at or beyond pos are left stale; attention
+	dst.base, dst.nb, dst.Pos = st.base, min(st.nb, pos), pos
+	// Rows of dst's own cache at or beyond pos are left stale; attention
 	// only ever reads positions below the state's cursor, and decode
 	// writes each row before the step that reads it, so stale tails are
 	// unobservable.
-	n := pos * st.m.Cfg.DModel
-	for i := range st.K {
-		copy(dst.K[i].Data[:n], st.K[i].Data[:n])
-		copy(dst.V[i].Data[:n], st.V[i].Data[:n])
-	}
-	dst.ExpertTrace = nil
-	if st.ExpertTrace != nil {
-		dst.ExpertTrace = make([][]int, len(st.ExpertTrace))
-		for i, tr := range st.ExpertTrace {
-			dst.ExpertTrace[i] = append([]int(nil), tr[:st.traceLen(tr, pos)]...)
+	dst.reserve(pos-dst.nb, 0)
+	n := (pos - dst.nb) * st.m.Cfg.DModel
+	for pl := range st.own {
+		for b, rows := range st.own[pl] {
+			copy(dst.own[pl][b], rows[:n])
 		}
 	}
+	dst.ExpertTrace = traceBelow(st.ExpertTrace, min(st.m.Cfg.TopK, st.m.Cfg.NumExperts), st.Pos, pos)
 	return dst
-}
-
-// traceLen returns how many entries of one block's expert trace belong
-// to positions below pos. Every routed position appends the same TopK
-// selections, so a trace that does not divide evenly (tracing enabled
-// mid-run, a NaN router row) has no positional prefix to take.
-func (st *State) traceLen(tr []int, pos int) int {
-	if pos == st.Pos {
-		return len(tr)
-	}
-	per := min(st.m.Cfg.TopK, st.m.Cfg.NumExperts)
-	if len(tr) != st.Pos*per && len(tr) != 0 {
-		panic("model: positional fork of a non-uniform expert trace")
-	}
-	return min(len(tr), pos*per)
 }
 
 // EnableExpertTrace starts recording MoE expert selections per block.
@@ -158,6 +143,7 @@ func (st *State) DecodeStep(tok int) []float32 {
 	}
 	pos := st.Pos
 	d := cfg.DModel
+	st.reserveNext(1)
 
 	copy(st.x, m.Embed.Row(tok))
 
@@ -176,8 +162,7 @@ func (st *State) DecodeStep(tok int) []float32 {
 		m.applyRoPE(st.q, pos)
 		m.applyRoPE(st.k, pos)
 
-		copy(st.K[bi].Row(pos), st.k)
-		copy(st.V[bi].Row(pos), st.v)
+		st.appendKV(bi, pos, st.k, st.v)
 
 		m.attendAt(st, bi, pos, st.q, st.attnOut)
 		if len(m.attnHooks) > 0 {
@@ -285,67 +270,6 @@ func (m *Model) moeMix(rc rowCtx, st *State, blk *Block, bi, pos int, routerLogi
 		}
 	}
 	copy(dst, mix)
-}
-
-// attendAt computes causal multi-head attention for the token at pos using
-// the block's KV cache: q is the position's rotated query row and the
-// concatenated head outputs are written to out.
-func (m *Model) attendAt(st *State, bi, pos int, qrow, out []float32) {
-	cfg := &m.Cfg
-	hd := cfg.HeadDim()
-	scale := 1 / math.Sqrt(float64(hd))
-	K, V := st.K[bi], st.V[bi]
-	n := pos + 1
-
-	scores := st.attnScores[:n]
-	qf := st.attnQ[:hd]
-	for h := 0; h < cfg.NHeads; h++ {
-		off := h * hd
-		for i, qv := range qrow[off : off+hd] {
-			qf[i] = float64(qv)
-		}
-		// Four key positions per pass: each dot keeps its own float64
-		// accumulator summed in i-ascending order — the exact sequence of
-		// the one-position loop below — so every score is bit-identical
-		// while the four independent chains hide the FP-add latency that
-		// bounds a lone dot product.
-		t := 0
-		for ; t+4 <= n; t += 4 {
-			k0 := K.Row(t)[off : off+hd]
-			// Reslicing everything to len(k0) (all are hd long) lets the
-			// compiler prove the range index in bounds for every operand,
-			// dropping four per-element bounds checks from the hot loop.
-			k1 := K.Row(t + 1)[off : off+hd][:len(k0)]
-			k2 := K.Row(t + 2)[off : off+hd][:len(k0)]
-			k3 := K.Row(t + 3)[off : off+hd][:len(k0)]
-			qh := qf[:len(k0)]
-			var d0, d1, d2, d3 float64
-			for i, kv := range k0 {
-				qv := qh[i]
-				d0 += qv * float64(kv)
-				d1 += qv * float64(k1[i])
-				d2 += qv * float64(k2[i])
-				d3 += qv * float64(k3[i])
-			}
-			scores[t] = float32(d0 * scale)
-			scores[t+1] = float32(d1 * scale)
-			scores[t+2] = float32(d2 * scale)
-			scores[t+3] = float32(d3 * scale)
-		}
-		for ; t < n; t++ {
-			krow := K.Row(t)[off : off+hd]
-			var dot float64
-			for i, kv := range krow {
-				dot += qf[i] * float64(kv)
-			}
-			scores[t] = float32(dot * scale)
-		}
-		tensor.SoftmaxRow(scores[:n])
-		// Attention-weighted value mix through the one row kernel: each
-		// output channel sums w·v in t-ascending order with zero-weight
-		// positions skipped, over this head's columns of the V cache.
-		tensor.MatVecStrided(out[off:off+hd], scores, V.Data[off:], V.Cols)
-	}
 }
 
 // rowCtx is the observation context of one activation row: which hooks

@@ -33,6 +33,7 @@ func (st *State) Prefill(prompt []int) []float32 {
 	if st.Pos+n > cfg.MaxSeq {
 		panic(fmt.Sprintf("model: context overflow (max %d)", cfg.MaxSeq))
 	}
+	st.reserveNext(n)
 	threads := m.matmulThreads()
 
 	rows := make([]stackRow, n)

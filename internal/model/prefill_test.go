@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -58,14 +59,19 @@ func statesEqual(a, b *State) error {
 	if a.Pos != b.Pos {
 		return fmt.Errorf("Pos %d vs %d", a.Pos, b.Pos)
 	}
-	for bi := range a.K {
-		n := a.Pos * a.m.Cfg.DModel
-		for i := 0; i < n; i++ {
-			if a.K[bi].Data[i] != b.K[bi].Data[i] {
-				return fmt.Errorf("K[%d][%d] %g vs %g", bi, i, a.K[bi].Data[i], b.K[bi].Data[i])
-			}
-			if a.V[bi].Data[i] != b.V[bi].Data[i] {
-				return fmt.Errorf("V[%d][%d] %g vs %g", bi, i, a.V[bi].Data[i], b.V[bi].Data[i])
+	// Through the read accessor: the two states may hold the same rows in
+	// different pieces (shared prefix + own rows, or all their own).
+	for bi := 0; bi < a.m.Cfg.NBlocks; bi++ {
+		for _, kind := range []LayerKind{KindK, KindV} {
+			ref := LayerRef{bi, kind, -1}
+			for pos := 0; pos < a.Pos; pos++ {
+				for col := 0; col < a.m.Cfg.DModel; col++ {
+					av, _ := a.KVAt(ref, pos, col)
+					bv, _ := b.KVAt(ref, pos, col)
+					if math.Float32bits(av) != math.Float32bits(bv) {
+						return fmt.Errorf("%v cache (%d, %d): %g vs %g", ref, pos, col, av, bv)
+					}
+				}
 			}
 		}
 	}

@@ -106,9 +106,12 @@ func (m *Model) linearRows(rows []stackRow, ref LayerRef, w Weight, in, out *ten
 //     writes every row's K/V before any row attends, so the later
 //     positions a row cannot yet have seen are present but never read.
 //
+// The caller has made room for every row's position in its state's cache
+// (State.reserveNext) before the pass, on one goroutine.
+//
 // Concurrent calls on disjoint row ranges over disjoint states share only
 // what a pass never writes: weights, RoPE tables, a checker's checksum
-// cache.
+// table, the Prefix several states may read their first rows from.
 func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 	cfg := &m.Cfg
 
@@ -150,8 +153,7 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 			row := &rows[i]
 			m.applyRoPE(sk.q.Row(i), row.pos)
 			m.applyRoPE(sk.kb.Row(i), row.pos)
-			copy(row.st.K[bi].Row(row.pos), sk.kb.Row(i))
-			copy(row.st.V[bi].Row(row.pos), sk.vb.Row(i))
+			row.st.appendKV(bi, row.pos, sk.kb.Row(i), sk.vb.Row(i))
 		}
 		attnRef := LayerRef{bi, KindAttnAct, -1}
 		for i := r0; i < r1; i++ {

@@ -228,6 +228,13 @@ type LinearChecker interface {
 // each worker's clone.
 func (m *Model) SetChecker(c LinearChecker) { m.checker = c }
 
+// Observed reports whether anything is registered on the model itself —
+// a hook, an attention hook or a checker — that a forward pass over it
+// shows every position to.
+func (m *Model) Observed() bool {
+	return len(m.hooks) > 0 || len(m.attnHooks) > 0 || m.checker != nil
+}
+
 // ClearHooks removes all hooks.
 func (m *Model) ClearHooks() { m.hooks = nil }
 

@@ -14,6 +14,12 @@
 // decode alone — the same loop at width 1 — on a private copy-on-write
 // clone, exactly as offline campaigns serialize memory-fault trials per
 // model instance.
+//
+// Every request's prompt is prefilled clean — its fault and checker are
+// armed at admission, after it — so the post-prompt KV rows are a pure
+// function of the prompt's tokens: a prompt the engine keeps seeing is
+// prefilled once, and later requests fork its rows by reference
+// (prefixCache, Engine.prefill).
 package serve
 
 import (
@@ -120,7 +126,10 @@ type Request struct {
 // rejection, deadline expiry, or cancellation. Tokens carries whatever
 // was generated before the request ended either way.
 type Response struct {
-	ID      string
+	ID string
+	// Tokens is read-only: when the output equals Request.Baseline it is
+	// that slice, not a copy — under injection most outputs are masked,
+	// and a caller that keeps its responses keeps one array per baseline.
 	Tokens  []int
 	Text    string
 	Steps   int
@@ -154,6 +163,10 @@ type reqTiming struct {
 	queueWait time.Duration
 	ttft      time.Duration
 	hasTTFT   bool
+
+	prefillAt time.Time // when the prompt's prefill started (zero: it never ran)
+	prefill   time.Duration
+	reused    int // prompt tokens forked from the prefix cache
 }
 
 // pending is a prefilled request waiting for a batch slot.
@@ -201,6 +214,7 @@ type Engine struct {
 	// no request strikes (nil without Inject.ABFT): every request's
 	// checker reads it, on the scheduler's lane or on a clone's.
 	table *abft.Table
+	cache *prefixCache
 	queue chan *pending
 	done  chan struct{}
 
@@ -283,6 +297,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		queue: make(chan *pending, 2*cfg.Width),
 		done:  make(chan struct{}),
 	}
+	e.cache = newPrefixCache(cfg.Model, cfg.Width, e.met)
 	if inj := cfg.Inject; inj != nil {
 		if len(inj.Surfaces) == 0 {
 			inj.Surfaces = []faults.Surface{faults.SurfaceLinear}
@@ -384,6 +399,12 @@ func (e *Engine) Submit(ctx context.Context, req Request) Response {
 		site = &s
 	}
 
+	// A request that cannot be served is refused before it costs a prefill.
+	select {
+	case <-ctx.Done():
+		return e.finishErr(req.ID, start, ctx.Err())
+	default:
+	}
 	p := &pending{req: req, ctx: ctx, start: start, site: site, tm: tm, resp: make(chan Response, 1)}
 	if site != nil && site.WeightResident() {
 		// Weight-resident faults flip shared parameter storage; they
@@ -396,11 +417,14 @@ func (e *Engine) Submit(ctx context.Context, req Request) Response {
 		defer e.serial.Done()
 		return e.runAlone(p)
 	}
+	if e.isDraining() {
+		e.met.observeRejected(statusDraining)
+		return Response{ID: req.ID, Err: ErrDraining}
+	}
 
 	// Prefill here, concurrently with other submitters: the state is
 	// private and the shared weights are read-only on this path.
-	p.st = e.m.NewState()
-	p.prefix = p.st.Prefill(req.Prompt)
+	e.prefill(e.m, p)
 	p.tm.enq = time.Now()
 	select {
 	case e.queue <- p:
@@ -423,6 +447,44 @@ func (e *Engine) Submit(ctx context.Context, req Request) Response {
 			return Response{ID: req.ID, Err: ErrDraining}
 		}
 	}
+}
+
+// prefill gives p its state on m, the engine's model or a clone of it, at
+// the end of the prompt, and the logits there — the one place a served
+// prompt is computed. It forks the cached prefix sharing the most leading
+// tokens with the prompt and prefills only the rest (an exact repeat
+// computes its last token), then caches the prompt's own rows if the
+// engine keeps seeing it. A hook or checker registered on m itself would
+// be shown every prompt position by a full prefill, so such a model goes
+// uncached; what the engine arms is per request and comes after.
+func (e *Engine) prefill(m *model.Model, p *pending) {
+	prompt := p.req.Prompt
+	p.tm.prefillAt = time.Now()
+	var (
+		px    *model.Prefix
+		admit bool
+	)
+	if !m.Observed() {
+		px, p.tm.reused, admit = e.cache.lookup(prompt)
+	}
+	if p.tm.reused > 0 {
+		p.st = px.ForkInto(m, nil, p.tm.reused)
+	} else {
+		p.st = m.NewState()
+	}
+	p.prefix = p.st.Prefill(prompt[p.tm.reused:])
+	if admit {
+		e.cache.insert(prompt, p.st.Snapshot())
+	}
+	p.tm.prefill = time.Since(p.tm.prefillAt)
+	e.met.observePrefill(p.tm.reused, len(prompt)-p.tm.reused)
+}
+
+// isDraining reports whether shutdown has begun.
+func (e *Engine) isDraining() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.draining
 }
 
 // trackSerial registers a serial-path request with the drain barrier.
@@ -503,8 +565,7 @@ func (e *Engine) failQueued() {
 // Without a queue, TTFT is prefill time.
 func (e *Engine) runAlone(p *pending) Response {
 	wm := e.m.CloneShared()
-	p.st = wm.NewState()
-	p.prefix = p.st.Prefill(p.req.Prompt)
+	e.prefill(wm, p)
 	ln := &lane{loop: gen.NewLoop[*flight](wm, 1), m: wm}
 	e.admit(ln, p)
 	for ln.loop.Len() > 0 {
@@ -634,6 +695,12 @@ func (e *Engine) respond(f *flight, res gen.Result, err error) {
 // spans, and (when SLO-violating) the slow-request log entry.
 func (e *Engine) finish(req Request, start time.Time, tokens []int, steps int, site *faults.Site, err error, fired bool, detected int, tm reqTiming) Response {
 	latency := time.Since(start)
+	// An output equal to the baseline shares the baseline's array: the
+	// caller holds that one already, and the decode's copy is dropped.
+	masked := req.Baseline != nil && slices.Equal(tokens, req.Baseline)
+	if masked {
+		tokens = req.Baseline
+	}
 	resp := Response{
 		ID:       req.ID,
 		Tokens:   tokens,
@@ -661,7 +728,7 @@ func (e *Engine) finish(req Request, start time.Time, tokens []int, steps int, s
 		resp.Surface = site.Surface.String()
 		e.met.observeInjected()
 		if req.Baseline != nil && err == nil {
-			an := outcome.Classify(tokens, req.Baseline, slices.Equal(tokens, req.Baseline), outcome.Thresholds{})
+			an := outcome.Classify(tokens, req.Baseline, masked, outcome.Thresholds{})
 			resp.Outcome = an.Class.String()
 			e.met.observeOutcome(an.Class)
 		}
@@ -691,8 +758,9 @@ func (e *Engine) finish(req Request, start time.Time, tokens []int, steps int, s
 }
 
 // recordRequestSpans emits the sampled request's span tree: a root
-// "request" span carrying the outcome annotations, plus queue_wait /
-// first_token / decode children when the request got that far.
+// "request" span carrying the outcome annotations, plus prefill /
+// queue_wait / first_token / decode children when the request got that
+// far.
 func (e *Engine) recordRequestSpans(resp Response, st reqStatus, start time.Time, latency time.Duration, tm reqTiming, steps int) {
 	rec := e.cfg.Recorder
 	attrs := []obs.Attr{
@@ -712,6 +780,10 @@ func (e *Engine) recordRequestSpans(resp Response, st reqStatus, start time.Time
 		}
 	}
 	rec.Record(obs.NewSpan(tm.root, tm.parent, "request", start, latency, attrs...))
+	if !tm.prefillAt.IsZero() {
+		rec.Record(obs.NewSpan(rec.Child(tm.root), tm.root.Span, "prefill", tm.prefillAt, tm.prefill,
+			obs.Int("reused_tokens", int64(tm.reused))))
+	}
 	if tm.hasTTFT {
 		if tm.queueWait > 0 {
 			rec.Record(obs.NewSpan(rec.Child(tm.root), tm.root.Span, "queue_wait",

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -177,6 +178,7 @@ func (e *Engine) dashboardData() obs.DashboardData {
 		{"slo violations", fmtI(s.SLOViolations)},
 		{"injected", fmtI(s.Injected)},
 		{"detected", fmtI(s.Detected)},
+		{"prefill cache hit share", hitShare(s)},
 	}}
 	slow := obs.DashboardSection{Title: "recent SLO violations (newest first)"}
 	for _, sr := range e.SlowRequests() {
@@ -210,6 +212,17 @@ func (e *Engine) dashboardData() obs.DashboardData {
 }
 
 func fmtI(v int64) string { return strconv.FormatInt(v, 10) }
+
+// hitShare renders the share of prefills that forked a cached prefix,
+// and of prompt tokens that were reused.
+func hitShare(s MetricsSnapshot) string {
+	n, toks := s.PrefillHits+s.PrefillMisses, s.PromptTokensReused+s.PromptTokensComputed
+	if n == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f%% of %d prompts, %.0f%% of %d prompt tokens",
+		100*float64(s.PrefillHits)/float64(n), n, 100*float64(s.PromptTokensReused)/float64(toks), toks)
+}
 
 // handleGenerate runs one request through the engine.
 func (e *Engine) handleGenerate(w http.ResponseWriter, r *http.Request) {

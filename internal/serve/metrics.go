@@ -65,6 +65,10 @@ type Metrics struct {
 	injected atomic.Int64
 	detected atomic.Int64
 	outcomes [3]atomic.Int64
+
+	prefillHits, prefillMisses   atomic.Int64
+	tokensReused, tokensComputed atomic.Int64
+	cacheBytes, cacheEvictions   atomic.Int64
 }
 
 // NewMetrics returns zeroed serving metrics.
@@ -108,6 +112,25 @@ func (m *Metrics) observeOutcome(c outcome.Class) {
 	}
 }
 
+// observePrefill records one prompt's prefill: how many of its tokens were
+// forked from the prefix cache (a hit when any were) and how many computed.
+func (m *Metrics) observePrefill(reused, computed int) {
+	if reused > 0 {
+		m.prefillHits.Add(1)
+	} else {
+		m.prefillMisses.Add(1)
+	}
+	m.tokensReused.Add(int64(reused))
+	m.tokensComputed.Add(int64(computed))
+}
+
+// observePrefixCache records one insertion into the prefix cache: the
+// entries it evicted and the bytes the cache holds after it.
+func (m *Metrics) observePrefixCache(evicted, bytes int) {
+	m.cacheEvictions.Add(int64(evicted))
+	m.cacheBytes.Store(int64(bytes))
+}
+
 // MetricsSnapshot is a consistent-enough copy of the counters for
 // rendering (individual counters are atomic; the set is sampled live).
 type MetricsSnapshot struct {
@@ -127,6 +150,15 @@ type MetricsSnapshot struct {
 	Injected      int64
 	Detected      int64
 	Outcomes      [3]int64
+	// The prefix cache: prompts prefilled from a cached prefix (hits) or
+	// from nothing (misses), prompt tokens forked from it against prompt
+	// tokens computed, the bytes it holds and the entries it has evicted.
+	PrefillHits          int64
+	PrefillMisses        int64
+	PromptTokensReused   int64
+	PromptTokensComputed int64
+	PrefixCacheBytes     int64
+	PrefixCacheEvictions int64
 }
 
 // Snapshot samples the counters.
@@ -146,6 +178,12 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	for i := range s.Outcomes {
 		s.Outcomes[i] = m.outcomes[i].Load()
 	}
+	s.PrefillHits = m.prefillHits.Load()
+	s.PrefillMisses = m.prefillMisses.Load()
+	s.PromptTokensReused = m.tokensReused.Load()
+	s.PromptTokensComputed = m.tokensComputed.Load()
+	s.PrefixCacheBytes = m.cacheBytes.Load()
+	s.PrefixCacheEvictions = m.cacheEvictions.Load()
 	return s
 }
 
@@ -175,5 +213,16 @@ func WriteMetricsText(out io.Writer, s MetricsSnapshot) error {
 		w.Counter("llmfi_serve_outcome_total", "Classified request outcomes under injection.", s.Outcomes[c],
 			prom.Label{Key: "class", Val: c.String()})
 	}
+
+	w.Counter("llmfi_serve_prefill_total", "Prompts prefilled, by whether a cached prefix was forked.", s.PrefillHits,
+		prom.Label{Key: "cache", Val: "hit"})
+	w.Counter("llmfi_serve_prefill_total", "Prompts prefilled, by whether a cached prefix was forked.", s.PrefillMisses,
+		prom.Label{Key: "cache", Val: "miss"})
+	w.Counter("llmfi_serve_prompt_tokens_total", "Prompt tokens by whether their KV rows were reused from the prefix cache or computed.", s.PromptTokensReused,
+		prom.Label{Key: "source", Val: "reused"})
+	w.Counter("llmfi_serve_prompt_tokens_total", "Prompt tokens by whether their KV rows were reused from the prefix cache or computed.", s.PromptTokensComputed,
+		prom.Label{Key: "source", Val: "computed"})
+	w.Gauge("llmfi_serve_prefix_cache_bytes", "KV bytes held by the prefix cache.", float64(s.PrefixCacheBytes))
+	w.Counter("llmfi_serve_prefix_cache_evictions_total", "Prefixes evicted from the prefix cache.", s.PrefixCacheEvictions)
 	return w.Flush()
 }

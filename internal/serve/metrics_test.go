@@ -35,6 +35,11 @@ func TestMetricsGoldenExposition(t *testing.T) {
 	m.observeInterToken(500 * time.Microsecond)
 	m.observeInterToken(500 * time.Microsecond)
 	m.observeInterToken(700 * time.Microsecond)
+	m.observePrefill(0, 40)
+	m.observePrefill(39, 1)
+	m.observePrefill(12, 8)
+	m.observePrefixCache(0, 81920)
+	m.observePrefixCache(2, 61440)
 
 	var b strings.Builder
 	if err := WriteMetricsText(&b, m.Snapshot()); err != nil {

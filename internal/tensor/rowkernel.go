@@ -26,25 +26,49 @@ func Kernel() string { return kernelName }
 // nothing even against an Inf or NaN weight) — the bit-identity contract
 // every GEMM in this package is pinned to. out must not alias x or w.
 func MatVecStrided(out, x, w []float32, stride int) {
+	checkStrided(out, x, w, stride)
+	rowKernel(out, x, w, stride, false)
+}
+
+// MatVecStridedCont continues the sums MatVecStrided left in out over
+// further inputs: out[c] += Σ_p x[p]·w[p·stride+c], each element picking
+// its float32 accumulation up from the value it holds, p ascending, ±0
+// inputs skipped. A sum split at any point into one MatVecStrided call
+// and any number of continuations is bit-identical to the one call over
+// the concatenated inputs — float32 accumulators survive a store and a
+// load exactly — which is what lets attention mix values over a KV cache
+// held in two pieces (model.State).
+func MatVecStridedCont(out, x, w []float32, stride int) {
+	checkStrided(out, x, w, stride)
+	if len(x) > 0 {
+		rowKernel(out, x, w, stride, true)
+	}
+}
+
+func checkStrided(out, x, w []float32, stride int) {
 	if len(out) > stride {
 		panic("tensor: MatVecStrided stride shorter than out")
 	}
 	if len(x) > 0 && len(out) > 0 && len(w) < (len(x)-1)*stride+len(out) {
 		panic("tensor: MatVecStrided weights too short")
 	}
-	rowKernel(out, x, w, stride)
 }
 
 // rowKernelPortable is the pure-Go row kernel: the path of every platform
 // without the assembly, and the reference the assembly is pinned to bit
 // for bit. It tiles eight output columns into register accumulators per
 // pass over x, so out is stored once per column instead of once per
-// (input, column) as in the saxpy form.
-func rowKernelPortable(out, x, w []float32, stride int) {
+// (input, column) as in the saxpy form. The sums start at +0, or with
+// cont at the values out holds.
+func rowKernelPortable(out, x, w []float32, stride int, cont bool) {
 	n := len(out)
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		if cont {
+			s0, s1, s2, s3 = out[i], out[i+1], out[i+2], out[i+3]
+			s4, s5, s6, s7 = out[i+4], out[i+5], out[i+6], out[i+7]
+		}
 		off := i
 		for _, xv := range x {
 			if xv != 0 {
@@ -65,6 +89,9 @@ func rowKernelPortable(out, x, w []float32, stride int) {
 	}
 	for ; i < n; i++ {
 		var s float32
+		if cont {
+			s = out[i]
+		}
 		off := i
 		for _, xv := range x {
 			if xv != 0 {

@@ -7,9 +7,15 @@
 // then one add (VADDPS), never an FMA and never a reassociated sum — so
 // every element is bit-identical to rowKernelPortable's.
 //
+// A continued call (cont) starts each lane at the value out holds instead
+// of +0. Both cases are one instruction: an accumulator starts as out's
+// bits ANDed with Y13, all ones when continuing and all zeros — giving
+// +0 whatever out held — when not.
+//
 // Registers: DI out, BX cols, SI x, CX k, DX w, R8 stride in bytes,
-// R9 first column of the current tile, R10 &w[p·stride+R9], R11 p.
-// Y0-Y7 accumulators, Y8 broadcast x[p], Y9-Y12 products.
+// R9 first column of the current tile, R10 &w[p·stride+R9], R11 p,
+// R13 &out[R9]. Y0-Y7 accumulators, Y8 broadcast x[p], Y9-Y12 products,
+// Y13 the start mask.
 
 // MULADD accumulates x[p]·w[p·stride+R9+off/4 ...+8) into acc. w is loaded
 // into a register so it is the multiply's FIRST source and the running sum
@@ -36,11 +42,16 @@
 	CMPQ R11, CX; \
 	JLT  loop
 
-// func rowKernelAVX(out, x, w []float32, stride int)
+// START starts acc for the eight columns at off(R13).
+#define START(off, acc) \
+	VANDPS off(R13), Y13, acc
+
+// func rowKernelAVX(out, x, w []float32, stride int, cont bool)
 // Requires len(out) >= 8 (the ragged last tile is recomputed over the final
-// eight columns) and len(w) >= (len(x)-1)·stride+len(out); the Go wrapper
-// checks both.
-TEXT ·rowKernelAVX(SB), NOSPLIT, $0-80
+// eight columns), with cont len(out) a multiple of 8 (recomputing would
+// continue the overlapped columns twice), and len(w) >=
+// (len(x)-1)·stride+len(out); the Go wrapper sees to all three.
+TEXT ·rowKernelAVX(SB), NOSPLIT, $8-81
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), BX
 	MOVQ x_base+24(FP), SI
@@ -48,6 +59,10 @@ TEXT ·rowKernelAVX(SB), NOSPLIT, $0-80
 	MOVQ w_base+48(FP), DX
 	MOVQ stride+72(FP), R8
 	SHLQ $2, R8
+	MOVBLZX cont+80(FP), AX
+	NEGL AX
+	MOVL AX, mask-8(SP)
+	VBROADCASTSS mask-8(SP), Y13
 	XORQ R9, R9
 	CMPQ BX, $8
 	JLT  done
@@ -56,14 +71,15 @@ tile64:
 	LEAQ 64(R9), AX
 	CMPQ AX, BX
 	JGT  tile32
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
+	LEAQ (DI)(R9*4), R13
+	START(0, Y0)
+	START(32, Y1)
+	START(64, Y2)
+	START(96, Y3)
+	START(128, Y4)
+	START(160, Y5)
+	START(192, Y6)
+	START(224, Y7)
 	LEAQ (DX)(R9*4), R10
 	XORQ R11, R11
 	TESTQ CX, CX
@@ -81,15 +97,14 @@ loop64:
 next64:
 	NEXTP(loop64)
 store64:
-	LEAQ (DI)(R9*4), AX
-	VMOVUPS Y0, (AX)
-	VMOVUPS Y1, 32(AX)
-	VMOVUPS Y2, 64(AX)
-	VMOVUPS Y3, 96(AX)
-	VMOVUPS Y4, 128(AX)
-	VMOVUPS Y5, 160(AX)
-	VMOVUPS Y6, 192(AX)
-	VMOVUPS Y7, 224(AX)
+	VMOVUPS Y0, (R13)
+	VMOVUPS Y1, 32(R13)
+	VMOVUPS Y2, 64(R13)
+	VMOVUPS Y3, 96(R13)
+	VMOVUPS Y4, 128(R13)
+	VMOVUPS Y5, 160(R13)
+	VMOVUPS Y6, 192(R13)
+	VMOVUPS Y7, 224(R13)
 	ADDQ $64, R9
 	JMP  tile64
 
@@ -97,10 +112,11 @@ tile32:
 	LEAQ 32(R9), AX
 	CMPQ AX, BX
 	JGT  tile16
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
+	LEAQ (DI)(R9*4), R13
+	START(0, Y0)
+	START(32, Y1)
+	START(64, Y2)
+	START(96, Y3)
 	LEAQ (DX)(R9*4), R10
 	XORQ R11, R11
 	TESTQ CX, CX
@@ -114,19 +130,19 @@ loop32:
 next32:
 	NEXTP(loop32)
 store32:
-	LEAQ (DI)(R9*4), AX
-	VMOVUPS Y0, (AX)
-	VMOVUPS Y1, 32(AX)
-	VMOVUPS Y2, 64(AX)
-	VMOVUPS Y3, 96(AX)
+	VMOVUPS Y0, (R13)
+	VMOVUPS Y1, 32(R13)
+	VMOVUPS Y2, 64(R13)
+	VMOVUPS Y3, 96(R13)
 	ADDQ $32, R9
 
 tile16:
 	LEAQ 16(R9), AX
 	CMPQ AX, BX
 	JGT  tile8
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
+	LEAQ (DI)(R9*4), R13
+	START(0, Y0)
+	START(32, Y1)
 	LEAQ (DX)(R9*4), R10
 	XORQ R11, R11
 	TESTQ CX, CX
@@ -138,9 +154,8 @@ loop16:
 next16:
 	NEXTP(loop16)
 store16:
-	LEAQ (DI)(R9*4), AX
-	VMOVUPS Y0, (AX)
-	VMOVUPS Y1, 32(AX)
+	VMOVUPS Y0, (R13)
+	VMOVUPS Y1, 32(R13)
 	ADDQ $16, R9
 
 tile8:
@@ -148,7 +163,8 @@ tile8:
 	CMPQ AX, BX
 	JGT  ragged
 body8:
-	VXORPS Y0, Y0, Y0
+	LEAQ (DI)(R9*4), R13
+	START(0, Y0)
 	LEAQ (DX)(R9*4), R10
 	XORQ R11, R11
 	TESTQ CX, CX
@@ -159,7 +175,7 @@ loop8:
 next8:
 	NEXTP(loop8)
 store8:
-	VMOVUPS Y0, (DI)(R9*4)
+	VMOVUPS Y0, (R13)
 	ADDQ $8, R9
 	JMP  tile8
 

@@ -25,31 +25,41 @@ const (
 	kernelSentinel = float32(-12345.678)
 )
 
-// checkRowKernel runs the selected row kernel and the portable one on the
-// same inputs, each into its own guarded buffer, and fails on the first
-// element that differs or guard that was written.
+// checkRowKernel runs the selected row kernel, the same kernel split into
+// a call and a continuation at the middle input, and the portable one on
+// the same inputs, each into its own guarded buffer, and fails on the
+// first element that differs or guard that was written.
 func checkRowKernel(t testing.TB, label string, x, w []float32, n, stride int) {
 	t.Helper()
-	run := func(kernel func(out, x, w []float32, stride int)) []float32 {
+	run := func(kernel func(out, x, w []float32, stride int, cont bool)) []float32 {
 		buf := make([]float32, n+2*kernelGuard)
 		for i := range buf {
 			buf[i] = kernelSentinel
 		}
-		kernel(buf[kernelGuard:kernelGuard+n:kernelGuard+n], x, w, stride)
+		kernel(buf[kernelGuard:kernelGuard+n:kernelGuard+n], x, w, stride, false)
 		return buf
 	}
-	got, want := run(rowKernel), run(rowKernelPortable)
-	for i := range got {
-		c := i - kernelGuard
-		if c < 0 || c >= n {
-			if got[i] != kernelSentinel {
-				t.Fatalf("%s: k=%d n=%d stride=%d: guard at column %d overwritten with %v", label, len(x), n, stride, c, got[i])
-			}
-			continue
+	split := func(out, x, w []float32, stride int, _ bool) {
+		h := len(x) / 2
+		rowKernel(out, x[:h], w, stride, false)
+		if h < len(x) {
+			rowKernel(out, x[h:], w[h*stride:], stride, true)
 		}
-		if !sameFloat(got[i], want[i]) {
-			t.Fatalf("%s: k=%d n=%d stride=%d: column %d = %v (%08x), portable kernel %v (%08x)", label, len(x), n, stride, c,
-				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+	}
+	want := run(rowKernelPortable)
+	for name, got := range map[string][]float32{"": run(rowKernel), " split": run(split)} {
+		for i := range got {
+			c := i - kernelGuard
+			if c < 0 || c >= n {
+				if got[i] != kernelSentinel {
+					t.Fatalf("%s%s: k=%d n=%d stride=%d: guard at column %d overwritten with %v", label, name, len(x), n, stride, c, got[i])
+				}
+				continue
+			}
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("%s%s: k=%d n=%d stride=%d: column %d = %v (%08x), portable kernel %v (%08x)", label, name, len(x), n, stride, c,
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
 		}
 	}
 }
@@ -136,6 +146,76 @@ func TestRowKernelMatchesPortable(t *testing.T) {
 	}
 }
 
+// TestRowKernelContinuation pins the continuation entry: a sum split at
+// any input into one call and one continuation — or into three pieces —
+// leaves the bits of the single call over all inputs, under the selected
+// kernel and the portable one alike, for widths on both sides of the
+// eight-column vector (a continued ragged tail goes to the portable
+// kernel), strided operands, ±0 inputs in front of Inf/NaN weights, and
+// an all-zero first piece (attention scores that underflowed).
+func TestRowKernelContinuation(t *testing.T) {
+	r := &testRand{s: 47}
+	random := func(n int, zeroFrac float64) []float32 {
+		v := New(1, n)
+		fillRandom(v, r, zeroFrac)
+		return v.Data
+	}
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	kernels := map[string]func(out, x, w []float32, stride int, cont bool){
+		Kernel(): rowKernel, "portable": rowKernelPortable,
+	}
+	for _, n := range []int{1, 2, 7, 8, 9, 16, 23, 32, 64, 72, 167} {
+		for _, pad := range []int{0, 5} {
+			const k = 13
+			stride := n + pad
+			x := random(k, 0.2)
+			w := random(pad+k*stride, 0.1)[pad:]
+			x[3], x[9] = 0, negZero
+			for c := 0; c < n; c++ {
+				w[3*stride+c], w[9*stride+c] = inf, nan
+			}
+			w[6*stride+n/2] = inf // a live Inf: the column saturates and stays so
+			cases := map[string][]float32{"mixed": x, "zero-head": append(make([]float32, 5), x[5:]...)}
+			for label, x := range cases {
+				want := make([]float32, n)
+				rowKernelPortable(want, x, w, stride, false)
+				for name, kernel := range kernels {
+					for s1 := 0; s1 <= k; s1++ {
+						for _, s2 := range []int{s1, (s1 + k + 1) / 2} { // two pieces, three pieces
+							got := make([]float32, n+1)
+							got[n] = kernelSentinel
+							out := got[:n:n]
+							kernel(out, x[:s1], w, stride, false)
+							if s1 < s2 {
+								kernel(out, x[s1:s2], w[s1*stride:], stride, true)
+							}
+							if s2 < k {
+								kernel(out, x[s2:], w[s2*stride:], stride, true)
+							}
+							if got[n] != kernelSentinel {
+								t.Fatalf("%s %s n=%d stride=%d split %d/%d: wrote past out", name, label, n, stride, s1, s2)
+							}
+							for c := range want {
+								if !sameFloat(out[c], want[c]) {
+									t.Fatalf("%s %s n=%d stride=%d split %d/%d: column %d = %v (%08x), one call %v (%08x)",
+										name, label, n, stride, s1, s2, c, out[c], math.Float32bits(out[c]), want[c], math.Float32bits(want[c]))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// The public entry: no inputs continue nothing and read no weights.
+	out := []float32{1, 2, 3}
+	MatVecStridedCont(out, nil, nil, 3)
+	if out[0] != 1 || out[1] != 2 || out[2] != 3 {
+		t.Fatalf("empty continuation changed out: %v", out)
+	}
+}
+
 // rowOf returns the selected kernel's output for one dense row.
 func rowOf(x, w []float32, n int) []float32 {
 	out := make([]float32, n)
@@ -151,7 +231,7 @@ func TestRowKernelMatMulRange(t *testing.T) {
 	a, b := New(rows, k), New(k, n)
 	fillRandom(a, r, 0.25)
 	fillRandom(b, r, 0.1)
-	run := func(kernel func(out, x, w []float32, stride int), r0, r1 int) *Tensor {
+	run := func(kernel func(out, x, w []float32, stride int, cont bool), r0, r1 int) *Tensor {
 		saved := rowKernel
 		rowKernel = kernel
 		defer func() { rowKernel = saved }()
