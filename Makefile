@@ -38,13 +38,13 @@ test:
 ## race: the whole suite under the race detector, then the tests that
 ## share state across goroutines again, failing fast on the first race —
 ## the row kernel (with its continuation entry), the sharded decode step,
-## forks of one shared Prefix, the checksum table; the campaign runtime;
-## serving with its prefix cache; the fan-in and recorders. CI runs this
-## target, so the lists live here only.
+## forks of one shared Prefix in time and in depth, the checksum table;
+## the campaign runtime; serving with its prefix cache; the fan-in and
+## recorders. CI runs this target, so the lists live here only.
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|AdmitFork|TableConcurrent)' \
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|AdmitFork|TableConcurrent)' \
 		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops)' ./internal/core/
@@ -109,8 +109,11 @@ cover:
 ## multiple-choice scoring, MoE beam search, gate-only MoE memory faults,
 ## and the checksum table's three other shapes: site-only ABFT under
 ## memory faults on the whole-model path (dense with correct-skip, MoE
-## with its expert layers) and all-layer ABFT on MoE rows; a few seconds
-## on two cores.
+## with its expert layers) and all-layer ABFT on MoE rows; then the
+## depth fork's ledger — all-layer correct-skip ABFT on MoE memory faults,
+## whose routed expert layers it counts, and a dense tolerance so tight
+## that clean checks flag and every trial falls back to the whole
+## inference; a few seconds on two cores.
 ## make identity REF=HEAD~1
 REF ?= HEAD~1
 define IDENTITY_CAMPAIGNS
@@ -127,6 +130,8 @@ define IDENTITY_CAMPAIGNS
 -model QwenS -suite wmt16-like -fault 2bits-mem -trials 120 -abft -abft-policy correct-skip
 -model moe -suite wmt16-like -fault 2bits-mem -trials 120 -abft
 -model moe -suite wmt16-like -fault 2bits-comp -trials 120 -abft -abft-all -decode-batch 4
+-model moe -suite wmt16-like -fault 2bits-mem -trials 120 -abft -abft-all -abft-policy correct-skip
+-model QwenS -suite wmt16-like -fault 2bits-mem -trials 120 -abft -abft-all -abft-tol 1e-12
 endef
 export IDENTITY_CAMPAIGNS
 identity:

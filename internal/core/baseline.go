@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/abft"
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -102,19 +103,23 @@ type InstanceBaseline struct {
 	Steps int
 
 	// state and resume are what the campaign engine forks trials from
-	// instead of re-running the part of the inference a transient fault
-	// cannot reach (generative computational faults, which strike at
-	// promptLen + GenIter). A greedy baseline keeps a snapshot of the
-	// state it finished on — its KV rows below any position p are the
-	// clean state at p, and every trial reads them by reference — and one
-	// gen.Resume per generated token, resume[0] being the post-prompt
-	// point. Beam search forks states mid-decode and has no single
-	// finished state: it keeps the post-prompt snapshot and prefixLogits,
-	// the logits after the final prompt token, instead.
-	// Baseline-only; nil after Rerun.
+	// instead of re-running the part of the inference a fault cannot
+	// reach. A greedy baseline keeps a snapshot of the state it finished
+	// on — its KV rows below any position p are the clean state at p, and
+	// every trial reads them by reference — and one gen.Resume per
+	// generated token, resume[0] being the post-prompt point: a transient
+	// fault, which strikes at promptLen + GenIter, resumes in time. The
+	// snapshot of a memory-fault campaign's baseline also holds its depth
+	// planes (model.State.RecordDepth), and under all-layer ABFT ledger
+	// holds what a detect-only checker counted over it: a weight fault
+	// resumes in depth, at its sublayer (trialEnv.depthFrom). Beam search
+	// forks states mid-decode and has no single finished state: it keeps
+	// the post-prompt snapshot and prefixLogits, the logits after the
+	// final prompt token, instead. Baseline-only; nil after Rerun.
 	state        *model.Prefix
 	resume       []gen.Resume
 	prefixLogits []float32
+	ledger       *ledger
 	// capture holds the instance's clean per-layer activations when the
 	// runner traces the campaign: the propagation probes of sampled
 	// trials diff against it, so tracing never re-runs a clean forward.
@@ -146,7 +151,7 @@ func (b *Baseline) Scores() *Baseline {
 	s := *b
 	s.Instances = make([]InstanceBaseline, len(b.Instances))
 	for i, ib := range b.Instances {
-		ib.state, ib.resume, ib.prefixLogits, ib.capture = nil, nil, nil, nil
+		ib.state, ib.resume, ib.prefixLogits, ib.ledger, ib.capture = nil, nil, nil, nil, nil
 		s.Instances[i] = ib
 	}
 	return &s
@@ -155,7 +160,7 @@ func (b *Baseline) Scores() *Baseline {
 // EvalBaseline runs the suite fault-free on m with the given generation
 // settings (NumBeams etc.; MaxNewTokens is set per instance).
 func EvalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check AnswerChecker) *Baseline {
-	return evalBaseline(m, suite, gs, check, nil)
+	return evalBaseline(m, suite, gs, check, baselineOpts{})
 }
 
 // EvalBaseline evaluates the campaign's fault-free baseline with its
@@ -166,14 +171,28 @@ func EvalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 // each worker computed locally.
 func (c Campaign) EvalBaseline() *Baseline {
 	gs, check := c.effective()
-	return evalBaseline(c.Model, c.Suite, gs, check, nil)
+	return evalBaseline(c.Model, c.Suite, gs, check, baselineOpts{})
 }
 
-// evalBaseline is EvalBaseline plus optional activation capture: when
-// capMinPos is non-nil, each instance's clean per-layer outputs from
-// position capMinPos(inst) onward are recorded (via a temporary hook on
-// m) into InstanceBaseline.capture for the propagation probes.
-func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check AnswerChecker, capMinPos func(inst *tasks.Instance) int) *Baseline {
+// baselineOpts is what a runner asks of the baseline beyond its scores.
+// None of it changes an output.
+type baselineOpts struct {
+	// capMinPos, when non-nil, records each instance's clean per-layer
+	// outputs from position capMinPos(inst) onward (via a temporary hook on
+	// m) into InstanceBaseline.capture for the propagation probes.
+	capMinPos func(inst *tasks.Instance) int
+	// depth records each instance's depth planes in its snapshot.
+	depth bool
+	// ledger, when non-nil, runs each instance under a detect-only
+	// all-layer checker over this table, summed under tol, and keeps
+	// its counts in InstanceBaseline.ledger.
+	ledger *abft.Table
+	tol    float64
+}
+
+// evalBaseline is EvalBaseline plus what a runner's trials read from it
+// (baselineOpts).
+func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check AnswerChecker, opts baselineOpts) *Baseline {
 	if check == nil {
 		check = DefaultChecker(suite)
 	}
@@ -182,15 +201,29 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 	for i := range suite.Instances {
 		inst := &suite.Instances[i]
 		var cc *trace.Capture
-		if capMinPos != nil {
-			cc = trace.NewCapture(capMinPos(inst))
+		if opts.capMinPos != nil {
+			cc = trace.NewCapture(opts.capMinPos(inst))
 			m.AddHook(cc.Hook())
 		}
-		ib := evalInstance(m, suite, inst, gs, check, true, true, nil)
+		var lc *ledgerChecker
+		if opts.ledger != nil {
+			lc = newLedgerChecker(opts.ledger, &m.Cfg)
+			m.SetChecker(lc)
+		}
+		var st *model.State
+		if opts.depth {
+			st = m.NewState()
+			st.RecordDepth()
+		}
+		ib := evalInstance(m, suite, inst, gs, check, true, true, st, nil)
 		if cc != nil {
 			m.PopHook()
 			cc.Seal()
 			ib.capture = cc
+		}
+		if lc != nil {
+			m.SetChecker(nil)
+			ib.ledger = lc.ledger(opts.tol, ib.state.Pos())
 		}
 		b.Instances = append(b.Instances, ib)
 		if ib.AnswerOK {
@@ -213,9 +246,11 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 // selfRefOK makes an empty instance reference count as a correct answer
 // (fault-free runs define the reference). snap additionally keeps what
 // later trials resume from (InstanceBaseline.state) in the returned
-// baseline. sp, when non-nil, receives the phase timings
+// baseline. A generative instance runs on st — a state at position 0
+// bound to m: a depth fork, or a state recording its depth planes — or,
+// when nil, on a fresh one. sp, when non-nil, receives the phase timings
 // (prefill/decode/classify) of the run.
-func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs gen.Settings, check AnswerChecker, selfRefOK, snap bool, sp *spanTimes) InstanceBaseline {
+func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs gen.Settings, check AnswerChecker, selfRefOK, snap bool, st *model.State, sp *spanTimes) InstanceBaseline {
 	var ib InstanceBaseline
 	if suite.Type == tasks.MultipleChoice {
 		decodeStart := now()
@@ -235,12 +270,15 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 
 	gs.MaxNewTokens = inst.MaxNew
 	gs.MinNewTokens = inst.MinNew
-	st := m.NewState()
+	if st == nil {
+		st = m.NewState()
+	}
 	// Expert-trace comparison is only defined for the single-path greedy
-	// mode used by the MoE study (beam search forks states).
+	// mode used by the MoE study (beam search forks states). A depth fork
+	// of a tracing baseline traces already.
 	greedy := gs.NumBeams <= 1
 	expertTrace := m.Cfg.IsMoE() && greedy
-	if expertTrace {
+	if expertTrace && st.ExpertTrace == nil {
 		st.EnableExpertTrace()
 	}
 	prefillStart := now()
@@ -303,7 +341,7 @@ func finishGenerative(ib *InstanceBaseline, suite *tasks.Suite, inst *tasks.Inst
 // interesting trials through this to show example outputs (Figures 7,
 // 12, 15).
 func RerunInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance) string {
-	ib := evalInstance(m, suite, inst, defaultGen(), DefaultChecker(suite), false, false, nil)
+	ib := evalInstance(m, suite, inst, defaultGen(), DefaultChecker(suite), false, false, nil, nil)
 	if suite.Type == tasks.MultipleChoice {
 		return suite.Vocab.DecodeAll(inst.Options[ib.Choice])
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/abft"
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/metrics"
@@ -170,19 +171,21 @@ func engineFields(ib *InstanceBaseline) []string {
 // TestScoresDropsEngineState walks InstanceBaseline by reflection: no
 // unexported field may survive Scores(), or every retained Result pins
 // that field — a KV cache per instance, the last time it happened. The
-// baselines below (greedy with activation capture, and beam) must between
-// them populate every such field, so a new one cannot dodge the check by
-// being nil here.
+// baselines below (greedy with activation capture, a memory-fault one
+// with depth planes and a ledger, and beam) must between them populate
+// every such field, so a new one cannot dodge the check by being nil
+// here.
 func TestScoresDropsEngineState(t *testing.T) {
 	m := goldenModel(t, model.QwenS, false)
 	suite := tasks.NewSelfRefSuite("scores", 3, 2, 10, 5, []metrics.Kind{metrics.KindBLEU})
 	gs := defaultGen()
-	traced := evalBaseline(m, suite, gs, nil, func(inst *tasks.Instance) int { return len(inst.Prompt) })
+	traced := evalBaseline(m, suite, gs, nil, baselineOpts{capMinPos: func(inst *tasks.Instance) int { return len(inst.Prompt) }})
+	depth := evalBaseline(m, suite, gs, nil, baselineOpts{depth: true, ledger: abft.Protection{}.Table(m)})
 	gs.NumBeams = 2
 	beam := EvalBaseline(m, suite, gs, nil)
 
 	populated := map[string]bool{}
-	for _, b := range []*Baseline{traced, beam} {
+	for _, b := range []*Baseline{traced, depth, beam} {
 		for i := range b.Instances {
 			for _, name := range engineFields(&b.Instances[i]) {
 				populated[name] = true

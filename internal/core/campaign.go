@@ -52,10 +52,13 @@ type Campaign struct {
 	// worker's decode step.
 	ExtraHook func() model.Hook
 	// ABFT, when non-nil, arms the online checksum detector
-	// (internal/abft) for every trial: each worker owns a Checker whose
-	// clean-weight checksums are computed before the trial's fault is
-	// armed, and each trial's verdicts land in Trial.Detection. The
-	// baseline runs unchecked — it is the fault-free reference.
+	// (internal/abft) for every trial: each trial gets its own Checker over
+	// the run's one abft.Table, the clean-weight checksums summed once from
+	// Model before any fault is armed, and its verdicts land in
+	// Trial.Detection. The baseline is the fault-free reference and no
+	// checker changes it; under AllLayers a memory-fault campaign's
+	// baseline runs detect-only, to count the checks its depth-forked
+	// trials skip (ledger).
 	ABFT *ABFTConfig
 	// BatchDecode is the decode-loop width: each worker keeps up to
 	// BatchDecode trials in flight on one gen.Loop, running one stacked
@@ -244,12 +247,13 @@ func (tc *timedChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight,
 }
 
 // batchEligible reports whether the campaign's trials run as rows of
-// the decode loop. A row decodes from a fork of the baseline's state
-// with row-scoped fault hooks, so it requires everything prefix reuse
-// requires — and additionally a single greedy decode stream per
-// trial: multiple-choice scoring has no decode loop, memory faults
-// mutate the weights every in-flight sibling shares, and beam search
-// forks states mid-decode.
+// the decode loop, resuming the baseline in time. A row decodes from a
+// fork of the baseline's state with row-scoped fault hooks, so it
+// requires a clean prefix in time — a transient fault, which leaves every
+// position before its strike clean — and a single greedy decode stream
+// per trial: multiple-choice scoring has no decode loop, a memory fault
+// mutates the weights every in-flight sibling shares (its clean prefix is
+// in depth: depthEligible), and beam search forks states mid-decode.
 func (c Campaign) batchEligible(gs gen.Settings) bool {
 	return c.Suite.Type != tasks.MultipleChoice &&
 		!c.Fault.IsMemory() &&
@@ -257,15 +261,31 @@ func (c Campaign) batchEligible(gs gen.Settings) bool {
 		!c.noPrefixReuse
 }
 
+// depthEligible reports whether the campaign's trials may resume the
+// baseline in depth — whole-model greedy generative memory-fault trials,
+// which a weight fault leaves clean below its sublayer at every position
+// whose tokens match the baseline's — so its baseline records the depth
+// planes they fork from. An ExtraHook observes, and may change, every
+// layer, so its campaigns run whole. Which trials do skip is decided at
+// arming (trialEnv.depthFrom).
+func (c Campaign) depthEligible(gs gen.Settings) bool {
+	return c.Suite.Type != tasks.MultipleChoice &&
+		c.Fault.IsMemory() &&
+		gs.NumBeams <= 1 &&
+		c.ExtraHook == nil &&
+		!c.noPrefixReuse
+}
+
 // reusePrefix reports whether a whole-model trial may resume from the
 // baseline's post-prompt snapshot instead of re-running prefill — beam
-// search, that is: a greedy trial that can reuse anything is a decode-loop
-// row (batchEligible). Sound only when the faulted computation is
-// bit-identical to the fault-free one over the whole prompt: generative
-// computational faults target absolute position promptLen + GenIter,
-// which never lands inside the prompt. Memory faults corrupt the weights
-// prefill itself reads, and multiple-choice scoring (promptLen 0) can be
-// struck at any prompt position, so both keep the full path.
+// search, that is: a greedy trial that can reuse anything resumes in time
+// as a decode-loop row (batchEligible) or in depth (depthEligible). Sound
+// only when the faulted computation is bit-identical to the fault-free one
+// over the whole prompt: generative computational faults target absolute
+// position promptLen + GenIter, which never lands inside the prompt. A
+// memory fault corrupts the weights prefill itself reads, and
+// multiple-choice scoring (promptLen 0) can be struck at any prompt
+// position, so neither has a post-prompt point to resume at.
 func (c Campaign) reusePrefix(base *InstanceBaseline) bool {
 	return !c.noPrefixReuse &&
 		c.Suite.Type != tasks.MultipleChoice &&
@@ -301,11 +321,13 @@ func (c Campaign) faultWindow(inst *tasks.Instance, base *InstanceBaseline) (max
 
 // summarizeDetection folds the checker's per-trial event log into the
 // Trial.Detection record, attributing each violation to the injected
-// fault, to its downstream cascade, or to noise.
-func summarizeDetection(checker *abft.Checker, site faults.Site, promptLen int, fired bool) *Detection {
+// fault, to its downstream cascade, or to noise. skipped is the clean
+// checks the trial's depth fork read from the baseline's ledger instead
+// of running: none of them flagged (armed.depthFrom).
+func summarizeDetection(checker *abft.Checker, site faults.Site, promptLen int, fired bool, skipped int) *Detection {
 	st := checker.Stats()
 	d := &Detection{
-		Checks:    st.Checks,
+		Checks:    st.Checks + skipped,
 		Flagged:   st.Flagged,
 		Corrected: st.Corrected,
 		Skipped:   st.Skipped,

@@ -95,7 +95,9 @@ func WithOnly(indices []int) RunnerOption {
 // and reuses it across leases; a Result's scores-only copy has no prefix
 // snapshots to fork trials from, and a campaign that needs them refuses
 // it with ErrBaselineNoPrefix). A baseline captured without activation
-// capture silently disables propagation probes for traced trials.
+// capture silently disables propagation probes for traced trials; one
+// without depth planes (or, under all-layer ABFT, without a ledger over
+// the campaign's tolerance) runs memory-fault trials whole.
 func WithBaseline(b *Baseline) RunnerOption {
 	return func(r *Runner) { r.baseline = b }
 }
@@ -247,24 +249,34 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	traceOn := r.traceEvery > 0 &&
 		c.Suite.Type != tasks.MultipleChoice && gs.NumBeams <= 1
 
+	// Clean-weight checksums are summed once, from the model nobody
+	// strikes: faults are armed only on the workers' copy-on-write clones.
+	var table *abft.Table
+	if c.ABFT != nil {
+		table = c.ABFT.Table(c.Model)
+	}
+
 	baseline := r.baseline
 	if baseline == nil {
 		if c.ExtraHook != nil {
 			c.Model.AddHook(c.ExtraHook())
 		}
-		var capMinPos func(inst *tasks.Instance) int
+		opts := baselineOpts{depth: c.depthEligible(gs)}
 		if traceOn {
 			// Transient computational faults strike only during decode, so
 			// prompt-position activations are dead weight; a resident memory
 			// fault corrupts the prefill too, so everything is captured.
-			capMinPos = func(inst *tasks.Instance) int {
+			opts.capMinPos = func(inst *tasks.Instance) int {
 				if c.Fault.IsMemory() {
 					return 0
 				}
 				return len(inst.Prompt)
 			}
 		}
-		baseline = evalBaseline(c.Model, c.Suite, gs, check, capMinPos)
+		if opts.depth && c.ABFT != nil && c.ABFT.AllLayers {
+			opts.ledger, opts.tol = table, c.ABFT.Tol
+		}
+		baseline = evalBaseline(c.Model, c.Suite, gs, check, opts)
 		if c.ExtraHook != nil {
 			c.Model.ClearHooks()
 		}
@@ -343,12 +355,6 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	defer cancel()
 
 	seedSrc := prng.New(c.Seed ^ 0xca3b417a)
-	// Clean-weight checksums are summed once, from the model nobody
-	// strikes: faults are armed only on the workers' copy-on-write clones.
-	var table *abft.Table
-	if c.ABFT != nil {
-		table = c.ABFT.Table(c.Model)
-	}
 	// The jobs channel is pre-filled and closed before workers start, so
 	// a worker that stops early never strands a blocked producer.
 	jobs := make(chan int, len(pending))

@@ -26,7 +26,10 @@ import (
 //     decode is width 1.
 //   - whole-model (runTrial): what a row cannot express — multiple-choice
 //     scoring, memory faults, beam search, and the seed path
-//     (noPrefixReuse) — arms the worker's model and runs one inference.
+//     (noPrefixReuse) — arms the worker's model and runs one inference; a
+//     memory-fault trial's starts at its struck sublayer, on a depth fork
+//     of the baseline's finished state (trialEnv.depthFrom) recycled per
+//     worker.
 //
 // Both go through the same arm and seal, so the trial contract — what is
 // sampled from Split(t), what observes the inference and in which order,
@@ -47,6 +50,8 @@ type trialEnv struct {
 	check   AnswerChecker
 	rows    bool
 	traceOn bool
+	// depth is the worker's recycled depth-fork state.
+	depth *model.State
 }
 
 // armed is one trial between arm and seal.
@@ -68,7 +73,11 @@ type armed struct {
 	hooks  []model.Hook
 	lc     model.LinearChecker
 	traced bool
-	sp     spanTimes
+	// from is the sublayer a depth-forked trial starts at (-1: a fresh
+	// state, the whole inference), matched the positions it read from the
+	// baseline there.
+	from, matched int
+	sp            spanTimes
 	// busy is the trial's attributed wall time: arm, inference and seal,
 	// with a row charged an equal share of every stacked step it rode in
 	// so worker utilization stays comparable across widths.
@@ -133,6 +142,7 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 		// hook have mutated the row — and never modifies it.
 		a.hooks = append(a.hooks, a.probe.Hook())
 	}
+	a.from = e.depthFrom(a)
 	if !e.rows {
 		for _, h := range a.hooks {
 			e.wm.AddHook(h)
@@ -140,6 +150,34 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 		e.wm.SetChecker(a.lc)
 	}
 	return a, nil
+}
+
+// depthFrom picks the sublayer a whole-model trial's inference starts at,
+// or -1 for the whole inference. A weight fault leaves every sublayer
+// below its own clean at each position whose tokens match the baseline's,
+// so a trial nothing there observes starts at the site's sublayer, over
+// the baseline's residual stream and KV (model.Prefix.ForkDepth). A
+// site-only checker watches the site layer, which the trial computes. An
+// all-layer checker's clean checks below were counted once, by the
+// baseline's ledger, and are added to Detection.Checks; a clean check it
+// flagged there (a tolerance under the kernel's noise) would have acted
+// on the row, so the trial starts at the lowest flagged sublayer instead.
+// A probe watches every layer: a traced trial runs whole, as does one
+// whose baseline has no depth planes — or no ledger over this tolerance.
+func (e *trialEnv) depthFrom(a *armed) int {
+	c := &e.c
+	if !c.depthEligible(e.gs) || a.traced || a.base.state == nil || !a.base.state.HasDepth() {
+		return -1
+	}
+	from := a.site.Layer.Sublayer()
+	if c.ABFT != nil && c.ABFT.AllLayers {
+		l := a.base.ledger
+		if l == nil || l.tol != c.ABFT.Tol {
+			return -1
+		}
+		from = min(from, l.lowestFlag())
+	}
+	return from
 }
 
 // resumeAt picks the baseline resume point the trial's row starts from.
@@ -184,7 +222,14 @@ func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
 	if a.checker != nil {
 		sp.mitigate = a.checker.MitigationTime()
 		sp.abft = a.timed.total - sp.mitigate
-		trial.Detection = summarizeDetection(a.checker, a.site, a.promptLen, fired)
+		skipped := 0
+		if c.ABFT.AllLayers && a.from > 0 {
+			skipped = a.base.ledger.skipped(a.from, a.matched)
+		}
+		trial.Detection = summarizeDetection(a.checker, a.site, a.promptLen, fired, skipped)
+	}
+	if a.from > 0 {
+		e.r.tel.depthSkipped(a.from * a.matched)
 	}
 	if c.Suite.Type == tasks.MultipleChoice {
 		masked := ib.Choice == a.base.Choice
@@ -321,10 +366,15 @@ func (e *trialEnv) runTrial(t int) (trialResult, error) {
 		return trialResult{}, err
 	}
 	var ib InstanceBaseline
-	if e.c.reusePrefix(a.base) {
+	switch {
+	case e.c.reusePrefix(a.base):
 		ib = e.resumeBeam(a)
-	} else {
-		ib = evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, false, &a.sp)
+	case a.from >= 0:
+		e.depth = a.base.state.ForkDepth(e.wm, e.depth, a.from)
+		ib = evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, false, e.depth, &a.sp)
+		a.matched = e.depth.DepthMatched()
+	default:
+		ib = evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, false, nil, &a.sp)
 	}
 	a.busy = since(start)
 	return e.seal(a, ib), nil

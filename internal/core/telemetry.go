@@ -32,6 +32,9 @@ type Telemetry struct {
 	// is the mean batch occupancy. Atomic: workers observe each step.
 	batchSteps atomic.Int64
 	batchRows  atomic.Int64
+	// depthRows counts the sublayer-positions depth-forked trials read
+	// from their baseline instead of computing.
+	depthRows atomic.Int64
 	// phases holds the per-phase latency histograms, indexed by
 	// trace.PhaseIndex; lock-free because workers observe spans directly.
 	phases []*prom.Hist
@@ -90,6 +93,7 @@ func (t *Telemetry) begin(total, workers int) {
 	t.traced.Store(0)
 	t.batchSteps.Store(0)
 	t.batchRows.Store(0)
+	t.depthRows.Store(0)
 	for _, h := range t.phases {
 		h.Reset()
 	}
@@ -156,6 +160,10 @@ func (t *Telemetry) observeBatch(rows int) {
 	t.batchSteps.Add(1)
 	t.batchRows.Add(int64(rows))
 }
+
+// depthSkipped counts the sublayer-positions one trial read from its
+// baseline instead of computing.
+func (t *Telemetry) depthSkipped(rows int) { t.depthRows.Add(int64(rows)) }
 
 // observePhase adds one latency observation to a phase histogram.
 // Lock-free: workers call it directly as trials complete.
@@ -247,6 +255,10 @@ type TelemetrySnapshot struct {
 	// with at least one observation, in trace.Phases order.
 	PhaseBucketBounds []float64       `json:"phase_bucket_bounds,omitempty"`
 	Phases            []PhaseSnapshot `json:"phases,omitempty"`
+	// DepthSkippedRows counts the sublayer-positions memory-fault trials
+	// read from their baseline's depth planes instead of computing — one
+	// per skipped sublayer per matched position. Observational.
+	DepthSkippedRows int64 `json:"depth_skipped_rows,omitempty"`
 }
 
 // Snapshot renders the current state.
@@ -280,6 +292,7 @@ func (t *Telemetry) Snapshot() TelemetrySnapshot {
 	}
 	s.DecodeBatchSteps = t.batchSteps.Load()
 	s.DecodeBatchRows = t.batchRows.Load()
+	s.DepthSkippedRows = t.depthRows.Load()
 	if s.DecodeBatchSteps > 0 {
 		s.BatchOccupancy = float64(s.DecodeBatchRows) / float64(s.DecodeBatchSteps)
 	}

@@ -113,11 +113,7 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	}
 	views := b.rows[:n]
 	for i, row := range rows {
-		views[i] = stackRow{
-			st: row.St, pos: row.St.Pos, tok: row.Tok,
-			rc:        rowCtx{hooks: row.Hooks, checker: row.Checker},
-			attnHooks: row.AttnHooks,
-		}
+		views[i] = row.St.row(row.St.Pos, row.Tok, rowCtx{hooks: row.Hooks, checker: row.Checker}, row.AttnHooks)
 	}
 
 	shards := min(m.matmulThreads(), n)

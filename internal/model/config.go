@@ -167,6 +167,25 @@ type LayerRef struct {
 	Expert int
 }
 
+// Sublayer returns the index of the sublayer ref lies in, in forward
+// order: 2·Block for a block's attention half (its norm gain, q/k/v/out
+// and the post-attention activation), 2·Block+1 for its MLP/MoE half (its
+// norm gain, the router and the gate/up/down of the MLP or any expert),
+// and -1 for what lies outside the blocks (embedding, final norm, LM
+// head).
+func (r LayerRef) Sublayer() int {
+	if r.Block < 0 {
+		return -1
+	}
+	switch r.Kind {
+	case KindAttnNorm, KindQ, KindK, KindV, KindOut, KindAttnAct:
+		return 2 * r.Block
+	case KindMLPNorm, KindRouter, KindGate, KindUp, KindDown:
+		return 2*r.Block + 1
+	}
+	return -1
+}
+
 // String renders e.g. "block10.up_proj" or "block3.expert5.down_proj".
 func (r LayerRef) String() string {
 	if r.Expert >= 0 {

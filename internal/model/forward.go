@@ -15,17 +15,25 @@ type State struct {
 	m   *Model
 	Pos int // number of tokens processed so far
 
-	// The KV cache (kv.go): rows [0, nb) read from base, the rest own.
+	// The KV cache (kv.go): block b's rows [0, nb[b]) read from base, the
+	// rest own.
 	base *Prefix
-	nb   int
+	nb   []int
 	own  [2][][]float32 // [plane][block], rows × DModel
-	rows int            // own rows allocated per plane
+	rows int            // own rows allocated per plane and block
 
-	// Scratch buffers reused across steps.
-	x, h, q, k, v, attnOut, ff1, ff2, ffa, logits []float32
-	routerLogits                                  []float32
-	attnScores                                    []float32
-	attnQ                                         []float64
+	// Depth (depth.go): a depth fork's passes start at sublayer from while
+	// from > 0, and matched counts the positions that did; rec, when
+	// non-nil, records the state's own planes for Snapshot.
+	from, matched int
+	rec           *planes
+
+	// Scratch reused across steps: DecodeStep's one-row stack, the logits
+	// it returns, and attention's per-head buffers.
+	sk         *stack
+	logits     []float32
+	attnScores []float32
+	attnQ      []float64
 
 	// ExpertTrace, when non-nil, records the experts selected at each step
 	// for each MoE block — Figure 15's "expert selection changed" analysis.
@@ -37,27 +45,14 @@ func (m *Model) NewState() *State { return m.newState(m.Cfg.MaxSeq) }
 
 // newState allocates a state with room for rows rows of its own.
 func (m *Model) newState(rows int) *State {
-	st := &State{m: m}
+	st := &State{m: m, nb: make([]int, m.Cfg.NBlocks), sk: m.newStack(1)}
 	for pl := range st.own {
 		st.own[pl] = make([][]float32, m.Cfg.NBlocks)
 	}
-	st.reserve(rows, 0)
-	d, ff := m.Cfg.DModel, m.Cfg.FFHidden
-	st.x = make([]float32, d)
-	st.h = make([]float32, d)
-	st.q = make([]float32, d)
-	st.k = make([]float32, d)
-	st.v = make([]float32, d)
-	st.attnOut = make([]float32, d)
-	st.ff1 = make([]float32, ff)
-	st.ff2 = make([]float32, ff)
-	st.ffa = make([]float32, ff)
+	st.reserve(rows, false)
 	st.logits = make([]float32, m.Cfg.Vocab)
 	st.attnScores = make([]float32, m.Cfg.MaxSeq)
 	st.attnQ = make([]float64, m.Cfg.HeadDim())
-	if m.Cfg.IsMoE() {
-		st.routerLogits = make([]float32, m.Cfg.NumExperts)
-	}
 	return st
 }
 
@@ -65,7 +60,9 @@ func (m *Model) newState(rows int) *State {
 // reused for a fresh inference.
 func (st *State) Reset() {
 	st.Pos = 0
-	st.base, st.nb = nil, 0
+	st.base = nil
+	clear(st.nb)
+	st.from, st.matched, st.rec = 0, 0, nil
 	st.ExpertTrace = nil
 }
 
@@ -95,8 +92,9 @@ func (st *State) ForkForInto(m2 *Model, dst *State) *State {
 // run stopped at pos would hold (unless something rewrote a row after
 // the fact, as a KV-cache strike does). st may go on being written, so
 // the rows it owns are copied; rows it reads from a Prefix stay shared.
-// A source that is finished is snapshotted once and forked by reference
-// instead (Snapshot, Prefix.ForkInto). Forking beyond the cursor panics.
+// The fork of a depth fork computes every sublayer from pos on. A source
+// that is finished is snapshotted once and forked by reference instead
+// (Snapshot, Prefix.ForkInto). Forking beyond the cursor panics.
 func (st *State) ForkAtInto(m2 *Model, dst *State, pos int) *State {
 	if m2.Cfg.DModel != st.m.Cfg.DModel || m2.Cfg.NBlocks != st.m.Cfg.NBlocks || m2.Cfg.MaxSeq != st.m.Cfg.MaxSeq {
 		panic("model: fork across different architectures")
@@ -108,132 +106,86 @@ func (st *State) ForkAtInto(m2 *Model, dst *State, pos int) *State {
 		dst = m2.NewState()
 	}
 	dst.m = m2
-	dst.base, dst.nb, dst.Pos = st.base, min(st.nb, pos), pos
+	dst.base, dst.Pos = st.base, pos
+	for b, nb := range st.nb {
+		dst.nb[b] = min(nb, pos)
+	}
+	dst.from, dst.matched, dst.rec = 0, 0, nil
 	// Rows of dst's own cache at or beyond pos are left stale; attention
 	// only ever reads positions below the state's cursor, and decode
 	// writes each row before the step that reads it, so stale tails are
 	// unobservable.
-	dst.reserve(pos-dst.nb, 0)
-	n := (pos - dst.nb) * st.m.Cfg.DModel
+	dst.reserve(dst.ownRows(pos), false)
+	d := st.m.Cfg.DModel
 	for pl := range st.own {
 		for b, rows := range st.own[pl] {
-			copy(dst.own[pl][b], rows[:n])
+			copy(dst.own[pl][b], rows[:(pos-dst.nb[b])*d])
 		}
 	}
 	dst.ExpertTrace = traceBelow(st.ExpertTrace, min(st.m.Cfg.TopK, st.m.Cfg.NumExperts), st.Pos, pos)
 	return dst
 }
 
-// EnableExpertTrace starts recording MoE expert selections per block.
+// EnableExpertTrace starts recording MoE expert selections per block. A
+// depth fork of a prefix that did not trace has no selections to lend the
+// blocks its matched passes skip, so from here on it computes them all.
 func (st *State) EnableExpertTrace() {
 	st.ExpertTrace = make([][]int, st.m.Cfg.NBlocks)
+	if st.base != nil && st.base.trace == nil {
+		st.from = 0
+	}
 }
 
 // DecodeStep runs one token through the model, appending to the KV cache,
-// and returns the next-token logits. The returned slice is reused by the
-// next call; copy it if it must outlive the step.
+// and returns the next-token logits. It is the one-row case of the
+// stacked pass Prefill and Batch.Step run (forwardStack), observed by the
+// model's own hooks, attention hooks and checker. The returned slice is
+// reused by the next call; copy it if it must outlive the step.
 func (st *State) DecodeStep(tok int) []float32 {
 	m := st.m
-	cfg := &m.Cfg
-	if st.Pos >= cfg.MaxSeq {
-		panic(fmt.Sprintf("model: context overflow (max %d)", cfg.MaxSeq))
+	if st.Pos >= m.Cfg.MaxSeq {
+		panic(fmt.Sprintf("model: context overflow (max %d)", m.Cfg.MaxSeq))
 	}
-	if tok < 0 || tok >= cfg.Vocab {
-		tok = 0
-	}
-	pos := st.Pos
-	d := cfg.DModel
 	st.reserveNext(1)
-
-	copy(st.x, m.Embed.Row(tok))
-
-	for bi, blk := range m.Blocks {
-		// --- attention sub-block ---
-		copy(st.h, st.x)
-		tensor.RMSNormRow(st.h, blk.AttnNorm, cfg.Eps)
-
-		blk.Wq.Forward(st.q, st.h)
-		m.finishLinear(LayerRef{bi, KindQ, -1}, pos, blk.Wq, st.h, st.q)
-		blk.Wk.Forward(st.k, st.h)
-		m.finishLinear(LayerRef{bi, KindK, -1}, pos, blk.Wk, st.h, st.k)
-		blk.Wv.Forward(st.v, st.h)
-		m.finishLinear(LayerRef{bi, KindV, -1}, pos, blk.Wv, st.h, st.v)
-
-		m.applyRoPE(st.q, pos)
-		m.applyRoPE(st.k, pos)
-
-		st.appendKV(bi, pos, st.k, st.v)
-
-		m.attendAt(st, bi, pos, st.q, st.attnOut)
-		if len(m.attnHooks) > 0 {
-			m.runAttnHooks(LayerRef{bi, KindAttnAct, -1}, pos, st.attnOut)
-		}
-
-		blk.Wo.Forward(st.h, st.attnOut)
-		m.finishLinear(LayerRef{bi, KindOut, -1}, pos, blk.Wo, st.attnOut, st.h)
-		for i := range st.x {
-			st.x[i] += st.h[i]
-		}
-
-		// --- MLP / MoE sub-block ---
-		copy(st.h, st.x)
-		tensor.RMSNormRow(st.h, blk.MLPNorm, cfg.Eps)
-
-		if blk.Router != nil {
-			m.moeForward(st, blk, bi, pos)
-		} else {
-			m.mlpForward(m.rc(), st, blk.MLP, LayerRef{bi, 0, -1}, pos, st.h, st.h)
-		}
-		for i := 0; i < d; i++ {
-			st.x[i] += st.h[i]
-		}
-	}
-
-	tensor.RMSNormRow(st.x, m.FinalNorm, cfg.Eps)
-	m.LMHead.Forward(st.logits, st.x)
-	m.finishLinear(LayerRef{-1, KindLMHead, -1}, pos, m.LMHead, st.x, st.logits)
-
+	rows := [1]stackRow{st.row(st.Pos, tok, m.rc(), m.attnHooks)}
+	m.forwardStack(st.sk, rows[:], 0, 1, 1)
+	x := st.sk.x.Row(0)
+	m.LMHead.Forward(st.logits, x)
+	m.finishLinear(LayerRef{-1, KindLMHead, -1}, st.Pos, m.LMHead, x, st.logits)
 	st.Pos++
 	return st.logits
 }
 
-// mlpForward computes dst = down(silu(gate(h)) * up(h)). base carries the
-// block and expert indices; its Kind field is overwritten per projection.
-// dst and h may alias. rc selects whose hooks and checker observe the
-// three projections (the row's own trial in a decode batch).
-func (m *Model) mlpForward(rc rowCtx, st *State, mlp *MLPWeights, base LayerRef, pos int, dst, h []float32) {
+// mlpForward computes dst = down(silu(gate(h)) * up(h)) with ff1, ff2 and
+// ffa as its hidden scratch. base carries the block and expert indices;
+// its Kind field is overwritten per projection. rc selects whose hooks and
+// checker observe the three projections.
+func (m *Model) mlpForward(rc rowCtx, mlp *MLPWeights, base LayerRef, pos int, dst, h, ff1, ff2, ffa []float32) {
 	base.Kind = KindGate
-	mlp.WGate.Forward(st.ff1, h)
-	m.finishLinearRC(rc, base, pos, mlp.WGate, h, st.ff1)
+	mlp.WGate.Forward(ff1, h)
+	m.finishLinearRC(rc, base, pos, mlp.WGate, h, ff1)
 	base.Kind = KindUp
-	mlp.WUp.Forward(st.ff2, h)
-	m.finishLinearRC(rc, base, pos, mlp.WUp, h, st.ff2)
-	for i, g := range st.ff1 {
-		st.ffa[i] = float32(float64(g)/(1+math.Exp(-float64(g)))) * st.ff2[i]
+	mlp.WUp.Forward(ff2, h)
+	m.finishLinearRC(rc, base, pos, mlp.WUp, h, ff2)
+	for i, g := range ff1 {
+		ffa[i] = float32(float64(g)/(1+math.Exp(-float64(g)))) * ff2[i]
 	}
 	base.Kind = KindDown
-	mlp.WDown.Forward(dst, st.ffa)
-	m.finishLinearRC(rc, base, pos, mlp.WDown, st.ffa, dst)
+	mlp.WDown.Forward(dst, ffa)
+	m.finishLinearRC(rc, base, pos, mlp.WDown, ffa, dst)
 }
 
-// moeForward routes h through the top-K experts selected by the router
-// gate layer and writes the probability-weighted mixture to st.h.
-func (m *Model) moeForward(st *State, blk *Block, bi, pos int) {
-	blk.Router.Forward(st.routerLogits, st.h)
-	m.finishLinear(LayerRef{bi, KindRouter, -1}, pos, blk.Router, st.h, st.routerLogits)
-	m.moeMix(m.rc(), st, blk, bi, pos, st.routerLogits, st.h, st.h)
-}
-
-// moeMix routes the post-norm row h through the top-K experts selected by
-// the already-finished router logits and writes the probability-weighted
-// mixture to dst. dst may alias h. forwardStack runs the router linear for
-// all its rows at once and then mixes per row through here, under each
-// row's own rc.
-func (m *Model) moeMix(rc rowCtx, st *State, blk *Block, bi, pos int, routerLogits, h, dst []float32) {
+// moeMix routes row r of a stacked pass — its post-norm activation sk.h,
+// whose router logits sk.r are already finished — through the top-K
+// experts they select and writes the probability-weighted mixture to
+// sk.d, every expert's MLP under the row's own observers with row r of
+// sk's hidden tensors as its scratch.
+func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 	cfg := &m.Cfg
+	routerLogits := sk.r.Row(r)
 	sel := tensor.TopK(routerLogits, cfg.TopK)
-	if st.ExpertTrace != nil {
-		st.ExpertTrace[bi] = append(st.ExpertTrace[bi], sel...)
+	if tr := row.st.ExpertTrace; tr != nil {
+		tr[bi] = append(tr[bi], sel...)
 	}
 	// Softmax over the selected logits only (Mixtral-style renormalization).
 	probs := make([]float32, len(sel))
@@ -262,29 +214,30 @@ func (m *Model) moeMix(rc rowCtx, st *State, blk *Block, bi, pos int, routerLogi
 
 	mix := make([]float32, cfg.DModel)
 	out := make([]float32, cfg.DModel)
+	h, ff1, ff2, ffa := sk.h.Row(r), sk.ff1.Row(r), sk.ff2.Row(r), sk.ffa.Row(r)
 	for i, e := range sel {
-		m.mlpForward(rc, st, blk.Experts[e], LayerRef{bi, 0, e}, pos, out, h)
+		m.mlpForward(row.rc, blk.Experts[e], LayerRef{bi, 0, e}, row.pos, out, h, ff1, ff2, ffa)
 		w := probs[i]
 		for j, v := range out {
 			mix[j] += w * v
 		}
 	}
-	copy(dst, mix)
+	copy(sk.d.Row(r), mix)
 }
 
 // rowCtx is the observation context of one activation row: which hooks
-// fire on each linear-layer output and which checker verifies it. The
-// serial path uses the model's registered hooks and checker for every
-// row; the batched decode engine builds one rowCtx per in-flight trial
-// so each batch row keeps its own injection site and detection verdict
-// while sharing the stacked GEMMs.
+// fire on each linear-layer output and which checker verifies it.
+// Prefill and DecodeStep use the model's registered hooks and checker for
+// every row; the batched decode engine builds one rowCtx per in-flight
+// trial so each batch row keeps its own injection site and detection
+// verdict while sharing the stacked GEMMs.
 type rowCtx struct {
 	hooks   []Hook
 	checker LinearChecker
 }
 
 // rc returns the model's own observation context (registered hooks plus
-// the armed checker) — what every serial forward pass runs under.
+// the armed checker) — what Prefill and DecodeStep run under.
 func (m *Model) rc() rowCtx { return rowCtx{hooks: m.hooks, checker: m.checker} }
 
 // finishLinear applies the model's forward hooks to a linear layer's
@@ -354,8 +307,8 @@ func (m *Model) initRope() {
 }
 
 // prefillSequential feeds every prompt token through DecodeStep and
-// returns the logits after the final prompt token. This is the seed
-// per-token reference path; the batched Prefill in prefill.go is pinned
+// returns the logits after the final prompt token: the seed's per-token
+// order, one row per pass. The stacked Prefill in prefill.go is pinned
 // bit-for-bit to it by golden tests, and SetSequentialPrefill routes
 // Prefill back through here for those tests and for before/after
 // benchmarks.

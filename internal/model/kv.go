@@ -8,15 +8,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// A State's KV cache is held in two pieces. Positions [0, nb) are rows of
-// base, a Prefix shared by reference with every other fork of it and never
-// written; positions [nb, Pos) are the state's own, position p at row
-// p-nb of own[plane][block] (DModel-wide head-major rows). NewState has no
-// base and owns MaxSeq rows up front; a Prefix.ForkInto state owns only
-// the rows it appends, grown on demand and kept when the state is
-// recycled. Decoding only appends, so nothing below nb is ever written —
-// except by a KV-cache strike, which first makes the shared rows private
-// (SetKV).
+// A State's KV cache is held in two pieces per block. Block b's positions
+// [0, nb[b]) are rows of base, a Prefix shared by reference with every
+// other fork of it and never written; positions [nb[b], Pos) are the
+// state's own, position p at row p-nb[b] of own[plane][b] (DModel-wide
+// head-major rows). NewState has no base and owns MaxSeq rows up front; a
+// Prefix.ForkInto state shares the same nb rows in every block and owns
+// only the rows it appends, grown on demand and kept when the state is
+// recycled; a depth fork (depth.go) goes on sharing, in the blocks whose
+// attention its matched passes skip, one more row per matched position.
+// Decoding only appends, so nothing below nb[b] is ever written — except
+// by a KV-cache strike, which first makes the shared rows private (SetKV).
 
 // The two planes of a KV cache.
 const (
@@ -25,8 +27,9 @@ const (
 )
 
 // Prefix is an immutable KV cache: the first Pos rows of the state it was
-// snapshotted from, with its expert trace. Nothing aliases a live state
-// and no method writes it, so any number of goroutines may fork from and
+// snapshotted from, with its expert trace and, when that state recorded
+// them (RecordDepth), its depth planes. Nothing aliases a live state and
+// no method writes it, so any number of goroutines may fork from and
 // attend over one Prefix with no writer rule to follow: it needs only to
 // be published the way any value is (a channel, a mutex, a WaitGroup).
 type Prefix struct {
@@ -35,30 +38,37 @@ type Prefix struct {
 	kv             [2][][]float32 // [plane][block], pos × dModel
 	trace          [][]int        // per block, nil when the state did not trace
 	perPos         int            // trace entries a routed position appends
+	depth          *planes        // nil when the state did not record them
 }
 
 // Pos is the number of positions the prefix holds.
 func (p *Prefix) Pos() int { return p.pos }
 
-// Bytes is the size of the prefix's cached rows, what a budget over
-// prefixes counts.
-func (p *Prefix) Bytes() int { return 2 * len(p.kv[planeK]) * p.pos * p.dModel * 4 }
+// Bytes is the size of the prefix's cached rows and depth planes, what a
+// budget over prefixes counts.
+func (p *Prefix) Bytes() int {
+	n := 2 * len(p.kv[planeK]) * p.pos * p.dModel * 4
+	if p.depth != nil {
+		n += len(p.depth.res)*p.pos*p.dModel*4 + p.pos*8
+	}
+	return n
+}
 
-// Snapshot returns an exact copy of the state's first Pos rows and its
-// expert trace as an immutable Prefix.
+// Snapshot returns an exact copy of the state's first Pos rows, its
+// expert trace and its depth planes as an immutable Prefix.
 func (st *State) Snapshot() *Prefix {
 	cfg := &st.m.Cfg
-	p := &Prefix{dModel: cfg.DModel, maxSeq: cfg.MaxSeq, pos: st.Pos, perPos: min(cfg.TopK, cfg.NumExperts)}
-	shared, own := st.nb*cfg.DModel, (st.Pos-st.nb)*cfg.DModel
+	d := cfg.DModel
+	p := &Prefix{dModel: d, maxSeq: cfg.MaxSeq, pos: st.Pos, perPos: min(cfg.TopK, cfg.NumExperts)}
+	rows := slab(2*cfg.NBlocks, st.Pos*d)
 	for pl := range p.kv {
-		p.kv[pl] = make([][]float32, cfg.NBlocks)
-		for b := range p.kv[pl] {
-			rows := make([]float32, shared+own)
+		p.kv[pl], rows = rows[:cfg.NBlocks], rows[cfg.NBlocks:]
+		for b, dst := range p.kv[pl] {
+			shared := st.nb[b] * d
 			if shared > 0 {
-				copy(rows, st.base.kv[pl][b][:shared])
+				copy(dst, st.base.kv[pl][b][:shared])
 			}
-			copy(rows[shared:], st.own[pl][b][:own])
-			p.kv[pl][b] = rows
+			copy(dst[shared:], st.own[pl][b])
 		}
 	}
 	if st.ExpertTrace != nil {
@@ -66,6 +76,9 @@ func (st *State) Snapshot() *Prefix {
 		for b, tr := range st.ExpertTrace {
 			p.trace[b] = slices.Clone(tr)
 		}
+	}
+	if st.rec != nil {
+		p.depth = st.rec.below(st.Pos, d)
 	}
 	return p
 }
@@ -88,9 +101,26 @@ func (p *Prefix) ForkInto(m2 *Model, dst *State, pos int) *State {
 		dst = m2.newState(0)
 	}
 	dst.m = m2
-	dst.base, dst.nb, dst.Pos = p, pos, pos
+	dst.base, dst.Pos = p, pos
+	for b := range dst.nb {
+		dst.nb[b] = pos
+	}
+	dst.from, dst.matched, dst.rec = 0, 0, nil
 	dst.ExpertTrace = traceBelow(p.trace, p.perPos, p.pos, pos)
 	return dst
+}
+
+// slab returns n slices of size elements carved from one allocation, each
+// with its capacity clipped to its length: a prefix's rows are many
+// arrays of a few dozen KB, and one allocation for all of them spares the
+// page rounding each would pay alone.
+func slab(n, size int) [][]float32 {
+	all := make([]float32, n*size)
+	out := make([][]float32, n)
+	for i := range out {
+		out[i] = all[i*size : (i+1)*size : (i+1)*size]
+	}
+	return out
 }
 
 // traceBelow returns the entries of an expert trace recorded over have
@@ -118,10 +148,10 @@ func traceBelow(tr [][]int, perPos, have, pos int) [][]int {
 	return out
 }
 
-// reserve makes room for rows own rows per plane, keeping the first keep.
-// Capacity doubles, so a decode that appends a row per step reallocates
-// O(log n) times.
-func (st *State) reserve(rows, keep int) {
+// reserve makes room for rows own rows per plane and block, keeping each
+// block's own rows below the cursor when keep is set. Capacity doubles, so
+// a decode that appends a row per step reallocates O(log n) times.
+func (st *State) reserve(rows int, keep bool) {
 	if rows <= st.rows {
 		return
 	}
@@ -130,43 +160,56 @@ func (st *State) reserve(rows, keep int) {
 	for pl := range st.own {
 		for b, old := range st.own[pl] {
 			st.own[pl][b] = make([]float32, rows*cfg.DModel)
-			copy(st.own[pl][b], old[:keep*cfg.DModel])
+			if keep {
+				copy(st.own[pl][b], old[:(st.Pos-st.nb[b])*cfg.DModel])
+			}
 		}
 	}
 	st.rows = rows
 }
 
+// ownRows is the most rows of its own any block holds once the state has
+// run every position below pos.
+func (st *State) ownRows(pos int) int {
+	n := 0
+	for _, nb := range st.nb {
+		n = max(n, pos-nb)
+	}
+	return n
+}
+
 // reserveNext makes room for n more positions after the cursor.
 func (st *State) reserveNext(n int) {
-	st.reserve(st.Pos+n-st.nb, st.Pos-st.nb)
+	st.reserve(st.ownRows(st.Pos+n), true)
 }
 
 // appendKV stores the key and value rows of position pos, which
 // reserveNext has made room for.
 func (st *State) appendKV(b, pos int, k, v []float32) {
 	d := st.m.Cfg.DModel
-	at := (pos - st.nb) * d
+	at := (pos - st.nb[b]) * d
 	copy(st.own[planeK][b][at:at+d], k)
 	copy(st.own[planeV][b][at:at+d], v)
 }
 
 // privatize copies the shared rows into the state's own, below the rows
-// it has appended: the state stops reading its base.
+// it has appended: the state stops reading its base — its KV rows and, for
+// a depth fork, its residual planes.
 func (st *State) privatize() {
-	if st.nb == 0 {
+	if st.base == nil {
 		return
 	}
 	d := st.m.Cfg.DModel
-	own := st.Pos - st.nb
-	st.reserve(st.Pos, own)
-	shared := st.nb * d
+	st.reserve(st.Pos, true)
 	for pl := range st.own {
 		for b, rows := range st.own[pl] {
-			copy(rows[shared:], rows[:own*d])
+			shared := st.nb[b] * d
+			copy(rows[shared:], rows[:(st.Pos-st.nb[b])*d])
 			copy(rows, st.base.kv[pl][b][:shared])
 		}
 	}
-	st.base, st.nb = nil, 0
+	clear(st.nb)
+	st.base, st.from = nil, 0
 }
 
 // kvPlane returns the plane and element index of one cached scalar, or
@@ -183,10 +226,10 @@ func (st *State) kvPlane(ref LayerRef, pos, col int) (plane []float32, i int, ok
 	if ref.Block < 0 || ref.Block >= len(st.own[pl]) || pos < 0 || pos >= st.Pos || col < 0 || col >= d {
 		return nil, 0, false
 	}
-	if pos < st.nb {
-		return st.base.kv[pl][ref.Block], pos*d + col, true
+	if nb := st.nb[ref.Block]; pos >= nb {
+		return st.own[pl][ref.Block], (pos-nb)*d + col, true
 	}
-	return st.own[pl][ref.Block], (pos-st.nb)*d + col, true
+	return st.base.kv[pl][ref.Block], pos*d + col, true
 }
 
 // KVAt reads one cached scalar: column col of position pos's key
@@ -206,12 +249,13 @@ func (st *State) KVAt(ref LayerRef, pos, col int) (v float32, ok bool) {
 // copy-on-write left): the strike is visible to this state alone.
 // Out-of-range targets panic.
 func (st *State) SetKV(ref LayerRef, pos, col int, v float32) {
-	if pos < st.nb {
-		st.privatize()
-	}
 	plane, i, ok := st.kvPlane(ref, pos, col)
 	if !ok {
 		panic(fmt.Sprintf("model: SetKV %v (%d, %d) out of range", ref, pos, col))
+	}
+	if pos < st.nb[ref.Block] {
+		st.privatize()
+		plane, i, _ = st.kvPlane(ref, pos, col)
 	}
 	plane[i] = v
 }
@@ -227,7 +271,7 @@ func (m *Model) attendAt(st *State, bi, pos int, qrow, out []float32) {
 	cfg := &m.Cfg
 	hd, d := cfg.HeadDim(), cfg.DModel
 	scale := 1 / math.Sqrt(float64(hd))
-	n, nb := pos+1, st.nb
+	n, nb := pos+1, st.nb[bi]
 	var baseK, baseV []float32
 	if nb > 0 {
 		baseK, baseV = st.base.kv[planeK][bi], st.base.kv[planeV][bi]

@@ -16,7 +16,9 @@ import (
 // every vector the model's hooks, attention hooks and checker observe are
 // bit-identical to the sequential loop (see forwardStack); only the
 // global call order differs, layer-major with positions ascending inside
-// each layer.
+// each layer. A depth fork's prompt splits at the first token that differs
+// from its prefix's: the positions before it start at the fork's sublayer,
+// the rest at the embedding (forwardStack).
 func (st *State) Prefill(prompt []int) []float32 {
 	if len(prompt) == 0 {
 		panic("model: empty prompt")
@@ -38,7 +40,7 @@ func (st *State) Prefill(prompt []int) []float32 {
 
 	rows := make([]stackRow, n)
 	for i, tok := range prompt {
-		rows[i] = stackRow{st: st, pos: st.Pos + i, tok: tok, rc: m.rc(), attnHooks: m.attnHooks}
+		rows[i] = st.row(st.Pos+i, tok, m.rc(), m.attnHooks)
 	}
 	sk := m.newStack(n)
 	m.forwardStack(sk, rows, 0, n, threads)

@@ -25,13 +25,22 @@ func (d *Dense) ForwardRows(out, x *tensor.Tensor, r0, r1, workers int) {
 
 // stackRow is one activation row of a stacked forward pass: the state
 // whose KV cache it extends and attends over, the position and token it
-// enters at, and the observers of its linear outputs (rc) and of its
-// post-attention activation (attnHooks).
+// enters at, the sublayer it starts at (0, or a depth fork's while it
+// matches its prefix), and the observers of its linear outputs (rc) and
+// of its post-attention activation (attnHooks).
 type stackRow struct {
 	st        *State
 	pos, tok  int
+	from      int
 	rc        rowCtx
 	attnHooks []Hook
+}
+
+// row is the stack row of the state's position pos fed tok. Rows are
+// made in position order, each before the pass that runs it: a depth fork
+// decides here, once per position, whether the pass may skip (skipTo).
+func (st *State) row(pos, tok int, rc rowCtx, attnHooks []Hook) stackRow {
+	return stackRow{st: st, pos: pos, tok: tok, from: st.skipTo(pos, tok), rc: rc, attnHooks: attnHooks}
 }
 
 // stack is the scratch of a stacked forward pass, one activation row per
@@ -86,25 +95,35 @@ func (m *Model) linearRows(rows []stackRow, ref LayerRef, w Weight, in, out *ten
 // residual in sk.x for the caller's LM head. Prefill stacks the positions
 // of one prompt and spends its thread budget inside each GEMM; every
 // shard of Batch.Step stacks its range of independent trials with
-// workers = 1.
+// workers = 1; DecodeStep is the one-row pass.
 //
 // Every value a row computes, shows an observer or writes to its KV cache
-// is bit-identical to that row going through State.DecodeStep alone, in
-// position order:
+// is bit-identical to that row going through the pass alone, one row per
+// pass in position order (State.DecodeStep, the seed's per-token loop):
 //
 //   - Norms, RoPE, SwiGLU, MoE routing and the residual adds act on one
 //     row at a time, and the GEMM's per-row accumulation order is
 //     MatVec's, so a row's arithmetic does not depend on which rows are
 //     stacked with it, on [r0, r1), or on workers.
-//   - A row's observers run once per layer on that row only, in
-//     DecodeStep's layer order (stacking makes the global order
-//     layer-major, never a row's own), and attention hooks fire after
-//     the head mix and before out-proj.
+//   - A row's observers run once per layer on that row only, in the
+//     block's layer order (stacking makes the global order layer-major,
+//     never a row's own), and attention hooks fire after the head mix and
+//     before out-proj.
 //   - Attention at (state, pos) reads that state's K/V rows 0..pos. Rows
 //     sharing a state must be at consecutive ascending positions in row
 //     order, and must not be split across concurrent calls; each block
 //     writes every row's K/V before any row attends, so the later
 //     positions a row cannot yet have seen are present but never read.
+//
+// A row with from > 0 is a depth fork's matched position (depth.go): it
+// enters at sublayer from with the residual its prefix recorded there and
+// runs only the sublayers from on, reading the skipped blocks' K/V rows
+// from the prefix — the values those sublayers would have computed. Rows
+// starting at different sublayers run as consecutive passes, one per run
+// of equal starts in row order; a prompt's matched positions precede the
+// rest, so each pass's rows attend only over rows already written. A
+// recording state (RecordDepth) keeps every row's residual at the start
+// of each sublayer, and its token.
 //
 // The caller has made room for every row's position in its state's cache
 // (State.reserveNext) before the pass, on one goroutine.
@@ -113,6 +132,14 @@ func (m *Model) linearRows(rows []stackRow, ref LayerRef, w Weight, in, out *ten
 // what a pass never writes: weights, RoPE tables, a checker's checksum
 // table, the Prefix several states may read their first rows from.
 func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
+	from := rows[r0].from
+	for r := r0 + 1; r < r1; r++ {
+		if rows[r].from != from {
+			m.forwardStack(sk, rows, r0, r, workers)
+			m.forwardStack(sk, rows, r, r1, workers)
+			return
+		}
+	}
 	cfg := &m.Cfg
 
 	// span is the range's slice of a stacked tensor's data.
@@ -131,51 +158,74 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 	linear := func(ref LayerRef, w Weight, in, out *tensor.Tensor) {
 		m.linearRows(rows, ref, w, in, out, r0, r1, workers)
 	}
+	// record keeps each recording row's residual entering sublayer s > 0
+	// (sublayer 0's is the embedding row: no fork starts there).
+	record := func(s int) {
+		for i := r0; i < r1; i++ {
+			if rec := rows[i].st.rec; rec != nil {
+				copy(rec.at(s, rows[i].pos, cfg.DModel), sk.x.Row(i))
+			}
+		}
+	}
 
 	for i := r0; i < r1; i++ {
-		tok := rows[i].tok
+		row := &rows[i]
+		if from > 0 {
+			copy(sk.x.Row(i), row.st.base.depth.at(from, row.pos, cfg.DModel))
+			continue
+		}
+		if rec := row.st.rec; rec != nil {
+			rec.toks[row.pos] = row.tok
+		}
+		tok := row.tok
 		if tok < 0 || tok >= cfg.Vocab {
 			tok = 0
 		}
 		copy(sk.x.Row(i), m.Embed.Row(tok))
 	}
 
-	for bi, blk := range m.Blocks {
-		// --- attention sub-block ---
-		copy(span(sk.h), span(sk.x))
-		normRows(sk.h, blk.AttnNorm)
-
-		linear(LayerRef{bi, KindQ, -1}, blk.Wq, sk.h, sk.q)
-		linear(LayerRef{bi, KindK, -1}, blk.Wk, sk.h, sk.kb)
-		linear(LayerRef{bi, KindV, -1}, blk.Wv, sk.h, sk.vb)
-
-		for i := r0; i < r1; i++ {
-			row := &rows[i]
-			m.applyRoPE(sk.q.Row(i), row.pos)
-			m.applyRoPE(sk.kb.Row(i), row.pos)
-			row.st.appendKV(bi, row.pos, sk.kb.Row(i), sk.vb.Row(i))
-		}
-		attnRef := LayerRef{bi, KindAttnAct, -1}
-		for i := r0; i < r1; i++ {
-			row := &rows[i]
-			m.attendAt(row.st, bi, row.pos, sk.q.Row(i), sk.a.Row(i))
-			for _, h := range row.attnHooks {
-				h(attnRef, row.pos, sk.a.Row(i))
+	for bi := from / 2; bi < len(m.Blocks); bi++ {
+		blk := m.Blocks[bi]
+		if 2*bi >= from {
+			// --- attention sub-block ---
+			if bi > 0 {
+				record(2 * bi)
 			}
-		}
+			copy(span(sk.h), span(sk.x))
+			normRows(sk.h, blk.AttnNorm)
 
-		linear(LayerRef{bi, KindOut, -1}, blk.Wo, sk.a, sk.h)
-		addRows(sk.x, sk.h)
+			linear(LayerRef{bi, KindQ, -1}, blk.Wq, sk.h, sk.q)
+			linear(LayerRef{bi, KindK, -1}, blk.Wk, sk.h, sk.kb)
+			linear(LayerRef{bi, KindV, -1}, blk.Wv, sk.h, sk.vb)
+
+			for i := r0; i < r1; i++ {
+				row := &rows[i]
+				m.applyRoPE(sk.q.Row(i), row.pos)
+				m.applyRoPE(sk.kb.Row(i), row.pos)
+				row.st.appendKV(bi, row.pos, sk.kb.Row(i), sk.vb.Row(i))
+			}
+			attnRef := LayerRef{bi, KindAttnAct, -1}
+			for i := r0; i < r1; i++ {
+				row := &rows[i]
+				m.attendAt(row.st, bi, row.pos, sk.q.Row(i), sk.a.Row(i))
+				for _, h := range row.attnHooks {
+					h(attnRef, row.pos, sk.a.Row(i))
+				}
+			}
+
+			linear(LayerRef{bi, KindOut, -1}, blk.Wo, sk.a, sk.h)
+			addRows(sk.x, sk.h)
+		}
 
 		// --- MLP / MoE sub-block ---
+		record(2*bi + 1)
 		copy(span(sk.h), span(sk.x))
 		normRows(sk.h, blk.MLPNorm)
 
 		if blk.Router != nil {
 			linear(LayerRef{bi, KindRouter, -1}, blk.Router, sk.h, sk.r)
 			for i := r0; i < r1; i++ {
-				row := &rows[i]
-				m.moeMix(row.rc, row.st, blk, bi, row.pos, sk.r.Row(i), sk.h.Row(i), sk.d.Row(i))
+				m.moeMix(sk, &rows[i], i, blk, bi)
 			}
 		} else {
 			linear(LayerRef{bi, KindGate, -1}, blk.MLP.WGate, sk.h, sk.ff1)

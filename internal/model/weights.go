@@ -204,13 +204,6 @@ func (m *Model) AddAttnHook(h Hook) { m.attnHooks = append(m.attnHooks, h) }
 // ClearAttnHooks removes all attention-activation hooks.
 func (m *Model) ClearAttnHooks() { m.attnHooks = nil }
 
-// runAttnHooks fires the attention-surface hooks on one activation row.
-func (m *Model) runAttnHooks(ref LayerRef, pos int, out []float32) {
-	for _, h := range m.attnHooks {
-		h(ref, pos, out)
-	}
-}
-
 // LinearChecker verifies — and under a correcting policy may repair in
 // place — the output vector of a linear layer. CheckLinear runs after the
 // forward hooks (so it observes injected faults exactly as a deployed
@@ -237,13 +230,6 @@ func (m *Model) Observed() bool {
 
 // ClearHooks removes all hooks.
 func (m *Model) ClearHooks() { m.hooks = nil }
-
-// runHooks invokes registered hooks for a layer output.
-func (m *Model) runHooks(ref LayerRef, step int, out []float32) {
-	for _, h := range m.hooks {
-		h(ref, step, out)
-	}
-}
 
 // Clone returns a deep copy of the model sharing no mutable state with
 // the original. Rotary tables (immutable) are shared.
