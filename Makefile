@@ -14,7 +14,7 @@ vet:
 	$(GO) vet ./...
 
 ## lint: the repo's invariant analyzers (cmd/llmfi-vet): determinism,
-## hook purity, copy-on-write weight discipline, float64 checksum math,
+## hook purity, float64 checksum math,
 ## context-first cancellation, lock discipline (guardedby), atomic
 ## access consistency (atomicmix), goroutine lifecycle (golife), and
 ## wire-schema hygiene (wireschema). Suppress individual findings with
@@ -38,14 +38,15 @@ test:
 ## race: the whole suite under the race detector, then the tests that
 ## share state across goroutines again, failing fast on the first race —
 ## the row kernel (with its continuation entry), the sharded decode step,
-## forks of one shared Prefix in time and in depth, the checksum table;
+## forks of one shared Prefix in time and in depth, the checksum table,
+## rows reading different weight strikes over one model's weights;
 ## the campaign runtime; serving with its prefix cache; the fan-in and
 ## recorders. CI runs this target, so the lists live here only.
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|AdmitFork|TableConcurrent)' \
-		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|AdmitFork|TableConcurrent|StrikeRowsShareNoWrite)' \
+		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/ ./internal/faults/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops)' ./internal/core/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
@@ -113,7 +114,9 @@ cover:
 ## depth fork's ledger — all-layer correct-skip ABFT on MoE memory faults,
 ## whose routed expert layers it counts, and a dense tolerance so tight
 ## that clean checks flag and every trial falls back to the whole
-## inference; a few seconds on two cores.
+## inference; last, two whole-model shapes that read a memory-fault
+## strike from the model's own slot — multiple-choice scoring, and FP16
+## beam search; a few seconds on two cores.
 ## make identity REF=HEAD~1
 REF ?= HEAD~1
 define IDENTITY_CAMPAIGNS
@@ -132,6 +135,8 @@ define IDENTITY_CAMPAIGNS
 -model moe -suite wmt16-like -fault 2bits-comp -trials 120 -abft -abft-all -decode-batch 4
 -model moe -suite wmt16-like -fault 2bits-mem -trials 120 -abft -abft-all -abft-policy correct-skip
 -model QwenS -suite wmt16-like -fault 2bits-mem -trials 120 -abft -abft-all -abft-tol 1e-12
+-model QwenS -suite mmlu -fault 2bits-mem -trials 120
+-model QwenS -suite wmt16-like -fault 2bits-mem -dtype FP16 -beams 3 -trials 120
 endef
 export IDENTITY_CAMPAIGNS
 identity:

@@ -1,8 +1,7 @@
 // Command llmfi-vet runs the repository's invariant analyzers
 // (internal/lint) over the given packages and exits non-zero on
 // findings. It is the static half of the methodology's correctness
-// story: determinism, hook purity, copy-on-write weight discipline,
-// float64 checksum math, context-first cancellation, lock discipline
+// story: determinism, hook purity, float64 checksum math, context-first cancellation, lock discipline
 // (guardedby), atomic/plain access consistency (atomicmix), goroutine
 // lifecycle (golife), and wire-schema drift (wireschema) are enforced
 // before a campaign ever runs.

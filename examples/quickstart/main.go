@@ -37,9 +37,10 @@ func main() {
 	clean := gen.Generate(m, inst.Prompt, gen.Defaults(inst.MaxNew))
 	fmt.Println("fault-free:", suite.Vocab.Decode(clean.Tokens))
 
-	// 2. A 2-bit memory fault: flip the exponent MSB (bit 14 of BF16) and
-	// one lower bit of one weight of a middle block's up_proj, run, then
-	// restore — the §3.2 protocol.
+	// 2. A 2-bit memory fault: the exponent MSB (bit 14 of BF16) and one
+	// lower bit of one weight of a middle block's up_proj flipped for one
+	// run — the §3.2 protocol. The run reads the flipped weight; Disarm
+	// takes it off the model.
 	site := faults.Site{
 		Fault: faults.Mem2Bit,
 		Layer: model.LayerRef{Block: 1, Kind: model.KindUp, Expert: -1},

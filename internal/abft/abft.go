@@ -95,8 +95,8 @@ type layerSums struct {
 }
 
 // Table sums every block linear layer of m under p.Tol. A caller that
-// goes on to strike m itself must build the table first: a memory fault
-// flips the very storage the checksums are summed from.
+// goes on to strike m itself must build the table first: a model carrying
+// a memory fault's strike hands out the struck weight (LinearLayers).
 func (p Protection) Table(m *model.Model) *Table {
 	layers := m.LinearLayers()
 	t := &Table{sums: make(map[model.LayerRef]*layerSums, len(layers))}

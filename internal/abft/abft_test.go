@@ -207,7 +207,7 @@ func TestSkipZeroesPersistentCorruption(t *testing.T) {
 	ch := checker(t, Protection{Policy: mitigate.PolicyCorrectOrSkip}, m, ref)
 	// ...then a resident fault corrupts the weight itself, so recompute
 	// reproduces the corruption and the escalation falls through to skip.
-	restore := w.FlipBits(2, 3, []int{14})
+	restore := w.(*model.Dense).FlipBits(2, 3, []int{14})
 	defer restore()
 
 	out := make([]float32, w.Out())
@@ -228,7 +228,7 @@ func TestSkipZeroesPersistentCorruption(t *testing.T) {
 	// clean weights and the reference stays honest.
 	restore()
 	ch2 := checker(t, Protection{Policy: mitigate.PolicyCorrect}, m, ref)
-	restore2 := w.FlipBits(2, 3, []int{14})
+	restore2 := w.(*model.Dense).FlipBits(2, 3, []int{14})
 	defer restore2()
 	w.Forward(out, in)
 	before := append([]float32(nil), out...)
@@ -316,7 +316,7 @@ func TestProtectionCheckerPrecedesFault(t *testing.T) {
 
 	before := p.Table(m)
 	clean := w.Get(site.Row, site.Col)
-	inj, err := faults.New(m, site, 0)
+	inj, err := faults.Arm(m, site, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestTableFromCleanModelJudgesClone(t *testing.T) {
 			// Armed first, summed second: the table still reads m, not the clone.
 			clone := m.CloneShared()
 			site := faults.Site{Fault: faults.Mem2Bit, Layer: tc.ref, Row: 2, Col: 3, Bits: []int{13, 14}}
-			inj, err := faults.New(clone, site, 0)
+			inj, err := faults.Arm(clone, site, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -457,7 +457,7 @@ func TestTableConcurrentCheckers(t *testing.T) {
 			clone := m.CloneShared()
 			for round := 0; round < 2; round++ {
 				if g < 2 {
-					inj, err := faults.New(clone, site, 0)
+					inj, err := faults.Arm(clone, site, 0)
 					if err != nil {
 						t.Error(err)
 						return

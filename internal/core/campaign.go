@@ -37,7 +37,7 @@ type Campaign struct {
 	// reasoning segment of the baseline output (the CoT study, §4.3.2).
 	ReasoningOnly bool
 	// Workers bounds the worker pool (0 = GOMAXPROCS). Each worker owns
-	// a model clone, so memory-fault flips never leak across trials.
+	// a weight-sharing model clone that carries its trial's observers.
 	Workers int
 	// Thresholds tunes the distortion classifier.
 	Thresholds outcome.Thresholds

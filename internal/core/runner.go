@@ -249,8 +249,8 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	traceOn := r.traceEvery > 0 &&
 		c.Suite.Type != tasks.MultipleChoice && gs.NumBeams <= 1
 
-	// Clean-weight checksums are summed once, from the model nobody
-	// strikes: faults are armed only on the workers' copy-on-write clones.
+	// Clean-weight checksums are summed once, from the campaign's model:
+	// nothing writes it, and faults are armed only on the workers' clones.
 	var table *abft.Table
 	if c.ABFT != nil {
 		table = c.ABFT.Table(c.Model)
@@ -369,9 +369,9 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			// Workers share the parent's weights copy-on-write: only a
-			// memory-fault target is privatized (at Arm time), so per-worker
-			// memory is the KV cache, not the model.
+			// Workers share the parent's weights, which nothing writes: a
+			// worker's clone carries only its own trial's observers and
+			// thread budget, so per-worker memory is the KV cache.
 			wm := c.Model.CloneShared()
 			if c.deepClones {
 				wm = c.Model.Clone()

@@ -148,6 +148,7 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 			e.wm.AddHook(h)
 		}
 		e.wm.SetChecker(a.lc)
+		e.wm.SetStrike(a.inj.Strike)
 	}
 	return a, nil
 }
@@ -196,7 +197,8 @@ func (a *armed) resumeAt(c *Campaign) gen.Resume {
 	return a.base.resume[g]
 }
 
-// seal is the trial postamble: disarm, then assemble the Trial, its
+// seal is the trial postamble: take the trial's observers off the
+// worker's model, then assemble the Trial, its
 // Detection, the outcome class and (for a traced trial) the propagation
 // Record from the finished inference ib.
 func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
@@ -204,10 +206,10 @@ func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
 	start := now()
 	sp := &a.sp
 	fired := a.inj.Fired
-	a.inj.Disarm()
 	if !e.rows {
 		e.wm.ClearHooks()
 		e.wm.SetChecker(nil)
+		e.wm.SetStrike(nil)
 	}
 
 	trial := Trial{

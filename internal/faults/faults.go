@@ -7,9 +7,11 @@
 //     through the model's forward-hook mechanism — the PyTorchFI-style
 //     approach.
 //   - 2bits-mem: a double-bit memory fault (the ECC-uncorrectable case)
-//     modeled as flipping two bits of one stored weight before the
-//     inference and restoring them afterwards ("flip the same bits back
-//     to their fault-free values", §3.2).
+//     modeled as two flipped bits of one stored weight for the whole
+//     inference ("flip the same bits back to their fault-free values"
+//     afterwards, §3.2). The flip is read, never written: the inference
+//     reads the struck weight in place of the stored one (Injection.Strike),
+//     so there is nothing to flip back.
 //
 // Injection sites are sampled uniformly over the linear layers of the
 // transformer blocks, their weight/neuron coordinates, and the bit
@@ -128,24 +130,6 @@ func normName(ref model.LayerRef) string {
 		return "final_norm"
 	}
 	return ref.String()
-}
-
-// WeightResident reports whether the armed fault lives in parameter
-// storage for the whole inference — norm/embedding flips and linear
-// memory faults — rather than striking transient per-request state
-// (activations, KV cache). Weight-resident faults cannot be scoped to
-// one row of a shared decode batch: concurrent schedulers must run them
-// on a private copy-on-write clone (the serving engine's serial path),
-// exactly as offline campaigns serialize memory-fault trials per model
-// instance.
-func (s Site) WeightResident() bool {
-	switch s.Surface {
-	case SurfaceNorm, SurfaceEmbed:
-		return true
-	case SurfaceLinear:
-		return s.Fault.IsMemory()
-	}
-	return false
 }
 
 // TargetFilter restricts which layers a sampler may pick. Nil accepts all

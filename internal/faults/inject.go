@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/numerics"
@@ -10,16 +11,19 @@ import (
 // Injection is one armed fault: §3.2's flip, run, flip back. New is its
 // only constructor and the only code that knows how a Site strikes.
 //
+// Every site strikes through exactly one observer that New builds and
+// installs nowhere: the caller carries it on the decode-loop row the
+// fault belongs to (gen.Arm), or has Arm install it on the whole model.
 // A weight-resident site (linear memory fault, norm gain, embedding
-// element) has flipped the model's storage when New returns, and Disarm
-// flips it back; one such Injection may be armed on a model at a time. A
-// transient site strikes through exactly one observer — Hook, AttnHook
-// or BeforeStep — that New builds and installs nowhere: the caller
-// carries it on the decode-loop row the fault belongs to (gen.Arm), or
-// has Arm install it on the whole model. It fires at most once, and
-// dropping it retires the fault.
+// element) is a Strike — the flipped parameter, read in place of the
+// stored one wherever the forward pass reads it — so no storage is ever
+// written and there is nothing to flip back. A transient site is a Hook,
+// AttnHook or BeforeStep that fires at most once. Dropping the observer
+// retires the fault.
 type Injection struct {
 	Site Site
+	// Strike is a weight-resident site's overlay.
+	Strike *model.Strike
 	// Hook strikes the site layer's linear output row.
 	Hook model.Hook
 	// AttnHook strikes the site block's post-attention activation row,
@@ -36,28 +40,29 @@ type Injection struct {
 	undo func()
 }
 
-// New arms the fault described by site on m. promptLen is the length of
-// the prompt fed before generation starts: a transient fault strikes at
-// absolute position promptLen + site.GenIter.
+// New builds the fault described by site over m's weights, which it only
+// reads. promptLen is the length of the prompt fed before generation
+// starts: a transient fault strikes at absolute position promptLen +
+// site.GenIter.
 func New(m *model.Model, site Site, promptLen int) (*Injection, error) {
 	inj := &Injection{Site: site}
 	target := promptLen + site.GenIter
 	switch site.Surface {
 	case SurfaceNorm:
-		g, err := m.NormForWrite(site.Layer)
+		g, err := m.Norm(site.Layer)
 		if err != nil {
 			return nil, err
 		}
 		if site.Col >= len(g) {
 			return nil, fmt.Errorf("faults: site %v out of range for %d-gain norm", site, len(g))
 		}
-		inj.flipStored(&g[site.Col])
+		inj.strikeVec(g, 0)
 	case SurfaceEmbed:
-		t := m.EmbedForWrite()
+		t := m.Embed
 		if site.Row >= t.Rows || site.Col >= t.Cols {
 			return nil, fmt.Errorf("faults: site %v out of range for %dx%d embedding", site, t.Rows, t.Cols)
 		}
-		inj.flipStored(&t.Row(site.Row)[site.Col])
+		inj.strikeVec(t.Row(site.Row), site.Row)
 	case SurfaceAttn:
 		if site.Layer.Kind != model.KindAttnAct {
 			return nil, fmt.Errorf("faults: attn site %v must address attn_act", site)
@@ -73,28 +78,27 @@ func New(m *model.Model, site Site, promptLen int) (*Injection, error) {
 			inj.Hook = inj.flipOnce(m.Cfg.DType, target)
 			return inj, nil
 		}
-		// LayerForWrite privatizes the target tensor on a weight-sharing
-		// clone before the flip, so sibling campaign workers never observe
-		// each other's faults.
-		w, err := m.LayerForWrite(site.Layer)
+		w, err := m.Layer(site.Layer)
 		if err != nil {
 			return nil, err
 		}
 		if site.Row >= w.In() || site.Col >= w.Out() {
 			return nil, fmt.Errorf("faults: site %v out of range for %dx%d weight", site, w.In(), w.Out())
 		}
-		inj.undo = w.FlipBits(site.Row, site.Col, site.Bits)
+		inj.Strike = &model.Strike{Ref: site.Layer, W: w.Struck(site.Row, site.Col, site.Bits)}
 		inj.Fired = true
 	}
 	return inj, nil
 }
 
-// flipStored flips the site's bits in one float32 parameter (a norm gain
-// or embedding element: FP32 storage, see surfaceBits) in place.
-func (inj *Injection) flipStored(p *float32) {
-	old := *p
-	*p = float32(numerics.FlipBits(numerics.FP32, float64(old), inj.Site.Bits...))
-	inj.undo = func() { *p = old }
+// strikeVec builds the strike of a float32 parameter vector (a norm gain,
+// or embedding row row: FP32 storage, see surfaceBits): a copy of stored
+// with the site's bits of element Site.Col flipped.
+func (inj *Injection) strikeVec(stored []float32, row int) {
+	vec := slices.Clone(stored)
+	c := inj.Site.Col
+	vec[c] = float32(numerics.FlipBits(numerics.FP32, float64(vec[c]), inj.Site.Bits...))
+	inj.Strike = &model.Strike{Ref: inj.Site.Layer, Vec: vec, Row: row}
 	inj.Fired = true
 }
 
@@ -135,9 +139,9 @@ func (inj *Injection) strikeKV(st *model.State, target int) {
 
 // Arm is New for a whole-model inference: the observer goes on m itself,
 // so the next inference over m is the faulty one, and Disarm clears m's
-// hooks of that kind wholesale — the caller owns the hook lists for the
-// trial. A KV strike belongs to one State, which a model has no slot
-// for, so Arm refuses kv sites.
+// observer of that kind wholesale — the caller owns m's hook lists and
+// strike for the trial. A KV strike belongs to one State, which a model
+// has no slot for, so Arm refuses kv sites.
 func Arm(m *model.Model, site Site, promptLen int) (*Injection, error) {
 	if site.Surface == SurfaceKV {
 		return nil, fmt.Errorf("faults: kv site %v is state-scoped; carry New's BeforeStep on the decode loop", site)
@@ -146,18 +150,22 @@ func Arm(m *model.Model, site Site, promptLen int) (*Injection, error) {
 	if err != nil {
 		return nil, err
 	}
-	if inj.Hook != nil {
+	switch {
+	case inj.Strike != nil:
+		m.SetStrike(inj.Strike)
+		inj.undo = func() { m.SetStrike(nil) }
+	case inj.Hook != nil:
 		m.AddHook(inj.Hook)
 		inj.undo = m.ClearHooks
-	}
-	if inj.AttnHook != nil {
+	case inj.AttnHook != nil:
 		m.AddAttnHook(inj.AttnHook)
 		inj.undo = m.ClearAttnHooks
 	}
 	return inj, nil
 }
 
-// Disarm restores the model to its fault-free configuration.
+// Disarm takes what Arm installed off the model; on an Injection from New
+// it does nothing.
 func (inj *Injection) Disarm() {
 	if inj.undo != nil {
 		inj.undo()
@@ -166,22 +174,16 @@ func (inj *Injection) Disarm() {
 }
 
 // FaultValue returns, for a memory fault, the weight value before and
-// after the flip — used by propagation traces and reports. The flip is
-// transient (restored before returning) but still a write, so it must
-// go through LayerForWrite: on a CloneShared worker a flip through
-// Layer would momentarily corrupt the parent's shared tensor under
-// every sibling worker's feet.
+// after the flip — used by propagation traces and reports. It reads m's
+// weight and its struck view (Weight.Struck); nothing is written.
 func FaultValue(m *model.Model, site Site) (before, after float64, err error) {
 	if !site.Fault.IsMemory() {
 		return 0, 0, fmt.Errorf("faults: FaultValue applies to memory faults only")
 	}
-	w, err := m.LayerForWrite(site.Layer)
+	w, err := m.Layer(site.Layer)
 	if err != nil {
 		return 0, 0, err
 	}
-	before = w.Get(site.Row, site.Col)
-	restore := w.FlipBits(site.Row, site.Col, site.Bits)
-	after = w.Get(site.Row, site.Col)
-	restore()
-	return before, after, nil
+	after = w.Struck(site.Row, site.Col, site.Bits).Get(site.Row, site.Col)
+	return w.Get(site.Row, site.Col), after, nil
 }

@@ -46,25 +46,6 @@ func TestParseSurfaceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSurfaceWeightResident(t *testing.T) {
-	cases := []struct {
-		site Site
-		want bool
-	}{
-		{Site{Fault: Comp1Bit, Surface: SurfaceLinear}, false},
-		{Site{Fault: Mem2Bit, Surface: SurfaceLinear}, true},
-		{Site{Fault: Comp1Bit, Surface: SurfaceKV}, false},
-		{Site{Fault: Comp1Bit, Surface: SurfaceNorm}, true},
-		{Site{Fault: Comp1Bit, Surface: SurfaceEmbed}, true},
-		{Site{Fault: Comp1Bit, Surface: SurfaceAttn}, false},
-	}
-	for _, c := range cases {
-		if got := c.site.WeightResident(); got != c.want {
-			t.Errorf("WeightResident(%v/%v) = %v, want %v", c.site.Surface, c.site.Fault, got, c.want)
-		}
-	}
-}
-
 // TestSurfaceSamplersBounds draws many sites per surface and checks every
 // coordinate stays inside its storage.
 func TestSurfaceSamplersBounds(t *testing.T) {
@@ -314,8 +295,8 @@ func loopDecode(m *model.Model, arm gen.Arm, maxNew int) []int {
 // the same way wherever its observer is carried: a row of the decode
 // loop carrying New's observer generates the tokens (and reports the
 // Fired) of the whole-model Arm + Generate, a kv row those of the
-// hand-written BeforeStep loop; and that a weight-resident New on a
-// copy-on-write clone never touches the parent and is undone by Disarm.
+// hand-written BeforeStep loop; and that a weight-resident New writes no
+// parameter of the model its row decodes over.
 func TestNewObserverMatchesWholeModel(t *testing.T) {
 	m := testModel(t, 0)
 	baseline := surfaceBaseline(m)
@@ -372,38 +353,33 @@ func TestNewObserverMatchesWholeModel(t *testing.T) {
 		}
 	}
 
+	// A weight-resident New reads m and writes nothing: its strike lives
+	// on the row that carries it, and the model is untouched before,
+	// during and after that row's decode.
 	normRef := model.LayerRef{Block: 1, Kind: model.KindAttnNorm, Expert: -1}
-	for _, c := range []struct {
-		site Site
-		read func(*model.Model) float64
-	}{
-		{Site{Fault: Mem2Bit, Layer: out, Row: 3, Col: 5, Bits: []int{13, 14}},
-			func(m *model.Model) float64 { w, _ := m.Layer(out); return w.Get(3, 5) }},
-		{Site{Fault: Comp1Bit, Surface: SurfaceNorm, Layer: normRef, Col: 3, Bits: []int{30}},
-			func(m *model.Model) float64 { g, _ := m.NormForWrite(normRef); return float64(g[3]) }},
-		{Site{Fault: Comp1Bit, Surface: SurfaceEmbed,
-			Layer: model.LayerRef{Block: -1, Kind: model.KindEmbed, Expert: -1}, Row: 5, Col: 2, Bits: []int{30}},
-			func(m *model.Model) float64 { return float64(m.Embed.At(5, 2)) }},
+	stored := paramHash(m)
+	for _, site := range []Site{
+		{Fault: Mem2Bit, Layer: out, Row: 3, Col: 5, Bits: []int{13, 14}},
+		{Fault: Comp1Bit, Surface: SurfaceNorm, Layer: normRef, Col: 3, Bits: []int{30}},
+		{Fault: Comp1Bit, Surface: SurfaceEmbed,
+			Layer: model.LayerRef{Block: -1, Kind: model.KindEmbed, Expert: -1}, Row: baseline[0], Col: 2, Bits: []int{30}},
 	} {
-		clean := c.read(m)
-		wm := m.CloneShared()
-		inj, err := New(wm, c.site, promptLen)
+		inj, err := New(m, site, promptLen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !inj.Fired || c.read(wm) == clean {
-			t.Errorf("%v: clone not struck (fired %v, %g)", c.site, inj.Fired, c.read(wm))
+		if !inj.Fired || inj.Strike == nil {
+			t.Fatalf("%v: fired %v strike %v, want a live strike", site, inj.Fired, inj.Strike)
 		}
-		if got := c.read(m); got != clean {
-			t.Errorf("%v: parent storage changed %g -> %g under a clone's fault", c.site, clean, got)
+		if got := loopDecode(m, gen.Arm{Strike: inj.Strike}, 8); reflect.DeepEqual(got, baseline) {
+			t.Errorf("%v: the struck row decoded the baseline %v", site, got)
 		}
-		inj.Disarm()
-		if got := c.read(wm); got != clean {
-			t.Errorf("%v: Disarm left the clone at %g, want %g", c.site, got, clean)
+		if paramHash(m) != stored {
+			t.Fatalf("%v: New or the struck row wrote the model's parameters", site)
 		}
 	}
 	if got := surfaceBaseline(m); !reflect.DeepEqual(got, baseline) {
-		t.Fatalf("parent generation changed after clone trials: %v vs %v", got, baseline)
+		t.Fatalf("generation changed after the struck rows: %v vs %v", got, baseline)
 	}
 }
 

@@ -15,6 +15,9 @@ type Arm struct {
 	AttnHooks []model.Hook
 	// Checker verifies each linear-layer output (nil = unchecked).
 	Checker model.LinearChecker
+	// Strike is the weight-resident fault the sequence reads (nil =
+	// none).
+	Strike *model.Strike
 	// BeforeStep, when non-nil, runs on the sequence's state immediately
 	// before each of its decode steps — where KV-cache strikes land.
 	BeforeStep func(*model.State)
@@ -153,7 +156,7 @@ func (l *Loop[T]) takeRow() *model.DecodeRow {
 func (l *Loop[T]) seat(row *model.DecodeRow, arm Arm, owner T) *Seq[T] {
 	*row = model.DecodeRow{
 		St: row.St, Logits: row.Logits,
-		Hooks: arm.Hooks, AttnHooks: arm.AttnHooks, Checker: arm.Checker,
+		Hooks: arm.Hooks, AttnHooks: arm.AttnHooks, Checker: arm.Checker, Strike: arm.Strike,
 	}
 	return &Seq[T]{Owner: owner, row: row, beforeStep: arm.BeforeStep}
 }

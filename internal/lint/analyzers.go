@@ -7,7 +7,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerDeterminism,
 		AnalyzerHookPurity,
-		AnalyzerCOWWrite,
 		AnalyzerChecksumWidth,
 		AnalyzerCtxFlow,
 		AnalyzerGuardedBy,

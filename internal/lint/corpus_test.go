@@ -19,7 +19,6 @@ var corpusCases = []struct {
 	{"hookpurity", "hookpurity", true},
 	{"hookpurity_serve", "hookpurity", false},
 	{"hookpurity_obs", "hookpurity", false},
-	{"cowwrite", "cowwrite", true},
 	{"checksumwidth", "checksumwidth", true},
 	{"checksumwidth_abft", "checksumwidth", false},
 	{"ctxflow", "ctxflow", true},

@@ -234,7 +234,7 @@ func (p *Pass) checkHookCall(call *ast.CallExpr) {
 	switch name {
 	case "FlipBits":
 		if typeNamed(p.typeOf(recv), modelStateTypes...) {
-			p.Reportf(call.Pos(), "hook calls FlipBits: weight mutation belongs to the fault injector (faults.Arm), never to an observer hook")
+			p.Reportf(call.Pos(), "hook calls FlipBits: nothing writes weights at run time — a weight fault is a strike the forward pass reads (faults.New), never an observer hook's write")
 		}
 	case "Set", "Fill":
 		if typeNamed(p.typeOf(recv), "Tensor", "Dense") {

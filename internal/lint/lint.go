@@ -1,7 +1,7 @@
 // Package lint is a standard-library-only static analysis framework
 // (go/parser + go/types, no golang.org/x/tools) that machine-checks the
 // repository's campaign invariants: deterministic execution, observational
-// hook purity, copy-on-write weight discipline, float64 checksum math,
+// hook purity, float64 checksum math,
 // context-first cancellation, lock discipline (//llmfi:guardedby), atomic
 // access consistency, goroutine lifecycle, and wire-schema hygiene. The
 // cmd/llmfi-vet driver runs every analyzer

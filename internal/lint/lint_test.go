@@ -29,14 +29,14 @@ func TestByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 9 {
-		t.Fatalf("expected 9 analyzers, got %d", len(all))
+	if len(all) != 8 {
+		t.Fatalf("expected 8 analyzers, got %d", len(all))
 	}
-	sub, err := ByName([]string{"cowwrite", "determinism"})
+	sub, err := ByName([]string{"checksumwidth", "determinism"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub) != 2 || sub[0].Name != "cowwrite" || sub[1].Name != "determinism" {
+	if len(sub) != 2 || sub[0].Name != "checksumwidth" || sub[1].Name != "determinism" {
 		t.Fatalf("unexpected subset: %+v", sub)
 	}
 	_, err = ByName([]string{"nope"})

@@ -51,8 +51,8 @@ func (e *Engine) armCounting(req *request) func(LayerRef, int, []float32) {
 }
 
 // armWeightPatch "repairs" a weight from inside the hook: flagged —
-// weight mutation belongs to the injector (faults.Arm), which restores
-// the bits on Disarm; a hook-side store would leak into every stream.
+// nothing writes weights at run time (a weight fault is a strike its row
+// reads); a hook-side store would leak into every stream.
 func (e *Engine) armWeightPatch() func(LayerRef, int, []float32) {
 	return func(ref LayerRef, step int, out []float32) {
 		e.m.W.Set(0, 0, 1) // want `hook calls Set on a weight tensor`

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -37,6 +38,10 @@ type DecodeRow struct {
 	// the per-row analogue of Model.AddAttnHook. Empty slices cost
 	// nothing: the batched step is bit-identical with no hooks present.
 	AttnHooks []Hook
+	// Strike, when non-nil, is the weight-resident fault this row reads —
+	// the per-row analogue of Model.SetStrike. Rows with different
+	// strikes share one step: none of them writes a weight.
+	Strike *Strike
 	// Logits receives the row's next-token logits (len Vocab). The row
 	// owns the buffer; it is overwritten each step.
 	Logits []float32
@@ -79,14 +84,17 @@ func (b *Batch) Capacity() int { return len(b.rows) }
 // state's position, the linear layers run as stacked GEMMs over the rows,
 // and each row's next-token logits land in its Logits buffer with its
 // state advanced by one. Rows may sit at different positions. The
-// model's registered hooks, attention hooks and checker are ignored; each
-// row's own Hooks/AttnHooks/Checker observe its rows (see DecodeRow).
+// model's registered hooks, attention hooks, checker and strike are
+// ignored; each row's own Hooks/AttnHooks/Checker/Strike observe its rows
+// (see DecodeRow).
 //
-// The rows are split into min(threads, len(rows)) contiguous ranges (the
-// model's SetThreads budget) and each range runs the whole forward pass
-// on its own goroutine, the first on the caller's: one fork–join per
-// step, not one per GEMM, because a 16-row GEMM is too small to repay a
-// fork–join of its own. One thread is the one-range case of the same code.
+// Up to min(threads, len(rows)) goroutines (the model's SetThreads
+// budget), the first the caller's, take the rows one at a time, each
+// running a row's whole forward pass: one fork–join per step, not one per
+// GEMM, because a 16-row GEMM is too small to repay a fork–join of its
+// own, and a goroutine that starts late (its core was busy) takes fewer
+// rows instead of holding the step up. One thread runs every row as one
+// stacked pass.
 func (b *Batch) Step(rows []*DecodeRow) {
 	n := len(rows)
 	if n == 0 {
@@ -113,19 +121,33 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	}
 	views := b.rows[:n]
 	for i, row := range rows {
-		views[i] = row.St.row(row.St.Pos, row.Tok, rowCtx{hooks: row.Hooks, checker: row.Checker}, row.AttnHooks)
+		views[i] = row.St.row(row.St.Pos, row.Tok, rowCtx{hooks: row.Hooks, checker: row.Checker, strike: row.Strike}, row.AttnHooks)
 	}
 
 	shards := min(m.matmulThreads(), n)
+	chunk := n
+	if shards > 1 {
+		chunk = 1
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			r0 := int(next.Add(int64(chunk))) - chunk
+			if r0 >= n {
+				return
+			}
+			b.stepRange(rows, r0, min(r0+chunk, n))
+		}
+	}
 	var wg sync.WaitGroup
 	for s := 1; s < shards; s++ {
 		wg.Add(1)
-		go func(r0, r1 int) {
+		go func() {
 			defer wg.Done()
-			b.stepRange(rows, r0, r1)
-		}(s*n/shards, (s+1)*n/shards)
+			work()
+		}()
 	}
-	b.stepRange(rows, 0, n/shards)
+	work()
 	wg.Wait()
 	// A Batch outlives the trials it steps: a view left in place would pin
 	// a finished trial's State and checker until the slot is next filled.

@@ -51,7 +51,7 @@ func strikeAt(t *testing.T, m *Model, s int) *Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.FlipBits(1, 2, []int{13, 14})
+	w.(*Dense).FlipBits(1, 2, []int{13, 14})
 	return clone
 }
 

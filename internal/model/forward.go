@@ -139,7 +139,7 @@ func (st *State) EnableExpertTrace() {
 // DecodeStep runs one token through the model, appending to the KV cache,
 // and returns the next-token logits. It is the one-row case of the
 // stacked pass Prefill and Batch.Step run (forwardStack), observed by the
-// model's own hooks, attention hooks and checker. The returned slice is
+// model's own hooks, attention hooks, checker and strike. The returned slice is
 // reused by the next call; copy it if it must outlive the step.
 func (st *State) DecodeStep(tok int) []float32 {
 	m := st.m
@@ -149,30 +149,25 @@ func (st *State) DecodeStep(tok int) []float32 {
 	st.reserveNext(1)
 	rows := [1]stackRow{st.row(st.Pos, tok, m.rc(), m.attnHooks)}
 	m.forwardStack(st.sk, rows[:], 0, 1, 1)
-	x := st.sk.x.Row(0)
-	m.LMHead.Forward(st.logits, x)
-	m.finishLinear(LayerRef{-1, KindLMHead, -1}, st.Pos, m.LMHead, x, st.logits)
+	m.linearRow(rows[0].rc, LayerRef{-1, KindLMHead, -1}, st.Pos, m.LMHead, st.sk.x.Row(0), st.logits)
 	st.Pos++
 	return st.logits
 }
 
 // mlpForward computes dst = down(silu(gate(h)) * up(h)) with ff1, ff2 and
 // ffa as its hidden scratch. base carries the block and expert indices;
-// its Kind field is overwritten per projection. rc selects whose hooks and
-// checker observe the three projections.
+// its Kind field is overwritten per projection. rc selects whose hooks,
+// checker and strike observe the three projections.
 func (m *Model) mlpForward(rc rowCtx, mlp *MLPWeights, base LayerRef, pos int, dst, h, ff1, ff2, ffa []float32) {
 	base.Kind = KindGate
-	mlp.WGate.Forward(ff1, h)
-	m.finishLinearRC(rc, base, pos, mlp.WGate, h, ff1)
+	m.linearRow(rc, base, pos, mlp.WGate, h, ff1)
 	base.Kind = KindUp
-	mlp.WUp.Forward(ff2, h)
-	m.finishLinearRC(rc, base, pos, mlp.WUp, h, ff2)
+	m.linearRow(rc, base, pos, mlp.WUp, h, ff2)
 	for i, g := range ff1 {
 		ffa[i] = float32(float64(g)/(1+math.Exp(-float64(g)))) * ff2[i]
 	}
 	base.Kind = KindDown
-	mlp.WDown.Forward(dst, ffa)
-	m.finishLinearRC(rc, base, pos, mlp.WDown, ffa, dst)
+	m.linearRow(rc, base, pos, mlp.WDown, ffa, dst)
 }
 
 // moeMix routes row r of a stacked pass — its post-norm activation sk.h,
@@ -225,36 +220,93 @@ func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 	copy(sk.d.Row(r), mix)
 }
 
+// Strike is a weight-resident fault — a flipped linear weight, norm-gain
+// or embedding element — as an overlay the forward pass reads where the
+// struck parameter is read, on the rows that carry it: the model's own
+// (SetStrike) or one decode row's (DecodeRow.Strike). No parameter
+// storage is written, so rows with different strikes share one stacked
+// pass over one set of weights. faults.New builds it.
+type Strike struct {
+	// Ref addresses the struck parameter: a linear layer, a norm gain
+	// (KindAttnNorm, KindMLPNorm, KindFinalNorm) or the embedding table
+	// (KindEmbed).
+	Ref LayerRef
+	// W is the struck view of a linear layer's weight (Weight.Struck).
+	W *StruckWeight
+	// Vec is what a norm or embedding strike reads in place of the stored
+	// vector: the gain, or embedding row Row, with the flipped element.
+	Vec []float32
+	Row int
+}
+
 // rowCtx is the observation context of one activation row: which hooks
-// fire on each linear-layer output and which checker verifies it.
-// Prefill and DecodeStep use the model's registered hooks and checker for
-// every row; the batched decode engine builds one rowCtx per in-flight
-// trial so each batch row keeps its own injection site and detection
-// verdict while sharing the stacked GEMMs.
+// fire on each linear-layer output, which checker verifies it, and which
+// strike it reads. Prefill and DecodeStep use the model's own for every
+// row; the batched decode engine builds one rowCtx per in-flight trial so
+// each batch row keeps its own injection site and detection verdict while
+// sharing the stacked GEMMs.
 type rowCtx struct {
 	hooks   []Hook
 	checker LinearChecker
+	strike  *Strike
 }
 
-// rc returns the model's own observation context (registered hooks plus
-// the armed checker) — what Prefill and DecodeStep run under.
-func (m *Model) rc() rowCtx { return rowCtx{hooks: m.hooks, checker: m.checker} }
+// rc returns the model's own observation context (registered hooks, the
+// armed checker and strike) — what Prefill and DecodeStep run under.
+func (m *Model) rc() rowCtx { return rowCtx{hooks: m.hooks, checker: m.checker, strike: m.strike} }
 
-// finishLinear applies the model's forward hooks to a linear layer's
-// output, runs the linear checker if one is armed, and requantizes the
-// output to the model datatype.
-func (m *Model) finishLinear(ref LayerRef, pos int, w Weight, in, out []float32) {
-	m.finishLinearRC(m.rc(), ref, pos, w, in, out)
+// struck returns the row's struck view of linear layer ref, nil when its
+// strike does not address ref.
+func (rc rowCtx) struck(ref LayerRef) *StruckWeight {
+	if s := rc.strike; s != nil && s.Ref == ref {
+		return s.W
+	}
+	return nil
 }
 
-// finishLinearRC is finishLinear under an explicit row context. Hooks
-// run before rounding so an injected bit pattern is exactly the DType
-// value; the checker runs after the hooks (it must see the fault) and
-// before rounding (so its noise floor is the float32 kernel, not the
-// storage datatype). w and in are the layer's weight and input row,
-// which the checker needs to form the expected checksum and recompute a
-// flagged output.
-func (m *Model) finishLinearRC(rc rowCtx, ref LayerRef, pos int, w Weight, in, out []float32) {
+// weight returns the weight the row reads for linear layer ref.
+func (rc rowCtx) weight(ref LayerRef, w Weight) Weight {
+	if sw := rc.struck(ref); sw != nil {
+		return sw
+	}
+	return w
+}
+
+// gain returns the gain vector the row reads for norm ref.
+func (rc rowCtx) gain(ref LayerRef, g []float32) []float32 {
+	if s := rc.strike; s != nil && s.Ref == ref {
+		return s.Vec
+	}
+	return g
+}
+
+// embedding returns the embedding row the row reads for token tok.
+func (rc rowCtx) embedding(m *Model, tok int) []float32 {
+	if s := rc.strike; s != nil && s.Ref.Kind == KindEmbed && s.Row == tok {
+		return s.Vec
+	}
+	return m.Embed.Row(tok)
+}
+
+// linearRow computes out = in · w for one row under rc, through the row's
+// strike when it addresses ref, and finishes it (finishLinear).
+func (m *Model) linearRow(rc rowCtx, ref LayerRef, pos int, w Weight, in, out []float32) {
+	w = rc.weight(ref, w)
+	w.Forward(out, in)
+	m.finishLinear(rc, ref, pos, w, in, out)
+}
+
+// finishLinear applies the row's forward hooks to a linear layer's
+// output, runs its checker if one is armed, and requantizes the output
+// to the model datatype. Hooks run before rounding so an injected bit
+// pattern is exactly the DType value; the checker runs after the hooks
+// (it must see the fault) and before rounding (so its noise floor is the
+// float32 kernel, not the storage datatype). w and in are the layer's
+// weight and input row, which the checker needs to form the expected
+// checksum and recompute a flagged output: w is the struck view where the
+// row's strike addresses the layer, so a correcting checker recomputes
+// through the fault.
+func (m *Model) finishLinear(rc rowCtx, ref LayerRef, pos int, w Weight, in, out []float32) {
 	for _, h := range rc.hooks {
 		h(ref, pos, out)
 	}

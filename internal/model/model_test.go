@@ -256,7 +256,7 @@ func TestWithDTypeChangesBitBudget(t *testing.T) {
 		t.Fatal("dtype not set")
 	}
 	// A flipped exponent MSB in FP16 weights must stay <= 65504.
-	w := fp16.Blocks[0].Wq
+	w := fp16.Blocks[0].Wq.(*Dense)
 	restore := w.FlipBits(0, 0, []int{13})
 	v := math.Abs(w.Get(0, 0))
 	restore()

@@ -102,7 +102,7 @@ func TestMoERouterFaultChangesRouting(t *testing.T) {
 	clean := run()
 
 	changedAny := false
-	router := m.Blocks[0].Router
+	router := m.Blocks[0].Router.(*Dense)
 	msb := numerics.BF16.Bits() - 2
 	for col := 0; col < router.Out() && !changedAny; col++ {
 		for row := 0; row < router.In() && !changedAny; row += 3 {

@@ -55,8 +55,7 @@ func (st *State) Prefill(prompt []int) []float32 {
 	} else {
 		// Without hooks the intermediate logits are unobservable and
 		// immediately overwritten — compute only the final row.
-		m.LMHead.Forward(st.logits, sk.x.Row(n-1))
-		m.finishLinear(lmHead, rows[n-1].pos, m.LMHead, sk.x.Row(n-1), st.logits)
+		m.linearRow(rows[n-1].rc, lmHead, rows[n-1].pos, m.LMHead, sk.x.Row(n-1), st.logits)
 	}
 
 	st.Pos += n

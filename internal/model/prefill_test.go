@@ -275,7 +275,7 @@ func TestLayerForWritePrivatizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restore := w.FlipBits(0, 0, []int{0, 1})
+	restore := w.(*Dense).FlipBits(0, 0, []int{0, 1})
 	flipped := w.Get(0, 0)
 	if flipped == orig {
 		t.Fatal("flip had no effect")

@@ -74,8 +74,9 @@ func (m *Model) newStack(rows int) *stack {
 // linearRows runs rows [r0, r1) of in through w into out — one GEMM over
 // up to workers goroutines when the weight supports it — and then
 // finishes each output row under its own row's observers, in row order.
-// in is row-aligned with out: a checker verifies each row against the
-// exact input row its GEMM consumed.
+// A row whose strike addresses ref has the one column the strike changes
+// recomputed first (StruckWeight). in is row-aligned with out: a checker
+// verifies each row against the exact input row its GEMM consumed.
 func (m *Model) linearRows(rows []stackRow, ref LayerRef, w Weight, in, out *tensor.Tensor, r0, r1, workers int) {
 	if rf, ok := w.(rowsForwarder); ok {
 		rf.ForwardRows(out, in, r0, r1, workers)
@@ -86,16 +87,21 @@ func (m *Model) linearRows(rows []stackRow, ref LayerRef, w Weight, in, out *ten
 	}
 	for i := r0; i < r1; i++ {
 		row := &rows[i]
-		m.finishLinearRC(row.rc, ref, row.pos, w, in.Row(i), out.Row(i))
+		rw := w
+		if sw := row.rc.struck(ref); sw != nil {
+			out.Row(i)[sw.Col] = sw.column(in.Row(i))
+			rw = sw
+		}
+		m.finishLinear(row.rc, ref, row.pos, rw, in.Row(i), out.Row(i))
 	}
 }
 
 // forwardStack runs rows [r0, r1) through the transformer as one stacked
 // pass — embed, every block, final norm — leaving each row's normalised
 // residual in sk.x for the caller's LM head. Prefill stacks the positions
-// of one prompt and spends its thread budget inside each GEMM; every
-// shard of Batch.Step stacks its range of independent trials with
-// workers = 1; DecodeStep is the one-row pass.
+// of one prompt and spends its thread budget inside each GEMM; Batch.Step
+// stacks its independent trials with workers = 1, or runs them one row
+// per pass on several goroutines; DecodeStep is the one-row pass.
 //
 // Every value a row computes, shows an observer or writes to its KV cache
 // is bit-identical to that row going through the pass alone, one row per
@@ -108,7 +114,9 @@ func (m *Model) linearRows(rows []stackRow, ref LayerRef, w Weight, in, out *ten
 //   - A row's observers run once per layer on that row only, in the
 //     block's layer order (stacking makes the global order layer-major,
 //     never a row's own), and attention hooks fire after the head mix and
-//     before out-proj.
+//     before out-proj. A row's strike is read only by that row: its
+//     embedding row, its norm gain, or the one column of its struck
+//     linear that the flipped element feeds (linearRows).
 //   - Attention at (state, pos) reads that state's K/V rows 0..pos. Rows
 //     sharing a state must be at consecutive ascending positions in row
 //     order, and must not be split across concurrent calls; each block
@@ -129,8 +137,9 @@ func (m *Model) linearRows(rows []stackRow, ref LayerRef, w Weight, in, out *ten
 // (State.reserveNext) before the pass, on one goroutine.
 //
 // Concurrent calls on disjoint row ranges over disjoint states share only
-// what a pass never writes: weights, RoPE tables, a checker's checksum
-// table, the Prefix several states may read their first rows from.
+// what a pass never writes: weights, strikes, RoPE tables, a checker's
+// checksum table, the Prefix several states may read their first rows
+// from.
 func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 	from := rows[r0].from
 	for r := r0 + 1; r < r1; r++ {
@@ -144,9 +153,9 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 
 	// span is the range's slice of a stacked tensor's data.
 	span := func(t *tensor.Tensor) []float32 { return t.Data[r0*t.Cols : r1*t.Cols] }
-	normRows := func(t *tensor.Tensor, gain []float32) {
+	normRows := func(t *tensor.Tensor, ref LayerRef, gain []float32) {
 		for i := r0; i < r1; i++ {
-			tensor.RMSNormRow(t.Row(i), gain, cfg.Eps)
+			tensor.RMSNormRow(t.Row(i), rows[i].rc.gain(ref, gain), cfg.Eps)
 		}
 	}
 	addRows := func(dst, src *tensor.Tensor) {
@@ -181,7 +190,7 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 		if tok < 0 || tok >= cfg.Vocab {
 			tok = 0
 		}
-		copy(sk.x.Row(i), m.Embed.Row(tok))
+		copy(sk.x.Row(i), row.rc.embedding(m, tok))
 	}
 
 	for bi := from / 2; bi < len(m.Blocks); bi++ {
@@ -192,7 +201,7 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 				record(2 * bi)
 			}
 			copy(span(sk.h), span(sk.x))
-			normRows(sk.h, blk.AttnNorm)
+			normRows(sk.h, LayerRef{bi, KindAttnNorm, -1}, blk.AttnNorm)
 
 			linear(LayerRef{bi, KindQ, -1}, blk.Wq, sk.h, sk.q)
 			linear(LayerRef{bi, KindK, -1}, blk.Wk, sk.h, sk.kb)
@@ -220,7 +229,7 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 		// --- MLP / MoE sub-block ---
 		record(2*bi + 1)
 		copy(span(sk.h), span(sk.x))
-		normRows(sk.h, blk.MLPNorm)
+		normRows(sk.h, LayerRef{bi, KindMLPNorm, -1}, blk.MLPNorm)
 
 		if blk.Router != nil {
 			linear(LayerRef{bi, KindRouter, -1}, blk.Router, sk.h, sk.r)
@@ -239,5 +248,5 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 		addRows(sk.x, sk.d)
 	}
 
-	normRows(sk.x, m.FinalNorm)
+	normRows(sk.x, LayerRef{-1, KindFinalNorm, -1}, m.FinalNorm)
 }

@@ -10,9 +10,8 @@ import (
 
 // Weight is a linear layer's parameter matrix, abstracted so that dense
 // floating-point storage and quantized integer storage (internal/quant)
-// are interchangeable. The fault injector needs only this interface:
-// memory faults flip bits of the *storage* representation at (row, col)
-// and must be restorable (flip-back after each trial, §3.2).
+// are interchangeable. Inference only ever reads it: a memory fault is a
+// read-time overlay over the clean storage (Struck), never a write.
 type Weight interface {
 	// In returns the input dimension (rows of the matrix).
 	In() int
@@ -22,20 +21,63 @@ type Weight interface {
 	Forward(out, x []float32)
 	// Get returns the effective (dequantized) value at (r, c).
 	Get(r, c int) float64
-	// FlipBits flips the listed storage-bit positions of the element at
-	// (r, c) and returns a function restoring the original storage.
-	FlipBits(r, c int, bits []int) (restore func())
+	// Struck returns the weight with the listed storage-bit positions of
+	// element (r, c) flipped — §3.2's memory fault — as a read-only view
+	// over the receiver, whose storage it never writes.
+	Struck(r, c int, bits []int) *StruckWeight
 	// StorageBits returns the number of addressable bits per element.
 	StorageBits() int
-	// CloneWeight returns an independent deep copy. Campaign workers
-	// clone the model so concurrent memory-fault trials cannot observe
-	// each other's flipped weights.
+	// CloneWeight returns an independent deep copy.
 	CloneWeight() Weight
 }
 
+// StruckWeight is a Weight with one element struck (Weight.Struck). A
+// flipped W[Row][Col] changes only output column Col of x · W, and every
+// Forward sums each column on its own, so the view's Forward is the clean
+// product with that one column recomputed: column sums it in the clean
+// weight's own Forward order, with its ±0 skip, reading the struck
+// element in place of the stored one — bit for bit the column Forward
+// over flipped storage would give.
+type StruckWeight struct {
+	Weight   // the clean weight
+	Row, Col int
+	value    float64
+	column   func(x []float32) float32
+}
+
+// NewStruck is the view of w with element (r, c) struck: value is the
+// struck element's effective value and column computes output column c of
+// x · W with it. Weight implementations build their Struck with it.
+func NewStruck(w Weight, r, c int, value float64, column func(x []float32) float32) *StruckWeight {
+	return &StruckWeight{Weight: w, Row: r, Col: c, value: value, column: column}
+}
+
+// Forward computes out = x · W with the struck element.
+func (s *StruckWeight) Forward(out, x []float32) {
+	s.Weight.Forward(out, x)
+	out[s.Col] = s.column(x)
+}
+
+// Get returns the effective value at (r, c), the struck one at (Row, Col).
+func (s *StruckWeight) Get(r, c int) float64 {
+	if r == s.Row && c == s.Col {
+		return s.value
+	}
+	return s.Weight.Get(r, c)
+}
+
+// Struck panics: one weight carries at most one strike.
+func (s *StruckWeight) Struck(int, int, []int) *StruckWeight {
+	panic("model: striking a weight that is already struck")
+}
+
+// CloneWeight returns the view itself: it is read-only, and so is the
+// storage under it.
+func (s *StruckWeight) CloneWeight() Weight { return s }
+
 // Dense is a Weight backed by a float32 tensor whose elements logically
-// live in DT: they are pre-rounded to DT at construction, and FlipBits
-// operates on the DT bit pattern (so a BF16 model's weights can reach
+// live in DT: they are pre-rounded to DT at construction, and a strike
+// flips bits of the DT pattern (so a BF16 model's weights can reach
 // ±3e38 after an exponent-MSB flip while an FP16 model's cannot exceed
 // ±65504 — the mechanism of Observation #11).
 type Dense struct {
@@ -69,8 +111,33 @@ func (d *Dense) Get(r, c int) float64 { return float64(d.T.At(r, c)) }
 // StorageBits returns the bit width of the logical datatype.
 func (d *Dense) StorageBits() int { return d.DT.Bits() }
 
+// Struck returns the view of d with the given bit positions of element
+// (r, c) flipped in the DT representation. Its column is the row kernel's
+// per-column sequence (tensor.MatVecStrided): from +0, p ascending,
+// ±0 inputs skipped, one float32 multiply and add per input.
+func (d *Dense) Struck(r, c int, bits []int) *StruckWeight {
+	v := float32(numerics.FlipBits(d.DT, float64(d.T.At(r, c)), bits...))
+	n := d.T.Cols
+	return NewStruck(d, r, c, float64(v), func(x []float32) float32 {
+		var s float32
+		off := c
+		for p, xv := range x {
+			if xv != 0 {
+				w := d.T.Data[off]
+				if p == r {
+					w = v
+				}
+				s += xv * w
+			}
+			off += n
+		}
+		return s
+	})
+}
+
 // FlipBits flips the given bit positions of element (r, c) in the DT
-// representation and returns a restorer.
+// representation in place and returns a restorer. Inference never calls
+// it; it is the storage-flip oracle the overlay (Struck) is pinned to.
 func (d *Dense) FlipBits(r, c int, bits []int) func() {
 	old := d.T.At(r, c)
 	d.T.Set(r, c, float32(numerics.FlipBits(d.DT, float64(old), bits...)))
@@ -103,10 +170,10 @@ type Block struct {
 	Experts []*MLPWeights
 }
 
-// Model is a complete decoder-only transformer. The parameter tensors are
-// treated as read-only during inference except by the memory-fault
-// injector, which requires exclusive access for flip/restore (campaigns
-// serialize memory-fault trials per model instance, as the paper does).
+// Model is a complete decoder-only transformer. Inference never writes
+// its parameter tensors: a weight-resident fault is a Strike the forward
+// pass reads (SetStrike, DecodeRow.Strike), so any number of goroutines
+// may run over one model's weights.
 type Model struct {
 	Cfg Config
 
@@ -130,6 +197,11 @@ type Model struct {
 	// (0 = GOMAXPROCS). Campaigns set it per worker clone so the worker
 	// pool cannot oversubscribe the machine.
 	threads int
+
+	// strike, when non-nil, is the weight-resident fault every forward
+	// pass over m reads (SetStrike). Like hooks, it is not copied by
+	// Clone/CloneShared.
+	strike *Strike
 
 	// sharedWeights marks a CloneShared copy: parameter storage is shared
 	// with the parent and must be privatized (copy-on-write) before any
@@ -168,7 +240,7 @@ func (m *Model) matmulThreads() int {
 // against the reference path.
 func (m *Model) SetSequentialPrefill(on bool) { m.seqPrefill = on }
 
-// SharesWeights reports whether this model is a copy-on-write clone whose
+// SharesWeights reports whether this model is a CloneShared clone whose
 // parameter storage is shared with its parent.
 func (m *Model) SharesWeights() bool { return m.sharedWeights }
 
@@ -221,11 +293,16 @@ type LinearChecker interface {
 // each worker's clone.
 func (m *Model) SetChecker(c LinearChecker) { m.checker = c }
 
+// SetStrike installs (nil removes) the weight-resident fault every
+// forward pass over m reads — Prefill, DecodeStep, and what Layer and
+// LinearLayers hand out. Batch.Step reads each row's own instead.
+func (m *Model) SetStrike(s *Strike) { m.strike = s }
+
 // Observed reports whether anything is registered on the model itself —
-// a hook, an attention hook or a checker — that a forward pass over it
-// shows every position to.
+// a hook, an attention hook, a checker or a strike — that a forward pass
+// over it shows every position to.
 func (m *Model) Observed() bool {
-	return len(m.hooks) > 0 || len(m.attnHooks) > 0 || m.checker != nil
+	return len(m.hooks) > 0 || len(m.attnHooks) > 0 || m.checker != nil || m.strike != nil
 }
 
 // ClearHooks removes all hooks.
@@ -275,16 +352,17 @@ func (m *Model) Clone() *Model {
 	return nm
 }
 
-// CloneShared returns a copy-on-write clone: block and MLP structure is
+// CloneShared returns a weight-sharing clone: block and MLP structure is
 // duplicated so weight slots can be swapped per clone, but every weight,
 // the embedding table, and the norm gains are SHARED with the receiver.
-// Hooks are not copied — each clone arms its own faults and mitigations.
+// Hooks and the strike are not copied — each clone arms its own faults
+// and mitigations.
 //
-// Sharing is sound because inference treats parameters as read-only:
+// Sharing is sound because inference never writes parameters:
 // computational faults and mitigations mutate activations through hooks,
-// never weights. The one writer is the memory-fault injector, and
-// LayerForWrite privatizes the single targeted weight before it flips —
-// collapsing per-worker campaign memory from O(model) to O(KV cache).
+// and a weight-resident fault is a Strike read over the clean storage. A
+// caller that writes storage anyway goes through LayerForWrite, which
+// privatizes the targeted weight first.
 func (m *Model) CloneShared() *Model {
 	nm := &Model{
 		Cfg:           m.Cfg,
@@ -333,7 +411,8 @@ type LayerInfo struct {
 
 // LinearLayers enumerates every linear layer inside the transformer
 // blocks (the paper's injection sites: ~94% of compute). The LM head is
-// excluded, matching §3.2. Order is deterministic.
+// excluded, matching §3.2. Order is deterministic. The layer m's strike
+// addresses is its struck view.
 func (m *Model) LinearLayers() []LayerInfo {
 	var out []LayerInfo
 	for b, blk := range m.Blocks {
@@ -361,17 +440,25 @@ func (m *Model) LinearLayers() []LayerInfo {
 			}
 		}
 	}
+	if s := m.strike; s != nil && s.W != nil {
+		for i := range out {
+			if out[i].Ref == s.Ref {
+				out[i].Weight = s.W
+			}
+		}
+	}
 	return out
 }
 
-// Layer returns the weight addressed by ref (including KindLMHead), or an
-// error if the address does not exist in this model.
+// Layer returns the weight addressed by ref (including KindLMHead) — the
+// struck view if m's strike addresses it — or an error if the address
+// does not exist in this model.
 func (m *Model) Layer(ref LayerRef) (Weight, error) {
 	slot, err := m.layerSlot(ref)
 	if err != nil {
 		return nil, err
 	}
-	return *slot, nil
+	return m.rc().weight(ref, *slot), nil
 }
 
 // LayerForWrite returns the weight addressed by ref for in-place
@@ -393,61 +480,24 @@ func (m *Model) LayerForWrite(ref LayerRef) (Weight, error) {
 	return *slot, nil
 }
 
-// NormForWrite returns the RMSNorm gain vector addressed by ref —
-// KindAttnNorm or KindMLPNorm with a block index, or KindFinalNorm with
-// Block = -1 — for in-place mutation. On a CloneShared model the vector
-// is first privatized, exactly like LayerForWrite: norm gains are shared
-// by reference across clones, so a flip through the shared slice would
-// corrupt every sibling's inference. Repeated writes reuse the private
-// copy.
-func (m *Model) NormForWrite(ref LayerRef) ([]float32, error) {
-	slot, err := m.normSlot(ref)
-	if err != nil {
-		return nil, err
-	}
-	if m.sharedWeights && !m.privatized[ref] {
-		*slot = append([]float32(nil), *slot...)
-		if m.privatized == nil {
-			m.privatized = map[LayerRef]bool{}
-		}
-		m.privatized[ref] = true
-	}
-	return *slot, nil
-}
-
-// normSlot returns a pointer to the gain-vector field addressed by ref.
-func (m *Model) normSlot(ref LayerRef) (*[]float32, error) {
-	if ref.Kind == KindFinalNorm {
-		return &m.FinalNorm, nil
-	}
-	if ref.Block < 0 || ref.Block >= len(m.Blocks) {
+// Norm returns the RMSNorm gain vector addressed by ref — KindAttnNorm or
+// KindMLPNorm with a block index, or KindFinalNorm with Block = -1 — the
+// struck one if m's strike addresses it. Callers must not write it.
+func (m *Model) Norm(ref LayerRef) ([]float32, error) {
+	var g []float32
+	switch {
+	case ref.Kind == KindFinalNorm:
+		g = m.FinalNorm
+	case ref.Block < 0 || ref.Block >= len(m.Blocks):
 		return nil, fmt.Errorf("model: block %d out of range", ref.Block)
+	case ref.Kind == KindAttnNorm:
+		g = m.Blocks[ref.Block].AttnNorm
+	case ref.Kind == KindMLPNorm:
+		g = m.Blocks[ref.Block].MLPNorm
+	default:
+		return nil, fmt.Errorf("model: %v is not a norm gain", ref)
 	}
-	switch ref.Kind {
-	case KindAttnNorm:
-		return &m.Blocks[ref.Block].AttnNorm, nil
-	case KindMLPNorm:
-		return &m.Blocks[ref.Block].MLPNorm, nil
-	}
-	return nil, fmt.Errorf("model: %v is not a norm gain", ref)
-}
-
-// embedRef is the privatization key for the shared embedding table.
-var embedRef = LayerRef{-1, KindEmbed, -1}
-
-// EmbedForWrite returns the token embedding table for in-place mutation,
-// privatizing it on a CloneShared model first (the table is O(Vocab ×
-// DModel) — by far the largest privatization — but only embedding-fault
-// trials pay it).
-func (m *Model) EmbedForWrite() *tensor.Tensor {
-	if m.sharedWeights && !m.privatized[embedRef] {
-		m.Embed = m.Embed.Clone()
-		if m.privatized == nil {
-			m.privatized = map[LayerRef]bool{}
-		}
-		m.privatized[embedRef] = true
-	}
-	return m.Embed
+	return m.rc().gain(ref, g), nil
 }
 
 // layerSlot returns a pointer to the Weight field addressed by ref.

@@ -208,14 +208,34 @@ func (w *Weight) Forward(out, x []float32) {
 	}
 }
 
-// FlipBits flips the given bit positions (0 = LSB) of the code at (r, c),
-// wrapping within the code's bit width using two's complement, and
-// returns a restorer. This models a memory fault striking the quantized
-// weight storage.
-func (w *Weight) FlipBits(r, c int, bitsPos []int) func() {
-	idx := r*w.out + c
-	old := w.codes[idx]
-	u := uint8(old)
+// Struck returns the view of w with the given bit positions (0 = LSB) of
+// the code at (r, c) flipped — a memory fault striking the quantized
+// weight storage. Its column is Forward's per-column sequence: from +0,
+// inputs ascending, zero inputs skipped, xv·code·scale added in float32.
+func (w *Weight) Struck(r, c int, bitsPos []int) *model.StruckWeight {
+	n := w.out
+	code := w.flipCode(w.codes[r*n+c], bitsPos)
+	value := float64(code) * float64(w.scales[(r/GroupSize)*n+c])
+	return model.NewStruck(w, r, c, value, func(x []float32) float32 {
+		var s float32
+		for p, xv := range x {
+			if xv == 0 {
+				continue
+			}
+			q := w.codes[p*n+c]
+			if p == r {
+				q = code
+			}
+			s += xv * float32(q) * w.scales[(p/GroupSize)*n+c]
+		}
+		return s
+	})
+}
+
+// flipCode returns code with the given bit positions flipped, wrapping
+// within the code's bit width using two's complement.
+func (w *Weight) flipCode(code int8, bitsPos []int) int8 {
+	u := uint8(code)
 	for _, b := range bitsPos {
 		if b < 0 || b >= w.bits {
 			panic(fmt.Sprintf("quant: bit %d out of range for int%d", b, w.bits))
@@ -229,7 +249,16 @@ func (w *Weight) FlipBits(r, c int, bitsPos []int) func() {
 			u |= 0xF0
 		}
 	}
-	w.codes[idx] = int8(u)
+	return int8(u)
+}
+
+// FlipBits flips the given bit positions of the code at (r, c) in place
+// and returns a restorer. Inference never calls it; it is the
+// storage-flip oracle the overlay (Struck) is pinned to.
+func (w *Weight) FlipBits(r, c int, bitsPos []int) func() {
+	idx := r*w.out + c
+	old := w.codes[idx]
+	w.codes[idx] = w.flipCode(old, bitsPos)
 	return func() { w.codes[idx] = old }
 }
 

@@ -9,11 +9,10 @@
 // alone through the serial generator: the batched GEMMs keep per-row
 // accumulation order, injection hooks and ABFT checkers are row-scoped,
 // and fault sites are a pure function of the request's seed — never of
-// admission order or batch composition. Weight-resident faults (norm,
-// embedding, linear memory) cannot be row-scoped, so those requests
-// decode alone — the same loop at width 1 — on a private copy-on-write
-// clone, exactly as offline campaigns serialize memory-fault trials per
-// model instance.
+// admission order or batch composition. A weight-resident fault (norm
+// gain, embedding element, linear memory) is row-scoped too: it is a
+// strike its row reads in place of the stored parameter, never a write to
+// the shared weights, so every request rides the one decode loop.
 //
 // Every request's prompt is prefilled clean — its fault and checker are
 // armed at admission, after it — so the post-prompt KV rows are a pure
@@ -70,8 +69,7 @@ type InjectConfig struct {
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Model serves all requests; its weights are treated as read-only
-	// (weight-resident faults clone copy-on-write before flipping).
+	// Model serves all requests; nothing writes its weights.
 	Model *model.Model
 	// Vocab, when non-nil, fills Response.Text and enables the HTTP
 	// prompt codec.
@@ -191,16 +189,6 @@ type flight struct {
 	lastTok time.Time // last decode-step completion, for inter-token gaps
 }
 
-// lane is a decode loop and the model its rows run on, which arming a
-// request strikes. The scheduler owns one at Config.Width over the
-// engine's model; each weight-resident request owns one at width 1 over
-// its private clone. gen.Loop is the one greedy decode driver, shared
-// with offline campaigns, and where the bit-identity argument lives.
-type lane struct {
-	loop *gen.Loop[*flight]
-	m    *model.Model
-}
-
 // Engine is the serving core. Create with NewEngine, start the
 // scheduler with Run (usually in its own goroutine), send traffic with
 // Submit, and stop by cancelling Run's context: in-flight requests
@@ -210,9 +198,8 @@ type Engine struct {
 	m       *model.Model
 	met     *Metrics
 	sampler *faults.Sampler
-	// table holds the clean-weight ABFT checksums of Config.Model, which
-	// no request strikes (nil without Inject.ABFT): every request's
-	// checker reads it, on the scheduler's lane or on a clone's.
+	// table holds the clean-weight ABFT checksums of Config.Model (nil
+	// without Inject.ABFT): every request's checker reads it.
 	table *abft.Table
 	cache *prefixCache
 	queue chan *pending
@@ -220,7 +207,6 @@ type Engine struct {
 
 	mu       sync.Mutex
 	draining bool //llmfi:guardedby mu
-	serial   sync.WaitGroup
 
 	slowMu   sync.Mutex
 	slow     []SlowRequest //llmfi:guardedby slowMu — ring, newest at slowNext-1
@@ -406,25 +392,14 @@ func (e *Engine) Submit(ctx context.Context, req Request) Response {
 	default:
 	}
 	p := &pending{req: req, ctx: ctx, start: start, site: site, tm: tm, resp: make(chan Response, 1)}
-	if site != nil && site.WeightResident() {
-		// Weight-resident faults flip shared parameter storage; they
-		// cannot ride a shared batch. Decode alone on a private
-		// copy-on-write clone, in this goroutine.
-		if !e.trackSerial() {
-			e.met.observeRejected(statusDraining)
-			return Response{ID: req.ID, Err: ErrDraining}
-		}
-		defer e.serial.Done()
-		return e.runAlone(p)
-	}
 	if e.isDraining() {
 		e.met.observeRejected(statusDraining)
 		return Response{ID: req.ID, Err: ErrDraining}
 	}
 
 	// Prefill here, concurrently with other submitters: the state is
-	// private and the shared weights are read-only on this path.
-	e.prefill(e.m, p)
+	// private and nothing writes the shared weights.
+	e.prefill(p)
 	p.tm.enq = time.Now()
 	select {
 	case e.queue <- p:
@@ -449,16 +424,16 @@ func (e *Engine) Submit(ctx context.Context, req Request) Response {
 	}
 }
 
-// prefill gives p its state on m, the engine's model or a clone of it, at
-// the end of the prompt, and the logits there — the one place a served
-// prompt is computed. It forks the cached prefix sharing the most leading
-// tokens with the prompt and prefills only the rest (an exact repeat
-// computes its last token), then caches the prompt's own rows if the
-// engine keeps seeing it. A hook or checker registered on m itself would
-// be shown every prompt position by a full prefill, so such a model goes
-// uncached; what the engine arms is per request and comes after.
-func (e *Engine) prefill(m *model.Model, p *pending) {
-	prompt := p.req.Prompt
+// prefill gives p its state at the end of the prompt, and the logits
+// there — the one place a served prompt is computed. It forks the cached
+// prefix sharing the most leading tokens with the prompt and prefills
+// only the rest (an exact repeat computes its last token), then caches
+// the prompt's own rows if the engine keeps seeing it. A hook or checker
+// registered on the model itself would be shown every prompt position by
+// a full prefill, so such a model goes uncached; what the engine arms is
+// per request and comes after.
+func (e *Engine) prefill(p *pending) {
+	m, prompt := e.m, p.req.Prompt
 	p.tm.prefillAt = time.Now()
 	var (
 		px    *model.Prefix
@@ -487,24 +462,13 @@ func (e *Engine) isDraining() bool {
 	return e.draining
 }
 
-// trackSerial registers a serial-path request with the drain barrier.
-func (e *Engine) trackSerial() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.draining {
-		return false
-	}
-	e.serial.Add(1)
-	return true
-}
-
-// Run is the scheduler: it owns the engine's decode loop, admits pending
-// requests into free rows and steps them to completion. It returns
-// after ctx is cancelled AND every in-flight request (batched and
-// alone) has finished — the graceful-drain contract behind the SIGINT
-// handling in cmd/llmfi.
+// Run is the scheduler: it owns the engine's decode loop — the only one —
+// admits pending requests into free rows and steps them to completion.
+// It returns after ctx is cancelled AND every in-flight request has
+// finished — the graceful-drain contract behind the SIGINT handling in
+// cmd/llmfi.
 func (e *Engine) Run(ctx context.Context) error {
-	ln := &lane{loop: gen.NewLoop[*flight](e.m, e.cfg.Width), m: e.m}
+	loop := gen.NewLoop[*flight](e.m, e.cfg.Width)
 	running := true
 
 	for {
@@ -515,32 +479,31 @@ func (e *Engine) Run(ctx context.Context) error {
 			e.mu.Unlock()
 			e.failQueued()
 		}
-		if ln.loop.Len() == 0 {
+		if loop.Len() == 0 {
 			if !running {
 				break
 			}
 			select {
 			case p := <-e.queue:
-				e.admit(ln, p)
+				e.admit(loop, p)
 			case <-ctx.Done():
 			}
 			continue
 		}
 		if running {
 		topUp:
-			for ln.loop.Free() > 0 {
+			for loop.Free() > 0 {
 				select {
 				case p := <-e.queue:
-					e.admit(ln, p)
+					e.admit(loop, p)
 				default:
 					break topUp
 				}
 			}
 		}
-		e.step(ln)
+		e.step(loop)
 	}
 
-	e.serial.Wait()
 	close(e.done)
 	return nil
 }
@@ -558,58 +521,39 @@ func (e *Engine) failQueued() {
 	}
 }
 
-// runAlone serves a weight-resident-fault request on a private
-// copy-on-write clone: clean prefill, then the scheduler's own admit and
-// step on a width-1 loop over the clone. Sibling requests never observe
-// the flip — the clone privatizes the struck storage before writing.
-// Without a queue, TTFT is prefill time.
-func (e *Engine) runAlone(p *pending) Response {
-	wm := e.m.CloneShared()
-	e.prefill(wm, p)
-	ln := &lane{loop: gen.NewLoop[*flight](wm, 1), m: wm}
-	e.admit(ln, p)
-	for ln.loop.Len() > 0 {
-		e.step(ln)
-	}
-	return <-p.resp
-}
-
-// admit puts a prefilled request on ln: arm its fault and checker on its
-// own row (on the goroutine that owns ln, between steps) and take the
-// first token off the prefix logits. A request that ends there is answered without ever
-// occupying a row.
-func (e *Engine) admit(ln *lane, p *pending) {
+// admit puts a prefilled request on the loop: arm its fault and checker
+// on its own row (on the scheduler's goroutine, between steps) and take
+// the first token off the prefix logits. A request that ends there is
+// answered without ever occupying a row.
+func (e *Engine) admit(loop *gen.Loop[*flight], p *pending) {
 	f := &flight{p: p}
 	var arm gen.Arm
 	if p.site != nil {
 		var err error
-		if arm, err = e.arm(ln, f); err != nil {
+		if arm, err = e.arm(f); err != nil {
 			e.respond(f, gen.Result{}, fmt.Errorf("%w: %v", ErrInvalid, err))
 			return
 		}
 	}
-	s := ln.loop.Admit(p.st, p.prefix, gen.Defaults(p.req.MaxNew), arm, f)
+	s := loop.Admit(p.st, p.prefix, gen.Defaults(p.req.MaxNew), arm, f)
 	if s.Done() {
-		e.retire(ln, s, nil)
+		e.retire(loop, s, nil)
 		return
 	}
 	// The first generated token materializes here, off the prefix
 	// logits: this is the request's TTFT.
 	p.tm.admitted = time.Now()
-	if !p.tm.enq.IsZero() { // a request on a lane of its own never queued
-		p.tm.queueWait = p.tm.admitted.Sub(p.tm.enq)
-	}
+	p.tm.queueWait = p.tm.admitted.Sub(p.tm.enq)
 	p.tm.ttft = p.tm.admitted.Sub(p.start)
 	p.tm.hasTTFT = true
 	e.met.observeTTFT(p.tm.ttft)
 	f.lastTok = p.tm.admitted
 }
 
-// arm builds the request's checker over the engine's table, arms its
-// fault on ln's model and returns the observers scoped to the request's
-// own row. A weight-resident site flips ln.m itself:
-// Submit routed it to runAlone, where ln.m is a private clone.
-func (e *Engine) arm(ln *lane, f *flight) (gen.Arm, error) {
+// arm builds the request's checker over the engine's table and its fault
+// over the engine's weights, and returns the observers scoped to the
+// request's own row.
+func (e *Engine) arm(f *flight) (gen.Arm, error) {
 	site := *f.p.site
 	var arm gen.Arm
 	var err error
@@ -625,9 +569,10 @@ func (e *Engine) arm(ln *lane, f *flight) (gen.Arm, error) {
 		}
 		arm.Checker = f.checker
 	}
-	if f.inj, err = faults.New(ln.m, site, len(f.p.req.Prompt)); err != nil {
+	if f.inj, err = faults.New(e.m, site, len(f.p.req.Prompt)); err != nil {
 		return arm, err
 	}
+	arm.Strike = f.inj.Strike
 	if h := f.inj.Hook; h != nil {
 		arm.Hooks = []model.Hook{h}
 	}
@@ -638,20 +583,20 @@ func (e *Engine) arm(ln *lane, f *flight) (gen.Arm, error) {
 	return arm, nil
 }
 
-// step advances every live request on ln by one token. Cancelled and
-// expired requests are swept out first, so no step is spent on them.
-func (e *Engine) step(ln *lane) {
-	ln.loop.Drop(func(s *gen.Seq[*flight]) bool {
+// step advances every live request by one token. Cancelled and expired
+// requests are swept out first, so no step is spent on them.
+func (e *Engine) step(loop *gen.Loop[*flight]) {
+	loop.Drop(func(s *gen.Seq[*flight]) bool {
 		err := s.Owner.p.ctx.Err()
 		if err != nil {
-			e.retire(ln, s, err)
+			e.retire(loop, s, err)
 		}
 		return err != nil
 	})
-	if ln.loop.Len() == 0 {
+	if loop.Len() == 0 {
 		return
 	}
-	finished := ln.loop.Step()
+	finished := loop.Step()
 
 	// One clock read covers the whole stacked step: each request that
 	// rode it produced one token, so the gap since its previous token is
@@ -661,28 +606,25 @@ func (e *Engine) step(ln *lane) {
 		e.met.observeInterToken(stepAt.Sub(f.lastTok))
 		f.lastTok = stepAt
 	}
-	for _, s := range ln.loop.Live() {
+	for _, s := range loop.Live() {
 		tick(s.Owner)
 	}
 	for _, s := range finished {
 		tick(s.Owner)
-		e.retire(ln, s, nil)
+		e.retire(loop, s, nil)
 	}
 }
 
-// retire takes a finished or abandoned request off ln and answers it.
-func (e *Engine) retire(ln *lane, s *gen.Seq[*flight], err error) {
-	ln.loop.Release(s)
+// retire takes a finished or abandoned request off the loop and answers
+// it.
+func (e *Engine) retire(loop *gen.Loop[*flight], s *gen.Seq[*flight], err error) {
+	loop.Release(s)
 	e.respond(s.Owner, s.Result(), err)
 }
 
 // respond finishes a flight: score, classify, record, reply.
 func (e *Engine) respond(f *flight, res gen.Result, err error) {
-	fired := false
-	if f.inj != nil {
-		fired = f.inj.Fired
-		f.inj.Disarm()
-	}
+	fired := f.inj != nil && f.inj.Fired
 	detected := 0
 	if f.checker != nil {
 		detected = f.checker.Stats().Flagged

@@ -510,12 +510,41 @@ func TestServeShardedStep(t *testing.T) {
 	}
 }
 
-// TestServeWeightResidentThroughLoop pins the weight-resident path — a
-// width-1 decode loop over a private clone, checker on the row — to the
-// seed oracle: for every weight-resident surface, tokens, Fired and
-// Detected equal gen.ContinueGreedy on a clone armed identically (clean
-// prefill, protect, arm; the model's own checker observing). Cancelling
-// mid-decode returns the tokens chosen so far with the context error.
+// flipStored writes a weight-resident site's fault into m's own storage,
+// the oracle the engine's strikes are pinned to. m must be a deep clone
+// nothing else reads.
+func flipStored(t *testing.T, m *model.Model, site faults.Site) {
+	t.Helper()
+	flip := func(p *float32) {
+		*p = float32(numerics.FlipBits(numerics.FP32, float64(*p), site.Bits...))
+	}
+	switch site.Surface {
+	case faults.SurfaceNorm:
+		g, err := m.Norm(site.Layer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flip(&g[site.Col])
+	case faults.SurfaceEmbed:
+		flip(&m.Embed.Row(site.Row)[site.Col])
+	case faults.SurfaceLinear:
+		w, err := m.Layer(site.Layer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.(*model.Dense).FlipBits(site.Row, site.Col, site.Bits)
+	default:
+		t.Fatalf("%v is not a weight-resident site", site)
+	}
+}
+
+// TestServeWeightResidentThroughLoop pins weight-resident requests — a
+// strike on a row of the shared decode loop, checker on the row — to the
+// seed oracle: for every weight-resident surface, tokens and Detected
+// equal gen.ContinueGreedy on a deep clone whose storage was flipped
+// after a clean prefill, the model's own checker observing, and every
+// such request reports Fired. Cancelling mid-decode returns the tokens
+// chosen so far with the context error.
 func TestServeWeightResidentThroughLoop(t *testing.T) {
 	m, vocab := testServeModel(t)
 	prompts := testPrompts()
@@ -540,11 +569,7 @@ func TestServeWeightResidentThroughLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !site.WeightResident() {
-			t.Fatalf("request %d drew %v, not a weight-resident site", i, site)
-		}
-
-		clone := m.CloneShared()
+		clone := m.Clone()
 		st := clone.NewState()
 		logits := st.Prefill(req.Prompt)
 		p := abft.Protection{Policy: mitigate.PolicyDetect, AllLayers: true}
@@ -553,10 +578,7 @@ func TestServeWeightResidentThroughLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		clone.SetChecker(ck)
-		inj, err := faults.Arm(clone, site, len(req.Prompt))
-		if err != nil {
-			t.Fatal(err)
-		}
+		flipStored(t, clone, site)
 		want := gen.ContinueGreedy(clone, st, logits, gen.Defaults(maxNew))
 
 		resp := e.Submit(context.Background(), req)
@@ -567,9 +589,9 @@ func TestServeWeightResidentThroughLoop(t *testing.T) {
 			t.Fatalf("request %d (%v): served %v (%d steps), oracle %v (%d steps)",
 				i, site, resp.Tokens, resp.Steps, want.Tokens, want.Steps)
 		}
-		if resp.Fired != inj.Fired || resp.Detected != ck.Stats().Flagged {
-			t.Fatalf("request %d (%v): fired %v detected %d, oracle fired %v flagged %d",
-				i, site, resp.Fired, resp.Detected, inj.Fired, ck.Stats().Flagged)
+		if !resp.Fired || resp.Detected != ck.Stats().Flagged {
+			t.Fatalf("request %d (%v): fired %v detected %d, oracle flagged %d",
+				i, site, resp.Fired, resp.Detected, ck.Stats().Flagged)
 		}
 		surfaces[resp.Surface]++
 		if long == nil && len(resp.Tokens) > 6 {

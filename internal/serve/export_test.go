@@ -26,8 +26,8 @@ func (e *Engine) SampleSiteForTest(req Request) (faults.Site, error) {
 }
 
 // ChecksForTest arms req's campaign fault the way admission does — the
-// engine's own arm, on a lane over a private clone — decodes it to the
-// end and returns the site and how many ABFT checks the request's
+// engine's own arm, on a decode loop over the engine's model — decodes it
+// to the end and returns the site and how many ABFT checks the request's
 // checker ran: Response carries only the flagged ones. req.MaxNew must
 // be set, and the engine must have Inject.ABFT.
 func (e *Engine) ChecksForTest(req Request) (faults.Site, int, error) {
@@ -35,19 +35,17 @@ func (e *Engine) ChecksForTest(req Request) (faults.Site, int, error) {
 	if err != nil {
 		return site, 0, err
 	}
-	wm := e.m.CloneShared()
-	st := wm.NewState()
+	st := e.m.NewState()
 	prefix := st.Prefill(req.Prompt)
-	ln := &lane{loop: gen.NewLoop[*flight](wm, 1), m: wm}
+	loop := gen.NewLoop[*flight](e.m, 1)
 	f := &flight{p: &pending{req: req, ctx: context.Background(), site: &site}}
-	arm, err := e.arm(ln, f)
+	arm, err := e.arm(f)
 	if err != nil {
 		return site, 0, err
 	}
-	s := ln.loop.Admit(st, prefix, gen.Defaults(req.MaxNew), arm, f)
+	s := loop.Admit(st, prefix, gen.Defaults(req.MaxNew), arm, f)
 	for !s.Done() {
-		ln.loop.Step()
+		loop.Step()
 	}
-	f.inj.Disarm()
 	return site, f.checker.Stats().Checks, nil
 }
