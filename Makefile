@@ -26,8 +26,8 @@ lint:
 build:
 	$(GO) build ./...
 
-## cross: the row kernel's assembly is amd64-only; the portable kernel
-## must compile and vet clean where the .s file does not.
+## cross: the row kernel, Q·K and exp assembly is amd64-only; the Go
+## fallbacks must compile and vet clean where the .s files do not.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/model/
@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFlipBits$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerateRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKernel$$' -fuzztime 10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz '^FuzzScoreKeys$$' -fuzztime 10s ./internal/model/
 
 ## cover: the detection-layer coverage gate enforced by CI — the ABFT and
 ## mitigation packages must stay above 85% combined.

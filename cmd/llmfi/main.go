@@ -178,8 +178,10 @@ func main() {
 	if *showVer {
 		// The kernel changes speed, never results: it is printed so a
 		// throughput number from another machine is attributable, and is
-		// not part of the version the fleet handshake compares.
-		fmt.Println("llmfi " + version.Version + " kernel=" + tensor.Kernel())
+		// not part of the version the fleet handshake compares. exp names
+		// math.Exp's branch, which does change softmax bits between
+		// machines — math.Exp's own dependence on the CPU (DESIGN §13).
+		fmt.Println("llmfi " + version.Version + " kernel=" + tensor.Kernel() + " exp=" + tensor.ExpKernel())
 		return
 	}
 	if *list {

@@ -124,19 +124,29 @@ func (b *Batch) Step(rows []*DecodeRow) {
 		views[i] = row.St.row(row.St.Pos, row.Tok, rowCtx{hooks: row.Hooks, checker: row.Checker, strike: row.Strike}, row.AttnHooks)
 	}
 
-	shards := min(m.matmulThreads(), n)
-	chunk := n
-	if shards > 1 {
-		chunk = 1
+	if shards := min(m.matmulThreads(), n); shards > 1 {
+		b.stepShared(rows, shards)
+	} else {
+		b.stepRange(rows, 0, n)
 	}
+	// A Batch outlives the trials it steps: a view left in place would pin
+	// a finished trial's State and checker until the slot is next filled.
+	clear(views)
+}
+
+// stepShared runs the rows on shards goroutines, the caller's first, each
+// taking the next unclaimed row until none is left. It is its own
+// function so that its counter, closure and WaitGroup are allocated only
+// by a sharded step: one thread allocates nothing.
+func (b *Batch) stepShared(rows []*DecodeRow, shards int) {
 	var next atomic.Int64
 	work := func() {
 		for {
-			r0 := int(next.Add(int64(chunk))) - chunk
-			if r0 >= n {
+			r := int(next.Add(1)) - 1
+			if r >= len(rows) {
 				return
 			}
-			b.stepRange(rows, r0, min(r0+chunk, n))
+			b.stepRange(rows, r, r+1)
 		}
 	}
 	var wg sync.WaitGroup
@@ -149,9 +159,6 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	}
 	work()
 	wg.Wait()
-	// A Batch outlives the trials it steps: a view left in place would pin
-	// a finished trial's State and checker until the slot is next filled.
-	clear(views)
 }
 
 // stepRange runs the whole forward pass for rows [r0, r1) and hands each

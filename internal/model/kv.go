@@ -301,10 +301,16 @@ func (m *Model) attendAt(st *State, bi, pos int, qrow, out []float32) {
 	}
 }
 
-// scoreKeys writes scores[t] = q·key[t]·scale for the first len(scores)
-// rows of keys, a head's len(qf) columns starting at off of rows stride
-// apart.
-func scoreKeys(scores []float32, qf []float64, keys []float32, off, stride int, scale float64) {
+// scoreKeys is the Q·K kernel attendAt runs: the AVX assembly where the
+// row kernel runs its own (set once at init, score_amd64.go),
+// scoreKeysPortable everywhere else. Both produce the same bits, so
+// nothing chooses between them and only the kernel tests assign this.
+var scoreKeys = scoreKeysPortable
+
+// scoreKeysPortable writes scores[t] = float32(Σ_i q[i]·float64(key[t][i])
+// · scale), the sum i-ascending from +0, for the first len(scores) rows of
+// keys: a head's len(qf) columns starting at off of rows stride apart.
+func scoreKeysPortable(scores []float32, qf []float64, keys []float32, off, stride int, scale float64) {
 	hd, n := len(qf), len(scores)
 	row := func(t int) []float32 { return keys[t*stride+off : t*stride+off+hd] }
 	// Four key positions per pass: each dot keeps its own float64

@@ -3,10 +3,13 @@ package tensor
 import "math"
 
 // SoftmaxRow computes an in-place softmax over row. The max-subtraction
-// trick keeps the computation finite for ordinary rows; rows corrupted to
-// +Inf by a fault saturate to a one-hot distribution and rows containing
-// NaN stay NaN, both of which mirror what PyTorch produces and both of
-// which the outcome classifier must cope with.
+// trick keeps the computation finite for ordinary rows. What a fault can
+// leave in a row, and what the classifier downstream must cope with:
+//   - a +Inf entry: the row becomes uniform over its +Inf entries and 0
+//     everywhere else, NaN entries included;
+//   - a NaN beside a finite maximum: the whole row becomes NaN;
+//   - no entry above -Inf (all -Inf, all NaN — a NaN query — or the two
+//     mixed): the row becomes uniform, 1/len(row) everywhere.
 func SoftmaxRow(row []float32) {
 	maxv := float32(math.Inf(-1))
 	for _, v := range row {
@@ -42,12 +45,7 @@ func SoftmaxRow(row []float32) {
 		}
 		return
 	}
-	var sum float64
-	for i, v := range row {
-		e := math.Exp(float64(v - maxv))
-		row[i] = float32(e)
-		sum += e
-	}
+	sum := expRow(row, float64(maxv), true)
 	if sum == 0 || math.IsNaN(sum) {
 		// Degenerate (NaN contamination): leave NaNs to propagate.
 		for i := range row {
@@ -87,11 +85,7 @@ func logSumExp(row []float32) float64 {
 			maxv = float64(v)
 		}
 	}
-	var sum float64
-	for _, v := range row {
-		sum += math.Exp(float64(v) - maxv)
-	}
-	return maxv + math.Log(sum)
+	return maxv + math.Log(expRow(row, maxv, false))
 }
 
 // RMSNormRow normalizes row in place by its root-mean-square and applies
