@@ -107,17 +107,19 @@ cover:
 ## decode loop at width 8 and 1 under site ABFT (rows forked post-prompt),
 ## the same loop unobserved (rows fast-forwarded to their strike: width 8
 ## and 1, MoE with its expert trace, and the math suite's EOS stops and
-## reasoning window), memory faults under all-layer correcting ABFT,
-## multiple-choice scoring, MoE beam search, gate-only MoE memory faults,
-## and the checksum table's three other shapes: site-only ABFT under
-## memory faults on the whole-model path (dense with correct-skip, MoE
-## with its expert layers) and all-layer ABFT on MoE rows; then the
-## depth fork's ledger — all-layer correct-skip ABFT on MoE memory faults,
-## whose routed expert layers it counts, and a dense tolerance so tight
-## that clean checks flag and every trial falls back to the whole
-## inference; last, two whole-model shapes that read a memory-fault
-## strike from the model's own slot — multiple-choice scoring, and FP16
-## beam search; a few seconds on two cores.
+## reasoning window), memory-fault rows — each prefilling its prompt
+## under its own strike, on a depth fork — under all-layer correcting
+## ABFT, multiple-choice scoring, MoE beam search, gate-only MoE memory
+## faults, and the checksum table's three other shapes: site-only ABFT
+## under memory faults (dense with correct-skip, MoE with its expert
+## layers) and all-layer ABFT on MoE rows; then the depth fork's ledger —
+## all-layer correct-skip ABFT on MoE memory faults, whose routed expert
+## layers it counts, and a dense tolerance so tight that clean checks
+## flag and every trial falls back to the whole inference; two shapes
+## that read a memory-fault strike from the model's own slot, one trial
+## at a time — multiple-choice scoring, and FP16 beam search; last,
+## memory-fault rows stacked at width 8 (math suite, all-layer correct)
+## and 4 (MoE, all-layer correct-skip); a few seconds on two cores.
 ## make identity REF=HEAD~1
 REF ?= HEAD~1
 define IDENTITY_CAMPAIGNS
@@ -138,6 +140,8 @@ define IDENTITY_CAMPAIGNS
 -model QwenS -suite wmt16-like -fault 2bits-mem -trials 120 -abft -abft-all -abft-tol 1e-12
 -model QwenS -suite mmlu -fault 2bits-mem -trials 120
 -model QwenS -suite wmt16-like -fault 2bits-mem -dtype FP16 -beams 3 -trials 120
+-model math-qwens -suite gsm8k -fault 2bits-mem -trials 300 -decode-batch 8 -abft -abft-all -abft-policy correct
+-model moe -suite wmt16-like -fault 2bits-mem -trials 120 -decode-batch 4 -abft -abft-all -abft-policy correct-skip
 endef
 export IDENTITY_CAMPAIGNS
 identity:

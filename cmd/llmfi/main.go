@@ -34,10 +34,10 @@
 //
 // -decode-batch N sets the decode-loop width (default 1): each worker
 // keeps up to N trials in flight through one stacked forward pass per
-// token. Results are identical at every width — serial decode is the
-// same loop at width 1; campaigns a batch row cannot express
-// (multiple-choice, memory faults, beam search) run one trial at a
-// time whatever the width:
+// token, memory-fault trials prefilling their prompts on their own rows.
+// Results are identical at every width — serial decode is the same loop
+// at width 1; multiple choice and beam search run one trial at a time
+// whatever the width:
 //
 //	llmfi -suite wmt16-like -model QwenS -fault 2bits-comp -decode-batch 16
 //
@@ -133,7 +133,7 @@ func main() {
 		dtypeName = flag.String("dtype", "", "override datatype for dense models: FP16|FP32|BF16")
 		dir       = flag.String("pretrained", "", "checkpoint directory (default: auto-locate)")
 		workers   = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS)")
-		batchDec  = flag.Int("decode-batch", 1, "decode-loop width per worker: trials in flight through one stacked forward pass per token (results are identical at every width)")
+		batchDec  = flag.Int("decode-batch", 1, "decode-loop width per worker: trials in flight through one stacked forward pass per token (results are identical at every width; multiple choice and beam search run one trial at a time)")
 		ckptPath  = flag.String("checkpoint", "", "persist completed trials to this file (periodically and on SIGINT)")
 		ckptEvery = flag.Int("checkpoint-every", 64, "completed trials between periodic checkpoint writes")
 		resume    = flag.String("resume", "", "resume from this checkpoint file, skipping completed trials")

@@ -246,10 +246,10 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 // selfRefOK makes an empty instance reference count as a correct answer
 // (fault-free runs define the reference). snap additionally keeps what
 // later trials resume from (InstanceBaseline.state) in the returned
-// baseline. A generative instance runs on st — a state at position 0
-// bound to m: a depth fork, or a state recording its depth planes — or,
-// when nil, on a fresh one. sp, when non-nil, receives the phase timings
-// (prefill/decode/classify) of the run.
+// baseline. A generative instance runs on st — a fresh state of m
+// recording its depth planes — or, when nil, on a fresh one. sp, when
+// non-nil, receives the phase timings (prefill/decode/classify) of the
+// run.
 func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs gen.Settings, check AnswerChecker, selfRefOK, snap bool, st *model.State, sp *spanTimes) InstanceBaseline {
 	var ib InstanceBaseline
 	if suite.Type == tasks.MultipleChoice {
@@ -274,11 +274,10 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 		st = m.NewState()
 	}
 	// Expert-trace comparison is only defined for the single-path greedy
-	// mode used by the MoE study (beam search forks states). A depth fork
-	// of a tracing baseline traces already.
+	// mode used by the MoE study (beam search forks states).
 	greedy := gs.NumBeams <= 1
 	expertTrace := m.Cfg.IsMoE() && greedy
-	if expertTrace && st.ExpertTrace == nil {
+	if expertTrace {
 		st.EnableExpertTrace()
 	}
 	prefillStart := now()

@@ -68,18 +68,15 @@ type Campaign struct {
 	// trial's computation, hooks, checker verdicts, and sampled randomness
 	// are identical at every width — so it is deliberately excluded from
 	// the checkpoint Fingerprint (like tracing, a resumed campaign may
-	// change it freely). Campaigns a batch row cannot express
-	// (multiple-choice scoring, memory faults, beam search) run one trial
-	// at a time on the worker's model whatever the width; see
-	// batchEligible.
+	// change it freely). Multiple choice and beam search run one trial at
+	// a time whatever the width; see batchEligible.
 	BatchDecode int
 
-	// noPrefixReuse forces every trial through full prefill and
-	// deepClones gives every worker a deep model copy — together they
-	// recover the seed execution path exactly. Test knobs for the golden
-	// equivalence tests; production campaigns leave them false.
+	// noPrefixReuse runs every trial one at a time through a full
+	// prefill: on a sequential-prefill model, the seed execution path
+	// (withSeedPath). A test knob for the golden equivalence tests;
+	// production campaigns leave it false.
 	noPrefixReuse bool
-	deepClones    bool
 }
 
 // ABFTConfig configures the campaign's online detection layer.
@@ -247,27 +244,26 @@ func (tc *timedChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight,
 }
 
 // batchEligible reports whether the campaign's trials run as rows of
-// the decode loop, resuming the baseline in time. A row decodes from a
-// fork of the baseline's state with row-scoped fault hooks, so it
-// requires a clean prefix in time — a transient fault, which leaves every
-// position before its strike clean — and a single greedy decode stream
-// per trial: multiple-choice scoring has no decode loop, a memory fault
-// mutates the weights every in-flight sibling shares (its clean prefix is
-// in depth: depthEligible), and beam search forks states mid-decode.
+// the decode loop: a single greedy decode stream per trial, with every
+// observer — a memory fault's strike included — scoped to its row. A
+// transient fault's row resumes the baseline in time; a memory fault's
+// prefills its own prompt, resuming the baseline in depth where it can
+// (depthEligible). Multiple choice and beam search run one trial at a
+// time: option scoring has no decode loop, and beam search forks states
+// mid-decode.
 func (c Campaign) batchEligible(gs gen.Settings) bool {
 	return c.Suite.Type != tasks.MultipleChoice &&
-		!c.Fault.IsMemory() &&
 		gs.NumBeams <= 1 &&
 		!c.noPrefixReuse
 }
 
 // depthEligible reports whether the campaign's trials may resume the
-// baseline in depth — whole-model greedy generative memory-fault trials,
-// which a weight fault leaves clean below its sublayer at every position
-// whose tokens match the baseline's — so its baseline records the depth
-// planes they fork from. An ExtraHook observes, and may change, every
-// layer, so its campaigns run whole. Which trials do skip is decided at
-// arming (trialEnv.depthFrom).
+// baseline in depth — greedy generative memory-fault rows, which a weight
+// fault leaves clean below its sublayer at every position whose tokens
+// match the baseline's — so its baseline records the depth planes they
+// fork from. An ExtraHook observes, and may change, every layer, so its
+// campaigns run whole. Which trials do skip is decided at arming
+// (trialEnv.depthFrom).
 func (c Campaign) depthEligible(gs gen.Settings) bool {
 	return c.Suite.Type != tasks.MultipleChoice &&
 		c.Fault.IsMemory() &&
@@ -276,10 +272,10 @@ func (c Campaign) depthEligible(gs gen.Settings) bool {
 		!c.noPrefixReuse
 }
 
-// reusePrefix reports whether a whole-model trial may resume from the
-// baseline's post-prompt snapshot instead of re-running prefill — beam
+// reusePrefix reports whether a trial run one at a time may resume from
+// the baseline's post-prompt snapshot instead of re-running prefill — beam
 // search, that is: a greedy trial that can reuse anything resumes in time
-// as a decode-loop row (batchEligible) or in depth (depthEligible). Sound
+// or in depth as a decode-loop row (batchEligible, depthEligible). Sound
 // only when the faulted computation is bit-identical to the fault-free one
 // over the whole prompt: generative computational faults target absolute
 // position promptLen + GenIter, which never lands inside the prompt. A

@@ -46,14 +46,16 @@ func whole(c Campaign) Campaign {
 }
 
 // TestDepthForkMatchesWholeInference is the tentpole's contract. A
-// memory-fault trial forks the baseline in depth at its site's sublayer
-// and skips the clean sublayers below while its tokens match the
-// baseline's; for every (block, layer kind) the sampler strikes — the
+// memory-fault trial is a decode-loop row that prefills its prompt under
+// its own strike, on a fork of the baseline in depth at its site's
+// sublayer, and skips the clean sublayers below while its tokens match
+// the baseline's; for every (block, layer kind) the sampler strikes — the
 // router and routed experts of the MoE included — under ABFT off,
 // site-only and all-layer, each with detect, correct and correct-skip,
-// the Trial must be the one the whole inference computes, Detection
-// field for field: the all-layer checks it skipped are the baseline
-// ledger's.
+// and at decode width 1 and 8 (rows forked at different sublayers sharing
+// each step), the Trial must be the one the whole inference computes,
+// Detection field for field: the all-layer checks it skipped are the
+// baseline ledger's.
 func TestDepthForkMatchesWholeInference(t *testing.T) {
 	arms := map[string]*ABFTConfig{"off": nil}
 	for _, pol := range []mitigate.Policy{mitigate.PolicyDetect, mitigate.PolicyCorrect, mitigate.PolicyCorrectOrSkip} {
@@ -66,15 +68,24 @@ func TestDepthForkMatchesWholeInference(t *testing.T) {
 				t.Parallel()
 				c := depthCampaign(t, moe, arm)
 				want, skippedWhole := runDepth(t, whole(c))
-				got, skipped := runDepth(t, c)
-				requireSameResult(t, want, got)
-				if skippedWhole != 0 || skipped == 0 {
-					t.Fatalf("the whole path skipped %d sublayer-positions, the depth path %d", skippedWhole, skipped)
+				if skippedWhole != 0 {
+					t.Fatalf("the whole path skipped %d sublayer-positions", skippedWhole)
+				}
+				for _, width := range []int{1, 8} {
+					t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+						c := c
+						c.BatchDecode = width
+						got, skipped := runDepth(t, c)
+						requireSameResult(t, want, got)
+						if skipped == 0 {
+							t.Fatal("the depth path skipped no sublayer-position")
+						}
+					})
 				}
 
 				struck := map[[2]int]bool{}
 				experts := 0
-				for _, tr := range got.Trials {
+				for _, tr := range want.Trials {
 					struck[[2]int{tr.Site.Layer.Block, int(tr.Site.Layer.Kind)}] = true
 					if tr.Site.Layer.Expert >= 0 {
 						experts++

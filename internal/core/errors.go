@@ -21,8 +21,8 @@ var (
 	// does not match the campaign being resumed.
 	ErrCheckpointMismatch = errors.New("core: checkpoint does not match this campaign")
 	// ErrBaselineNoPrefix reports a WithBaseline baseline without the
-	// prefix snapshots the campaign's trials fork from — a Result's
-	// scores-only copy instead of a BaselineReady one.
+	// prefix snapshots a transient-fault campaign's rows fork from — a
+	// Result's scores-only copy instead of a BaselineReady one.
 	ErrBaselineNoPrefix = errors.New("core: supplied baseline has no prefix snapshots (scores-only copy?)")
 )
 

@@ -16,14 +16,11 @@ import (
 	"repro/internal/trace"
 )
 
-// seedPath pins c to the seed execution path: a deep model clone per
-// worker, sequential prefill, and every trial one whole inference from
-// the first prompt token — nothing forked, nothing skipped.
+// seedPath pins c to the seed execution path (withSeedPath): sequential
+// prefill, and every trial one whole inference from the first prompt
+// token — nothing forked, nothing skipped.
 func seedPath(c Campaign) Campaign {
-	c.Model = c.Model.Clone()
-	c.Model.SetSequentialPrefill(true)
-	c.noPrefixReuse = true
-	c.deepClones = true
+	withSeedPath()(&c)
 	return c
 }
 

@@ -53,8 +53,8 @@ func WithABFT(cfg ABFTConfig) Option {
 // WithDecodeBatch sets the decode-loop width: each worker keeps up to n
 // trials in flight, stepping them through one stacked forward pass per
 // token (≤1 = 1, serial decode). Results are identical at every width;
-// campaigns a batch row cannot express (multiple-choice, memory faults,
-// beam search) run one trial at a time whatever the width.
+// multiple choice and beam search run one trial at a time whatever the
+// width.
 func WithDecodeBatch(n int) Option {
 	return func(c *Campaign) { c.BatchDecode = n }
 }
@@ -65,16 +65,15 @@ func WithReasoningOnly(on bool) Option {
 	return func(c *Campaign) { c.ReasoningOnly = on }
 }
 
-// withSeedPath pins the campaign to the seed execution path — deep
-// per-worker clones, sequential prefill, full re-prefill per trial —
-// recovering the pre-engine semantics exactly. Test-only: the golden
-// equivalence suite and the benchmark harness bracket the engine
+// withSeedPath pins the campaign to the seed execution path — sequential
+// prefill on a clone of the model, a full re-prefill per trial, one trial
+// at a time — recovering the pre-engine semantics exactly. Test-only: the
+// golden equivalence suite and the benchmark harness bracket the engine
 // against it.
 func withSeedPath() Option {
 	return func(c *Campaign) {
 		c.Model = c.Model.Clone()
 		c.Model.SetSequentialPrefill(true)
 		c.noPrefixReuse = true
-		c.deepClones = true
 	}
 }

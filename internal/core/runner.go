@@ -93,11 +93,13 @@ func WithOnly(indices []int) RunnerOption {
 // from an equivalent campaign on the same model value (in practice: a
 // prior run's BaselineReady event — the fabric worker evaluates it once
 // and reuses it across leases; a Result's scores-only copy has no prefix
-// snapshots to fork trials from, and a campaign that needs them refuses
-// it with ErrBaselineNoPrefix). A baseline captured without activation
-// capture silently disables propagation probes for traced trials; one
-// without depth planes (or, under all-layer ABFT, without a ledger over
-// the campaign's tolerance) runs memory-fault trials whole.
+// snapshots to fork trials from, and a greedy transient-fault campaign,
+// whose rows resume them, refuses it with ErrBaselineNoPrefix). A
+// baseline captured without activation capture silently disables
+// propagation probes for traced trials; one without depth planes (or,
+// under all-layer ABFT, without a ledger over the campaign's tolerance)
+// runs memory-fault rows whole, from their first prompt token. Multiple
+// choice and beam search run one trial at a time.
 func WithBaseline(b *Baseline) RunnerOption {
 	return func(r *Runner) { r.baseline = b }
 }
@@ -316,9 +318,11 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	}
 
 	// Eligible campaigns ride the decode loop at the configured width
-	// (serial decode is width 1); the rest run one trial per worker.
+	// (serial decode is width 1); the rest run one trial per worker. Only
+	// a transient fault's rows resume the baseline's decode: a memory
+	// fault's prefill their prompts, from an empty state without one.
 	rows := c.batchEligible(gs)
-	if rows {
+	if rows && !c.Fault.IsMemory() {
 		for i := range baseline.Instances {
 			if baseline.Instances[i].resume == nil {
 				return nil, ErrBaselineNoPrefix
@@ -373,9 +377,6 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 			// worker's clone carries only its own trial's observers and
 			// thread budget, so per-worker memory is the KV cache.
 			wm := c.Model.CloneShared()
-			if c.deepClones {
-				wm = c.Model.Clone()
-			}
 			wm.SetThreads(threadsPer)
 			env := &trialEnv{
 				c: c, r: r, worker: worker, wm: wm,

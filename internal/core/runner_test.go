@@ -508,12 +508,12 @@ func TestNewWithOptions(t *testing.T) {
 		c.Filter == nil || c.ExtraHook == nil {
 		t.Fatalf("New did not apply options: %+v", c)
 	}
-	if c.noPrefixReuse || c.deepClones {
+	if c.noPrefixReuse {
 		t.Fatal("production constructor must not engage seed-path knobs")
 	}
 
 	s := New(m, suite, faults.Comp1Bit, 2, 1, withSeedPath())
-	if !s.noPrefixReuse || !s.deepClones || s.Model == m {
+	if !s.noPrefixReuse || s.Model == m {
 		t.Fatal("withSeedPath must pin the seed execution path on a clone")
 	}
 }

@@ -19,17 +19,16 @@ import (
 // every trial reads. A worker executes trials one of two ways, fixed per
 // campaign by batchEligible:
 //
-//   - rows: each trial is a sequence on the worker's gen.Loop, forked
-//     from the baseline's finished state at one of its resume points
-//     (armed.resumeAt) with its fault, extra hook, probe and checker
-//     scoped to its own batch row. Width max(1, BatchDecode); serial
-//     decode is width 1.
-//   - whole-model (runTrial): what a row cannot express — multiple-choice
-//     scoring, memory faults, beam search, and the seed path
-//     (noPrefixReuse) — arms the worker's model and runs one inference; a
-//     memory-fault trial's starts at its struck sublayer, on a depth fork
-//     of the baseline's finished state (trialEnv.depthFrom) recycled per
-//     worker.
+//   - rows: each greedy generative trial is a sequence on the worker's
+//     gen.Loop, its Observers — fault, extra hook, probe, checker — scoped
+//     to its own batch row. A transient fault's row forks the baseline's
+//     finished state at one of its resume points (armed.resumeAt); a
+//     memory fault's prefills its prompt under its strike, on a depth fork
+//     of the baseline's snapshot at its struck sublayer (depthFrom) or on
+//     an empty state. Width max(1, BatchDecode); serial decode is width 1.
+//   - one at a time (runTrial): multiple choice and beam search run one
+//     trial at a time, as does the seed path (noPrefixReuse), with the
+//     trial's Observers installed on the worker's model.
 //
 // Both go through the same arm and seal, so the trial contract — what is
 // sampled from Split(t), what observes the inference and in which order,
@@ -50,8 +49,6 @@ type trialEnv struct {
 	check   AnswerChecker
 	rows    bool
 	traceOn bool
-	// depth is the worker's recycled depth-fork state.
-	depth *model.State
 }
 
 // armed is one trial between arm and seal.
@@ -68,12 +65,12 @@ type armed struct {
 	probe     *trace.Probe
 	checker   *abft.Checker
 	timed     *timedChecker
-	// hooks and lc are the trial's observers in firing order — fault,
-	// ExtraHook, probe — and its checker as the model sees it.
-	hooks  []model.Hook
-	lc     model.LinearChecker
+	// obs are what observe the trial's inference: its hooks in firing
+	// order — fault, ExtraHook, probe — its checker as the model sees it,
+	// and its fault's strike.
+	obs    model.Observers
 	traced bool
-	// from is the sublayer a depth-forked trial starts at (-1: a fresh
+	// from is the sublayer a depth-forked trial starts at (-1: an empty
 	// state, the whole inference), matched the positions it read from the
 	// baseline there.
 	from, matched int
@@ -86,9 +83,7 @@ type armed struct {
 
 // arm is the trial preamble: sample trial t's site from Split(t), build
 // its probe, its checker over the campaign's table and its fault, and
-// line up the hooks. On the whole-model path the observers are installed
-// on the worker's model; on the rows path they are returned for the
-// trial's row.
+// line up its Observers.
 func (e *trialEnv) arm(t int) (*armed, error) {
 	c := e.c
 	idx := t % len(c.Suite.Instances)
@@ -124,36 +119,30 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 			return fail(err)
 		}
 		a.timed = &timedChecker{inner: a.checker}
-		a.lc = a.timed
+		a.obs.Checker = a.timed
 		a.sp.abftOn = true
 	}
 	if a.inj, err = faults.New(e.wm, a.site, a.promptLen); err != nil {
 		return fail(err)
 	}
+	a.obs.Strike = a.inj.Strike
 	if a.inj.Hook != nil {
-		a.hooks = append(a.hooks, a.inj.Hook)
+		a.obs.Hooks = append(a.obs.Hooks, a.inj.Hook)
 	}
 	if c.ExtraHook != nil {
 		// Mitigations observe values after the fault hook mutated them.
-		a.hooks = append(a.hooks, c.ExtraHook())
+		a.obs.Hooks = append(a.obs.Hooks, c.ExtraHook())
 	}
 	if a.probe != nil {
 		// The probe observes last — after the fault and any mitigation
 		// hook have mutated the row — and never modifies it.
-		a.hooks = append(a.hooks, a.probe.Hook())
+		a.obs.Hooks = append(a.obs.Hooks, a.probe.Hook())
 	}
 	a.from = e.depthFrom(a)
-	if !e.rows {
-		for _, h := range a.hooks {
-			e.wm.AddHook(h)
-		}
-		e.wm.SetChecker(a.lc)
-		e.wm.SetStrike(a.inj.Strike)
-	}
 	return a, nil
 }
 
-// depthFrom picks the sublayer a whole-model trial's inference starts at,
+// depthFrom picks the sublayer a memory-fault row's inference starts at,
 // or -1 for the whole inference. A weight fault leaves every sublayer
 // below its own clean at each position whose tokens match the baseline's,
 // so a trial nothing there observes starts at the site's sublayer, over
@@ -197,20 +186,14 @@ func (a *armed) resumeAt(c *Campaign) gen.Resume {
 	return a.base.resume[g]
 }
 
-// seal is the trial postamble: take the trial's observers off the
-// worker's model, then assemble the Trial, its
-// Detection, the outcome class and (for a traced trial) the propagation
-// Record from the finished inference ib.
+// seal is the trial postamble: assemble the Trial, its Detection, the
+// outcome class and (for a traced trial) the propagation Record from the
+// finished inference ib.
 func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
 	c := e.c
 	start := now()
 	sp := &a.sp
 	fired := a.inj.Fired
-	if !e.rows {
-		e.wm.ClearHooks()
-		e.wm.SetChecker(nil)
-		e.wm.SetStrike(nil)
-	}
 
 	trial := Trial{
 		Site:     a.site,
@@ -308,7 +291,8 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 	retire := func(s *gen.Seq[*armed]) {
 		a := s.Owner
 		start := now()
-		ib := e.scoreResumed(a, s.State(), s.Result())
+		a.matched = s.State().DepthMatched()
+		ib := e.score(a, s.State(), s.Result())
 		loop.Release(s)
 		a.busy += since(start)
 		results <- e.seal(a, ib)
@@ -325,10 +309,17 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 			if err != nil {
 				return t, err
 			}
-			forkStart := now()
-			s := loop.AdmitFork(a.base.state, a.resumeAt(&e.c), gen.Arm{Hooks: a.hooks, Checker: a.lc}, a)
-			// The fork stands in for prefill on this path.
-			a.sp.prefill += since(forkStart)
+			admitStart := now()
+			arm := gen.Arm{Observers: a.obs}
+			var s *gen.Seq[*armed]
+			if e.c.Fault.IsMemory() {
+				s = loop.AdmitPrompt(a.base.state, a.from, a.inst.Prompt, e.settings(&a.inst), arm, a)
+			} else {
+				s = loop.AdmitFork(a.base.state, a.resumeAt(&e.c), arm, a)
+			}
+			// Admission — a fork, or a memory fault's prompt — is the
+			// prefill span on this path.
+			a.sp.prefill += since(admitStart)
 			a.busy += since(start)
 			if s.Done() {
 				retire(s)
@@ -360,26 +351,31 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 	return 0, nil
 }
 
-// runTrial executes trial t on the worker's model itself.
+// runTrial executes trial t as one inference on the worker's model, under
+// the trial's Observers installed there for its duration.
 func (e *trialEnv) runTrial(t int) (trialResult, error) {
 	start := now()
 	a, err := e.arm(t)
 	if err != nil {
 		return trialResult{}, err
 	}
+	e.wm.SetObservers(a.obs)
 	var ib InstanceBaseline
-	switch {
-	case e.c.reusePrefix(a.base):
+	if e.c.reusePrefix(a.base) {
 		ib = e.resumeBeam(a)
-	case a.from >= 0:
-		e.depth = a.base.state.ForkDepth(e.wm, e.depth, a.from)
-		ib = evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, false, e.depth, &a.sp)
-		a.matched = e.depth.DepthMatched()
-	default:
+	} else {
 		ib = evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, false, nil, &a.sp)
 	}
+	e.wm.SetObservers(model.Observers{})
 	a.busy = since(start)
 	return e.seal(a, ib), nil
+}
+
+// settings are the campaign's decoding settings with inst's token budget.
+func (e *trialEnv) settings(inst *tasks.Instance) gen.Settings {
+	gs := e.gs
+	gs.MaxNewTokens, gs.MinNewTokens = inst.MaxNew, inst.MinNew
+	return gs
 }
 
 // resumeBeam runs a beam-search trial from the baseline's shared prefix
@@ -387,26 +383,23 @@ func (e *trialEnv) runTrial(t int) (trialResult, error) {
 // forked by reference onto the worker's clone, so the worker's fault and
 // mitigation hooks fire from the first generated token.
 func (e *trialEnv) resumeBeam(a *armed) InstanceBaseline {
-	gs := e.gs
-	gs.MaxNewTokens = a.inst.MaxNew
-	gs.MinNewTokens = a.inst.MinNew
 	prefillStart := now()
 	st := a.base.state.ForkInto(e.wm, nil, a.base.state.Pos())
 	// The fork stands in for prefill on this path.
 	a.sp.prefill += since(prefillStart)
 	decodeStart := now()
-	res := gen.ContinueBeam(e.wm, st, a.base.prefixLogits, gs)
+	res := gen.ContinueBeam(e.wm, st, a.base.prefixLogits, e.settings(&a.inst))
 	a.sp.decode += since(decodeStart)
 	a.sp.steps = res.Steps
-	return e.scoreResumed(a, st, res)
+	return e.score(a, st, res)
 }
 
-// scoreResumed scores a generation that continued from the baseline's
-// prefix snapshot on st.
-func (e *trialEnv) scoreResumed(a *armed, st *model.State, res gen.Result) InstanceBaseline {
+// score scores a generation that ran on st: a decode-loop row's, or a beam
+// trial's resumed from the baseline's post-prompt snapshot.
+func (e *trialEnv) score(a *armed, st *model.State, res gen.Result) InstanceBaseline {
 	var ib InstanceBaseline
-	// Steps is the runtime proxy for the modeled inference, which still
-	// includes the prompt the snapshot stands in for.
+	// Steps is the runtime proxy for the modeled inference, which includes
+	// the prompt, forked or prefilled.
 	res.Steps += len(a.inst.Prompt)
 	if e.wm.Cfg.IsMoE() && e.gs.NumBeams <= 1 {
 		ib.ExpertTrace = st.ExpertTrace

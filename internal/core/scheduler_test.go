@@ -46,9 +46,10 @@ func batchEquivalent(t *testing.T, c Campaign, n int) {
 }
 
 // TestBatchedGoldenEquivalence sweeps batched-vs-serial equivalence
-// across architecture × fault model × ABFT configuration. The memory-
-// fault and multiple-choice arms are ineligible for batching and must
-// come out identical through the automatic serial fallback.
+// across architecture × fault model × ABFT configuration: memory-fault
+// rows prefill their prompts under their own strikes, stacked with their
+// siblings. The multiple-choice arm runs one trial at a time at any width
+// and must come out identical through that fallback.
 func TestBatchedGoldenEquivalence(t *testing.T) {
 	suite := tasks.NewSelfRefSuite("batch-golden", 11, 4, 20, 9, []metrics.Kind{metrics.KindBLEU})
 	mcSuite, err := tasks.NewMCSuite("arc", 7, 5)
@@ -68,8 +69,8 @@ func TestBatchedGoldenEquivalence(t *testing.T) {
 			&ABFTConfig{Policy: mitigate.PolicyCorrect, AllLayers: true}},
 		{"moe-comp2", true, suite, faults.Comp2Bit, nil},
 		{"moe-comp1-abft-site", true, suite, faults.Comp1Bit, &ABFTConfig{}},
-		{"dense-mem2-fallback", false, suite, faults.Mem2Bit, nil},
-		{"moe-mem2-abft-fallback", true, suite, faults.Mem2Bit, &ABFTConfig{}},
+		{"dense-mem2", false, suite, faults.Mem2Bit, nil},
+		{"moe-mem2-abft-site", true, suite, faults.Mem2Bit, &ABFTConfig{}},
 		{"mc-comp2-fallback", false, mcSuite, faults.Comp2Bit, nil},
 	}
 	for _, tc := range cases {
@@ -336,8 +337,9 @@ func TestBatchedInterruptThenResume(t *testing.T) {
 	requireSameResult(t, ref, res)
 }
 
-// TestBatchEligible pins which campaigns ride decode-loop rows and which
-// fall back to whole-model trials.
+// TestBatchEligible pins which campaigns ride decode-loop rows — every
+// greedy generative one, memory faults included — and which run one trial
+// at a time.
 func TestBatchEligible(t *testing.T) {
 	gen1 := gen.Settings{NumBeams: 1}
 	genSuite := tasks.NewSelfRefSuite("elig-gen", 3, 2, 12, 4, []metrics.Kind{metrics.KindBLEU})
@@ -353,8 +355,8 @@ func TestBatchEligible(t *testing.T) {
 		!(Campaign{Suite: genSuite, Fault: faults.Comp2Bit}).batchEligible(gen1) {
 		t.Fatal("BatchDecode <= 1 is the same loop at width 1, not a serial path")
 	}
-	if (Campaign{Suite: genSuite, Fault: faults.Mem2Bit, BatchDecode: 8}).batchEligible(gen1) {
-		t.Fatal("memory faults must fall back to serial")
+	if !(Campaign{Suite: genSuite, Fault: faults.Mem2Bit, BatchDecode: 8}).batchEligible(gen1) {
+		t.Fatal("greedy generative memory faults must ride the decode loop")
 	}
 	if (Campaign{Suite: mcSuite, Fault: faults.Comp2Bit, BatchDecode: 8}).batchEligible(gen1) {
 		t.Fatal("multiple-choice must fall back to serial")

@@ -173,7 +173,7 @@ func runRow(m *model.Model, strike *model.Strike, ck *abft.Checker) *overlayRun 
 	if m.Cfg.IsMoE() {
 		st.EnableExpertTrace()
 	}
-	row := &model.DecodeRow{St: st, Strike: strike, Logits: make([]float32, m.Cfg.Vocab)}
+	row := &model.DecodeRow{St: st, Observers: model.Observers{Strike: strike}, Logits: make([]float32, m.Cfg.Vocab)}
 	if ck != nil {
 		row.Checker = ck
 	}
@@ -364,7 +364,7 @@ func TestStrikeRowsShareNoWrite(t *testing.T) {
 	decode := func(m *model.Model, strikes []*model.Strike) [][]int {
 		rows := make([]*model.DecodeRow, len(strikes))
 		for i, s := range strikes {
-			rows[i] = &model.DecodeRow{St: m.NewState(), Strike: s, Logits: make([]float32, m.Cfg.Vocab)}
+			rows[i] = &model.DecodeRow{St: m.NewState(), Observers: model.Observers{Strike: s}, Logits: make([]float32, m.Cfg.Vocab)}
 		}
 		bt := m.NewBatch(len(rows))
 		toks := make([][]int, len(rows))

@@ -371,7 +371,7 @@ func TestNewObserverMatchesWholeModel(t *testing.T) {
 		if !inj.Fired || inj.Strike == nil {
 			t.Fatalf("%v: fired %v strike %v, want a live strike", site, inj.Fired, inj.Strike)
 		}
-		if got := loopDecode(m, gen.Arm{Strike: inj.Strike}, 8); reflect.DeepEqual(got, baseline) {
+		if got := loopDecode(m, gen.Arm{Observers: model.Observers{Strike: inj.Strike}}, 8); reflect.DeepEqual(got, baseline) {
 			t.Errorf("%v: the struck row decoded the baseline %v", site, got)
 		}
 		if paramHash(m) != stored {

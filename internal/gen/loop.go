@@ -4,20 +4,13 @@ import "repro/internal/model"
 
 // Arm is what a caller arms on one admitted sequence. Every observer is
 // scoped to that sequence's batch row: it sees, and may strike, only
-// that sequence's activations. Observers of different sequences may run
-// concurrently inside one Step (model.DecodeRow), so state they share
-// must be synchronised; BeforeStep runs on the caller's goroutine, before
-// the step.
+// that sequence's activations — its prompt's too, when the loop prefills
+// it (AdmitPrompt). Observers of different sequences may run concurrently
+// inside one Step (model.DecodeRow), so state they share must be
+// synchronised; BeforeStep runs on the caller's goroutine, before the
+// step.
 type Arm struct {
-	// Hooks fire on each linear-layer output, in order.
-	Hooks []model.Hook
-	// AttnHooks fire on each block's post-attention activation.
-	AttnHooks []model.Hook
-	// Checker verifies each linear-layer output (nil = unchecked).
-	Checker model.LinearChecker
-	// Strike is the weight-resident fault the sequence reads (nil =
-	// none).
-	Strike *model.Strike
+	model.Observers
 	// BeforeStep, when non-nil, runs on the sequence's state immediately
 	// before each of its decode steps — where KV-cache strikes land.
 	BeforeStep func(*model.State)
@@ -32,7 +25,7 @@ type Seq[T any] struct {
 	sp         Stepper
 	beforeStep func(*model.State)
 	live       bool
-	forked     bool // the loop allocated the state, and recycles it
+	owned      bool // the loop allocated the state, and recycles it
 }
 
 // Done reports whether the decode is over: Result is final and the
@@ -56,14 +49,18 @@ func (s *Seq[T]) next(maxSeq int) bool {
 // greedy decode driver besides ContinueGreedy (the seed oracle the
 // golden tests compare it against). It owns the model.Batch, the live
 // rows, row recycling and every Stepper.Next call; callers admit
-// prefilled sequences, step all live ones, and collect those that
-// finish. Serial decode is the width-1 case.
+// sequences — prefilled, forked at a resume point, or with a prompt the
+// loop prefills — step all live ones, and collect those that finish.
+// Serial decode is the width-1 case.
 //
 // The bit-identity argument lives here and is made once. Each sequence
 // is one Stepper fed exactly the logits ContinueGreedy would feed it:
 // first the prefix logits (Admit), then each Batch.Step output for its
-// own row. A sequence admitted at a resume point (AdmitFork) starts on a
-// Stepper that has already been fed exactly the logits ContinueGreedy
+// own row. A prompt the loop prefills (AdmitPrompt) runs State.Prefill's
+// one body under the row's observers instead of the model's, so its
+// logits, KV rows and observations are those of State.Prefill on a model
+// carrying them. A sequence admitted at a resume point (AdmitFork) starts
+// on a Stepper that has already been fed exactly the logits ContinueGreedy
 // would have fed it — by the decode the point was recorded on — over a
 // KV cache holding exactly the rows that decode had written by then: it
 // is the same sequence from that step on, and what the caller arms on the
@@ -132,8 +129,41 @@ func (l *Loop[T]) AdmitFork(from *model.Prefix, at Resume, arm Arm, owner T) *Se
 	row := l.takeRow()
 	row.St = from.ForkInto(l.m, row.St, at.pos)
 	seq := l.seat(row, arm, owner)
-	seq.sp, seq.row.Tok, seq.live, seq.forked = at.sp, at.tok, at.live, true
+	seq.sp, seq.row.Tok, seq.live, seq.owned = at.sp, at.tok, at.live, true
 	if seq.live {
+		l.live = append(l.live, seq)
+	}
+	return seq
+}
+
+// AdmitPrompt starts a greedy decode under s that computes its prompt on
+// its own row: the loop prefills prompt under arm's observers — every
+// position, so a weight-resident strike reaches the prompt too — and
+// chooses the first token off its logits as Admit does. The state is a
+// depth fork of from at sublayer depth (model.Prefix.ForkDepth), which
+// skips the sublayers below depth while the prompt matches from's, or an
+// empty state when from is nil or depth negative; either way it reuses a
+// released row's state, as AdmitFork's does. On an MoE model the state
+// traces its expert selections (model.State.ExpertTrace), as a fork of a
+// tracing prefix inherits.
+func (l *Loop[T]) AdmitPrompt(from *model.Prefix, depth int, prompt []int, s Settings, arm Arm, owner T) *Seq[T] {
+	row := l.takeRow()
+	switch {
+	case from != nil && depth >= 0:
+		row.St = from.ForkDepth(l.m, row.St, depth)
+	case row.St != nil:
+		row.St.Reset()
+	default:
+		row.St = l.m.NewState()
+	}
+	if l.m.Cfg.IsMoE() && row.St.ExpertTrace == nil {
+		row.St.EnableExpertTrace()
+	}
+	seq := l.seat(row, arm, owner)
+	seq.owned = true
+	row.Prefill(prompt)
+	seq.sp = Stepper{s: s}
+	if seq.next(l.m.Cfg.MaxSeq) {
 		l.live = append(l.live, seq)
 	}
 	return seq
@@ -154,10 +184,7 @@ func (l *Loop[T]) takeRow() *model.DecodeRow {
 // seat arms row for a new tenant. A recycled row is re-armed whole: any
 // observer slot left standing would strike the next tenant.
 func (l *Loop[T]) seat(row *model.DecodeRow, arm Arm, owner T) *Seq[T] {
-	*row = model.DecodeRow{
-		St: row.St, Logits: row.Logits,
-		Hooks: arm.Hooks, AttnHooks: arm.AttnHooks, Checker: arm.Checker, Strike: arm.Strike,
-	}
+	*row = model.DecodeRow{St: row.St, Observers: arm.Observers, Logits: row.Logits}
 	return &Seq[T]{Owner: owner, row: row, beforeStep: arm.BeforeStep}
 }
 
@@ -210,7 +237,7 @@ func (l *Loop[T]) Drop(cancelled func(*Seq[T]) bool) {
 // Release hands a Done sequence's row buffers back for reuse. Result
 // stays readable; State does not.
 func (l *Loop[T]) Release(s *Seq[T]) {
-	if !s.forked {
+	if !s.owned {
 		s.row.St = nil // the caller's state: nothing to reuse, so do not pin it
 	}
 	l.free = append(l.free, s.row)

@@ -90,7 +90,7 @@ func TestLoopShardedMatchesContinueGreedy(t *testing.T) {
 	type counts struct{ hook, attn, check int }
 	observers := func(i int, c *counts) Arm {
 		strikePos := len(prompt(i)) + 1
-		return Arm{
+		return Arm{Observers: model.Observers{
 			Hooks: []model.Hook{func(ref model.LayerRef, pos int, out []float32) {
 				c.hook++
 				if pos == strikePos && ref.Kind == model.KindUp && ref.Block == 0 {
@@ -99,7 +99,7 @@ func TestLoopShardedMatchesContinueGreedy(t *testing.T) {
 			}},
 			AttnHooks: []model.Hook{func(model.LayerRef, int, []float32) { c.attn++ }},
 			Checker:   countingChecker{&c.check},
-		}
+		}}
 	}
 
 	want := make(map[int]Result)
@@ -155,11 +155,11 @@ func TestLoopRecycledRowStartsClean(t *testing.T) {
 	var checks int
 	l := NewLoop[int](m, 1)
 	from, points := decoded(m, prompt, s)
-	first := l.AdmitFork(from, points[0], Arm{
+	first := l.AdmitFork(from, points[0], Arm{Observers: model.Observers{
 		Hooks:     []model.Hook{strike},
 		AttnHooks: []model.Hook{strike},
 		Checker:   countingChecker{&checks},
-	}, 0)
+	}}, 0)
 	if first.Done() {
 		t.Fatal("first tenant finished on its prefix logits; nothing would be observed")
 	}
@@ -181,6 +181,76 @@ func TestLoopRecycledRowStartsClean(t *testing.T) {
 	}
 	if checks != 0 {
 		t.Fatalf("previous tenant's checker observed the next tenant %d times", checks)
+	}
+}
+
+// TestAdmitPromptRowScoped admits prompts the loop prefills on rows of
+// their own. A row carrying a hook and a weight strike decodes what
+// ContinueGreedy decodes after Prefill on a model carrying the same two,
+// its hook seeing every position of the prompt and nothing of the clean
+// row prefilled and stepped beside it, which decodes the clean sequence.
+// Then both rows are recycled: a depth fork of a recorded clean decode at
+// the strike's sublayer decodes the struck sequence again, skipping the
+// clean sublayers of the prompt, and an empty state decodes the clean one
+// — nothing of a row's previous tenant carries over.
+func TestAdmitPromptRowScoped(t *testing.T) {
+	m := testModel(10)
+	prompt := []int{1, 5, 6, 3, 7}
+	s := Defaults(10)
+	s.MinNewTokens = 10
+	out := model.LayerRef{Block: 1, Kind: model.KindOut, Expert: -1}
+	w, err := m.Layer(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strike := &model.Strike{Ref: out, W: w.Struck(2, 3, []int{30})}
+	counter := func(calls, prompted *int) model.Hook {
+		return func(_ model.LayerRef, pos int, _ []float32) {
+			*calls++
+			if pos < len(prompt) {
+				*prompted++
+			}
+		}
+	}
+
+	clean := serialRef(m, prompt, s)
+	var wantCalls, wantPrompted int
+	m.SetObservers(model.Observers{Hooks: []model.Hook{counter(&wantCalls, &wantPrompted)}, Strike: strike})
+	struck := serialRef(m, prompt, s)
+	m.SetObservers(model.Observers{})
+	if reflect.DeepEqual(struck, clean) || wantPrompted == 0 {
+		t.Fatalf("the strike left the decode clean (%v) or the hook saw no prompt position (%d)", struck.Tokens, wantPrompted)
+	}
+	rec := m.NewState()
+	rec.RecordDepth()
+	ContinueGreedy(m, rec, rec.Prefill(prompt), s)
+	from := rec.Snapshot()
+
+	l := NewLoop[int](m, 2)
+	var calls, prompted int
+	a := l.AdmitPrompt(nil, -1, prompt, s, Arm{Observers: model.Observers{Hooks: []model.Hook{counter(&calls, &prompted)}, Strike: strike}}, 0)
+	b := l.AdmitPrompt(nil, -1, prompt, s, Arm{}, 1)
+	got := make(map[int]Result)
+	drain(l, got)
+	if !reflect.DeepEqual(got, map[int]Result{0: struck, 1: clean}) {
+		t.Fatalf("struck row %+v, want %+v; clean row %+v, want %+v", got[0], struck, got[1], clean)
+	}
+	if calls != wantCalls || prompted != wantPrompted {
+		t.Fatalf("row hook saw %d calls (%d in the prompt), the whole model's %d (%d)", calls, prompted, wantCalls, wantPrompted)
+	}
+	if !a.Done() || !b.Done() {
+		t.Fatal("admitted sequences still live after the loop drained")
+	}
+
+	c := l.AdmitPrompt(from, out.Sublayer(), prompt, s, Arm{Observers: model.Observers{Strike: strike}}, 2)
+	matched := c.State().DepthMatched()
+	l.AdmitPrompt(nil, -1, prompt, s, Arm{}, 3)
+	drain(l, got)
+	if !reflect.DeepEqual(got[2], struck) || !reflect.DeepEqual(got[3], clean) {
+		t.Fatalf("recycled rows: depth fork %+v, want %+v; empty state %+v, want %+v", got[2], struck, got[3], clean)
+	}
+	if matched != len(prompt) {
+		t.Fatalf("the depth fork matched %d prompt positions, want %d", matched, len(prompt))
 	}
 }
 
@@ -309,7 +379,8 @@ func TestAdmitForkAtEveryResumePoint(t *testing.T) {
 				want := ContinueGreedy(m, st, logits, tc.s)
 				m.ClearHooks()
 
-				seq := l.AdmitFork(from, at, Arm{Hooks: []model.Hook{observer(strikePos, strikePos, &gotCalls, &gotEarly)}}, g)
+				arm := Arm{Observers: model.Observers{Hooks: []model.Hook{observer(strikePos, strikePos, &gotCalls, &gotEarly)}}}
+				seq := l.AdmitFork(from, at, arm, g)
 				if seq.Done() != !at.live {
 					t.Fatalf("point %d: admitted Done %v, decode went on %v", g, seq.Done(), at.live)
 				}

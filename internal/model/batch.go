@@ -10,8 +10,8 @@ import (
 
 // DecodeRow is one in-flight trial's slot in a decode batch: its private
 // KV-cache state over the shared weights, the token to decode this step,
-// the trial's own observation context (fault hook, extra hooks, probe,
-// ABFT checker), and the buffer its next-token logits are copied into.
+// the trial's own Observers (fault, extra hooks, probe, ABFT checker), and
+// the buffer its next-token logits are copied into.
 //
 // One row's observers fire in the serial order, on one goroutine per
 // step. Observers of different rows may run concurrently inside a step
@@ -25,23 +25,10 @@ type DecodeRow struct {
 	St *State
 	// Tok is the token to decode this step.
 	Tok int
-	// Hooks fire on every linear-layer output of this row only, in
-	// order — the per-row analogue of Model.AddHook. The model's own
-	// registered hooks do NOT fire during Batch.Step; a scheduler that
-	// wants them must place them in each row's slice.
-	Hooks []Hook
-	// Checker, when non-nil, verifies this row's linear outputs — the
-	// per-row analogue of Model.SetChecker.
-	Checker LinearChecker
-	// AttnHooks fire on this row's post-attention activation (kind
-	// KindAttnAct) each block, after the head mix and before out_proj —
-	// the per-row analogue of Model.AddAttnHook. Empty slices cost
-	// nothing: the batched step is bit-identical with no hooks present.
-	AttnHooks []Hook
-	// Strike, when non-nil, is the weight-resident fault this row reads —
-	// the per-row analogue of Model.SetStrike. Rows with different
-	// strikes share one step: none of them writes a weight.
-	Strike *Strike
+	// Observers watch, and a Strike strikes, this row only: the model's
+	// own do not fire during Batch.Step or the row's Prefill. Rows with
+	// different strikes share one step: none of them writes a weight.
+	Observers
 	// Logits receives the row's next-token logits (len Vocab). The row
 	// owns the buffer; it is overwritten each step.
 	Logits []float32
@@ -84,9 +71,8 @@ func (b *Batch) Capacity() int { return len(b.rows) }
 // state's position, the linear layers run as stacked GEMMs over the rows,
 // and each row's next-token logits land in its Logits buffer with its
 // state advanced by one. Rows may sit at different positions. The
-// model's registered hooks, attention hooks, checker and strike are
-// ignored; each row's own Hooks/AttnHooks/Checker/Strike observe its rows
-// (see DecodeRow).
+// model's own Observers are ignored; each row's observe its rows (see
+// DecodeRow).
 //
 // Up to min(threads, len(rows)) goroutines (the model's SetThreads
 // budget), the first the caller's, take the rows one at a time, each
@@ -121,7 +107,7 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	}
 	views := b.rows[:n]
 	for i, row := range rows {
-		views[i] = row.St.row(row.St.Pos, row.Tok, rowCtx{hooks: row.Hooks, checker: row.Checker, strike: row.Strike}, row.AttnHooks)
+		views[i] = row.St.row(row.St.Pos, row.Tok, &row.Observers)
 	}
 
 	if shards := min(m.matmulThreads(), n); shards > 1 {

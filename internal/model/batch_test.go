@@ -182,7 +182,7 @@ func TestBatchStepPerRowHooks(t *testing.T) {
 			if i == faulted {
 				hook = faultOn(i)
 			}
-			rows[i] = &DecodeRow{St: shardState(m, i), Hooks: []Hook{hook}, Logits: make([]float32, vocab)}
+			rows[i] = &DecodeRow{St: shardState(m, i), Observers: Observers{Hooks: []Hook{hook}}, Logits: make([]float32, vocab)}
 		}
 		shardBatch(t, m, rows, want)
 		for i := range rows {

@@ -138,36 +138,39 @@ func (st *State) EnableExpertTrace() {
 
 // DecodeStep runs one token through the model, appending to the KV cache,
 // and returns the next-token logits. It is the one-row case of the
-// stacked pass Prefill and Batch.Step run (forwardStack), observed by the
-// model's own hooks, attention hooks, checker and strike. The returned slice is
-// reused by the next call; copy it if it must outlive the step.
-func (st *State) DecodeStep(tok int) []float32 {
+// stacked pass Prefill and Batch.Step run (forwardStack), under the
+// model's own Observers. The returned slice is reused by the next call;
+// copy it if it must outlive the step.
+func (st *State) DecodeStep(tok int) []float32 { return st.decodeStep(tok, &st.m.obs) }
+
+// decodeStep is DecodeStep under obs.
+func (st *State) decodeStep(tok int, obs *Observers) []float32 {
 	m := st.m
 	if st.Pos >= m.Cfg.MaxSeq {
 		panic(fmt.Sprintf("model: context overflow (max %d)", m.Cfg.MaxSeq))
 	}
 	st.reserveNext(1)
-	rows := [1]stackRow{st.row(st.Pos, tok, m.rc(), m.attnHooks)}
+	rows := [1]stackRow{st.row(st.Pos, tok, obs)}
 	m.forwardStack(st.sk, rows[:], 0, 1, 1)
-	m.linearRow(rows[0].rc, LayerRef{-1, KindLMHead, -1}, st.Pos, m.LMHead, st.sk.x.Row(0), st.logits)
+	m.linearRow(&rows[0].obs, LayerRef{-1, KindLMHead, -1}, st.Pos, m.LMHead, st.sk.x.Row(0), st.logits)
 	st.Pos++
 	return st.logits
 }
 
 // mlpForward computes dst = down(silu(gate(h)) * up(h)) with ff1, ff2 and
 // ffa as its hidden scratch. base carries the block and expert indices;
-// its Kind field is overwritten per projection. rc selects whose hooks,
-// checker and strike observe the three projections.
-func (m *Model) mlpForward(rc rowCtx, mlp *MLPWeights, base LayerRef, pos int, dst, h, ff1, ff2, ffa []float32) {
+// its Kind field is overwritten per projection. obs observe the three
+// projections.
+func (m *Model) mlpForward(obs *Observers, mlp *MLPWeights, base LayerRef, pos int, dst, h, ff1, ff2, ffa []float32) {
 	base.Kind = KindGate
-	m.linearRow(rc, base, pos, mlp.WGate, h, ff1)
+	m.linearRow(obs, base, pos, mlp.WGate, h, ff1)
 	base.Kind = KindUp
-	m.linearRow(rc, base, pos, mlp.WUp, h, ff2)
+	m.linearRow(obs, base, pos, mlp.WUp, h, ff2)
 	for i, g := range ff1 {
 		ffa[i] = float32(float64(g)/(1+math.Exp(-float64(g)))) * ff2[i]
 	}
 	base.Kind = KindDown
-	m.linearRow(rc, base, pos, mlp.WDown, ffa, dst)
+	m.linearRow(obs, base, pos, mlp.WDown, ffa, dst)
 }
 
 // moeMix routes row r of a stacked pass — its post-norm activation sk.h,
@@ -211,7 +214,7 @@ func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 	out := make([]float32, cfg.DModel)
 	h, ff1, ff2, ffa := sk.h.Row(r), sk.ff1.Row(r), sk.ff2.Row(r), sk.ffa.Row(r)
 	for i, e := range sel {
-		m.mlpForward(row.rc, blk.Experts[e], LayerRef{bi, 0, e}, row.pos, out, h, ff1, ff2, ffa)
+		m.mlpForward(&row.obs, blk.Experts[e], LayerRef{bi, 0, e}, row.pos, out, h, ff1, ff2, ffa)
 		w := probs[i]
 		for j, v := range out {
 			mix[j] += w * v
@@ -222,10 +225,10 @@ func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 
 // Strike is a weight-resident fault — a flipped linear weight, norm-gain
 // or embedding element — as an overlay the forward pass reads where the
-// struck parameter is read, on the rows that carry it: the model's own
-// (SetStrike) or one decode row's (DecodeRow.Strike). No parameter
-// storage is written, so rows with different strikes share one stacked
-// pass over one set of weights. faults.New builds it.
+// struck parameter is read, on the rows whose Observers carry it: the
+// model's own (SetStrike) or one decode row's. No parameter storage is
+// written, so rows with different strikes share one stacked pass over one
+// set of weights. faults.New builds it.
 type Strike struct {
 	// Ref addresses the struck parameter: a linear layer, a norm gain
 	// (KindAttnNorm, KindMLPNorm, KindFinalNorm) or the embedding table
@@ -239,61 +242,65 @@ type Strike struct {
 	Row int
 }
 
-// rowCtx is the observation context of one activation row: which hooks
-// fire on each linear-layer output, which checker verifies it, and which
-// strike it reads. Prefill and DecodeStep use the model's own for every
-// row; the batched decode engine builds one rowCtx per in-flight trial so
-// each batch row keeps its own injection site and detection verdict while
-// sharing the stacked GEMMs.
-type rowCtx struct {
-	hooks   []Hook
-	checker LinearChecker
-	strike  *Strike
+// Observers are what watch, and may strike, one activation row of a
+// forward pass: hooks on each linear-layer output, attention hooks on each
+// block's post-attention activation, a checker verifying each linear
+// output, and a weight-resident strike the row reads. A model carries one
+// set (AddHook, AddAttnHook, SetChecker, SetStrike) that Prefill and
+// DecodeStep run under; a decode row carries its own (DecodeRow), so rows
+// sharing one stacked pass keep their own injection site and detection
+// verdict. The zero value observes nothing, at no cost.
+type Observers struct {
+	// Hooks fire on each linear-layer output, in order.
+	Hooks []Hook
+	// AttnHooks fire on each block's post-attention activation (kind
+	// KindAttnAct), after the head mix and before out_proj.
+	AttnHooks []Hook
+	// Checker, when non-nil, verifies each linear-layer output.
+	Checker LinearChecker
+	// Strike, when non-nil, is the weight-resident fault the row reads.
+	Strike *Strike
 }
 
-// rc returns the model's own observation context (registered hooks, the
-// armed checker and strike) — what Prefill and DecodeStep run under.
-func (m *Model) rc() rowCtx { return rowCtx{hooks: m.hooks, checker: m.checker, strike: m.strike} }
-
-// struck returns the row's struck view of linear layer ref, nil when its
-// strike does not address ref.
-func (rc rowCtx) struck(ref LayerRef) *StruckWeight {
-	if s := rc.strike; s != nil && s.Ref == ref {
+// struck returns the struck view of linear layer ref, nil when the strike
+// does not address ref.
+func (o *Observers) struck(ref LayerRef) *StruckWeight {
+	if s := o.Strike; s != nil && s.Ref == ref {
 		return s.W
 	}
 	return nil
 }
 
 // weight returns the weight the row reads for linear layer ref.
-func (rc rowCtx) weight(ref LayerRef, w Weight) Weight {
-	if sw := rc.struck(ref); sw != nil {
+func (o *Observers) weight(ref LayerRef, w Weight) Weight {
+	if sw := o.struck(ref); sw != nil {
 		return sw
 	}
 	return w
 }
 
 // gain returns the gain vector the row reads for norm ref.
-func (rc rowCtx) gain(ref LayerRef, g []float32) []float32 {
-	if s := rc.strike; s != nil && s.Ref == ref {
+func (o *Observers) gain(ref LayerRef, g []float32) []float32 {
+	if s := o.Strike; s != nil && s.Ref == ref {
 		return s.Vec
 	}
 	return g
 }
 
 // embedding returns the embedding row the row reads for token tok.
-func (rc rowCtx) embedding(m *Model, tok int) []float32 {
-	if s := rc.strike; s != nil && s.Ref.Kind == KindEmbed && s.Row == tok {
+func (o *Observers) embedding(m *Model, tok int) []float32 {
+	if s := o.Strike; s != nil && s.Ref.Kind == KindEmbed && s.Row == tok {
 		return s.Vec
 	}
 	return m.Embed.Row(tok)
 }
 
-// linearRow computes out = in · w for one row under rc, through the row's
-// strike when it addresses ref, and finishes it (finishLinear).
-func (m *Model) linearRow(rc rowCtx, ref LayerRef, pos int, w Weight, in, out []float32) {
-	w = rc.weight(ref, w)
+// linearRow computes out = in · w for one row under obs, through the
+// row's strike when it addresses ref, and finishes it (finishLinear).
+func (m *Model) linearRow(obs *Observers, ref LayerRef, pos int, w Weight, in, out []float32) {
+	w = obs.weight(ref, w)
 	w.Forward(out, in)
-	m.finishLinear(rc, ref, pos, w, in, out)
+	m.finishLinear(obs, ref, pos, w, in, out)
 }
 
 // finishLinear applies the row's forward hooks to a linear layer's
@@ -306,12 +313,12 @@ func (m *Model) linearRow(rc rowCtx, ref LayerRef, pos int, w Weight, in, out []
 // checksum and recompute a flagged output: w is the struck view where the
 // row's strike addresses the layer, so a correcting checker recomputes
 // through the fault.
-func (m *Model) finishLinear(rc rowCtx, ref LayerRef, pos int, w Weight, in, out []float32) {
-	for _, h := range rc.hooks {
+func (m *Model) finishLinear(obs *Observers, ref LayerRef, pos int, w Weight, in, out []float32) {
+	for _, h := range obs.Hooks {
 		h(ref, pos, out)
 	}
-	if rc.checker != nil {
-		rc.checker.CheckLinear(ref, pos, w, in, out)
+	if obs.Checker != nil {
+		obs.Checker.CheckLinear(ref, pos, w, in, out)
 	}
 	numerics.RoundSlice(m.Cfg.DType, out)
 }
@@ -356,21 +363,4 @@ func (m *Model) initRope() {
 		m.ropeCos[p] = cosT
 		m.ropeSin[p] = sinT
 	}
-}
-
-// prefillSequential feeds every prompt token through DecodeStep and
-// returns the logits after the final prompt token: the seed's per-token
-// order, one row per pass. The stacked Prefill in prefill.go is pinned
-// bit-for-bit to it by golden tests, and SetSequentialPrefill routes
-// Prefill back through here for those tests and for before/after
-// benchmarks.
-func (st *State) prefillSequential(prompt []int) []float32 {
-	if len(prompt) == 0 {
-		panic("model: empty prompt")
-	}
-	var logits []float32
-	for _, t := range prompt {
-		logits = st.DecodeStep(t)
-	}
-	return logits
 }

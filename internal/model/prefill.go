@@ -6,30 +6,42 @@ import (
 	"repro/internal/tensor"
 )
 
-// Prefill processes the whole prompt and returns the logits after the
-// final prompt token (the distribution over the first generated token).
+// Prefill processes the whole prompt under the model's own Observers and
+// returns the logits after the final prompt token (the distribution over
+// the first generated token).
 //
 // Unlike the seed's per-token recurrence, the prompt's positions go
 // through forwardStack as the rows of one stacked pass, so each block
 // runs its linear layers as one m×k matmul over every position — which
 // is where campaign prefill time goes. The result, the KV cache, and
-// every vector the model's hooks, attention hooks and checker observe are
-// bit-identical to the sequential loop (see forwardStack); only the
-// global call order differs, layer-major with positions ascending inside
-// each layer. A depth fork's prompt splits at the first token that differs
-// from its prefix's: the positions before it start at the fork's sublayer,
-// the rest at the embedding (forwardStack).
-func (st *State) Prefill(prompt []int) []float32 {
+// every vector the observers see are bit-identical to the sequential loop
+// (see forwardStack); only the global call order differs, layer-major with
+// positions ascending inside each layer. A depth fork's prompt splits at
+// the first token that differs from its prefix's: the positions before it
+// start at the fork's sublayer, the rest at the embedding (forwardStack).
+func (st *State) Prefill(prompt []int) []float32 { return st.prefill(prompt, &st.m.obs) }
+
+// Prefill runs prompt through the row's state as State.Prefill does, under
+// the row's own Observers instead of the model's, and leaves the logits
+// after the final prompt token in Logits.
+func (r *DecodeRow) Prefill(prompt []int) { copy(r.Logits, r.St.prefill(prompt, &r.Observers)) }
+
+// prefill is the one prefill body, under obs. SetSequentialPrefill routes
+// it through the seed's per-token order, one DecodeStep-shaped pass per
+// position, which golden tests pin the stacked pass to and before/after
+// benchmarks time.
+func (st *State) prefill(prompt []int, obs *Observers) []float32 {
 	if len(prompt) == 0 {
 		panic("model: empty prompt")
 	}
-	if st.m.seqPrefill {
-		return st.prefillSequential(prompt)
-	}
-	if len(prompt) == 1 {
-		return st.DecodeStep(prompt[0])
-	}
 	m := st.m
+	if m.seqPrefill || len(prompt) == 1 {
+		var logits []float32
+		for _, t := range prompt {
+			logits = st.decodeStep(t, obs)
+		}
+		return logits
+	}
 	cfg := &m.Cfg
 	n := len(prompt)
 	if st.Pos+n > cfg.MaxSeq {
@@ -40,13 +52,13 @@ func (st *State) Prefill(prompt []int) []float32 {
 
 	rows := make([]stackRow, n)
 	for i, tok := range prompt {
-		rows[i] = st.row(st.Pos+i, tok, m.rc(), m.attnHooks)
+		rows[i] = st.row(st.Pos+i, tok, obs)
 	}
 	sk := m.newStack(n)
 	m.forwardStack(sk, rows, 0, n, threads)
 
 	lmHead := LayerRef{-1, KindLMHead, -1}
-	if len(m.hooks) > 0 {
+	if len(obs.Hooks) > 0 {
 		// Hooks observe (and may mutate) the LM-head output of every
 		// position in the sequential path; keep that visible behaviour.
 		L := tensor.New(n, cfg.Vocab)
@@ -55,7 +67,7 @@ func (st *State) Prefill(prompt []int) []float32 {
 	} else {
 		// Without hooks the intermediate logits are unobservable and
 		// immediately overwritten — compute only the final row.
-		m.linearRow(rows[n-1].rc, lmHead, rows[n-1].pos, m.LMHead, sk.x.Row(n-1), st.logits)
+		m.linearRow(&rows[n-1].obs, lmHead, rows[n-1].pos, m.LMHead, sk.x.Row(n-1), st.logits)
 	}
 
 	st.Pos += n

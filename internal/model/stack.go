@@ -26,21 +26,20 @@ func (d *Dense) ForwardRows(out, x *tensor.Tensor, r0, r1, workers int) {
 // stackRow is one activation row of a stacked forward pass: the state
 // whose KV cache it extends and attends over, the position and token it
 // enters at, the sublayer it starts at (0, or a depth fork's while it
-// matches its prefix), and the observers of its linear outputs (rc) and
-// of its post-attention activation (attnHooks).
+// matches its prefix), and its observers.
 type stackRow struct {
-	st        *State
-	pos, tok  int
-	from      int
-	rc        rowCtx
-	attnHooks []Hook
+	st       *State
+	pos, tok int
+	from     int
+	obs      Observers
 }
 
-// row is the stack row of the state's position pos fed tok. Rows are
-// made in position order, each before the pass that runs it: a depth fork
-// decides here, once per position, whether the pass may skip (skipTo).
-func (st *State) row(pos, tok int, rc rowCtx, attnHooks []Hook) stackRow {
-	return stackRow{st: st, pos: pos, tok: tok, from: st.skipTo(pos, tok), rc: rc, attnHooks: attnHooks}
+// row is the stack row of the state's position pos fed tok under obs.
+// Rows are made in position order, each before the pass that runs it: a
+// depth fork decides here, once per position, whether the pass may skip
+// (skipTo).
+func (st *State) row(pos, tok int, obs *Observers) stackRow {
+	return stackRow{st: st, pos: pos, tok: tok, from: st.skipTo(pos, tok), obs: *obs}
 }
 
 // stack is the scratch of a stacked forward pass, one activation row per
@@ -88,11 +87,11 @@ func (m *Model) linearRows(rows []stackRow, ref LayerRef, w Weight, in, out *ten
 	for i := r0; i < r1; i++ {
 		row := &rows[i]
 		rw := w
-		if sw := row.rc.struck(ref); sw != nil {
+		if sw := row.obs.struck(ref); sw != nil {
 			out.Row(i)[sw.Col] = sw.column(in.Row(i))
 			rw = sw
 		}
-		m.finishLinear(row.rc, ref, row.pos, rw, in.Row(i), out.Row(i))
+		m.finishLinear(&row.obs, ref, row.pos, rw, in.Row(i), out.Row(i))
 	}
 }
 
@@ -155,7 +154,7 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 	span := func(t *tensor.Tensor) []float32 { return t.Data[r0*t.Cols : r1*t.Cols] }
 	normRows := func(t *tensor.Tensor, ref LayerRef, gain []float32) {
 		for i := r0; i < r1; i++ {
-			tensor.RMSNormRow(t.Row(i), rows[i].rc.gain(ref, gain), cfg.Eps)
+			tensor.RMSNormRow(t.Row(i), rows[i].obs.gain(ref, gain), cfg.Eps)
 		}
 	}
 	addRows := func(dst, src *tensor.Tensor) {
@@ -190,7 +189,7 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 		if tok < 0 || tok >= cfg.Vocab {
 			tok = 0
 		}
-		copy(sk.x.Row(i), row.rc.embedding(m, tok))
+		copy(sk.x.Row(i), row.obs.embedding(m, tok))
 	}
 
 	for bi := from / 2; bi < len(m.Blocks); bi++ {
@@ -217,7 +216,7 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 			for i := r0; i < r1; i++ {
 				row := &rows[i]
 				m.attendAt(row.st, bi, row.pos, sk.q.Row(i), sk.a.Row(i))
-				for _, h := range row.attnHooks {
+				for _, h := range row.obs.AttnHooks {
 					h(attnRef, row.pos, sk.a.Row(i))
 				}
 			}

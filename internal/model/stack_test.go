@@ -177,11 +177,13 @@ func stackedStepCase(t *testing.T, spec Spec) {
 				for i := range rows {
 					logs[i] = &obsLog{}
 					rows[i] = &DecodeRow{
-						St:        shardState(m, i),
-						Hooks:     []Hook{record(&logs[i].hooks)},
-						AttnHooks: []Hook{fault(i), record(&logs[i].attn)},
-						Checker:   logs[i],
-						Logits:    make([]float32, vocab),
+						St: shardState(m, i),
+						Observers: Observers{
+							Hooks:     []Hook{record(&logs[i].hooks)},
+							AttnHooks: []Hook{fault(i), record(&logs[i].attn)},
+							Checker:   logs[i],
+						},
+						Logits: make([]float32, vocab),
 					}
 				}
 				shardBatch(t, m, rows, wantLogits)

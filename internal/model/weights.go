@@ -172,8 +172,8 @@ type Block struct {
 
 // Model is a complete decoder-only transformer. Inference never writes
 // its parameter tensors: a weight-resident fault is a Strike the forward
-// pass reads (SetStrike, DecodeRow.Strike), so any number of goroutines
-// may run over one model's weights.
+// pass reads (Observers), so any number of goroutines may run over one
+// model's weights.
 type Model struct {
 	Cfg Config
 
@@ -185,23 +185,16 @@ type Model struct {
 	// ropeCos/ropeSin cache cos/sin tables per position and rotary pair.
 	ropeCos, ropeSin [][]float32
 
-	hooks []Hook
-
-	// attnHooks observe the post-attention activation row per block per
-	// step (see AddAttnHook) — the injection point for transient
-	// attention-path faults.
-	attnHooks []Hook
+	// obs are the model's own observers: what Prefill and DecodeStep run
+	// under, and what Layer, Norm and LinearLayers read the strike of. Not
+	// copied by Clone/CloneShared: each campaign worker arms its own.
+	obs Observers
 
 	// threads bounds the goroutines one forward pass may use — batched
 	// prefill for its matmuls, a decode batch step for its row shards
 	// (0 = GOMAXPROCS). Campaigns set it per worker clone so the worker
 	// pool cannot oversubscribe the machine.
 	threads int
-
-	// strike, when non-nil, is the weight-resident fault every forward
-	// pass over m reads (SetStrike). Like hooks, it is not copied by
-	// Clone/CloneShared.
-	strike *Strike
 
 	// sharedWeights marks a CloneShared copy: parameter storage is shared
 	// with the parent and must be privatized (copy-on-write) before any
@@ -212,12 +205,6 @@ type Model struct {
 	// seqPrefill pins State.Prefill to the seed per-token reference loop;
 	// golden tests and before/after benchmarks flip it.
 	seqPrefill bool
-
-	// checker, when non-nil, verifies every linear-layer output after the
-	// forward hooks ran and before requantization (internal/abft). Like
-	// hooks, it is not copied by Clone/CloneShared: each campaign worker
-	// arms its own.
-	checker LinearChecker
 }
 
 // SetThreads bounds the goroutines one forward pass on m may use (0
@@ -251,14 +238,14 @@ func (m *Model) SharesWeights() bool { return m.sharedWeights }
 type Hook func(ref LayerRef, step int, out []float32)
 
 // AddHook registers h; hooks run in registration order.
-func (m *Model) AddHook(h Hook) { m.hooks = append(m.hooks, h) }
+func (m *Model) AddHook(h Hook) { m.obs.Hooks = append(m.obs.Hooks, h) }
 
 // PopHook removes the most recently added hook, leaving earlier hooks
 // installed. The tracing layer uses it to unwind a baseline-capture or
 // probe hook without disturbing a campaign's ExtraHook.
 func (m *Model) PopHook() {
-	if n := len(m.hooks); n > 0 {
-		m.hooks = m.hooks[:n-1]
+	if n := len(m.obs.Hooks); n > 0 {
+		m.obs.Hooks = m.obs.Hooks[:n-1]
 	}
 }
 
@@ -271,10 +258,10 @@ func (m *Model) PopHook() {
 // hooks (probes, ABFT baselines) observe; with no attention hooks
 // registered the decode path is bit-identical by construction — nothing
 // runs.
-func (m *Model) AddAttnHook(h Hook) { m.attnHooks = append(m.attnHooks, h) }
+func (m *Model) AddAttnHook(h Hook) { m.obs.AttnHooks = append(m.obs.AttnHooks, h) }
 
 // ClearAttnHooks removes all attention-activation hooks.
-func (m *Model) ClearAttnHooks() { m.attnHooks = nil }
+func (m *Model) ClearAttnHooks() { m.obs.AttnHooks = nil }
 
 // LinearChecker verifies — and under a correcting policy may repair in
 // place — the output vector of a linear layer. CheckLinear runs after the
@@ -291,22 +278,27 @@ type LinearChecker interface {
 // SetChecker installs (nil removes) the model's linear checker. Exactly
 // one checker may be active; the campaign engine arms one per trial on
 // each worker's clone.
-func (m *Model) SetChecker(c LinearChecker) { m.checker = c }
+func (m *Model) SetChecker(c LinearChecker) { m.obs.Checker = c }
 
 // SetStrike installs (nil removes) the weight-resident fault every
 // forward pass over m reads — Prefill, DecodeStep, and what Layer and
 // LinearLayers hand out. Batch.Step reads each row's own instead.
-func (m *Model) SetStrike(s *Strike) { m.strike = s }
+func (m *Model) SetStrike(s *Strike) { m.obs.Strike = s }
+
+// SetObservers replaces every observer registered on the model with o; the
+// zero Observers clears them all.
+func (m *Model) SetObservers(o Observers) { m.obs = o }
 
 // Observed reports whether anything is registered on the model itself —
 // a hook, an attention hook, a checker or a strike — that a forward pass
 // over it shows every position to.
 func (m *Model) Observed() bool {
-	return len(m.hooks) > 0 || len(m.attnHooks) > 0 || m.checker != nil || m.strike != nil
+	o := &m.obs
+	return len(o.Hooks) > 0 || len(o.AttnHooks) > 0 || o.Checker != nil || o.Strike != nil
 }
 
 // ClearHooks removes all hooks.
-func (m *Model) ClearHooks() { m.hooks = nil }
+func (m *Model) ClearHooks() { m.obs.Hooks = nil }
 
 // Clone returns a deep copy of the model sharing no mutable state with
 // the original. Rotary tables (immutable) are shared.
@@ -440,7 +432,7 @@ func (m *Model) LinearLayers() []LayerInfo {
 			}
 		}
 	}
-	if s := m.strike; s != nil && s.W != nil {
+	if s := m.obs.Strike; s != nil && s.W != nil {
 		for i := range out {
 			if out[i].Ref == s.Ref {
 				out[i].Weight = s.W
@@ -458,7 +450,7 @@ func (m *Model) Layer(ref LayerRef) (Weight, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.rc().weight(ref, *slot), nil
+	return m.obs.weight(ref, *slot), nil
 }
 
 // LayerForWrite returns the weight addressed by ref for in-place
@@ -497,7 +489,7 @@ func (m *Model) Norm(ref LayerRef) ([]float32, error) {
 	default:
 		return nil, fmt.Errorf("model: %v is not a norm gain", ref)
 	}
-	return m.rc().gain(ref, g), nil
+	return m.obs.gain(ref, g), nil
 }
 
 // layerSlot returns a pointer to the Weight field addressed by ref.
