@@ -261,11 +261,7 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 			// per-token observation is derived).
 			sp.decode += since(decodeStart)
 		}
-		ib.Choice = choice
-		ib.AnswerOK = choice == inst.Gold
-		ib.Metrics = map[metrics.Kind]float64{metrics.KindAccuracy: b2f(ib.AnswerOK)}
-		ib.Steps = scoreSteps(inst)
-		return ib
+		return choiceBaseline(inst, choice)
 	}
 
 	gs.MaxNewTokens = inst.MaxNew
@@ -345,6 +341,14 @@ func RerunInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance) str
 		return suite.Vocab.DecodeAll(inst.Options[ib.Choice])
 	}
 	return ib.Text
+}
+
+// choiceBaseline is the outcome of a multiple-choice instance whose
+// scoring chose option choice (gen.Choose).
+func choiceBaseline(inst *tasks.Instance, choice int) InstanceBaseline {
+	ok := choice == inst.Gold
+	return InstanceBaseline{Choice: choice, AnswerOK: ok, Steps: scoreSteps(inst),
+		Metrics: map[metrics.Kind]float64{metrics.KindAccuracy: b2f(ok)}}
 }
 
 // scoreSteps estimates decode steps for a multiple-choice instance: the

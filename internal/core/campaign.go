@@ -68,8 +68,8 @@ type Campaign struct {
 	// trial's computation, hooks, checker verdicts, and sampled randomness
 	// are identical at every width — so it is deliberately excluded from
 	// the checkpoint Fingerprint (like tracing, a resumed campaign may
-	// change it freely). Multiple choice and beam search run one trial at
-	// a time whatever the width; see batchEligible.
+	// change it freely). Beam search runs one trial at a time whatever the
+	// width; see batchEligible.
 	BatchDecode int
 
 	// noPrefixReuse runs every trial one at a time through a full
@@ -198,10 +198,11 @@ type spanTimes struct {
 	abft     time.Duration
 	mitigate time.Duration
 	// steps is the number of decode steps the trial executed behind the
-	// decode span — on a decode-loop row, the stacked steps it rode in,
-	// not the clean ones its resume point skipped; Trial.Steps stays the
-	// modelled inference (0 for multiple-choice scoring, where per-token
-	// timing is undefined).
+	// decode span — on a decode-loop row, the stacked steps it rode in
+	// (every option's, for multiple choice), not the clean ones its resume
+	// point skipped; Trial.Steps stays the modelled inference. 0 for a
+	// multiple-choice trial run one at a time, where per-token timing is
+	// undefined.
 	steps int
 	// abftOn marks that a checker ran, so zero-duration check spans are
 	// still meaningful observations.
@@ -244,17 +245,15 @@ func (tc *timedChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight,
 }
 
 // batchEligible reports whether the campaign's trials run as rows of
-// the decode loop: a single greedy decode stream per trial, with every
-// observer — a memory fault's strike included — scoped to its row. A
-// transient fault's row resumes the baseline in time; a memory fault's
-// prefills its own prompt, resuming the baseline in depth where it can
-// (depthEligible). Multiple choice and beam search run one trial at a
-// time: option scoring has no decode loop, and beam search forks states
-// mid-decode.
+// the decode loop: one greedy decode stream per trial — a multiple-choice
+// trial's options scored one after another on its row — with every
+// observer, a memory fault's strike included, scoped to its row. A
+// transient fault's generative row resumes the baseline in time; a memory
+// fault's prefills its own prompt, resuming the baseline in depth where it
+// can (depthEligible). Beam search runs one trial at a time: it forks
+// states mid-decode.
 func (c Campaign) batchEligible(gs gen.Settings) bool {
-	return c.Suite.Type != tasks.MultipleChoice &&
-		gs.NumBeams <= 1 &&
-		!c.noPrefixReuse
+	return gs.NumBeams <= 1 && !c.noPrefixReuse
 }
 
 // depthEligible reports whether the campaign's trials may resume the
@@ -279,12 +278,11 @@ func (c Campaign) depthEligible(gs gen.Settings) bool {
 // only when the faulted computation is bit-identical to the fault-free one
 // over the whole prompt: generative computational faults target absolute
 // position promptLen + GenIter, which never lands inside the prompt. A
-// memory fault corrupts the weights prefill itself reads, and
-// multiple-choice scoring (promptLen 0) can be struck at any prompt
-// position, so neither has a post-prompt point to resume at.
+// memory fault corrupts the weights prefill itself reads, so it has no
+// post-prompt point to resume at; nor has a multiple-choice baseline,
+// which keeps no snapshot.
 func (c Campaign) reusePrefix(base *InstanceBaseline) bool {
 	return !c.noPrefixReuse &&
-		c.Suite.Type != tasks.MultipleChoice &&
 		!c.Fault.IsMemory() &&
 		base.prefixLogits != nil
 }

@@ -97,23 +97,73 @@ func TestEngineGoldenGenerative(t *testing.T) {
 	}
 }
 
-// TestEngineGoldenMC pins the engine to the seed path for
-// multiple-choice campaigns (which never reuse the prefix but do use
-// batched option scoring and shared clones).
+// TestEngineGoldenMC pins multiple-choice rows — each trial's options
+// teacher-forced one after another on one decode-loop row — to the seed
+// path, which scores them through ChooseOption on a model carrying the
+// trial's observers, at widths 1 and 8: dense and MoE, transient and
+// memory faults, without ABFT, under a site checker and under all-layer
+// correcting ABFT, and with an ExtraHook that clamps what the fault
+// struck.
 func TestEngineGoldenMC(t *testing.T) {
 	suite, err := tasks.NewMCSuite("arc", 7, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	clamp := func() model.Hook {
+		return func(_ model.LayerRef, _ int, out []float32) {
+			for i, v := range out {
+				out[i] = max(-8, min(8, v))
+			}
+		}
+	}
+	allCorrect := &ABFTConfig{Policy: mitigate.PolicyCorrect, AllLayers: true}
+	cases := []struct {
+		name string
+		moe  bool
+		abft *ABFTConfig
+		hook func() model.Hook
+	}{
+		{"dense", false, nil, nil},
+		{"moe", true, nil, nil},
+		{"dense-abft-site", false, &ABFTConfig{}, nil},
+		{"moe-abft-site", true, &ABFTConfig{}, nil},
+		{"dense-abft-all-correct", false, allCorrect, nil},
+		{"moe-abft-all-correct", true, allCorrect, nil},
+		{"dense-extrahook", false, nil, clamp},
+	}
 	for _, fault := range []faults.Model{faults.Comp2Bit, faults.Mem2Bit} {
 		t.Run(fault.String(), func(t *testing.T) {
-			seedEquivalent(t, Campaign{
-				Model:  goldenModel(t, model.QwenS, false),
-				Suite:  suite,
-				Fault:  fault,
-				Trials: 12,
-				Seed:   13,
-			})
+			landed := 0
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					c := Campaign{
+						Model:     goldenModel(t, model.QwenS, tc.moe),
+						Suite:     suite,
+						Fault:     fault,
+						Trials:    12,
+						Seed:      13,
+						ABFT:      tc.abft,
+						ExtraHook: tc.hook,
+					}
+					seed := mustRun(t, seedPath(c))
+					for _, tr := range seed.Trials {
+						if tr.Outcome.Changed || (tr.Detection != nil && tr.Detection.Flagged > 0) {
+							landed++
+						}
+					}
+					for _, width := range []int{1, 8} {
+						c.BatchDecode = width
+						tel := NewTelemetry()
+						requireSameResult(t, seed, mustRun(t, c, WithTelemetry(tel)))
+						if rows := tel.Snapshot().DecodeBatchRows; rows == 0 {
+							t.Fatalf("width %d: no trial rode the decode loop", width)
+						}
+					}
+				})
+			}
+			if landed == 0 {
+				t.Fatal("no strike changed a choice or was flagged; the test would not notice one that never lands")
+			}
 		})
 	}
 }

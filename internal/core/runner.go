@@ -93,13 +93,14 @@ func WithOnly(indices []int) RunnerOption {
 // from an equivalent campaign on the same model value (in practice: a
 // prior run's BaselineReady event — the fabric worker evaluates it once
 // and reuses it across leases; a Result's scores-only copy has no prefix
-// snapshots to fork trials from, and a greedy transient-fault campaign,
-// whose rows resume them, refuses it with ErrBaselineNoPrefix). A
+// snapshots to fork trials from, and a greedy generative transient-fault
+// campaign, whose rows resume them, refuses it with ErrBaselineNoPrefix;
+// multiple-choice rows start from empty states and need none). A
 // baseline captured without activation capture silently disables
 // propagation probes for traced trials; one without depth planes (or,
 // under all-layer ABFT, without a ledger over the campaign's tolerance)
-// runs memory-fault rows whole, from their first prompt token. Multiple
-// choice and beam search run one trial at a time.
+// runs memory-fault rows whole, from their first prompt token. Beam
+// search runs one trial at a time.
 func WithBaseline(b *Baseline) RunnerOption {
 	return func(r *Runner) { r.baseline = b }
 }
@@ -280,7 +281,7 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 		}
 		baseline = evalBaseline(c.Model, c.Suite, gs, check, opts)
 		if c.ExtraHook != nil {
-			c.Model.ClearHooks()
+			c.Model.PopHook()
 		}
 	}
 	emit(BaselineReady{Baseline: baseline})
@@ -319,10 +320,11 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 
 	// Eligible campaigns ride the decode loop at the configured width
 	// (serial decode is width 1); the rest run one trial per worker. Only
-	// a transient fault's rows resume the baseline's decode: a memory
-	// fault's prefill their prompts, from an empty state without one.
+	// a transient fault's generative rows resume the baseline's decode: a
+	// memory fault's prefill their prompts, from an empty state without
+	// one, and a multiple-choice trial's always start empty.
 	rows := c.batchEligible(gs)
-	if rows && !c.Fault.IsMemory() {
+	if rows && !c.Fault.IsMemory() && c.Suite.Type != tasks.MultipleChoice {
 		for i := range baseline.Instances {
 			if baseline.Instances[i].resume == nil {
 				return nil, ErrBaselineNoPrefix

@@ -19,16 +19,13 @@ import (
 // every trial reads. A worker executes trials one of two ways, fixed per
 // campaign by batchEligible:
 //
-//   - rows: each greedy generative trial is a sequence on the worker's
-//     gen.Loop, its Observers — fault, extra hook, probe, checker — scoped
-//     to its own batch row. A transient fault's row forks the baseline's
-//     finished state at one of its resume points (armed.resumeAt); a
-//     memory fault's prefills its prompt under its strike, on a depth fork
-//     of the baseline's snapshot at its struck sublayer (depthFrom) or on
-//     an empty state. Width max(1, BatchDecode); serial decode is width 1.
-//   - one at a time (runTrial): multiple choice and beam search run one
-//     trial at a time, as does the seed path (noPrefixReuse), with the
-//     trial's Observers installed on the worker's model.
+//   - rows: each greedy trial rides the worker's gen.Loop, its Observers —
+//     fault, extra hook, probe, checker — scoped to its own batch row; how
+//     it enters the loop is admit's. Width max(1, BatchDecode); serial
+//     decode is width 1.
+//   - one at a time (runTrial): beam search runs one trial at a time, as
+//     does the seed path (noPrefixReuse), with the trial's Observers
+//     installed on the worker's model.
 //
 // Both go through the same arm and seal, so the trial contract — what is
 // sampled from Split(t), what observes the inference and in which order,
@@ -74,6 +71,7 @@ type armed struct {
 	// state, the whole inference), matched the positions it read from the
 	// baseline there.
 	from, matched int
+	scores        []float64 // a multiple-choice trial's option scores so far
 	sp            spanTimes
 	// busy is the trial's attributed wall time: arm, inference and seal,
 	// with a row charged an equal share of every stacked step it rode in
@@ -288,12 +286,32 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 	}
 
 	loop := gen.NewLoop[*armed](e.wm, width)
-	retire := func(s *gen.Seq[*armed]) {
+	// retire takes a finished sequence off the loop and seals its trial. A
+	// multiple-choice trial admits its next option on the row just freed
+	// until the last is scored: its options never share a step, and a
+	// one-shot fault strikes the option ChooseOption's serial order would.
+	var retire func(s *gen.Seq[*armed])
+	retire = func(s *gen.Seq[*armed]) {
 		a := s.Owner
 		start := now()
-		a.matched = s.State().DepthMatched()
-		ib := e.score(a, s.State(), s.Result())
-		loop.Release(s)
+		var ib InstanceBaseline
+		if e.c.Suite.Type == tasks.MultipleChoice {
+			a.scores = append(a.scores, s.Result().LogProb)
+			loop.Release(s)
+			if len(a.scores) < len(a.inst.Options) {
+				next := e.admit(loop, a)
+				a.busy += since(start)
+				if next.Done() {
+					retire(next)
+				}
+				return
+			}
+			ib = choiceBaseline(&a.inst, gen.Choose(a.scores))
+		} else {
+			a.matched = s.State().DepthMatched()
+			ib = e.score(a, s.State(), s.Result())
+			loop.Release(s)
+		}
 		a.busy += since(start)
 		results <- e.seal(a, ib)
 	}
@@ -309,17 +327,7 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 			if err != nil {
 				return t, err
 			}
-			admitStart := now()
-			arm := gen.Arm{Observers: a.obs}
-			var s *gen.Seq[*armed]
-			if e.c.Fault.IsMemory() {
-				s = loop.AdmitPrompt(a.base.state, a.from, a.inst.Prompt, e.settings(&a.inst), arm, a)
-			} else {
-				s = loop.AdmitFork(a.base.state, a.resumeAt(&e.c), arm, a)
-			}
-			// Admission — a fork, or a memory fault's prompt — is the
-			// prefill span on this path.
-			a.sp.prefill += since(admitStart)
+			s := e.admit(loop, a)
 			a.busy += since(start)
 			if s.Done() {
 				retire(s)
@@ -349,6 +357,28 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 		}
 	}
 	return 0, nil
+}
+
+// admit seats trial a's next inference on loop, the one place a trial
+// enters it: a multiple-choice trial's next option as a Scorer over the
+// prompt, prefilled on an empty state; a memory fault's prompt under its
+// strike, on a depth fork (depthFrom) or an empty state; a transient
+// fault's fork of the baseline at a resume point (resumeAt). Admission is
+// the prefill span on this path.
+func (e *trialEnv) admit(loop *gen.Loop[*armed], a *armed) *gen.Seq[*armed] {
+	start := now()
+	arm := gen.Arm{Observers: a.obs}
+	var s *gen.Seq[*armed]
+	switch {
+	case e.c.Suite.Type == tasks.MultipleChoice:
+		s = loop.AdmitPrompt(nil, -1, a.inst.Prompt, gen.Scorer(a.inst.Options[len(a.scores)]), arm, a)
+	case e.c.Fault.IsMemory():
+		s = loop.AdmitPrompt(a.base.state, a.from, a.inst.Prompt, gen.NewStepper(e.settings(&a.inst)), arm, a)
+	default:
+		s = loop.AdmitFork(a.base.state, a.resumeAt(&e.c), arm, a)
+	}
+	a.sp.prefill += since(start)
+	return s
 }
 
 // runTrial executes trial t as one inference on the worker's model, under

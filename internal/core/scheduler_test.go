@@ -48,8 +48,8 @@ func batchEquivalent(t *testing.T, c Campaign, n int) {
 // TestBatchedGoldenEquivalence sweeps batched-vs-serial equivalence
 // across architecture × fault model × ABFT configuration: memory-fault
 // rows prefill their prompts under their own strikes, stacked with their
-// siblings. The multiple-choice arm runs one trial at a time at any width
-// and must come out identical through that fallback.
+// siblings, and each multiple-choice trial scores its options one after
+// another on a row of its own.
 func TestBatchedGoldenEquivalence(t *testing.T) {
 	suite := tasks.NewSelfRefSuite("batch-golden", 11, 4, 20, 9, []metrics.Kind{metrics.KindBLEU})
 	mcSuite, err := tasks.NewMCSuite("arc", 7, 5)
@@ -71,7 +71,7 @@ func TestBatchedGoldenEquivalence(t *testing.T) {
 		{"moe-comp1-abft-site", true, suite, faults.Comp1Bit, &ABFTConfig{}},
 		{"dense-mem2", false, suite, faults.Mem2Bit, nil},
 		{"moe-mem2-abft-site", true, suite, faults.Mem2Bit, &ABFTConfig{}},
-		{"mc-comp2-fallback", false, mcSuite, faults.Comp2Bit, nil},
+		{"mc-comp2", false, mcSuite, faults.Comp2Bit, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -338,8 +338,8 @@ func TestBatchedInterruptThenResume(t *testing.T) {
 }
 
 // TestBatchEligible pins which campaigns ride decode-loop rows — every
-// greedy generative one, memory faults included — and which run one trial
-// at a time.
+// greedy one, memory faults and multiple choice included — and which run
+// one trial at a time.
 func TestBatchEligible(t *testing.T) {
 	gen1 := gen.Settings{NumBeams: 1}
 	genSuite := tasks.NewSelfRefSuite("elig-gen", 3, 2, 12, 4, []metrics.Kind{metrics.KindBLEU})
@@ -358,8 +358,8 @@ func TestBatchEligible(t *testing.T) {
 	if !(Campaign{Suite: genSuite, Fault: faults.Mem2Bit, BatchDecode: 8}).batchEligible(gen1) {
 		t.Fatal("greedy generative memory faults must ride the decode loop")
 	}
-	if (Campaign{Suite: mcSuite, Fault: faults.Comp2Bit, BatchDecode: 8}).batchEligible(gen1) {
-		t.Fatal("multiple-choice must fall back to serial")
+	if !(Campaign{Suite: mcSuite, Fault: faults.Comp2Bit, BatchDecode: 8}).batchEligible(gen1) {
+		t.Fatal("multiple choice must ride the decode loop")
 	}
 	if c.batchEligible(gen.Settings{NumBeams: 3}) {
 		t.Fatal("beam search must fall back to serial")

@@ -233,7 +233,7 @@ type TelemetrySnapshot struct {
 	// Decode-loop occupancy: stacked decode steps (width-1 steps
 	// included), the trial rows they carried, and their ratio — the mean
 	// in-flight batch size. All zero only for campaigns that never ride
-	// the loop (multiple choice, beam search).
+	// the loop (beam search, the seed path).
 	DecodeBatchSteps int64   `json:"decode_batch_steps,omitempty"`
 	DecodeBatchRows  int64   `json:"decode_batch_rows,omitempty"`
 	BatchOccupancy   float64 `json:"batch_occupancy,omitempty"`

@@ -110,8 +110,9 @@ func greedy(m *model.Model, prompt []int, s Settings) Result {
 // expert tracing enabled) prefill themselves and hand over here. The
 // returned Steps counts only the continuation.
 func ContinueGreedy(m *model.Model, st *model.State, logits []float32, s Settings) Result {
-	res, _ := continueGreedy(m, st, logits, s, false)
-	return res
+	sp := NewStepper(s)
+	serial(m, st, logits, &sp, false)
+	return sp.Result()
 }
 
 // Resume is one point a finished greedy decode can be re-entered at: the
@@ -135,11 +136,15 @@ type Resume struct {
 // last is where the decode ended. It leaves st on the state the decode
 // finished on, which the caller snapshots to fork from.
 func ResumableGreedy(m *model.Model, st *model.State, logits []float32, s Settings) (Result, []Resume) {
-	return continueGreedy(m, st, logits, s, true)
+	sp := NewStepper(s)
+	points := serial(m, st, logits, &sp, true)
+	return sp.Result(), points
 }
 
-func continueGreedy(m *model.Model, st *model.State, logits []float32, s Settings, record bool) (Result, []Resume) {
-	sp := NewStepper(s)
+// serial is the one serial decode loop: it feeds sp st's last logits, then
+// each DecodeStep's of the token sp chose, until sp stops. With record it
+// returns one Resume per Next call (ResumableGreedy).
+func serial(m *model.Model, st *model.State, logits []float32, sp *Stepper, record bool) []Resume {
 	var points []Resume
 	for {
 		pos := st.Pos
@@ -153,11 +158,10 @@ func continueGreedy(m *model.Model, st *model.State, logits []float32, s Setting
 			points = append(points, at)
 		}
 		if !step {
-			break
+			return points
 		}
 		logits = st.DecodeStep(tok)
 	}
-	return sp.Result(), points
 }
 
 // hypothesis is one live beam.
@@ -306,32 +310,36 @@ func topTokens(lsm []float64, k int) []int {
 
 // ScoreOption returns the total log-likelihood of option continuing
 // prompt — the multiple-choice scoring rule of §3.3.2 (the model scores
-// each option and the highest wins).
+// each option and the highest wins): a prefill of prompt and the serial
+// loop over Scorer(option), which steps the option's last token too.
 func ScoreOption(m *model.Model, prompt, option []int) float64 {
 	st := m.NewState()
-	logits := st.Prefill(prompt)
-	var total float64
-	for _, tok := range option {
-		lsm := tensor.LogSoftmaxRow(logits)
-		total += lsm[tok]
-		if st.Pos >= m.Cfg.MaxSeq {
-			break
-		}
-		logits = st.DecodeStep(tok)
-	}
-	return total
+	sp := Scorer(option)
+	serial(m, st, st.Prefill(prompt), &sp, false)
+	return sp.Result().LogProb
 }
 
-// ChooseOption scores every option and returns the index of the best one
-// together with all scores. Ties break toward the lower index.
+// ChooseOption scores every option and returns the one Choose picks
+// together with all scores.
 func ChooseOption(m *model.Model, prompt []int, options [][]int) (int, []float64) {
 	scores := make([]float64, len(options))
-	best := 0
 	for i, opt := range options {
 		scores[i] = ScoreOption(m, prompt, opt)
-		if scores[i] > scores[best] {
+	}
+	return Choose(scores), scores
+}
+
+// Choose returns the index of the highest score; ties break toward the
+// lower index. No comparison with NaN holds, so a NaN score wins at index
+// 0 — every later score is compared against it and none is greater — and
+// never wins anywhere else: a fault that drives option 0's score to NaN
+// picks option 0.
+func Choose(scores []float64) int {
+	best := 0
+	for i, s := range scores {
+		if s > scores[best] {
 			best = i
 		}
 	}
-	return best, scores
+	return best
 }

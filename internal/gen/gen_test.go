@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/numerics"
+	"repro/internal/tensor"
 	"repro/internal/token"
 )
 
@@ -201,4 +202,64 @@ func TestStepperNextDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Stepper.Next allocates %v times per token", allocs)
 	}
+}
+
+// TestScorerNextDoesNotAllocate: a scorer's Next runs once per option
+// token of every multiple-choice trial, and reads one log-probability off
+// the logits — no vocabulary-wide scratch, and no Tokens to grow.
+func TestScorerNextDoesNotAllocate(t *testing.T) {
+	m := testModel(3)
+	logits := append([]float32(nil), m.NewState().Prefill([]int{1, 5, 6})...)
+	option := make([]int, 2048)
+	for i := range option {
+		option[i] = 1 + i%(m.Cfg.Vocab-1)
+	}
+	sp := Scorer(option)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, step := sp.Next(logits, 3, m.Cfg.MaxSeq); !step {
+			t.Fatal("scoring ended; the measurement would cover the early return only")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("scorer Next allocates %v times per token", allocs)
+	}
+}
+
+// TestChooseNaNRule pins the multiple-choice tie rule, NaN included: ties
+// go to the lower index, a NaN score wins at index 0 and loses anywhere
+// else.
+func TestChooseNaNRule(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		scores []float64
+		want   int
+	}{
+		{[]float64{-3, -1, -1, -2}, 1},
+		{[]float64{nan, -1, 0, -2}, 0},
+		{[]float64{-3, nan, -1, nan}, 2},
+		{[]float64{-1, nan}, 0},
+		{[]float64{nan, nan}, 0},
+		{[]float64{-5}, 0},
+	} {
+		if got := Choose(tc.scores); got != tc.want {
+			t.Errorf("Choose(%v) = %d, want %d", tc.scores, got, tc.want)
+		}
+	}
+}
+
+// scoreOptionRef is ScoreOption as it was written before the Scorer, with
+// a decode loop of its own: the oracle the Scorer is pinned to.
+func scoreOptionRef(m *model.Model, prompt, option []int) float64 {
+	st := m.NewState()
+	logits := st.Prefill(prompt)
+	var total float64
+	for _, tok := range option {
+		lsm := tensor.LogSoftmaxRow(logits)
+		total += lsm[tok]
+		if st.Pos >= m.Cfg.MaxSeq {
+			break
+		}
+		logits = st.DecodeStep(tok)
+	}
+	return total
 }

@@ -16,8 +16,9 @@ type Arm struct {
 	BeforeStep func(*model.State)
 }
 
-// Seq is one greedy decode riding a Loop. Owner is the caller's record
-// of it (a campaign trial, a served request).
+// Seq is one decode riding a Loop — greedy, or a scorer's teacher-forced
+// one. Owner is the caller's record of it (a campaign trial, a served
+// request).
 type Seq[T any] struct {
 	Owner T
 
@@ -45,16 +46,16 @@ func (s *Seq[T]) next(maxSeq int) bool {
 	return s.live
 }
 
-// Loop is the continuous-batching greedy decode loop, and the only
-// greedy decode driver besides ContinueGreedy (the seed oracle the
-// golden tests compare it against). It owns the model.Batch, the live
-// rows, row recycling and every Stepper.Next call; callers admit
-// sequences — prefilled, forked at a resume point, or with a prompt the
-// loop prefills — step all live ones, and collect those that finish.
-// Serial decode is the width-1 case.
+// Loop is the continuous-batching decode loop, and the only decode
+// driver besides the serial one ContinueGreedy and ScoreOption run (the
+// seed oracle the golden tests compare it against). It owns the
+// model.Batch, the live rows, row recycling and every Stepper.Next call;
+// callers admit sequences — prefilled, forked at a resume point, or with
+// a prompt the loop prefills — step all live ones, and collect those that
+// finish. Serial decode is the width-1 case.
 //
 // The bit-identity argument lives here and is made once. Each sequence
-// is one Stepper fed exactly the logits ContinueGreedy would feed it:
+// is one Stepper fed exactly the logits the serial loop would feed it:
 // first the prefix logits (Admit), then each Batch.Step output for its
 // own row. A prompt the loop prefills (AdmitPrompt) runs State.Prefill's
 // one body under the row's observers instead of the model's, so its
@@ -136,17 +137,17 @@ func (l *Loop[T]) AdmitFork(from *model.Prefix, at Resume, arm Arm, owner T) *Se
 	return seq
 }
 
-// AdmitPrompt starts a greedy decode under s that computes its prompt on
-// its own row: the loop prefills prompt under arm's observers — every
-// position, so a weight-resident strike reaches the prompt too — and
-// chooses the first token off its logits as Admit does. The state is a
+// AdmitPrompt starts the decode sp — a greedy NewStepper, or a Scorer —
+// that computes its prompt on its own row: the loop prefills prompt under
+// arm's observers — every position, so a weight-resident strike reaches
+// the prompt too — and feeds sp its logits as Admit does. The state is a
 // depth fork of from at sublayer depth (model.Prefix.ForkDepth), which
 // skips the sublayers below depth while the prompt matches from's, or an
 // empty state when from is nil or depth negative; either way it reuses a
 // released row's state, as AdmitFork's does. On an MoE model the state
 // traces its expert selections (model.State.ExpertTrace), as a fork of a
 // tracing prefix inherits.
-func (l *Loop[T]) AdmitPrompt(from *model.Prefix, depth int, prompt []int, s Settings, arm Arm, owner T) *Seq[T] {
+func (l *Loop[T]) AdmitPrompt(from *model.Prefix, depth int, prompt []int, sp Stepper, arm Arm, owner T) *Seq[T] {
 	row := l.takeRow()
 	switch {
 	case from != nil && depth >= 0:
@@ -162,7 +163,7 @@ func (l *Loop[T]) AdmitPrompt(from *model.Prefix, depth int, prompt []int, s Set
 	seq := l.seat(row, arm, owner)
 	seq.owned = true
 	row.Prefill(prompt)
-	seq.sp = Stepper{s: s}
+	seq.sp = sp
 	if seq.next(l.m.Cfg.MaxSeq) {
 		l.live = append(l.live, seq)
 	}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -228,8 +229,8 @@ func TestAdmitPromptRowScoped(t *testing.T) {
 
 	l := NewLoop[int](m, 2)
 	var calls, prompted int
-	a := l.AdmitPrompt(nil, -1, prompt, s, Arm{Observers: model.Observers{Hooks: []model.Hook{counter(&calls, &prompted)}, Strike: strike}}, 0)
-	b := l.AdmitPrompt(nil, -1, prompt, s, Arm{}, 1)
+	a := l.AdmitPrompt(nil, -1, prompt, NewStepper(s), Arm{Observers: model.Observers{Hooks: []model.Hook{counter(&calls, &prompted)}, Strike: strike}}, 0)
+	b := l.AdmitPrompt(nil, -1, prompt, NewStepper(s), Arm{}, 1)
 	got := make(map[int]Result)
 	drain(l, got)
 	if !reflect.DeepEqual(got, map[int]Result{0: struck, 1: clean}) {
@@ -242,9 +243,9 @@ func TestAdmitPromptRowScoped(t *testing.T) {
 		t.Fatal("admitted sequences still live after the loop drained")
 	}
 
-	c := l.AdmitPrompt(from, out.Sublayer(), prompt, s, Arm{Observers: model.Observers{Strike: strike}}, 2)
+	c := l.AdmitPrompt(from, out.Sublayer(), prompt, NewStepper(s), Arm{Observers: model.Observers{Strike: strike}}, 2)
 	matched := c.State().DepthMatched()
-	l.AdmitPrompt(nil, -1, prompt, s, Arm{}, 3)
+	l.AdmitPrompt(nil, -1, prompt, NewStepper(s), Arm{}, 3)
 	drain(l, got)
 	if !reflect.DeepEqual(got[2], struck) || !reflect.DeepEqual(got[3], clean) {
 		t.Fatalf("recycled rows: depth fork %+v, want %+v; empty state %+v, want %+v", got[2], struck, got[3], clean)
@@ -407,5 +408,94 @@ func TestAdmitForkAtEveryResumePoint(t *testing.T) {
 				t.Fatalf("resumed sequences rewrote the clean decode: %+v, was %+v", again, clean)
 			}
 		})
+	}
+}
+
+// callKey is one hook observation: the layer and the position it computed.
+type callKey struct {
+	ref model.LayerRef
+	pos int
+}
+
+func callCounter(calls map[callKey]int) model.Hook {
+	return func(ref model.LayerRef, pos int, _ []float32) { calls[callKey{ref, pos}]++ }
+}
+
+// TestScorerMatchesScoreOptionLoop pins the Scorer to the decode loop
+// ScoreOption used to run of its own (scoreOptionRef), bit for bit:
+// ScoreOption itself, and each option teacher-forced on a row of a
+// width-4 loop while greedy rows decode beside it. A hook on the row must
+// see each (layer, position) exactly as often as one on the model sees it
+// under the oracle — the option's last step, whose logits nothing reads,
+// included. Options run from empty to five tokens, and one runs into the
+// model's MaxSeq, past which the oracle scores one more token and stops.
+func TestScorerMatchesScoreOptionLoop(t *testing.T) {
+	m := testModel(12)
+	prompt := []int{1, 5, 6, 3}
+	var options [][]int
+	for n := 0; n <= 5; n++ {
+		opt := make([]int, n)
+		for i := range opt {
+			opt[i] = 1 + (n*5+i*7)%(m.Cfg.Vocab-1)
+		}
+		options = append(options, opt)
+	}
+	long := make([]int, m.Cfg.MaxSeq-len(prompt)+2)
+	for i := range long {
+		long[i] = 1 + (i*11)%(m.Cfg.Vocab-1)
+	}
+	options = append(options, long)
+
+	want := make([]float64, len(options))
+	wantCalls := make([]map[callKey]int, len(options))
+	for k, opt := range options {
+		wantCalls[k] = map[callKey]int{}
+		m.AddHook(callCounter(wantCalls[k]))
+		want[k] = scoreOptionRef(m, prompt, opt)
+		m.PopHook()
+		if got := ScoreOption(m, prompt, opt); math.Float64bits(got) != math.Float64bits(want[k]) {
+			t.Fatalf("option %d: ScoreOption %v, the oracle %v", k, got, want[k])
+		}
+		last := callKey{model.LayerRef{Block: -1, Kind: model.KindLMHead, Expert: -1}, len(prompt) + len(opt) - 1}
+		if len(opt) > 0 && k < len(options)-1 && wantCalls[k][last] != 1 {
+			t.Fatalf("option %d: the oracle's hook saw the unread last step %d times", k, wantCalls[k][last])
+		}
+	}
+
+	// Greedy rows, owners 100 on, decode beside the scorers.
+	greedy := [][]int{{1, 7, 2}, {1, 9, 4, 11, 3}, {1, 12}}
+	l := NewLoop[int](m, 4)
+	got := make(map[int]Result)
+	gotCalls := make([]map[callKey]int, len(options))
+	admit := func(owner int, prompt []int, sp Stepper, arm Arm) {
+		for l.Free() == 0 {
+			stepInto(l, got)
+		}
+		if s := l.AdmitPrompt(nil, -1, prompt, sp, arm, owner); s.Done() {
+			got[owner] = s.Result()
+			l.Release(s)
+		}
+	}
+	for k, opt := range options {
+		if k < len(greedy) {
+			admit(100+k, greedy[k], NewStepper(Defaults(6+k)), Arm{})
+		}
+		gotCalls[k] = map[callKey]int{}
+		admit(k, prompt, Scorer(opt), Arm{Observers: model.Observers{Hooks: []model.Hook{callCounter(gotCalls[k])}}})
+	}
+	drain(l, got)
+	for k := range options {
+		if math.Float64bits(got[k].LogProb) != math.Float64bits(want[k]) {
+			t.Fatalf("option %d on a row: %v, the oracle %v", k, got[k].LogProb, want[k])
+		}
+		if !reflect.DeepEqual(gotCalls[k], wantCalls[k]) {
+			t.Fatalf("option %d: the row's hook saw %d (layer, position) pairs, the oracle's %d, or counted them differently",
+				k, len(gotCalls[k]), len(wantCalls[k]))
+		}
+	}
+	for j, p := range greedy {
+		if w := serialRef(m, p, Defaults(6+j)); !reflect.DeepEqual(got[100+j], w) {
+			t.Fatalf("greedy row %d beside the scorers decoded %+v, want %+v", j, got[100+j], w)
+		}
 	}
 }
