@@ -116,11 +116,14 @@ cover:
 ## all-layer correct-skip ABFT on MoE memory faults, whose routed expert
 ## layers it counts, and a dense tolerance so tight that clean checks
 ## flag and every trial falls back to the whole inference; memory faults
-## on multiple-choice rows, and under FP16 beam search, one trial at a
-## time with the strike in the model's own slot; then memory-fault rows stacked at width 8 (math suite, all-layer correct)
-## and 4 (MoE, all-layer correct-skip); last, multiple-choice rows stacked
-## at width 8 (transient faults, all-layer correct) and 4 (MoE memory
-## faults, all-layer correct-skip); a few seconds on two cores.
+## on multiple-choice rows, and under FP16 beam search, the row
+## prefilling its prompt under its strike; then memory-fault rows stacked
+## at width 8 (math suite, all-layer correct) and 4 (MoE, all-layer
+## correct-skip); multiple-choice rows stacked at width 8 (transient
+## faults, all-layer correct) and 4 (MoE memory faults, all-layer
+## correct-skip); last, beam rows stacked at width 8 (MoE transient
+## faults, all-layer correct) and 4 (FP16 memory faults, all-layer
+## correct-skip); a few seconds on two cores.
 ## make identity REF=HEAD~1
 REF ?= HEAD~1
 define IDENTITY_CAMPAIGNS
@@ -145,6 +148,8 @@ define IDENTITY_CAMPAIGNS
 -model moe -suite wmt16-like -fault 2bits-mem -trials 120 -decode-batch 4 -abft -abft-all -abft-policy correct-skip
 -model QwenS -suite mmlu -fault 2bits-comp -trials 300 -decode-batch 8 -abft -abft-all -abft-policy correct
 -model moe -suite arc -fault 2bits-mem -trials 120 -decode-batch 4 -abft -abft-all -abft-policy correct-skip
+-model moe -suite wmt16-like -fault 2bits-comp -trials 120 -beams 3 -decode-batch 8 -abft -abft-all -abft-policy correct
+-model QwenS -suite wmt16-like -fault 2bits-mem -dtype FP16 -beams 3 -trials 120 -decode-batch 4 -abft -abft-all -abft-policy correct-skip
 endef
 export IDENTITY_CAMPAIGNS
 identity:

@@ -34,11 +34,11 @@
 //
 // -decode-batch N sets the decode-loop width (default 1): each worker
 // keeps up to N trials in flight through one stacked forward pass per
-// token, memory-fault trials prefilling their prompts on their own rows
-// and multiple-choice trials scoring their options one after another on
-// theirs. Results are identical at every width — serial decode is the
-// same loop at width 1; beam search runs one trial at a time whatever
-// the width:
+// token, memory-fault trials prefilling their prompts on their own rows,
+// multiple-choice trials scoring their options one after another on
+// theirs, and a beam search's hypotheses taking turns on its trial's row.
+// Results are identical at every width — serial decode is the same loop
+// at width 1:
 //
 //	llmfi -suite wmt16-like -model QwenS -fault 2bits-comp -decode-batch 16
 //
@@ -134,7 +134,7 @@ func main() {
 		dtypeName = flag.String("dtype", "", "override datatype for dense models: FP16|FP32|BF16")
 		dir       = flag.String("pretrained", "", "checkpoint directory (default: auto-locate)")
 		workers   = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS)")
-		batchDec  = flag.Int("decode-batch", 1, "decode-loop width per worker: trials in flight through one stacked forward pass per token (results are identical at every width; beam search runs one trial at a time)")
+		batchDec  = flag.Int("decode-batch", 1, "decode-loop width per worker: trials in flight through one stacked forward pass per token (results are identical at every width; beam hypotheses take turns on their trial's row)")
 		ckptPath  = flag.String("checkpoint", "", "persist completed trials to this file (periodically and on SIGINT)")
 		ckptEvery = flag.Int("checkpoint-every", 64, "completed trials between periodic checkpoint writes")
 		resume    = flag.String("resume", "", "resume from this checkpoint file, skipping completed trials")

@@ -115,7 +115,8 @@ type InstanceBaseline struct {
 	// resumes in depth, at its sublayer (trialEnv.depthFrom). Beam search
 	// forks states mid-decode and has no single finished state: it keeps
 	// the post-prompt snapshot and prefixLogits, the logits after the
-	// final prompt token, instead. Baseline-only; nil after Rerun.
+	// final prompt token, instead — a transient fault's beam row starts on
+	// a fork of the one, fed the other. Baseline-only; nil after Scores.
 	state        *model.Prefix
 	resume       []gen.Resume
 	prefixLogits []float32
@@ -310,7 +311,7 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 }
 
 // finishGenerative scores a completed generation into ib — shared by the
-// full path above and the campaign's resume-from-prefix path.
+// full path above and the campaign's decode-loop rows.
 func finishGenerative(ib *InstanceBaseline, suite *tasks.Suite, inst *tasks.Instance, res gen.Result, check AnswerChecker, selfRefOK bool) {
 	ib.Tokens = res.Tokens
 	ib.Text = suite.Vocab.Decode(res.Tokens)

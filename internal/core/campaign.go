@@ -68,8 +68,8 @@ type Campaign struct {
 	// trial's computation, hooks, checker verdicts, and sampled randomness
 	// are identical at every width — so it is deliberately excluded from
 	// the checkpoint Fingerprint (like tracing, a resumed campaign may
-	// change it freely). Beam search runs one trial at a time whatever the
-	// width; see batchEligible.
+	// change it freely). A beam search's hypotheses take turns on their
+	// trial's row.
 	BatchDecode int
 
 	// noPrefixReuse runs every trial one at a time through a full
@@ -244,18 +244,6 @@ func (tc *timedChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight,
 	tc.total += since(start)
 }
 
-// batchEligible reports whether the campaign's trials run as rows of
-// the decode loop: one greedy decode stream per trial — a multiple-choice
-// trial's options scored one after another on its row — with every
-// observer, a memory fault's strike included, scoped to its row. A
-// transient fault's generative row resumes the baseline in time; a memory
-// fault's prefills its own prompt, resuming the baseline in depth where it
-// can (depthEligible). Beam search runs one trial at a time: it forks
-// states mid-decode.
-func (c Campaign) batchEligible(gs gen.Settings) bool {
-	return gs.NumBeams <= 1 && !c.noPrefixReuse
-}
-
 // depthEligible reports whether the campaign's trials may resume the
 // baseline in depth — greedy generative memory-fault rows, which a weight
 // fault leaves clean below its sublayer at every position whose tokens
@@ -269,22 +257,6 @@ func (c Campaign) depthEligible(gs gen.Settings) bool {
 		gs.NumBeams <= 1 &&
 		c.ExtraHook == nil &&
 		!c.noPrefixReuse
-}
-
-// reusePrefix reports whether a trial run one at a time may resume from
-// the baseline's post-prompt snapshot instead of re-running prefill — beam
-// search, that is: a greedy trial that can reuse anything resumes in time
-// or in depth as a decode-loop row (batchEligible, depthEligible). Sound
-// only when the faulted computation is bit-identical to the fault-free one
-// over the whole prompt: generative computational faults target absolute
-// position promptLen + GenIter, which never lands inside the prompt. A
-// memory fault corrupts the weights prefill itself reads, so it has no
-// post-prompt point to resume at; nor has a multiple-choice baseline,
-// which keeps no snapshot.
-func (c Campaign) reusePrefix(base *InstanceBaseline) bool {
-	return !c.noPrefixReuse &&
-		!c.Fault.IsMemory() &&
-		base.prefixLogits != nil
 }
 
 // faultWindow returns the iteration window and the Arm promptLen for an

@@ -2,8 +2,9 @@ package core
 
 import (
 	"context"
-
+	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faults"
@@ -192,47 +193,151 @@ func TestEngineGoldenWithMitigation(t *testing.T) {
 }
 
 // TestEngineReusesPrefix asserts the fast path actually engages: a
-// generative computational-fault campaign must resume every trial from
-// the baseline's state rather than silently falling back — a greedy one
-// as a decode-loop row from a resume point per generated token, a beam
-// one from the post-prompt snapshot.
+// generative computational-fault campaign must start every trial from the
+// baseline's state rather than silently falling back to a prefill — a
+// greedy one as a decode-loop row from a resume point per generated token,
+// a beam one from the post-prompt snapshot and its logits. An ExtraHook
+// counting prompt positions sees the baseline's prefills and nothing more,
+// where the seed path and memory-fault trials prefill every trial's prompt
+// again.
 func TestEngineReusesPrefix(t *testing.T) {
 	m := goldenModel(t, model.QwenS, false)
 	suite := tasks.NewSelfRefSuite("golden-reuse", 3, 2, 16, 6, []metrics.Kind{metrics.KindBLEU})
 	gs := defaultGen()
-	c := Campaign{Model: m, Suite: suite, Fault: faults.Comp2Bit, Trials: 4, Seed: 1}
 
 	greedy := EvalBaseline(m, suite, gs, nil)
-	if !c.batchEligible(gs) {
-		t.Fatal("greedy computational generative campaign should ride the decode loop")
-	}
 	for i, ib := range greedy.Instances {
 		if ib.state == nil || len(ib.resume) < len(ib.Tokens) || ib.prefixLogits != nil {
 			t.Fatalf("instance %d: greedy baseline keeps its finished state and a resume point per token, got %d points for %d tokens",
 				i, len(ib.resume), len(ib.Tokens))
 		}
 	}
-
 	gs.NumBeams = 3
-	base := EvalBaseline(m, suite, gs, nil)
-	for i := range base.Instances {
-		if !c.reusePrefix(&base.Instances[i]) || base.Instances[i].resume != nil {
-			t.Fatalf("instance %d: computational generative beam trial should reuse the post-prompt snapshot", i)
+	beam := EvalBaseline(m, suite, gs, nil)
+	for i, ib := range beam.Instances {
+		if ib.state == nil || ib.state.Pos() != len(suite.Instances[i].Prompt) ||
+			len(ib.prefixLogits) != m.Cfg.Vocab || ib.resume != nil {
+			t.Fatalf("instance %d: beam baseline keeps the post-prompt snapshot and its logits", i)
 		}
 	}
-	c.Fault = faults.Mem2Bit
-	if c.reusePrefix(&base.Instances[0]) {
-		t.Fatal("memory-fault trial must not reuse prefix")
+
+	// promptCalls runs c and counts the ExtraHook's calls at prompt
+	// positions, over the baseline and every trial.
+	promptCalls := func(c Campaign, opts ...RunnerOption) int64 {
+		var calls atomic.Int64
+		c.ExtraHook = func() model.Hook {
+			return func(_ model.LayerRef, pos int, _ []float32) {
+				if pos < len(suite.Instances[0].Prompt) {
+					calls.Add(1)
+				}
+			}
+		}
+		mustRun(t, c, opts...)
+		return calls.Load()
 	}
-	c.Fault = faults.Comp2Bit
-	c.noPrefixReuse = true
-	if c.reusePrefix(&base.Instances[0]) || c.batchEligible(defaultGen()) {
-		t.Fatal("noPrefixReuse knob must disable reuse")
+	for _, beams := range []int{1, 3} {
+		c := Campaign{Model: m, Suite: suite, Fault: faults.Comp2Bit, Trials: 4, Seed: 1, Gen: gen.Settings{NumBeams: beams}}
+		baseline := promptCalls(c, WithOnly([]int{}))
+		if got := promptCalls(c); baseline == 0 || got != baseline {
+			t.Fatalf("beams %d: trials recomputed the prompt (%d calls at prompt positions, the baseline's %d)", beams, got, baseline)
+		}
+		if got := promptCalls(seedPath(c)); got <= baseline {
+			t.Fatalf("beams %d: the seed path reused the prefix (%d calls at prompt positions, the baseline's %d)", beams, got, baseline)
+		}
+		c.Fault = faults.Mem2Bit
+		if got := promptCalls(c); got <= baseline {
+			t.Fatalf("beams %d: memory-fault trials reused the prefix (%d calls at prompt positions, the baseline's %d)", beams, got, baseline)
+		}
 	}
-	// RerunInstance baselines carry no snapshot.
-	var bare InstanceBaseline
-	c.noPrefixReuse = false
-	if c.reusePrefix(&bare) {
-		t.Fatal("baseline without snapshot must not reuse")
+}
+
+// TestEngineGoldenBeam pins beam-search rows — each trial's hypotheses
+// taking turns on one decode-loop row — to the seed path, which runs the
+// serial beam search on a model carrying the trial's observers, at widths
+// 1, 3 and 8 with 2 and 3 beams: dense and MoE, transient and memory
+// faults, without ABFT, under a site checker and under all-layer
+// correcting ABFT, and with an ExtraHook that clamps what the fault
+// struck. A transient row starts at the post-prompt fork, so its checker
+// counts no prompt position; the seed path's counts the ones a clean
+// prefill of the prompt counts.
+func TestEngineGoldenBeam(t *testing.T) {
+	suite := tasks.NewSelfRefSuite("golden-beam", 29, 3, 12, 6, []metrics.Kind{metrics.KindBLEU})
+	clamp := func() model.Hook {
+		return func(_ model.LayerRef, _ int, out []float32) {
+			for i, v := range out {
+				out[i] = max(-8, min(8, v))
+			}
+		}
 	}
+	allCorrect := &ABFTConfig{Policy: mitigate.PolicyCorrect, AllLayers: true}
+	cases := []struct {
+		name string
+		moe  bool
+		abft *ABFTConfig
+		hook func() model.Hook
+	}{
+		{"dense", false, nil, nil},
+		{"moe", true, nil, nil},
+		{"dense-abft-site", false, &ABFTConfig{}, nil},
+		{"moe-abft-site", true, &ABFTConfig{}, nil},
+		{"dense-abft-all-correct", false, allCorrect, nil},
+		{"moe-abft-all-correct", true, allCorrect, nil},
+		{"dense-extrahook", false, nil, clamp},
+	}
+	for _, fault := range []faults.Model{faults.Comp2Bit, faults.Mem2Bit} {
+		t.Run(fault.String(), func(t *testing.T) {
+			landed := 0
+			for _, tc := range cases {
+				for _, beams := range []int{2, 3} {
+					t.Run(fmt.Sprintf("%s/beams=%d", tc.name, beams), func(t *testing.T) {
+						c := Campaign{
+							Model:     goldenModel(t, model.QwenS, tc.moe),
+							Suite:     suite,
+							Fault:     fault,
+							Trials:    10,
+							Seed:      17,
+							Gen:       gen.Settings{NumBeams: beams},
+							ABFT:      tc.abft,
+							ExtraHook: tc.hook,
+						}
+						seed := mustRun(t, seedPath(c))
+						for i := range seed.Trials {
+							tr := &seed.Trials[i]
+							if tr.Outcome.Changed || (tr.Detection != nil && tr.Detection.Flagged > 0) {
+								landed++
+							}
+							if tr.Detection != nil && !fault.IsMemory() {
+								tr.Detection.Checks -= promptChecks(t, c, tr)
+							}
+						}
+						for _, width := range []int{1, 3, 8} {
+							c.BatchDecode = width
+							tel := NewTelemetry()
+							requireSameResult(t, seed, mustRun(t, c, WithTelemetry(tel)))
+							if rows := tel.Snapshot().DecodeBatchRows; rows == 0 {
+								t.Fatalf("width %d: no trial rode the decode loop", width)
+							}
+						}
+					})
+				}
+			}
+			if landed == 0 {
+				t.Fatal("no strike changed an output or was flagged; the test would not notice one that never lands")
+			}
+		})
+	}
+}
+
+// promptChecks counts the checks trial tr's checker makes over a clean
+// prefill of its instance's prompt.
+func promptChecks(t *testing.T, c Campaign, tr *Trial) int {
+	t.Helper()
+	chk, err := c.ABFT.Checker(c.ABFT.Table(c.Model), tr.Site.Layer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Model.SetChecker(chk)
+	defer c.Model.SetChecker(nil)
+	c.Model.NewState().Prefill(c.Suite.Instances[tr.Instance].Prompt)
+	return chk.Stats().Checks
 }

@@ -53,7 +53,7 @@ func WithABFT(cfg ABFTConfig) Option {
 // WithDecodeBatch sets the decode-loop width: each worker keeps up to n
 // trials in flight, stepping them through one stacked forward pass per
 // token (≤1 = 1, serial decode). Results are identical at every width;
-// beam search runs one trial at a time whatever the width.
+// a beam search's hypotheses take turns on their trial's row.
 func WithDecodeBatch(n int) Option {
 	return func(c *Campaign) { c.BatchDecode = n }
 }

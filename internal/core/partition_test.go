@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/gen"
 	"repro/internal/metrics"
+	"repro/internal/mitigate"
 	"repro/internal/model"
 	"repro/internal/tasks"
 )
@@ -145,5 +147,21 @@ func TestWithBaselineReuse(t *testing.T) {
 		if a.Text != b.Text || a.Steps != b.Steps || !reflect.DeepEqual(a.Metrics, b.Metrics) {
 			t.Fatalf("EvalBaseline instance %d differs:\nrun  %+v\neval %+v", i, a, b)
 		}
+	}
+}
+
+// TestWithBaselineBeamNeedsPrefix: a beam campaign's transient rows start
+// from the baseline's post-prompt snapshot, so a full baseline reproduces
+// the self-evaluating run — detections included — and a Result's
+// scores-only copy is refused as it is for greedy rows, rather than run
+// whole with the prompt's checks counted into every Detection.
+func TestWithBaselineBeamNeedsPrefix(t *testing.T) {
+	c := partitionCampaign(t)
+	c.Gen = gen.Settings{NumBeams: 3}
+	c.ABFT = &ABFTConfig{Policy: mitigate.PolicyCorrect, AllLayers: true}
+	ref := mustRun(t, c)
+	requireSameResult(t, ref, mustRun(t, c, WithBaseline(c.EvalBaseline())))
+	if _, err := NewRunner(c, WithBaseline(ref.Baseline)).Run(context.Background()); !errors.Is(err, ErrBaselineNoPrefix) {
+		t.Fatalf("scores-only baseline under beam search: err = %v, want ErrBaselineNoPrefix", err)
 	}
 }

@@ -93,14 +93,14 @@ func WithOnly(indices []int) RunnerOption {
 // from an equivalent campaign on the same model value (in practice: a
 // prior run's BaselineReady event — the fabric worker evaluates it once
 // and reuses it across leases; a Result's scores-only copy has no prefix
-// snapshots to fork trials from, and a greedy generative transient-fault
-// campaign, whose rows resume them, refuses it with ErrBaselineNoPrefix;
-// multiple-choice rows start from empty states and need none). A
-// baseline captured without activation capture silently disables
-// propagation probes for traced trials; one without depth planes (or,
-// under all-layer ABFT, without a ledger over the campaign's tolerance)
-// runs memory-fault rows whole, from their first prompt token. Beam
-// search runs one trial at a time.
+// snapshots to fork trials from, and a generative transient-fault
+// campaign, whose rows — greedy or beam — start from them, refuses it
+// with ErrBaselineNoPrefix; multiple-choice rows start from empty states
+// and need none). A baseline captured without activation capture
+// silently disables propagation probes for traced trials; one without
+// depth planes (or, under all-layer ABFT, without a ledger over the
+// campaign's tolerance) runs memory-fault rows whole, from their first
+// prompt token.
 func WithBaseline(b *Baseline) RunnerOption {
 	return func(r *Runner) { r.baseline = b }
 }
@@ -318,21 +318,22 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 		}
 	}
 
-	// Eligible campaigns ride the decode loop at the configured width
-	// (serial decode is width 1); the rest run one trial per worker. Only
-	// a transient fault's generative rows resume the baseline's decode: a
-	// memory fault's prefill their prompts, from an empty state without
-	// one, and a multiple-choice trial's always start empty.
-	rows := c.batchEligible(gs)
-	if rows && !c.Fault.IsMemory() && c.Suite.Type != tasks.MultipleChoice {
+	// Every campaign but the seed path rides the decode loop at the
+	// configured width (serial decode is width 1); the seed path runs one
+	// trial per worker. Only a transient fault's generative rows start
+	// from the baseline's state — greedy ones at a resume point, beams at
+	// the post-prompt snapshot: a memory fault's prefill their prompts,
+	// from an empty state without one, and a multiple-choice trial's
+	// always start empty.
+	if !c.noPrefixReuse && !c.Fault.IsMemory() && c.Suite.Type != tasks.MultipleChoice {
 		for i := range baseline.Instances {
-			if baseline.Instances[i].resume == nil {
+			if baseline.Instances[i].state == nil {
 				return nil, ErrBaselineNoPrefix
 			}
 		}
 	}
 	width := 1
-	if rows && c.BatchDecode > 1 {
+	if !c.noPrefixReuse && c.BatchDecode > 1 {
 		width = c.BatchDecode
 	}
 	workers := 0
@@ -383,8 +384,7 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 			env := &trialEnv{
 				c: c, r: r, worker: worker, wm: wm,
 				sampler: sampler, table: table, seedSrc: seedSrc,
-				base: baseline, gs: gs, check: check, rows: rows,
-				traceOn: traceOn,
+				base: baseline, gs: gs, check: check, traceOn: traceOn,
 			}
 			if t, err := env.run(runCtx, jobs, results, width); err != nil {
 				// First failure cancels the pool; the collector surfaces

@@ -17,15 +17,15 @@ import (
 
 // trialEnv is one pool worker: its model clone and the campaign state
 // every trial reads. A worker executes trials one of two ways, fixed per
-// campaign by batchEligible:
+// campaign:
 //
-//   - rows: each greedy trial rides the worker's gen.Loop, its Observers —
+//   - rows: each trial rides the worker's gen.Loop, its Observers —
 //     fault, extra hook, probe, checker — scoped to its own batch row; how
-//     it enters the loop is admit's. Width max(1, BatchDecode); serial
-//     decode is width 1.
-//   - one at a time (runTrial): beam search runs one trial at a time, as
-//     does the seed path (noPrefixReuse), with the trial's Observers
-//     installed on the worker's model.
+//     it enters the loop is admit's. A beam search's hypotheses take turns
+//     on the trial's row. Width max(1, BatchDecode); serial decode is
+//     width 1.
+//   - one at a time (runTrial): the seed path (noPrefixReuse), with the
+//     trial's Observers installed on the worker's model.
 //
 // Both go through the same arm and seal, so the trial contract — what is
 // sampled from Split(t), what observes the inference and in which order,
@@ -44,7 +44,6 @@ type trialEnv struct {
 	base    *Baseline
 	gs      gen.Settings
 	check   AnswerChecker
-	rows    bool
 	traceOn bool
 }
 
@@ -271,7 +270,7 @@ func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
 // in-flight trials are abandoned (never reported as completed, so
 // checkpoint resume re-executes them).
 func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- trialResult, width int) (int, error) {
-	if !e.rows {
+	if e.c.noPrefixReuse {
 		for t := range jobs {
 			if ctx.Err() != nil {
 				break
@@ -363,8 +362,10 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 // enters it: a multiple-choice trial's next option as a Scorer over the
 // prompt, prefilled on an empty state; a memory fault's prompt under its
 // strike, on a depth fork (depthFrom) or an empty state; a transient
-// fault's fork of the baseline at a resume point (resumeAt). Admission is
-// the prefill span on this path.
+// fault's beam search on a fork of the baseline's post-prompt snapshot,
+// from its last prompt logits; any other transient fault's fork of the
+// baseline at a resume point (resumeAt). Admission is the prefill span on
+// this path.
 func (e *trialEnv) admit(loop *gen.Loop[*armed], a *armed) *gen.Seq[*armed] {
 	start := now()
 	arm := gen.Arm{Observers: a.obs}
@@ -374,6 +375,8 @@ func (e *trialEnv) admit(loop *gen.Loop[*armed], a *armed) *gen.Seq[*armed] {
 		s = loop.AdmitPrompt(nil, -1, a.inst.Prompt, gen.Scorer(a.inst.Options[len(a.scores)]), arm, a)
 	case e.c.Fault.IsMemory():
 		s = loop.AdmitPrompt(a.base.state, a.from, a.inst.Prompt, gen.NewStepper(e.settings(&a.inst)), arm, a)
+	case e.gs.NumBeams > 1:
+		s = loop.Admit(a.base.state.ForkInto(e.wm, nil, a.base.state.Pos()), a.base.prefixLogits, e.settings(&a.inst), arm, a)
 	default:
 		s = loop.AdmitFork(a.base.state, a.resumeAt(&e.c), arm, a)
 	}
@@ -381,8 +384,9 @@ func (e *trialEnv) admit(loop *gen.Loop[*armed], a *armed) *gen.Seq[*armed] {
 	return s
 }
 
-// runTrial executes trial t as one inference on the worker's model, under
-// the trial's Observers installed there for its duration.
+// runTrial executes trial t as one whole inference on the worker's model,
+// under the trial's Observers installed there for its duration: the seed
+// path.
 func (e *trialEnv) runTrial(t int) (trialResult, error) {
 	start := now()
 	a, err := e.arm(t)
@@ -390,12 +394,7 @@ func (e *trialEnv) runTrial(t int) (trialResult, error) {
 		return trialResult{}, err
 	}
 	e.wm.SetObservers(a.obs)
-	var ib InstanceBaseline
-	if e.c.reusePrefix(a.base) {
-		ib = e.resumeBeam(a)
-	} else {
-		ib = evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, false, nil, &a.sp)
-	}
+	ib := evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, false, nil, &a.sp)
 	e.wm.SetObservers(model.Observers{})
 	a.busy = since(start)
 	return e.seal(a, ib), nil
@@ -408,24 +407,7 @@ func (e *trialEnv) settings(inst *tasks.Instance) gen.Settings {
 	return gs
 }
 
-// resumeBeam runs a beam-search trial from the baseline's shared prefix
-// (greedy prefix reuse is a decode-loop row, never this): the snapshot is
-// forked by reference onto the worker's clone, so the worker's fault and
-// mitigation hooks fire from the first generated token.
-func (e *trialEnv) resumeBeam(a *armed) InstanceBaseline {
-	prefillStart := now()
-	st := a.base.state.ForkInto(e.wm, nil, a.base.state.Pos())
-	// The fork stands in for prefill on this path.
-	a.sp.prefill += since(prefillStart)
-	decodeStart := now()
-	res := gen.ContinueBeam(e.wm, st, a.base.prefixLogits, e.settings(&a.inst))
-	a.sp.decode += since(decodeStart)
-	a.sp.steps = res.Steps
-	return e.score(a, st, res)
-}
-
-// score scores a generation that ran on st: a decode-loop row's, or a beam
-// trial's resumed from the baseline's post-prompt snapshot.
+// score scores the generation a decode-loop row ran on st.
 func (e *trialEnv) score(a *armed, st *model.State, res gen.Result) InstanceBaseline {
 	var ib InstanceBaseline
 	// Steps is the runtime proxy for the modeled inference, which includes

@@ -338,36 +338,36 @@ func TestBatchedInterruptThenResume(t *testing.T) {
 }
 
 // TestBatchEligible pins which campaigns ride decode-loop rows — every
-// greedy one, memory faults and multiple choice included — and which run
-// one trial at a time.
+// one, memory faults, multiple choice and beam search included, at width
+// 1 as at 8 — and that the seed path runs one trial at a time.
 func TestBatchEligible(t *testing.T) {
-	gen1 := gen.Settings{NumBeams: 1}
 	genSuite := tasks.NewSelfRefSuite("elig-gen", 3, 2, 12, 4, []metrics.Kind{metrics.KindBLEU})
 	mcSuite, err := tasks.NewMCSuite("arc", 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Campaign{Suite: genSuite, Fault: faults.Comp2Bit, BatchDecode: 8}
-	if !c.batchEligible(gen1) {
-		t.Fatal("generative computational greedy campaign must be batch-eligible")
+	m := goldenModel(t, model.QwenS, false)
+	rows := func(c Campaign) int64 {
+		tel := NewTelemetry()
+		mustRun(t, c, WithTelemetry(tel))
+		return tel.Snapshot().DecodeBatchRows
 	}
-	if !(Campaign{Suite: genSuite, Fault: faults.Comp2Bit, BatchDecode: 1}).batchEligible(gen1) ||
-		!(Campaign{Suite: genSuite, Fault: faults.Comp2Bit}).batchEligible(gen1) {
-		t.Fatal("BatchDecode <= 1 is the same loop at width 1, not a serial path")
-	}
-	if !(Campaign{Suite: genSuite, Fault: faults.Mem2Bit, BatchDecode: 8}).batchEligible(gen1) {
-		t.Fatal("greedy generative memory faults must ride the decode loop")
-	}
-	if !(Campaign{Suite: mcSuite, Fault: faults.Comp2Bit, BatchDecode: 8}).batchEligible(gen1) {
-		t.Fatal("multiple choice must ride the decode loop")
-	}
-	if c.batchEligible(gen.Settings{NumBeams: 3}) {
-		t.Fatal("beam search must fall back to serial")
-	}
-	noReuse := c
-	noReuse.noPrefixReuse = true
-	if noReuse.batchEligible(gen1) {
-		t.Fatal("seed-path campaigns must fall back to serial")
+	for _, c := range []Campaign{
+		{Suite: genSuite, Fault: faults.Comp2Bit, BatchDecode: 8},
+		{Suite: genSuite, Fault: faults.Comp2Bit, BatchDecode: 1},
+		{Suite: genSuite, Fault: faults.Comp2Bit},
+		{Suite: genSuite, Fault: faults.Mem2Bit, BatchDecode: 8},
+		{Suite: mcSuite, Fault: faults.Comp2Bit, BatchDecode: 8},
+		{Suite: genSuite, Fault: faults.Comp2Bit, Gen: gen.Settings{NumBeams: 3}},
+		{Suite: genSuite, Fault: faults.Mem2Bit, Gen: gen.Settings{NumBeams: 3}, BatchDecode: 8},
+	} {
+		c.Model, c.Trials, c.Seed = m, 4, 3
+		if rows(c) == 0 {
+			t.Fatalf("%s %v beams %d width %d: no trial rode the decode loop", c.Suite.Name, c.Fault, c.Gen.NumBeams, c.BatchDecode)
+		}
+		if n := rows(seedPath(c)); n != 0 {
+			t.Fatalf("%s %v beams %d: the seed path put %d rows on the decode loop", c.Suite.Name, c.Fault, c.Gen.NumBeams, n)
+		}
 	}
 }
 

@@ -8,10 +8,8 @@ package gen
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/model"
-	"repro/internal/tensor"
 	"repro/internal/token"
 )
 
@@ -60,26 +58,27 @@ type Result struct {
 	Steps int
 }
 
-// Generate decodes from m after the given prompt. It dispatches on
-// NumBeams. The model's registered hooks (fault injectors, tracers) fire
-// during both prefill and generation.
+// Generate prefills prompt on a fresh state of m and decodes from it
+// (GenerateFrom). The model's registered hooks (fault injectors, tracers)
+// fire during both prefill and generation, and Steps counts the prompt's
+// positions too.
 func Generate(m *model.Model, prompt []int, s Settings) Result {
-	if s.NumBeams <= 1 {
-		return greedy(m, prompt, s)
-	}
-	return beam(m, prompt, s)
+	st := m.NewState()
+	res := GenerateFrom(m, st, st.Prefill(prompt), s)
+	res.Steps += len(prompt)
+	return res
 }
 
 // GenerateFrom decodes from an already-prefilled state whose last logits
-// are given — the prefix-cache entry point. The caller keeps ownership of
-// logits; pass a private copy when the backing slice must survive (both
-// strategies mask it in place). Steps counts only the continuation, so
-// reused-prefix trials do not recount prompt positions they never ran.
+// are given — greedy, or beam search when s.NumBeams > 1 — on the serial
+// loop. The caller keeps ownership of logits; pass a private copy when
+// the backing slice must survive (a greedy decode masks it in place).
+// Steps counts only the continuation, so reused-prefix trials do not
+// recount prompt positions they never ran.
 func GenerateFrom(m *model.Model, st *model.State, logits []float32, s Settings) Result {
-	if s.NumBeams <= 1 {
-		return ContinueGreedy(m, st, logits, s)
-	}
-	return ContinueBeam(m, st, logits, s)
+	sp := NewStepper(s)
+	serial(m, st, logits, &sp, false)
+	return sp.Result()
 }
 
 // maskLogits applies the settings' token bans in place and returns the
@@ -97,24 +96,6 @@ func maskLogits(logits []float32, s Settings, step int) []float32 {
 	return logits
 }
 
-func greedy(m *model.Model, prompt []int, s Settings) Result {
-	st := m.NewState()
-	logits := st.Prefill(prompt)
-	res := ContinueGreedy(m, st, logits, s)
-	res.Steps += len(prompt)
-	return res
-}
-
-// ContinueGreedy decodes greedily from an already-prefilled state whose
-// last logits are given. Callers that need a custom state (e.g. with
-// expert tracing enabled) prefill themselves and hand over here. The
-// returned Steps counts only the continuation.
-func ContinueGreedy(m *model.Model, st *model.State, logits []float32, s Settings) Result {
-	sp := NewStepper(s)
-	serial(m, st, logits, &sp, false)
-	return sp.Result()
-}
-
 // Resume is one point a finished greedy decode can be re-entered at: the
 // Stepper as it stood after choosing a token, the token it queued, and
 // the position that token decodes at. Together with a snapshot of the
@@ -130,8 +111,8 @@ type Resume struct {
 	live bool // the decode went on to step tok; false at its last point
 }
 
-// ResumableGreedy is ContinueGreedy that also returns one Resume per
-// Stepper.Next call: point g follows the choice of generated token g,
+// ResumableGreedy is a greedy GenerateFrom that also returns one Resume
+// per Stepper step: point g follows the choice of generated token g,
 // point 0 being taken off the given logits with st as prefilled, and the
 // last is where the decode ended. It leaves st on the state the decode
 // finished on, which the caller snapshots to fork from.
@@ -142,13 +123,15 @@ func ResumableGreedy(m *model.Model, st *model.State, logits []float32, s Settin
 }
 
 // serial is the one serial decode loop: it feeds sp st's last logits, then
-// each DecodeStep's of the token sp chose, until sp stops. With record it
-// returns one Resume per Next call (ResumableGreedy).
+// each DecodeStep's of the token sp chose on the state it chose, until sp
+// stops. With record it returns one Resume per step (ResumableGreedy).
 func serial(m *model.Model, st *model.State, logits []float32, sp *Stepper, record bool) []Resume {
 	var points []Resume
 	for {
 		pos := st.Pos
-		tok, step := sp.Next(logits, pos, m.Cfg.MaxSeq)
+		var tok int
+		var step bool
+		st, tok, step = sp.step(st, logits, m.Cfg.MaxSeq)
 		if record {
 			at := Resume{sp: *sp, tok: tok, pos: pos, live: step}
 			// Capacity clipped to length: the decode appends on into the
@@ -162,150 +145,6 @@ func serial(m *model.Model, st *model.State, logits []float32, sp *Stepper, reco
 		}
 		logits = st.DecodeStep(tok)
 	}
-}
-
-// hypothesis is one live beam.
-type hypothesis struct {
-	st      *model.State
-	tokens  []int
-	logProb float64
-	logits  []float32
-}
-
-func beam(m *model.Model, prompt []int, s Settings) Result {
-	st := m.NewState()
-	logits := st.Prefill(prompt)
-	res := ContinueBeam(m, st, logits, s)
-	res.Steps += len(prompt)
-	return res
-}
-
-// ContinueBeam runs beam search from an already-prefilled state whose
-// last logits are given. The returned Steps counts only the continuation.
-func ContinueBeam(m *model.Model, st *model.State, logits []float32, s Settings) Result {
-	first := &hypothesis{st: st, logits: append([]float32(nil), logits...)}
-	live := []*hypothesis{first}
-	var done []*hypothesis
-	steps := 0
-
-	for i := 0; i < s.MaxNewTokens && len(live) > 0; i++ {
-		type cand struct {
-			parent *hypothesis
-			tok    int
-			lp     float64
-		}
-		var cands []cand
-		for _, h := range live {
-			masked := maskLogits(h.logits, s, i)
-			lsm := tensor.LogSoftmaxRow(masked)
-			for _, tok := range topTokens(lsm, s.NumBeams) {
-				cands = append(cands, cand{h, tok, h.logProb + lsm[tok]})
-			}
-		}
-		sort.SliceStable(cands, func(a, b int) bool { return cands[a].lp > cands[b].lp })
-		if len(cands) > s.NumBeams {
-			cands = cands[:s.NumBeams]
-		}
-
-		// Pre-fork: a parent whose state is needed by several surviving
-		// candidates must be copied before the first candidate advances it.
-		counts := make(map[*hypothesis]int)
-		for _, c := range cands {
-			if c.tok != s.StopToken {
-				counts[c.parent]++
-			}
-		}
-		forks := make(map[*hypothesis][]*model.State)
-		for parent, n := range counts {
-			for j := 1; j < n; j++ {
-				forks[parent] = append(forks[parent], parent.st.Fork())
-			}
-		}
-
-		var next []*hypothesis
-		used := make(map[*hypothesis]bool)
-		for _, c := range cands {
-			if c.tok == s.StopToken {
-				done = append(done, &hypothesis{
-					tokens:  append([]int(nil), c.parent.tokens...),
-					logProb: c.lp,
-				})
-				continue
-			}
-			var hst *model.State
-			if !used[c.parent] {
-				hst = c.parent.st
-				used[c.parent] = true
-			} else {
-				f := forks[c.parent]
-				hst, forks[c.parent] = f[len(f)-1], f[:len(f)-1]
-			}
-			nh := &hypothesis{
-				st:      hst,
-				tokens:  append(append([]int(nil), c.parent.tokens...), c.tok),
-				logProb: c.lp,
-			}
-			if hst.Pos < m.Cfg.MaxSeq {
-				nh.logits = append(nh.logits[:0], hst.DecodeStep(c.tok)...)
-				steps++
-				next = append(next, nh)
-			} else {
-				done = append(done, nh)
-			}
-			if len(next) == s.NumBeams {
-				break
-			}
-		}
-		live = next
-		// Early exit: if the best finished hypothesis already beats every
-		// live one, no live beam can overtake it (log-probs only decrease).
-		if best := bestHyp(done); best != nil && len(live) > 0 {
-			allWorse := true
-			for _, h := range live {
-				if h.logProb > best.logProb {
-					allWorse = false
-					break
-				}
-			}
-			if allWorse {
-				live = nil
-			}
-		}
-	}
-	done = append(done, live...)
-	best := bestHyp(done)
-	if best == nil {
-		return Result{Steps: steps}
-	}
-	return Result{
-		Tokens:  best.tokens,
-		LogProb: best.logProb,
-		Stopped: best.st == nil, // finished hypotheses carry no state
-		Steps:   steps,
-	}
-}
-
-func bestHyp(hs []*hypothesis) *hypothesis {
-	var best *hypothesis
-	for _, h := range hs {
-		if best == nil || h.logProb > best.logProb {
-			best = h
-		}
-	}
-	return best
-}
-
-// topTokens returns the indices of the k largest log-probabilities.
-func topTokens(lsm []float64, k int) []int {
-	idx := make([]int, len(lsm))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return lsm[idx[a]] > lsm[idx[b]] })
-	if k < len(idx) {
-		idx = idx[:k]
-	}
-	return idx
 }
 
 // ScoreOption returns the total log-likelihood of option continuing

@@ -63,14 +63,15 @@ func TestBanSpecials(t *testing.T) {
 }
 
 func TestBeamOneMatchesGreedy(t *testing.T) {
-	// With a single beam the search must produce exactly the greedy
-	// sequence.
+	// With a single beam the search (the beam oracle, which NumBeams 1
+	// does not route to greedy) must produce exactly the greedy sequence.
 	for seed := uint64(1); seed <= 6; seed++ {
 		m := testModel(seed)
 		g := Generate(m, []int{1, 5, 6}, Defaults(10))
 		s := Defaults(10)
 		s.NumBeams = 1
-		b := beam(m, []int{1, 5, 6}, s)
+		st := m.NewState()
+		b := continueBeamRef(m, st, st.Prefill([]int{1, 5, 6}), s)
 		if len(g.Tokens) != len(b.Tokens) {
 			t.Fatalf("seed %d: beam-1 len %d vs greedy %d", seed, len(b.Tokens), len(g.Tokens))
 		}

@@ -16,9 +16,9 @@ type Arm struct {
 	BeforeStep func(*model.State)
 }
 
-// Seq is one decode riding a Loop — greedy, or a scorer's teacher-forced
-// one. Owner is the caller's record of it (a campaign trial, a served
-// request).
+// Seq is one decode riding a Loop — greedy, a beam search whose
+// hypotheses take turns on its row, or a scorer's teacher-forced one.
+// Owner is the caller's record of it (a campaign trial, a served request).
 type Seq[T any] struct {
 	Owner T
 
@@ -36,20 +36,21 @@ func (s *Seq[T]) Done() bool { return !s.live }
 // Result returns the generation so far (partial until Done).
 func (s *Seq[T]) Result() Result { return s.sp.Result() }
 
-// State returns the sequence's inference state; invalid after Release.
+// State returns the sequence's inference state — a beam search's, the
+// state of the hypothesis it decoded last; invalid after Release.
 func (s *Seq[T]) State() *model.State { return s.row.St }
 
-// next feeds the row's current logits to the stepper and queues the
-// chosen token for the next step.
+// next feeds the row's current state and logits to the stepper and
+// queues the state and token it chose for the next step.
 func (s *Seq[T]) next(maxSeq int) bool {
-	s.row.Tok, s.live = s.sp.Next(s.row.Logits, s.row.St.Pos, maxSeq)
+	s.row.St, s.row.Tok, s.live = s.sp.step(s.row.St, s.row.Logits, maxSeq)
 	return s.live
 }
 
 // Loop is the continuous-batching decode loop, and the only decode
-// driver besides the serial one ContinueGreedy and ScoreOption run (the
+// driver besides the serial one GenerateFrom and ScoreOption run (the
 // seed oracle the golden tests compare it against). It owns the
-// model.Batch, the live rows, row recycling and every Stepper.Next call;
+// model.Batch, the live rows, row recycling and every Stepper step;
 // callers admit sequences — prefilled, forked at a resume point, or with
 // a prompt the loop prefills — step all live ones, and collect those that
 // finish. Serial decode is the width-1 case.
@@ -61,7 +62,7 @@ func (s *Seq[T]) next(maxSeq int) bool {
 // one body under the row's observers instead of the model's, so its
 // logits, KV rows and observations are those of State.Prefill on a model
 // carrying them. A sequence admitted at a resume point (AdmitFork) starts
-// on a Stepper that has already been fed exactly the logits ContinueGreedy
+// on a Stepper that has already been fed exactly the logits GenerateFrom
 // would have fed it — by the decode the point was recorded on — over a
 // KV cache holding exactly the rows that decode had written by then: it
 // is the same sequence from that step on, and what the caller arms on the
@@ -70,10 +71,13 @@ func (s *Seq[T]) next(maxSeq int) bool {
 // observing it (model.Batch's contract), so which other sequences share a
 // step — and therefore admission order, width, scheduling, and how many
 // threads the step shards its rows over — cannot change any sequence's
-// tokens, hook observations or checker verdicts; only wall-clock.
+// tokens, hook observations or checker verdicts; only wall-clock. A beam
+// search steps one hypothesis per Step, on the state the serial loop
+// would step next, so its hypotheses never share a step: they take turns
+// on their sequence's row, in the serial loop's order.
 //
 // A Loop must not be shared between goroutines. Everything but the
-// forward pass inside Step — admission, BeforeStep, every Stepper.Next —
+// forward pass inside Step — admission, BeforeStep, every Stepper step —
 // runs on the caller's.
 type Loop[T any] struct {
 	m    *model.Model
@@ -101,7 +105,7 @@ func (l *Loop[T]) Free() int { return l.bt.Capacity() - len(l.live) }
 // Drop.
 func (l *Loop[T]) Live() []*Seq[T] { return l.live }
 
-// Admit starts a greedy decode under s on st, a state bound to the
+// Admit starts a decode under s (NewStepper) on st, a state bound to the
 // loop's model and prefilled so that logits are its last output. The
 // caller keeps ownership of logits; the loop owns st until Release. The
 // first token is chosen here, off the prefix logits: a sequence that
@@ -112,7 +116,7 @@ func (l *Loop[T]) Admit(st *model.State, logits []float32, s Settings, arm Arm, 
 	row.St = st
 	seq := l.seat(row, arm, owner)
 	copy(row.Logits, logits)
-	seq.sp = Stepper{s: s}
+	seq.sp = NewStepper(s)
 	if seq.next(l.m.Cfg.MaxSeq) {
 		l.live = append(l.live, seq)
 	}
@@ -137,7 +141,7 @@ func (l *Loop[T]) AdmitFork(from *model.Prefix, at Resume, arm Arm, owner T) *Se
 	return seq
 }
 
-// AdmitPrompt starts the decode sp — a greedy NewStepper, or a Scorer —
+// AdmitPrompt starts the decode sp — a NewStepper, or a Scorer —
 // that computes its prompt on its own row: the loop prefills prompt under
 // arm's observers — every position, so a weight-resident strike reaches
 // the prompt too — and feeds sp its logits as Admit does. The state is a

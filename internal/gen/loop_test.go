@@ -9,11 +9,11 @@ import (
 	"repro/internal/token"
 )
 
-// serialRef decodes prompt through the seed oracle: ContinueGreedy over
+// serialRef decodes prompt through the seed oracle: GenerateFrom over
 // State.DecodeStep.
 func serialRef(m *model.Model, prompt []int, s Settings) Result {
 	st := m.NewState()
-	return ContinueGreedy(m, st, st.Prefill(prompt), s)
+	return GenerateFrom(m, st, st.Prefill(prompt), s)
 }
 
 // stepInto runs one loop step, recording what finished by owner index.
@@ -58,7 +58,7 @@ func TestLoopMatchesContinueGreedy(t *testing.T) {
 		}
 		drain(l, got)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("width %d: loop results differ from ContinueGreedy:\n got %+v\nwant %+v", width, got, want)
+			t.Fatalf("width %d: loop results differ from GenerateFrom:\n got %+v\nwant %+v", width, got, want)
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestLoopMatchesContinueGreedy(t *testing.T) {
 // not matter): twelve sequences of different lengths and budgets recycle
 // through the rows, each struck and observed by a hook, an attention
 // hook and a checker of its own, which the shards run concurrently.
-// Every sequence must decode what ContinueGreedy decodes under the same
+// Every sequence must decode what GenerateFrom decodes under the same
 // observers registered on the model, and its observers must fire exactly
 // as often; the race detector checks that rows share nothing.
 func TestLoopShardedMatchesContinueGreedy(t *testing.T) {
@@ -112,7 +112,7 @@ func TestLoopShardedMatchesContinueGreedy(t *testing.T) {
 		m.AddHook(arm.Hooks[0])
 		m.AddAttnHook(arm.AttnHooks[0])
 		m.SetChecker(arm.Checker)
-		want[i] = ContinueGreedy(m, st, logits, settings(i))
+		want[i] = GenerateFrom(m, st, logits, settings(i))
 		m.ClearHooks()
 		m.ClearAttnHooks()
 		m.SetChecker(nil)
@@ -131,7 +131,7 @@ func TestLoopShardedMatchesContinueGreedy(t *testing.T) {
 	}
 	drain(l, got)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded loop results differ from ContinueGreedy:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("sharded loop results differ from GenerateFrom:\n got %+v\nwant %+v", got, want)
 	}
 	if !reflect.DeepEqual(gotCounts, wantCounts) {
 		t.Fatalf("observer call counts differ:\n got %+v\nwant %+v", gotCounts, wantCounts)
@@ -187,7 +187,7 @@ func TestLoopRecycledRowStartsClean(t *testing.T) {
 
 // TestAdmitPromptRowScoped admits prompts the loop prefills on rows of
 // their own. A row carrying a hook and a weight strike decodes what
-// ContinueGreedy decodes after Prefill on a model carrying the same two,
+// GenerateFrom decodes after Prefill on a model carrying the same two,
 // its hook seeing every position of the prompt and nothing of the clean
 // row prefilled and stepped beside it, which decodes the clean sequence.
 // Then both rows are recycled: a depth fork of a recorded clean decode at
@@ -224,7 +224,7 @@ func TestAdmitPromptRowScoped(t *testing.T) {
 	}
 	rec := m.NewState()
 	rec.RecordDepth()
-	ContinueGreedy(m, rec, rec.Prefill(prompt), s)
+	GenerateFrom(m, rec, rec.Prefill(prompt), s)
 	from := rec.Snapshot()
 
 	l := NewLoop[int](m, 2)
@@ -305,7 +305,7 @@ func (c countingChecker) CheckLinear(model.LayerRef, int, model.Weight, []float3
 // TestAdmitForkAtEveryResumePoint re-enters a clean decode at each of its
 // resume points g with a strike armed on the row at position promptLen+g,
 // and requires the Result — Tokens, LogProb, Steps, Stopped — of
-// ContinueGreedy run from the prompt under the same strike: the steps
+// GenerateFrom run from the prompt under the same strike: the steps
 // before g are the clean decode's own. The row's hook must see exactly
 // the calls the whole run's hook sees from the strike position on, and
 // none before it. The decodes end three ways: on the token budget, on an
@@ -377,7 +377,7 @@ func TestAdmitForkAtEveryResumePoint(t *testing.T) {
 				st := m.NewState()
 				logits := st.Prefill(tc.prompt)
 				m.AddHook(observer(strikePos, strikePos, &wantCalls, &ignored))
-				want := ContinueGreedy(m, st, logits, tc.s)
+				want := GenerateFrom(m, st, logits, tc.s)
 				m.ClearHooks()
 
 				arm := Arm{Observers: model.Observers{Hooks: []model.Hook{observer(strikePos, strikePos, &gotCalls, &gotEarly)}}}

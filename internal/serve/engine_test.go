@@ -541,7 +541,7 @@ func flipStored(t *testing.T, m *model.Model, site faults.Site) {
 // TestServeWeightResidentThroughLoop pins weight-resident requests — a
 // strike on a row of the shared decode loop, checker on the row — to the
 // seed oracle: for every weight-resident surface, tokens and Detected
-// equal gen.ContinueGreedy on a deep clone whose storage was flipped
+// equal gen.GenerateFrom on a deep clone whose storage was flipped
 // after a clean prefill, the model's own checker observing, and every
 // such request reports Fired. Cancelling mid-decode returns the tokens
 // chosen so far with the context error.
@@ -579,7 +579,7 @@ func TestServeWeightResidentThroughLoop(t *testing.T) {
 		}
 		clone.SetChecker(ck)
 		flipStored(t, clone, site)
-		want := gen.ContinueGreedy(clone, st, logits, gen.Defaults(maxNew))
+		want := gen.GenerateFrom(clone, st, logits, gen.Defaults(maxNew))
 
 		resp := e.Submit(context.Background(), req)
 		if resp.Err != nil {

@@ -97,33 +97,9 @@ func MatMulT(out, a, b *Tensor) {
 	body(0, a.Rows)
 }
 
-// MatMulAT computes out = aᵀ · b where a is t×m and b is t×n, so out is
-// m×n. This is the dW = Xᵀ·dY shape of linear-layer backprop.
-func MatMulAT(out, a, b *Tensor) {
-	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
-		panic("tensor: MatMulAT shape mismatch")
-	}
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
-	m, n := a.Cols, b.Cols
-	for t := 0; t < a.Rows; t++ {
-		arow := a.Data[t*m : (t+1)*m]
-		brow := b.Data[t*n : (t+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*n : (i+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// AddMatMulAT computes out += aᵀ · b, accumulating into out (gradient
-// accumulation across a batch).
+// AddMatMulAT computes out += aᵀ · b where a is t×m and b is t×n, so out
+// is m×n: the dW += Xᵀ·dY shape of linear-layer backprop, accumulating
+// across a batch.
 func AddMatMulAT(out, a, b *Tensor) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic("tensor: AddMatMulAT shape mismatch")

@@ -102,7 +102,7 @@ func TestMatMulATMatchesNaive(t *testing.T) {
 		a := randTensor(src, T, m)
 		b := randTensor(src, T, n)
 		got := New(m, n)
-		MatMulAT(got, a, b)
+		AddMatMulAT(got, a, b)
 		at := New(m, T)
 		for i := 0; i < T; i++ {
 			for j := 0; j < m; j++ {
@@ -124,7 +124,7 @@ func TestAddMatMulATAccumulates(t *testing.T) {
 	acc.Fill(1)
 	AddMatMulAT(acc, a, b)
 	plain := New(4, 6)
-	MatMulAT(plain, a, b)
+	AddMatMulAT(plain, a, b)
 	for i := range acc.Data {
 		if math.Abs(float64(acc.Data[i]-plain.Data[i]-1)) > 1e-5 {
 			t.Fatal("AddMatMulAT did not accumulate onto existing values")
