@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build cross test race bench bench-compare fuzz cover identity
+.PHONY: check fmt vet lint build cross test race bench bench-compare fuzz cover identity figures-identity
 
 ## check: the full CI gate — formatting, vet, invariant lint, build
 ## (native, and arm64 for the portable row kernel), tests, race detector.
@@ -167,3 +167,24 @@ identity:
 			|| { echo "DIFFERS from $(REF): $$args"; exit 1; }; \
 		echo "identical to $(REF) ($$(wc -l < "$$tmp/new.csv") csv lines): $$args"; \
 	done < "$$tmp/campaigns"
+
+## figures-identity: identity's counterpart for the figures — build
+## cmd/figures from REF and from this tree the same way, run every
+## experiment through both at -trials 12 -instances 3, and diff each
+## experiment's key numbers. Keys that measure wall time differ from run
+## to run of one binary and are dropped from both sides first:
+## fig_abft.overhead_frac and fig_serving's *_ms and *slo_violation_rate.
+## make figures-identity REF=HEAD~1
+FIGURES_WALL_KEYS = fig_abft\.overhead_frac|fig_serving\.[^ ]*(_ms|slo_violation_rate)
+figures-identity:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/ref"; git archive $(REF) | tar -x -C "$$tmp/ref"; \
+	(cd "$$tmp/ref" && $(GO) build -o "$$tmp/figures.ref" ./cmd/figures); \
+	$(GO) build -o "$$tmp/figures.new" ./cmd/figures; \
+	for side in ref new; do \
+		"$$tmp/figures.$$side" -all -trials 12 -instances 3 -pretrained $(CURDIR)/pretrained > "$$tmp/$$side.out"; \
+		awk '/^key numbers:/ { k = 1; next } k && /^  / { print; next } { k = 0 }' "$$tmp/$$side.out" \
+			| grep -Ev '^  ($(FIGURES_WALL_KEYS)) ' > "$$tmp/$$side.keys"; \
+	done; \
+	diff "$$tmp/ref.keys" "$$tmp/new.keys" || { echo "key numbers DIFFER from $(REF)"; exit 1; }; \
+	echo "key numbers identical to $(REF): $$(wc -l < "$$tmp/new.keys") keys, $$(sed 's/^  \([^.]*\)\..*/\1/' "$$tmp/new.keys" | sort -u | wc -l) experiments"

@@ -5,9 +5,11 @@
 // metric, so `go test -bench=. -benchmem` regenerates every artifact and
 // prints its key quantities.
 //
-// Experiments cache shared campaign grids within the process, so the
-// first iteration of a grid-backed benchmark (Fig3/4/11, Fig8/9/10) pays
-// the campaign cost and later iterations measure only aggregation.
+// Every campaign an experiment runs is memoized for the rest of the
+// process, so the first iteration of any campaign-backed benchmark pays
+// the campaign cost (none at all when an earlier benchmark ran the same
+// campaign: Fig3/4/11, Fig8/9/10, Fig7/12) and later iterations measure
+// only aggregation and rendering.
 package repro
 
 import (

@@ -85,7 +85,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/gen"
-	"repro/internal/metrics"
 	"repro/internal/mitigate"
 	"repro/internal/model"
 	"repro/internal/numerics"
@@ -706,48 +705,20 @@ func writeCSV(path string, res *core.Result, fn func(io.Writer, *core.Result) er
 }
 
 func buildSuite(name string, seed uint64, n int) (*tasks.Suite, error) {
-	switch name {
-	case "mmlu", "arc", "truthfulqa", "winogrande", "hellaswag":
-		return tasks.NewMCSuite(name, seed, n)
-	case "gsm8k":
-		return pretrained.MathTask().Suite(seed, n, true), nil
-	case "gsm8k-direct":
-		return pretrained.MathTask().Suite(seed, n, false), nil
-	case "wmt16":
-		return pretrained.TranslationTask().Suite(seed, n), nil
-	case "xlsum":
-		return pretrained.SummTask().Suite(seed, n), nil
-	case "squadv2":
-		return pretrained.QATask().Suite(seed, n), nil
-	case "wmt16-like":
-		return tasks.NewSelfRefSuite(name, seed, n, 8, 12,
-			[]metrics.Kind{metrics.KindBLEU, metrics.KindChrF}), nil
-	case "squad-like":
-		return tasks.NewSelfRefSuite(name, seed, n, 14, 6,
-			[]metrics.Kind{metrics.KindEM, metrics.KindF1}), nil
-	default:
-		return nil, fmt.Errorf("unknown suite %q (try -list)", name)
+	s, err := pretrained.Suite(name, seed, n)
+	if err != nil {
+		return nil, fmt.Errorf("%w (try -list)", err)
 	}
+	return s, nil
 }
 
 func buildModel(name string, suite *tasks.Suite, seed uint64, dir string) (*model.Model, error) {
 	switch name {
 	case "QwenS", "LlamaS", "FalconS", "moe":
-		vocab := tasks.GeneralVocab()
-		if suite.Vocab.Size() != vocab.Size() {
+		if suite.Vocab.Size() != tasks.GeneralVocab().Size() {
 			return nil, fmt.Errorf("profile models use the general vocabulary; suite %s needs a trained checkpoint (try -list)", suite.Name)
 		}
-		cfg := model.StandardConfig(name, vocab.Size(), numerics.BF16)
-		fam := model.LlamaS
-		switch name {
-		case "QwenS":
-			fam = model.QwenS
-		case "FalconS":
-			fam = model.FalconS
-		case "moe":
-			cfg = model.MoEConfig(cfg)
-		}
-		return model.Build(model.Spec{Config: cfg, Family: fam, Seed: seed + uint64(fam)})
+		return pretrained.ProfileModel(name, seed)
 	default:
 		if dir == "" {
 			dir = pretrained.DefaultDir()

@@ -3,7 +3,8 @@
 // of Table 1's surrogate roster (math for QwenS/FalconS, translation for
 // QwenS/LlamaS plus the ALMA-style fine-tune, summarization for
 // LlamaS/QwenS plus the Summarizer-style fine-tune, and QA for all three
-// families) and writes them as .gob files under -out.
+// families), plus the denoising ablation's two math models (abl3-denoise,
+// abl3-clean), and writes them as .gob files under -out.
 //
 // "General-purpose" checkpoints train for their registry step budget;
 // "fine-tuned" checkpoints continue from their base for additional

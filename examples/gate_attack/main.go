@@ -16,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/numerics"
+	"repro/internal/pretrained"
 	"repro/internal/tasks"
 )
 
@@ -31,8 +32,10 @@ func main() {
 	fmt.Printf("model: %s — %d params, top-%d of %d experts\n",
 		cfg.Name, cfg.NumParams(), cfg.TopK, cfg.NumExperts)
 
-	suite := tasks.NewSelfRefSuite("wmt16-like", 7, 8, 8, 12,
-		[]metrics.Kind{metrics.KindBLEU, metrics.KindChrF})
+	suite, err := pretrained.Suite("wmt16-like", 7, 8)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	res, err := core.New(m, suite, faults.Mem2Bit, 150, 9,
 		core.WithFilter(faults.GateOnly), // routers only — the attack surface

@@ -27,55 +27,15 @@ type AnswerChecker func(inst *tasks.Instance, generated []int) bool
 // reference (so Masked = unchanged output, the strictest reading).
 func DefaultChecker(suite *tasks.Suite) AnswerChecker {
 	if strings.HasPrefix(suite.Name, "gsm8k") {
-		marker := suite.Vocab.ID(tasks.MathAnswer)
 		return func(inst *tasks.Instance, generated []int) bool {
 			want, err := strconv.Atoi(inst.Reference)
-			if err != nil {
-				return false
-			}
-			got, ok := extractNumber(generated, marker, suite)
-			return ok && got == want
+			got := tasks.ExtractAnswer(suite.Vocab, generated)
+			return err == nil && got >= 0 && got == want
 		}
 	}
 	return func(inst *tasks.Instance, generated []int) bool {
 		return suite.Vocab.Decode(generated) == inst.Reference
 	}
-}
-
-// extractNumber returns the number following the last marker token,
-// falling back to the last number token in the sequence.
-func extractNumber(toks []int, marker int, suite *tasks.Suite) (int, bool) {
-	val, found := 0, false
-	for i, tok := range toks {
-		v, err := strconv.Atoi(suite.Vocab.Word(tok))
-		if err != nil {
-			continue
-		}
-		if i > 0 && toks[i-1] == marker {
-			val, found = v, true
-		}
-	}
-	if found {
-		return val, true
-	}
-	for i := len(toks) - 1; i >= 0; i-- {
-		if v, err := strconv.Atoi(suite.Vocab.Word(toks[i])); err == nil {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// reasoningLen returns the number of generated tokens before the math
-// answer marker (the reasoning segment of §4.3.2).
-func reasoningLen(toks []int, suite *tasks.Suite) int {
-	marker := suite.Vocab.ID(tasks.MathAnswer)
-	for i, tok := range toks {
-		if tok == marker {
-			return i
-		}
-	}
-	return len(toks)
 }
 
 // InstanceBaseline is the fault-free result for one instance.
@@ -326,7 +286,7 @@ func finishGenerative(ib *InstanceBaseline, suite *tasks.Suite, inst *tasks.Inst
 	}
 	ib.Metrics = scoreGenerative(suite, ib.Text, ib.Reference, ib.AnswerOK)
 	if strings.HasPrefix(suite.Name, "gsm8k") {
-		ib.ReasoningLen = reasoningLen(res.Tokens, suite)
+		ib.ReasoningLen = tasks.ReasoningLength(suite.Vocab, res.Tokens)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/pretrained"
@@ -35,11 +36,12 @@ type Config struct {
 	// (overwritten in place) for each long-running campaign. cmd/figures
 	// wires stderr here behind -progress.
 	Progress io.Writer
-	// TraceEvery, with TraceSink, enables propagation tracing for every
-	// campaign an experiment runs: each N-th trial's trace.Record goes to
-	// the sink. cmd/figures wires a report.TraceWriter here behind
-	// -trace. Experiments that consume traces themselves (fig_propagation)
-	// trace their campaigns regardless of this setting.
+	// TraceEvery enables propagation tracing for every campaign an
+	// experiment runs: each N-th trial's trace.Record goes to TraceSink,
+	// when set, and is kept with the campaign's memo entry. cmd/figures
+	// wires a report.TraceWriter here behind -trace. fig_propagation,
+	// which reads traces itself, traces every trial of its campaigns
+	// regardless of this setting.
 	TraceEvery int
 	TraceSink  func(trace.Record) error
 }
@@ -65,20 +67,69 @@ func (c Config) loader() *pretrained.Loader {
 	return pretrained.NewLoader(c.Dir)
 }
 
+// campaignRun is one campaign as Config.campaign ran it: its Result,
+// the records of the trials it traced (in trial order), and the wall
+// time from its first trial to its last.
+type campaignRun struct {
+	*core.Result
+	Records []trace.Record
+	Wall    time.Duration
+	fp      core.Fingerprint
+}
+
+// memoKey names a campaign within a process: the scope of the config
+// that ran it, after defaults, and its label.
+type memoKey struct {
+	trials, instances int
+	seed              uint64
+	dir, label        string
+}
+
+var (
+	memoMu sync.Mutex
+	memo   = map[memoKey]*campaignRun{}
+)
+
 // campaign executes one fault-injection campaign on behalf of an
 // experiment, through the streaming runner: traced when the config asks
 // for it, with a live status line labelled after the campaign when there
 // is a progress sink. Every campaign an experiment runs goes through
 // here, so cmd/figures -progress and -trace reach every figure.
-func (c Config) campaign(ctx context.Context, label string, camp core.Campaign) (*core.Result, error) {
+//
+// A campaign runs once per process: a later call with the same config
+// scope and label returns the first run — its records too, without
+// sending them to TraceSink again — so figures that share a campaign
+// (Figs. 3/4/11, 8/9/10, 7/12) share its run. A label names exactly one
+// campaign: reusing it for a campaign with another Fingerprint is an
+// error.
+func (c Config) campaign(ctx context.Context, label string, camp core.Campaign) (*campaignRun, error) {
+	d := c.withDefaults()
+	key := memoKey{d.Trials, d.Instances, d.Seed, d.Dir, label}
+	fp := camp.Fingerprint()
+	memoMu.Lock()
+	run, ok := memo[key]
+	memoMu.Unlock()
+	if ok {
+		if run.fp != fp {
+			return nil, fmt.Errorf("experiments: campaign %q ran as %+v, asked again as %+v", label, run.fp, fp)
+		}
+		return run, nil
+	}
+
 	var ropts []core.RunnerOption
-	if c.TraceEvery > 0 && c.TraceSink != nil {
+	if c.TraceEvery > 0 {
 		ropts = append(ropts, core.WithTrace(c.TraceEvery, c.TraceSink))
 	}
+	run = &campaignRun{fp: fp}
 	var final core.CampaignDone
 	for ev := range core.NewRunner(camp, ropts...).Stream(ctx) {
 		switch e := ev.(type) {
+		case core.TrialDone:
+			if e.Trace != nil {
+				run.Records = append(run.Records, *e.Trace)
+			}
 		case core.Progress:
+			run.Wall = e.Elapsed
 			if c.Progress != nil {
 				fmt.Fprintf(c.Progress, "\r%-100s", report.ProgressLine(label, e))
 			}
@@ -89,7 +140,15 @@ func (c Config) campaign(ctx context.Context, label string, camp core.Campaign) 
 	if c.Progress != nil {
 		fmt.Fprintf(c.Progress, "\r%-100s\r", "")
 	}
-	return final.Result, final.Err
+	if final.Err != nil {
+		return nil, final.Err
+	}
+	run.Result = final.Result
+	sort.Slice(run.Records, func(i, j int) bool { return run.Records[i].Trial < run.Records[j].Trial })
+	memoMu.Lock()
+	memo[key] = run
+	memoMu.Unlock()
+	return run, nil
 }
 
 // Outcome is a completed experiment.

@@ -79,10 +79,8 @@ func runFig13(ctx context.Context, cfg Config) (*Outcome, error) {
 		ws := stats.Summarize(wvals)
 		// Neurons: capture the layer's outputs over a sample prompt.
 		ref := model.LayerRef{Block: last, Kind: model.KindDown, Expert: -1}
-		_, cs := tracedRun(m.Clone(), suite.Instances[0].Prompt, 0, []model.LayerRef{ref})
 		var nvals []float64
-		nt := cs.tensorOf(ref)
-		for _, v := range nt.Data {
+		for _, v := range tracedRun(m.Clone(), suite.Instances[0].Prompt, 0).Layer(ref).Data {
 			nvals = append(nvals, float64(v))
 		}
 		ns := stats.Summarize(nvals)
@@ -172,7 +170,7 @@ func runFig14(ctx context.Context, cfg Config) (*Outcome, error) {
 				return nil, err
 			}
 			if suite.Type == tasks.MultipleChoice {
-				norms[i] = mcNormalized(res)
+				norms[i] = mcNormalized(res.Result)
 			} else {
 				norms[i] = res.MeanNormalized()
 			}
@@ -279,7 +277,7 @@ func runFig16(ctx context.Context, cfg Config) (*Outcome, error) {
 			}
 			v := res.MeanNormalized()
 			if run.suite.Type == tasks.MultipleChoice {
-				v = mcNormalized(res)
+				v = mcNormalized(res.Result)
 			}
 			row = append(row, v)
 			if run.fm == faults.Mem2Bit && run.suite == mmlu {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -24,22 +23,9 @@ type gridRow struct {
 	NormAvg float64 // mean normalized performance over the suite metrics
 }
 
-var (
-	gridMu    sync.Mutex
-	gridCache = map[string][]gridRow{}
-)
-
-// overallGrid runs (or returns the cached) full characterization grid:
-// every suite × its Table 1 models × all three fault models.
+// overallGrid runs the full characterization grid: every suite × its
+// Table 1 models × all three fault models.
 func overallGrid(ctx context.Context, cfg Config) ([]gridRow, error) {
-	key := fmt.Sprintf("%d/%d/%d", cfg.Trials, cfg.Instances, cfg.Seed)
-	gridMu.Lock()
-	if rows, ok := gridCache[key]; ok {
-		gridMu.Unlock()
-		return rows, nil
-	}
-	gridMu.Unlock()
-
 	var rows []gridRow
 
 	// Multiple-choice suites × profile models.
@@ -65,7 +51,7 @@ func overallGrid(ctx context.Context, cfg Config) ([]gridRow, error) {
 				}
 				rows = append(rows, gridRow{
 					Suite: suite.Name, Type: suite.Type, Model: fam.String(),
-					Fault: fm, Res: res, NormAvg: mcNormalized(res),
+					Fault: fm, Res: res.Result, NormAvg: mcNormalized(res.Result),
 				})
 			}
 		}
@@ -91,15 +77,12 @@ func overallGrid(ctx context.Context, cfg Config) ([]gridRow, error) {
 				}
 				rows = append(rows, gridRow{
 					Suite: sname, Type: suite.Type, Model: nm.Display,
-					Fault: fm, Res: res, NormAvg: res.MeanNormalized(),
+					Fault: fm, Res: res.Result, NormAvg: res.MeanNormalized(),
 				})
 			}
 		}
 	}
 
-	gridMu.Lock()
-	gridCache[key] = rows
-	gridMu.Unlock()
 	return rows, nil
 }
 

@@ -72,7 +72,7 @@ func runFig5(ctx context.Context, cfg Config) (*Outcome, error) {
 	}
 	const maxNew = 8
 
-	_, clean := tracedRun(m, prompt, maxNew, refs)
+	clean := tracedRun(m, prompt, maxNew)
 
 	// MSB-of-exponent flip of weight (20, 20) in up_proj, as in the paper.
 	msb := m.Cfg.DType.Bits() - 2
@@ -88,7 +88,7 @@ func runFig5(ctx context.Context, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, faulty := tracedRun(m, prompt, maxNew, refs)
+	faulty := tracedRun(m, prompt, maxNew)
 	inj.Disarm()
 
 	var b strings.Builder
@@ -97,13 +97,13 @@ func runFig5(ctx context.Context, cfg Config) (*Outcome, error) {
 	var stats []float64
 	for _, ref := range refs {
 		txt, st := maskSummary(ref.String(),
-			subRows(faulty.tensorOf(ref), len(prompt)),
-			subRows(clean.tensorOf(ref), len(prompt)))
+			subRows(faulty.Layer(ref), len(prompt)),
+			subRows(clean.Layer(ref), len(prompt)))
 		b.WriteString(txt)
 		stats = append(stats, st.CorruptedFrac)
 	}
 	b.WriteString("\nfaulted-layer output heatmap (|value|, '#' = fault-magnitude):\n")
-	b.WriteString(faulty.tensorOf(refs[0]).Heatmap(16, 50))
+	b.WriteString(faulty.Layer(refs[0]).Heatmap(16, 50))
 	b.WriteString("\nExpected shape: a single corrupted COLUMN in the faulted layer's output,\n" +
 		"then the fault covers (nearly) the whole tensor one layer later (paper Fig. 5).\n")
 	o.Text = b.String()
@@ -122,7 +122,7 @@ func runFig6(ctx context.Context, cfg Config) (*Outcome, error) {
 	}
 	const maxNew = 8
 
-	_, clean := tracedRun(m, prompt, maxNew, refs)
+	clean := tracedRun(m, prompt, maxNew)
 
 	// Strike one neuron during prompt processing (token position
 	// len(prompt)/2), so the single-forward-pass propagation is visible
@@ -136,7 +136,7 @@ func runFig6(ctx context.Context, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, faulty := tracedRun(m, prompt, maxNew, refs)
+	faulty := tracedRun(m, prompt, maxNew)
 	fired := inj.Fired
 	inj.Disarm()
 
@@ -144,8 +144,8 @@ func runFig6(ctx context.Context, cfg Config) (*Outcome, error) {
 	fmt.Fprintf(&b, "injected: %v at prompt position %d (fired=%v)\n\n", site, site.GenIter, fired)
 	var stats []float64
 	for _, ref := range refs {
-		ft := subRows(faulty.tensorOf(ref), len(prompt))
-		ct := subRows(clean.tensorOf(ref), len(prompt))
+		ft := subRows(faulty.Layer(ref), len(prompt))
+		ct := subRows(clean.Layer(ref), len(prompt))
 		txt, st := maskSummary(ref.String(), ft, ct)
 		b.WriteString(txt)
 		fmt.Fprintf(&b, "%-28s max |Δ| = %.4g\n", "", maxAbsDiff(ft, ct))
@@ -164,7 +164,7 @@ func runFig6(ctx context.Context, cfg Config) (*Outcome, error) {
 
 // findExamples runs memory-fault trials on the math task until it has a
 // subtly-wrong and (if possible) a distorted example.
-func findExamples(ctx context.Context, cfg Config, trials int) (*core.Result, error) {
+func findExamples(ctx context.Context, cfg Config, trials int) (*campaignRun, error) {
 	loader := cfg.loader()
 	m, err := loader.Load("math-qwens")
 	if err != nil {
@@ -196,7 +196,7 @@ func runFig7(ctx context.Context, cfg Config) (*Outcome, error) {
 			fmt.Fprintf(&b, "Question:  %s\n", suite.Vocab.DecodeAll(inst.Prompt[1:]))
 			fmt.Fprintf(&b, "Reference: %s\n", inst.Reference)
 			fmt.Fprintf(&b, "Baseline:  %s\n", base.Text)
-			fmt.Fprintf(&b, "Faulty:    %s\n\n", rerunFaulty(res, tr))
+			fmt.Fprintf(&b, "Faulty:    %s\n\n", rerunFaulty(res.Result, tr))
 			if tr.Outcome.Class == outcome.SDCSubtle {
 				haveSubtle = true
 			} else {
@@ -249,7 +249,7 @@ func runFig12(ctx context.Context, cfg Config) (*Outcome, error) {
 		}
 		base := res.Baseline.Instances[tr.Instance]
 		inst := suite.Instances[tr.Instance]
-		faultyText := rerunFaulty(res, tr)
+		faultyText := rerunFaulty(res.Result, tr)
 		if faultyText == base.Text {
 			continue
 		}

@@ -44,6 +44,8 @@ func runFigPropagation(ctx context.Context, cfg Config) (*Outcome, error) {
 	}
 	suite := tasks.NewSelfRefSuite("prop", cfg.Seed, cfg.Instances, 24, 10, []metrics.Kind{metrics.KindBLEU})
 	dt := numerics.BF16
+	tcfg := cfg
+	tcfg.TraceEvery = 1 // every trial's record, still forwarded to cfg.TraceSink
 
 	var b strings.Builder
 	t := report.NewTable("Profile", "Bits", "Fired", "Diverged%", "AtSite%", "Depth", "Blast%", "SDC%")
@@ -51,7 +53,7 @@ func runFigPropagation(ctx context.Context, cfg Config) (*Outcome, error) {
 		name string
 		m    *model.Model
 	}{{"dense", dense}, {"moe", moe}} {
-		recs, err := cfg.tracedCampaign(ctx, "prop "+prof.name, core.Campaign{
+		run, err := tcfg.campaign(ctx, "prop "+prof.name, core.Campaign{
 			Model: prof.m, Suite: suite, Fault: faults.Comp1Bit,
 			Trials:  cfg.Trials,
 			Seed:    cfg.Seed ^ hash2("prop", prof.name, "comp1"),
@@ -63,7 +65,7 @@ func runFigPropagation(ctx context.Context, cfg Config) (*Outcome, error) {
 
 		groups := map[numerics.BitClass][]trace.Record{}
 		byBit := map[int][]trace.Record{}
-		for _, r := range recs {
+		for _, r := range run.Records {
 			if !r.Fired {
 				continue
 			}
@@ -165,34 +167,4 @@ func shortClass(c numerics.BitClass) string {
 		return "sign"
 	}
 	return c.String()
-}
-
-// tracedCampaign runs a campaign with full (every-trial) propagation
-// tracing and returns the collected records. They are also forwarded to
-// cfg.TraceSink when one is configured, so a cmd/figures -trace run
-// captures them in its JSONL export.
-func (c Config) tracedCampaign(ctx context.Context, label string, camp core.Campaign) ([]trace.Record, error) {
-	var recs []trace.Record
-	sink := func(r trace.Record) error {
-		recs = append(recs, r)
-		if c.TraceSink != nil {
-			return c.TraceSink(r)
-		}
-		return nil
-	}
-	var final core.CampaignDone
-	for ev := range core.NewRunner(camp, core.WithTrace(1, sink)).Stream(ctx) {
-		switch e := ev.(type) {
-		case core.Progress:
-			if c.Progress != nil {
-				fmt.Fprintf(c.Progress, "\r%-100s", report.ProgressLine(label, e))
-			}
-		case core.CampaignDone:
-			final = e
-		}
-	}
-	if c.Progress != nil {
-		fmt.Fprintf(c.Progress, "\r%-100s\r", "")
-	}
-	return recs, final.Err
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -36,28 +35,16 @@ func init() {
 	})
 }
 
-// sdcGrid runs the GSM8k campaigns behind Figures 8–10: both math models
-// under computational and memory faults.
+// sdcRow is one campaign behind Figures 8–10.
 type sdcRow struct {
 	Model string
 	Fault faults.Model
 	Res   *core.Result
 }
 
-var (
-	sdcMu    sync.Mutex
-	sdcCache = map[string][]sdcRow{}
-)
-
+// sdcGrid runs the GSM8k campaigns behind Figures 8–10: both math models
+// under computational and memory faults.
 func sdcGrid(ctx context.Context, cfg Config) ([]sdcRow, error) {
-	key := fmt.Sprintf("%d/%d/%d", cfg.Trials, cfg.Instances, cfg.Seed)
-	sdcMu.Lock()
-	if rows, ok := sdcCache[key]; ok {
-		sdcMu.Unlock()
-		return rows, nil
-	}
-	sdcMu.Unlock()
-
 	loader := cfg.loader()
 	suite := pretrained.MathTask().Suite(cfg.Seed, cfg.Instances, true)
 	var rows []sdcRow
@@ -79,12 +66,9 @@ func sdcGrid(ctx context.Context, cfg Config) ([]sdcRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, sdcRow{Model: entry.disp, Fault: fm, Res: res})
+			rows = append(rows, sdcRow{Model: entry.disp, Fault: fm, Res: res.Result})
 		}
 	}
-	sdcMu.Lock()
-	sdcCache[key] = rows
-	sdcMu.Unlock()
 	return rows, nil
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/mitigate"
-	"repro/internal/model"
+	"repro/internal/pretrained"
 	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/serve/loadgen"
@@ -39,7 +39,7 @@ func runFigServing(ctx context.Context, cfg Config) (*Outcome, error) {
 	o := newOutcome("fig_serving", "Serving under faults: latency, SLO violations, and detection")
 
 	vocab := tasks.GeneralVocab()
-	m, err := profileModel(model.LlamaS, cfg.Seed+7001)
+	m, err := pretrained.ProfileModel("LlamaS", cfg.Seed+7000) // +1 for LlamaS: seed cfg.Seed+7001
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -44,7 +43,7 @@ func init() {
 }
 
 // beamCampaign runs a 2bits-comp campaign with the given beam count.
-func beamCampaign(ctx context.Context, cfg Config, m *model.Model, suite *tasks.Suite, beams int, tag string) (*core.Result, error) {
+func beamCampaign(ctx context.Context, cfg Config, m *model.Model, suite *tasks.Suite, beams int, tag string) (*campaignRun, error) {
 	return cfg.campaign(ctx, fmt.Sprintf("beam %s/b%d", tag, beams), core.Campaign{
 		Model: m, Suite: suite, Fault: faults.Comp2Bit,
 		Trials: cfg.Trials, Seed: cfg.Seed ^ hash2("beam", tag, fmt.Sprint(beams)),
@@ -103,14 +102,12 @@ func runFig19(ctx context.Context, cfg Config) (*Outcome, error) {
 	t := report.NewTable("Beams", "NormPerf (BLEU)", "Decode steps/trial", "Wall ms/trial")
 	var perf, steps []float64
 	for _, beams := range []int{1, 2, 4, 6, 8} {
-		start := time.Now() //llmfi:allow determinism wall-ms-per-trial column is measured, not derived from the seed
 		res, err := beamCampaign(ctx, cfg, m, suite, beams, "fig19")
 		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start).Seconds() * 1000 / float64(cfg.Trials) //llmfi:allow determinism wall-ms-per-trial column is measured, not derived from the seed
 		norm := res.Normalized(metrics.KindBLEU).Value
-		t.Row(beams, norm, res.MeanSteps(), elapsed)
+		t.Row(beams, norm, res.MeanSteps(), res.Wall.Seconds()*1000/float64(cfg.Trials))
 		perf = append(perf, norm)
 		steps = append(steps, res.MeanSteps())
 		o.set(fmt.Sprintf("beam%d.norm", beams), norm)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/report"
-	"repro/internal/tasks"
 )
 
 func init() {
@@ -76,6 +75,5 @@ func runObs4(ctx context.Context, cfg Config) (*Outcome, error) {
 		"general-purpose models' normalized performance under memory faults,\n" +
 		"on top of its (much) higher fault-free quality — so its absolute\n" +
 		"faulty-output quality dominates on both axes.\n"
-	_ = tasks.Generative // keep the tasks import for the doc cross-reference
 	return o, nil
 }

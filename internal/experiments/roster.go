@@ -3,27 +3,17 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/numerics"
 	"repro/internal/pretrained"
 	"repro/internal/tasks"
 )
-
-// profileModel builds the untrained general-purpose surrogate of a family
-// over the shared MC vocabulary (BF16, the paper's base datatype).
-func profileModel(fam model.Family, seed uint64) (*model.Model, error) {
-	vocab := tasks.GeneralVocab()
-	cfg := model.StandardConfig(fam.String(), vocab.Size(), numerics.BF16)
-	return model.Build(model.Spec{Config: cfg, Family: fam, Seed: seed})
-}
 
 // mcModels returns the three general-purpose profile models, mirroring
 // Table 1's Llama3.1 / Qwen2.5 / Falcon3 roster for the MC suites.
 func mcModels(cfg Config) (map[model.Family]*model.Model, error) {
 	out := make(map[model.Family]*model.Model, 3)
 	for _, fam := range model.Families {
-		m, err := profileModel(fam, cfg.Seed+uint64(fam))
+		m, err := pretrained.ProfileModel(fam.String(), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -36,7 +26,7 @@ func mcModels(cfg Config) (map[model.Family]*model.Model, error) {
 func mcSuites(cfg Config) ([]*tasks.Suite, error) {
 	var out []*tasks.Suite
 	for _, name := range tasks.MCSuiteNames() {
-		s, err := tasks.NewMCSuite(name, cfg.Seed, cfg.Instances)
+		s, err := pretrained.Suite(name, cfg.Seed, cfg.Instances)
 		if err != nil {
 			return nil, err
 		}
@@ -54,13 +44,6 @@ type namedModel struct {
 // generativeRoster maps each generative suite to its Table 1 models.
 func generativeRoster(cfg Config) (map[string][]namedModel, map[string]*tasks.Suite, error) {
 	loader := cfg.loader()
-	load := func(name string) (*model.Model, error) {
-		m, err := loader.Load(name)
-		if err != nil {
-			return nil, fmt.Errorf("roster: %s: %w", name, err)
-		}
-		return m, nil
-	}
 	roster := map[string][]struct{ disp, ckpt string }{
 		"gsm8k": {
 			{"Qwen2.5-S", "math-qwens"},
@@ -83,20 +66,20 @@ func generativeRoster(cfg Config) (map[string][]namedModel, map[string]*tasks.Su
 		},
 	}
 	models := map[string][]namedModel{}
-	for suite, entries := range roster {
-		for _, e := range entries {
-			m, err := load(e.ckpt)
+	suites := map[string]*tasks.Suite{}
+	for _, name := range generativeOrder {
+		for _, e := range roster[name] {
+			m, err := loader.Load(e.ckpt)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, fmt.Errorf("roster: %s: %w", e.ckpt, err)
 			}
-			models[suite] = append(models[suite], namedModel{Display: e.disp, Model: m})
+			models[name] = append(models[name], namedModel{Display: e.disp, Model: m})
 		}
-	}
-	suites := map[string]*tasks.Suite{
-		"gsm8k":   pretrained.MathTask().Suite(cfg.Seed, cfg.Instances, true),
-		"wmt16":   pretrained.TranslationTask().Suite(cfg.Seed, cfg.Instances),
-		"xlsum":   pretrained.SummTask().Suite(cfg.Seed, cfg.Instances),
-		"squadv2": pretrained.QATask().Suite(cfg.Seed, cfg.Instances),
+		s, err := pretrained.Suite(name, cfg.Seed, cfg.Instances)
+		if err != nil {
+			return nil, nil, err
+		}
+		suites[name] = s
 	}
 	return models, suites, nil
 }
@@ -105,11 +88,10 @@ func generativeRoster(cfg Config) (map[string][]namedModel, map[string]*tasks.Su
 var generativeOrder = []string{"gsm8k", "wmt16", "xlsum", "squadv2"}
 
 // selfRefGenSuites returns the self-referential generative suites used by
-// the MoE / gate / scale studies on untrained profile models.
+// the MoE / gate / scale studies on untrained profile models. Both names
+// are pretrained.Suite's own, so neither lookup can fail.
 func selfRefGenSuites(cfg Config) (translation, qa *tasks.Suite) {
-	translation = tasks.NewSelfRefSuite("wmt16-like", cfg.Seed, cfg.Instances, 8, 12,
-		[]metrics.Kind{metrics.KindBLEU, metrics.KindChrF})
-	qa = tasks.NewSelfRefSuite("squad-like", cfg.Seed, cfg.Instances, 14, 6,
-		[]metrics.Kind{metrics.KindEM, metrics.KindF1})
+	translation, _ = pretrained.Suite("wmt16-like", cfg.Seed, cfg.Instances)
+	qa, _ = pretrained.Suite("squad-like", cfg.Seed, cfg.Instances)
 	return translation, qa
 }

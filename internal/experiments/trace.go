@@ -6,60 +6,19 @@ import (
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
-// captureSet records the output vectors of selected layers at every token
-// position, reassembling them into (positions x width) tensors — the
-// propagation-trace instrument behind Figures 5 and 6.
-type captureSet struct {
-	want map[model.LayerRef]bool
-	rows map[model.LayerRef][][]float32
-}
-
-func newCaptureSet(refs ...model.LayerRef) *captureSet {
-	cs := &captureSet{
-		want: make(map[model.LayerRef]bool, len(refs)),
-		rows: make(map[model.LayerRef][][]float32, len(refs)),
-	}
-	for _, r := range refs {
-		cs.want[r] = true
-	}
-	return cs
-}
-
-// hook returns the forward hook that records layer outputs.
-func (cs *captureSet) hook() model.Hook {
-	return func(ref model.LayerRef, pos int, out []float32) {
-		if !cs.want[ref] {
-			return
-		}
-		cs.rows[ref] = append(cs.rows[ref], append([]float32(nil), out...))
-	}
-}
-
-// tensorOf assembles the captured rows of a layer.
-func (cs *captureSet) tensorOf(ref model.LayerRef) *tensor.Tensor {
-	rows := cs.rows[ref]
-	if len(rows) == 0 {
-		return tensor.New(0, 0)
-	}
-	t := tensor.New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		copy(t.Row(i), r)
-	}
-	return t
-}
-
-// tracedRun generates from m while capturing the listed layers. arm, when
-// non-nil, is invoked after hooks are installed and may arm an injection
-// (memory faults arm before generation; computational faults were armed
-// by the caller adding their hook first).
-func tracedRun(m *model.Model, prompt []int, maxNew int, refs []model.LayerRef) (gen.Result, *captureSet) {
-	cs := newCaptureSet(refs...)
-	m.AddHook(cs.hook())
-	res := gen.Generate(m, prompt, gen.Defaults(maxNew))
+// tracedRun generates from m while capturing every layer's output at
+// every token position — the propagation-trace instrument behind Figures
+// 5, 6 and 13, the runtime's own trace.Capture. A fault the caller armed
+// first is seen as the faulty forward produces it.
+func tracedRun(m *model.Model, prompt []int, maxNew int) *trace.Capture {
+	c := trace.NewCapture(0)
+	m.AddHook(c.Hook())
+	gen.Generate(m, prompt, gen.Defaults(maxNew))
 	m.ClearHooks()
-	return res, cs
+	return c
 }
 
 // maskSummary renders a corruption-mask comparison of a layer between a

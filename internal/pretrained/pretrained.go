@@ -10,6 +10,11 @@
 //	WMT16 de-en    → wmt-qwens, wmt-llamas, wmt-alma (fine-tuned)
 //	XLSum          → xlsum-llamas, xlsum-qwens, xlsum-summarizer (fine-tuned)
 //	SQuAD v2       → squad-llamas, squad-qwens, squad-falcons
+//
+// plus the two math models of the denoising ablation (abl3-denoise,
+// abl3-clean). It also names the evaluation suites and builds the
+// untrained profile models, so cmd/llmfi and the experiments share one
+// roster.
 package pretrained
 
 import (
@@ -18,8 +23,10 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/numerics"
+	"repro/internal/prng"
 	"repro/internal/tasks"
 	"repro/internal/train"
 )
@@ -27,7 +34,7 @@ import (
 // Job describes one checkpoint.
 type Job struct {
 	Name string
-	Task string // math | translation | summarization | qa
+	Task string // math | math-clean | translation | summarization | qa
 	Arch model.Config
 	Seed uint64
 	// Base names the checkpoint this one fine-tunes from ("" = trained
@@ -75,12 +82,25 @@ func SummTask() *tasks.SummTask { initTasks(); return summTask }
 // QATask returns the shared QA task instance.
 func QATask() *tasks.QATask { initTasks(); return qaTask }
 
+// cleanMathTask is MathTask with the input-corruption channel disabled:
+// a model trained on it sees only pristine reasoning chains.
+type cleanMathTask struct {
+	*tasks.MathTask
+}
+
+// CorruptInputs overrides the noisy channel with the identity.
+func (c cleanMathTask) CorruptInputs(_ *prng.Source, inputs []int, _ int) []int {
+	return inputs
+}
+
 // TaskByName resolves a task name to its TrainTask.
 func TaskByName(name string) tasks.TrainTask {
 	initTasks()
 	switch name {
 	case "math":
 		return mathTask
+	case "math-clean":
+		return cleanMathTask{mathTask}
 	case "translation":
 		return transTask
 	case "summarization":
@@ -120,7 +140,59 @@ func Jobs() []Job {
 		{Name: "squad-llamas", Task: "qa", Arch: squadArch, Seed: 41, DType: bf, Steps: 800, Batch: 32},
 		{Name: "squad-qwens", Task: "qa", Arch: squadArch, Seed: 42, DType: bf, Steps: 800, Batch: 32},
 		{Name: "squad-falcons", Task: "qa", Arch: squadArch, Seed: 43, DType: bf, Steps: 800, Batch: 32},
+		// The denoising ablation: one initialization trained with and
+		// without the input-corruption channel.
+		{Name: "abl3-denoise", Task: "math", Arch: mathArch, Seed: 404, DType: bf, Steps: 900, Batch: 24},
+		{Name: "abl3-clean", Task: "math-clean", Arch: mathArch, Seed: 404, DType: bf, Steps: 900, Batch: 24},
 	}
+}
+
+// Suite builds the named evaluation suite with n instances drawn from
+// seed: the five multiple-choice suites, the trained tasks' suites
+// (gsm8k with Chain-of-Thought prompts, gsm8k-direct without), and the
+// two self-referential generative suites the profile models run.
+func Suite(name string, seed uint64, n int) (*tasks.Suite, error) {
+	switch name {
+	case "gsm8k", "gsm8k-direct":
+		return MathTask().Suite(seed, n, name == "gsm8k"), nil
+	case "wmt16":
+		return TranslationTask().Suite(seed, n), nil
+	case "xlsum":
+		return SummTask().Suite(seed, n), nil
+	case "squadv2":
+		return QATask().Suite(seed, n), nil
+	case "wmt16-like":
+		return tasks.NewSelfRefSuite(name, seed, n, 8, 12,
+			[]metrics.Kind{metrics.KindBLEU, metrics.KindChrF}), nil
+	case "squad-like":
+		return tasks.NewSelfRefSuite(name, seed, n, 14, 6,
+			[]metrics.Kind{metrics.KindEM, metrics.KindF1}), nil
+	}
+	if s, err := tasks.NewMCSuite(name, seed, n); err == nil {
+		return s, nil
+	}
+	return nil, fmt.Errorf("unknown suite %q", name)
+}
+
+// ProfileModel builds a named untrained profile model over the general
+// vocabulary in BF16: one of the three families (QwenS, LlamaS,
+// FalconS), or "moe", LlamaS with a 2-of-8 MoE MLP. Its weights are
+// drawn from seed + family, so one seed gives each family its own.
+func ProfileModel(name string, seed uint64) (*model.Model, error) {
+	cfg := model.StandardConfig(name, tasks.GeneralVocab().Size(), numerics.BF16)
+	fam := model.LlamaS
+	switch name {
+	case "QwenS":
+		fam = model.QwenS
+	case "FalconS":
+		fam = model.FalconS
+	case "moe":
+		cfg = model.MoEConfig(cfg)
+	case "LlamaS":
+	default:
+		return nil, fmt.Errorf("unknown profile model %q", name)
+	}
+	return model.Build(model.Spec{Config: cfg, Family: fam, Seed: seed + uint64(fam)})
 }
 
 // JobByName looks up one job.

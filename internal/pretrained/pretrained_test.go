@@ -8,16 +8,23 @@ import (
 
 func TestRegistryConsistent(t *testing.T) {
 	seen := map[string]bool{}
-	seeds := map[uint64]bool{}
+	// One seed may serve two tasks (the denoising ablation trains one
+	// initialization with and without input corruption); two jobs on one
+	// task with one seed would be the same model.
+	type taskSeed struct {
+		task string
+		seed uint64
+	}
+	seeds := map[taskSeed]bool{}
 	for _, j := range Jobs() {
 		if seen[j.Name] {
 			t.Fatalf("duplicate job %s", j.Name)
 		}
 		seen[j.Name] = true
-		if seeds[j.Seed] {
-			t.Fatalf("duplicate seed %d", j.Seed)
+		if seeds[taskSeed{j.Task, j.Seed}] {
+			t.Fatalf("duplicate seed %d for task %s", j.Seed, j.Task)
 		}
-		seeds[j.Seed] = true
+		seeds[taskSeed{j.Task, j.Seed}] = true
 		if j.Steps <= 0 || j.Batch <= 0 {
 			t.Fatalf("%s: missing training budget", j.Name)
 		}

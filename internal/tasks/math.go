@@ -124,7 +124,7 @@ func (t *MathTask) CorruptInputs(src *prng.Source, inputs []int, promptLen int) 
 		if inputs[i] == marker {
 			break
 		}
-		if _, ok := t.tokenValue(inputs[i]); ok {
+		if _, err := strconv.Atoi(t.vocab.Word(inputs[i])); err == nil {
 			numPos = append(numPos, i)
 		}
 	}
@@ -136,19 +136,18 @@ func (t *MathTask) CorruptInputs(src *prng.Source, inputs []int, promptLen int) 
 	return inputs
 }
 
-// ExtractAnswer parses a generated token sequence: the number following
-// the final '#' marker, or the last number token if no marker survived.
-// It returns -1 when no number is present at all (fully distorted
-// output).
-func (t *MathTask) ExtractAnswer(toks []int) int {
-	marker := t.vocab.ID(MathAnswer)
-	ans := -1
-	lastNum := -1
+// ExtractAnswer parses a math token sequence over vocabulary v: the
+// number following the final '#' marker, or the last number token if no
+// marker survived. It returns -1 when no number is present at all (fully
+// distorted output).
+func ExtractAnswer(v *token.Vocab, toks []int) int {
+	marker := v.ID(MathAnswer)
+	ans, lastNum := -1, -1
 	for i, tok := range toks {
-		if v, ok := t.tokenValue(tok); ok {
-			lastNum = v
+		if n, err := strconv.Atoi(v.Word(tok)); err == nil {
+			lastNum = n
 			if i > 0 && toks[i-1] == marker {
-				ans = v
+				ans = n
 			}
 		}
 	}
@@ -156,16 +155,6 @@ func (t *MathTask) ExtractAnswer(toks []int) int {
 		return ans
 	}
 	return lastNum
-}
-
-// tokenValue decodes a number token.
-func (t *MathTask) tokenValue(tok int) (int, bool) {
-	w := t.vocab.Word(tok)
-	v, err := strconv.Atoi(w)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
 }
 
 // Suite materializes n evaluation instances. cot selects the prompting
@@ -205,11 +194,12 @@ func (t *MathTask) Suite(seed uint64, n int, cot bool) *Suite {
 	return s
 }
 
-// ReasoningLength returns the number of generated tokens before the '#'
-// answer marker in a token sequence (the reasoning segment length used to
-// restrict computational-fault iterations in the CoT study, §4.3.2).
-func (t *MathTask) ReasoningLength(toks []int) int {
-	marker := t.vocab.ID(MathAnswer)
+// ReasoningLength returns the number of tokens before the '#' answer
+// marker in a math token sequence over vocabulary v (the reasoning
+// segment length used to restrict computational-fault iterations in the
+// CoT study, §4.3.2).
+func ReasoningLength(v *token.Vocab, toks []int) int {
+	marker := v.ID(MathAnswer)
 	for i, tok := range toks {
 		if tok == marker {
 			return i

@@ -78,11 +78,11 @@ func TestMathCompletionCorrect(t *testing.T) {
 	f := func(aR, bR, cR uint8) bool {
 		p := Problem{A: int(aR % 10), B: int(bR % 10), C: int(cR % 10)}
 		cot := mt.Completion(p, true)
-		if mt.ExtractAnswer(cot) != p.Answer() {
+		if ExtractAnswer(mt.Vocab(), cot) != p.Answer() {
 			return false
 		}
 		direct := mt.Completion(p, false)
-		return mt.ExtractAnswer(direct) == p.Answer()
+		return ExtractAnswer(mt.Vocab(), direct) == p.Answer()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -94,11 +94,11 @@ func TestMathExtractAnswerFallback(t *testing.T) {
 	v := mt.Vocab()
 	// No '#': fall back to last number.
 	toks := []int{v.ID("3"), v.ID("+"), v.ID("5")}
-	if mt.ExtractAnswer(toks) != 5 {
+	if ExtractAnswer(v, toks) != 5 {
 		t.Fatal("fallback to last number failed")
 	}
 	// No numbers at all.
-	if mt.ExtractAnswer([]int{v.ID("+"), v.ID(";")}) != -1 {
+	if ExtractAnswer(v, []int{v.ID("+"), v.ID(";")}) != -1 {
 		t.Fatal("no-number extraction should be -1")
 	}
 }
@@ -107,12 +107,12 @@ func TestMathReasoningLength(t *testing.T) {
 	mt := NewMathTask(9)
 	p := Problem{A: 1, B: 2, C: 3}
 	cot := mt.Completion(p, true)
-	rl := mt.ReasoningLength(cot)
+	rl := ReasoningLength(mt.Vocab(), cot)
 	if rl != 12 {
 		t.Fatalf("reasoning length = %d, want 12", rl)
 	}
 	direct := mt.Completion(p, false)
-	if mt.ReasoningLength(direct) != 0 {
+	if ReasoningLength(mt.Vocab(), direct) != 0 {
 		t.Fatal("direct mode reasoning length should be 0")
 	}
 }

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/model"
+	"repro/internal/tensor"
 )
 
 // capKey addresses one layer invocation of a forward pass: the layer and
@@ -13,10 +15,12 @@ type capKey struct {
 	pos int
 }
 
-// Capture records the clean per-layer activations of one instance's
-// baseline forward pass. It is built once (during baseline evaluation,
-// with the capture hook installed) and then read concurrently by every
-// traced trial of that instance — immutable after Seal.
+// Capture records the per-layer activations of whatever forward pass its
+// hook is installed on. The campaign runtime builds one per instance
+// during the fault-free baseline evaluation, and every traced trial of
+// that instance then reads it concurrently — immutable after Seal; the
+// propagation figures install one on a clean and on a faulty run and
+// compare the two through Layer.
 type Capture struct {
 	minPos int
 	rows   map[capKey][]float32
@@ -32,8 +36,9 @@ func NewCapture(minPos int) *Capture {
 	return &Capture{minPos: minPos, rows: map[capKey][]float32{}}
 }
 
-// Hook returns the model.Hook that records clean rows. Install it for the
-// baseline forward only; it must never observe a faulty pass.
+// Hook returns the model.Hook that records the rows of the pass it is
+// installed on. A capture that probes compare against must only ever
+// observe the fault-free baseline.
 func (c *Capture) Hook() model.Hook {
 	return func(ref model.LayerRef, pos int, out []float32) {
 		if c.sealed || pos < c.minPos {
@@ -53,6 +58,26 @@ func (c *Capture) Len() int { return len(c.rows) }
 
 func (c *Capture) row(ref model.LayerRef, pos int) []float32 {
 	return c.rows[capKey{ref, pos}]
+}
+
+// Layer returns ref's captured rows in position order as a (positions x
+// width) tensor; empty when the capture holds none of ref.
+func (c *Capture) Layer(ref model.LayerRef) *tensor.Tensor {
+	var pos []int
+	for k := range c.rows {
+		if k.ref == ref {
+			pos = append(pos, k.pos)
+		}
+	}
+	if len(pos) == 0 {
+		return tensor.New(0, 0)
+	}
+	sort.Ints(pos)
+	t := tensor.New(len(pos), len(c.row(ref, pos[0])))
+	for i, p := range pos {
+		copy(t.Row(i), c.row(ref, p))
+	}
+	return t
 }
 
 // ProbeConfig parameterizes one trial's propagation probe.

@@ -96,6 +96,32 @@ func TestCaptureSemantics(t *testing.T) {
 	}
 }
 
+// Layer reassembles one layer's rows in position order, whatever order
+// the hook saw them in, and leaves other layers' rows out.
+func TestCaptureLayerPositionOrder(t *testing.T) {
+	cc := NewCapture(0)
+	hook := cc.Hook()
+	up := model.LayerRef{Block: 0, Kind: model.KindUp, Expert: -1}
+	down := model.LayerRef{Block: 0, Kind: model.KindDown, Expert: -1}
+	for _, pos := range []int{2, 0, 3, 1} {
+		hook(up, pos, []float32{float32(pos), float32(10 * pos)})
+		hook(down, pos, []float32{-1, -1})
+	}
+	got := cc.Layer(up)
+	if got.Rows != 4 || got.Cols != 2 {
+		t.Fatalf("Layer is %dx%d, want 4x2", got.Rows, got.Cols)
+	}
+	for pos := 0; pos < 4; pos++ {
+		if row := got.Row(pos); row[0] != float32(pos) || row[1] != float32(10*pos) {
+			t.Fatalf("row %d = %v", pos, row)
+		}
+	}
+	none := model.LayerRef{Block: 1, Kind: model.KindUp, Expert: -1}
+	if empty := cc.Layer(none); empty.Rows != 0 {
+		t.Fatalf("an uncaptured layer has %d rows", empty.Rows)
+	}
+}
+
 // probeRefs builds the synthetic 4-block layer sequence used by the
 // probe tests, ending with the LM head.
 func probeRefs() []model.LayerRef {
