@@ -121,9 +121,12 @@ cover:
 ## at width 8 (math suite, all-layer correct) and 4 (MoE, all-layer
 ## correct-skip); multiple-choice rows stacked at width 8 (transient
 ## faults, all-layer correct) and 4 (MoE memory faults, all-layer
-## correct-skip); last, beam rows stacked at width 8 (MoE transient
-## faults, all-layer correct) and 4 (FP16 memory faults, all-layer
-## correct-skip); a few seconds on two cores.
+## correct-skip); beam rows stacked at width 8 (MoE transient faults,
+## all-layer correct) and 4 (FP16 memory faults, all-layer correct-skip);
+## last, transient-fault rows forked in time and depth — FP16 at width 8,
+## and the math suite under all-layer correcting ABFT, whose skipped
+## checks the ledger counts from each row's fork position; a few seconds
+## on two cores.
 ## make identity REF=HEAD~1
 REF ?= HEAD~1
 define IDENTITY_CAMPAIGNS
@@ -150,6 +153,8 @@ define IDENTITY_CAMPAIGNS
 -model moe -suite arc -fault 2bits-mem -trials 120 -decode-batch 4 -abft -abft-all -abft-policy correct-skip
 -model moe -suite wmt16-like -fault 2bits-comp -trials 120 -beams 3 -decode-batch 8 -abft -abft-all -abft-policy correct
 -model QwenS -suite wmt16-like -fault 2bits-mem -dtype FP16 -beams 3 -trials 120 -decode-batch 4 -abft -abft-all -abft-policy correct-skip
+-model QwenS -suite wmt16-like -fault 1bit-comp -dtype FP16 -trials 300 -decode-batch 8
+-model math-qwens -suite gsm8k -fault 2bits-comp -trials 300 -abft -abft-all -abft-policy correct
 endef
 export IDENTITY_CAMPAIGNS
 identity:

@@ -69,14 +69,17 @@ type InstanceBaseline struct {
 	// every trial reads them by reference — and one gen.Resume per
 	// generated token, resume[0] being the post-prompt point: a transient
 	// fault, which strikes at promptLen + GenIter, resumes in time. The
-	// snapshot of a memory-fault campaign's baseline also holds its depth
-	// planes (model.State.RecordDepth), and under all-layer ABFT ledger
-	// holds what a detect-only checker counted over it: a weight fault
-	// resumes in depth, at its sublayer (trialEnv.depthFrom). Beam search
-	// forks states mid-decode and has no single finished state: it keeps
-	// the post-prompt snapshot and prefixLogits, the logits after the
-	// final prompt token, instead — a transient fault's beam row starts on
-	// a fork of the one, fed the other. Baseline-only; nil after Scores.
+	// snapshot also holds the baseline's depth planes
+	// (model.State.RecordDepth) from the first position its campaign's
+	// faults reach (Campaign.strikeFloor) — the first prompt token for a
+	// memory fault, the prompt's end for a transient one — and under
+	// all-layer ABFT ledger holds what a detect-only checker counted over
+	// it: a trial resumes in depth as well, at its site's sublayer
+	// (trialEnv.depthFrom). Beam search forks states mid-decode and has
+	// no single finished state: it keeps the post-prompt snapshot and
+	// prefixLogits, the logits after the final prompt token, instead — a
+	// transient fault's beam row starts on a fork of the one, fed the
+	// other. Baseline-only; nil after Scores.
 	state        *model.Prefix
 	resume       []gen.Resume
 	prefixLogits []float32
@@ -142,8 +145,9 @@ type baselineOpts struct {
 	// outputs from position capMinPos(inst) onward (via a temporary hook on
 	// m) into InstanceBaseline.capture for the propagation probes.
 	capMinPos func(inst *tasks.Instance) int
-	// depth records each instance's depth planes in its snapshot.
-	depth bool
+	// depthFrom, when non-nil, records each instance's depth planes from
+	// position depthFrom(inst) on in its snapshot.
+	depthFrom func(inst *tasks.Instance) int
 	// ledger, when non-nil, runs each instance under a detect-only
 	// all-layer checker over this table, summed under tol, and keeps
 	// its counts in InstanceBaseline.ledger.
@@ -172,9 +176,9 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 			m.SetChecker(lc)
 		}
 		var st *model.State
-		if opts.depth {
+		if opts.depthFrom != nil {
 			st = m.NewState()
-			st.RecordDepth()
+			st.RecordDepth(opts.depthFrom(inst))
 		}
 		ib := evalInstance(m, suite, inst, gs, check, true, true, st, nil)
 		if cc != nil {

@@ -180,7 +180,7 @@ func TestScoresDropsEngineState(t *testing.T) {
 	suite := tasks.NewSelfRefSuite("scores", 3, 2, 10, 5, []metrics.Kind{metrics.KindBLEU})
 	gs := defaultGen()
 	traced := evalBaseline(m, suite, gs, nil, baselineOpts{capMinPos: func(inst *tasks.Instance) int { return len(inst.Prompt) }})
-	depth := evalBaseline(m, suite, gs, nil, baselineOpts{depth: true, ledger: abft.Protection{}.Table(m)})
+	depth := evalBaseline(m, suite, gs, nil, baselineOpts{depthFrom: func(*tasks.Instance) int { return 0 }, ledger: abft.Protection{}.Table(m)})
 	gs.NumBeams = 2
 	beam := EvalBaseline(m, suite, gs, nil)
 

@@ -56,7 +56,7 @@ type Campaign struct {
 	// the run's one abft.Table, the clean-weight checksums summed once from
 	// Model before any fault is armed, and its verdicts land in
 	// Trial.Detection. The baseline is the fault-free reference and no
-	// checker changes it; under AllLayers a memory-fault campaign's
+	// checker changes it; under AllLayers a generative greedy campaign's
 	// baseline runs detect-only, to count the checks its depth-forked
 	// trials skip (ledger).
 	ABFT *ABFTConfig
@@ -245,18 +245,27 @@ func (tc *timedChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight,
 }
 
 // depthEligible reports whether the campaign's trials may resume the
-// baseline in depth — greedy generative memory-fault rows, which a weight
-// fault leaves clean below its sublayer at every position whose tokens
-// match the baseline's — so its baseline records the depth planes they
-// fork from. An ExtraHook observes, and may change, every layer, so its
-// campaigns run whole. Which trials do skip is decided at arming
+// baseline in depth — greedy generative rows, which a fault leaves clean
+// below its sublayer at every position, from the one it forks at, whose
+// tokens match the baseline's — so its baseline records the depth planes
+// they fork from. An ExtraHook observes, and may change, every layer, so
+// its campaigns run whole. Which trials do skip is decided at arming
 // (trialEnv.depthFrom).
 func (c Campaign) depthEligible(gs gen.Settings) bool {
 	return c.Suite.Type != tasks.MultipleChoice &&
-		c.Fault.IsMemory() &&
 		gs.NumBeams <= 1 &&
 		c.ExtraHook == nil &&
 		!c.noPrefixReuse
+}
+
+// strikeFloor is the first position of inst a trial's fault can reach: 0
+// for a resident memory fault, which corrupts the prefill too, the
+// prompt's end for a transient one, which strikes only during decode.
+func (c Campaign) strikeFloor(inst *tasks.Instance) int {
+	if c.Fault.IsMemory() {
+		return 0
+	}
+	return len(inst.Prompt)
 }
 
 // faultWindow returns the iteration window and the Arm promptLen for an

@@ -124,18 +124,22 @@ func TestDepthForkLedgerFallback(t *testing.T) {
 }
 
 // TestDepthForkLedger pins the ledger's sums: the checks below a
-// sublayer over a count of positions, and the lowest flagged sublayer.
+// sublayer over a count of positions from a fork position, and the
+// lowest flagged sublayer. A campaign's checkers make the same checks at
+// every position, which would hide a fork position dropped from the sum:
+// these counts differ from position to position.
 func TestDepthForkLedger(t *testing.T) {
 	lc := &ledgerChecker{
-		checks: [][]int{{4, 4, 4}, {3, 3, 3}, {4, 4, 4}},
+		checks: [][]int{{4, 1, 4}, {3, 2, 3}, {4, 4, 4}},
 		flags:  [][]int{{0, 0, 0}, {0, 0, 0}, {0, 1, 0}},
 	}
 	l := lc.ledger(0, 2)
-	for _, tc := range []struct{ from, n, want int }{
-		{0, 2, 0}, {1, 0, 0}, {1, 2, 8}, {2, 1, 7}, {3, 2, 22},
+	for _, tc := range []struct{ from, fork, n, want int }{
+		{0, 0, 2, 0}, {1, 0, 0, 0}, {1, 0, 2, 5}, {2, 0, 1, 7}, {3, 0, 2, 18},
+		{1, 1, 1, 1}, {2, 1, 1, 3}, {3, 1, 1, 7}, {3, 2, 0, 0},
 	} {
-		if got := l.skipped(tc.from, tc.n); got != tc.want {
-			t.Fatalf("skipped(%d, %d) = %d, want %d", tc.from, tc.n, got, tc.want)
+		if got := l.skipped(tc.from, tc.fork, tc.n); got != tc.want {
+			t.Fatalf("skipped(%d, %d, %d) = %d, want %d", tc.from, tc.fork, tc.n, got, tc.want)
 		}
 	}
 	if got := l.lowestFlag(); got != 2 {
@@ -227,6 +231,52 @@ func TestDepthForkResumeAndBaselineReuse(t *testing.T) {
 	requireSameResult(t, ref, scoresOnly)
 	if skipped != 0 {
 		t.Fatalf("trials on a scores-only baseline skipped %d sublayer-positions", skipped)
+	}
+}
+
+// TestDepthForkNeedsCoveringPlanes: a transient-fault campaign's baseline
+// records its depth planes from each prompt's end, where its rows fork. A
+// memory-fault runner handed it (WithBaseline) forks at position 0, which
+// those planes do not cover, so its rows run whole — nothing skipped —
+// and give the Result its own baseline gives with the depth fork. The
+// reverse is covered: a memory-fault baseline's planes start at the first
+// prompt token, and a transient runner handed it skips exactly what it
+// skips on its own.
+func TestDepthForkNeedsCoveringPlanes(t *testing.T) {
+	mem := depthCampaign(t, false, nil)
+	mem.Trials = 48
+	comp := mem
+	comp.Fault = faults.Comp2Bit
+	baselineOf := func(c Campaign) *Baseline {
+		var base *Baseline
+		for ev := range NewRunner(c, WithOnly(nil)).Stream(context.Background()) {
+			if b, ok := ev.(BaselineReady); ok {
+				base = b.Baseline
+			}
+		}
+		return base
+	}
+	for _, tc := range []struct {
+		name       string
+		run, donor Campaign
+		covers     bool
+	}{
+		{"memory faults on transient planes", mem, comp, false},
+		{"transient faults on memory planes", comp, mem, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, ownSkipped := runDepth(t, tc.run)
+			got, skipped := runDepth(t, tc.run, WithBaseline(baselineOf(tc.donor)))
+			requireSameResult(t, want, got)
+			wantSkipped := int64(0)
+			if tc.covers {
+				wantSkipped = ownSkipped
+			}
+			if ownSkipped == 0 || skipped != wantSkipped {
+				t.Fatalf("skipped %d sublayer-positions on the other campaign's baseline, want %d (%d on its own)",
+					skipped, wantSkipped, ownSkipped)
+			}
+		})
 	}
 }
 

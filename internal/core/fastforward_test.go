@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mitigate"
 	"repro/internal/model"
+	"repro/internal/numerics"
 	"repro/internal/tasks"
 	"repro/internal/trace"
 )
@@ -253,4 +254,133 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// TestFastForwardInDepthMatchesSeedPath is the fork in time and depth's
+// contract. A row its fault, a site-only checker or an all-layer one
+// observes forks the baseline at its resume point and at its site's
+// sublayer, and skips the clean sublayers below while its tokens match
+// the baseline's. Under ABFT off, site-only and all-layer, each
+// detecting, correcting and correct-skipping, on dense and MoE — the
+// fault model (1-bit, 2-bit) and dtype (BF16, FP16, FP32) rotating so
+// every pairing of the two runs — for every block, layer kind and GenIter
+// the sampler strikes, at widths 1, 3 and 16, every Trial must be the one
+// the seed path computes by running the whole inference from the first
+// prompt token, Detection field for field once the checks the seed path
+// also makes over the clean prompt are taken off. And the rows must have
+// skipped something.
+func TestFastForwardInDepthMatchesSeedPath(t *testing.T) {
+	arms := []*ABFTConfig{nil}
+	for _, all := range []bool{false, true} {
+		for _, pol := range []mitigate.Policy{mitigate.PolicyDetect, mitigate.PolicyCorrect, mitigate.PolicyCorrectOrSkip} {
+			arms = append(arms, &ABFTConfig{Policy: pol, AllLayers: all})
+		}
+	}
+	faultModels := []faults.Model{faults.Comp1Bit, faults.Comp2Bit}
+	dtypes := []numerics.DType{numerics.BF16, numerics.FP16, numerics.FP32}
+	i := 0
+	for _, moe := range []bool{false, true} {
+		for _, arm := range arms {
+			fault, dt := faultModels[i%len(faultModels)], dtypes[i%len(dtypes)]
+			i++
+			name := "off"
+			if arm != nil {
+				name = fmt.Sprintf("site/%v", arm.Policy)
+				if arm.AllLayers {
+					name = fmt.Sprintf("all/%v", arm.Policy)
+				}
+			}
+			t.Run(fmt.Sprintf("moe=%v/abft=%s/%v/%v", moe, name, fault, dt), func(t *testing.T) {
+				t.Parallel()
+				c := fastForwardCampaign(t, moe, fault)
+				cfg := c.Model.Cfg
+				cfg.DType = dt
+				c.Model = model.MustBuild(model.Spec{Config: cfg, Family: model.QwenS, Seed: 21})
+				c.Trials, c.ABFT = 176, arm
+				seed := mustRun(t, seedPath(c))
+				requireStrikesEverywhere(t, c, seed)
+				promptChecks := seedPromptChecks(c)
+				for _, width := range []int{1, 3, 16} {
+					c.BatchDecode = width
+					got, skipped := runDepth(t, c)
+					for i, tr := range got.Trials {
+						want := seed.Trials[i]
+						if want.Detection != nil {
+							det := *want.Detection
+							det.Checks -= promptChecks(want.Instance, want.Site.Layer)
+							want.Detection = &det
+						}
+						if !reflect.DeepEqual(tr, want) {
+							t.Fatalf("width %d trial %d (%v, iteration %d) differs:\nseed   %+v %+v\nengine %+v %+v",
+								width, i, tr.Site.Layer, tr.Site.GenIter, want, want.Detection, tr, tr.Detection)
+						}
+					}
+					if skipped == 0 {
+						t.Fatalf("width %d: no row skipped a sublayer-position", width)
+					}
+				}
+			})
+		}
+	}
+}
+
+// requireStrikesEverywhere fails unless the trials of res strike every
+// linear layer kind of every block and every generation iteration of
+// every instance, some of them firing and — unless a checker repairs
+// them — changing the output: enough for a wrong skip to show.
+func requireStrikesEverywhere(t *testing.T, c Campaign, res *Result) {
+	t.Helper()
+	layers, iters := map[[2]int]bool{}, map[[2]int]bool{}
+	fired, changed := 0, 0
+	for _, tr := range res.Trials {
+		layers[[2]int{tr.Site.Layer.Block, int(tr.Site.Layer.Kind)}] = true
+		iters[[2]int{tr.Instance, tr.Site.GenIter}] = true
+		fired += b2i(tr.Fired)
+		changed += b2i(tr.Outcome.Changed)
+	}
+	for _, li := range c.Model.LinearLayers() {
+		if !layers[[2]int{li.Ref.Block, int(li.Ref.Kind)}] {
+			t.Fatalf("no trial strikes %v: raise Trials", li.Ref)
+		}
+	}
+	for i, ib := range res.Baseline.Instances {
+		for g := range ib.Tokens {
+			if !iters[[2]int{i, g}] {
+				t.Fatalf("no trial strikes instance %d at iteration %d: raise Trials", i, g)
+			}
+		}
+	}
+	if fired == 0 || changed == 0 && (c.ABFT == nil || c.ABFT.Policy == mitigate.PolicyDetect) {
+		t.Fatalf("%d trials fired and %d changed the output: nothing to get wrong", fired, changed)
+	}
+}
+
+// seedPromptChecks returns the checks, per instance and site layer, that
+// c's checker makes over the instance's clean prompt: what the seed path
+// counts there and a row forked past the prompt does not.
+func seedPromptChecks(c Campaign) func(inst int, site model.LayerRef) int {
+	if c.ABFT == nil {
+		return func(int, model.LayerRef) int { return 0 }
+	}
+	table := c.ABFT.Table(c.Model)
+	type key struct {
+		inst int
+		site model.LayerRef
+	}
+	memo := map[key]int{}
+	return func(inst int, site model.LayerRef) int {
+		k := key{inst, site}
+		if n, ok := memo[k]; ok {
+			return n
+		}
+		ck, err := c.ABFT.Checker(table, site)
+		if err != nil {
+			panic(err)
+		}
+		m := c.Model.CloneShared()
+		m.SetChecker(ck)
+		m.NewState().Prefill(c.Suite.Instances[inst].Prompt)
+		memo[k] = ck.Stats().Checks
+		return memo[k]
+	}
 }

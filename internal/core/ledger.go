@@ -6,8 +6,8 @@ import (
 )
 
 // ledger is what a detect-only all-layer checker counted over one clean
-// baseline inference: what a depth-forked memory-fault trial under
-// all-layer ABFT owes its Detection for the sublayers it did not compute.
+// baseline inference: what a depth-forked trial under all-layer ABFT owes
+// its Detection for the sublayers it did not compute.
 // checks[s][p] and flags[s][p] are the checks and flags at sublayers
 // below s and positions below p. Immutable once built.
 type ledger struct {
@@ -16,9 +16,12 @@ type ledger struct {
 	checks, flags [][]int
 }
 
-// skipped is the number of checks below sublayer from over the first n
-// positions — what a trial that read them from the baseline skipped.
-func (l *ledger) skipped(from, n int) int { return l.checks[from][n] }
+// skipped is the number of checks below sublayer from over the n
+// positions from fork on — what a trial forked there that read them from
+// the baseline skipped.
+func (l *ledger) skipped(from, fork, n int) int {
+	return l.checks[from][fork+n] - l.checks[from][fork]
+}
 
 // lowestFlag is the lowest sublayer a clean check flagged at any
 // position, or the sublayer count when none did.

@@ -98,9 +98,10 @@ func WithOnly(indices []int) RunnerOption {
 // with ErrBaselineNoPrefix; multiple-choice rows start from empty states
 // and need none). A baseline captured without activation capture
 // silently disables propagation probes for traced trials; one without
-// depth planes (or, under all-layer ABFT, without a ledger over the
-// campaign's tolerance) runs memory-fault rows whole, from their first
-// prompt token.
+// depth planes at a row's fork position — a transient campaign's start at
+// each prompt's end, so they never cover a memory-fault row's fork at the
+// first prompt token — or, under all-layer ABFT, without a ledger over
+// the campaign's tolerance, runs the row's every pass whole.
 func WithBaseline(b *Baseline) RunnerOption {
 	return func(r *Runner) { r.baseline = b }
 }
@@ -264,19 +265,17 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 		if c.ExtraHook != nil {
 			c.Model.AddHook(c.ExtraHook())
 		}
-		opts := baselineOpts{depth: c.depthEligible(gs)}
-		if traceOn {
-			// Transient computational faults strike only during decode, so
-			// prompt-position activations are dead weight; a resident memory
-			// fault corrupts the prefill too, so everything is captured.
-			opts.capMinPos = func(inst *tasks.Instance) int {
-				if c.Fault.IsMemory() {
-					return 0
-				}
-				return len(inst.Prompt)
-			}
+		// Activations and depth planes are kept only from where a trial's
+		// fault can reach (strikeFloor): below it, trials read the
+		// baseline's KV rows and nothing else.
+		var opts baselineOpts
+		if c.depthEligible(gs) {
+			opts.depthFrom = c.strikeFloor
 		}
-		if opts.depth && c.ABFT != nil && c.ABFT.AllLayers {
+		if traceOn {
+			opts.capMinPos = c.strikeFloor
+		}
+		if opts.depthFrom != nil && c.ABFT != nil && c.ABFT.AllLayers {
 			opts.ledger, opts.tol = table, c.ABFT.Tol
 		}
 		baseline = evalBaseline(c.Model, c.Suite, gs, check, opts)

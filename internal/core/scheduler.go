@@ -66,9 +66,9 @@ type armed struct {
 	// and its fault's strike.
 	obs    model.Observers
 	traced bool
-	// from is the sublayer a depth-forked trial starts at (-1: an empty
-	// state, the whole inference), matched the positions it read from the
-	// baseline there.
+	// from is the sublayer a depth-forked trial starts at (-1: the whole
+	// of each pass), matched the positions it read from the baseline
+	// there.
 	from, matched int
 	scores        []float64 // a multiple-choice trial's option scores so far
 	sp            spanTimes
@@ -139,21 +139,24 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 	return a, nil
 }
 
-// depthFrom picks the sublayer a memory-fault row's inference starts at,
-// or -1 for the whole inference. A weight fault leaves every sublayer
-// below its own clean at each position whose tokens match the baseline's,
-// so a trial nothing there observes starts at the site's sublayer, over
-// the baseline's residual stream and KV (model.Prefix.ForkDepth). A
-// site-only checker watches the site layer, which the trial computes. An
-// all-layer checker's clean checks below were counted once, by the
-// baseline's ledger, and are added to Detection.Checks; a clean check it
-// flagged there (a tolerance under the kernel's noise) would have acted
-// on the row, so the trial starts at the lowest flagged sublayer instead.
-// A probe watches every layer: a traced trial runs whole, as does one
-// whose baseline has no depth planes — or no ledger over this tolerance.
+// depthFrom picks the sublayer a row's inference starts at, or -1 for
+// the whole of each pass. A fault leaves every sublayer below its own
+// clean at each position whose tokens match the baseline's — a weight
+// fault from the first prompt token on, a transient one from its strike
+// step on, and nothing before — so a trial nothing there observes forks
+// the baseline at its site's sublayer as well as at its position
+// (forkPos), over the baseline's residual stream and KV
+// (model.Prefix.ForkDepth). A site-only checker watches the site layer,
+// which the trial computes. An all-layer checker's clean checks below
+// were counted once, by the baseline's ledger, and are added to
+// Detection.Checks; a clean check it flagged there (a tolerance under the
+// kernel's noise) would have acted on the row, so the trial starts at the
+// lowest flagged sublayer instead. A probe watches every layer: a traced
+// trial runs whole, as does one whose baseline has no depth planes at its
+// fork position — or no ledger over this tolerance.
 func (e *trialEnv) depthFrom(a *armed) int {
 	c := &e.c
-	if !c.depthEligible(e.gs) || a.traced || a.base.state == nil || !a.base.state.HasDepth() {
+	if !c.depthEligible(e.gs) || a.traced || a.base.state == nil || !a.base.state.HasDepth(a.forkPos(c)) {
 		return -1
 	}
 	from := a.site.Layer.Sublayer()
@@ -165,6 +168,16 @@ func (e *trialEnv) depthFrom(a *armed) int {
 		from = min(from, l.lowestFlag())
 	}
 	return from
+}
+
+// forkPos is the position a row forks the baseline at: 0 for a memory
+// fault's, which prefills its prompt, its resume point's for a transient
+// fault's.
+func (a *armed) forkPos(c *Campaign) int {
+	if c.Fault.IsMemory() {
+		return 0
+	}
+	return a.resumeAt(c).Pos()
 }
 
 // resumeAt picks the baseline resume point the trial's row starts from.
@@ -206,7 +219,7 @@ func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
 		sp.abft = a.timed.total - sp.mitigate
 		skipped := 0
 		if c.ABFT.AllLayers && a.from > 0 {
-			skipped = a.base.ledger.skipped(a.from, a.matched)
+			skipped = a.base.ledger.skipped(a.from, a.forkPos(&c), a.matched)
 		}
 		trial.Detection = summarizeDetection(a.checker, a.site, a.promptLen, fired, skipped)
 	}
@@ -364,8 +377,8 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 // strike, on a depth fork (depthFrom) or an empty state; a transient
 // fault's beam search on a fork of the baseline's post-prompt snapshot,
 // from its last prompt logits; any other transient fault's fork of the
-// baseline at a resume point (resumeAt). Admission is the prefill span on
-// this path.
+// baseline at a resume point (resumeAt), in depth too (depthFrom).
+// Admission is the prefill span on this path.
 func (e *trialEnv) admit(loop *gen.Loop[*armed], a *armed) *gen.Seq[*armed] {
 	start := now()
 	arm := gen.Arm{Observers: a.obs}
@@ -378,7 +391,7 @@ func (e *trialEnv) admit(loop *gen.Loop[*armed], a *armed) *gen.Seq[*armed] {
 	case e.gs.NumBeams > 1:
 		s = loop.Admit(a.base.state.ForkInto(e.wm, nil, a.base.state.Pos()), a.base.prefixLogits, e.settings(&a.inst), arm, a)
 	default:
-		s = loop.AdmitFork(a.base.state, a.resumeAt(&e.c), arm, a)
+		s = loop.AdmitFork(a.base.state, a.resumeAt(&e.c), a.from, arm, a)
 	}
 	a.sp.prefill += since(start)
 	return s

@@ -255,9 +255,10 @@ type TelemetrySnapshot struct {
 	// with at least one observation, in trace.Phases order.
 	PhaseBucketBounds []float64       `json:"phase_bucket_bounds,omitempty"`
 	Phases            []PhaseSnapshot `json:"phases,omitempty"`
-	// DepthSkippedRows counts the sublayer-positions memory-fault trials
-	// read from their baseline's depth planes instead of computing — one
-	// per skipped sublayer per matched position. Observational.
+	// DepthSkippedRows counts the sublayer-positions depth-forked trials
+	// — memory-fault and transient alike — read from their baseline's
+	// depth planes instead of computing: one per skipped sublayer per
+	// matched position. Observational.
 	DepthSkippedRows int64 `json:"depth_skipped_rows,omitempty"`
 }
 

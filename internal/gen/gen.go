@@ -111,6 +111,9 @@ type Resume struct {
 	live bool // the decode went on to step tok; false at its last point
 }
 
+// Pos is the position the point's token decodes at.
+func (r Resume) Pos() int { return r.pos }
+
 // ResumableGreedy is a greedy GenerateFrom that also returns one Resume
 // per Stepper step: point g follows the choice of generated token g,
 // point 0 being taken off the given logits with st as prefilled, and the

@@ -128,11 +128,14 @@ func (l *Loop[T]) Admit(st *model.State, logits []float32, s Settings, arm Arm, 
 // that decode finished on — at the point's position, reading the rows
 // below it by reference (and reusing a released fork's state for the rows
 // it appends), a copy of the point's Stepper with its token queued, and
-// its first Step is the decode's step at that position. A point the
-// decode ended on comes back Done.
-func (l *Loop[T]) AdmitFork(from *model.Prefix, at Resume, arm Arm, owner T) *Seq[T] {
+// its first Step is the decode's step at that position. depth > 0 forks
+// in depth too (model.Prefix.ForkDepth): while the tokens it decodes
+// match from's, each step skips the sublayers below depth, which from's
+// depth planes must cover at the point; depth ≤ 0 forks in time only. A
+// point the decode ended on comes back Done.
+func (l *Loop[T]) AdmitFork(from *model.Prefix, at Resume, depth int, arm Arm, owner T) *Seq[T] {
 	row := l.takeRow()
-	row.St = from.ForkInto(l.m, row.St, at.pos)
+	row.St = from.ForkDepth(l.m, row.St, at.pos, max(depth, 0))
 	seq := l.seat(row, arm, owner)
 	seq.sp, seq.row.Tok, seq.live, seq.owned = at.sp, at.tok, at.live, true
 	if seq.live {
@@ -155,7 +158,7 @@ func (l *Loop[T]) AdmitPrompt(from *model.Prefix, depth int, prompt []int, sp St
 	row := l.takeRow()
 	switch {
 	case from != nil && depth >= 0:
-		row.St = from.ForkDepth(l.m, row.St, depth)
+		row.St = from.ForkDepth(l.m, row.St, 0, depth)
 	case row.St != nil:
 		row.St.Reset()
 	default:

@@ -156,7 +156,7 @@ func TestLoopRecycledRowStartsClean(t *testing.T) {
 	var checks int
 	l := NewLoop[int](m, 1)
 	from, points := decoded(m, prompt, s)
-	first := l.AdmitFork(from, points[0], Arm{Observers: model.Observers{
+	first := l.AdmitFork(from, points[0], 0, Arm{Observers: model.Observers{
 		Hooks:     []model.Hook{strike},
 		AttnHooks: []model.Hook{strike},
 		Checker:   countingChecker{&checks},
@@ -174,7 +174,7 @@ func TestLoopRecycledRowStartsClean(t *testing.T) {
 	}
 
 	checks = 0
-	l.AdmitFork(from, points[0], Arm{}, 1)
+	l.AdmitFork(from, points[0], 0, Arm{}, 1)
 	next := make(map[int]Result)
 	drain(l, next)
 	if !reflect.DeepEqual(next[1], clean) {
@@ -223,7 +223,7 @@ func TestAdmitPromptRowScoped(t *testing.T) {
 		t.Fatalf("the strike left the decode clean (%v) or the hook saw no prompt position (%d)", struck.Tokens, wantPrompted)
 	}
 	rec := m.NewState()
-	rec.RecordDepth()
+	rec.RecordDepth(0)
 	GenerateFrom(m, rec, rec.Prefill(prompt), s)
 	from := rec.Snapshot()
 
@@ -255,6 +255,64 @@ func TestAdmitPromptRowScoped(t *testing.T) {
 	}
 }
 
+// TestAdmitForkInDepth re-enters a clean decode, recorded with depth
+// planes from the prompt's end, at each of its resume points on rows
+// carrying a weight strike in block 1's attention, once in time alone
+// (depth 0) and once in depth too, at the strike's sublayer, side by side
+// on one loop: each pair must decode the same Result, some of them not
+// the clean one, and the depth forks must have read positions from the
+// planes.
+func TestAdmitForkInDepth(t *testing.T) {
+	m := testModel(10)
+	prompt := []int{1, 5, 6, 3, 7}
+	s := Defaults(10)
+	s.MinNewTokens = 10
+	out := model.LayerRef{Block: 1, Kind: model.KindOut, Expert: -1}
+	w, err := m.Layer(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm := Arm{Observers: model.Observers{Strike: &model.Strike{Ref: out, W: w.Struck(2, 3, []int{30})}}}
+	rec := m.NewState()
+	rec.RecordDepth(len(prompt))
+	_, points := ResumableGreedy(m, rec, rec.Prefill(prompt), s)
+	from := rec.Snapshot()
+
+	clean := points[len(points)-1].sp.Result()
+
+	l := NewLoop[int](m, 2)
+	got := map[int]Result{}
+	matched, changed := 0, 0
+	retire := func(seq *Seq[int]) {
+		got[seq.Owner] = seq.Result()
+		if seq.Owner%2 == 1 {
+			matched += seq.State().DepthMatched()
+		}
+		l.Release(seq)
+	}
+	for g, at := range points {
+		for k, depth := range []int{0, out.Sublayer()} {
+			if seq := l.AdmitFork(from, at, depth, arm, 2*g+k); seq.Done() {
+				retire(seq)
+			}
+		}
+		for l.Len() > 0 {
+			for _, seq := range l.Step() {
+				retire(seq)
+			}
+		}
+		if !reflect.DeepEqual(got[2*g+1], got[2*g]) {
+			t.Fatalf("point %d: forked in depth %+v, in time alone %+v", g, got[2*g+1], got[2*g])
+		}
+		if !reflect.DeepEqual(got[2*g].Tokens, clean.Tokens) {
+			changed++
+		}
+	}
+	if matched == 0 || changed == 0 {
+		t.Fatalf("depth forks read %d positions from the planes; %d struck decodes changed", matched, changed)
+	}
+}
+
 // TestLoopDrop abandons one of two live sequences mid-decode: it keeps
 // the partial result it had reached, and its sibling is undisturbed.
 func TestLoopDrop(t *testing.T) {
@@ -267,8 +325,8 @@ func TestLoopDrop(t *testing.T) {
 	l := NewLoop[string](m, 2)
 	fromA, pointsA := decoded(m, a, s)
 	fromB, pointsB := decoded(m, b, s)
-	sa := l.AdmitFork(fromA, pointsA[0], Arm{}, "a")
-	sb := l.AdmitFork(fromB, pointsB[0], Arm{}, "b")
+	sa := l.AdmitFork(fromA, pointsA[0], 0, Arm{}, "a")
+	sb := l.AdmitFork(fromB, pointsB[0], 0, Arm{}, "b")
 	l.Step()
 	l.Step()
 	l.Drop(func(q *Seq[string]) bool { return q.Owner == "a" })
@@ -381,7 +439,7 @@ func TestAdmitForkAtEveryResumePoint(t *testing.T) {
 				m.ClearHooks()
 
 				arm := Arm{Observers: model.Observers{Hooks: []model.Hook{observer(strikePos, strikePos, &gotCalls, &gotEarly)}}}
-				seq := l.AdmitFork(from, at, arm, g)
+				seq := l.AdmitFork(from, at, 0, arm, g)
 				if seq.Done() != !at.live {
 					t.Fatalf("point %d: admitted Done %v, decode went on %v", g, seq.Done(), at.live)
 				}

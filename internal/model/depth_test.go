@@ -19,11 +19,12 @@ func depthSpec(moe bool) Spec {
 	return spec
 }
 
-// depthPrefix runs prompt and decodes toks on a recording state of m and
-// snapshots it: a baseline's finished state with its depth planes.
-func depthPrefix(m *Model, prompt, toks []int) *Prefix {
+// depthPrefix runs prompt and decodes toks on a state of m recording
+// from position lo and snapshots it: a baseline's finished state with its
+// depth planes.
+func depthPrefix(m *Model, lo int, prompt, toks []int) *Prefix {
 	st := m.NewState()
-	st.RecordDepth()
+	st.RecordDepth(lo)
 	if m.Cfg.IsMoE() {
 		st.EnableExpertTrace()
 	}
@@ -88,9 +89,9 @@ func TestDepthForkMatchesFullState(t *testing.T) {
 					for i := range toks {
 						toks[i] = (5*i + 2) % vocab
 					}
-					snap := depthPrefix(m, prompt, toks)
-					if !snap.HasDepth() || snap.Pos() != promptLen+steps {
-						t.Fatalf("prefix at %d, depth planes %v", snap.Pos(), snap.HasDepth())
+					snap := depthPrefix(m, 0, prompt, toks)
+					if !snap.HasDepth(0) || snap.Pos() != promptLen+steps {
+						t.Fatalf("prefix at %d, depth planes %v", snap.Pos(), snap.HasDepth(0))
 					}
 					var recycled *State
 					for from := 0; from < 2*m.Cfg.NBlocks; from++ {
@@ -112,7 +113,7 @@ func TestDepthForkMatchesFullState(t *testing.T) {
 							}
 							wantLogits := feed(want, p, d)
 
-							got := snap.ForkDepth(struck, recycled, from)
+							got := snap.ForkDepth(struck, recycled, 0, from)
 							recycled = got
 							gotLogits := feed(got, p, d)
 							name := fmt.Sprintf("from %d, diverging at %d", from, diverge)
@@ -137,20 +138,21 @@ func TestDepthForkMatchesFullState(t *testing.T) {
 	}
 }
 
-// TestDepthForkConcurrent has eight goroutines depth-fork one Prefix at
-// every sublayer and decode at once — half diverging from its tokens part
-// way, one on a Batch, one taking a KV-cache strike on a row it shares —
-// and requires each to match its own sequential reference and the Prefix
-// to hold its exact bytes afterwards. Run under -race: the forks read the
+// TestDepthForkConcurrent has twelve goroutines depth-fork one Prefix and
+// decode at once — eight at position 0 and every sublayer, four in time
+// as well, at decode positions; half diverging from its tokens part way,
+// two on a Batch, one taking a KV-cache strike on a row it shares — and
+// requires each to match its own sequential reference and the Prefix to
+// hold its exact bytes afterwards. Run under -race: the forks read the
 // prefix's rows, planes and trace with no synchronisation beyond their
 // own start.
 func TestDepthForkConcurrent(t *testing.T) {
 	m := MustBuild(depthSpec(true))
 	prompt := promptOf(9, m.Cfg.Vocab)
 	toks := []int{5, 9, 2, 7}
-	snap := depthPrefix(m, prompt, toks)
+	snap := depthPrefix(m, 0, prompt, toks)
 	before := *snap
-	before.kv, before.depth = [2][][]float32{}, &planes{toks: slices.Clone(snap.depth.toks)}
+	before.kv, before.depth = [2][][]float32{}, &planes{lo: snap.depth.lo, toks: slices.Clone(snap.depth.toks)}
 	for pl := range snap.kv {
 		for _, rows := range snap.kv[pl] {
 			before.kv[pl] = append(before.kv[pl], slices.Clone(rows))
@@ -164,42 +166,56 @@ func TestDepthForkConcurrent(t *testing.T) {
 		before.trace = append(before.trace, slices.Clone(tr))
 	}
 
-	const forks = 8
+	const forks = 12
 	struck := LayerRef{0, KindV, -1}
-	run := func(g int, st *State, step func(tok int) []float32) [][]float32 {
-		out := [][]float32{slices.Clone(st.Prefill(prompt))}
-		for i, tok := range append(slices.Clone(toks), 1, 6) {
-			if g%2 == 1 && i == 2 {
+	all := append(append(slices.Clone(prompt), toks...), 1, 6)
+	atOf := func(g int) int {
+		if g < 8 {
+			return 0
+		}
+		return len(prompt) + g - 8
+	}
+	// run feeds st, at position 0 or a decode position, the tokens of all
+	// from there — an odd fork's changed after the first it is fed past
+	// the prompt — and returns the logits after each position it ran.
+	run := func(g int, st *State, step func(tok int) []float32) map[int][]float32 {
+		out := map[int][]float32{}
+		if st.Pos == 0 {
+			out[len(prompt)-1] = slices.Clone(st.Prefill(prompt))
+		}
+		for pos := st.Pos; pos < len(all); pos++ {
+			tok := all[pos]
+			if g%2 == 1 && pos == max(len(prompt), atOf(g))+1 {
 				tok = (tok + g) % m.Cfg.Vocab
 			}
-			if g == 0 && i == 1 {
+			if g == 0 && pos == len(prompt)+1 {
 				// Block 0's attention lies below sublayer 1: the struck row is
 				// one the fork reads from the prefix.
 				v, _ := st.KVAt(struck, 3, 4)
 				st.SetKV(struck, 3, 4, -4*v-1)
 			}
-			out = append(out, slices.Clone(step(tok)))
+			out[pos] = slices.Clone(step(tok))
 		}
 		return out
 	}
 	fromOf := func(g int) int { return 1 + g%(2*m.Cfg.NBlocks-1) }
-	want := make([][][]float32, forks)
+	want := make([]map[int][]float32, forks)
 	for g := range want {
 		st := m.NewState()
 		st.EnableExpertTrace()
 		want[g] = run(g, st, st.DecodeStep)
 	}
 
-	got := make([][][]float32, forks)
+	got := make([]map[int][]float32, forks)
 	var wg sync.WaitGroup
 	for g := 0; g < forks; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			wm := m.CloneShared()
-			st := snap.ForkDepth(wm, nil, fromOf(g))
+			st := snap.ForkDepth(wm, nil, atOf(g), fromOf(g))
 			step := st.DecodeStep
-			if g == 1 {
+			if g%8 == 1 {
 				bt := wm.NewBatch(1)
 				row := &DecodeRow{St: st, Logits: make([]float32, m.Cfg.Vocab)}
 				step = func(tok int) []float32 {
@@ -214,11 +230,142 @@ func TestDepthForkConcurrent(t *testing.T) {
 	wg.Wait()
 
 	for g := range got {
-		for i := range want[g] {
-			sameBits(t, fmt.Sprintf("fork %d (from %d) logits %d", g, fromOf(g), i), got[g][i], want[g][i])
+		if len(got[g]) == 0 {
+			t.Fatalf("fork %d ran nothing", g)
+		}
+		for pos, logits := range got[g] {
+			sameBits(t, fmt.Sprintf("fork %d (at %d, from %d) logits after %d", g, atOf(g), fromOf(g), pos), logits, want[g][pos])
 		}
 	}
 	if !reflect.DeepEqual(snap, &before) {
 		t.Fatal("a depth fork wrote the shared prefix")
 	}
+}
+
+// TestDepthForkAtMatchesFullState is the fork in time and depth's
+// contract. A prefix records a clean generation from the prompt's end; on
+// a model struck in sublayer from, a fork at every decode position p and
+// sublayer from, fed the tokens from p on, must equal the fork in time
+// alone (ForkInto at p) fed the same ones — every logits vector, the KV
+// rows through KVAt, the expert trace — for every from, with the fed
+// tokens leaving the prefix's at p, two positions later, or never, and
+// fed one token per step or the first two as one stacked pass; dense and
+// MoE. DepthMatched counts exactly the positions from p before the first
+// difference, or the prefix's end.
+func TestDepthForkAtMatchesFullState(t *testing.T) {
+	const promptLen, steps = 7, 5
+	for _, moe := range []bool{false, true} {
+		t.Run(fmt.Sprintf("moe=%v", moe), func(t *testing.T) {
+			spec := depthSpec(moe)
+			m := MustBuild(spec)
+			vocab := spec.Config.Vocab
+			prompt := promptOf(promptLen, vocab)
+			toks := make([]int, steps)
+			for i := range toks {
+				toks[i] = (3*i + 4) % vocab
+			}
+			snap := depthPrefix(m, promptLen, prompt, toks)
+			end := snap.Pos()
+			var recycled *State
+			for from := 0; from < 2*m.Cfg.NBlocks; from++ {
+				struck := strikeAt(t, m, from)
+				for p := promptLen; p < end; p++ {
+					for _, diverge := range []int{p, p + 2, end} {
+						for _, stacked := range []bool{false, true} {
+							d := append(slices.Clone(toks[p-promptLen:]), 3, 4)
+							if diverge < end {
+								d[diverge-p] = (d[diverge-p] + 1) % vocab
+							}
+							feedFrom := func(st *State) [][]float32 {
+								var out [][]float32
+								rest := d
+								if stacked {
+									out = append(out, slices.Clone(st.Prefill(d[:2])))
+									rest = d[2:]
+								}
+								for _, tok := range rest {
+									out = append(out, slices.Clone(st.DecodeStep(tok)))
+								}
+								return out
+							}
+							want := snap.ForkInto(struck, nil, p)
+							wantLogits := feedFrom(want)
+							got := snap.ForkDepth(struck, recycled, p, from)
+							recycled = got
+							gotLogits := feedFrom(got)
+
+							name := fmt.Sprintf("fork at %d, from %d, diverging at %d (stacked %v)", p, from, diverge, stacked)
+							for i := range wantLogits {
+								sameBits(t, fmt.Sprintf("%s: logits %d", name, i), gotLogits[i], wantLogits[i])
+							}
+							if err := statesEqual(want, got); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							matched := min(diverge, end) - p
+							if from == 0 {
+								matched = 0
+							}
+							if got.DepthMatched() != matched {
+								t.Fatalf("%s: %d positions matched, want %d", name, got.DepthMatched(), matched)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDepthForkPlanesFrom: a state recording from position lo keeps, and
+// its snapshot copies and counts, only the rows from lo on — the same
+// bits a state recording from 0 keeps there. Its planes cover positions
+// lo and up: a fork in depth below lo panics, one in time alone does not.
+func TestDepthForkPlanesFrom(t *testing.T) {
+	m := MustBuild(depthSpec(true))
+	d := m.Cfg.DModel
+	prompt := promptOf(6, m.Cfg.Vocab)
+	toks := []int{5, 9, 2, 7}
+	full := depthPrefix(m, 0, prompt, toks)
+	lo := len(prompt)
+	part := depthPrefix(m, lo, prompt, toks)
+	n := part.Pos() - lo
+
+	if part.depth.lo != lo || len(part.depth.toks) != n {
+		t.Fatalf("planes from %d holding %d positions, want %d from %d", part.depth.lo, len(part.depth.toks), n, lo)
+	}
+	for s := 1; s < 2*m.Cfg.NBlocks; s++ {
+		if len(part.depth.res[s-1]) != n*d {
+			t.Fatalf("sublayer %d plane holds %d values, want %d", s, len(part.depth.res[s-1]), n*d)
+		}
+		for pos := lo; pos < part.Pos(); pos++ {
+			sameBits(t, fmt.Sprintf("sublayer %d at %d", s, pos), part.depth.at(s, pos, d), full.depth.at(s, pos, d))
+			if part.depth.tok(pos) != full.depth.tok(pos) {
+				t.Fatalf("token at %d: %d, want %d", pos, part.depth.tok(pos), full.depth.tok(pos))
+			}
+		}
+	}
+	perPos := (2*m.Cfg.NBlocks-1)*d*4 + 8
+	if got, want := full.Bytes()-part.Bytes(), lo*perPos; got != want {
+		t.Fatalf("planes from %d are %d bytes smaller than from 0, want %d", lo, got, want)
+	}
+	st, _ := decodedState(m, prompt, toks)
+	noPlanes := st.Snapshot()
+	if got, want := full.Bytes()-noPlanes.Bytes(), full.Pos()*perPos; got != want {
+		t.Fatalf("planes from 0 are %d bytes, want %d", got, want)
+	}
+
+	for pos := 0; pos <= part.Pos(); pos++ {
+		if part.HasDepth(pos) != (pos >= lo) || !full.HasDepth(pos) || noPlanes.HasDepth(pos) {
+			t.Fatalf("position %d: covered from %d %v, from 0 %v, without planes %v",
+				pos, lo, part.HasDepth(pos), full.HasDepth(pos), noPlanes.HasDepth(pos))
+		}
+	}
+	part.ForkDepth(m, nil, lo-1, 0)
+	part.ForkDepth(m, nil, lo, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a fork in depth below the planes' first position did not panic")
+		}
+	}()
+	part.ForkDepth(m, nil, lo-1, 1)
 }

@@ -49,13 +49,14 @@ func (p *Prefix) Pos() int { return p.pos }
 func (p *Prefix) Bytes() int {
 	n := 2 * len(p.kv[planeK]) * p.pos * p.dModel * 4
 	if p.depth != nil {
-		n += len(p.depth.res)*p.pos*p.dModel*4 + p.pos*8
+		n += p.depth.bytes()
 	}
 	return n
 }
 
 // Snapshot returns an exact copy of the state's first Pos rows, its
-// expert trace and its depth planes as an immutable Prefix.
+// expert trace and the depth planes it recorded below Pos as an immutable
+// Prefix.
 func (st *State) Snapshot() *Prefix {
 	cfg := &st.m.Cfg
 	d := cfg.DModel

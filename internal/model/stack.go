@@ -129,8 +129,9 @@ func (m *Model) linearRows(rows []stackRow, ref LayerRef, w Weight, in, out *ten
 // starting at different sublayers run as consecutive passes, one per run
 // of equal starts in row order; a prompt's matched positions precede the
 // rest, so each pass's rows attend only over rows already written. A
-// recording state (RecordDepth) keeps every row's residual at the start
-// of each sublayer, and its token.
+// recording state (RecordDepth) keeps the residual at the start of each
+// sublayer, and the token, of every row at or past the position it
+// records from.
 //
 // The caller has made room for every row's position in its state's cache
 // (State.reserveNext) before the pass, on one goroutine.
@@ -170,7 +171,7 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 	// (sublayer 0's is the embedding row: no fork starts there).
 	record := func(s int) {
 		for i := r0; i < r1; i++ {
-			if rec := rows[i].st.rec; rec != nil {
+			if rec := rows[i].st.rec; rec.covers(rows[i].pos) {
 				copy(rec.at(s, rows[i].pos, cfg.DModel), sk.x.Row(i))
 			}
 		}
@@ -182,8 +183,8 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 			copy(sk.x.Row(i), row.st.base.depth.at(from, row.pos, cfg.DModel))
 			continue
 		}
-		if rec := row.st.rec; rec != nil {
-			rec.toks[row.pos] = row.tok
+		if rec := row.st.rec; rec.covers(row.pos) {
+			rec.toks[row.pos-rec.lo] = row.tok
 		}
 		tok := row.tok
 		if tok < 0 || tok >= cfg.Vocab {
