@@ -26,11 +26,12 @@ lint:
 build:
 	$(GO) build ./...
 
-## cross: the row kernel, Q·K and exp assembly is amd64-only; the Go
-## fallbacks must compile and vet clean where the .s files do not.
+## cross: the row kernel, Q·K, exp, SiLU and BF16 rounding assembly is
+## amd64-only; the Go fallbacks must compile and vet clean where the .s
+## files do not.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/model/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/model/ ./internal/numerics/
 
 test:
 	$(GO) test ./...
@@ -84,9 +85,11 @@ bench-compare:
 ## fuzz: short smoke sessions of the fuzz targets (also run in CI).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHalfRoundTrip$$' -fuzztime 10s ./internal/numerics/
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundSlice$$' -fuzztime 10s ./internal/numerics/
 	$(GO) test -run '^$$' -fuzz '^FuzzFlipBits$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerateRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKernel$$' -fuzztime 10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz '^FuzzSiLUMul$$' -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreKeys$$' -fuzztime 10s ./internal/model/
 
 ## cover: the detection-layer coverage gate enforced by CI — the ABFT and

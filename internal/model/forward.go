@@ -166,9 +166,7 @@ func (m *Model) mlpForward(obs *Observers, mlp *MLPWeights, base LayerRef, pos i
 	m.linearRow(obs, base, pos, mlp.WGate, h, ff1)
 	base.Kind = KindUp
 	m.linearRow(obs, base, pos, mlp.WUp, h, ff2)
-	for i, g := range ff1 {
-		ffa[i] = float32(float64(g)/(1+math.Exp(-float64(g)))) * ff2[i]
-	}
+	tensor.SiLUMul(ffa, ff1, ff2)
 	base.Kind = KindDown
 	m.linearRow(obs, base, pos, mlp.WDown, ffa, dst)
 }
@@ -177,16 +175,17 @@ func (m *Model) mlpForward(obs *Observers, mlp *MLPWeights, base LayerRef, pos i
 // whose router logits sk.r are already finished — through the top-K
 // experts they select and writes the probability-weighted mixture to
 // sk.d, every expert's MLP under the row's own observers with row r of
-// sk's hidden tensors as its scratch.
+// sk's hidden tensors, and its slots of sk's MoE scratch, as its scratch.
 func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 	cfg := &m.Cfg
 	routerLogits := sk.r.Row(r)
-	sel := tensor.TopK(routerLogits, cfg.TopK)
+	k := min(cfg.TopK, cfg.NumExperts)
+	sel := tensor.TopK(sk.sel[r*k:r*k:(r+1)*k], routerLogits, cfg.TopK)
 	if tr := row.st.ExpertTrace; tr != nil {
 		tr[bi] = append(tr[bi], sel...)
 	}
 	// Softmax over the selected logits only (Mixtral-style renormalization).
-	probs := make([]float32, len(sel))
+	probs := sk.probs[r*k : (r+1)*k]
 	var maxv float32 = float32(math.Inf(-1))
 	for i, e := range sel {
 		probs[i] = routerLogits[e]
@@ -210,8 +209,8 @@ func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 		}
 	}
 
-	mix := make([]float32, cfg.DModel)
-	out := make([]float32, cfg.DModel)
+	mix, out := sk.d.Row(r), sk.mo.Row(r)
+	clear(mix)
 	h, ff1, ff2, ffa := sk.h.Row(r), sk.ff1.Row(r), sk.ff2.Row(r), sk.ffa.Row(r)
 	for i, e := range sel {
 		m.mlpForward(&row.obs, blk.Experts[e], LayerRef{bi, 0, e}, row.pos, out, h, ff1, ff2, ffa)
@@ -220,7 +219,6 @@ func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 			mix[j] += w * v
 		}
 	}
-	copy(sk.d.Row(r), mix)
 }
 
 // Strike is a weight-resident fault — a flipped linear weight, norm-gain

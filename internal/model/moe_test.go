@@ -35,7 +35,7 @@ func TestMoERoutingMatchesRouterLogits(t *testing.T) {
 		t.Fatalf("captured %d router outputs, want 3", len(routerOut))
 	}
 	for pos, logits := range routerOut {
-		want := tensor.TopK(logits, 2)
+		want := tensor.TopK(nil, logits, 2)
 		got := st.ExpertTrace[0][pos*2 : pos*2+2]
 		for i := range want {
 			if got[i] != want[i] {

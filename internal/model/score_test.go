@@ -128,25 +128,31 @@ func FuzzScoreKeys(f *testing.F) {
 }
 
 // TestBatchStepDoesNotAllocate: a one-thread Batch.Step over states that
-// own their rows allocates nothing — the Q·K kernel and the softmax's exp
-// pass take no scratch.
+// own their rows allocates nothing — the Q·K kernel, the softmax's exp
+// pass and the SiLU pass take no scratch, and an MoE block routes and
+// mixes in the Batch's own. The MoE states record no expert trace, whose
+// appends grow with every step.
 func TestBatchStepDoesNotAllocate(t *testing.T) {
-	m := MustBuild(testSpec(QwenS))
-	m.SetThreads(1)
-	rows := make([]*DecodeRow, 4)
-	for i := range rows {
-		rows[i] = &DecodeRow{St: shardState(m, i), Logits: make([]float32, m.Cfg.Vocab)}
-	}
-	b := m.NewBatch(len(rows))
-	step := 0
-	if n := testing.AllocsPerRun(10, func() {
-		for i, row := range rows {
-			row.Tok = shardTok(i, step, m.Cfg.Vocab)
+	for name, spec := range map[string]Spec{"dense": testSpec(QwenS), "moe": moeTestSpec(LlamaS)} {
+		m := MustBuild(spec)
+		m.SetThreads(1)
+		rows := make([]*DecodeRow, 4)
+		for i := range rows {
+			st := m.NewState()
+			st.Prefill(shardPrompt(i, m.Cfg.Vocab))
+			rows[i] = &DecodeRow{St: st, Logits: make([]float32, m.Cfg.Vocab)}
 		}
-		b.Step(rows)
-		step++
-	}); n != 0 {
-		t.Fatalf("Batch.Step on one thread: %v allocations per step", n)
+		b := m.NewBatch(len(rows))
+		step := 0
+		if n := testing.AllocsPerRun(10, func() {
+			for i, row := range rows {
+				row.Tok = shardTok(i, step, m.Cfg.Vocab)
+			}
+			b.Step(rows)
+			step++
+		}); n != 0 {
+			t.Fatalf("%s: Batch.Step on one thread: %v allocations per step", name, n)
+		}
 	}
 }
 

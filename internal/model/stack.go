@@ -1,10 +1,6 @@
 package model
 
-import (
-	"math"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // rowsForwarder is implemented by weights that can push a contiguous
 // range of an activation tensor's rows through the layer at once, leaving
@@ -48,6 +44,9 @@ type stack struct {
 	x, h, q, kb, vb, a, d *tensor.Tensor // rows × DModel
 	ff1, ff2, ffa         *tensor.Tensor // rows × FFHidden
 	r                     *tensor.Tensor // rows × NumExperts (MoE only)
+	mo                    *tensor.Tensor // rows × DModel: an expert's output (MoE only)
+	sel                   []int          // rows × TopK: the selected experts (MoE only)
+	probs                 []float32      // rows × TopK: their mixing weights (MoE only)
 }
 
 func (m *Model) newStack(rows int) *stack {
@@ -65,7 +64,11 @@ func (m *Model) newStack(rows int) *stack {
 		ffa: tensor.New(rows, cfg.FFHidden),
 	}
 	if cfg.IsMoE() {
+		k := min(cfg.TopK, cfg.NumExperts)
 		sk.r = tensor.New(rows, cfg.NumExperts)
+		sk.mo = tensor.New(rows, cfg.DModel)
+		sk.sel = make([]int, rows*k)
+		sk.probs = make([]float32, rows*k)
 	}
 	return sk
 }
@@ -239,10 +242,7 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, workers int) {
 		} else {
 			linear(LayerRef{bi, KindGate, -1}, blk.MLP.WGate, sk.h, sk.ff1)
 			linear(LayerRef{bi, KindUp, -1}, blk.MLP.WUp, sk.h, sk.ff2)
-			gate, up, act := span(sk.ff1), span(sk.ff2), span(sk.ffa)
-			for j, g := range gate {
-				act[j] = float32(float64(g)/(1+math.Exp(-float64(g)))) * up[j]
-			}
+			tensor.SiLUMul(span(sk.ffa), span(sk.ff1), span(sk.ff2))
 			linear(LayerRef{bi, KindDown, -1}, blk.MLP.WDown, sk.ffa, sk.d)
 		}
 		addRows(sk.x, sk.d)

@@ -140,29 +140,40 @@ func Round(d DType, v float64) float64 {
 // path's bulk form: every linear-layer output row is rounded after its
 // hooks and checker ran, and the per-element Round call chain (Encode,
 // Decode, two float64 conversions) costs more than the arithmetic it
-// wraps. The BF16 fast path inlines the EncodeBF16/DecodeBF16 round trip
-// as pure bit manipulation.
+// wraps. BF16 runs roundBF16, the EncodeBF16/DecodeBF16 round trip as
+// pure bit manipulation.
 func RoundSlice(d DType, vals []float32) {
 	switch d {
 	case FP32:
 		// float32 storage: values are already exactly representable.
 	case BF16:
-		for i, v := range vals {
-			b := math.Float32bits(v)
-			if b&0x7F800000 == 0x7F800000 && b&0x007FFFFF != 0 {
-				// NaN: preserve payload top bits, force quiet (EncodeBF16).
-				vals[i] = math.Float32frombits((b>>16 | 0x0040) << 16)
-				continue
-			}
-			round := uint32(0x7FFF + (b>>16)&1)
-			vals[i] = math.Float32frombits((b + round) >> 16 << 16)
-		}
+		roundBF16(vals)
 	case FP16:
 		for i, v := range vals {
 			vals[i] = DecodeFP16(EncodeFP16(v))
 		}
 	default:
 		panic("numerics: unknown dtype")
+	}
+}
+
+// roundBF16 is RoundSlice's BF16 pass: four integer lanes on amd64 (set
+// once at init, round_amd64.go), roundBF16Portable everywhere else. Both
+// produce the same bits, so nothing chooses between them.
+var roundBF16 = roundBF16Portable
+
+// roundBF16Portable rounds each value to BF16 as EncodeBF16 then
+// DecodeBF16 would: the reference every faster pass is pinned to.
+func roundBF16Portable(vals []float32) {
+	for i, v := range vals {
+		b := math.Float32bits(v)
+		if b&0x7F800000 == 0x7F800000 && b&0x007FFFFF != 0 {
+			// NaN: preserve payload top bits, force quiet (EncodeBF16).
+			vals[i] = math.Float32frombits((b>>16 | 0x0040) << 16)
+			continue
+		}
+		round := uint32(0x7FFF + (b>>16)&1)
+		vals[i] = math.Float32frombits((b + round) >> 16 << 16)
 	}
 }
 

@@ -2,13 +2,16 @@ package tensor
 
 import "math"
 
-// expRowAVX, expLanesAVX and cpuHasFMA are in exp_amd64.s.
+// expRowAVX, expLanesAVX, siluMulAVX and cpuHasFMA are in exp_amd64.s.
 
 //go:noescape
 func expRowAVX(row []float32, maxv float64, softmax, fma bool, sum float64) (n int, s float64)
 
 //go:noescape
 func expLanesAVX(x *[4]float64, fma bool)
+
+//go:noescape
+func siluMulAVX(act, gate, up []float32, fma bool) (n int)
 
 func cpuHasFMA() bool
 
@@ -23,7 +26,8 @@ var expWitness = [4]float64{-436.85582961660896, -102.96812530861719, -54.528678
 // same CPUID/XGETBV bits. math reads them through internal/cpu, which
 // GODEBUG=cpu.fma=off (or a math package whose sequence changed) can take
 // away from under this probe, so a branch is installed only once it agrees
-// with math.Exp on the witness; if neither does, math.Exp itself runs.
+// with math.Exp on the witness; if neither does, math.Exp itself runs. The
+// SiLU lanes run the same branch wherever the exp lanes do.
 func init() {
 	if !cpuHasAVX() {
 		return
@@ -36,7 +40,7 @@ func init() {
 			agree = agree && x[i] == math.Exp(w)
 		}
 		if agree {
-			expRow, expFMA, expName = expRowWide, fma, "sse2"
+			expRow, siluMul, expFMA, expName = expRowWide, siluMulWide, fma, "sse2"
 			if fma {
 				expName = "fma"
 			}
@@ -61,4 +65,17 @@ func expRowWide(row []float32, maxv float64, softmax bool) float64 {
 		}
 	}
 	return sum
+}
+
+// siluMulWide runs the assembly over the slices, four lanes at a time, up
+// to the first block of four holding a gate outside |x| < 708 or a NaN —
+// whose exp(-x) leaves archExp's normal path — and SiLU over that block
+// and the ragged tail; then the assembly again.
+func siluMulWide(act, gate, up []float32) {
+	for i := 0; i < len(gate); {
+		i += siluMulAVX(act[i:], gate[i:], up[i:], expFMA)
+		for end := min(i+4, len(gate)); i < end; i++ {
+			act[i] = SiLU(gate[i]) * up[i]
+		}
+	}
 }

@@ -27,7 +27,8 @@ DATA expc<>+96(SB)/8, $2.0
 DATA expc<>+104(SB)/8, $708.0
 DATA expc<>+112(SB)/8, $0x7fffffffffffffff
 DATA expc<>+120(SB)/4, $0x3ff
-GLOBL expc<>(SB), RODATA|NOPTR, $124
+DATA expc<>+128(SB)/8, $0x8000000000000000
+GLOBL expc<>(SB), RODATA|NOPTR, $136
 
 // Registers: Y0 x and then the result, Y1 n as float64, Y2 the
 // polynomial, Y3 a broadcast coefficient, X4 n as int32 and Y4 2^n;
@@ -217,6 +218,64 @@ sse2:
 scale:
 	LDEXP
 	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func siluMulAVX(act, gate, up []float32, fma bool) (n int)
+// Writes act[i] = float32(x / (1 + exp(-x))) * up[i] with x =
+// float64(gate[i]), i ascending, four entries at a time: x widened, -x by
+// flipping the sign bit (so ±0 stay exact), exp(-x) by the lanes above,
+// then 1 + e, the divide, the narrowing and the float32 product, each
+// rounded as the Go expression rounds it. It stops before the first block
+// of four that is short or holds an x outside |x| < 708 (NaN included),
+// and returns the entries it wrote.
+//
+// Registers: DI act, SI gate, DX up, CX len(gate), R9 i, R11 fma, Y5 x,
+// Y12 708, Y14 |·| mask, Y15 sign mask.
+TEXT ·siluMulAVX(SB), NOSPLIT, $0-88
+	MOVQ    act_base+0(FP), DI
+	MOVQ    gate_base+24(FP), SI
+	MOVQ    gate_len+32(FP), CX
+	MOVQ    up_base+48(FP), DX
+	MOVBLZX fma+72(FP), R11
+	EXPCONSTS
+	VBROADCASTSD expc<>+104(SB), Y12
+	VBROADCASTSD expc<>+112(SB), Y14
+	VBROADCASTSD expc<>+128(SB), Y15
+	XORQ    R9, R9
+
+block:
+	LEAQ    4(R9), AX
+	CMPQ    AX, CX
+	JGT     done
+	VCVTPS2PD (SI)(R9*4), Y5
+	VANDPD  Y14, Y5, Y1
+	VCMPPD  $1, Y12, Y1, Y1 // |x| < 708, false for NaN
+	VMOVMSKPD Y1, AX
+	CMPL    AX, $15
+	JNE     done
+
+	VXORPD  Y15, Y5, Y0
+	ROUND
+	TESTQ   R11, R11
+	JZ      sse2
+	REDUCE_FMA
+	JMP     scale
+sse2:
+	REDUCE_SSE2
+scale:
+	LDEXP
+	VADDPD  Y8, Y0, Y0
+	VDIVPD  Y0, Y5, Y0
+	VCVTPD2PSY Y0, X0
+	VMOVUPS (DX)(R9*4), X1
+	VMULPS  X1, X0, X0
+	VMOVUPS X0, (DI)(R9*4)
+	ADDQ    $4, R9
+	JMP     block
+
+done:
+	MOVQ    R9, n+80(FP)
 	VZEROUPPER
 	RET
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -136,4 +137,97 @@ func TestExpWitnessSeparatesBranches(t *testing.T) {
 			t.Errorf("witness %v: math.Exp %v is neither branch (fma %v, sse2 %v)", x, e, f, s)
 		}
 	}
+}
+
+// TestSiLUMulMatchesScalar pins the SiLU lanes to the scalar expression
+// as TestExpMatchesMathExp pins the exp lanes: under the branch this
+// machine selected, SiLUMul against math.Exp's SiLU; under each branch,
+// every whole in-domain block of four against the branch's transcription
+// and every other entry against math.Exp's. Rows of length 0–9 and 130
+// carry each special value in gate, then in up, at every position, so a
+// fallback block sits at each lane, mid-row and last; then rows of
+// arguments spread over the lanes' domain.
+func TestSiLUMulMatchesScalar(t *testing.T) {
+	if !cpuHasAVX() {
+		t.Skip("no AVX: SiLU's math.Exp is the only SiLU on this machine")
+	}
+	branches := map[string]bool{"sse2": false}
+	if cpuHasFMA() {
+		branches["fma"] = true
+	}
+	if _, ok := branches[expName]; !ok {
+		t.Fatalf("exp=%s on an AVX machine: neither branch agreed with math.Exp on the witness", expName)
+	}
+	check := func(label string, gate, up []float32) {
+		t.Helper()
+		want := make([]float32, len(gate))
+		siluMulScalar(want, gate, up, math.Exp)
+		checkSiLUMul(t, label, gate, up, want)
+		for name, fma := range branches {
+			for i := 0; i < len(gate); i += 4 {
+				end := min(i+4, len(gate))
+				exp := math.Exp
+				if end == i+4 && inExpDomain(gate[i:end]) {
+					exp = func(x float64) float64 { return expBranchRef(x, fma) }
+				}
+				siluMulScalar(want[i:end], gate[i:end], up[i:end], exp)
+			}
+			got := make([]float32, len(gate))
+			saved := expFMA
+			expFMA = fma
+			siluMulWide(got, gate, up)
+			expFMA = saved
+			for i := range got {
+				if !sameFloat(got[i], want[i]) {
+					t.Fatalf("%s (%s): entry %d: silu(%v (%08x))·%v = %v (%08x), transcription %v (%08x)", label, name, i,
+						gate[i], math.Float32bits(gate[i]), up[i], got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+
+	r := &testRand{s: 73}
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 130}
+	for _, n := range lengths {
+		gate, up := make([]float32, n), make([]float32, n)
+		for i := range gate {
+			gate[i], up[i] = 12*r.float(), 2*r.float()
+		}
+		check(fmt.Sprintf("n=%d", n), gate, up)
+		for _, s := range siluSpecials {
+			for p := 0; p < n; p++ {
+				for _, into := range []string{"gate", "up"} {
+					g, u := append([]float32(nil), gate...), append([]float32(nil), up...)
+					if into == "gate" {
+						g[p] = s
+					} else {
+						u[p] = s
+					}
+					check(fmt.Sprintf("n=%d %s[%d]=%v (%08x)", n, into, p, s, math.Float32bits(s)), g, u)
+				}
+			}
+		}
+	}
+
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 14
+	}
+	xs := expInputs(n)
+	gate, up := make([]float32, len(xs)), make([]float32, len(xs))
+	for i, x := range xs {
+		gate[i], up[i] = float32(x), r.float()
+	}
+	check("spread", gate, up)
+}
+
+// inExpDomain reports whether every gate's exp(-x) stays on the lanes'
+// path, |x| < 708.
+func inExpDomain(gate []float32) bool {
+	for _, g := range gate {
+		if !(math.Abs(float64(g)) < 708) {
+			return false
+		}
+	}
+	return true
 }

@@ -123,12 +123,13 @@ func Argmax(row []float32) int {
 }
 
 // TopK returns the indices of the k largest values of row in descending
-// value order (ties toward lower index), used by the MoE router.
-func TopK(row []float32, k int) []int {
+// value order (ties toward lower index), used by the MoE router. They are
+// appended to idx[:0], so an idx with capacity k allocates nothing.
+func TopK(idx []int, row []float32, k int) []int {
 	if k > len(row) {
 		k = len(row)
 	}
-	idx := make([]int, 0, k)
+	idx = idx[:0]
 	for n := 0; n < k; n++ {
 		best := -1
 		bestv := float32(math.Inf(-1))

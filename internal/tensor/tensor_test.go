@@ -291,16 +291,16 @@ func TestArgmax(t *testing.T) {
 }
 
 func TestTopK(t *testing.T) {
-	got := TopK([]float32{0.1, 5, 3, 4}, 2)
+	got := TopK(nil, []float32{0.1, 5, 3, 4}, 2)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("TopK = %v, want [1 3]", got)
 	}
-	got = TopK([]float32{1, 2}, 5)
+	got = TopK(nil, []float32{1, 2}, 5)
 	if len(got) != 2 {
 		t.Fatal("TopK should clamp k to len")
 	}
 	nan := float32(math.NaN())
-	got = TopK([]float32{nan, nan, nan}, 2)
+	got = TopK(nil, []float32{nan, nan, nan}, 2)
 	if len(got) != 2 {
 		t.Fatal("all-NaN TopK must still return k experts")
 	}

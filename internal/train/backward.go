@@ -88,7 +88,7 @@ func (tr *Trainable) backwardSeq(sc *seqCache, dLogits *tensor.Tensor) {
 		dU := tensor.New(T, ff)
 		for i, da := range dAct.Data {
 			g := bc.g.Data[i]
-			dU.Data[i] = da * silu(g)
+			dU.Data[i] = da * tensor.SiLU(g)
 			dG.Data[i] = da * bc.u.Data[i] * siluGrad(g)
 		}
 		dH2 := tensor.New(T, d)

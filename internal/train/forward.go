@@ -148,9 +148,7 @@ func (tr *Trainable) forwardSeq(tokens []int) *seqCache {
 		tensor.MatMul(bc.g, bc.h2Norm, blk.WGate.W)
 		tensor.MatMul(bc.u, bc.h2Norm, blk.WUp.W)
 		bc.act = tensor.New(T, ff)
-		for i, g := range bc.g.Data {
-			bc.act.Data[i] = silu(g) * bc.u.Data[i]
-		}
+		tensor.SiLUMul(bc.act.Data, bc.g.Data, bc.u.Data)
 		mlpOut := tensor.New(T, d)
 		tensor.MatMul(mlpOut, bc.act, blk.WDown.W)
 		x.AddInPlace(mlpOut)
@@ -251,10 +249,6 @@ func (tr *Trainable) attention(q, k, v *tensor.Tensor) ([]*tensor.Tensor, *tenso
 		}
 	}
 	return probs, concat
-}
-
-func silu(x float32) float32 {
-	return float32(float64(x) / (1 + math.Exp(-float64(x))))
 }
 
 func siluGrad(x float32) float32 {
