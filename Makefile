@@ -26,12 +26,25 @@ lint:
 build:
 	$(GO) build ./...
 
-## cross: the row kernel, Q·K, exp, SiLU and BF16 rounding assembly is
-## amd64-only; the Go fallbacks must compile and vet clean where the .s
-## files do not.
+## cross: the row kernel, Q·K, exp, SiLU, softmax max/scale and BF16
+## rounding assembly is amd64-only; the Go fallbacks must compile and vet
+## clean where the .s files do not. The portable Q·K and softmax loops
+## must also round every product on its own there: the arm64 listing
+## (-gcflags=-S, replayed from the build cache) of each function in
+## NO_FMA must exist and hold no fused multiply-add.
+NO_FMA = internal/model:scoreKeysPortable internal/tensor:maxRowPortable internal/tensor:scaleRowPortable
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/model/ ./internal/numerics/
+	@set -e; for fn in $(NO_FMA); do \
+		dir=$${fn%%:*}; sym=repro/$$dir.$${fn#*:}; \
+		listing=$$(GOARCH=arm64 $(GO) build -gcflags="repro/$$dir=-S" ./$$dir 2>&1 \
+			| awk -v f="$$sym" '$$1 == f && $$2 == "STEXT" { on = 1; next } /^[^ \t]/ { on = 0 } on'); \
+		[ -n "$$listing" ] || { echo "cross: no arm64 listing of $$sym"; exit 1; }; \
+		if echo "$$listing" | grep -Eq 'FN?M(ADD|SUB)'; then \
+			echo "cross: $$sym fuses a multiply-add on arm64:"; echo "$$listing" | grep -E 'FN?M(ADD|SUB)'; exit 1; fi; \
+		echo "cross: no fused multiply-add in $$sym on arm64"; \
+	done
 
 test:
 	$(GO) test ./...
@@ -90,6 +103,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerateRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKernel$$' -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzSiLUMul$$' -fuzztime 10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz '^FuzzSoftmaxRow$$' -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreKeys$$' -fuzztime 10s ./internal/model/
 
 ## cover: the detection-layer coverage gate enforced by CI — the ABFT and

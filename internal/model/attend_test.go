@@ -63,8 +63,7 @@ func TestAttendValueMixMatchesReference(t *testing.T) {
 		for i := range q {
 			q[i] = next()
 		}
-		K := &tensor.Tensor{Rows: cfg.MaxSeq, Cols: cfg.DModel, Data: st.own[planeK][0]}
-		V := &tensor.Tensor{Rows: cfg.MaxSeq, Cols: cfg.DModel, Data: st.own[planeV][0]}
+		K, V := tensor.New(cfg.MaxSeq, cfg.DModel), tensor.New(cfg.MaxSeq, cfg.DModel)
 		for i := range K.Data {
 			K.Data[i], V.Data[i] = next(), next()
 		}
@@ -85,6 +84,9 @@ func TestAttendValueMixMatchesReference(t *testing.T) {
 			attendReference(&cfg, K, V, n-1, q, want)
 			// The same n rows held in two pieces, the first nb read from a
 			// Prefix: every split leaves the contiguous cache's bits.
+			for p := 0; p < n; p++ {
+				st.appendKV(0, p, K.Row(p), V.Row(p))
+			}
 			st.Pos = n
 			snap := st.Snapshot()
 			for _, nb := range []int{0, 1, 3, 4, 5, 8, 64, n - 1} {
@@ -93,8 +95,8 @@ func TestAttendValueMixMatchesReference(t *testing.T) {
 				}
 				f := snap.ForkInto(m, nil, nb)
 				f.reserveNext(n - nb)
-				for pl := range f.own {
-					copy(f.own[pl][0], st.own[pl][0][nb*cfg.DModel:n*cfg.DModel])
+				for p := nb; p < n; p++ {
+					f.appendKV(0, p, K.Row(p), V.Row(p))
 				}
 				got := make([]float32, cfg.DModel)
 				m.attendAt(f, 0, n-1, q, got)
@@ -109,5 +111,28 @@ func TestAttendValueMixMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkAttendAt times one block's attention for one decode row of the
+// benchmark model's shape (64 wide, four 16-wide heads) forked from a
+// 124-position prefix: 124 keys and values read from the prefix, one of
+// its own.
+func BenchmarkAttendAt(b *testing.B) {
+	m := MustBuild(Spec{Config: StandardConfig("bench", 64, numerics.BF16), Family: QwenS, Seed: 8})
+	const pos = 124
+	src := m.NewState()
+	src.Prefill(promptOf(pos, m.Cfg.Vocab))
+	st := src.Snapshot().ForkInto(m, nil, pos)
+	st.DecodeStep(5)
+	rng := prng.New(11)
+	q := make([]float32, m.Cfg.DModel)
+	for i := range q {
+		q[i] = float32(2*rng.Float64() - 1)
+	}
+	out := make([]float32, m.Cfg.DModel)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.attendAt(st, 0, pos, q, out)
 	}
 }

@@ -19,8 +19,8 @@ type State struct {
 	// rest own.
 	base *Prefix
 	nb   []int
-	own  [2][][]float32 // [plane][block], rows × DModel
-	rows int            // own rows allocated per plane and block
+	own  [2][][]float32 // [plane][block]: K DModel columns rows apart, V rows × DModel
+	rows int            // own rows allocated per plane and block, a multiple of kAlign
 
 	// Depth (depth.go): a depth fork's passes start at sublayer from while
 	// from > 0, and matched counts the positions that did; rec, when
@@ -117,10 +117,9 @@ func (st *State) ForkAtInto(m2 *Model, dst *State, pos int) *State {
 	// unobservable.
 	dst.reserve(dst.ownRows(pos), false)
 	d := st.m.Cfg.DModel
-	for pl := range st.own {
-		for b, rows := range st.own[pl] {
-			copy(dst.own[pl][b], rows[:(pos-dst.nb[b])*d])
-		}
+	for b, nb := range dst.nb {
+		copyK(dst.own[planeK][b], dst.rows, 0, st.own[planeK][b], st.rows, pos-nb, d)
+		copy(dst.own[planeV][b], st.own[planeV][b][:(pos-nb)*d])
 	}
 	dst.ExpertTrace = traceBelow(st.ExpertTrace, min(st.m.Cfg.TopK, st.m.Cfg.NumExperts), st.Pos, pos)
 	return dst

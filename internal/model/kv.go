@@ -9,16 +9,43 @@ import (
 )
 
 // A State's KV cache is held in two pieces per block. Block b's positions
-// [0, nb[b]) are rows of base, a Prefix shared by reference with every
+// [0, nb[b]) are those of base, a Prefix shared by reference with every
 // other fork of it and never written; positions [nb[b], Pos) are the
-// state's own, position p at row p-nb[b] of own[plane][b] (DModel-wide
-// head-major rows). NewState has no base and owns MaxSeq rows up front; a
-// Prefix.ForkInto state shares the same nb rows in every block and owns
-// only the rows it appends, grown on demand and kept when the state is
-// recycled; a depth fork (depth.go) goes on sharing, in the blocks whose
-// attention its matched passes skip, one more row per matched position.
-// Decoding only appends, so nothing below nb[b] is ever written — except
-// by a KV-cache strike, which first makes the shared rows private (SetKV).
+// state's own, position p at index p-nb[b] of own[plane][b]. NewState has
+// no base and owns MaxSeq positions up front; a Prefix.ForkInto state
+// shares the same nb positions in every block and owns only the ones it
+// appends, grown on demand and kept when the state is recycled; a depth
+// fork (depth.go) goes on sharing, in the blocks whose attention its
+// matched passes skip, one more position per matched one. Decoding only
+// appends, so nothing below nb[b] is ever written — except by a KV-cache
+// strike, which first makes the shared positions private (SetKV).
+//
+// The two planes are laid out for the loops that read them. V is
+// row-major, DModel-wide head-major rows, because the value mix runs its
+// lanes across a row's columns. K is position-contiguous per column:
+// element (p, c) sits at c·ld + p, where ld is the plane's row capacity
+// (the state's rows, a Prefix's ld), because the Q·K lanes run across
+// positions and so load sixteen keys of one column with no transpose.
+// Every ld is a multiple of kAlign, so the lanes' last pass computes
+// inside the plane's padding and the scores it keeps are below n.
+
+// kAlign is the multiple every K plane's row capacity is rounded up to:
+// the Q·K lanes take sixteen positions a pass.
+const kAlign = 16
+
+// kPad rounds n up to a multiple of kAlign.
+func kPad(n int) int { return (n + kAlign - 1) &^ (kAlign - 1) }
+
+// copyK copies positions [0, n) of each of d columns of the K plane src,
+// row capacity sld, to positions [at, at+n) of dst, row capacity dld.
+func copyK(dst []float32, dld, at int, src []float32, sld, n, d int) {
+	if n <= 0 {
+		return
+	}
+	for c := range d {
+		copy(dst[c*dld+at:c*dld+at+n], src[c*sld:c*sld+n])
+	}
+}
 
 // The two planes of a KV cache.
 const (
@@ -35,7 +62,8 @@ const (
 type Prefix struct {
 	dModel, maxSeq int
 	pos            int
-	kv             [2][][]float32 // [plane][block], pos × dModel
+	ld             int            // the K planes' row capacity, pos rounded up to kAlign
+	kv             [2][][]float32 // [plane][block]: K dModel columns ld apart, V pos × dModel rows
 	trace          [][]int        // per block, nil when the state did not trace
 	perPos         int            // trace entries a routed position appends
 	depth          *planes        // nil when the state did not record them
@@ -45,7 +73,8 @@ type Prefix struct {
 func (p *Prefix) Pos() int { return p.pos }
 
 // Bytes is the size of the prefix's cached rows and depth planes, what a
-// budget over prefixes counts.
+// budget over prefixes counts; the K planes' padding, at most kAlign-1
+// positions a block, is not counted.
 func (p *Prefix) Bytes() int {
 	n := 2 * len(p.kv[planeK]) * p.pos * p.dModel * 4
 	if p.depth != nil {
@@ -60,17 +89,19 @@ func (p *Prefix) Bytes() int {
 func (st *State) Snapshot() *Prefix {
 	cfg := &st.m.Cfg
 	d := cfg.DModel
-	p := &Prefix{dModel: d, maxSeq: cfg.MaxSeq, pos: st.Pos, perPos: min(cfg.TopK, cfg.NumExperts)}
-	rows := slab(2*cfg.NBlocks, st.Pos*d)
-	for pl := range p.kv {
-		p.kv[pl], rows = rows[:cfg.NBlocks], rows[cfg.NBlocks:]
-		for b, dst := range p.kv[pl] {
-			shared := st.nb[b] * d
-			if shared > 0 {
-				copy(dst, st.base.kv[pl][b][:shared])
-			}
-			copy(dst[shared:], st.own[pl][b])
+	ld := kPad(st.Pos)
+	p := &Prefix{dModel: d, maxSeq: cfg.MaxSeq, pos: st.Pos, ld: ld, perPos: min(cfg.TopK, cfg.NumExperts)}
+	p.kv[planeK], p.kv[planeV] = make([][]float32, cfg.NBlocks), make([][]float32, cfg.NBlocks)
+	for b, rows := range slab(cfg.NBlocks, (ld+st.Pos)*d) {
+		k, v := rows[:ld*d:ld*d], rows[ld*d:]
+		nb := st.nb[b]
+		if nb > 0 {
+			copyK(k, ld, 0, st.base.kv[planeK][b], st.base.ld, nb, d)
+			copy(v, st.base.kv[planeV][b][:nb*d])
 		}
+		copyK(k, ld, nb, st.own[planeK][b], st.rows, st.Pos-nb, d)
+		copy(v[nb*d:], st.own[planeV][b])
+		p.kv[planeK][b], p.kv[planeV][b] = k, v
 	}
 	if st.ExpertTrace != nil {
 		p.trace = make([][]int, len(st.ExpertTrace))
@@ -151,20 +182,23 @@ func traceBelow(tr [][]int, perPos, have, pos int) [][]int {
 
 // reserve makes room for rows own rows per plane and block, keeping each
 // block's own rows below the cursor when keep is set. Capacity doubles, so
-// a decode that appends a row per step reallocates O(log n) times.
+// a decode that appends a row per step reallocates O(log n) times, and is
+// a multiple of kAlign, the K planes' padding.
 func (st *State) reserve(rows int, keep bool) {
 	if rows <= st.rows {
 		return
 	}
 	cfg := &st.m.Cfg
-	rows = min(max(rows, 2*st.rows, 16), cfg.MaxSeq)
-	for pl := range st.own {
-		for b, old := range st.own[pl] {
-			st.own[pl][b] = make([]float32, rows*cfg.DModel)
-			if keep {
-				copy(st.own[pl][b], old[:(st.Pos-st.nb[b])*cfg.DModel])
-			}
+	d := cfg.DModel
+	rows = kPad(min(max(rows, 2*st.rows, kAlign), cfg.MaxSeq))
+	for b := range st.nb {
+		k, v := make([]float32, rows*d), make([]float32, rows*d)
+		if keep {
+			n := st.Pos - st.nb[b]
+			copyK(k, rows, 0, st.own[planeK][b], st.rows, n, d)
+			copy(v, st.own[planeV][b][:n*d])
 		}
+		st.own[planeK][b], st.own[planeV][b] = k, v
 	}
 	st.rows = rows
 }
@@ -187,10 +221,12 @@ func (st *State) reserveNext(n int) {
 // appendKV stores the key and value rows of position pos, which
 // reserveNext has made room for.
 func (st *State) appendKV(b, pos int, k, v []float32) {
-	d := st.m.Cfg.DModel
-	at := (pos - st.nb[b]) * d
-	copy(st.own[planeK][b][at:at+d], k)
-	copy(st.own[planeV][b][at:at+d], v)
+	at, own := pos-st.nb[b], st.own[planeK][b]
+	for c, kv := range k {
+		own[c*st.rows+at] = kv
+	}
+	d := len(v)
+	copy(st.own[planeV][b][at*d:(at+1)*d], v)
 }
 
 // privatize copies the shared rows into the state's own, below the rows
@@ -202,12 +238,13 @@ func (st *State) privatize() {
 	}
 	d := st.m.Cfg.DModel
 	st.reserve(st.Pos, true)
-	for pl := range st.own {
-		for b, rows := range st.own[pl] {
-			shared := st.nb[b] * d
-			copy(rows[shared:], rows[:(st.Pos-st.nb[b])*d])
-			copy(rows, st.base.kv[pl][b][:shared])
-		}
+	for b, nb := range st.nb {
+		n := st.Pos - nb
+		k, v := st.own[planeK][b], st.own[planeV][b]
+		copyK(k, st.rows, nb, k, st.rows, n, d) // each column moves within itself
+		copyK(k, st.rows, 0, st.base.kv[planeK][b], st.base.ld, nb, d)
+		copy(v[nb*d:], v[:n*d])
+		copy(v, st.base.kv[planeV][b][:nb*d])
 	}
 	clear(st.nb)
 	st.base, st.from = nil, 0
@@ -227,8 +264,14 @@ func (st *State) kvPlane(ref LayerRef, pos, col int) (plane []float32, i int, ok
 	if ref.Block < 0 || ref.Block >= len(st.own[pl]) || pos < 0 || pos >= st.Pos || col < 0 || col >= d {
 		return nil, 0, false
 	}
-	if nb := st.nb[ref.Block]; pos >= nb {
+	nb := st.nb[ref.Block]
+	switch {
+	case pos >= nb && pl == planeK:
+		return st.own[pl][ref.Block], col*st.rows + pos - nb, true
+	case pos >= nb:
 		return st.own[pl][ref.Block], (pos-nb)*d + col, true
+	case pl == planeK:
+		return st.base.kv[pl][ref.Block], col*st.base.ld + pos, true
 	}
 	return st.base.kv[pl][ref.Block], pos*d + col, true
 }
@@ -274,8 +317,9 @@ func (m *Model) attendAt(st *State, bi, pos int, qrow, out []float32) {
 	scale := 1 / math.Sqrt(float64(hd))
 	n, nb := pos+1, st.nb[bi]
 	var baseK, baseV []float32
+	baseLd := 0
 	if nb > 0 {
-		baseK, baseV = st.base.kv[planeK][bi], st.base.kv[planeV][bi]
+		baseK, baseV, baseLd = st.base.kv[planeK][bi], st.base.kv[planeV][bi], st.base.ld
 	}
 	ownK, ownV := st.own[planeK][bi], st.own[planeV][bi]
 
@@ -286,8 +330,8 @@ func (m *Model) attendAt(st *State, bi, pos int, qrow, out []float32) {
 		for i, qv := range qrow[off : off+hd] {
 			qf[i] = float64(qv)
 		}
-		scoreKeys(scores[:nb], qf, baseK, off, d, scale)
-		scoreKeys(scores[nb:], qf, ownK, off, d, scale)
+		scoreKeys(scores[:nb], qf, baseK[off*baseLd:], baseLd, scale)
+		scoreKeys(scores[nb:], qf, ownK[off*st.rows:], st.rows, scale)
 		tensor.SoftmaxRow(scores)
 		// Attention-weighted value mix through the one row kernel: each
 		// output channel sums w·v in t-ascending order with zero-weight
@@ -308,12 +352,13 @@ func (m *Model) attendAt(st *State, bi, pos int, qrow, out []float32) {
 // nothing chooses between them and only the kernel tests assign this.
 var scoreKeys = scoreKeysPortable
 
-// scoreKeysPortable writes scores[t] = float32(Σ_i q[i]·float64(key[t][i])
-// · scale), the sum i-ascending from +0, for the first len(scores) rows of
-// keys: a head's len(qf) columns starting at off of rows stride apart.
-func scoreKeysPortable(scores []float32, qf []float64, keys []float32, off, stride int, scale float64) {
-	hd, n := len(qf), len(scores)
-	row := func(t int) []float32 { return keys[t*stride+off : t*stride+off+hd] }
+// scoreKeysPortable writes scores[t] = float32(Σ_i q[i]·float64(keys[i·ld
+// + t]) · scale), the sum i-ascending from +0, for the first len(scores)
+// positions of a head's len(qf) columns of a K plane, ld apart. Each
+// product is converted to float64 explicitly, so no compiler may fuse it
+// into the add (an FMA on arm64 would round differently from the lanes).
+func scoreKeysPortable(scores []float32, qf []float64, keys []float32, ld int, scale float64) {
+	n := len(scores)
 	// Four key positions per pass: each dot keeps its own float64
 	// accumulator summed in i-ascending order — the exact sequence of
 	// the one-position loop below — so every score is bit-identical
@@ -321,21 +366,15 @@ func scoreKeysPortable(scores []float32, qf []float64, keys []float32, off, stri
 	// bounds a lone dot product.
 	t := 0
 	for ; t+4 <= n; t += 4 {
-		k0 := row(t)
-		// Reslicing everything to len(k0) (all are hd long) lets the
-		// compiler prove the range index in bounds for every operand,
-		// dropping four per-element bounds checks from the hot loop.
-		k1 := row(t + 1)[:len(k0)]
-		k2 := row(t + 2)[:len(k0)]
-		k3 := row(t + 3)[:len(k0)]
-		qh := qf[:len(k0)]
 		var d0, d1, d2, d3 float64
-		for i, kv := range k0 {
-			qv := qh[i]
-			d0 += qv * float64(kv)
-			d1 += qv * float64(k1[i])
-			d2 += qv * float64(k2[i])
-			d3 += qv * float64(k3[i])
+		at := t
+		for _, qv := range qf {
+			k := keys[at : at+4 : at+4]
+			at += ld
+			d0 += float64(qv * float64(k[0]))
+			d1 += float64(qv * float64(k[1]))
+			d2 += float64(qv * float64(k[2]))
+			d3 += float64(qv * float64(k[3]))
 		}
 		scores[t] = float32(d0 * scale)
 		scores[t+1] = float32(d1 * scale)
@@ -344,8 +383,8 @@ func scoreKeysPortable(scores []float32, qf []float64, keys []float32, off, stri
 	}
 	for ; t < n; t++ {
 		var dot float64
-		for i, kv := range row(t) {
-			dot += qf[i] * float64(kv)
+		for i, qv := range qf {
+			dot += float64(qv * float64(keys[i*ld+t]))
 		}
 		scores[t] = float32(dot * scale)
 	}

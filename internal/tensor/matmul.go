@@ -68,8 +68,10 @@ func matmulRowsTiled(out, a, b *Tensor, r0, r1 int) {
 }
 
 // MatMulT computes out = a · bᵀ where a is m×k and b is n×k, so out is
-// m×n. This is the natural layout for attention scores (Q·Kᵀ) and lets
-// both operands stream row-wise.
+// m×n, both operands streaming row-wise. Training's backward pass
+// (internal/train/backward.go) is its one caller, for the gradients through
+// each linear layer's weight; inference attention does not use it (its
+// Q·K runs over the K cache's columns, internal/model/kv.go).
 func MatMulT(out, a, b *Tensor) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic("tensor: MatMulT shape mismatch")

@@ -11,12 +11,7 @@ import "math"
 //   - no entry above -Inf (all -Inf, all NaN — a NaN query — or the two
 //     mixed): the row becomes uniform, 1/len(row) everywhere.
 func SoftmaxRow(row []float32) {
-	maxv := float32(math.Inf(-1))
-	for _, v := range row {
-		if v > maxv {
-			maxv = v
-		}
-	}
+	maxv := maxRow(row)
 	if math.IsInf(float64(maxv), -1) {
 		// All -Inf (fully masked row): uniform, matching framework behaviour
 		// of exp(-Inf - -Inf) handling; choose uniform to stay finite.
@@ -53,9 +48,36 @@ func SoftmaxRow(row []float32) {
 		}
 		return
 	}
-	inv := float32(1 / sum)
-	for i := range row {
-		row[i] *= inv
+	scaleRow(row, float32(1/sum))
+}
+
+// maxRow and scaleRow are SoftmaxRow's max and scale passes: eight lanes
+// where the CPU runs AVX (set once at init, softmax_amd64.go), the
+// portable loops everywhere else. Both produce the same bits, so nothing
+// chooses between them and only the softmax tests assign these.
+var (
+	maxRow   = maxRowPortable
+	scaleRow = scaleRowPortable
+)
+
+// maxRowPortable returns row's largest entry, the first of entries that
+// compare equal (so of +0 and -0, whichever comes first), and -Inf when no
+// entry is above it: a NaN never wins.
+func maxRowPortable(row []float32) float32 {
+	maxv := float32(math.Inf(-1))
+	for _, v := range row {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	return maxv
+}
+
+// scaleRowPortable writes row[i] = row[i] * s, each product rounded to
+// float32 on its own (the conversion forbids fusing it with anything).
+func scaleRowPortable(row []float32, s float32) {
+	for i, v := range row {
+		row[i] = float32(v * s)
 	}
 }
 
