@@ -54,7 +54,7 @@ test:
 ## the row kernel (with its continuation entry), the sharded decode step,
 ## forks of one shared Prefix in time and in depth, the checksum table,
 ## rows reading different weight strikes over one model's weights;
-## the campaign runtime; serving with its prefix cache; the fan-in and
+## the campaign runtime, its baseline evaluated beside the pool; serving with its prefix cache; the fan-in and
 ## recorders. CI runs this target, so the lists live here only.
 race:
 	$(GO) test -race ./...
@@ -62,7 +62,7 @@ race:
 		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|AdmitFork|TableConcurrent|StrikeRowsShareNoWrite)' \
 		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/ ./internal/faults/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops)' ./internal/core/
+		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops|TrialsOverlapBaseline|PipelinedBaselineStream|CancelDuringBaseline)' ./internal/core/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Serve|PrefixCache|Handler|Loadgen)' ./internal/serve/...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \

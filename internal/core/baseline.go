@@ -6,6 +6,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -153,6 +154,11 @@ type baselineOpts struct {
 	// its counts in InstanceBaseline.ledger.
 	ledger *abft.Table
 	tol    float64
+	// onInstance, when non-nil, is called as soon as instance i is
+	// evaluated, with ib pointing at it in the baseline being built — its
+	// final place, which nothing writes again. Returning false stops the
+	// evaluation, which then returns nil.
+	onInstance func(i int, ib *InstanceBaseline) bool
 }
 
 // evalBaseline is EvalBaseline plus what a runner's trials read from it
@@ -161,8 +167,7 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 	if check == nil {
 		check = DefaultChecker(suite)
 	}
-	b := &Baseline{Suite: suite, MetricMeans: map[metrics.Kind]float64{}}
-	goldHits := 0
+	b := &Baseline{Suite: suite, Instances: make([]InstanceBaseline, len(suite.Instances))}
 	for i := range suite.Instances {
 		inst := &suite.Instances[i]
 		var cc *trace.Capture
@@ -190,7 +195,15 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 			m.SetChecker(nil)
 			ib.ledger = lc.ledger(opts.tol, ib.state.Pos())
 		}
-		b.Instances = append(b.Instances, ib)
+		b.Instances[i] = ib
+		if opts.onInstance != nil && !opts.onInstance(i, &b.Instances[i]) {
+			return nil
+		}
+	}
+	b.MetricMeans = map[metrics.Kind]float64{}
+	goldHits := 0
+	for i := range b.Instances {
+		ib := &b.Instances[i]
 		if ib.AnswerOK {
 			goldHits++
 		}
@@ -267,7 +280,7 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 		ib.ExpertTrace = st.ExpertTrace
 	}
 	classifyStart := now()
-	finishGenerative(&ib, suite, inst, res, check, selfRefOK)
+	finishGenerative(&ib, suite, inst, res, check, selfRefOK, nil)
 	if sp != nil {
 		sp.classify += since(classifyStart)
 	}
@@ -275,10 +288,19 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 }
 
 // finishGenerative scores a completed generation into ib — shared by the
-// full path above and the campaign's decode-loop rows.
-func finishGenerative(ib *InstanceBaseline, suite *tasks.Suite, inst *tasks.Instance, res gen.Result, check AnswerChecker, selfRefOK bool) {
+// full path above and the campaign's decode-loop rows. memo, when
+// non-nil, is the instance's baseline: a generation of its very tokens
+// takes its Text and, against the same reference and answering alike,
+// its Metrics — pure functions of (tokens, reference, answer) — instead
+// of decoding and scoring them again.
+func finishGenerative(ib *InstanceBaseline, suite *tasks.Suite, inst *tasks.Instance, res gen.Result, check AnswerChecker, selfRefOK bool, memo *InstanceBaseline) {
+	same := memo != nil && slices.Equal(res.Tokens, memo.Tokens)
 	ib.Tokens = res.Tokens
-	ib.Text = suite.Vocab.Decode(res.Tokens)
+	if same {
+		ib.Text = memo.Text
+	} else {
+		ib.Text = suite.Vocab.Decode(res.Tokens)
+	}
 	ib.Steps = res.Steps
 
 	ib.Reference = inst.Reference
@@ -288,7 +310,11 @@ func finishGenerative(ib *InstanceBaseline, suite *tasks.Suite, inst *tasks.Inst
 	} else {
 		ib.AnswerOK = check(inst, res.Tokens)
 	}
-	ib.Metrics = scoreGenerative(suite, ib.Text, ib.Reference, ib.AnswerOK)
+	if same && ib.Reference == memo.Reference && ib.AnswerOK == memo.AnswerOK {
+		ib.Metrics = memo.Metrics
+	} else {
+		ib.Metrics = scoreGenerative(suite, ib.Text, ib.Reference, ib.AnswerOK)
+	}
 	if strings.HasPrefix(suite.Name, "gsm8k") {
 		ib.ReasoningLen = tasks.ReasoningLength(suite.Vocab, res.Tokens)
 	}

@@ -11,11 +11,15 @@ import (
 // Concrete types: BaselineReady, TrialDone, Progress, CampaignDone. The
 // stream is ordered per campaign — BaselineReady first, then TrialDone
 // and Progress interleaved as workers complete trials out of order, and
-// exactly one terminal CampaignDone before the channel closes.
+// exactly one terminal CampaignDone before the channel closes. Trials run
+// while the baseline is still being evaluated, so the events of those
+// that finish first are held and delivered right after BaselineReady; a
+// run cancelled before its baseline completes delivers neither, only
+// CampaignDone (its checkpoint still holds the trials it finished).
 type Event interface{ isEvent() }
 
 // BaselineReady reports the completed fault-free baseline evaluation —
-// the first event of every stream, emitted before any trial runs. It
+// the first event of every stream, emitted before any TrialDone. It
 // carries the full baseline, prefix snapshots included: the one to hand
 // WithBaseline (Result.Baseline is the scores-only copy).
 type BaselineReady struct {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -232,9 +233,11 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 		return nil, err
 	}
 
-	// Route ExtraHook installations through the telemetry counter; the
-	// wrapper forwards values untouched, so mitigation behavior (and
-	// golden equivalence) is unchanged.
+	// Route the trials' ExtraHook installations through the telemetry
+	// counter; the wrapper forwards values untouched, so mitigation
+	// behavior (and golden equivalence) is unchanged. The baseline
+	// installs the campaign's own: its firings are no trial's.
+	baseHook := c.ExtraHook
 	if c.ExtraHook != nil {
 		orig := c.ExtraHook
 		tel := r.tel
@@ -260,32 +263,20 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 		table = c.ABFT.Table(c.Model)
 	}
 
-	baseline := r.baseline
-	if baseline == nil {
-		if c.ExtraHook != nil {
-			c.Model.AddHook(c.ExtraHook())
-		}
-		// Activations and depth planes are kept only from where a trial's
-		// fault can reach (strikeFloor): below it, trials read the
-		// baseline's KV rows and nothing else.
-		var opts baselineOpts
-		if c.depthEligible(gs) {
-			opts.depthFrom = c.strikeFloor
-		}
-		if traceOn {
-			opts.capMinPos = c.strikeFloor
-		}
-		if opts.depthFrom != nil && c.ABFT != nil && c.ABFT.AllLayers {
-			opts.ledger, opts.tol = table, c.ABFT.Tol
-		}
-		baseline = evalBaseline(c.Model, c.Suite, gs, check, opts)
-		if c.ExtraHook != nil {
-			c.Model.PopHook()
+	// Only a transient fault's generative rows start from the baseline's
+	// state — greedy ones at a resume point, beams at the post-prompt
+	// snapshot: a memory fault's prefill their prompts, from an empty state
+	// without one, and a multiple-choice trial's always start empty. A
+	// baseline evaluated here has it; a given one may not.
+	if r.baseline != nil && !c.noPrefixReuse && !c.Fault.IsMemory() && c.Suite.Type != tasks.MultipleChoice {
+		for i := range r.baseline.Instances {
+			if r.baseline.Instances[i].state == nil {
+				return nil, ErrBaselineNoPrefix
+			}
 		}
 	}
-	emit(BaselineReady{Baseline: baseline})
 
-	res := &Result{Campaign: c, Baseline: baseline.Scores(), Trials: make([]Trial, c.Trials)}
+	res := &Result{Campaign: c, Trials: make([]Trial, c.Trials)}
 	completed := make([]bool, c.Trials)
 	done := 0
 	var restored []Trial
@@ -316,21 +307,15 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 			pending = append(pending, t)
 		}
 	}
+	// Trials run grouped by instance, in instance order: the baseline
+	// publishes its instances in that order, so the pool starts on the
+	// first instance's trials while the later ones are still evaluated.
+	n := len(c.Suite.Instances)
+	slices.SortStableFunc(pending, func(a, b int) int { return a%n - b%n })
 
 	// Every campaign but the seed path rides the decode loop at the
 	// configured width (serial decode is width 1); the seed path runs one
-	// trial per worker. Only a transient fault's generative rows start
-	// from the baseline's state — greedy ones at a resume point, beams at
-	// the post-prompt snapshot: a memory fault's prefill their prompts,
-	// from an empty state without one, and a multiple-choice trial's
-	// always start empty.
-	if !c.noPrefixReuse && !c.Fault.IsMemory() && c.Suite.Type != tasks.MultipleChoice {
-		for i := range baseline.Instances {
-			if baseline.Instances[i].state == nil {
-				return nil, ErrBaselineNoPrefix
-			}
-		}
-	}
+	// trial per worker.
 	width := 1
 	if !c.noPrefixReuse && c.BatchDecode > 1 {
 		width = c.BatchDecode
@@ -346,19 +331,56 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	// only this run's executed trials.
 	r.tel.restore(restored)
 
-	if len(pending) == 0 {
-		// Fully-resumed campaign: nothing to execute.
-		emit(r.tel.progress(done, c.Trials))
-		if r.ckptPath != "" {
-			if err := r.checkpoint(res, completed); err != nil {
-				return nil, err
-			}
-		}
-		return res, ctx.Err()
-	}
-
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+
+	// The baseline is published to the pool instance by instance: insts[i]
+	// once ready[i] is closed, the whole of it once baseDone is. A given
+	// one is published whole up front. Otherwise it is evaluated on its
+	// own goroutine, on c.Model, under the observers that record what the
+	// trials read from it — the workers' clones never see them — and stops
+	// after the instance in hand when runCtx ends, leaving baseline nil.
+	baseline := r.baseline
+	insts := make([]*InstanceBaseline, n)
+	ready := make([]chan struct{}, n)
+	for i := range ready {
+		ready[i] = make(chan struct{})
+	}
+	baseDone := make(chan struct{})
+	if baseline != nil {
+		for i := range insts {
+			insts[i] = &baseline.Instances[i]
+			close(ready[i])
+		}
+		close(baseDone)
+	} else {
+		// Activations and depth planes are kept only from where a trial's
+		// fault can reach (strikeFloor): below it, trials read the
+		// baseline's KV rows and nothing else.
+		var opts baselineOpts
+		if c.depthEligible(gs) {
+			opts.depthFrom = c.strikeFloor
+		}
+		if traceOn {
+			opts.capMinPos = c.strikeFloor
+		}
+		if opts.depthFrom != nil && c.ABFT != nil && c.ABFT.AllLayers {
+			opts.ledger, opts.tol = table, c.ABFT.Tol
+		}
+		go func() {
+			defer close(baseDone)
+			opts.onInstance = func(i int, ib *InstanceBaseline) bool {
+				insts[i] = ib
+				close(ready[i])
+				return runCtx.Err() == nil
+			}
+			if baseHook != nil {
+				c.Model.AddHook(baseHook())
+				defer c.Model.PopHook()
+			}
+			baseline = evalBaseline(c.Model, c.Suite, gs, check, opts)
+		}()
+	}
 
 	seedSrc := prng.New(c.Seed ^ 0xca3b417a)
 	// The jobs channel is pre-filled and closed before workers start, so
@@ -383,7 +405,7 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 			env := &trialEnv{
 				c: c, r: r, worker: worker, wm: wm,
 				sampler: sampler, table: table, seedSrc: seedSrc,
-				base: baseline, gs: gs, check: check, traceOn: traceOn,
+				insts: insts, ready: ready, gs: gs, check: check, traceOn: traceOn,
 			}
 			if t, err := env.run(runCtx, jobs, results, width); err != nil {
 				// First failure cancels the pool; the collector surfaces
@@ -399,10 +421,43 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	}()
 
 	// Collector: the single writer of res.Trials, telemetry, events, and
-	// checkpoints.
+	// checkpoints. BaselineReady is every stream's first event, so trial
+	// events are held until the baseline is complete, and dropped if it
+	// never is (a run cancelled before then: its checkpoint still holds
+	// the trials).
 	var firstErr error
 	sinceCkpt := 0
-	for tr := range results {
+	var held []Event
+	baseWait := (<-chan struct{})(baseDone)
+	out := func(ev Event) {
+		switch {
+		case baseWait != nil:
+			held = append(held, ev)
+		case baseline != nil:
+			emit(ev)
+		}
+	}
+	for recv := (<-chan trialResult)(results); recv != nil || baseWait != nil; {
+		var tr trialResult
+		select {
+		case <-baseWait:
+			baseWait = nil
+			if baseline != nil {
+				res.Baseline = baseline.Scores()
+				emit(BaselineReady{Baseline: baseline})
+				for _, ev := range held {
+					emit(ev)
+				}
+			}
+			held = nil
+			continue
+		case got, ok := <-recv:
+			if !ok {
+				recv = nil
+				continue
+			}
+			tr = got
+		}
 		if tr.err != nil {
 			if firstErr == nil {
 				firstErr = tr.err
@@ -428,8 +483,8 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 				}
 			}
 		}
-		emit(TrialDone{Index: tr.index, Worker: tr.worker, Trial: tr.trial, Trace: tr.rec})
-		emit(r.tel.progress(done, c.Trials))
+		out(TrialDone{Index: tr.index, Worker: tr.worker, Trial: tr.trial, Trace: tr.rec})
+		out(r.tel.progress(done, c.Trials))
 		if r.ckptPath != "" && sinceCkpt >= r.ckptEvery {
 			if err := r.checkpoint(res, completed); err != nil {
 				if firstErr == nil {
@@ -439,6 +494,10 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 			}
 			sinceCkpt = 0
 		}
+	}
+	if len(pending) == 0 {
+		// A fully resumed campaign ran nothing: one progress snapshot.
+		out(r.tel.progress(done, c.Trials))
 	}
 
 	// Final checkpoint: on completion, on error, and on cancellation

@@ -41,7 +41,11 @@ type trialEnv struct {
 	// without Campaign.ABFT), read by every worker's per-trial checkers.
 	table   *abft.Table
 	seedSrc *prng.Source
-	base    *Baseline
+	// insts[i] is instance i's baseline, readable once ready[i] is closed
+	// (baseFor): the runner evaluates them one after another while the
+	// pool runs the trials of those already published.
+	insts   []*InstanceBaseline
+	ready   []chan struct{}
 	gs      gen.Settings
 	check   AnswerChecker
 	traceOn bool
@@ -85,7 +89,7 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 	c := e.c
 	idx := t % len(c.Suite.Instances)
 	a := &armed{
-		t: t, idx: idx, inst: c.Suite.Instances[idx], base: &e.base.Instances[idx],
+		t: t, idx: idx, inst: c.Suite.Instances[idx], base: e.insts[idx],
 		traced: e.traceOn && t%e.r.traceEvery == 0,
 	}
 	// Effective reference: gold, or the fault-free output (self-relative).
@@ -278,6 +282,18 @@ func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
 	return tr
 }
 
+// baseFor waits until trial t's instance baseline is published, and
+// reports false instead if ctx ends first. The wait is no trial's busy
+// time.
+func (e *trialEnv) baseFor(ctx context.Context, t int) bool {
+	select {
+	case <-e.ready[t%len(e.ready)]:
+		return ctx.Err() == nil
+	case <-ctx.Done():
+		return false
+	}
+}
+
 // run drains the jobs channel. A trial that cannot be armed stops the
 // worker and is returned with its index; on context cancellation the
 // in-flight trials are abandoned (never reported as completed, so
@@ -285,7 +301,7 @@ func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
 func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- trialResult, width int) (int, error) {
 	if e.c.noPrefixReuse {
 		for t := range jobs {
-			if ctx.Err() != nil {
+			if !e.baseFor(ctx, t) {
 				break
 			}
 			tr, err := e.runTrial(t)
@@ -333,6 +349,9 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 			t, ok := <-jobs
 			if !ok {
 				break
+			}
+			if !e.baseFor(ctx, t) {
+				return 0, nil
 			}
 			start := now()
 			a, err := e.arm(t)
@@ -430,7 +449,7 @@ func (e *trialEnv) score(a *armed, st *model.State, res gen.Result) InstanceBase
 		ib.ExpertTrace = st.ExpertTrace
 	}
 	classifyStart := now()
-	finishGenerative(&ib, e.c.Suite, &a.inst, res, e.check, false)
+	finishGenerative(&ib, e.c.Suite, &a.inst, res, e.check, false, a.base)
 	a.sp.classify += since(classifyStart)
 	return ib
 }
