@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prom"
 	"repro/internal/report"
-	"repro/internal/trace"
 	"repro/internal/version"
 )
 
@@ -243,15 +242,7 @@ func (w *Worker) execute(ctx context.Context, l *Lease) error {
 		// observer below only reads phase timings the runner already
 		// produced — it cannot feed anything back into trial outcomes.
 		execCtx = rec.Child(w.leaseCtx)
-		opts = append(opts, core.WithSpanObserver(func(index int, spans []trace.Span, busy time.Duration) {
-			attrs := make([]obs.Attr, 0, len(spans)+1)
-			attrs = append(attrs, obs.Int("index", int64(index)))
-			for _, ps := range spans {
-				attrs = append(attrs, obs.Num(string(ps.Phase)+"_s", ps.Seconds))
-			}
-			rec.Record(obs.NewSpan(rec.Child(execCtx), execCtx.Span, "trial",
-				time.Now().Add(-busy), busy, attrs...))
-		}))
+		opts = append(opts, core.WithSpanObserver(report.TrialSpanObserver(rec, execCtx, false)))
 	}
 	r := core.NewRunner(w.cfg.Campaign, opts...)
 	batch := make([]TrialResult, 0, w.cfg.SubmitEvery)

@@ -3,6 +3,7 @@ package report
 import (
 	"io"
 	"os"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -45,4 +46,24 @@ func OpenTrace(path string, resuming bool) (f *os.File, appended bool, err error
 // refuses foreign schema versions and unknown fields (obs.ReadRecords).
 func ReadTraces(r io.Reader) ([]trace.Record, error) {
 	return obs.ReadRecords(r, "trace", trace.SchemaVersion, func(rec *trace.Record) int { return rec.Schema })
+}
+
+// TrialSpanObserver converts the runner's per-trial phase timings
+// (core.WithSpanObserver) into one "trial" span per trial, a child of
+// parent carrying the trial's index and one <phase>_s attribute per
+// phase. With eachRoot every trial is a root sampled on its own, so the
+// recorder's stride keeps every N-th; otherwise every trial is recorded,
+// parent having been sampled already.
+func TrialSpanObserver(rec *obs.Recorder, parent obs.SpanContext, eachRoot bool) func(int, []trace.Span, time.Duration) {
+	return func(index int, spans []trace.Span, busy time.Duration) {
+		if eachRoot && !rec.SampleRoot() {
+			return
+		}
+		attrs := make([]obs.Attr, 0, len(spans)+1)
+		attrs = append(attrs, obs.Int("index", int64(index)))
+		for _, ps := range spans {
+			attrs = append(attrs, obs.Num(string(ps.Phase)+"_s", ps.Seconds))
+		}
+		rec.Record(obs.NewSpan(rec.Child(parent), parent.Span, "trial", time.Now().Add(-busy), busy, attrs...))
+	}
 }

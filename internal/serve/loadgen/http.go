@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,7 +29,10 @@ type HTTPTarget struct {
 	Client *http.Client
 }
 
-// Submit implements Target over the wire API.
+// Submit implements Target over the wire API. A request the server
+// ended on its own deadline or cancellation fails with an error wrapping
+// context.DeadlineExceeded or context.Canceled, so Run counts it where
+// it would count the in-process engine's.
 func (t *HTTPTarget) Submit(ctx context.Context, req serve.Request) serve.Response {
 	start := time.Now()
 	fail := func(err error) serve.Response {
@@ -73,7 +77,14 @@ func (t *HTTPTarget) Submit(ctx context.Context, req serve.Request) serve.Respon
 		// envelope or proxy plaintext; extra fields must not hide it.
 		var env report.APIError
 		if json.Unmarshal(data, &env) == nil && env.Error.Code != "" { //llmfi:allow wireschema error-envelope sniff is tolerant by design
-			return fail(fmt.Errorf("loadgen: %s (%d): %s", env.Error.Code, hres.StatusCode, env.Error.Message))
+			cause := errors.New(env.Error.Message)
+			switch env.Error.Code {
+			case "deadline_exceeded":
+				cause = context.DeadlineExceeded
+			case "canceled":
+				cause = context.Canceled
+			}
+			return fail(fmt.Errorf("loadgen: %s (%d): %w", env.Error.Code, hres.StatusCode, cause))
 		}
 		return fail(fmt.Errorf("loadgen: status %d", hres.StatusCode))
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/token"
 )
@@ -61,5 +62,34 @@ func TestHTTPTargetErrorEnvelope(t *testing.T) {
 	resp := tgt.Submit(context.Background(), serve.Request{ID: "r2", Prompt: []int{4}})
 	if resp.Err == nil || !strings.Contains(resp.Err.Error(), "overloaded") {
 		t.Fatalf("typed error envelope not surfaced: %v", resp.Err)
+	}
+}
+
+// TestHTTPTargetContextErrors: a request the server ended on its own
+// deadline or cancellation counts in Run's deadline or canceled column,
+// as the in-process target's would, not as a failure.
+func TestHTTPTargetContextErrors(t *testing.T) {
+	type counts struct{ OK, Deadline, Canceled, Failed int }
+	for _, tc := range []struct {
+		status int
+		code   string
+		want   counts
+	}{
+		{http.StatusGatewayTimeout, "deadline_exceeded", counts{Deadline: 1}},
+		{http.StatusServiceUnavailable, "canceled", counts{Canceled: 1}},
+		{http.StatusServiceUnavailable, "draining", counts{Failed: 1}},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			report.WriteAPIError(w, tc.status, tc.code, "request ended by the server")
+		}))
+		tgt := &HTTPTarget{Base: ts.URL, Vocab: token.NewVocab([]string{"a"})}
+		st, err := Run(context.Background(), tgt, Config{Requests: 1, Prompts: [][]int{{4}}})
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (counts{st.OK, st.DeadlineExceeded, st.Canceled, st.Failed}); got != tc.want {
+			t.Errorf("%s (%d): %+v, want %+v (err %v)", tc.code, tc.status, got, tc.want, st.Responses[0].Err)
+		}
 	}
 }

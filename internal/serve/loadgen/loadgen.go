@@ -10,6 +10,7 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -103,9 +104,9 @@ func Run(ctx context.Context, tgt Target, cfg Config) (*Stats, error) {
 		switch {
 		case resp.Err == nil:
 			st.OK++
-		case resp.Err == context.DeadlineExceeded:
+		case errors.Is(resp.Err, context.DeadlineExceeded):
 			st.DeadlineExceeded++
-		case resp.Err == context.Canceled:
+		case errors.Is(resp.Err, context.Canceled):
 			st.Canceled++
 		default:
 			st.Failed++
