@@ -52,14 +52,16 @@ test:
 ## race: the whole suite under the race detector, then the tests that
 ## share state across goroutines again, failing fast on the first race —
 ## the row kernel (with its continuation entry), the sharded decode step,
-## forks of one shared Prefix in time and in depth, the checksum table,
+## the sharded prefill (a prompt's rows in shards under a strike and a
+## correcting checker), forks of one shared Prefix in time and in depth,
+## the checksum table, one checker called on a prefill's rows at once,
 ## rows reading different weight strikes over one model's weights;
 ## the campaign runtime, its baseline evaluated beside the pool; serving with its prefix cache; the fan-in and
 ## recorders. CI runs this target, so the lists live here only.
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|AdmitFork|TableConcurrent|StrikeRowsShareNoWrite)' \
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|AdmitFork|TableConcurrent|CheckerConcurrent|StrikeRowsShareNoWrite)' \
 		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/ ./internal/faults/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops|TrialsOverlapBaseline|PipelinedBaselineStream|CancelDuringBaseline)' ./internal/core/
@@ -140,10 +142,13 @@ cover:
 ## faults, all-layer correct) and 4 (MoE memory faults, all-layer
 ## correct-skip); beam rows stacked at width 8 (MoE transient faults,
 ## all-layer correct) and 4 (FP16 memory faults, all-layer correct-skip);
-## last, transient-fault rows forked in time and depth — FP16 at width 8,
+## then transient-fault rows forked in time and depth — FP16 at width 8,
 ## and the math suite under all-layer correcting ABFT, whose skipped
-## checks the ledger counts from each row's fork position; a few seconds
-## on two cores.
+## checks the ledger counts from each row's fork position; last, one
+## worker's MoE memory-fault rows under all-layer correcting ABFT, whose
+## multiple-choice prompts are long enough for the prefill to run in
+## shards over the worker's two or more threads (forwardStack) — routing
+## each row's experts into its own trace slot; a few seconds on two cores.
 ## make identity REF=HEAD~1
 REF ?= HEAD~1
 define IDENTITY_CAMPAIGNS
@@ -172,6 +177,7 @@ define IDENTITY_CAMPAIGNS
 -model QwenS -suite wmt16-like -fault 2bits-mem -dtype FP16 -beams 3 -trials 120 -decode-batch 4 -abft -abft-all -abft-policy correct-skip
 -model QwenS -suite wmt16-like -fault 1bit-comp -dtype FP16 -trials 300 -decode-batch 8
 -model math-qwens -suite gsm8k -fault 2bits-comp -trials 300 -abft -abft-all -abft-policy correct
+-model moe -suite hellaswag -fault 2bits-mem -trials 120 -workers 1 -abft -abft-all -abft-policy correct
 endef
 export IDENTITY_CAMPAIGNS
 identity:

@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mitigate"
@@ -143,19 +145,27 @@ type Stats struct {
 }
 
 // Checker verifies protected linear layers through the model.LinearChecker
-// interface. It is not safe for concurrent use: the campaign and serving
-// engines give every trial its own Checker, observing that trial's batch
-// row or armed on its worker's model clone. What Checkers share is the
-// Table, which none of them writes.
+// interface. The campaign and serving engines give every trial its own
+// Checker, observing that trial's batch row or armed on its worker's
+// model clone; what Checkers share is the Table, which none of them
+// writes. One trial's rows may be checked at once — a prefill runs its
+// positions in shards (model.Observers) — so a check that passes touches
+// only an atomic counter, and one that flags takes the Checker's lock
+// for its event and its repair.
 type Checker struct {
-	policy  mitigate.Policy
-	table   *Table
-	all     bool
-	site    []model.LayerRef
-	events  []Event
-	stats   Stats
-	scratch []float32
-	mitTime time.Duration
+	policy mitigate.Policy
+	table  *Table
+	all    bool
+	site   []model.LayerRef
+	checks atomic.Int64
+
+	mu        sync.Mutex
+	events    []Event       //llmfi:guardedby mu
+	flagged   int           //llmfi:guardedby mu
+	corrected int           //llmfi:guardedby mu
+	skipped   int           //llmfi:guardedby mu
+	scratch   []float32     //llmfi:guardedby mu
+	mitTime   time.Duration //llmfi:guardedby mu
 }
 
 // newLayerSums computes a layer's checksums, fast-pathing dense storage.
@@ -185,13 +195,29 @@ func newLayerSums(w model.Weight, tol float64) *layerSums {
 // mitigation escalation (recompute, verify, fallback). The telemetry
 // layer subtracts it from the checker span so detection cost and repair
 // cost report as separate phases.
-func (c *Checker) MitigationTime() time.Duration { return c.mitTime }
+func (c *Checker) MitigationTime() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.mitTime
+}
 
-// Events returns the trial's flagged checks.
-func (c *Checker) Events() []Event { return c.events }
+// Events returns the trial's flagged checks, sorted by position. A
+// position's events keep the order its row raised them in, which is its
+// layers' forward order, so the order does not depend on how a pass
+// sharded its rows.
+func (c *Checker) Events() []Event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slices.SortStableFunc(c.events, func(a, b Event) int { return a.Pos - b.Pos })
+	return c.events
+}
 
 // Stats returns the trial's counters.
-func (c *Checker) Stats() Stats { return c.stats }
+func (c *Checker) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{Checks: int(c.checks.Load()), Flagged: c.flagged, Corrected: c.corrected, Skipped: c.skipped}
+}
 
 // CheckLinear implements model.LinearChecker: it verifies the output row
 // of a protected layer and, under a correcting policy, repairs it in
@@ -199,19 +225,27 @@ func (c *Checker) Stats() Stats { return c.stats }
 // zeroing the row). A layer the table does not hold (the LM head) is
 // never checked.
 func (c *Checker) CheckLinear(ref model.LayerRef, pos int, w model.Weight, in, out []float32) {
+	c.Check(ref, pos, w, in, out)
+}
+
+// Check is CheckLinear reporting its verdict on this one row: whether the
+// row was checked and whether it flagged.
+func (c *Checker) Check(ref model.LayerRef, pos int, w model.Weight, in, out []float32) (checked, flagged bool) {
 	if !c.all && !slices.Contains(c.site, ref) {
-		return
+		return false, false
 	}
 	ls := c.table.sums[ref]
 	if ls == nil {
-		return
+		return false, false
 	}
-	c.stats.Checks++
+	c.checks.Add(1)
 	ok, dev, scale := ls.cs.CheckRow(in, out, ls.tol)
 	if ok {
-		return
+		return true, false
 	}
-	c.stats.Flagged++
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.flagged++
 	ev := Event{Ref: ref, Pos: pos, Deviation: dev, Scale: scale, Action: mitigate.ActionDetect}
 	if c.policy != mitigate.PolicyDetect {
 		if cap(c.scratch) < len(out) {
@@ -227,10 +261,11 @@ func (c *Checker) CheckLinear(ref model.LayerRef, pos int, w model.Weight, in, o
 		c.mitTime += time.Since(mitStart) //llmfi:allow determinism mitigation-latency telemetry; never feeds the detection decision
 		switch ev.Action {
 		case mitigate.ActionCorrect:
-			c.stats.Corrected++
+			c.corrected++
 		case mitigate.ActionSkip:
-			c.stats.Skipped++
+			c.skipped++
 		}
 	}
 	c.events = append(c.events, ev)
+	return true, true
 }

@@ -476,6 +476,48 @@ func TestTableConcurrentCheckers(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCheckerConcurrentRows: a prefill runs its positions in shards, so
+// one Checker is called on distinct rows at once. Under a resident fault
+// and a correct-or-skip policy — every flag takes the lock and repairs
+// its row in the shared scratch — a 100-position prefill on three
+// threads must leave the counters, and the events in their
+// position-sorted order, of the same prefill fed one position at a time.
+func TestCheckerConcurrentRows(t *testing.T) {
+	m := testModel(t, false)
+	p := Protection{AllLayers: true, Policy: mitigate.PolicyCorrectOrSkip}
+	table := p.Table(m)
+	site := faults.Site{Fault: faults.Mem2Bit, Layer: model.LayerRef{Block: 1, Kind: model.KindUp, Expert: -1},
+		Row: 2, Col: 3, Bits: []int{13, 14}}
+	prompt := tasks.NewSelfRefSuite("abft-rows", 4, 1, 100, 4, nil).Instances[0].Prompt
+	run := func(threads int, sequential bool) (*Checker, []float32) {
+		clone := m.CloneShared()
+		clone.SetThreads(threads)
+		clone.SetSequentialPrefill(sequential)
+		if _, err := faults.Arm(clone, site, 0); err != nil {
+			t.Fatal(err)
+		}
+		ck := over(t, p, table)
+		clone.SetChecker(ck)
+		return ck, slices.Clone(clone.NewState().Prefill(prompt))
+	}
+	want, wantLogits := run(1, true)
+	if want.Stats().Skipped == 0 {
+		t.Fatalf("reference stats %+v: the fault skipped no row", want.Stats())
+	}
+	for _, threads := range []int{2, 3} {
+		got, gotLogits := run(threads, false)
+		if got.Stats() != want.Stats() {
+			t.Fatalf("threads=%d: stats %+v, per-position reference %+v", threads, got.Stats(), want.Stats())
+		}
+		if !slices.Equal(got.Events(), want.Events()) {
+			t.Fatalf("threads=%d: events differ from the per-position reference", threads)
+		}
+		if !slices.Equal(gotLogits, wantLogits) {
+			t.Fatalf("threads=%d: logits differ from the per-position reference", threads)
+		}
+	}
+}
+
 // TestCheckerAllocs keeps arming from ever enumerating the model per
 // trial again: an all-layer Checker is one allocation, a site-only one
 // adds its copy of the site list.

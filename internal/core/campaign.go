@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/abft"
@@ -158,6 +159,17 @@ func (c Campaign) validate() error {
 			ErrContextTooSmall,
 			c.Model.Cfg.Name, c.Model.Cfg.MaxSeq, c.Suite.Name, c.Suite.MaxSeqNeeded())
 	}
+	vocab := c.Model.Cfg.Vocab
+	for i, inst := range c.Suite.Instances {
+		for _, seq := range append([][]int{inst.Prompt}, inst.Options...) {
+			for _, tok := range seq {
+				if tok < 0 || tok >= vocab {
+					return fmt.Errorf("%w: model %s vocabulary %d, suite %s instance %d token %d",
+						ErrVocabTooSmall, c.Model.Cfg.Name, vocab, c.Suite.Name, i, tok)
+				}
+			}
+		}
+	}
 	return nil
 }
 
@@ -233,15 +245,17 @@ func (sp *spanTimes) spans() []trace.Span {
 // timedChecker wraps the worker's LinearChecker to measure total time
 // inside checks; the mitigation share is recovered from the inner
 // checker's own clock so detection and repair report as separate phases.
+// A sharded prefill checks its rows at once, so the time is summed
+// atomically, over every row's check.
 type timedChecker struct {
 	inner model.LinearChecker
-	total time.Duration
+	total atomic.Int64 // nanoseconds
 }
 
 func (tc *timedChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight, in, out []float32) {
 	start := now()
 	tc.inner.CheckLinear(ref, pos, w, in, out)
-	tc.total += since(start)
+	tc.total.Add(int64(since(start)))
 }
 
 // depthEligible reports whether the campaign's trials may resume the

@@ -17,6 +17,9 @@ var (
 	// ErrContextTooSmall reports a model whose context window cannot fit
 	// the suite's longest prompt plus generation budget.
 	ErrContextTooSmall = errors.New("core: model context window smaller than the suite needs")
+	// ErrVocabTooSmall reports a suite with a prompt or option token
+	// outside the model's vocabulary, which the model cannot embed.
+	ErrVocabTooSmall = errors.New("core: model vocabulary smaller than the suite needs")
 	// ErrCheckpointMismatch reports a resume checkpoint whose fingerprint
 	// does not match the campaign being resumed.
 	ErrCheckpointMismatch = errors.New("core: checkpoint does not match this campaign")

@@ -38,7 +38,9 @@ func (l *ledger) lowestFlag() int {
 // ledgerChecker is the detect-only all-layer checker a baseline runs
 // under when its campaign needs a ledger: it counts each check and flag
 // at its (sublayer, position). Detect-only, it never changes an output,
-// so the baseline it observes is the unchecked one.
+// so the baseline it observes is the unchecked one. Rows checked at once
+// are at distinct positions (model.Observers), so each writes only its
+// own slots.
 type ledgerChecker struct {
 	inner         *abft.Checker
 	checks, flags [][]int // [sublayer][position]
@@ -56,12 +58,14 @@ func newLedgerChecker(t *abft.Table, cfg *model.Config) *ledgerChecker {
 }
 
 func (lc *ledgerChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight, in, out []float32) {
-	before := lc.inner.Stats()
-	lc.inner.CheckLinear(ref, pos, w, in, out)
-	after := lc.inner.Stats()
+	checked, flagged := lc.inner.Check(ref, pos, w, in, out)
 	if s := ref.Sublayer(); s >= 0 {
-		lc.checks[s][pos] += after.Checks - before.Checks
-		lc.flags[s][pos] += after.Flagged - before.Flagged
+		if checked {
+			lc.checks[s][pos]++
+		}
+		if flagged {
+			lc.flags[s][pos]++
+		}
 	}
 }
 

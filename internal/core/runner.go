@@ -522,10 +522,10 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 // capped by ceil(pending/width) — spawning more would leave workers whose
 // rows could never fill, each still claiming a core share. The machine is
 // then divided among the workers that actually exist. A worker spends its
-// share (Model.SetThreads) in two places: prefill's row-parallel GEMMs,
-// and the decode step, which shards its rows over that many goroutines
-// (model.Batch.Step) — so one width-16 worker on two cores decodes on
-// both, while a pool of one-core workers forks nothing.
+// share (Model.SetThreads) in two places: prefill, which runs a prompt's
+// positions in shards over that many goroutines, and the decode step,
+// which shards its rows (model.Batch.Step) — so one width-16 worker on two
+// cores decodes on both, while a pool of one-core workers forks nothing.
 func poolShape(pending, requested, width, procs int) (workers, threads int) {
 	workers = requested
 	if workers <= 0 {

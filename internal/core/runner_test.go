@@ -457,6 +457,28 @@ func TestCampaignSentinelErrors(t *testing.T) {
 	}
 }
 
+// TestCampaignVocabTooSmall: a suite with a prompt or option token the
+// model's vocabulary does not hold is refused before any trial runs —
+// generative (a prompt token) and multiple-choice (an option token).
+func TestCampaignVocabTooSmall(t *testing.T) {
+	m := goldenModel(t, model.QwenS, false)
+	vocab := m.Cfg.Vocab
+	for _, suite := range []*tasks.Suite{
+		{Name: "gen", Type: tasks.Generative, Instances: []tasks.Instance{
+			{Prompt: []int{1, 2, 3}, MaxNew: 4},
+			{Prompt: []int{1, vocab, 3}, MaxNew: 4},
+		}},
+		{Name: "mc", Type: tasks.MultipleChoice, Instances: []tasks.Instance{
+			{Prompt: []int{1, 2, 3}, Options: [][]int{{4}, {5, vocab + 33}}},
+		}},
+	} {
+		_, err := Campaign{Model: m, Suite: suite, Fault: faults.Comp1Bit, Trials: 2}.Run(context.Background())
+		if !errors.Is(err, ErrVocabTooSmall) {
+			t.Fatalf("%s: err = %v, want ErrVocabTooSmall", suite.Name, err)
+		}
+	}
+}
+
 // TestTrialError checks the error's locating fields and unwrapping.
 func TestTrialError(t *testing.T) {
 	inner := errors.New("boom")

@@ -220,7 +220,7 @@ func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
 	}
 	if a.checker != nil {
 		sp.mitigate = a.checker.MitigationTime()
-		sp.abft = a.timed.total - sp.mitigate
+		sp.abft = time.Duration(a.timed.total.Load()) - sp.mitigate
 		skipped := 0
 		if c.ABFT.AllLayers && a.from > 0 {
 			skipped = a.base.ledger.skipped(a.from, a.forkPos(&c), a.matched)

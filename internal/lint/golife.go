@@ -25,7 +25,7 @@ var AnalyzerGoLife = &Analyzer{
 	Scope: []string{
 		"internal/core", "internal/serve", "internal/serve/loadgen",
 		"internal/fabric", "internal/obs", "internal/report",
-		"internal/experiments", "internal/tensor", "cmd/llmfi",
+		"internal/experiments", "internal/tensor", "internal/model", "cmd/llmfi",
 	},
 	Run: runGoLife,
 }

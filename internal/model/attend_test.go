@@ -99,7 +99,7 @@ func TestAttendValueMixMatchesReference(t *testing.T) {
 					f.appendKV(0, p, K.Row(p), V.Row(p))
 				}
 				got := make([]float32, cfg.DModel)
-				m.attendAt(f, 0, n-1, q, got)
+				m.attendAt(f, 0, n-1, q, got, make([]float32, n), make([]float64, hd))
 				for c := range want {
 					if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
 						t.Fatalf("head dim %d n=%d shared %d: channel %d = %v (%08x), reference %v (%08x)", hd, n, nb, c,
@@ -131,8 +131,9 @@ func BenchmarkAttendAt(b *testing.B) {
 		q[i] = float32(2*rng.Float64() - 1)
 	}
 	out := make([]float32, m.Cfg.DModel)
+	scores, qf := make([]float32, pos+1), make([]float64, m.Cfg.HeadDim())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.attendAt(st, 0, pos, q, out)
+		m.attendAt(st, 0, pos, q, out, scores, qf)
 	}
 }

@@ -11,14 +11,9 @@ import (
 // DecodeRow is one in-flight trial's slot in a decode batch: its private
 // KV-cache state over the shared weights, the token to decode this step,
 // the trial's own Observers (fault, extra hooks, probe, ABFT checker), and
-// the buffer its next-token logits are copied into.
-//
-// One row's observers fire in the serial order, on one goroutine per
-// step. Observers of different rows may run concurrently inside a step
-// (Batch.Step shards its rows), so whatever they touch must be private
-// to the row or synchronised — as mitigate.Restrictor's atomic counters
-// are. That is the rule concurrent campaign workers already put on
-// anything shared between trials.
+// the buffer its next-token logits are copied into. Observers of
+// different rows may run concurrently inside a step (Batch.Step shards
+// its rows); Observers has the rule.
 type DecodeRow struct {
 	// St is the trial's inference state. It must be bound to the same
 	// model the Batch was created from (ForkFor onto the worker clone).
@@ -37,6 +32,8 @@ type DecodeRow struct {
 // Batch is a continuous-batching decode engine: capacity-sized activation
 // scratch over one model's weights, stepping up to capacity independent
 // trial states through one stacked forward pass (forwardStack) per token.
+// Its rows are independent, so it shards them itself (Step) and its
+// passes never shard: a pass shards a prefill's positions.
 // Each row reads and writes only its own State and its own rows of the
 // scratch, and its own hooks and checker observe only its own activation
 // rows, so nothing a row computes, shows a hook or hands a checker depends
@@ -110,7 +107,7 @@ func (b *Batch) Step(rows []*DecodeRow) {
 		views[i] = row.St.row(row.St.Pos, row.Tok, &row.Observers)
 	}
 
-	if shards := min(m.matmulThreads(), n); shards > 1 {
+	if shards := min(m.threadBudget(), n); shards > 1 {
 		b.stepShared(rows, shards)
 	} else {
 		b.stepRange(rows, 0, n)
@@ -154,8 +151,8 @@ func (b *Batch) stepShared(rows []*DecodeRow, shards int) {
 // run serially — the step's thread budget is already spent on the ranges.
 func (b *Batch) stepRange(rows []*DecodeRow, r0, r1 int) {
 	m := b.m
-	m.forwardStack(b.sk, b.rows, r0, r1, 1)
-	m.linearRows(b.rows, LayerRef{-1, KindLMHead, -1}, m.LMHead, b.sk.x, b.l, r0, r1, 1)
+	m.forwardStack(b.sk, b.rows, r0, r1)
+	m.linearRows(b.rows, LayerRef{-1, KindLMHead, -1}, m.LMHead, b.sk.x, b.l, r0, r1)
 	for i := r0; i < r1; i++ {
 		copy(rows[i].Logits, b.l.Row(i))
 		rows[i].St.Pos++

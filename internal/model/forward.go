@@ -28,12 +28,10 @@ type State struct {
 	from, matched int
 	rec           *planes
 
-	// Scratch reused across steps: DecodeStep's one-row stack, the logits
-	// it returns, and attention's per-head buffers.
-	sk         *stack
-	logits     []float32
-	attnScores []float32
-	attnQ      []float64
+	// Scratch reused across steps: DecodeStep's one-row stack and the
+	// logits it returns.
+	sk     *stack
+	logits []float32
 
 	// ExpertTrace, when non-nil, records the experts selected at each step
 	// for each MoE block — Figure 15's "expert selection changed" analysis.
@@ -51,8 +49,6 @@ func (m *Model) newState(rows int) *State {
 	}
 	st.reserve(rows, false)
 	st.logits = make([]float32, m.Cfg.Vocab)
-	st.attnScores = make([]float32, m.Cfg.MaxSeq)
-	st.attnQ = make([]float64, m.Cfg.HeadDim())
 	return st
 }
 
@@ -150,7 +146,7 @@ func (st *State) decodeStep(tok int, obs *Observers) []float32 {
 	}
 	st.reserveNext(1)
 	rows := [1]stackRow{st.row(st.Pos, tok, obs)}
-	m.forwardStack(st.sk, rows[:], 0, 1, 1)
+	m.forwardStack(st.sk, rows[:], 0, 1)
 	m.linearRow(&rows[0].obs, LayerRef{-1, KindLMHead, -1}, st.Pos, m.LMHead, st.sk.x.Row(0), st.logits)
 	st.Pos++
 	return st.logits
@@ -175,14 +171,12 @@ func (m *Model) mlpForward(obs *Observers, mlp *MLPWeights, base LayerRef, pos i
 // experts they select and writes the probability-weighted mixture to
 // sk.d, every expert's MLP under the row's own observers with row r of
 // sk's hidden tensors, and its slots of sk's MoE scratch, as its scratch.
+// The selection stays in the row's block bi slot for the pass's trace.
 func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 	cfg := &m.Cfg
 	routerLogits := sk.r.Row(r)
 	k := min(cfg.TopK, cfg.NumExperts)
-	sel := tensor.TopK(sk.sel[r*k:r*k:(r+1)*k], routerLogits, cfg.TopK)
-	if tr := row.st.ExpertTrace; tr != nil {
-		tr[bi] = append(tr[bi], sel...)
-	}
+	sel := tensor.TopK(sk.selAt(bi, r, k)[:0], routerLogits, cfg.TopK)
 	// Softmax over the selected logits only (Mixtral-style renormalization).
 	probs := sk.probs[r*k : (r+1)*k]
 	var maxv float32 = float32(math.Inf(-1))
@@ -247,6 +241,18 @@ type Strike struct {
 // DecodeStep run under; a decode row carries its own (DecodeRow), so rows
 // sharing one stacked pass keep their own injection site and detection
 // verdict. The zero value observes nothing, at no cost.
+//
+// One row's observers fire in the serial order, on one goroutine.
+// Observers of different decode rows may run concurrently inside a step
+// (Batch.Step shards its rows), so whatever they touch must be private to
+// the row or synchronised, as mitigate.Restrictor's atomic counters are.
+// A prefill's positions share one set of Observers, the model's or the
+// row's, and run in shards too (forwardStack). Its hooks and attention
+// hooks are spared: a pass whose rows carry hooks runs as one shard, so
+// they see its rows in the serial order, on one goroutine. A Checker and
+// a Strike are not: they must be safe for concurrent calls on distinct
+// positions, as abft.Checker is. That is the rule concurrent campaign
+// workers already put on anything shared between trials.
 type Observers struct {
 	// Hooks fire on each linear-layer output, in order.
 	Hooks []Hook
@@ -259,19 +265,11 @@ type Observers struct {
 	Strike *Strike
 }
 
-// struck returns the struck view of linear layer ref, nil when the strike
-// does not address ref.
-func (o *Observers) struck(ref LayerRef) *StruckWeight {
-	if s := o.Strike; s != nil && s.Ref == ref {
-		return s.W
-	}
-	return nil
-}
-
-// weight returns the weight the row reads for linear layer ref.
+// weight returns the weight the row reads for linear layer ref: the
+// struck view where the row's strike addresses it.
 func (o *Observers) weight(ref LayerRef, w Weight) Weight {
-	if sw := o.struck(ref); sw != nil {
-		return sw
+	if s := o.Strike; s != nil && s.Ref == ref && s.W != nil {
+		return s.W
 	}
 	return w
 }

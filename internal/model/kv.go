@@ -26,8 +26,11 @@ import (
 // element (p, c) sits at c·ld + p, where ld is the plane's row capacity
 // (the state's rows, a Prefix's ld), because the Q·K lanes run across
 // positions and so load sixteen keys of one column with no transpose.
-// Every ld is a multiple of kAlign, so the lanes' last pass computes
-// inside the plane's padding and the scores it keeps are below n.
+// Every ld is a multiple of kAlign, so every column's passes of sixteen
+// lanes sit at the same offsets from the plane's start. The lanes read no
+// key past the scores they compute (a last pass short of sixteen is
+// masked): a sharded prefill's shard attends while the next shard writes
+// the positions after its own (forwardStack).
 
 // kAlign is the multiple every K plane's row capacity is rounded up to:
 // the Q·K lanes take sixteen positions a pass.
@@ -306,12 +309,13 @@ func (st *State) SetKV(ref LayerRef, pos, col int, v float32) {
 
 // attendAt computes causal multi-head attention for the token at pos using
 // the block's KV cache: q is the position's rotated query row and the
-// concatenated head outputs are written to out. Scores and value mix run
+// concatenated head outputs are written to out; scores (at least pos+1
+// long) and qf (HeadDim long) are the row's scratch. Scores and value mix run
 // over the shared rows and then the state's own, which leaves the bits of
 // one contiguous cache: a score is one key's own sum, and the mix
 // continues each channel's t-ascending float32 sum across the boundary
 // (tensor.MatVecStridedCont).
-func (m *Model) attendAt(st *State, bi, pos int, qrow, out []float32) {
+func (m *Model) attendAt(st *State, bi, pos int, qrow, out, scores []float32, qf []float64) {
 	cfg := &m.Cfg
 	hd, d := cfg.HeadDim(), cfg.DModel
 	scale := 1 / math.Sqrt(float64(hd))
@@ -323,8 +327,7 @@ func (m *Model) attendAt(st *State, bi, pos int, qrow, out []float32) {
 	}
 	ownK, ownV := st.own[planeK][bi], st.own[planeV][bi]
 
-	scores := st.attnScores[:n]
-	qf := st.attnQ[:hd]
+	scores, qf = scores[:n], qf[:hd]
 	for h := 0; h < cfg.NHeads; h++ {
 		off := h * hd
 		for i, qv := range qrow[off : off+hd] {

@@ -11,14 +11,16 @@ import (
 // the first generated token).
 //
 // Unlike the seed's per-token recurrence, the prompt's positions go
-// through forwardStack as the rows of one stacked pass, so each block
-// runs its linear layers as one m×k matmul over every position — which
-// is where campaign prefill time goes. The result, the KV cache, and
-// every vector the observers see are bit-identical to the sequential loop
-// (see forwardStack); only the global call order differs, layer-major with
-// positions ascending inside each layer. A depth fork's prompt splits at
-// the first token that differs from its prefix's: the positions before it
-// start at the fork's sublayer, the rest at the embedding (forwardStack).
+// through forwardStack as the rows of one stacked pass. A prompt of at
+// least 2·minShardRows positions whose observers carry no hooks runs in
+// contiguous shards of its positions over the model's thread budget, each
+// shard taking its rows through the whole pass. The result, the KV
+// cache, and every vector the observers see are bit-identical to the
+// sequential loop (see forwardStack); only the global call order differs,
+// layer-major with positions ascending inside each layer (inside each
+// shard, when the pass shards). A depth fork's prompt splits at the first
+// token that differs from its prefix's: the positions before it start at
+// the fork's sublayer, the rest at the embedding (forwardStack).
 func (st *State) Prefill(prompt []int) []float32 { return st.prefill(prompt, &st.m.obs) }
 
 // Prefill runs prompt through the row's state as State.Prefill does, under
@@ -48,27 +50,27 @@ func (st *State) prefill(prompt []int, obs *Observers) []float32 {
 		panic(fmt.Sprintf("model: context overflow (max %d)", cfg.MaxSeq))
 	}
 	st.reserveNext(n)
-	threads := m.matmulThreads()
 
-	rows := make([]stackRow, n)
+	sk := m.prefillStack()
+	rows := sk.rows[:n]
 	for i, tok := range prompt {
 		rows[i] = st.row(st.Pos+i, tok, obs)
 	}
-	sk := m.newStack(n)
-	m.forwardStack(sk, rows, 0, n, threads)
+	m.forwardStack(sk, rows, 0, n)
 
 	lmHead := LayerRef{-1, KindLMHead, -1}
 	if len(obs.Hooks) > 0 {
 		// Hooks observe (and may mutate) the LM-head output of every
 		// position in the sequential path; keep that visible behaviour.
 		L := tensor.New(n, cfg.Vocab)
-		m.linearRows(rows, lmHead, m.LMHead, sk.x, L, 0, n, threads)
+		m.linearRows(rows, lmHead, m.LMHead, sk.x, L, 0, n)
 		copy(st.logits, L.Row(n-1))
 	} else {
 		// Without hooks the intermediate logits are unobservable and
 		// immediately overwritten — compute only the final row.
 		m.linearRow(&rows[n-1].obs, lmHead, rows[n-1].pos, m.LMHead, sk.x.Row(n-1), st.logits)
 	}
+	m.putPrefillStack(sk, n)
 
 	st.Pos += n
 	return st.logits

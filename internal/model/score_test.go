@@ -68,9 +68,9 @@ func scoreLengths() []int {
 // three-head K plane whose capacity is the length padded to sixteen and
 // sixteen more, and keys and queries holding ±0, denormals, ±Inf and NaN.
 // Each column's positions from n to the plane's capacity hold sentinels —
-// NaN, ±Inf, huge — that the lanes compute over and must not keep, and
-// the last head's columns end at the plane's end, so a read past the
-// padding would fault.
+// NaN, ±Inf, huge — that must not reach a score, and each head's keys are
+// handed over ending at its last column's position n-1: the kernel may
+// read no key past the scores it computes.
 func TestScoreKeysMatchesScalar(t *testing.T) {
 	var rs uint64 = 71
 	next := func() uint64 {
@@ -109,7 +109,8 @@ func TestScoreKeysMatchesScalar(t *testing.T) {
 						}
 					}
 					for h := 0; h < heads; h++ {
-						checkScoreKeys(t, fmt.Sprintf("head %d", h), qf, plane[h*hd*ld:], n, ld)
+						keys := plane[h*hd*ld : h*hd*ld+(hd-1)*ld+n]
+						checkScoreKeys(t, fmt.Sprintf("head %d", h), qf, keys, n, ld)
 					}
 				}
 			}
@@ -143,7 +144,7 @@ func FuzzScoreKeys(f *testing.F) {
 				keys[i] = math.Float32frombits(binary.LittleEndian.Uint32(kb[j:]))
 			}
 		}
-		checkScoreKeys(t, "fuzz", qf, keys, n, ld)
+		checkScoreKeys(t, "fuzz", qf, keys[:(hd-1)*ld+n], n, ld)
 	})
 }
 

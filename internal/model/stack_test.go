@@ -2,10 +2,15 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 // obsCall is one observer call: where it fired and a copy of the vector
@@ -84,7 +89,9 @@ func attnFault(pos int) Hook {
 // TestStackedForwardMatchesDecodeStep pins the one stacked forward pass,
 // through both of its callers, to per-token DecodeStep: logits, written
 // KV rows and expert traces, and the exact sequence of (layer, position,
-// vector) every hook, attention hook and checker is shown.
+// vector) every hook, attention hook and checker is shown — a prefill
+// with hooks, whose pass runs as one shard, a prefill without, whose
+// pass runs in shards, and the decode step.
 func TestStackedForwardMatchesDecodeStep(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -96,6 +103,7 @@ func TestStackedForwardMatchesDecodeStep(t *testing.T) {
 		tc.spec.Config.MaxSeq = 160
 		t.Run(tc.name, func(t *testing.T) {
 			t.Run("prefill", func(t *testing.T) { stackedPrefillCase(t, tc.spec) })
+			t.Run("sharded", func(t *testing.T) { shardedPrefillCase(t, tc.spec) })
 			t.Run("step", func(t *testing.T) { stackedStepCase(t, tc.spec) })
 		})
 	}
@@ -103,8 +111,8 @@ func TestStackedForwardMatchesDecodeStep(t *testing.T) {
 
 // stackedPrefillCase: Prefill of n positions under the model's hooks,
 // attention hooks (one of them mutating) and checker, against the same
-// prompt fed through DecodeStep token by token. 120 rows is past the
-// GEMM's fork threshold, so threads > 1 splits every matmul.
+// prompt fed through DecodeStep token by token. Hooks keep the pass one
+// shard at every thread count.
 func stackedPrefillCase(t *testing.T, spec Spec) {
 	run := func(n, threads int, sequential bool) ([]float32, *State, *obsLog) {
 		m := MustBuild(spec)
@@ -136,6 +144,125 @@ func stackedPrefillCase(t *testing.T, spec Spec) {
 			}
 			if err := gotLog.byPosition().sameAs(wantLog); err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+}
+
+// sumChecker is a stand-in for an all-layer correct-or-skip ABFT checker
+// that, like the real one, may be called on distinct rows at once: it
+// verifies every block linear output against the clean weights' column
+// checksums, recomputes a flagged row through the weight it was handed,
+// keeps the recomputation if that verifies and zeroes the row if not,
+// and logs each flag with the row it left.
+type sumChecker struct {
+	sums   map[LayerRef]tensor.Checksums
+	checks atomic.Int64
+
+	mu    sync.Mutex
+	flags []obsCall
+}
+
+func newSumChecker(m *Model) *sumChecker {
+	c := &sumChecker{sums: map[LayerRef]tensor.Checksums{}}
+	for _, li := range m.LinearLayers() {
+		c.sums[li.Ref] = tensor.NewChecksums(li.Weight.(*Dense).T)
+	}
+	return c
+}
+
+func (c *sumChecker) CheckLinear(ref LayerRef, pos int, w Weight, in, out []float32) {
+	cs, ok := c.sums[ref]
+	if !ok {
+		return
+	}
+	c.checks.Add(1)
+	tol := 4 * math.Sqrt(float64(len(in))) / (1 << 24)
+	if ok, _, _ := cs.CheckRow(in, out, tol); ok {
+		return
+	}
+	fixed := make([]float32, len(out))
+	w.Forward(fixed, in)
+	if ok, _, _ := cs.CheckRow(in, fixed, tol); ok {
+		copy(out, fixed)
+	} else {
+		clear(out)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.flags = append(c.flags, obsCall{ref, pos, slices.Clone(out)})
+}
+
+// sameChecks compares two checkers' counts, and their flags as a multiset:
+// each position's flags in its layers' order.
+func (c *sumChecker) sameChecks(want *sumChecker) error {
+	if got, want := c.checks.Load(), want.checks.Load(); got != want {
+		return fmt.Errorf("%d checks, per-token reference made %d", got, want)
+	}
+	byPos := func(calls []obsCall) []obsCall {
+		return (&obsLog{checks: calls}).byPosition().checks
+	}
+	return sameCalls("flag", byPos(c.flags), byPos(want.flags))
+}
+
+// shardedPrefillCase: Prefill of n positions under a strike and a
+// correcting checker and no hooks, against the same prompt fed through
+// DecodeStep token by token — on a fresh state, and on a depth fork of a
+// clean prefix whose prompt matches the prefix's for its first half, so
+// the pass splits into a run entering at the fork's sublayer and one
+// entering at the embedding. Both runs of a 120-row prompt, and the whole
+// of every prompt here on a fresh state, shard at threads > 1.
+func shardedPrefillCase(t *testing.T, spec Spec) {
+	const from = 1 // the depth fork skips block 0's attention
+	clean := MustBuild(spec)
+	vocab := spec.Config.Vocab
+	snap := depthPrefix(clean, 0, promptOf(120, vocab), nil)
+	strike := &Strike{Ref: LayerRef{1, KindQ, -1}, W: clean.Blocks[1].Wq.Struck(1, 2, []int{13, 14})}
+	run := func(n, threads int, sequential, fork bool) ([]float32, *State, *sumChecker) {
+		m := MustBuild(spec)
+		m.SetThreads(threads)
+		m.SetSequentialPrefill(sequential)
+		m.SetStrike(strike)
+		c := newSumChecker(clean)
+		m.SetChecker(c)
+		prompt := promptOf(n, vocab)
+		var st *State
+		if fork {
+			st = snap.ForkDepth(m, nil, 0, from)
+			prompt[n/2] = (prompt[n/2] + 1) % vocab
+		} else {
+			st = m.NewState()
+			if m.Cfg.IsMoE() {
+				st.EnableExpertTrace()
+			}
+		}
+		return slices.Clone(st.Prefill(prompt)), st, c
+	}
+	for _, fork := range []bool{false, true} {
+		for _, n := range []int{33, 61, 120} {
+			wantLogits, wantSt, wantC := run(n, 1, true, fork)
+			if len(wantC.flags) == 0 {
+				t.Fatalf("fork=%v n=%d: the strike flagged no check", fork, n)
+			}
+			for _, threads := range []int{1, 2, 3} {
+				name := fmt.Sprintf("fork=%v n=%d threads=%d", fork, n, threads)
+				gotLogits, gotSt, gotC := run(n, threads, false, fork)
+				sameBits(t, name+": logits", gotLogits, wantLogits)
+				if err := statesEqual(wantSt, gotSt); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := gotC.sameChecks(wantC); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if fork && gotSt.DepthMatched() != n/2 {
+					t.Fatalf("%s: %d positions matched, want %d", name, gotSt.DepthMatched(), n/2)
+				}
+				// The pass really shards: a fresh state's rows are one run.
+				rows := make([]stackRow, n)
+				p := pass{m: gotSt.m, rows: rows}
+				if got, want := p.shards(0, n), max(1, min(threads, n/minShardRows)); !fork && got != want {
+					t.Fatalf("%s: %d shards, want %d", name, got, want)
+				}
 			}
 		}
 	}

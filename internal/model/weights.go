@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"runtime"
+	"sync"
 
 	"repro/internal/numerics"
 	"repro/internal/tensor"
@@ -190,11 +191,15 @@ type Model struct {
 	// copied by Clone/CloneShared: each campaign worker arms its own.
 	obs Observers
 
-	// threads bounds the goroutines one forward pass may use — batched
-	// prefill for its matmuls, a decode batch step for its row shards
-	// (0 = GOMAXPROCS). Campaigns set it per worker clone so the worker
-	// pool cannot oversubscribe the machine.
+	// threads bounds the goroutines one forward pass may use — a prefill
+	// for its row shards, a decode batch step for its rows (0 =
+	// GOMAXPROCS). Campaigns set it per worker clone so the worker pool
+	// cannot oversubscribe the machine.
 	threads int
+
+	// stacks pools prefill scratch (prefillStack). Not copied by
+	// Clone/CloneShared: each model starts its own.
+	stacks sync.Pool
 
 	// sharedWeights marks a CloneShared copy: parameter storage is shared
 	// with the parent and must be privatized (copy-on-write) before any
@@ -208,13 +213,13 @@ type Model struct {
 }
 
 // SetThreads bounds the goroutines one forward pass on m may use (0
-// restores the GOMAXPROCS default): batched prefill splits each matmul's
-// rows over them, Batch.Step its decode rows. A campaign running W
-// workers sets each worker clone to GOMAXPROCS/W, min 1.
+// restores the GOMAXPROCS default): a prefill runs its rows in shards
+// over them (forwardStack), Batch.Step its decode rows. A campaign
+// running W workers sets each worker clone to GOMAXPROCS/W, min 1.
 func (m *Model) SetThreads(n int) { m.threads = n }
 
-// matmulThreads resolves the effective thread budget.
-func (m *Model) matmulThreads() int {
+// threadBudget resolves the effective thread budget.
+func (m *Model) threadBudget() int {
 	if m.threads > 0 {
 		return m.threads
 	}
