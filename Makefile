@@ -51,12 +51,14 @@ test:
 
 ## race: the whole suite under the race detector, then the tests that
 ## share state across goroutines again, failing fast on the first race —
-## the row kernel (with its continuation entry), the sharded decode step,
+## the row kernel (with its continuation entry), two decode lanes over
+## one model with every row's checker on one shared checksum table,
 ## the sharded prefill (a prompt's rows in shards under a strike and a
 ## correcting checker), forks of one shared Prefix in time and in depth,
 ## the checksum table, one checker called on a prefill's rows at once,
 ## rows reading different weight strikes over one model's weights;
-## the campaign runtime, its baseline evaluated beside the pool; serving with its prefix cache; the fan-in and
+## the campaign runtime, its baseline evaluated beside the pool and its
+## workers' lanes; serving with its prefix cache and its lanes; the fan-in and
 ## recorders. CI runs this target, so the lists live here only.
 race:
 	$(GO) test -race ./...
@@ -148,7 +150,11 @@ cover:
 ## worker's MoE memory-fault rows under all-layer correcting ABFT, whose
 ## multiple-choice prompts are long enough for the prefill to run in
 ## shards over the worker's two or more threads (forwardStack) — routing
-## each row's experts into its own trace slot; a few seconds on two cores.
+## each row's experts into its own trace slot; then one worker's
+## transient and MoE memory-fault rows at width 16 and 8 under all-layer
+## ABFT, which run as decode lanes — one-thread loops splitting the width
+## (poolShape) — only on a host with 2 or more cores; a few seconds on
+## two cores.
 ## make identity REF=HEAD~1
 REF ?= HEAD~1
 define IDENTITY_CAMPAIGNS
@@ -178,6 +184,8 @@ define IDENTITY_CAMPAIGNS
 -model QwenS -suite wmt16-like -fault 1bit-comp -dtype FP16 -trials 300 -decode-batch 8
 -model math-qwens -suite gsm8k -fault 2bits-comp -trials 300 -abft -abft-all -abft-policy correct
 -model moe -suite hellaswag -fault 2bits-mem -trials 120 -workers 1 -abft -abft-all -abft-policy correct
+-model QwenS -suite wmt16-like -fault 2bits-comp -trials 300 -workers 1 -decode-batch 16 -abft -abft-all
+-model moe -suite wmt16-like -fault 2bits-mem -trials 120 -workers 1 -decode-batch 8 -abft -abft-all -abft-policy correct-skip
 endef
 export IDENTITY_CAMPAIGNS
 identity:

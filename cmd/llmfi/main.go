@@ -43,8 +43,9 @@
 //	llmfi -suite wmt16-like -model QwenS -trials 5000 -progress -http :9090
 //
 // -decode-batch N sets the decode-loop width (default 1): each worker
-// keeps up to N trials in flight through one stacked forward pass per
-// token, memory-fault trials prefilling their prompts on their own rows,
+// keeps up to N trials in flight through stacked forward passes, split
+// over as many one-thread lanes as it has cores (up to N), memory-fault
+// trials prefilling their prompts on their own rows,
 // multiple-choice trials scoring their options one after another on
 // theirs, and a beam search's hypotheses taking turns on its trial's row.
 // Results are identical at every width — serial decode is the same loop

@@ -37,8 +37,9 @@ type Campaign struct {
 	// ReasoningOnly restricts computational-fault iterations to the
 	// reasoning segment of the baseline output (the CoT study, §4.3.2).
 	ReasoningOnly bool
-	// Workers bounds the worker pool (0 = GOMAXPROCS). Each worker owns
-	// a weight-sharing model clone that carries its trial's observers.
+	// Workers bounds the worker pool (0 = GOMAXPROCS). Each lane of a
+	// worker (BatchDecode) owns a weight-sharing model clone that carries
+	// its trials' observers.
 	Workers int
 	// Thresholds tunes the distortion classifier.
 	Thresholds outcome.Thresholds
@@ -62,10 +63,11 @@ type Campaign struct {
 	// trials skip (ledger).
 	ABFT *ABFTConfig
 	// BatchDecode is the decode-loop width: each worker keeps up to
-	// BatchDecode trials in flight on one gen.Loop, running one stacked
-	// forward pass per token across all of them and admitting the next
-	// trial as soon as one retires (≤1 = width 1, serial decode — the
-	// same loop, not a second path). Observationally inert — every
+	// BatchDecode trials in flight, split over its lanes — one gen.Loop
+	// each on its own goroutine, running one stacked forward pass per
+	// token across its rows and admitting the next trial as soon as one
+	// retires (≤1 = width 1, serial decode — the same loop, not a second
+	// path; poolShape sizes the lanes). Observationally inert — every
 	// trial's computation, hooks, checker verdicts, and sampled randomness
 	// are identical at every width — so it is deliberately excluded from
 	// the checkpoint Fingerprint (like tracing, a resumed campaign may
@@ -103,30 +105,31 @@ type Detection struct {
 	Corrected, Skipped int
 }
 
-// Trial is the outcome of one injection.
+// Trial is the outcome of one injection. A Result retains every trial,
+// so the flags sit together at the end, where they share one word.
 type Trial struct {
 	Site     faults.Site
 	Instance int
-	// Fired reports whether the fault actually struck (a computational
-	// fault targeting an iteration past the end of generation does not).
-	Fired bool
 	// Outcome classifies the trial against the fault-free baseline.
 	Outcome outcome.Analysis
-	// AnswerOK is correctness against the gold reference.
-	AnswerOK bool
 	// Choice is the selected option (multiple-choice suites).
 	Choice int
 	// Metrics are the trial's quality scores. Read-only: a trial that
 	// scored exactly its instance's baseline shares the baseline's map
 	// (nothing writes a Trial's Metrics after construction).
 	Metrics map[metrics.Kind]float64
-	// ExpertChanged reports a different MoE expert-selection trace than
-	// the baseline (MoE greedy campaigns only).
-	ExpertChanged bool
 	// Steps is the decode-step count of the trial.
 	Steps int
 	// Detection is the trial's ABFT record (nil without Campaign.ABFT).
 	Detection *Detection
+	// Fired reports whether the fault actually struck (a computational
+	// fault targeting an iteration past the end of generation does not).
+	Fired bool
+	// AnswerOK is correctness against the gold reference.
+	AnswerOK bool
+	// ExpertChanged reports a different MoE expert-selection trace than
+	// the baseline (MoE greedy campaigns only).
+	ExpertChanged bool
 }
 
 // Result is a completed campaign.

@@ -31,7 +31,8 @@ type BaselineReady struct {
 type TrialDone struct {
 	// Index is the trial index within the campaign.
 	Index int
-	// Worker identifies the pool worker that ran the trial.
+	// Worker identifies the pool lane that ran the trial: a worker runs
+	// one lane per decode loop (poolShape), numbered across the pool.
 	Worker int
 	Trial  Trial
 	// Trace is the trial's propagation record when the runner traced it

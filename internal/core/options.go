@@ -23,7 +23,10 @@ func New(m *model.Model, suite *tasks.Suite, fault faults.Model, trials int, see
 	return c
 }
 
-// WithWorkers bounds the campaign worker pool (0 = GOMAXPROCS).
+// WithWorkers bounds the campaign worker pool (0 = GOMAXPROCS). The
+// machine's cores are divided among the workers; a worker whose decode
+// loop is wider than one row spends its share on lanes, one-thread
+// decode loops that split its width (WithDecodeBatch).
 func WithWorkers(n int) Option {
 	return func(c *Campaign) { c.Workers = n }
 }
@@ -51,9 +54,11 @@ func WithABFT(cfg ABFTConfig) Option {
 }
 
 // WithDecodeBatch sets the decode-loop width: each worker keeps up to n
-// trials in flight, stepping them through one stacked forward pass per
-// token (≤1 = 1, serial decode). Results are identical at every width;
-// a beam search's hypotheses take turns on their trial's row.
+// trials in flight, stepping them through stacked forward passes, one
+// per token on each of its lanes — L = min(threads, n) loops of
+// ceil(n/L) rows on a worker with threads cores (≤1 = 1, serial decode,
+// one lane). Results are identical at every width and lane count; a beam
+// search's hypotheses take turns on their trial's row.
 func WithDecodeBatch(n int) Option {
 	return func(c *Campaign) { c.BatchDecode = n }
 }

@@ -320,12 +320,12 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	if !c.noPrefixReuse && c.BatchDecode > 1 {
 		width = c.BatchDecode
 	}
-	workers := 0
-	threadsPer := 1
+	var sh shape
 	if len(pending) > 0 {
-		workers, threadsPer = poolShape(len(pending), c.Workers, width, runtime.GOMAXPROCS(0))
+		sh = poolShape(len(pending), c.Workers, width, runtime.GOMAXPROCS(0))
 	}
-	r.tel.begin(c.Trials, workers)
+	lanes := sh.workers * sh.lanes
+	r.tel.begin(c.Trials, lanes)
 	// Fold checkpointed trials into the cumulative counters so tallies
 	// and fired rates survive a resume; the throughput rate still counts
 	// only this run's executed trials.
@@ -391,29 +391,29 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	}
 	close(jobs)
 
-	results := make(chan trialResult, workers)
+	results := make(chan trialResult, lanes)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for lane := 0; lane < lanes; lane++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			// Workers share the parent's weights, which nothing writes: a
-			// worker's clone carries only its own trial's observers and
-			// thread budget, so per-worker memory is the KV cache.
+			// Lanes share the parent's weights, which nothing writes: a
+			// lane's clone carries only its own trials' observers and
+			// thread budget, so per-lane memory is the KV cache.
 			wm := c.Model.CloneShared()
-			wm.SetThreads(threadsPer)
+			wm.SetThreads(sh.threads)
 			env := &trialEnv{
-				c: c, r: r, worker: worker, wm: wm,
+				c: c, r: r, worker: lane, wm: wm,
 				sampler: sampler, table: table, seedSrc: seedSrc,
 				insts: insts, ready: ready, gs: gs, check: check, traceOn: traceOn,
 			}
-			if t, err := env.run(runCtx, jobs, results, width); err != nil {
+			if t, err := env.run(runCtx, jobs, results, sh.rows); err != nil {
 				// First failure cancels the pool; the collector surfaces
 				// it through the event stream immediately.
-				results <- trialResult{index: t, worker: worker, err: err}
+				results <- trialResult{index: t, worker: lane, err: err}
 				cancel()
 			}
-		}(w)
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -516,32 +516,40 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	return res, nil
 }
 
-// poolShape sizes the worker pool and each worker's thread budget from
-// the actual in-flight shape. A worker carries up to width trials (one
-// when the campaign does not ride the decode loop), so the pool is
-// capped by ceil(pending/width) — spawning more would leave workers whose
-// rows could never fill, each still claiming a core share. The machine is
-// then divided among the workers that actually exist. A worker spends its
-// share (Model.SetThreads) in two places: prefill, which runs a prompt's
-// positions in shards over that many goroutines, and the decode step,
-// which shards its rows (model.Batch.Step) — so one width-16 worker on two
-// cores decodes on both, while a pool of one-core workers forks nothing.
-func poolShape(pending, requested, width, procs int) (workers, threads int) {
-	workers = requested
+// shape is the pool's: workers, each run as lanes goroutines of its own,
+// every lane a decode loop of rows rows on a model clone of threads
+// threads.
+type shape struct{ workers, lanes, rows, threads int }
+
+// poolShape sizes the worker pool from the actual in-flight shape. A
+// worker carries up to width trials (one when the campaign does not ride
+// the decode loop), so the pool is capped by ceil(pending/width) —
+// spawning more would leave workers whose rows could never fill, each
+// still claiming a core share. The machine is then divided among the
+// workers that actually exist, and each worker spends its share T on
+// lanes: L = min(T, width, pending) decode loops of ceil(width/L) rows,
+// each its own goroutine at T/L threads. A lane never joins another per
+// step (gen.Loop), so one width-16 worker on two cores decodes on both
+// as two lanes of eight rows. A lane's threads go to its prefills, which
+// run a prompt's positions in shards (forwardStack): a width-1 worker is
+// one lane on the worker's whole share.
+func poolShape(pending, requested, width, procs int) shape {
+	workers := requested
 	if workers <= 0 {
 		workers = procs
 	}
 	if need := (pending + width - 1) / width; workers > need {
 		workers = need
 	}
-	if workers < 1 {
-		workers = 1
+	workers = max(workers, 1)
+	threads := max(procs/workers, 1)
+	lanes := max(min(threads, width, pending), 1)
+	return shape{
+		workers: workers,
+		lanes:   lanes,
+		rows:    (width + lanes - 1) / lanes,
+		threads: max(threads/lanes, 1),
 	}
-	threads = procs / workers
-	if threads < 1 {
-		threads = 1
-	}
-	return workers, threads
 }
 
 // checkpoint persists the completed trials.

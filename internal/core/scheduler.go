@@ -15,15 +15,15 @@ import (
 	"repro/internal/trace"
 )
 
-// trialEnv is one pool worker: its model clone and the campaign state
-// every trial reads. A worker executes trials one of two ways, fixed per
-// campaign:
+// trialEnv is one lane of a pool worker (poolShape): its model clone and
+// the campaign state every trial reads. A lane executes trials one of two
+// ways, fixed per campaign:
 //
-//   - rows: each trial rides the worker's gen.Loop, its Observers —
-//     fault, extra hook, probe, checker — scoped to its own batch row; how
-//     it enters the loop is admit's. A beam search's hypotheses take turns
-//     on the trial's row. Width max(1, BatchDecode); serial decode is
-//     width 1.
+//   - rows: each trial rides the lane's gen.Loop, its Observers — fault,
+//     extra hook, probe, checker — scoped to its own batch row; how it
+//     enters the loop is admit's. A beam search's hypotheses take turns
+//     on the trial's row. The worker's width max(1, BatchDecode) is split
+//     over its lanes; serial decode is width 1, one lane.
 //   - one at a time (runTrial): the seed path (noPrefixReuse), with the
 //     trial's Observers installed on the worker's model.
 //
@@ -294,8 +294,8 @@ func (e *trialEnv) baseFor(ctx context.Context, t int) bool {
 	}
 }
 
-// run drains the jobs channel. A trial that cannot be armed stops the
-// worker and is returned with its index; on context cancellation the
+// run drains the jobs channel, which every lane of the pool shares. A
+// trial that cannot be armed stops the lane and is returned with its index; on context cancellation the
 // in-flight trials are abandoned (never reported as completed, so
 // checkpoint resume re-executes them).
 func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- trialResult, width int) (int, error) {
@@ -368,8 +368,8 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 		if n == 0 {
 			break
 		}
-		// A row is charged step wall / n however many threads the step
-		// sharded over: phase time is the worker's wall clock, not CPU.
+		// A row is charged step wall / n: phase time is the lane's wall
+		// clock, not CPU.
 		stepStart := now()
 		finished := loop.Step()
 		share := since(stepStart) / time.Duration(n)

@@ -88,14 +88,15 @@ func TestBatchedGoldenEquivalence(t *testing.T) {
 }
 
 // TestBatchedShardedGoldenEquivalence runs a width-16 campaign on one
-// worker whose decode steps shard over 1, 2 and 4 threads — the budget
-// poolShape hands a one-worker pool is GOMAXPROCS, so the test sets it,
-// whatever the machine has — and requires the width-1 Result: the same
-// trials and detections, the same counts in the telemetry. The ExtraHook
-// arm has every row's mitigation hook firing from concurrent shards; the
-// ABFT arm has every row's checker reading the worker's one checksum
-// cache. Sharding must not change the batch shape either: steps and rows
-// are those of threads 1.
+// worker of 1, 2 and 4 threads — the budget poolShape hands a one-worker
+// pool is GOMAXPROCS, so the test sets it, whatever the machine has —
+// which it runs as that many lanes of 16, 8 and 4 rows, and requires the
+// width-1 Result: the same trials and detections, the same counts in the
+// telemetry. The ExtraHook arm has every row's mitigation hook firing
+// from concurrent lanes; the ABFT arm has every row's checker reading the
+// campaign's one checksum table. The telemetry must show the lanes: one
+// row of it each, their trials summing to the campaign's, and no step
+// carrying more than a lane's rows.
 func TestBatchedShardedGoldenEquivalence(t *testing.T) {
 	suite := tasks.NewSelfRefSuite("batch-sharded", 23, 4, 20, 9, []metrics.Kind{metrics.KindBLEU})
 	// counts keeps what a snapshot counted and drops what it timed.
@@ -111,7 +112,7 @@ func TestBatchedShardedGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, counts(tel.Snapshot())
+		return res, tel.Snapshot()
 	}
 	for _, tc := range []struct {
 		name  string
@@ -137,22 +138,33 @@ func TestBatchedShardedGoldenEquivalence(t *testing.T) {
 					return func(model.LayerRef, int, []float32) {}
 				}
 			}
-			ref, refCounts := run(c)
+			ref, refSnap := run(c)
+			refCounts := counts(refSnap)
 
 			c.BatchDecode = 16
-			var shape [2]int64 // steps, rows at threads 1
 			for _, threads := range []int{1, 2, 4} {
-				got, gotCounts := func() (*Result, TelemetrySnapshot) {
+				got, snap := func() (*Result, TelemetrySnapshot) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
 					return run(c)
 				}()
 				requireSameResult(t, ref, got)
 
+				sh := poolShape(c.Trials, c.Workers, c.BatchDecode, threads)
+				if sh.lanes != threads || sh.rows != c.BatchDecode/threads {
+					t.Fatalf("threads %d: pool shape %+v, want %d lanes of %d rows", threads, sh, threads, c.BatchDecode/threads)
+				}
+				trials := 0
+				for _, w := range snap.Workers {
+					trials += w.Trials
+				}
+				if len(snap.Workers) != sh.lanes || trials != c.Trials {
+					t.Fatalf("threads %d: telemetry has %d lanes running %d trials, want %d running %d",
+						threads, len(snap.Workers), trials, sh.lanes, c.Trials)
+				}
+				gotCounts := counts(snap)
 				steps, rows := gotCounts.DecodeBatchSteps, gotCounts.DecodeBatchRows
-				if threads == 1 {
-					shape = [2]int64{steps, rows}
-				} else if shape != [2]int64{steps, rows} {
-					t.Fatalf("threads %d: %d steps carrying %d rows, threads 1 had %v", threads, steps, rows, shape)
+				if steps*int64(sh.rows) < rows {
+					t.Fatalf("threads %d: %d steps carrying %d rows, more than a lane's %d a step", threads, steps, rows, sh.rows)
 				}
 				if rows != refCounts.DecodeBatchRows || steps >= refCounts.DecodeBatchSteps {
 					t.Fatalf("threads %d: %d steps carrying %d rows; width 1 took %d steps for %d rows",
@@ -371,36 +383,37 @@ func TestBatchEligible(t *testing.T) {
 	}
 }
 
-// TestPoolShape pins the worker/thread split against the in-flight
+// TestPoolShape pins the worker/lane/thread split against the in-flight
 // shape: batched workers carry up to batch trials each, so the pool is
 // capped by ceil(pending/batch) and the freed cores flow back into each
-// remaining worker's thread share — which its decode steps shard their
-// rows over ("batch-one-worker-two-procs" is the benchmark's
-// campaign_batched on the two-core reference machine).
+// remaining worker's share — which it spends on one-thread lanes that
+// split its rows, up to one lane a row, and a lane's leftover threads on
+// its prefills ("batch-one-worker-two-procs" is the benchmark's
+// campaign_batched on the two-core reference machine: two lanes of
+// eight rows).
 func TestPoolShape(t *testing.T) {
 	cases := []struct {
 		name                             string
 		pending, requested, batch, procs int
-		workers, threads                 int
+		want                             shape // workers, lanes, rows, threads
 	}{
-		{"serial-full-machine", 100, 0, 1, 8, 8, 1},
-		{"serial-few-pending", 4, 0, 1, 8, 4, 2},
-		{"serial-requested", 100, 2, 1, 8, 2, 4},
-		{"batch-caps-workers", 100, 0, 16, 8, 7, 1},
-		{"batch-one-worker-enough", 8, 0, 8, 8, 1, 8},
-		{"batch-reclaims-threads", 16, 0, 8, 8, 2, 4},
-		{"batch-respects-request", 16, 1, 8, 8, 1, 8},
-		{"batch-one-worker-two-procs", 480, 1, 16, 2, 1, 2},
-		{"batch-more-requested-than-needed", 8, 4, 8, 8, 1, 8},
-		{"single-core", 100, 0, 8, 1, 1, 1},
-		{"pending-below-everything", 1, 4, 8, 8, 1, 8},
+		{"serial-full-machine", 100, 0, 1, 8, shape{8, 1, 1, 1}},
+		{"serial-few-pending", 4, 0, 1, 8, shape{4, 1, 1, 2}},
+		{"serial-requested", 100, 2, 1, 8, shape{2, 1, 1, 4}},
+		{"batch-caps-workers", 100, 0, 16, 8, shape{7, 1, 16, 1}},
+		{"batch-one-worker-enough", 8, 0, 8, 8, shape{1, 8, 1, 1}},
+		{"batch-reclaims-threads", 16, 0, 8, 8, shape{2, 4, 2, 1}},
+		{"batch-respects-request", 16, 1, 8, 8, shape{1, 8, 1, 1}},
+		{"batch-one-worker-two-procs", 480, 1, 16, 2, shape{1, 2, 8, 1}},
+		{"batch-more-requested-than-needed", 8, 4, 8, 8, shape{1, 8, 1, 1}},
+		{"single-core", 100, 0, 8, 1, shape{1, 1, 8, 1}},
+		{"pending-below-everything", 1, 4, 8, 8, shape{1, 1, 8, 8}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w, th := poolShape(tc.pending, tc.requested, tc.batch, tc.procs)
-			if w != tc.workers || th != tc.threads {
-				t.Fatalf("poolShape(%d, %d, %d, %d) = (%d, %d), want (%d, %d)",
-					tc.pending, tc.requested, tc.batch, tc.procs, w, th, tc.workers, tc.threads)
+			if got := poolShape(tc.pending, tc.requested, tc.batch, tc.procs); got != tc.want {
+				t.Fatalf("poolShape(%d, %d, %d, %d) = %+v, want %+v",
+					tc.pending, tc.requested, tc.batch, tc.procs, got, tc.want)
 			}
 		})
 	}

@@ -77,8 +77,8 @@ func NewTelemetry() *Telemetry {
 }
 
 // begin resets the registry for a campaign of total trials over the
-// given worker-pool size and starts the throughput clock.
-func (t *Telemetry) begin(total, workers int) {
+// given number of pool lanes and starts the throughput clock.
+func (t *Telemetry) begin(total, lanes int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.start = now()
@@ -87,7 +87,7 @@ func (t *Telemetry) begin(total, workers int) {
 	t.fired = 0
 	t.resumed = 0
 	t.tally = outcome.Tally{}
-	t.workers = make([]workerStat, workers)
+	t.workers = make([]workerStat, lanes)
 	t.abft = abftStat{}
 	t.hookFires.Store(0)
 	t.traced.Store(0)
@@ -113,7 +113,7 @@ func (t *Telemetry) restore(trials []Trial) {
 	t.resumed += len(trials)
 }
 
-// record accounts one completed trial to the given worker.
+// record accounts one completed trial to the given lane.
 func (t *Telemetry) record(worker int, tr Trial, busy time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -191,11 +191,12 @@ func (t *Telemetry) observeSpans(sp *spanTimes) {
 	t.observePhase(trace.PhaseClassify, sp.classify)
 }
 
-// WorkerSnapshot is one worker's share of the campaign.
+// WorkerSnapshot is one pool lane's share of the campaign: a worker
+// runs one lane per decode loop (poolShape), a width-1 worker one.
 type WorkerSnapshot struct {
-	// Trials the worker completed.
+	// Trials the lane completed.
 	Trials int `json:"trials"`
-	// BusySeconds the worker spent inside trials.
+	// BusySeconds the lane spent inside trials.
 	BusySeconds float64 `json:"busy_seconds"`
 	// Utilization is busy time over the campaign's wall time so far.
 	Utilization float64 `json:"utilization"`

@@ -27,8 +27,9 @@ import (
 	"repro/internal/prng"
 )
 
-// Model enumerates the studied fault models.
-type Model int
+// Model enumerates the studied fault models. One byte: every Site — and
+// so every Trial a campaign retains — carries one.
+type Model int8
 
 const (
 	// Comp1Bit is a single-bit computational fault.
@@ -84,7 +85,9 @@ type Site struct {
 	// output vector. Non-linear surfaces reuse them (SampleKV: Row is
 	// the struck cache position; SampleEmbed: Row is the token id).
 	Row, Col int
-	// Bits are the flipped bit positions (0 = LSB of the storage format).
+	// Bits are the flipped bit positions (0 = LSB of the storage format),
+	// ascending. Read-only: a sampled site's one or two bits are a slice
+	// every site with the same draw shares.
 	Bits []int
 	// GenIter is the generation iteration (0 = first generated token) at
 	// which a computational fault strikes. Ignored for memory faults,
@@ -219,10 +222,47 @@ func (sp *Sampler) Sample(src *prng.Source, fm Model, maxGenIters int) Site {
 	return site
 }
 
-// distinctBits draws k distinct positions in [0, n).
+// sharedBits bounds the formats whose one- and two-bit draws
+// distinctBits hands out shared: every storage format a site flips.
+const sharedBits = 32
+
+// bitSingles[b] is {b}, bitPairs[lo][hi] is {lo, hi}: every draw of one
+// or two bits over at most sharedBits positions, built once. A campaign
+// keeps every trial's Site, so one shared slice per draw, not one per
+// trial, is what its Bits retain.
+var (
+	bitSingles [sharedBits][]int
+	bitPairs   [sharedBits][sharedBits][]int
+)
+
+func init() {
+	for lo := range sharedBits {
+		bitSingles[lo] = []int{lo}
+		for hi := lo + 1; hi < sharedBits; hi++ {
+			bitPairs[lo][hi] = []int{lo, hi}
+		}
+	}
+}
+
+// distinctBits draws k distinct positions in [0, n), ascending. One or
+// two positions of at most sharedBits come back as a shared slice
+// (bitSingles, bitPairs) the caller must not write; the draws are the
+// same either way — each a src.Intn(n), a repeat drawn again.
 func distinctBits(src *prng.Source, k, n int) []int {
 	if k > n {
 		k = n
+	}
+	if n <= sharedBits {
+		switch k {
+		case 1:
+			return bitSingles[src.Intn(n)]
+		case 2:
+			a, b := src.Intn(n), src.Intn(n)
+			for b == a {
+				b = src.Intn(n)
+			}
+			return bitPairs[min(a, b)][max(a, b)]
+		}
 	}
 	picked := make(map[int]bool, k)
 	out := make([]int, 0, k)

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -263,6 +265,59 @@ func TestDistinctBits(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapSortBits is distinctBits as it was before its shared slices: a set
+// of drawn positions, sorted.
+func mapSortBits(src *prng.Source, k, n int) []int {
+	if k > n {
+		k = n
+	}
+	picked := make(map[int]bool, k)
+	out := make([]int, 0, k)
+	for len(out) < k {
+		b := src.Intn(n)
+		if !picked[b] {
+			picked[b] = true
+			out = append(out, b)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestDistinctBitsMatchesMapSort pins distinctBits to the map+sort draw
+// over many seeds and every (k, n) shape a site samples, and around the
+// shared slices' bounds: the same positions, and the same draws from the
+// source — the next value it yields agrees too.
+func TestDistinctBitsMatchesMapSort(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8, 16, 31, 32, 33, 64} {
+		for k := 0; k <= 3; k++ {
+			for seed := uint64(0); seed < 2000; seed++ {
+				got, want := prng.New(seed), prng.New(seed)
+				g, w := distinctBits(got, k, n), mapSortBits(want, k, n)
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("k %d n %d seed %d: %v, map+sort %v", k, n, seed, g, w)
+				}
+				if got.Uint64() != want.Uint64() {
+					t.Fatalf("k %d n %d seed %d: source advanced differently", k, n, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestDistinctBitsSharedDoesNotAllocate: one or two bits of a format of
+// at most 32 come from the shared slices.
+func TestDistinctBitsSharedDoesNotAllocate(t *testing.T) {
+	src := prng.New(5)
+	for _, k := range []int{1, 2} {
+		for _, n := range []int{8, 16, 32} {
+			if a := testing.AllocsPerRun(200, func() { distinctBits(src, k, n) }); a != 0 {
+				t.Fatalf("k %d n %d: %v allocations per draw", k, n, a)
+			}
+		}
 	}
 }
 

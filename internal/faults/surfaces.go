@@ -14,8 +14,9 @@ import (
 	"repro/internal/prng"
 )
 
-// Surface selects what a fault site strikes.
-type Surface int
+// Surface selects what a fault site strikes. One byte, packed beside
+// Site.Fault.
+type Surface int8
 
 const (
 	// SurfaceLinear is a linear layer's output (computational faults) or

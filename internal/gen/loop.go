@@ -5,10 +5,11 @@ import "repro/internal/model"
 // Arm is what a caller arms on one admitted sequence. Every observer is
 // scoped to that sequence's batch row: it sees, and may strike, only
 // that sequence's activations — its prompt's too, when the loop prefills
-// it (AdmitPrompt). Observers of different sequences may run concurrently
-// inside one Step (model.DecodeRow), so state they share must be
-// synchronised; BeforeStep runs on the caller's goroutine, before the
-// step.
+// it (AdmitPrompt). A Loop runs its sequences' observers on the caller's
+// goroutine, but separate loops over one model's weights (lanes) run at
+// once, and a prefill may check its positions in shards
+// (model.Observers), so state observers share must be synchronised;
+// BeforeStep runs on the caller's goroutine, before the step.
 type Arm struct {
 	model.Observers
 	// BeforeStep, when non-nil, runs on the sequence's state immediately
@@ -69,16 +70,21 @@ func (s *Seq[T]) next(maxSeq int) bool {
 // row observes that step and the ones after it. Batch.Step computes every
 // row in MatVec accumulation order with only that row's hooks and checker
 // observing it (model.Batch's contract), so which other sequences share a
-// step — and therefore admission order, width, scheduling, and how many
-// threads the step shards its rows over — cannot change any sequence's
-// tokens, hook observations or checker verdicts; only wall-clock. A beam
+// step — and therefore admission order, width, scheduling, and which
+// loop a sequence rides — cannot change any sequence's tokens, hook
+// observations or checker verdicts; only wall-clock. A beam
 // search steps one hypothesis per Step, on the state the serial loop
 // would step next, so its hypotheses never share a step: they take turns
 // on their sequence's row, in the serial loop's order.
 //
-// A Loop must not be shared between goroutines. Everything but the
-// forward pass inside Step — admission, BeforeStep, every Stepper step —
-// runs on the caller's.
+// A Loop must not be shared between goroutines, and everything it does
+// runs on the caller's: admission, BeforeStep, the step's forward pass
+// (model.Batch.Step never shards), every Stepper step. A thread budget is
+// spent on lanes instead: one Loop per goroutine, each at one thread and
+// a share of the width, over the same weights (a model, or CloneShared
+// clones of it), drawing from one work queue. Lanes never join per step,
+// so one that waits for its core holds up only its own rows; which lane a
+// sequence rides changes nothing in it, by the argument above.
 type Loop[T any] struct {
 	m    *model.Model
 	bt   *model.Batch

@@ -63,81 +63,6 @@ func TestLoopMatchesContinueGreedy(t *testing.T) {
 	}
 }
 
-// TestLoopShardedMatchesContinueGreedy is the loop at width 8 with the
-// step sharded four ways (SetThreads, so the machine's core count does
-// not matter): twelve sequences of different lengths and budgets recycle
-// through the rows, each struck and observed by a hook, an attention
-// hook and a checker of its own, which the shards run concurrently.
-// Every sequence must decode what GenerateFrom decodes under the same
-// observers registered on the model, and its observers must fire exactly
-// as often; the race detector checks that rows share nothing.
-func TestLoopShardedMatchesContinueGreedy(t *testing.T) {
-	m := testModel(8)
-	const seqs = 12
-	prompt := func(i int) []int {
-		p := make([]int, 2+i%5)
-		for j := range p {
-			p[j] = 1 + (i*3+j*5)%(m.Cfg.Vocab-1)
-		}
-		return p
-	}
-	settings := func(i int) Settings {
-		s := Defaults(3 + (i*7)%11)
-		s.MinNewTokens = s.MaxNewTokens / 2
-		return s
-	}
-	// observers builds sequence i's own: a hook that strikes its second
-	// decoded position, and counters behind all three observer slots.
-	type counts struct{ hook, attn, check int }
-	observers := func(i int, c *counts) Arm {
-		strikePos := len(prompt(i)) + 1
-		return Arm{Observers: model.Observers{
-			Hooks: []model.Hook{func(ref model.LayerRef, pos int, out []float32) {
-				c.hook++
-				if pos == strikePos && ref.Kind == model.KindUp && ref.Block == 0 {
-					out[i%len(out)] += 3
-				}
-			}},
-			AttnHooks: []model.Hook{func(model.LayerRef, int, []float32) { c.attn++ }},
-			Checker:   countingChecker{&c.check},
-		}}
-	}
-
-	want := make(map[int]Result)
-	wantCounts := make([]counts, seqs)
-	for i := 0; i < seqs; i++ {
-		st := m.NewState()
-		logits := st.Prefill(prompt(i))
-		arm := observers(i, &wantCounts[i])
-		m.AddHook(arm.Hooks[0])
-		m.AddAttnHook(arm.AttnHooks[0])
-		m.SetChecker(arm.Checker)
-		want[i] = GenerateFrom(m, st, logits, settings(i))
-		m.ClearHooks()
-		m.ClearAttnHooks()
-		m.SetChecker(nil)
-	}
-
-	m.SetThreads(4)
-	l := NewLoop[int](m, 8)
-	got := make(map[int]Result)
-	gotCounts := make([]counts, seqs)
-	for i := 0; i < seqs; i++ {
-		for l.Free() == 0 {
-			stepInto(l, got)
-		}
-		st := m.NewState()
-		l.Admit(st, st.Prefill(prompt(i)), settings(i), observers(i, &gotCounts[i]), i)
-	}
-	drain(l, got)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded loop results differ from GenerateFrom:\n got %+v\nwant %+v", got, want)
-	}
-	if !reflect.DeepEqual(gotCounts, wantCounts) {
-		t.Fatalf("observer call counts differ:\n got %+v\nwant %+v", gotCounts, wantCounts)
-	}
-}
-
 // TestLoopRecycledRowStartsClean recycles a row after a tenant that armed
 // every observer slot — an attention-surface strike among them — and
 // requires the next tenant, armed with nothing, to decode exactly the

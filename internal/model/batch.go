@@ -2,8 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -11,9 +9,9 @@ import (
 // DecodeRow is one in-flight trial's slot in a decode batch: its private
 // KV-cache state over the shared weights, the token to decode this step,
 // the trial's own Observers (fault, extra hooks, probe, ABFT checker), and
-// the buffer its next-token logits are copied into. Observers of
-// different rows may run concurrently inside a step (Batch.Step shards
-// its rows); Observers has the rule.
+// the buffer its next-token logits are copied into. A step runs its rows
+// on the caller's goroutine, so a row's observers fire in its serial
+// order there.
 type DecodeRow struct {
 	// St is the trial's inference state. It must be bound to the same
 	// model the Batch was created from (ForkFor onto the worker clone).
@@ -31,16 +29,17 @@ type DecodeRow struct {
 
 // Batch is a continuous-batching decode engine: capacity-sized activation
 // scratch over one model's weights, stepping up to capacity independent
-// trial states through one stacked forward pass (forwardStack) per token.
-// Its rows are independent, so it shards them itself (Step) and its
-// passes never shard: a pass shards a prefill's positions.
+// trial states through one stacked forward pass (forwardStack) per token,
+// on the caller's goroutine. A thread budget buys more batches, not a
+// sharded step: independent loops, each with its own Batch over shared
+// weights (gen.Loop's lanes), never wait on one another, where a step
+// sharded over goroutines would join them every token.
 // Each row reads and writes only its own State and its own rows of the
 // scratch, and its own hooks and checker observe only its own activation
 // rows, so nothing a row computes, shows a hook or hands a checker depends
-// on which rows share its step or on how Step shards them over goroutines
-// — every value is bit-identical to the same trial stepping alone through
-// State.DecodeStep. A Batch must not be shared between goroutines; the
-// goroutines Step starts are its own and have exited when it returns.
+// on which rows share its step — every value is bit-identical to the same
+// trial stepping alone through State.DecodeStep. A Batch must not be
+// shared between goroutines.
 type Batch struct {
 	m    *Model
 	sk   *stack
@@ -69,15 +68,9 @@ func (b *Batch) Capacity() int { return len(b.rows) }
 // and each row's next-token logits land in its Logits buffer with its
 // state advanced by one. Rows may sit at different positions. The
 // model's own Observers are ignored; each row's observe its rows (see
-// DecodeRow).
-//
-// Up to min(threads, len(rows)) goroutines (the model's SetThreads
-// budget), the first the caller's, take the rows one at a time, each
-// running a row's whole forward pass: one fork–join per step, not one per
-// GEMM, because a 16-row GEMM is too small to repay a fork–join of its
-// own, and a goroutine that starts late (its core was busy) takes fewer
-// rows instead of holding the step up. One thread runs every row as one
-// stacked pass.
+// DecodeRow). The rows run as one stacked pass on the caller's goroutine,
+// whatever the model's thread budget: a 16-row step is too small to repay
+// a fork–join of its own.
 func (b *Batch) Step(rows []*DecodeRow) {
 	n := len(rows)
 	if n == 0 {
@@ -88,8 +81,6 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	}
 	m := b.m
 	cfg := &m.Cfg
-	// Contract violations panic here, on the caller's goroutine, before
-	// any shard starts.
 	for _, row := range rows {
 		if row.St.m != m {
 			panic("model: decode row state bound to a different model")
@@ -106,55 +97,13 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	for i, row := range rows {
 		views[i] = row.St.row(row.St.Pos, row.Tok, &row.Observers)
 	}
-
-	if shards := min(m.threadBudget(), n); shards > 1 {
-		b.stepShared(rows, shards)
-	} else {
-		b.stepRange(rows, 0, n)
+	m.forwardStack(b.sk, views, 0, n)
+	m.linearRows(views, LayerRef{-1, KindLMHead, -1}, m.LMHead, b.sk.x, b.l, 0, n)
+	for i, row := range rows {
+		copy(row.Logits, b.l.Row(i))
+		row.St.Pos++
 	}
 	// A Batch outlives the trials it steps: a view left in place would pin
 	// a finished trial's State and checker until the slot is next filled.
 	clear(views)
-}
-
-// stepShared runs the rows on shards goroutines, the caller's first, each
-// taking the next unclaimed row until none is left. It is its own
-// function so that its counter, closure and WaitGroup are allocated only
-// by a sharded step: one thread allocates nothing.
-func (b *Batch) stepShared(rows []*DecodeRow, shards int) {
-	var next atomic.Int64
-	work := func() {
-		for {
-			r := int(next.Add(1)) - 1
-			if r >= len(rows) {
-				return
-			}
-			b.stepRange(rows, r, r+1)
-		}
-	}
-	var wg sync.WaitGroup
-	for s := 1; s < shards; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
-// stepRange runs the whole forward pass for rows [r0, r1) and hands each
-// its logits: it reads and writes only those rows of the scratch, those
-// rows' States and observers, and (read-only) the model's weights and
-// tables, so ranges run concurrently without synchronisation. Its GEMMs
-// run serially — the step's thread budget is already spent on the ranges.
-func (b *Batch) stepRange(rows []*DecodeRow, r0, r1 int) {
-	m := b.m
-	m.forwardStack(b.sk, b.rows, r0, r1)
-	m.linearRows(b.rows, LayerRef{-1, KindLMHead, -1}, m.LMHead, b.sk.x, b.l, r0, r1)
-	for i := r0; i < r1; i++ {
-		copy(rows[i].Logits, b.l.Row(i))
-		rows[i].St.Pos++
-	}
 }

@@ -25,10 +25,11 @@ func (c *recordingChecker) CheckLinear(ref LayerRef, pos int, w Weight, in, out 
 	c.calls = append(c.calls, hookKey{ref, pos})
 }
 
-// The sharded step is pinned at every (threads, rows) shape below: one
-// thread, one row, fewer rows than threads, rows the threads do not
-// divide. SetThreads forces the shape, so none of it depends on the
-// test machine's core count.
+// Batch.Step is pinned at every (threads, rows) shape below: one thread,
+// one row, fewer rows than threads, rows the threads do not divide. The
+// step runs on the caller's goroutine whatever the thread budget, so no
+// shape may change a bit; SetThreads forces each, so none of it depends
+// on the test machine's core count.
 var (
 	shardThreads = []int{1, 2, 3, 5}
 	shardRows    = []int{1, 2, 3, 7, 16}
@@ -95,7 +96,7 @@ func shardBatch(t *testing.T, m *Model, rows []*DecodeRow, want [][][]float32) {
 
 // TestBatchStepGolden pins Batch.Step bit-for-bit to per-row DecodeStep:
 // rows prefilled to different positions, decoding different token
-// streams, over dense and MoE profiles and every shard shape. Logits
+// streams, over dense and MoE profiles and every thread budget. Logits
 // after every step and the final KV caches and expert traces must be
 // identical to each row stepping alone.
 func TestBatchStepGolden(t *testing.T) {
@@ -131,7 +132,7 @@ func TestBatchStepGolden(t *testing.T) {
 	}
 }
 
-// TestBatchStepPerRowHooks checks fault isolation at every shard shape: a
+// TestBatchStepPerRowHooks checks fault isolation at every shape: a
 // mutating hook on one row must corrupt exactly that row's output
 // (identically to the same hook on a serial run) and leave sibling rows
 // bit-identical to clean serial runs, and every row's own capture hook
@@ -172,8 +173,7 @@ func TestBatchStepPerRowHooks(t *testing.T) {
 		faulted := n / 2
 		want := append([][][]float32(nil), wantClean[:n]...)
 		want[faulted] = wantFaulty[faulted]
-		// Every other row carries a capture hook over a map of its own:
-		// observers of different rows run concurrently.
+		// Every other row carries a capture hook over a map of its own.
 		caps := make([]map[hookKey][]float32, n)
 		rows := make([]*DecodeRow, n)
 		for i := range rows {
@@ -207,7 +207,7 @@ func TestBatchStepPerRowHooks(t *testing.T) {
 	})
 }
 
-// TestBatchStepPerRowChecker checks checker dispatch at every shard
+// TestBatchStepPerRowChecker checks checker dispatch at every
 // shape: only the rows carrying a checker are checked, each at exactly
 // the (layer, position) sites, in the order, its serial run would visit.
 func TestBatchStepPerRowChecker(t *testing.T) {

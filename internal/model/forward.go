@@ -242,17 +242,17 @@ type Strike struct {
 // sharing one stacked pass keep their own injection site and detection
 // verdict. The zero value observes nothing, at no cost.
 //
-// One row's observers fire in the serial order, on one goroutine.
-// Observers of different decode rows may run concurrently inside a step
-// (Batch.Step shards its rows), so whatever they touch must be private to
-// the row or synchronised, as mitigate.Restrictor's atomic counters are.
-// A prefill's positions share one set of Observers, the model's or the
-// row's, and run in shards too (forwardStack). Its hooks and attention
-// hooks are spared: a pass whose rows carry hooks runs as one shard, so
-// they see its rows in the serial order, on one goroutine. A Checker and
-// a Strike are not: they must be safe for concurrent calls on distinct
-// positions, as abft.Checker is. That is the rule concurrent campaign
-// workers already put on anything shared between trials.
+// One row's observers fire in the serial order, on one goroutine: a
+// decode step runs its rows on the caller's (Batch.Step). Two places call
+// observers concurrently. A prefill's positions share one set of
+// Observers, the model's or the row's, and run in shards (forwardStack):
+// its hooks and attention hooks are spared, since a pass whose rows carry
+// hooks runs as one shard, but a Checker and a Strike are not. And
+// separate loops over one model's weights — a campaign's workers and
+// their lanes, the serving engine's lanes — run their rows at once. So
+// whatever observers share must be safe for concurrent calls on distinct
+// rows and positions, as abft.Checker and mitigate.Restrictor's atomic
+// counters are.
 type Observers struct {
 	// Hooks fire on each linear-layer output, in order.
 	Hooks []Hook

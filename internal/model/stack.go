@@ -118,12 +118,11 @@ const minShardRows = 16
 // forwardStack runs rows [r0, r1) through the transformer as one stacked
 // pass — embed, every block, final norm — leaving each row's normalised
 // residual in sk.x for the caller's LM head. Prefill stacks the positions
-// of one prompt; Batch.Step stacks its independent trials on one thread,
-// or runs them one row per pass on several goroutines; DecodeStep is the
-// one-row pass.
+// of one prompt; Batch.Step stacks its independent trials; DecodeStep is
+// the one-row pass.
 //
-// A pass of at least 2·minShardRows rows whose observers carry no hooks
-// runs on min(threads, rows/minShardRows) goroutines (the model's
+// A pass over one state's positions (a prefill) of at least
+// 2·minShardRows rows whose observers carry no hooks runs on min(threads, rows/minShardRows) goroutines (the model's
 // SetThreads budget), the caller's first, each taking a contiguous
 // shard of the rows through the whole pass with every product serial:
 // the thread budget buys whole rows — norms, checks, attention, RoPE,
@@ -205,10 +204,12 @@ type pass struct {
 }
 
 // shards is how many goroutines run rows [r0, r1): one unless the rows
-// make at least two shards of minShardRows and carry no hooks.
+// are one state's positions, make at least two shards of minShardRows
+// and carry no hooks. A decode batch's rows are different states' and
+// always run on the caller's goroutine (Batch).
 func (p *pass) shards(r0, r1 int) int {
-	n := min(p.m.threadBudget(), (r1-r0)/minShardRows)
-	if n < 2 {
+	n := min(p.m.Threads(), (r1-r0)/minShardRows)
+	if n < 2 || p.rows[r0].st != p.rows[r1-1].st {
 		return 1
 	}
 	for i := r0; i < r1; i++ {

@@ -214,12 +214,14 @@ type Model struct {
 
 // SetThreads bounds the goroutines one forward pass on m may use (0
 // restores the GOMAXPROCS default): a prefill runs its rows in shards
-// over them (forwardStack), Batch.Step its decode rows. A campaign
-// running W workers sets each worker clone to GOMAXPROCS/W, min 1.
+// over them (forwardStack). A decode step never shards (Batch.Step): a
+// budget above one buys decode lanes instead, independent loops that
+// never join — a campaign worker's (core) or the serving engine's
+// (serve.Engine.Run), each sized by Threads.
 func (m *Model) SetThreads(n int) { m.threads = n }
 
-// threadBudget resolves the effective thread budget.
-func (m *Model) threadBudget() int {
+// Threads returns the thread budget: SetThreads's, or GOMAXPROCS.
+func (m *Model) Threads() int {
 	if m.threads > 0 {
 		return m.threads
 	}

@@ -51,13 +51,13 @@ func WriteMetricsText(out io.Writer, s core.TelemetrySnapshot) error {
 
 	worker := func(i int) prom.Label { return prom.Label{Key: "worker", Val: strconv.Itoa(i)} }
 	for i, ws := range s.Workers {
-		w.Gauge("llmfi_worker_trials", "Trials completed per pool worker.", float64(ws.Trials), worker(i))
+		w.Gauge("llmfi_worker_trials", "Trials completed per pool lane (one decode loop of a worker).", float64(ws.Trials), worker(i))
 	}
 	for i, ws := range s.Workers {
-		w.Gauge("llmfi_worker_busy_seconds", "Time each worker spent inside trials.", ws.BusySeconds, worker(i))
+		w.Gauge("llmfi_worker_busy_seconds", "Time each pool lane spent inside trials.", ws.BusySeconds, worker(i))
 	}
 	for i, ws := range s.Workers {
-		w.Gauge("llmfi_worker_utilization", "Worker busy time over campaign wall time.", ws.Utilization, worker(i))
+		w.Gauge("llmfi_worker_utilization", "Lane busy time over campaign wall time.", ws.Utilization, worker(i))
 	}
 
 	for _, ph := range s.Phases {

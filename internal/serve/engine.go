@@ -12,7 +12,7 @@
 // admission order or batch composition. A weight-resident fault (norm
 // gain, embedding element, linear memory) is row-scoped too: it is a
 // strike its row reads in place of the stored parameter, never a write to
-// the shared weights, so every request rides the one decode loop.
+// the shared weights, so every request rides the same decode loops.
 //
 // Every request's prompt is prefilled clean — its fault and checker are
 // armed at admission, after it — so the post-prompt KV rows are a pure
@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -74,8 +75,9 @@ type Config struct {
 	// Vocab, when non-nil, fills Response.Text and enables the HTTP
 	// prompt codec.
 	Vocab *token.Vocab
-	// Width is the decode-batch capacity (default 8); the admission
-	// queue holds 2×Width more before Submit blocks.
+	// Width is the decode-batch capacity (default 8), split over the
+	// engine's lanes (Run); the admission queue holds 2×Width more
+	// before Submit blocks.
 	Width int
 	// DefaultMaxNew is max_tokens for requests that omit it (default 32).
 	DefaultMaxNew int
@@ -462,15 +464,40 @@ func (e *Engine) isDraining() bool {
 	return e.draining
 }
 
-// Run is the scheduler: it owns the engine's decode loop — the only one —
-// admits pending requests into free rows and steps them to completion.
-// It returns after ctx is cancelled AND every in-flight request has
-// finished — the graceful-drain contract behind the SIGINT handling in
-// cmd/llmfi.
+// Run is the scheduler. It runs the engine's decode lanes: L =
+// min(Width, the model's thread budget) decode loops of ceil(Width/L)
+// rows over the engine's one model, each on its own goroutine (the
+// caller's the first), each admitting pending requests from the one queue
+// into its free rows and stepping them to completion. Lanes never join
+// one another, so a step waits on no goroutine, and a lane that waits for
+// its core holds up only its own rows; every request's bits are the same
+// on any lane (gen.Loop). It returns after ctx is cancelled AND every
+// lane's in-flight requests have finished — the graceful-drain contract
+// behind the SIGINT handling in cmd/llmfi: the engine is done once, after
+// the last lane drains.
 func (e *Engine) Run(ctx context.Context) error {
-	loop := gen.NewLoop[*flight](e.m, e.cfg.Width)
-	running := true
+	lanes := min(e.m.Threads(), e.cfg.Width)
+	rows := (e.cfg.Width + lanes - 1) / lanes
+	var wg sync.WaitGroup
+	for range lanes - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.lane(ctx, rows)
+		}()
+	}
+	e.lane(ctx, rows)
+	wg.Wait()
+	close(e.done)
+	return nil
+}
 
+// lane runs one decode loop of the given width until ctx is cancelled and
+// its in-flight requests have finished. The first lane to see ctx end
+// starts the drain; every lane stops admitting then.
+func (e *Engine) lane(ctx context.Context, width int) {
+	loop := gen.NewLoop[*flight](e.m, width)
+	running := true
 	for {
 		if running && ctx.Err() != nil {
 			running = false
@@ -481,7 +508,7 @@ func (e *Engine) Run(ctx context.Context) error {
 		}
 		if loop.Len() == 0 {
 			if !running {
-				break
+				return
 			}
 			select {
 			case p := <-e.queue:
@@ -502,10 +529,11 @@ func (e *Engine) Run(ctx context.Context) error {
 			}
 		}
 		e.step(loop)
+		// Submitters prefill on their own goroutines: with every core
+		// running a lane, a lane that never yields would leave them to
+		// the scheduler's preemption tick.
+		runtime.Gosched()
 	}
-
-	close(e.done)
-	return nil
 }
 
 // failQueued rejects every request still waiting in the queue buffer.
@@ -521,8 +549,8 @@ func (e *Engine) failQueued() {
 	}
 }
 
-// admit puts a prefilled request on the loop: arm its fault and checker
-// on its own row (on the scheduler's goroutine, between steps) and take
+// admit puts a prefilled request on a lane's loop: arm its fault and
+// checker on its own row (on the lane's goroutine, between steps) and take
 // the first token off the prefix logits. A request that ends there is
 // answered without ever occupying a row.
 func (e *Engine) admit(loop *gen.Loop[*flight], p *pending) {

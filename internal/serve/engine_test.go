@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -284,13 +286,21 @@ func sitePolicyConfig(m *model.Model, vocab *token.Vocab) serve.Config {
 // must be a pure function of the load config).
 func campaignStats(t *testing.T, m *model.Model, vocab *token.Vocab, streams int) []string {
 	t.Helper()
+	return campaignLines(t, sitePolicyConfig(m, vocab), streams, 24)
+}
+
+// campaignLines runs requests campaign requests over cfg's engine from
+// streams closed-loop clients and renders each response as campaignStats
+// does.
+func campaignLines(t *testing.T, cfg serve.Config, streams, requests int) []string {
+	t.Helper()
 	prompts := testPrompts()
 	const maxNew = 10
-	e, stop := startEngine(t, sitePolicyConfig(m, vocab))
+	e, stop := startEngine(t, cfg)
 	defer stop()
 	st, err := loadgen.Run(context.Background(), e, loadgen.Config{
-		Streams: streams, Requests: 24, Prompts: prompts,
-		Baselines: baselinesFor(m, prompts, maxNew),
+		Streams: streams, Requests: requests, Prompts: prompts,
+		Baselines: baselinesFor(cfg.Model, prompts, maxNew),
 		MaxNew:    maxNew, Seed: 31,
 	})
 	if err != nil {
@@ -440,13 +450,14 @@ func (c *stepsThenCancel) Err() error {
 	return nil
 }
 
-// TestServeShardedStep pins serving to the sharded decode step: the
-// scheduler's steps shard their rows over the engine model's thread
-// budget, forced to four here whatever the machine has. The five-surface
-// campaign (attention and KV strikes among them, a checker on every row)
-// must answer every request exactly as at one thread, and a request
-// cancelled while its siblings keep stepping must come back with the
-// tokens chosen so far and leave the siblings their serial outputs.
+// TestServeShardedStep pins serving to its lanes: the scheduler runs one
+// decode loop per thread of the engine model's budget, forced to four
+// here whatever the machine has (four lanes of one row at Width 4, of two
+// at Width 8). The five-surface campaign (attention and KV strikes among
+// them, a checker on every row) must answer every request exactly as at
+// one thread, and a request cancelled while its siblings keep stepping
+// must come back with the tokens chosen so far and leave the siblings
+// their serial outputs.
 func TestServeShardedStep(t *testing.T) {
 	m, vocab := testServeModel(t)
 	m.SetThreads(1)
@@ -508,6 +519,121 @@ func TestServeShardedStep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestServeLanes runs a Width-8 engine under GOMAXPROCS(2) — two lanes
+// of four rows over the one model, whatever the machine has — as a live
+// campaign over all five surfaces with all-layer ABFT on every row, and
+// requires every response to equal a Width-1 engine's (one lane of one
+// row) bit for bit. Then the drain contract across lanes: with each lane
+// holding a request mid-step and another queued behind them, cancelling
+// Run rejects the queued one with ErrDraining, lets both held requests
+// finish whole, and returns only after both lanes have drained; a later
+// Submit is refused.
+func TestServeLanes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m, vocab := testServeModel(t)
+	campaign := func(width int) serve.Config {
+		return serve.Config{
+			Model: m, Vocab: vocab, Width: width,
+			Inject: &serve.InjectConfig{
+				Fault:    faults.Comp2Bit,
+				Surfaces: faults.Surfaces,
+				Seed:     77,
+				ABFT:     &serve.ABFTConfig{Policy: mitigate.PolicyDetect, AllLayers: true},
+			},
+		}
+	}
+	want := campaignLines(t, campaign(1), 1, 32)
+	got := campaignLines(t, campaign(8), 8, 32)
+	detected := 0
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("request %d differs on two lanes:\n got %s\nwant %s", i, got[i], want[i])
+		}
+		if !strings.Contains(got[i], " det=0 ") {
+			detected++
+		}
+	}
+	if detected == 0 {
+		t.Fatal("no request was flagged: the checkers observed nothing")
+	}
+
+	prompts := testPrompts()
+	const maxNew = 10
+	baselines := baselinesFor(m, prompts, maxNew)
+	e, err := serve.NewEngine(serve.Config{Model: m, Vocab: vocab, Width: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCtx, cancelRun := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- e.Run(runCtx) }()
+	resps := make([]serve.Response, 3)
+	var wg sync.WaitGroup
+	submit := func(i int, ctx context.Context) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i] = e.Submit(ctx, serve.Request{ID: fmt.Sprintf("l%d", i), Prompt: prompts[i], MaxNew: maxNew})
+		}()
+	}
+	// The first request holds its lane inside its first step; the second
+	// can only be admitted by the other lane, and holds it too.
+	release := make(chan struct{})
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	defer releaseAll()
+	for i := 0; i < 2; i++ {
+		held := &heldCtx{Context: context.Background(), arrived: make(chan struct{}), release: release}
+		submit(i, held)
+		select {
+		case <-held.arrived:
+		case <-time.After(10 * time.Second):
+			cancelRun()
+			t.Fatalf("request %d was never stepped: no free lane took it", i)
+		}
+	}
+	submit(2, context.Background())
+	for e.Metrics().Snapshot().InFlight < 3 {
+		runtime.Gosched()
+	}
+	cancelRun()
+	releaseAll()
+	wg.Wait()
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if resps[i].Err != nil || !reflect.DeepEqual(resps[i].Tokens, baselines[i]) {
+			t.Fatalf("held request %d: %v, err %v; want %v whole", i, resps[i].Tokens, resps[i].Err, baselines[i])
+		}
+	}
+	if !errors.Is(resps[2].Err, serve.ErrDraining) {
+		t.Fatalf("queued request: err %v, want ErrDraining", resps[2].Err)
+	}
+	if n := e.Metrics().Snapshot().InFlight; n != 0 {
+		t.Fatalf("in-flight gauge %d after drain", n)
+	}
+	if resp := e.Submit(context.Background(), serve.Request{ID: "late", Prompt: prompts[0], MaxNew: 4}); !errors.Is(resp.Err, serve.ErrDraining) {
+		t.Fatalf("post-drain Submit err = %v, want ErrDraining", resp.Err)
+	}
+}
+
+// heldCtx holds the lane stepping its request: a lane polls a request's
+// Err once per step, and the first poll reports arrival, then waits for
+// release.
+type heldCtx struct {
+	context.Context
+	arrived, release chan struct{}
+	once             sync.Once
+}
+
+func (c *heldCtx) Err() error {
+	c.once.Do(func() {
+		close(c.arrived)
+		<-c.release
+	})
+	return nil
 }
 
 // flipStored writes a weight-resident site's fault into m's own storage,
