@@ -58,7 +58,8 @@ test:
 ## the checksum table, one checker called on a prefill's rows at once,
 ## rows reading different weight strikes over one model's weights;
 ## the campaign runtime, its baseline evaluated beside the pool and its
-## workers' lanes; serving with its prefix cache and its lanes; the fan-in and
+## workers' lanes; serving with its lanes and its prefix cache, whose
+## entries injected requests fork as clean decodes; the fan-in and
 ## recorders. CI runs this target, so the lists live here only.
 race:
 	$(GO) test -race ./...

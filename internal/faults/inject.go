@@ -9,7 +9,8 @@ import (
 )
 
 // Injection is one armed fault: §3.2's flip, run, flip back. New is its
-// only constructor and the only code that knows how a Site strikes.
+// only constructor and, with Reach, the only code that knows how a Site
+// strikes.
 //
 // Every site strikes through exactly one observer that New builds and
 // installs nowhere: the caller carries it on the decode-loop row the
@@ -89,6 +90,34 @@ func New(m *model.Model, site Site, promptLen int) (*Injection, error) {
 		inj.Fired = true
 	}
 	return inj, nil
+}
+
+// Reach returns the first decode step site can change in a greedy decode
+// whose clean run chose tokens, step g being the one that decodes
+// generated token g: every step before it computes, bit for bit, what the
+// clean decode computed, and the fault fires in none of them. A transient
+// site (linear computational, attn, kv) strikes at GenIter; a norm gain or
+// a linear weight is read from step 0 on; an embedding row is read by the
+// first step fed its token, or by none of the clean tokens' steps, in
+// which case Reach is len(tokens). It assumes New's arming: the prompt is
+// computed clean, before the fault, as a served request's is.
+func Reach(site Site, tokens []int) int {
+	switch site.Surface {
+	case SurfaceNorm:
+		return 0
+	case SurfaceEmbed:
+		for g, tok := range tokens {
+			if tok == site.Row {
+				return g
+			}
+		}
+		return len(tokens)
+	case SurfaceLinear:
+		if site.Fault.IsMemory() {
+			return 0
+		}
+	}
+	return site.GenIter
 }
 
 // strikeVec builds the strike of a float32 parameter vector (a norm gain,

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -457,5 +458,101 @@ func TestSurfaceOutcomeGoldens(t *testing.T) {
 				t.Fatalf("model not restored after trial: %v vs %v", got, baseline)
 			}
 		})
+	}
+}
+
+// TestReach pins the first step each surface can change: GenIter for the
+// transients, 0 for a norm gain and a linear weight, the first step fed
+// the struck embedding row — len(tokens) when no step is.
+func TestReach(t *testing.T) {
+	tokens := []int{7, 3, 9, 3}
+	out := model.LayerRef{Block: 1, Kind: model.KindOut, Expert: -1}
+	for _, tc := range []struct {
+		site Site
+		want int
+	}{
+		{Site{Fault: Comp1Bit, Layer: out, GenIter: 2}, 2},
+		{Site{Fault: Mem2Bit, Layer: out, GenIter: 2}, 0},
+		{Site{Fault: Comp1Bit, Surface: SurfaceAttn, GenIter: 3}, 3},
+		{Site{Fault: Comp2Bit, Surface: SurfaceKV, Row: 1, GenIter: 1}, 1},
+		{Site{Fault: Comp1Bit, Surface: SurfaceNorm, GenIter: 3}, 0},
+		{Site{Fault: Comp1Bit, Surface: SurfaceEmbed, Row: 3}, 1},
+		{Site{Fault: Comp1Bit, Surface: SurfaceEmbed, Row: 7}, 0},
+		{Site{Fault: Comp1Bit, Surface: SurfaceEmbed, Row: 4}, len(tokens)},
+	} {
+		if got := Reach(tc.site, tokens); got != tc.want {
+			t.Errorf("Reach(%v) = %d, want %d", tc.site, got, tc.want)
+		}
+	}
+}
+
+// TestReachForkMatchesDecode runs sampled faults of every surface, and an
+// embedding strike on a row the clean decode feeds, from the prompt's end
+// and forked from the clean decode at their Reach: tokens, steps and Fired
+// agree, and some forks skip steps.
+func TestReachForkMatchesDecode(t *testing.T) {
+	m := testModel(t, 0)
+	const maxNew = 8
+	promptLen := len(surfacePrompt)
+	st := m.NewState()
+	clean, points := gen.ResumableGreedy(m, st, st.Prefill(surfacePrompt), gen.Defaults(maxNew))
+	from := st.Snapshot()
+	sp, err := NewSampler(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := []Site{{Fault: Comp1Bit, Surface: SurfaceEmbed, Layer: model.LayerRef{Block: -1, Kind: model.KindEmbed, Expert: -1},
+		Row: clean.Tokens[3], Col: 2, Bits: []int{30}}}
+	for seed := uint64(0); seed < 60; seed++ {
+		src := prng.New(seed)
+		fm := []Model{Comp1Bit, Mem2Bit}[seed%2]
+		site, err := SampleSurface(src, sp, m, Surfaces[seed%uint64(len(Surfaces))], fm, maxNew, promptLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites = append(sites, site)
+	}
+	arm := func(site Site) (*Injection, gen.Arm) {
+		inj, err := New(m, site, promptLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := gen.Arm{BeforeStep: inj.BeforeStep}
+		a.Strike = inj.Strike
+		if inj.Hook != nil {
+			a.Hooks = []model.Hook{inj.Hook}
+		}
+		if inj.AttnHook != nil {
+			a.AttnHooks = []model.Hook{inj.AttnHook}
+		}
+		return inj, a
+	}
+	loop := gen.NewLoop[int](m, 1)
+	run := func(s *gen.Seq[int]) gen.Result {
+		for !s.Done() {
+			loop.Step()
+		}
+		res := s.Result()
+		loop.Release(s)
+		return res
+	}
+	skipped := 0
+	for _, site := range sites {
+		inj, a := arm(site)
+		st := m.NewState()
+		want := run(loop.Admit(st, st.Prefill(surfacePrompt), gen.Defaults(maxNew), a, 0))
+		g := min(Reach(site, clean.Tokens), len(points)-1)
+		fork, a := arm(site)
+		got := run(loop.AdmitFork(from, points[g], 0, a, 0))
+		// LogProb by its bits: a NaN compares unequal to itself.
+		same := reflect.DeepEqual(got.Tokens, want.Tokens) && got.Steps == want.Steps && got.Stopped == want.Stopped &&
+			math.Float64bits(got.LogProb) == math.Float64bits(want.LogProb)
+		if !same || fork.Fired != inj.Fired {
+			t.Fatalf("%v forked at step %d: %+v fired %v, from the prompt's end %+v fired %v", site, g, got, fork.Fired, want, inj.Fired)
+		}
+		skipped += g
+	}
+	if skipped == 0 {
+		t.Fatal("no fork skipped a step")
 	}
 }

@@ -6,6 +6,7 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -108,11 +109,28 @@ type Resume struct {
 	sp   Stepper
 	tok  int
 	pos  int
+	g    int  // the point's index: the step it follows is generated token g's choice
 	live bool // the decode went on to step tok; false at its last point
 }
 
 // Pos is the position the point's token decodes at.
 func (r Resume) Pos() int { return r.pos }
+
+// Rebudget returns the point as it stands in the same greedy decode under
+// a budget of maxNew new tokens. Point g of a decode with budget N is that
+// point under budget M whenever g < min(M, N): the budget is consulted
+// only before a token is chosen, and every choice up to g was made under
+// both budgets, so the Stepper differs in its budget alone — whether the
+// decode steps g's token turns on the stop token and the context, not on
+// the budget. A point at or past min(M, N) may not exist under the other
+// budget, or chose a token that budget forbids: it panics.
+func (r Resume) Rebudget(maxNew int) Resume {
+	if r.g >= min(maxNew, r.sp.s.MaxNewTokens) {
+		panic(fmt.Sprintf("gen: point %d of a %d-token decode rebudgeted to %d tokens", r.g, r.sp.s.MaxNewTokens, maxNew))
+	}
+	r.sp.s.MaxNewTokens = maxNew
+	return r
+}
 
 // ResumableGreedy is a greedy GenerateFrom that also returns one Resume
 // per Stepper step: point g follows the choice of generated token g,
@@ -136,7 +154,7 @@ func serial(m *model.Model, st *model.State, logits []float32, sp *Stepper, reco
 		var step bool
 		st, tok, step = sp.step(st, logits, m.Cfg.MaxSeq)
 		if record {
-			at := Resume{sp: *sp, tok: tok, pos: pos, live: step}
+			at := Resume{sp: *sp, tok: tok, pos: pos, g: len(points), live: step}
 			// Capacity clipped to length: the decode appends on into the
 			// shared backing array, and a resumed sequence's first append
 			// must copy rather than write beside it.

@@ -482,3 +482,64 @@ func TestScorerMatchesScoreOptionLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestRebudgetMatchesDecodeUnderBudget forks a decode of budget N at each
+// point g < min(M, N), re-budgeted to M, and gets the decode of budget M
+// from the prompt's end: its tokens, steps, stop and log-probability — for
+// budgets below, equal to and above N, over a decode that runs its budget
+// out and one that stops on EOS. A point at or past min(M, N) refuses.
+func TestRebudgetMatchesDecodeUnderBudget(t *testing.T) {
+	m := testModel(12)
+	prompt := []int{1, 5, 6, 3, 7}
+	// eos forces EOS from position at on and bans it before.
+	eos := func(at int) model.Hook {
+		return func(ref model.LayerRef, pos int, out []float32) {
+			if ref.Kind == model.KindLMHead {
+				out[token.EOS] = float32(math.Copysign(1e4, float64(pos-at)+0.5))
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		eosAt int
+	}{{"budget", m.Cfg.MaxSeq}, {"eos", len(prompt) + 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The hook rides the model for the serial decodes and the row
+			// for the loop's, which ignores the model's.
+			hook := eos(tc.eosAt)
+			m.AddHook(hook)
+			defer m.ClearHooks()
+			arm := Arm{Observers: model.Observers{Hooks: []model.Hook{hook}}}
+			const n = 8
+			from, points := decoded(m, prompt, Defaults(n))
+			if stopped := points[len(points)-1].sp.Result().Stopped; stopped != (tc.eosAt < m.Cfg.MaxSeq) {
+				t.Fatalf("clean decode stopped %v", stopped)
+			}
+			l := NewLoop[int](m, 1)
+			for _, budget := range []int{3, n, n + 5} {
+				want := serialRef(m, prompt, Defaults(budget))
+				shared := min(budget, n, len(points))
+				for g := range shared {
+					seq := l.AdmitFork(from, points[g].Rebudget(budget), 0, arm, g)
+					for l.Len() > 0 {
+						l.Step()
+					}
+					if got := seq.Result(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("budget %d, point %d: %+v, want %+v", budget, g, got, want)
+					}
+					l.Release(seq)
+				}
+				for g := shared; g < len(points); g++ {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("point %d of a %d-token decode rebudgeted to %d", g, n, budget)
+							}
+						}()
+						points[g].Rebudget(budget)
+					}()
+				}
+			}
+		})
+	}
+}

@@ -20,29 +20,50 @@ func randWeights(seed uint64, r, c int, sigma float64) *tensor.Tensor {
 	return t
 }
 
-func TestQuantizeRoundtripError(t *testing.T) {
-	// Property: dequantized values differ from the originals by at most
-	// half the group scale (round-to-nearest bound).
-	f := func(seed uint64, bits8 bool) bool {
-		bits := 4
-		if bits8 {
-			bits = 8
-		}
-		w := randWeights(seed, 64, 16, 0.1)
-		q, err := Quantize(w, bits)
-		if err != nil {
-			return false
-		}
-		for r := 0; r < w.Rows; r++ {
-			for c := 0; c < w.Cols; c++ {
-				g := r / GroupSize
-				scale := float64(q.scales[g*q.out+c])
-				if math.Abs(q.Get(r, c)-float64(w.At(r, c))) > scale/2+1e-9 {
-					return false
-				}
+// roundtripWithin reports whether every dequantized value of a random
+// 64×16 weight quantized at bits lies within the round-to-nearest bound of
+// its original. The codes are rounded against the float64 scale
+// s = maxAbs/qmax, but the weight keeps float32(s), at most ulp₃₂(s)/2
+// away, and a code of magnitude up to qmax+1 multiplies that gap: the
+// error is bounded by s/2 + (qmax+1)·ulp₃₂(s)/2, not s/2 alone. ulp₃₂ of
+// the stored scale bounds ulp₃₂(s) from above, and s/2 exceeds the stored
+// scale's half by at most ulp₃₂/4, inside that term.
+func roundtripWithin(seed uint64, bits int) bool {
+	w := randWeights(seed, 64, 16, 0.1)
+	q, err := Quantize(w, bits)
+	if err != nil {
+		return false
+	}
+	codes := float64(int(1) << (bits - 1)) // qmax + 1
+	for r := 0; r < w.Rows; r++ {
+		for c := 0; c < w.Cols; c++ {
+			s32 := q.scales[r/GroupSize*q.out+c]
+			ulp := float64(math.Nextafter32(s32, float32(math.Inf(1))) - s32)
+			bound := float64(s32)/2 + codes*ulp/2
+			if math.Abs(q.Get(r, c)-float64(w.At(r, c))) > bound+1e-9 {
+				return false
 			}
 		}
-		return true
+	}
+	return true
+}
+
+func TestQuantizeRoundtripError(t *testing.T) {
+	// The first (seed, bits) draws whose error passes s/2 by the float32
+	// term, found in a sweep of 20 000 seeds at 4 and 8 bits.
+	for _, tc := range []struct {
+		seed uint64
+		bits int
+	}{{206, 8}, {1343, 4}, {1343, 8}, {3055, 8}} {
+		if !roundtripWithin(tc.seed, tc.bits) {
+			t.Errorf("seed %d, %d bits: a dequantized value lies outside the round-to-nearest bound", tc.seed, tc.bits)
+		}
+	}
+	f := func(seed uint64, bits8 bool) bool {
+		if bits8 {
+			return roundtripWithin(seed, 8)
+		}
+		return roundtripWithin(seed, 4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -18,7 +18,10 @@
 // armed at admission, after it — so the post-prompt KV rows are a pure
 // function of the prompt's tokens: a prompt the engine keeps seeing is
 // prefilled once, and later requests fork its rows by reference
-// (prefixCache, Engine.prefill).
+// (prefixCache, Engine.prefill). Under injection such a prompt is decoded
+// clean once too, and a later request of it starts at the first step its
+// fault can reach, forking the clean decode's rows and resume points
+// (cleanDecode, Engine.fork): no step before it can differ.
 package serve
 
 import (
@@ -167,9 +170,13 @@ type reqTiming struct {
 	prefillAt time.Time // when the prompt's prefill started (zero: it never ran)
 	prefill   time.Duration
 	reused    int // prompt tokens forked from the prefix cache
+
+	forked    bool // the request entered its prompt's clean decode
+	resumedAt int  // at this step: the decode steps it skipped
 }
 
-// pending is a prefilled request waiting for a batch slot.
+// pending is a prefilled request waiting for a batch slot. It starts from
+// its prompt's end, st, or inside its prompt's clean decode, at.
 type pending struct {
 	req   Request
 	ctx   context.Context
@@ -178,9 +185,14 @@ type pending struct {
 	// prefix is st's own logits buffer: nothing steps st between prefill
 	// and admission, and the decode loop copies it on Admit.
 	prefix []float32
-	site   *faults.Site
-	tm     reqTiming
-	resp   chan Response
+	// clean, when non-nil, is the prompt's clean decode, which the request
+	// enters at resume point at, forking from: st is unused.
+	clean *cleanDecode
+	from  *model.Prefix
+	at    gen.Resume
+	site  *faults.Site
+	tm    reqTiming
+	resp  chan Response
 }
 
 // flight is one admitted request occupying a decode-loop row.
@@ -426,35 +438,103 @@ func (e *Engine) Submit(ctx context.Context, req Request) Response {
 	}
 }
 
-// prefill gives p its state at the end of the prompt, and the logits
-// there — the one place a served prompt is computed. It forks the cached
-// prefix sharing the most leading tokens with the prompt and prefills
-// only the rest (an exact repeat computes its last token), then caches
-// the prompt's own rows if the engine keeps seeing it. A hook or checker
-// registered on the model itself would be shown every prompt position by
-// a full prefill, so such a model goes uncached; what the engine arms is
-// per request and comes after.
+// prefill readies p for admission — the one place a served prompt is
+// computed. It forks the cached entry sharing the most leading tokens with
+// the prompt and prefills only the rest (an exact repeat computes its last
+// token), which leaves p at the end of its prompt with the logits there,
+// and caches the prompt's rows if the engine keeps seeing it. On an
+// injecting engine the entry cached is the prompt's clean decode instead
+// (decodeClean), and a request whose prompt has one computes neither the
+// prompt nor any step its fault cannot reach: it forks the decode (fork).
+// A hook or checker registered on the model itself would be shown every
+// prompt position by a full prefill, so such a model goes uncached; what
+// the engine arms is per request and comes after.
 func (e *Engine) prefill(p *pending) {
 	m, prompt := e.m, p.req.Prompt
 	p.tm.prefillAt = time.Now()
 	var (
-		px    *model.Prefix
+		hit   prefixEntry
 		admit bool
 	)
 	if !m.Observed() {
-		px, p.tm.reused, admit = e.cache.lookup(prompt)
+		hit, p.tm.reused, admit = e.cache.lookup(prompt)
 	}
-	if p.tm.reused > 0 {
-		p.st = px.ForkInto(m, nil, p.tm.reused)
-	} else {
-		p.st = m.NewState()
-	}
-	p.prefix = p.st.Prefill(prompt[p.tm.reused:])
-	if admit {
-		e.cache.insert(prompt, p.st.Snapshot())
+	switch {
+	case hit.clean != nil:
+		p.tm.reused = len(prompt)
+		e.fork(p, hit)
+	case admit && e.cfg.Inject != nil:
+		e.fork(p, e.decodeClean(prompt, hit.prefix, p.tm.reused, p.req.MaxNew))
+	default:
+		p.st, p.prefix = prefillFrom(m, hit.prefix, p.tm.reused, prompt)
+		if admit {
+			e.cache.insert(prefixEntry{prompt: prompt, prefix: p.st.Snapshot()})
+		}
 	}
 	p.tm.prefill = time.Since(p.tm.prefillAt)
 	e.met.observePrefill(p.tm.reused, len(prompt)-p.tm.reused)
+}
+
+// prefillFrom returns a state of m at the end of prompt and the logits
+// there: the rows of px below reuse, forked by reference, and the rest of
+// the prompt prefilled.
+func prefillFrom(m *model.Model, px *model.Prefix, reuse int, prompt []int) (*model.State, []float32) {
+	var st *model.State
+	if reuse > 0 {
+		st = px.ForkInto(m, nil, reuse)
+	} else {
+		st = m.NewState()
+	}
+	return st, st.Prefill(prompt[reuse:])
+}
+
+// decodeClean computes and caches prompt's entry on an injecting engine:
+// the prompt prefilled from the rows of px below reuse (prefillFrom), then
+// decoded greedily to maxNew tokens with no fault armed. Under
+// Inject.ABFT the decode runs on a clone carrying a detect-only, all-layer
+// checker over the engine's table, whose first flag bounds the steps a
+// request may skip (cleanDecode.flagAt); the prompt is not checked, as a
+// request's is not.
+func (e *Engine) decodeClean(prompt []int, px *model.Prefix, reuse, maxNew int) prefixEntry {
+	m := e.m
+	var checker *abft.Checker
+	if e.table != nil {
+		m = m.CloneShared()
+		// An all-layer checker has no site to refuse.
+		checker, _ = abft.Protection{AllLayers: true}.Checker(e.table)
+	}
+	st, logits := prefillFrom(m, px, reuse, prompt)
+	if checker != nil {
+		m.SetChecker(checker)
+	}
+	res, points := gen.ResumableGreedy(m, st, logits, gen.Defaults(maxNew))
+	dec := &cleanDecode{resume: points, tokens: res.Tokens, maxNew: maxNew, flagAt: len(points)}
+	if e.cfg.Vocab != nil {
+		dec.text = e.cfg.Vocab.Decode(res.Tokens)
+	}
+	if checker != nil {
+		if ev := checker.Events(); len(ev) > 0 {
+			dec.flagAt = ev[0].Pos - len(prompt)
+		}
+	}
+	ent := prefixEntry{prompt: prompt, prefix: st.Snapshot(), clean: dec}
+	e.cache.insert(ent)
+	return ent
+}
+
+// fork starts p inside ent, its prompt's clean decode, at the earliest
+// of: the first step p's fault can change (faults.Reach), the decode's
+// first flagged step, and the last point p's budget shares with the
+// decode's (gen.Resume.Rebudget). Every step before it is bit for bit the
+// clean decode's, with no fault fired and no check flagged, so p's tokens,
+// steps, fired and detected are what a decode from the prompt's end
+// computes; a KV strike on a row p shares goes through State.SetKV, which
+// makes it p's own, so the entry is never written.
+func (e *Engine) fork(p *pending, ent prefixEntry) {
+	dec, maxNew := ent.clean, p.req.MaxNew
+	g := min(faults.Reach(*p.site, dec.tokens), dec.flagAt, len(dec.resume)-1, min(maxNew, dec.maxNew)-1)
+	p.clean, p.from, p.at = dec, ent.prefix, dec.resume[g].Rebudget(maxNew)
+	p.tm.forked, p.tm.resumedAt = true, g
 }
 
 // isDraining reports whether shutdown has begun.
@@ -550,8 +630,10 @@ func (e *Engine) failQueued() {
 }
 
 // admit puts a prefilled request on a lane's loop: arm its fault and
-// checker on its own row (on the lane's goroutine, between steps) and take
-// the first token off the prefix logits. A request that ends there is
+// checker on its own row (on the lane's goroutine, between steps), then
+// take the first token off the prefix logits — or, for a request that
+// forks its prompt's clean decode, enter the decode at its resume point,
+// with the tokens of the steps before it. A request that ends there is
 // answered without ever occupying a row.
 func (e *Engine) admit(loop *gen.Loop[*flight], p *pending) {
 	f := &flight{p: p}
@@ -563,19 +645,26 @@ func (e *Engine) admit(loop *gen.Loop[*flight], p *pending) {
 			return
 		}
 	}
-	s := loop.Admit(p.st, p.prefix, gen.Defaults(p.req.MaxNew), arm, f)
+	var s *gen.Seq[*flight]
+	if p.clean != nil {
+		s = loop.AdmitFork(p.from, p.at, 0, arm, f)
+		e.met.observeFork(p.tm.resumedAt)
+	} else {
+		s = loop.Admit(p.st, p.prefix, gen.Defaults(p.req.MaxNew), arm, f)
+	}
+	// The first generated token materializes here: this is the request's
+	// TTFT. A request that ended without one has none.
+	if len(s.Result().Tokens) > 0 {
+		p.tm.admitted = time.Now()
+		p.tm.queueWait = p.tm.admitted.Sub(p.tm.enq)
+		p.tm.ttft = p.tm.admitted.Sub(p.start)
+		p.tm.hasTTFT = true
+		e.met.observeTTFT(p.tm.ttft)
+		f.lastTok = p.tm.admitted
+	}
 	if s.Done() {
 		e.retire(loop, s, nil)
-		return
 	}
-	// The first generated token materializes here, off the prefix
-	// logits: this is the request's TTFT.
-	p.tm.admitted = time.Now()
-	p.tm.queueWait = p.tm.admitted.Sub(p.tm.enq)
-	p.tm.ttft = p.tm.admitted.Sub(p.start)
-	p.tm.hasTTFT = true
-	e.met.observeTTFT(p.tm.ttft)
-	f.lastTok = p.tm.admitted
 }
 
 // arm builds the request's checker over the engine's table and its fault
@@ -658,12 +747,13 @@ func (e *Engine) respond(f *flight, res gen.Result, err error) {
 		detected = f.checker.Stats().Flagged
 		e.met.observeDetection(detected)
 	}
-	f.p.resp <- e.finish(f.p.req, f.p.start, res.Tokens, res.Steps, f.p.site, err, fired, detected, f.p.tm)
+	f.p.resp <- e.finish(f.p, res.Tokens, res.Steps, err, fired, detected)
 }
 
-// finish assembles the Response and records the request's metrics,
+// finish assembles p's Response and records the request's metrics,
 // spans, and (when SLO-violating) the slow-request log entry.
-func (e *Engine) finish(req Request, start time.Time, tokens []int, steps int, site *faults.Site, err error, fired bool, detected int, tm reqTiming) Response {
+func (e *Engine) finish(p *pending, tokens []int, steps int, err error, fired bool, detected int) Response {
+	req, start, site, tm := p.req, p.start, p.site, p.tm
 	latency := time.Since(start)
 	// An output equal to the baseline shares the baseline's array: the
 	// caller holds that one already, and the decode's copy is dropped.
@@ -680,7 +770,13 @@ func (e *Engine) finish(req Request, start time.Time, tokens []int, steps int, s
 		Detected: detected,
 		Err:      err,
 	}
-	if e.cfg.Vocab != nil {
+	// Likewise an output equal to the clean decode it forked takes that
+	// decode's text: most outputs under injection are.
+	switch {
+	case e.cfg.Vocab == nil:
+	case p.clean != nil && slices.Equal(tokens, p.clean.tokens):
+		resp.Text = p.clean.text
+	default:
 		resp.Text = e.cfg.Vocab.Decode(tokens)
 	}
 	st := statusOK
@@ -761,8 +857,12 @@ func (e *Engine) recordRequestSpans(resp Response, st reqStatus, start time.Time
 		}
 		rec.Record(obs.NewSpan(rec.Child(tm.root), tm.root.Span, "first_token",
 			start, tm.ttft))
+		var attrs []obs.Attr
+		if tm.forked {
+			attrs = append(attrs, obs.Int("resumed_at", int64(tm.resumedAt)))
+		}
 		sp := obs.NewSpan(rec.Child(tm.root), tm.root.Span, "decode",
-			tm.admitted, latency-tm.ttft)
+			tm.admitted, latency-tm.ttft, attrs...)
 		sp.Count = steps
 		rec.Record(sp)
 	}

@@ -69,6 +69,7 @@ type Metrics struct {
 	prefillHits, prefillMisses   atomic.Int64
 	tokensReused, tokensComputed atomic.Int64
 	cacheBytes, cacheEvictions   atomic.Int64
+	stepsSkipped                 atomic.Int64
 }
 
 // NewMetrics returns zeroed serving metrics.
@@ -124,6 +125,10 @@ func (m *Metrics) observePrefill(reused, computed int) {
 	m.tokensComputed.Add(int64(computed))
 }
 
+// observeFork records one request admitted inside its prompt's cached
+// clean decode, skipping its first steps.
+func (m *Metrics) observeFork(skipped int) { m.stepsSkipped.Add(int64(skipped)) }
+
 // observePrefixCache records one insertion into the prefix cache: the
 // entries it evicted and the bytes the cache holds after it.
 func (m *Metrics) observePrefixCache(evicted, bytes int) {
@@ -159,6 +164,9 @@ type MetricsSnapshot struct {
 	PromptTokensComputed int64
 	PrefixCacheBytes     int64
 	PrefixCacheEvictions int64
+	// DecodeStepsSkipped counts the decode steps injected requests did not
+	// run because they forked their prompt's cached clean decode past them.
+	DecodeStepsSkipped int64
 }
 
 // Snapshot samples the counters.
@@ -184,6 +192,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	s.PromptTokensComputed = m.tokensComputed.Load()
 	s.PrefixCacheBytes = m.cacheBytes.Load()
 	s.PrefixCacheEvictions = m.cacheEvictions.Load()
+	s.DecodeStepsSkipped = m.stepsSkipped.Load()
 	return s
 }
 

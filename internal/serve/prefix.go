@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 
+	"repro/internal/gen"
 	"repro/internal/model"
 )
 
@@ -16,11 +18,15 @@ const sightingWindow = 512
 // once; a prompt that comes a third time is being cycled.
 const admitSightings = 3
 
-// prefixCache holds the post-prompt KV rows of prompts the engine keeps
-// seeing, as immutable model.Prefix values requests fork from by
-// reference. A served prompt is always prefilled clean — fault and
-// checker are armed at admission, after it — so its rows are a pure
-// function of its tokens and any request may read another's.
+// prefixCache holds what the engine knows of prompts it keeps seeing, as
+// immutable model.Prefix values requests fork from by reference. A served
+// prompt is always prefilled clean — fault and checker are armed at
+// admission, after it — so its rows are a pure function of its tokens and
+// any request may read another's. An engine that injects caches more: the
+// prompt decoded clean (cleanDecode), its rows the prompt's and then the
+// decode's, which an injected request of the prompt enters at the first
+// step its fault can reach (Engine.prefill). Any other prompt forks only
+// the prompt rows of either kind of entry.
 //
 // Entries are few (the budget is a few dozen prompts) and lookup wants
 // the longest common token prefix, not equality, so they are a slice
@@ -37,10 +43,43 @@ type prefixCache struct {
 	seenAt  int                    //llmfi:guardedby mu
 }
 
+// prefixEntry is one cached prompt. Everything but used is immutable once
+// inserted.
 type prefixEntry struct {
 	prompt []int
+	// prefix holds the prompt's rows: the state at its end, or the state a
+	// clean decode of it finished on.
 	prefix *model.Prefix
-	used   uint64
+	// clean, when non-nil, is that decode.
+	clean *cleanDecode
+	used  uint64
+}
+
+// cleanDecode is a prompt's greedy decode with no fault armed: what an
+// injected request of the prompt computes up to the first step its fault
+// can reach.
+type cleanDecode struct {
+	// resume holds one point per step, point g following the choice of
+	// token g (gen.ResumableGreedy), to fork the entry's prefix at.
+	resume []gen.Resume
+	tokens []int
+	// text is tokens decoded by the engine's vocabulary ("" without one):
+	// a response with these tokens shares it.
+	text   string
+	maxNew int
+	// flagAt is the first step at which an all-layer, detect-only checker
+	// over the engine's table flagged the decode, len(resume) when none
+	// did or the engine checks nothing: a request's checker, whatever its
+	// scope or policy, flags no row of an earlier step.
+	flagAt int
+}
+
+// holds reports whether the entry serves every request for prompt, so
+// that prompt needs no entry of its own: a post-prompt entry serves every
+// prompt it begins with, a clean decode only its own.
+func (e *prefixEntry) holds(prompt []int) bool {
+	n := commonPrefix(e.prompt, prompt)
+	return n == len(prompt) && (e.clean == nil || n == len(e.prompt))
 }
 
 // newPrefixCache sizes the cache for m behind a batch of width rows:
@@ -51,13 +90,14 @@ func newPrefixCache(m *model.Model, width int, met *Metrics) *prefixCache {
 	return &prefixCache{budget: 3 * width * cfg.MaxSeq * 2 * cfg.NBlocks * cfg.DModel * 4, met: met}
 }
 
-// lookup notes a sighting of prompt and returns the cached prefix sharing
-// the most leading tokens with it and how many of them a request for
-// prompt may reuse: at most len(prompt)-1, since the last token must be
-// computed for its logits. admit reports that the caller should insert
-// prompt's own rows once it has them: this is at least its third sighting
-// and no entry already holds all of it.
-func (c *prefixCache) lookup(prompt []int) (px *model.Prefix, reuse int, admit bool) {
+// lookup notes a sighting of prompt and returns the cached entry sharing
+// the most leading tokens with it — prompt's own among equals — and how
+// many of them a request for prompt may prefill from: at most
+// len(prompt)-1, since the last token must be computed for its logits.
+// hit.clean is nil unless the entry is prompt's own clean decode. admit
+// reports that the caller should insert an entry for prompt once it has
+// one: this is at least its third sighting and no entry holds it.
+func (c *prefixCache) lookup(prompt []int) (hit prefixEntry, reuse int, admit bool) {
 	h := hashPrompt(prompt)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -74,29 +114,35 @@ func (c *prefixCache) lookup(prompt []int) (px *model.Prefix, reuse int, admit b
 	c.tick++
 	best, lcp := -1, 0
 	for i := range c.entries {
-		if n := commonPrefix(c.entries[i].prompt, prompt); n > lcp {
+		n := commonPrefix(c.entries[i].prompt, prompt)
+		if n > lcp || (n > 0 && n == lcp && len(c.entries[i].prompt) == n) {
 			best, lcp = i, n
 		}
 	}
+	held := false
 	if best >= 0 {
-		c.entries[best].used = c.tick
-		px = c.entries[best].prefix
+		e := &c.entries[best]
+		e.used = c.tick
+		hit, held = *e, e.holds(prompt)
+		if !held {
+			hit.clean = nil // another prompt's decode: only its prompt rows serve
+		}
 	}
-	return px, min(lcp, len(prompt)-1), sightings >= admitSightings && lcp < len(prompt)
+	return hit, min(lcp, len(prompt)-1), sightings >= admitSightings && !held
 }
 
-// insert caches px, the rows of prompt, evicting least recently used
-// entries to stay inside the budget. A prompt that a concurrent request
-// has inserted meanwhile, or that alone exceeds the budget, is dropped.
-func (c *prefixCache) insert(prompt []int, px *model.Prefix) {
+// insert caches ent, evicting least recently used entries to stay inside
+// the budget. A prompt an entry holds, as a concurrent request may have
+// inserted meanwhile, or whose rows alone exceed the budget, is dropped.
+func (c *prefixCache) insert(ent prefixEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	size := px.Bytes()
+	size := ent.prefix.Bytes()
 	if size > c.budget {
 		return
 	}
 	for i := range c.entries {
-		if commonPrefix(c.entries[i].prompt, prompt) == len(prompt) {
+		if c.entries[i].holds(ent.prompt) {
 			return
 		}
 	}
@@ -114,7 +160,8 @@ func (c *prefixCache) insert(prompt []int, px *model.Prefix) {
 		c.entries = c.entries[:len(c.entries)-1]
 		evicted++
 	}
-	c.entries = append(c.entries, prefixEntry{prompt: append([]int(nil), prompt...), prefix: px, used: c.tick})
+	ent.prompt, ent.used = slices.Clone(ent.prompt), c.tick
+	c.entries = append(c.entries, ent)
 	c.bytes += size
 	// Under the lock, so the gauge never lags a concurrent insertion.
 	c.met.observePrefixCache(evicted, c.bytes)

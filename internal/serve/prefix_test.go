@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/faults"
 	"repro/internal/gen"
@@ -234,6 +235,176 @@ func TestServeMaskedResponseSharesBaseline(t *testing.T) {
 	resp = e.Submit(context.Background(), serve.Request{Prompt: prompt, MaxNew: maxNew})
 	if !reflect.DeepEqual(resp.Tokens, base) || same(resp.Tokens, base) {
 		t.Fatalf("response without a baseline %v must own its tokens", resp.Tokens)
+	}
+}
+
+// TestServeMaskedResponseSharesCleanText: on an injecting engine, a
+// response whose tokens equal its prompt's cached clean decode carries
+// that decode's text, one string however many requests return it, and a
+// response that differs decodes its own.
+func TestServeMaskedResponseSharesCleanText(t *testing.T) {
+	m, vocab := testServeModel(t)
+	e, stop := startEngine(t, serve.Config{Model: m, Vocab: vocab,
+		Inject: &serve.InjectConfig{Fault: faults.Comp2Bit, Surfaces: faults.Surfaces, Seed: 5}})
+	defer stop()
+	prompt := testPrompts()[1]
+	const maxNew = 8
+	clean := gen.Generate(m, prompt, gen.Defaults(maxNew)).Tokens
+	var shared []string
+	differing := 0
+	for seed := uint64(0); seed < 40; seed++ {
+		resp := e.Submit(context.Background(), serve.Request{Prompt: prompt, MaxNew: maxNew, Seed: seed})
+		if resp.Err != nil || resp.Text != vocab.Decode(resp.Tokens) {
+			t.Fatalf("request %d: text %q for tokens %v, err %v", seed, resp.Text, resp.Tokens, resp.Err)
+		}
+		switch {
+		case !reflect.DeepEqual(resp.Tokens, clean):
+			differing++
+		case seed >= 2: // the third sighting caches the clean decode and forks it
+			shared = append(shared, resp.Text)
+		}
+	}
+	if len(shared) < 2 || differing == 0 {
+		t.Fatalf("%d masked responses after the prompt was cached, %d differing: both kinds are needed", len(shared), differing)
+	}
+	for _, text := range shared[1:] {
+		if unsafe.StringData(text) != unsafe.StringData(shared[0]) {
+			t.Fatal("two masked responses carry separate copies of the clean decode's text")
+		}
+	}
+}
+
+// TestServeDecodeSpanCarriesResumedAt: a sampled request that forks its
+// prompt's clean decode says in its decode span at which step it entered
+// it, one that does not says nothing, and the steps sum to the engine's
+// count of decode steps skipped.
+func TestServeDecodeSpanCarriesResumedAt(t *testing.T) {
+	m, vocab := testServeModel(t)
+	rec := obs.NewRecorder(obs.Config{Service: "serve", Sample: 1})
+	e, stop := startEngine(t, serve.Config{Model: m, Vocab: vocab, Recorder: rec,
+		Inject: &serve.InjectConfig{Fault: faults.Comp1Bit, Surfaces: faults.Surfaces, Seed: 9}})
+	prompt := testPrompts()[2]
+	const requests = 12
+	for seed := uint64(0); seed < requests; seed++ {
+		if resp := e.Submit(context.Background(), serve.Request{Prompt: prompt, MaxNew: 8, Seed: seed}); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	stop()
+	var decodes, forked, sum int64
+	for _, sp := range rec.Recent(0) {
+		if sp.Name != "decode" {
+			continue
+		}
+		decodes++
+		for _, a := range sp.Attrs {
+			if a.Key == "resumed_at" {
+				forked++
+				sum += a.Int
+			}
+		}
+	}
+	skipped := e.Metrics().Snapshot().DecodeStepsSkipped
+	if decodes != requests || forked != requests-2 || sum != skipped || skipped == 0 {
+		t.Fatalf("%d decode spans, %d with resumed_at summing to %d; the engine skipped %d steps", decodes, forked, sum, skipped)
+	}
+}
+
+// TestServeForkMatchesColdEngine: an injected request whose prompt's clean
+// decode the engine has cached enters that decode at the first step its
+// fault can reach, and answers exactly as a fresh engine, which decodes
+// every step from the prompt's end, does — on all five surfaces; under
+// budgets below, equal to and above the cached decode's; over a decode
+// that stops on EOS; after a KV strike on a row the fork reads from the
+// entry, which a second fork must still read clean; with ABFT off,
+// all-layer, site-only correcting, and all-layer under a tolerance so
+// tight that the clean decode flags, so that the first flag, not the
+// fault, bounds the steps skipped.
+func TestServeForkMatchesColdEngine(t *testing.T) {
+	m, vocab := testServeModel(t)
+	ctx := context.Background()
+	const entryMax = 8
+	// The second prompt's clean decode stops on EOS after 7 tokens; the
+	// third is as long as the first and begins as it does, so it may fork
+	// the first's prompt rows but never its decode.
+	prompts := [][]int{{5, 9, 17, 4, 21, 6}, {9, 5, 7, 12}, {5, 9, 17, 4, 30, 11}}
+	arms := []struct {
+		name  string
+		abft  *serve.ABFTConfig
+		tight bool
+	}{
+		{"off", nil, false},
+		{"all-layer", &serve.ABFTConfig{Policy: mitigate.PolicyDetect, AllLayers: true}, false},
+		{"site-only", &serve.ABFTConfig{Policy: mitigate.PolicyCorrect}, false},
+		{"all-layer-tight", &serve.ABFTConfig{Policy: mitigate.PolicyDetect, AllLayers: true, Tol: 1e-12}, true},
+	}
+	var sharedKV, eosForks int
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := serve.Config{Model: m, Vocab: vocab, Width: 4, Inject: &serve.InjectConfig{
+				Fault: faults.Comp1Bit, Surfaces: faults.Surfaces, Seed: 41, ABFT: arm.abft}}
+			warm, stop := startEngine(t, cfg)
+			defer stop()
+			// check serves req warm and cold, and returns the decode steps
+			// the warm engine skipped.
+			check := func(req serve.Request) int {
+				t.Helper()
+				before := warm.Metrics().Snapshot().DecodeStepsSkipped
+				got := warm.Submit(ctx, req)
+				cold, stopCold := startEngine(t, cfg)
+				want := cold.Submit(ctx, req)
+				stopCold()
+				if got.Err != nil || fingerprint(got) != fingerprint(want) {
+					t.Fatalf("request %s %v max %d:\nwarm %s\ncold %s", req.ID, req.Prompt, req.MaxNew, fingerprint(got), fingerprint(want))
+				}
+				return int(warm.Metrics().Snapshot().DecodeStepsSkipped - before)
+			}
+			surfaces := map[faults.Surface]int{}
+			skipped, capped := 0, 0
+			seed := uint64(0)
+			for _, prompt := range prompts {
+				clean := gen.Generate(m, prompt, gen.Defaults(entryMax)).Tokens
+				for _, maxNew := range []int{entryMax, entryMax, entryMax, 5, entryMax + 4} {
+					for k := 0; k < 12; k++ {
+						seed++
+						req := serve.Request{ID: fmt.Sprint(seed), Prompt: prompt, MaxNew: maxNew, Seed: seed,
+							Baseline: gen.Generate(m, prompt, gen.Defaults(maxNew)).Tokens}
+						site, err := warm.SampleSiteForTest(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						surfaces[site.Surface]++
+						g := check(req)
+						skipped += g
+						if g < min(faults.Reach(site, clean), len(clean), min(maxNew, entryMax)-1) {
+							capped++
+						}
+						if g == len(clean) && len(clean) < entryMax {
+							eosForks++
+						}
+						// A strike on a decode row the fork read from the
+						// entry: the same request again forks the same
+						// row, and must find it clean.
+						if site.Surface == faults.SurfaceKV && site.Row >= len(prompt) && site.Row < len(prompt)+g {
+							sharedKV++
+							check(req)
+						}
+					}
+				}
+			}
+			if len(surfaces) != len(faults.Surfaces) {
+				t.Fatalf("surfaces %v: the mix must cover all five", surfaces)
+			}
+			if arm.tight && capped == 0 {
+				t.Fatal("no fork stopped short of its fault's reach: the clean decode's flags bounded nothing")
+			}
+			if !arm.tight && skipped == 0 {
+				t.Fatal("no request skipped a step")
+			}
+		})
+	}
+	if sharedKV == 0 || eosForks == 0 {
+		t.Fatalf("%d KV strikes on a shared decode row, %d forks at the EOS point: both cases are needed", sharedKV, eosForks)
 	}
 }
 

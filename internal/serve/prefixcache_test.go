@@ -30,37 +30,37 @@ func TestPrefixCacheAdmission(t *testing.T) {
 	held := func() int { return int(c.met.Snapshot().PrefixCacheBytes) }
 	a := []int{1, 2, 3, 4, 5, 6}
 	for sighting := 1; sighting <= 3; sighting++ {
-		px, reuse, admit := c.lookup(a)
-		if px != nil || reuse != 0 || admit != (sighting == 3) {
-			t.Fatalf("sighting %d of an uncached prompt: prefix %v reuse %d admit %v", sighting, px, reuse, admit)
+		hit, reuse, admit := c.lookup(a)
+		if hit.prefix != nil || reuse != 0 || admit != (sighting == 3) {
+			t.Fatalf("sighting %d of an uncached prompt: prefix %v reuse %d admit %v", sighting, hit.prefix, reuse, admit)
 		}
 	}
 	pa := prefixOf(m, a)
-	if c.insert(a, pa); held() != pa.Bytes() {
+	if c.insert(prefixEntry{prompt: a, prefix: pa}); held() != pa.Bytes() {
 		t.Fatalf("first insert: %d bytes held, want %d", held(), pa.Bytes())
 	}
-	if c.insert(a, prefixOf(m, a)); held() != pa.Bytes() {
+	if c.insert(prefixEntry{prompt: a, prefix: prefixOf(m, a)}); held() != pa.Bytes() {
 		t.Fatalf("a second insert of the same prompt grew the cache to %d bytes", held())
 	}
-	if px, reuse, admit := c.lookup(a); px != pa || reuse != len(a)-1 || admit {
-		t.Fatalf("exact repeat: prefix %p (want %p) reuse %d admit %v", px, pa, reuse, admit)
+	if hit, reuse, admit := c.lookup(a); hit.prefix != pa || reuse != len(a)-1 || admit {
+		t.Fatalf("exact repeat: prefix %p (want %p) reuse %d admit %v", hit.prefix, pa, reuse, admit)
 	}
 	short := a[:3]
 	c.lookup(short)
 	c.lookup(short)
-	if px, reuse, admit := c.lookup(short); px != pa || reuse != 2 || admit {
+	if hit, reuse, admit := c.lookup(short); hit.prefix != pa || reuse != 2 || admit {
 		t.Fatalf("a prompt inside a cached one: reuse %d admit %v; it needs no entry of its own", reuse, admit)
 	}
 	longer := []int{1, 2, 3, 4, 9, 9, 9}
 	c.lookup(longer)
 	c.lookup(longer)
-	px, reuse, admit := c.lookup(longer)
-	if px != pa || reuse != 4 || !admit {
+	hit, reuse, admit := c.lookup(longer)
+	if hit.prefix != pa || reuse != 4 || !admit {
 		t.Fatalf("a prompt diverging from a cached one: reuse %d admit %v", reuse, admit)
 	}
 	pl := prefixOf(m, longer)
-	c.insert(longer, pl)
-	if px, reuse, _ := c.lookup([]int{1, 2, 3, 4, 9, 9, 7}); px != pl || reuse != 6 {
+	c.insert(prefixEntry{prompt: longer, prefix: pl})
+	if hit, reuse, _ := c.lookup([]int{1, 2, 3, 4, 9, 9, 7}); hit.prefix != pl || reuse != 6 {
 		t.Fatalf("lookup must pick the longest common prefix: reuse %d", reuse)
 	}
 
@@ -100,22 +100,22 @@ func TestPrefixCacheLRU(t *testing.T) {
 		return p
 	}
 	for i := 0; i < 4; i++ { // four 12-row prompts fill 48 rows exactly
-		c.insert(prompt(i), prefixOf(m, prompt(i)))
+		c.insert(prefixEntry{prompt: prompt(i), prefix: prefixOf(m, prompt(i))})
 		if evicted, bytes := state(); evicted != 0 || bytes != (i+1)*12*rowBytes {
 			t.Fatalf("insert %d: evicted %d, holding %d bytes", i, evicted, bytes)
 		}
 	}
 	// Touch all but prompt 1: it is now the least recently used.
 	for _, i := range []int{0, 2, 3} {
-		if px, _, _ := c.lookup(prompt(i)); px == nil {
+		if hit, _, _ := c.lookup(prompt(i)); hit.prefix == nil {
 			t.Fatalf("prompt %d not cached", i)
 		}
 	}
-	c.insert(prompt(4), prefixOf(m, prompt(4)))
+	c.insert(prefixEntry{prompt: prompt(4), prefix: prefixOf(m, prompt(4))})
 	if evicted, bytes := state(); evicted != 1 || bytes != c.budget {
 		t.Fatalf("insert at the budget: evicted %d, holding %d of %d bytes", evicted, bytes, c.budget)
 	}
-	if px, reuse, _ := c.lookup(prompt(1)); px != nil && reuse > 0 {
+	if hit, reuse, _ := c.lookup(prompt(1)); hit.prefix != nil && reuse > 0 {
 		t.Fatalf("the least recently used prompt survived eviction (reuse %d)", reuse)
 	}
 	for _, i := range []int{0, 2, 3, 4} {
@@ -124,8 +124,8 @@ func TestPrefixCacheLRU(t *testing.T) {
 		}
 	}
 	small := &prefixCache{budget: 11 * rowBytes, met: NewMetrics()}
-	small.insert(prompt(0), prefixOf(m, prompt(0)))
-	if px, _, _ := small.lookup(prompt(0)); px != nil {
+	small.insert(prefixEntry{prompt: prompt(0), prefix: prefixOf(m, prompt(0))})
+	if hit, _, _ := small.lookup(prompt(0)); hit.prefix != nil {
 		t.Fatal("a prefix over the whole budget was cached")
 	}
 }
