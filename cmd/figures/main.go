@@ -38,7 +38,7 @@ func run() int {
 	instances := flag.Int("instances", 0, "evaluation inputs per suite (0 = default 10)")
 	seed := flag.Uint64("seed", 0, "campaign seed (0 = default)")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	dir := flag.String("pretrained", "", "checkpoint directory (default: auto-locate)")
+	dir := flag.String("pretrained", "", "checkpoint directory (default: the checkpoints built into the binary)")
 	progress := flag.Bool("progress", false, "print a live per-campaign progress line to stderr")
 	tracePath := flag.String("trace", "", "write sampled propagation traces (JSONL) to this file")
 	traceN := flag.Int("trace-sample", 16, "with -trace: trace every N-th trial of each campaign")

@@ -240,7 +240,7 @@ func (f *flags) modelFlags(fs *flag.FlagSet) {
 	fs.StringVar(&f.modelName, "model", "math-qwens", "model: a checkpoint name (math-qwens, wmt-alma, ...), a profile (QwenS|LlamaS|FalconS), or 'moe'")
 	fs.StringVar(&f.faultName, "fault", "2bits-mem", "fault model: 1bit-comp|2bits-comp|2bits-mem")
 	fs.StringVar(&f.dtypeName, "dtype", "", "override datatype for dense models: FP16|FP32|BF16")
-	fs.StringVar(&f.dir, "pretrained", "", "checkpoint directory (default: auto-locate)")
+	fs.StringVar(&f.dir, "pretrained", "", "checkpoint directory (default: the checkpoints built into the binary)")
 	fs.BoolVar(&f.abft, "abft", false, "verify injection-site linear layers with checksum ABFT")
 	fs.StringVar(&f.abftPol, "abft-policy", "detect", "ABFT response: detect|correct|correct-skip")
 	fs.Float64Var(&f.abftTol, "abft-tol", 0, "ABFT checksum tolerance override (0 = derived per layer)")
@@ -744,11 +744,7 @@ func (f *flags) model() (*tasks.Suite, *model.Model) {
 		}
 		m, err = pretrained.ProfileModel(f.modelName, f.seed)
 	default:
-		dir := f.dir
-		if dir == "" {
-			dir = pretrained.DefaultDir()
-		}
-		m, err = pretrained.NewLoader(dir).Load(f.modelName)
+		m, err = pretrained.NewLoader(f.dir).Load(f.modelName)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -848,7 +844,7 @@ func printInventory(w io.Writer) {
 	fmt.Fprintln(w, "  squadv2      QA, models: squad-llamas squad-qwens squad-falcons")
 	fmt.Fprintln(w, "  wmt16-like   self-referential generative, models: QwenS LlamaS FalconS moe")
 	fmt.Fprintln(w, "  squad-like   self-referential generative, models: QwenS LlamaS FalconS moe")
-	fmt.Fprintln(w, "\ncheckpoints (run cmd/pretrain to (re)generate):")
+	fmt.Fprintln(w, "\ncheckpoints (built into the binary; regenerate with cmd/pretrain, then rebuild):")
 	for _, j := range pretrained.Jobs() {
 		ft := ""
 		if j.Base != "" {

@@ -21,7 +21,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	loader := pretrained.NewLoader(pretrained.DefaultDir())
+	loader := pretrained.NewLoader("")
 	m, err := loader.Load("wmt-alma")
 	if err != nil {
 		log.Fatal(err)

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	loader := pretrained.NewLoader(pretrained.DefaultDir())
+	loader := pretrained.NewLoader("")
 	m, err := loader.Load("math-qwens")
 	if err != nil {
 		log.Fatal(err)

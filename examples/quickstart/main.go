@@ -18,9 +18,8 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// Load the trained translation model (falls back to training a small
-	// one in-process if the checkpoint directory is missing).
-	loader := pretrained.NewLoader(pretrained.DefaultDir())
+	// Load the trained translation model, built into the binary.
+	loader := pretrained.NewLoader("")
 	m, err := loader.Load("wmt-alma")
 	if err != nil {
 		log.Fatal(err)

@@ -67,7 +67,7 @@ func TestBaselineSelfReference(t *testing.T) {
 }
 
 func TestBeamCampaignRuns(t *testing.T) {
-	loader := pretrained.NewLoader(pretrained.DefaultDir())
+	loader := pretrained.NewLoader("")
 	m, err := loader.Load("wmt-alma")
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestBeamCampaignRuns(t *testing.T) {
 }
 
 func TestReasoningOnlyRestrictsIterations(t *testing.T) {
-	loader := pretrained.NewLoader(pretrained.DefaultDir())
+	loader := pretrained.NewLoader("")
 	m, err := loader.Load("math-qwens")
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestCampaignValidation(t *testing.T) {
 }
 
 func TestRerunInstanceMatchesBaseline(t *testing.T) {
-	loader := pretrained.NewLoader(pretrained.DefaultDir())
+	loader := pretrained.NewLoader("")
 	m, err := loader.Load("squad-qwens")
 	if err != nil {
 		t.Fatal(err)

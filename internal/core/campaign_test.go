@@ -72,7 +72,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestGenerativeCampaignWithTrainedModel(t *testing.T) {
-	loader := pretrained.NewLoader(pretrained.DefaultDir())
+	loader := pretrained.NewLoader("")
 	m, err := loader.Load("math-qwens")
 	if err != nil {
 		t.Fatal(err)

@@ -30,6 +30,24 @@ type Fingerprint struct {
 	// values cannot be hashed; resume assumes the same binary and
 	// flags supply the same implementations).
 	Hash uint64
+	// Params is the model's parameter hash (model.Model.ParamHash): a
+	// model with the same name and config but one other weight bit is
+	// another campaign.
+	Params uint64
+}
+
+// Against describes fp, for a refusal, beside other, the fingerprint it
+// was compared with: the readable half, then whichever hash differs
+// (two sides that differ only in a hash would otherwise print alike).
+func (fp Fingerprint) Against(other Fingerprint) string {
+	s := fmt.Sprintf("%s/%s/%s trials=%d seed=%d", fp.Model, fp.Suite, fp.Fault, fp.Trials, fp.Seed)
+	if fp.Hash != other.Hash {
+		s += fmt.Sprintf(" config-hash=%016x", fp.Hash)
+	}
+	if fp.Params != other.Params {
+		s += fmt.Sprintf(" param-hash=%016x", fp.Params)
+	}
+	return s
 }
 
 // Fingerprint derives the campaign's resume identity.
@@ -55,6 +73,7 @@ func (c Campaign) Fingerprint() Fingerprint {
 		Trials: c.Trials,
 		Seed:   c.Seed,
 		Hash:   h.Sum64(),
+		Params: c.Model.ParamHash(),
 	}
 }
 
@@ -75,10 +94,8 @@ func (ck *Checkpoint) Done() int { return len(ck.Indices) }
 // Matches verifies the checkpoint belongs to campaign c.
 func (ck *Checkpoint) Matches(c Campaign) error {
 	if got := c.Fingerprint(); got != ck.Fingerprint {
-		return fmt.Errorf("%w: checkpoint is %s/%s/%s trials=%d seed=%d, campaign is %s/%s/%s trials=%d seed=%d",
-			ErrCheckpointMismatch,
-			ck.Fingerprint.Model, ck.Fingerprint.Suite, ck.Fingerprint.Fault, ck.Fingerprint.Trials, ck.Fingerprint.Seed,
-			got.Model, got.Suite, got.Fault, got.Trials, got.Seed)
+		return fmt.Errorf("%w: checkpoint is %s, campaign is %s",
+			ErrCheckpointMismatch, ck.Fingerprint.Against(got), got.Against(ck.Fingerprint))
 	}
 	return nil
 }

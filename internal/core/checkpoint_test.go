@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -75,11 +76,17 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if err := got.Matches(c); err != nil {
 		t.Fatalf("own-campaign Matches failed: %v", err)
 	}
+	// The parameter hash is the weights', not the model pointer's.
+	clone := c
+	clone.Model = c.Model.Clone()
+	if err := got.Matches(clone); err != nil {
+		t.Fatalf("a bit-identical model clone was refused: %v", err)
+	}
 }
 
 // TestCheckpointMismatch requires fingerprint drift — any knob that
-// changes trial sampling or classification — to fail Matches with the
-// typed sentinel.
+// changes trial sampling or classification, or one weight bit — to fail
+// Matches with the typed sentinel, naming each hash that differs.
 func TestCheckpointMismatch(t *testing.T) {
 	c := checkpointCampaign(t)
 	ck := &Checkpoint{Fingerprint: c.Fingerprint()}
@@ -92,13 +99,27 @@ func TestCheckpointMismatch(t *testing.T) {
 		"thresholds": func(c *Campaign) { c.Thresholds.LengthExplosion = 123 },
 		"reasoning":  func(c *Campaign) { c.ReasoningOnly = true },
 		"filter":     func(c *Campaign) { c.Filter = faults.GateOnly },
+		"weight": func(c *Campaign) {
+			c.Model = c.Model.Clone()
+			c.Model.Blocks[1].Wv.(*model.Dense).FlipBits(2, 3, []int{0})
+		},
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
 			mc := c
 			mutate(&mc)
-			if err := ck.Matches(mc); !errors.Is(err, ErrCheckpointMismatch) {
+			err := ck.Matches(mc)
+			if !errors.Is(err, ErrCheckpointMismatch) {
 				t.Fatalf("mutated %s: err = %v, want ErrCheckpointMismatch", name, err)
+			}
+			got := mc.Fingerprint()
+			for key, differs := range map[string]bool{
+				"config-hash=": got.Hash != ck.Fingerprint.Hash,
+				"param-hash=":  got.Params != ck.Fingerprint.Params,
+			} {
+				if strings.Contains(err.Error(), key) != differs {
+					t.Fatalf("mutated %s: %q named %t, want %t: %v", name, key, !differs, differs, err)
+				}
 			}
 		})
 	}

@@ -30,7 +30,8 @@ type Config struct {
 	Instances int
 	Seed      uint64
 	Workers   int
-	// Dir is the pretrained-checkpoint directory ("" = auto-locate).
+	// Dir is the pretrained-checkpoint directory ("" = the checkpoints
+	// built into the binary).
 	Dir string
 	// Progress, when non-nil, receives a live single-line status update
 	// (overwritten in place) for each long-running campaign. cmd/figures
@@ -55,9 +56,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 2025
-	}
-	if c.Dir == "" {
-		c.Dir = pretrained.DefaultDir()
 	}
 	return c
 }

@@ -147,7 +147,7 @@ func TestHash2Distinct(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Trials == 0 || c.Instances == 0 || c.Seed == 0 || c.Dir == "" {
+	if c.Trials == 0 || c.Instances == 0 || c.Seed == 0 || c.Dir != "" {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }

@@ -388,9 +388,8 @@ func (co *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Fingerprint != co.fp {
 		report.WriteAPIError(w, http.StatusConflict, "fingerprint_mismatch",
-			fmt.Sprintf("worker campaign %s/%s/%s trials=%d seed=%d does not match coordinator %s/%s/%s trials=%d seed=%d",
-				req.Fingerprint.Model, req.Fingerprint.Suite, req.Fingerprint.Fault, req.Fingerprint.Trials, req.Fingerprint.Seed,
-				co.fp.Model, co.fp.Suite, co.fp.Fault, co.fp.Trials, co.fp.Seed))
+			fmt.Sprintf("worker campaign %s does not match coordinator %s",
+				req.Fingerprint.Against(co.fp), co.fp.Against(req.Fingerprint)))
 		return
 	}
 

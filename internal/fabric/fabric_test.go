@@ -442,16 +442,25 @@ func TestJoinRejection(t *testing.T) {
 		})
 	}
 
-	// A worker whose campaign fingerprint differs gets a permanent error.
-	diverged := testCampaign(t)
-	diverged.Seed++
-	wk, err := NewWorker(WorkerConfig{Campaign: diverged, Coordinator: ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var re *RemoteError
-	if err := wk.Run(context.Background()); !errors.As(err, &re) || re.Code != "fingerprint_mismatch" {
-		t.Fatalf("diverged worker err = %v, want fingerprint_mismatch", err)
+	// A worker whose campaign fingerprint differs gets a permanent error:
+	// another seed, or a model one weight bit apart, which the refusal
+	// names by its parameter hash.
+	reseeded := testCampaign(t)
+	reseeded.Seed++
+	reweighted := testCampaign(t)
+	reweighted.Model.Blocks[0].Wq.(*model.Dense).FlipBits(1, 2, []int{0})
+	for name, diverged := range map[string]core.Campaign{"seed": reseeded, "weight": reweighted} {
+		wk, err := NewWorker(WorkerConfig{Campaign: diverged, Coordinator: ts.URL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var re *RemoteError
+		if err := wk.Run(context.Background()); !errors.As(err, &re) || re.Code != "fingerprint_mismatch" {
+			t.Fatalf("diverged worker (%s) err = %v, want fingerprint_mismatch", name, err)
+		}
+		if name == "weight" && !strings.Contains(re.Error(), "param-hash=") {
+			t.Fatalf("refusal does not name the parameter hash: %v", re)
+		}
 	}
 }
 

@@ -25,8 +25,9 @@ import (
 // response carries it; a coordinator refuses joins from workers
 // speaking a different schema. Bump it together with any change to the
 // wire structs below. (v2: JoinRequest.HTTPAddr for the coordinator's
-// metrics fan-in.)
-const SchemaVersion = 2
+// metrics fan-in. v3: the fingerprint's Params, the model's parameter
+// hash.)
+const SchemaVersion = 3
 
 // The versioned endpoint paths. Join performs the fleet handshake
 // (schema + binary version + campaign fingerprint), Lease hands out

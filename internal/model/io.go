@@ -175,13 +175,3 @@ func (m *Model) SaveFile(path string) error {
 	}
 	return f.Close()
 }
-
-// LoadFile reads a model from path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"runtime"
 	"sync"
 
@@ -210,6 +212,43 @@ type Model struct {
 	// seqPrefill pins State.Prefill to the seed per-token reference loop;
 	// golden tests and before/after benchmarks flip it.
 	seqPrefill bool
+
+	// paramOnce guards paramHash (ParamHash); a clone hashes anew.
+	paramOnce sync.Once
+	paramHash uint64
+}
+
+// ParamHash is a CRC-64 of m's config and of every parameter's storage
+// format and bits (a quantized weight's by each element's exact value),
+// so models one weight bit apart hash apart. It is computed once and
+// kept: inference never writes a parameter (a fault is an overlay).
+func (m *Model) ParamHash() uint64 {
+	m.paramOnce.Do(func() {
+		// A hash's Write never fails, so no write below is checked.
+		h, le := crc64.New(crc64.MakeTable(crc64.ECMA)), binary.LittleEndian
+		fmt.Fprintf(h, "%+v", m.Cfg)
+		binary.Write(h, le, m.Embed.Data)
+		binary.Write(h, le, m.FinalNorm)
+		for _, blk := range m.Blocks {
+			binary.Write(h, le, blk.AttnNorm)
+			binary.Write(h, le, blk.MLPNorm)
+		}
+		for _, li := range append(m.LinearLayers(), LayerInfo{Weight: m.LMHead}) {
+			w := li.Weight
+			fmt.Fprintf(h, "|%T:%d:%dx%d|", w, w.StorageBits(), w.In(), w.Out())
+			if d, ok := w.(*Dense); ok {
+				binary.Write(h, le, d.T.Data)
+				continue
+			}
+			for r := 0; r < w.In(); r++ {
+				for c := 0; c < w.Out(); c++ {
+					binary.Write(h, le, w.Get(r, c))
+				}
+			}
+		}
+		m.paramHash = h.Sum64()
+	})
+	return m.paramHash
 }
 
 // SetThreads bounds the goroutines one forward pass on m may use (0

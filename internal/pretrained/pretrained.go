@@ -1,8 +1,11 @@
 // Package pretrained is the registry of trained model checkpoints: which
 // task-skilled models exist, how each is trained (architecture, seed,
-// fine-tuning lineage), and how to load them from disk. It is shared by
-// cmd/pretrain (which produces the checkpoints) and the experiment
-// harness (which consumes them).
+// fine-tuning lineage), and how to load them: from the set built into
+// the binary (repro/pretrained, the committed checkpoints) or from a
+// directory that overrides it. A checkpoint that is not there is an
+// error; nothing is trained in its place. It is shared by cmd/pretrain
+// (which produces the checkpoints) and the experiment harness (which
+// consumes them).
 //
 // The roster mirrors Table 1's model column:
 //
@@ -19,6 +22,7 @@ package pretrained
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -28,7 +32,7 @@ import (
 	"repro/internal/numerics"
 	"repro/internal/prng"
 	"repro/internal/tasks"
-	"repro/internal/train"
+	checkpoints "repro/pretrained"
 )
 
 // Job describes one checkpoint.
@@ -205,104 +209,48 @@ func JobByName(name string) (Job, error) {
 	return Job{}, fmt.Errorf("pretrained: unknown checkpoint %q", name)
 }
 
-// Loader loads checkpoints from a directory, caching them. If a
-// checkpoint file is missing and Fallback is true, the model is trained
-// on the fly with FallbackSteps steps (slower and lower quality, but
-// keeps tests and examples self-contained).
+// Loader loads checkpoints, caching them: from the set built into the
+// binary, or from a directory that overrides it (fresh cmd/pretrain
+// output). Both are read the one way, NAME.gob through model.Load.
 type Loader struct {
-	Dir           string
-	Fallback      bool
-	FallbackSteps int
+	dir  string // "" for the built-in set
+	fsys fs.FS
 
 	mu    sync.Mutex
 	cache map[string]*model.Model
 }
 
-// NewLoader returns a Loader over dir with on-the-fly fallback enabled.
+// NewLoader returns a Loader over dir, or over the checkpoints built into
+// the binary when dir is "".
 func NewLoader(dir string) *Loader {
-	return &Loader{Dir: dir, Fallback: true, FallbackSteps: 220, cache: map[string]*model.Model{}}
+	var fsys fs.FS = checkpoints.FS
+	if dir != "" {
+		fsys = os.DirFS(dir)
+	}
+	return &Loader{dir: dir, fsys: fsys, cache: map[string]*model.Model{}}
 }
 
-// DefaultDir locates the repository's checkpoint directory: the
-// "pretrained" directory next to go.mod, found by walking up from the
-// working directory (tests run from their package directory). It returns
-// "pretrained" if no module root is found.
-func DefaultDir() string {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "pretrained"
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return filepath.Join(dir, "pretrained")
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			break
-		}
-		dir = parent
-	}
-	return "pretrained"
-}
-
-// Load returns the named checkpoint.
+// Load returns the named checkpoint of the roster. One missing is an
+// error wrapping fs.ErrNotExist that names its path.
 func (l *Loader) Load(name string) (*model.Model, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if m, ok := l.cache[name]; ok {
 		return m, nil
 	}
-	path := filepath.Join(l.Dir, name+".gob")
-	if m, err := model.LoadFile(path); err == nil {
-		l.cache[name] = m
-		return m, nil
-	} else if !os.IsNotExist(err) {
+	if _, err := JobByName(name); err != nil {
+		return nil, err
+	}
+	path := filepath.Join(l.dir, name+".gob")
+	f, err := l.fsys.Open(name + ".gob")
+	if err != nil {
 		return nil, fmt.Errorf("pretrained: %s: %w", path, err)
 	}
-	if !l.Fallback {
-		return nil, fmt.Errorf("pretrained: checkpoint %s missing (run cmd/pretrain)", path)
-	}
-	m, err := l.trainFallback(name)
+	defer f.Close()
+	m, err := model.Load(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pretrained: %s: %w", path, err)
 	}
 	l.cache[name] = m
 	return m, nil
-}
-
-// trainFallback trains the job (and its base, recursively) in-process.
-func (l *Loader) trainFallback(name string) (*model.Model, error) {
-	job, err := JobByName(name)
-	if err != nil {
-		return nil, err
-	}
-	task := TaskByName(job.Task)
-	cfg := train.DefaultConfig(job.Seed)
-	cfg.Steps = l.FallbackSteps
-	cfg.EvalEvery = 0
-
-	var tr *train.Trainable
-	if job.Base == "" {
-		if tr, err = train.Run(task, job.Arch, cfg); err != nil {
-			return nil, err
-		}
-	} else {
-		baseJob, err := JobByName(job.Base)
-		if err != nil {
-			return nil, err
-		}
-		baseCfg := cfg
-		baseCfg.Seed = baseJob.Seed
-		base, err := train.Run(task, baseJob.Arch, baseCfg)
-		if err != nil {
-			return nil, err
-		}
-		tr = base.CloneWeights()
-		ftCfg := cfg
-		ftCfg.Steps = l.FallbackSteps
-		if err := train.Continue(tr, task, ftCfg); err != nil {
-			return nil, err
-		}
-	}
-	return tr.Export(job.Name, job.DType), nil
 }

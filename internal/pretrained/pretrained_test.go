@@ -1,9 +1,14 @@
 package pretrained
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/model"
 )
 
 func TestRegistryConsistent(t *testing.T) {
@@ -58,18 +63,36 @@ func TestTasksAreSingletons(t *testing.T) {
 	}
 }
 
+// TestLoaderReadsCheckpoints: the built-in set is read wherever the
+// process starts, and gives the committed file's parameters bit for bit.
 func TestLoaderReadsCheckpoints(t *testing.T) {
-	dir := DefaultDir()
-	if _, err := os.Stat(filepath.Join(dir, "math-qwens.gob")); err != nil {
-		t.Skipf("checkpoints not present at %s; run cmd/pretrain", dir)
+	f, err := os.Open(filepath.Join("..", "..", "pretrained", "math-qwens.gob"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	l := NewLoader(dir)
+	defer f.Close()
+	committed, err := model.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	l := NewLoader("")
 	m, err := l.Load("math-qwens")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Cfg.Vocab != MathTask().Vocab().Size() {
 		t.Fatalf("loaded vocab %d != task vocab %d", m.Cfg.Vocab, MathTask().Vocab().Size())
+	}
+	if m.ParamHash() != committed.ParamHash() {
+		t.Fatal("the built-in math-qwens differs from pretrained/math-qwens.gob")
 	}
 	// Cached: second load returns the same instance.
 	m2, _ := l.Load("math-qwens")
@@ -78,36 +101,15 @@ func TestLoaderReadsCheckpoints(t *testing.T) {
 	}
 }
 
-func TestDefaultDirFindsModuleRoot(t *testing.T) {
-	dir := DefaultDir()
-	if filepath.Base(dir) != "pretrained" {
-		t.Fatalf("DefaultDir = %s", dir)
-	}
-	// Must resolve relative to go.mod, not the package directory.
-	if filepath.Base(filepath.Dir(dir)) == "internal" {
-		t.Fatalf("DefaultDir resolved inside internal/: %s", dir)
-	}
-}
-
-func TestLoaderFallbackTrains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fallback training is slow")
-	}
-	l := NewLoader(t.TempDir()) // empty dir: forces fallback
-	l.FallbackSteps = 30
-	m, err := l.Load("squad-qwens")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Cfg.Name != "squad-qwens" {
-		t.Fatal("fallback model misnamed")
-	}
-}
-
+// TestLoaderNoFallbackErrors: a checkpoint missing from an override
+// directory is an error naming its path, never a model trained instead.
 func TestLoaderNoFallbackErrors(t *testing.T) {
-	l := NewLoader(t.TempDir())
-	l.Fallback = false
-	if _, err := l.Load("math-qwens"); err == nil {
-		t.Fatal("expected missing-checkpoint error")
+	dir := t.TempDir()
+	_, err := NewLoader(dir).Load("math-qwens")
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("err = %v, want fs.ErrNotExist", err)
+	}
+	if want := filepath.Join(dir, "math-qwens.gob"); !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to name %s", err, want)
 	}
 }
