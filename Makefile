@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build cross test race bench bench-compare fuzz cover identity figures-identity
+.PHONY: check fmt vet lint build cross test race bench bench-compare fuzz cover identity figures-identity pretrain-identity
 
 ## check: the full CI gate — formatting, vet, invariant lint, build
 ## (native, and arm64 for the portable row kernel), tests, race detector.
@@ -225,3 +225,26 @@ figures-identity:
 	done; \
 	diff "$$tmp/ref.keys" "$$tmp/new.keys" || { echo "key numbers DIFFER from $(REF)"; exit 1; }; \
 	echo "key numbers identical to $(REF): $$(wc -l < "$$tmp/new.keys") keys, $$(sed 's/^  \([^.]*\)\..*/\1/' "$$tmp/new.keys" | sort -u | wc -l) experiments"
+
+## pretrain-identity: the embedded checkpoints are a function of the
+## committed trainer. Retrain every cmd/pretrain job — or only those named
+## in PRETRAIN_ONLY — into a temp dir and cmp each .gob with pretrained/.
+## A checkpoint change on purpose regenerates pretrained/ in the same
+## change. Training multiplies and adds as inference does, so the bits
+## hold on amd64 only. All thirteen jobs take several minutes on two
+## cores; CI runs xlsum-qwens, a few seconds.
+## make pretrain-identity PRETRAIN_ONLY="xlsum-qwens wmt-qwens"
+PRETRAIN_ONLY ?=
+pretrain-identity:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/pretrain" ./cmd/pretrain; \
+	if [ -z "$(PRETRAIN_ONLY)" ]; then "$$tmp/pretrain" -out "$$tmp/out"; \
+	else for job in $(PRETRAIN_ONLY); do "$$tmp/pretrain" -out "$$tmp/out" -only $$job; done; fi; \
+	n=0; for f in "$$tmp"/out/*.gob; do \
+		test -f "$$f" || break; \
+		cmp "$$f" "pretrained/$$(basename "$$f")" \
+			|| { echo "pretrain-identity: $$(basename "$$f") differs from pretrained/"; exit 1; }; \
+		n=$$((n + 1)); \
+	done; \
+	[ $$n -gt 0 ] || { echo "pretrain-identity: no checkpoint written"; exit 1; }; \
+	echo "pretrain-identity: $$n checkpoint(s) identical to pretrained/"

@@ -63,28 +63,10 @@ type InstanceBaseline struct {
 	// Steps counts decode steps (the runtime proxy of Figure 19).
 	Steps int
 
-	// state and resume are what the campaign engine forks trials from
-	// instead of re-running the part of the inference a fault cannot
-	// reach. A greedy baseline keeps a snapshot of the state it finished
-	// on — its KV rows below any position p are the clean state at p, and
-	// every trial reads them by reference — and one gen.Resume per
-	// generated token, resume[0] being the post-prompt point: a transient
-	// fault, which strikes at promptLen + GenIter, resumes in time. The
-	// snapshot also holds the baseline's depth planes
-	// (model.State.RecordDepth) from the first position its campaign's
-	// faults reach (Campaign.strikeFloor) — the first prompt token for a
-	// memory fault, the prompt's end for a transient one — and under
-	// all-layer ABFT ledger holds what a detect-only checker counted over
-	// it: a trial resumes in depth as well, at its site's sublayer
-	// (trialEnv.depthFrom). Beam search forks states mid-decode and has
-	// no single finished state: it keeps the post-prompt snapshot and
-	// prefixLogits, the logits after the final prompt token, instead — a
-	// transient fault's beam row starts on a fork of the one, fed the
-	// other. Baseline-only; nil after Scores.
-	state        *model.Prefix
-	resume       []gen.Resume
-	prefixLogits []float32
-	ledger       *ledger
+	// rec is the generative inference trials fork (gen.Record), with depth
+	// planes from Campaign.strikeFloor when they may fork in depth, and a
+	// ledger under all-layer ABFT. Baseline-only; nil after Scores.
+	rec *gen.Record
 	// capture holds the instance's clean per-layer activations when the
 	// runner traces the campaign: the propagation probes of sampled
 	// trials diff against it, so tracing never re-runs a clean forward.
@@ -107,16 +89,16 @@ type Baseline struct {
 
 // Scores returns a copy of b that keeps every exported field — the
 // fault-free outputs and scores a Result is read for — and drops the
-// engine's working set: each instance's KV state, resume points, prefix
-// logits and activation capture, which only a running campaign reads. A
-// Result carries this copy, so holding Results does not pin megabytes of
-// KV cache per campaign; BaselineReady and WithBaseline carry the full
-// baseline, which is what a runner needs to fork trials from.
+// engine's working set: each instance's record and activation capture,
+// which only a running campaign reads. A Result carries this copy, so
+// holding Results does not pin megabytes of KV cache per campaign;
+// BaselineReady and WithBaseline carry the full baseline, which is what a
+// runner needs to fork trials from.
 func (b *Baseline) Scores() *Baseline {
 	s := *b
 	s.Instances = make([]InstanceBaseline, len(b.Instances))
 	for i, ib := range b.Instances {
-		ib.state, ib.resume, ib.prefixLogits, ib.ledger, ib.capture = nil, nil, nil, nil, nil
+		ib.rec, ib.capture = nil, nil
 		s.Instances[i] = ib
 	}
 	return &s
@@ -147,11 +129,11 @@ type baselineOpts struct {
 	// m) into InstanceBaseline.capture for the propagation probes.
 	capMinPos func(inst *tasks.Instance) int
 	// depthFrom, when non-nil, records each instance's depth planes from
-	// position depthFrom(inst) on in its snapshot.
+	// position depthFrom(inst) on in its record.
 	depthFrom func(inst *tasks.Instance) int
 	// ledger, when non-nil, runs each instance under a detect-only
-	// all-layer checker over this table, summed under tol, and keeps
-	// its counts in InstanceBaseline.ledger.
+	// all-layer checker over this table, summed under tol, and keeps its
+	// counts in the record's ledger.
 	ledger *abft.Table
 	tol    float64
 	// onInstance, when non-nil, is called as soon as instance i is
@@ -175,25 +157,22 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 			cc = trace.NewCapture(opts.capMinPos(inst))
 			m.AddHook(cc.Hook())
 		}
-		var lc *ledgerChecker
+		var ro gen.RecordOpts
 		if opts.ledger != nil {
-			lc = newLedgerChecker(opts.ledger, &m.Cfg)
-			m.SetChecker(lc)
+			// An all-layer checker names no site the table could lack: no error.
+			ro.Ledger, _ = abft.Protection{AllLayers: true}.Checker(opts.ledger)
+			ro.Tol = opts.tol
 		}
 		var st *model.State
 		if opts.depthFrom != nil {
 			st = m.NewState()
 			st.RecordDepth(opts.depthFrom(inst))
 		}
-		ib := evalInstance(m, suite, inst, gs, check, true, true, st, nil)
+		ib := evalInstance(m, suite, inst, gs, check, true, st, &ro, nil)
 		if cc != nil {
 			m.PopHook()
 			cc.Seal()
 			ib.capture = cc
-		}
-		if lc != nil {
-			m.SetChecker(nil)
-			ib.ledger = lc.ledger(opts.tol, ib.state.Pos())
 		}
 		b.Instances[i] = ib
 		if opts.onInstance != nil && !opts.onInstance(i, &b.Instances[i]) {
@@ -222,13 +201,13 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 
 // evalInstance runs one instance on the (possibly fault-armed) model.
 // selfRefOK makes an empty instance reference count as a correct answer
-// (fault-free runs define the reference). snap additionally keeps what
-// later trials resume from (InstanceBaseline.state) in the returned
-// baseline. A generative instance runs on st — a fresh state of m
-// recording its depth planes — or, when nil, on a fresh one. sp, when
-// non-nil, receives the phase timings (prefill/decode/classify) of the
-// run.
-func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs gen.Settings, check AnswerChecker, selfRefOK, snap bool, st *model.State, sp *spanTimes) InstanceBaseline {
+// (fault-free runs define the reference). ro, when non-nil, additionally
+// keeps what later trials fork from (InstanceBaseline.rec, gen.NewRecord)
+// in the returned baseline. A generative instance runs on st — a fresh
+// state of m recording its depth planes — or, when nil, on a fresh one.
+// sp, when non-nil, receives the phase timings (prefill/decode/classify)
+// of a run that keeps no record.
+func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs gen.Settings, check AnswerChecker, selfRefOK bool, st *model.State, ro *gen.RecordOpts, sp *spanTimes) InstanceBaseline {
 	var ib InstanceBaseline
 	if suite.Type == tasks.MultipleChoice {
 		decodeStart := now()
@@ -249,31 +228,25 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 	}
 	// Expert-trace comparison is only defined for the single-path greedy
 	// mode used by the MoE study (beam search forks states).
-	greedy := gs.NumBeams <= 1
-	expertTrace := m.Cfg.IsMoE() && greedy
+	expertTrace := m.Cfg.IsMoE() && gs.NumBeams <= 1
 	if expertTrace {
 		st.EnableExpertTrace()
 	}
-	prefillStart := now()
-	logits := st.Prefill(inst.Prompt)
-	if sp != nil {
-		sp.prefill += since(prefillStart)
-	}
-	if snap && !greedy {
-		ib.state = st.Snapshot()
-		ib.prefixLogits = append([]float32(nil), logits...)
-	}
-	decodeStart := now()
 	var res gen.Result
-	if snap && greedy {
-		res, ib.resume = gen.ResumableGreedy(m, st, logits, gs)
-		ib.state = st.Snapshot()
+	if ro != nil {
+		ib.rec, res = gen.NewRecord(m, st, inst.Prompt, gs, *ro)
 	} else {
+		prefillStart := now()
+		logits := st.Prefill(inst.Prompt)
+		if sp != nil {
+			sp.prefill += since(prefillStart)
+		}
+		decodeStart := now()
 		res = gen.GenerateFrom(m, st, logits, gs)
-	}
-	if sp != nil {
-		sp.decode += since(decodeStart)
-		sp.steps = res.Steps
+		if sp != nil {
+			sp.decode += since(decodeStart)
+			sp.steps = res.Steps
+		}
 	}
 	res.Steps += len(inst.Prompt)
 	if expertTrace {
@@ -327,7 +300,7 @@ func finishGenerative(ib *InstanceBaseline, suite *tasks.Suite, inst *tasks.Inst
 // interesting trials through this to show example outputs (Figures 7,
 // 12, 15).
 func RerunInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance) string {
-	ib := evalInstance(m, suite, inst, defaultGen(), DefaultChecker(suite), false, false, nil, nil)
+	ib := evalInstance(m, suite, inst, defaultGen(), DefaultChecker(suite), false, nil, nil, nil)
 	if suite.Type == tasks.MultipleChoice {
 		return suite.Vocab.DecodeAll(inst.Options[ib.Choice])
 	}

@@ -60,7 +60,7 @@ type Campaign struct {
 	// Trial.Detection. The baseline is the fault-free reference and no
 	// checker changes it; under AllLayers a generative greedy campaign's
 	// baseline runs detect-only, to count the checks its depth-forked
-	// trials skip (ledger).
+	// trials skip (gen.Ledger).
 	ABFT *ABFTConfig
 	// BatchDecode is the decode-loop width: each worker keeps up to
 	// BatchDecode trials in flight, split over its lanes — one gen.Loop
@@ -261,13 +261,10 @@ func (tc *timedChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight,
 	tc.total.Add(int64(since(start)))
 }
 
-// depthEligible reports whether the campaign's trials may resume the
-// baseline in depth — greedy generative rows, which a fault leaves clean
-// below its sublayer at every position, from the one it forks at, whose
-// tokens match the baseline's — so its baseline records the depth planes
-// they fork from. An ExtraHook observes, and may change, every layer, so
-// its campaigns run whole. Which trials do skip is decided at arming
-// (trialEnv.depthFrom).
+// depthEligible reports whether the campaign's trials — greedy generative
+// rows, without an ExtraHook, which observes and may change every layer —
+// may fork the baseline in depth, so its baseline records the depth
+// planes. Which trials do is the fork rule's (gen.Record.Fork).
 func (c Campaign) depthEligible(gs gen.Settings) bool {
 	return c.Suite.Type != tasks.MultipleChoice &&
 		gs.NumBeams <= 1 &&
@@ -315,7 +312,7 @@ func (c Campaign) faultWindow(inst *tasks.Instance, base *InstanceBaseline) (max
 // Trial.Detection record, attributing each violation to the injected
 // fault, to its downstream cascade, or to noise. skipped is the clean
 // checks the trial's depth fork read from the baseline's ledger instead
-// of running: none of them flagged (armed.depthFrom).
+// of running: none of them flagged (gen.Record.Fork).
 func summarizeDetection(checker *abft.Checker, site faults.Site, promptLen int, fired bool, skipped int) *Detection {
 	st := checker.Stats()
 	d := &Detection{

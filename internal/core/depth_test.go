@@ -123,35 +123,6 @@ func TestDepthForkLedgerFallback(t *testing.T) {
 	}
 }
 
-// TestDepthForkLedger pins the ledger's sums: the checks below a
-// sublayer over a count of positions from a fork position, and the
-// lowest flagged sublayer. A campaign's checkers make the same checks at
-// every position, which would hide a fork position dropped from the sum:
-// these counts differ from position to position.
-func TestDepthForkLedger(t *testing.T) {
-	lc := &ledgerChecker{
-		checks: [][]int{{4, 1, 4}, {3, 2, 3}, {4, 4, 4}},
-		flags:  [][]int{{0, 0, 0}, {0, 0, 0}, {0, 1, 0}},
-	}
-	l := lc.ledger(0, 2)
-	for _, tc := range []struct{ from, fork, n, want int }{
-		{0, 0, 2, 0}, {1, 0, 0, 0}, {1, 0, 2, 5}, {2, 0, 1, 7}, {3, 0, 2, 18},
-		{1, 1, 1, 1}, {2, 1, 1, 3}, {3, 1, 1, 7}, {3, 2, 0, 0},
-	} {
-		if got := l.skipped(tc.from, tc.fork, tc.n); got != tc.want {
-			t.Fatalf("skipped(%d, %d, %d) = %d, want %d", tc.from, tc.fork, tc.n, got, tc.want)
-		}
-	}
-	if got := l.lowestFlag(); got != 2 {
-		t.Fatalf("lowest flag at sublayer %d, want 2", got)
-	}
-	// A flag past the positions summed is not the ledger's.
-	lc.flags[2] = []int{0, 0, 1}
-	if got := lc.ledger(0, 2).lowestFlag(); got != 3 {
-		t.Fatalf("lowest flag at sublayer %d with none, want 3", got)
-	}
-}
-
 // TestDepthForkObserversSkipNothing: an ExtraHook and a propagation probe
 // watch every layer, so their trials run whole — the campaign skips
 // nothing under an ExtraHook, and a traced campaign only in the trials it

@@ -207,16 +207,16 @@ func TestEngineReusesPrefix(t *testing.T) {
 
 	greedy := EvalBaseline(m, suite, gs, nil)
 	for i, ib := range greedy.Instances {
-		if ib.state == nil || len(ib.resume) < len(ib.Tokens) || ib.prefixLogits != nil {
+		if ib.rec == nil || len(ib.rec.Resume) < len(ib.Tokens) || ib.rec.Logits != nil {
 			t.Fatalf("instance %d: greedy baseline keeps its finished state and a resume point per token, got %d points for %d tokens",
-				i, len(ib.resume), len(ib.Tokens))
+				i, len(ib.rec.Resume), len(ib.Tokens))
 		}
 	}
 	gs.NumBeams = 3
 	beam := EvalBaseline(m, suite, gs, nil)
 	for i, ib := range beam.Instances {
-		if ib.state == nil || ib.state.Pos() != len(suite.Instances[i].Prompt) ||
-			len(ib.prefixLogits) != m.Cfg.Vocab || ib.resume != nil {
+		if ib.rec == nil || ib.rec.Prefix.Pos() != len(suite.Instances[i].Prompt) ||
+			len(ib.rec.Logits) != m.Cfg.Vocab || ib.rec.Resume != nil {
 			t.Fatalf("instance %d: beam baseline keeps the post-prompt snapshot and its logits", i)
 		}
 	}

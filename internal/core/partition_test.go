@@ -126,7 +126,7 @@ func TestWithBaselineReuse(t *testing.T) {
 		if kept := engineFields(&res.Baseline.Instances[i]); len(kept) > 0 {
 			t.Fatalf("instance %d: the result's baseline still holds %v", i, kept)
 		}
-		if base.Instances[i].state == nil {
+		if base.Instances[i].rec == nil {
 			t.Fatalf("instance %d: the provided baseline must keep the state trials fork from", i)
 		}
 	}

@@ -98,11 +98,10 @@ func WithOnly(indices []int) RunnerOption {
 // campaign, whose rows — greedy or beam — start from them, refuses it
 // with ErrBaselineNoPrefix; multiple-choice rows start from empty states
 // and need none). A baseline captured without activation capture
-// silently disables propagation probes for traced trials; one without
-// depth planes at a row's fork position — a transient campaign's start at
-// each prompt's end, so they never cover a memory-fault row's fork at the
-// first prompt token — or, under all-layer ABFT, without a ledger over
-// the campaign's tolerance, runs the row's every pass whole.
+// silently disables propagation probes for traced trials; one without the
+// depth planes or ledger a row's fork needs (gen.Record.Fork) — a
+// transient campaign's planes start at each prompt's end — runs the row's
+// every pass whole.
 func WithBaseline(b *Baseline) RunnerOption {
 	return func(r *Runner) { r.baseline = b }
 }
@@ -263,14 +262,13 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 		table = c.ABFT.Table(c.Model)
 	}
 
-	// Only a transient fault's generative rows start from the baseline's
-	// state — greedy ones at a resume point, beams at the post-prompt
-	// snapshot: a memory fault's prefill their prompts, from an empty state
-	// without one, and a multiple-choice trial's always start empty. A
-	// baseline evaluated here has it; a given one may not.
+	// Only a transient fault's generative rows start inside the baseline's
+	// record: a memory fault's compute their prompts, on an empty state
+	// without one, and multiple-choice trials start empty. A baseline
+	// evaluated here has it; a given one may not.
 	if r.baseline != nil && !c.noPrefixReuse && !c.Fault.IsMemory() && c.Suite.Type != tasks.MultipleChoice {
 		for i := range r.baseline.Instances {
-			if r.baseline.Instances[i].state == nil {
+			if r.baseline.Instances[i].rec == nil {
 				return nil, ErrBaselineNoPrefix
 			}
 		}

@@ -70,12 +70,12 @@ type armed struct {
 	// and its fault's strike.
 	obs    model.Observers
 	traced bool
-	// from is the sublayer a depth-forked trial starts at (-1: the whole
-	// of each pass), matched the positions it read from the baseline
-	// there.
-	from, matched int
-	scores        []float64 // a multiple-choice trial's option scores so far
-	sp            spanTimes
+	// fork is where the trial's row enters its baseline's record, and
+	// matched the positions it read from the record's depth planes.
+	fork    gen.Fork
+	matched int
+	scores  []float64 // a multiple-choice trial's option scores so far
+	sp      spanTimes
 	// busy is the trial's attributed wall time: arm, inference and seal,
 	// with a row charged an equal share of every stacked step it rode in
 	// so worker utilization stays comparable across widths.
@@ -139,65 +139,23 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 		// hook have mutated the row — and never modifies it.
 		a.obs.Hooks = append(a.obs.Hooks, a.probe.Hook())
 	}
-	a.from = e.depthFrom(a)
-	return a, nil
-}
-
-// depthFrom picks the sublayer a row's inference starts at, or -1 for
-// the whole of each pass. A fault leaves every sublayer below its own
-// clean at each position whose tokens match the baseline's — a weight
-// fault from the first prompt token on, a transient one from its strike
-// step on, and nothing before — so a trial nothing there observes forks
-// the baseline at its site's sublayer as well as at its position
-// (forkPos), over the baseline's residual stream and KV
-// (model.Prefix.ForkDepth). A site-only checker watches the site layer,
-// which the trial computes. An all-layer checker's clean checks below
-// were counted once, by the baseline's ledger, and are added to
-// Detection.Checks; a clean check it flagged there (a tolerance under the
-// kernel's noise) would have acted on the row, so the trial starts at the
-// lowest flagged sublayer instead. A probe watches every layer: a traced
-// trial runs whole, as does one whose baseline has no depth planes at its
-// fork position — or no ledger over this tolerance.
-func (e *trialEnv) depthFrom(a *armed) int {
-	c := &e.c
-	if !c.depthEligible(e.gs) || a.traced || a.base.state == nil || !a.base.state.HasDepth(a.forkPos(c)) {
-		return -1
-	}
-	from := a.site.Layer.Sublayer()
-	if c.ABFT != nil && c.ABFT.AllLayers {
-		l := a.base.ledger
-		if l == nil || l.tol != c.ABFT.Tol {
-			return -1
+	// A memory fault's strike is armed before its row computes its prompt;
+	// a row with no record to enter (multiple choice, or a memory fault on
+	// a scores-only baseline) computes its prompt whole.
+	a.fork = gen.Fork{Prompt: true, Depth: -1}
+	if a.base.rec != nil {
+		w := gen.Watch{
+			MaxNew:     a.inst.MaxNew,
+			PromptLive: c.Fault.IsMemory(),
+			Counted:    c.ABFT != nil || c.ExtraHook != nil || a.probe != nil,
+			Whole:      a.traced || !c.depthEligible(e.gs),
 		}
-		from = min(from, l.lowestFlag())
+		if c.ABFT != nil {
+			w.Checker, w.AllLayers, w.Tol = true, c.ABFT.AllLayers, c.ABFT.Tol
+		}
+		a.fork = a.base.rec.Fork(a.site, w)
 	}
-	return from
-}
-
-// forkPos is the position a row forks the baseline at: 0 for a memory
-// fault's, which prefills its prompt, its resume point's for a transient
-// fault's.
-func (a *armed) forkPos(c *Campaign) int {
-	if c.Fault.IsMemory() {
-		return 0
-	}
-	return a.resumeAt(c).Pos()
-}
-
-// resumeAt picks the baseline resume point the trial's row starts from.
-// Every step before the strike recomputes, bit for bit, a row the
-// baseline's state already holds (decoding is greedy and a fault only
-// propagates forward), so a row nothing but the fault hook observes
-// starts at the strike step itself, resume point GenIter. A checker, an
-// ExtraHook or a probe counts clean positions too — Detection.Checks,
-// mitigation counters, Record.Compared, the margin trajectory — so a row
-// one of them rides starts at point 0, the post-prompt fork.
-func (a *armed) resumeAt(c *Campaign) gen.Resume {
-	g := 0
-	if c.ABFT == nil && c.ExtraHook == nil && a.probe == nil {
-		g = a.site.GenIter
-	}
-	return a.base.resume[g]
+	return a, nil
 }
 
 // seal is the trial postamble: assemble the Trial, its Detection, the
@@ -222,13 +180,13 @@ func (e *trialEnv) seal(a *armed, ib InstanceBaseline) trialResult {
 		sp.mitigate = a.checker.MitigationTime()
 		sp.abft = time.Duration(a.timed.total.Load()) - sp.mitigate
 		skipped := 0
-		if c.ABFT.AllLayers && a.from > 0 {
-			skipped = a.base.ledger.skipped(a.from, a.forkPos(&c), a.matched)
+		if c.ABFT.AllLayers && a.fork.Depth > 0 {
+			skipped = a.base.rec.Ledger.Skipped(a.fork.Depth, a.fork.Pos, a.matched)
 		}
 		trial.Detection = summarizeDetection(a.checker, a.site, a.promptLen, fired, skipped)
 	}
-	if a.from > 0 {
-		e.r.tel.depthSkipped(a.from * a.matched)
+	if a.fork.Depth > 0 {
+		e.r.tel.depthSkipped(a.fork.Depth * a.matched)
 	}
 	if c.Suite.Type == tasks.MultipleChoice {
 		masked := ib.Choice == a.base.Choice
@@ -392,25 +350,23 @@ func (e *trialEnv) run(ctx context.Context, jobs <-chan int, results chan<- tria
 
 // admit seats trial a's next inference on loop, the one place a trial
 // enters it: a multiple-choice trial's next option as a Scorer over the
-// prompt, prefilled on an empty state; a memory fault's prompt under its
-// strike, on a depth fork (depthFrom) or an empty state; a transient
-// fault's beam search on a fork of the baseline's post-prompt snapshot,
-// from its last prompt logits; any other transient fault's fork of the
-// baseline at a resume point (resumeAt), in depth too (depthFrom).
+// prompt, prefilled on an empty state; any other where its fork enters the
+// baseline's record — computing its prompt under its strike, on a beam
+// search's post-prompt snapshot fed its logits, or at a resume point.
 // Admission is the prefill span on this path.
 func (e *trialEnv) admit(loop *gen.Loop[*armed], a *armed) *gen.Seq[*armed] {
 	start := now()
 	arm := gen.Arm{Observers: a.obs}
 	var s *gen.Seq[*armed]
-	switch {
+	switch rec := a.base.rec; {
 	case e.c.Suite.Type == tasks.MultipleChoice:
 		s = loop.AdmitPrompt(nil, -1, a.inst.Prompt, gen.Scorer(a.inst.Options[len(a.scores)]), arm, a)
-	case e.c.Fault.IsMemory():
-		s = loop.AdmitPrompt(a.base.state, a.from, a.inst.Prompt, gen.NewStepper(e.settings(&a.inst)), arm, a)
+	case a.fork.Prompt:
+		s = loop.AdmitPrompt(a.fork.From, a.fork.Depth, a.inst.Prompt, gen.NewStepper(e.settings(&a.inst)), arm, a)
 	case e.gs.NumBeams > 1:
-		s = loop.Admit(a.base.state.ForkInto(e.wm, nil, a.base.state.Pos()), a.base.prefixLogits, e.settings(&a.inst), arm, a)
+		s = loop.Admit(rec.Prefix.ForkInto(e.wm, nil, rec.Prefix.Pos()), rec.Logits, e.settings(&a.inst), arm, a)
 	default:
-		s = loop.AdmitFork(a.base.state, a.resumeAt(&e.c), a.from, arm, a)
+		s = loop.AdmitFork(a.fork.From, a.fork.At, a.fork.Depth, arm, a)
 	}
 	a.sp.prefill += since(start)
 	return s
@@ -426,7 +382,7 @@ func (e *trialEnv) runTrial(t int) (trialResult, error) {
 		return trialResult{}, err
 	}
 	e.wm.SetObservers(a.obs)
-	ib := evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, false, nil, &a.sp)
+	ib := evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, nil, nil, &a.sp)
 	e.wm.SetObservers(model.Observers{})
 	a.busy = since(start)
 	return e.seal(a, ib), nil

@@ -1,4 +1,4 @@
-package faults
+package faults_test
 
 import (
 	"fmt"
@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/abft"
+	. "repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/mitigate"
 	"repro/internal/model"
@@ -260,7 +261,7 @@ func TestStrikeMatchesStorageFlip(t *testing.T) {
 	}
 	var variants []variant
 	for _, experts := range []int{0, 4} {
-		base := testModel(t, experts)
+		base := NewTestModel(t, experts)
 		kind := "dense"
 		if experts > 0 {
 			kind = "moe"
@@ -350,7 +351,7 @@ func TestStrikeMatchesStorageFlip(t *testing.T) {
 // parent. Under -race nothing writes the parent's parameters, and every
 // row decodes exactly what it decodes alone.
 func TestStrikeRowsShareNoWrite(t *testing.T) {
-	parent := testModel(t, 4)
+	parent := NewTestModel(t, 4)
 	stored := paramHash(parent)
 	// Four linear layers, the three norm kinds and a fed embedding row.
 	all := overlaySites(parent)

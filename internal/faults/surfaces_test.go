@@ -1,10 +1,11 @@
-package faults
+package faults_test
 
 import (
 	"math"
 	"reflect"
 	"testing"
 
+	. "repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/outcome"
@@ -50,7 +51,7 @@ func TestParseSurfaceRoundTrip(t *testing.T) {
 // TestSurfaceSamplersBounds draws many sites per surface and checks every
 // coordinate stays inside its storage.
 func TestSurfaceSamplersBounds(t *testing.T) {
-	m := testModel(t, 0)
+	m := NewTestModel(t, 0)
 	sp, err := NewSampler(m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestSurfaceSamplersBounds(t *testing.T) {
 // the seed — the property per-request fault determinism in the serving
 // engine rests on.
 func TestSurfaceSamplingDeterminism(t *testing.T) {
-	m := testModel(t, 0)
+	m := NewTestModel(t, 0)
 	sp, err := NewSampler(m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +140,7 @@ func TestSurfaceSamplingDeterminism(t *testing.T) {
 // restore the model exactly: after Arm+Disarm, generation is
 // bit-identical to never having armed.
 func TestSurfaceArmDisarmBitIdentity(t *testing.T) {
-	m := testModel(t, 0)
+	m := NewTestModel(t, 0)
 	clean := surfaceBaseline(m)
 	sites := []Site{
 		{Fault: Comp1Bit, Surface: SurfaceNorm,
@@ -181,7 +182,7 @@ func TestSurfaceArmDisarmBitIdentity(t *testing.T) {
 // (so a weight-resident or kv site can never ride a row as a hook), and
 // that Arm — which has no State to strike — refuses kv.
 func TestSurfaceArmValidation(t *testing.T) {
-	m := testModel(t, 0)
+	m := NewTestModel(t, 0)
 	kv := Site{Fault: Comp1Bit, Surface: SurfaceKV,
 		Layer: model.LayerRef{Block: 0, Kind: model.KindK, Expert: -1}, Row: 1, Col: 1, Bits: []int{3}}
 	norm := Site{Fault: Comp1Bit, Surface: SurfaceNorm,
@@ -242,7 +243,7 @@ func TestSurfaceArmValidation(t *testing.T) {
 // TestKVStrikeFiresOnce pins the KV strike semantics: the flip lands
 // exactly at the strike iteration, once.
 func TestKVStrikeFiresOnce(t *testing.T) {
-	m := testModel(t, 0)
+	m := NewTestModel(t, 0)
 	site := Site{Fault: Comp1Bit, Surface: SurfaceKV,
 		Layer: model.LayerRef{Block: 1, Kind: model.KindV, Expert: -1}, Row: 2, Col: 3, GenIter: 2, Bits: []int{30}}
 	inj, err := New(m, site, len(surfacePrompt))
@@ -299,7 +300,7 @@ func loopDecode(m *model.Model, arm gen.Arm, maxNew int) []int {
 // hand-written BeforeStep loop; and that a weight-resident New writes no
 // parameter of the model its row decodes over.
 func TestNewObserverMatchesWholeModel(t *testing.T) {
-	m := testModel(t, 0)
+	m := NewTestModel(t, 0)
 	baseline := surfaceBaseline(m)
 	promptLen := len(surfacePrompt)
 	out := model.LayerRef{Block: 1, Kind: model.KindOut, Expert: -1}
@@ -390,7 +391,7 @@ func TestNewObserverMatchesWholeModel(t *testing.T) {
 // value and corrupt generation; mantissa-LSB strikes sit below the
 // numeric noise floor and stay Masked.
 func TestSurfaceOutcomeGoldens(t *testing.T) {
-	m := testModel(t, 0)
+	m := NewTestModel(t, 0)
 	baseline := surfaceBaseline(m)
 
 	kvSite := func(bits ...int) Site {
@@ -491,7 +492,7 @@ func TestReach(t *testing.T) {
 // and forked from the clean decode at their Reach: tokens, steps and Fired
 // agree, and some forks skip steps.
 func TestReachForkMatchesDecode(t *testing.T) {
-	m := testModel(t, 0)
+	m := NewTestModel(t, 0)
 	const maxNew = 8
 	promptLen := len(surfacePrompt)
 	st := m.NewState()

@@ -113,9 +113,6 @@ type Resume struct {
 	live bool // the decode went on to step tok; false at its last point
 }
 
-// Pos is the position the point's token decodes at.
-func (r Resume) Pos() int { return r.pos }
-
 // Rebudget returns the point as it stands in the same greedy decode under
 // a budget of maxNew new tokens. Point g of a decode with budget N is that
 // point under budget M whenever g < min(M, N): the budget is consulted

@@ -15,7 +15,7 @@ func loadFacts(t *testing.T) (*Package, *Facts) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := LoadDir(modRoot, filepath.Join("testdata", "accessfacts"))
+	pkg, err := loadDir(modRoot, filepath.Join("testdata", "accessfacts"))
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}

@@ -83,7 +83,7 @@ func TestCorpus(t *testing.T) {
 	}
 	for _, tc := range corpusCases {
 		t.Run(tc.dir, func(t *testing.T) {
-			pkg, err := LoadDir(modRoot, filepath.Join("testdata", tc.dir))
+			pkg, err := loadDir(modRoot, filepath.Join("testdata", tc.dir))
 			if err != nil {
 				t.Fatalf("loading corpus: %v", err)
 			}

@@ -226,12 +226,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadDir parses and type-checks the single ad-hoc package in dir (the
+// loadDir parses and type-checks the single ad-hoc package in dir (the
 // corpus-test entry point: testdata packages are invisible to `go list`
 // pattern expansion, so their stdlib imports are resolved by an extra
 // `go list` over exactly the imported paths). modRoot is where the go
 // command runs.
-func LoadDir(modRoot, dir string) (*Package, error) {
+func loadDir(modRoot, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err

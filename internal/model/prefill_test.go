@@ -240,13 +240,13 @@ func TestBatchedPrefillSingleTokenAndOverflow(t *testing.T) {
 }
 
 // TestCloneSharedForwardIdentical checks a weight-sharing clone decodes
-// exactly like its parent while reporting SharesWeights.
+// exactly like its parent while marked as sharing its weights.
 func TestCloneSharedForwardIdentical(t *testing.T) {
 	for _, spec := range []Spec{testSpec(QwenS), moeTestSpec(FalconS)} {
 		parent := MustBuild(spec)
 		clone := parent.CloneShared()
-		if !clone.SharesWeights() || parent.SharesWeights() {
-			t.Fatal("SharesWeights flags wrong")
+		if !clone.sharedWeights || parent.sharedWeights {
+			t.Fatal("sharedWeights flags wrong")
 		}
 		prompt := promptOf(13, spec.Config.Vocab)
 		a := append([]float32(nil), parent.NewState().Prefill(prompt)...)

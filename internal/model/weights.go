@@ -273,10 +273,6 @@ func (m *Model) Threads() int {
 // against the reference path.
 func (m *Model) SetSequentialPrefill(on bool) { m.seqPrefill = on }
 
-// SharesWeights reports whether this model is a CloneShared clone whose
-// parameter storage is shared with its parent.
-func (m *Model) SharesWeights() bool { return m.sharedWeights }
-
 // Hook observes (and may modify in place) the output vector of a linear
 // layer during a decode step. step is the absolute token position being
 // computed. This is the software analogue of PyTorch forward hooks used

@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -109,21 +112,35 @@ func TestRoundSliceBF16Exhaustive(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("every float32 pattern: skipped under -race")
 	}
+	// The 2^16 chunks are dealt round-robin to GOMAXPROCS goroutines, each
+	// with its own buffers; the first mismatch stops them all.
 	const chunk = 1 << 16
-	got, want := make([]float32, chunk), make([]float32, chunk)
-	for base := uint64(0); base < 1<<32; base += chunk {
-		for i := range got {
-			got[i] = math.Float32frombits(uint32(base) + uint32(i))
-		}
-		copy(want, got)
-		RoundSlice(BF16, got)
-		roundBF16Portable(want)
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("RoundSlice(%#08x) = %#08x, portable %#08x", uint32(base)+uint32(i), math.Float32bits(got[i]), math.Float32bits(want[i]))
+	workers := uint64(runtime.GOMAXPROCS(0))
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, want := make([]float32, chunk), make([]float32, chunk)
+			for base := w * chunk; base < 1<<32 && !failed.Load(); base += workers * chunk {
+				for i := range got {
+					got[i] = math.Float32frombits(uint32(base) + uint32(i))
+				}
+				copy(want, got)
+				RoundSlice(BF16, got)
+				roundBF16Portable(want)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						failed.Store(true)
+						t.Errorf("RoundSlice(%#08x) = %#08x, portable %#08x", uint32(base)+uint32(i), math.Float32bits(got[i]), math.Float32bits(want[i]))
+						return
+					}
+				}
 			}
-		}
+		}()
 	}
+	wg.Wait()
 }
 
 // raceEnabled reports whether the test binary was built with -race.

@@ -21,7 +21,7 @@
 // (prefixCache, Engine.prefill). Under injection such a prompt is decoded
 // clean once too, and a later request of it starts at the first step its
 // fault can reach, forking the clean decode's rows and resume points
-// (cleanDecode, Engine.fork): no step before it can differ.
+// (gen.Record, Engine.fork): no step before it can differ.
 package serve
 
 import (
@@ -176,7 +176,7 @@ type reqTiming struct {
 }
 
 // pending is a prefilled request waiting for a batch slot. It starts from
-// its prompt's end, st, or inside its prompt's clean decode, at.
+// its prompt's end, st, or inside its prompt's clean decode, at fork.
 type pending struct {
 	req   Request
 	ctx   context.Context
@@ -185,11 +185,10 @@ type pending struct {
 	// prefix is st's own logits buffer: nothing steps st between prefill
 	// and admission, and the decode loop copies it on Admit.
 	prefix []float32
-	// clean, when non-nil, is the prompt's clean decode, which the request
-	// enters at resume point at, forking from: st is unused.
-	clean *cleanDecode
-	from  *model.Prefix
-	at    gen.Resume
+	// clean, when non-nil, is the entry of the prompt's clean decode, which
+	// the request enters at fork: st is unused.
+	clean *prefixEntry
+	fork  gen.Fork
 	site  *faults.Site
 	tm    reqTiming
 	resp  chan Response
@@ -460,13 +459,14 @@ func (e *Engine) prefill(p *pending) {
 		hit, p.tm.reused, admit = e.cache.lookup(prompt)
 	}
 	switch {
-	case hit.clean != nil:
+	case hit.rec != nil:
 		p.tm.reused = len(prompt)
 		e.fork(p, hit)
 	case admit && e.cfg.Inject != nil:
 		e.fork(p, e.decodeClean(prompt, hit.prefix, p.tm.reused, p.req.MaxNew))
 	default:
-		p.st, p.prefix = prefillFrom(m, hit.prefix, p.tm.reused, prompt)
+		p.st = forkPrompt(m, hit.prefix, p.tm.reused)
+		p.prefix = p.st.Prefill(prompt[p.tm.reused:])
 		if admit {
 			e.cache.insert(prefixEntry{prompt: prompt, prefix: p.st.Snapshot()})
 		}
@@ -475,66 +475,46 @@ func (e *Engine) prefill(p *pending) {
 	e.met.observePrefill(p.tm.reused, len(prompt)-p.tm.reused)
 }
 
-// prefillFrom returns a state of m at the end of prompt and the logits
-// there: the rows of px below reuse, forked by reference, and the rest of
-// the prompt prefilled.
-func prefillFrom(m *model.Model, px *model.Prefix, reuse int, prompt []int) (*model.State, []float32) {
-	var st *model.State
+// forkPrompt returns a state of m holding the rows of px below reuse,
+// forked by reference: a prompt's first reuse positions.
+func forkPrompt(m *model.Model, px *model.Prefix, reuse int) *model.State {
 	if reuse > 0 {
-		st = px.ForkInto(m, nil, reuse)
-	} else {
-		st = m.NewState()
+		return px.ForkInto(m, nil, reuse)
 	}
-	return st, st.Prefill(prompt[reuse:])
+	return m.NewState()
 }
 
 // decodeClean computes and caches prompt's entry on an injecting engine:
-// the prompt prefilled from the rows of px below reuse (prefillFrom), then
-// decoded greedily to maxNew tokens with no fault armed. Under
-// Inject.ABFT the decode runs on a clone carrying a detect-only, all-layer
-// checker over the engine's table, whose first flag bounds the steps a
-// request may skip (cleanDecode.flagAt); the prompt is not checked, as a
-// request's is not.
+// its clean decode to maxNew tokens from the rows of px below reuse
+// (gen.NewRecord), under Inject.ABFT on a clone counting a ledger.
 func (e *Engine) decodeClean(prompt []int, px *model.Prefix, reuse, maxNew int) prefixEntry {
 	m := e.m
-	var checker *abft.Checker
+	var ro gen.RecordOpts
 	if e.table != nil {
 		m = m.CloneShared()
 		// An all-layer checker has no site to refuse.
-		checker, _ = abft.Protection{AllLayers: true}.Checker(e.table)
+		ro.Ledger, _ = abft.Protection{AllLayers: true}.Checker(e.table)
+		ro.Tol = e.cfg.Inject.ABFT.Tol
 	}
-	st, logits := prefillFrom(m, px, reuse, prompt)
-	if checker != nil {
-		m.SetChecker(checker)
-	}
-	res, points := gen.ResumableGreedy(m, st, logits, gen.Defaults(maxNew))
-	dec := &cleanDecode{resume: points, tokens: res.Tokens, maxNew: maxNew, flagAt: len(points)}
+	rec, _ := gen.NewRecord(m, forkPrompt(m, px, reuse), prompt, gen.Defaults(maxNew), ro)
+	ent := prefixEntry{prompt: prompt, prefix: rec.Prefix, rec: rec}
 	if e.cfg.Vocab != nil {
-		dec.text = e.cfg.Vocab.Decode(res.Tokens)
+		ent.text = e.cfg.Vocab.Decode(rec.Tokens)
 	}
-	if checker != nil {
-		if ev := checker.Events(); len(ev) > 0 {
-			dec.flagAt = ev[0].Pos - len(prompt)
-		}
-	}
-	ent := prefixEntry{prompt: prompt, prefix: st.Snapshot(), clean: dec}
 	e.cache.insert(ent)
 	return ent
 }
 
-// fork starts p inside ent, its prompt's clean decode, at the earliest
-// of: the first step p's fault can change (faults.Reach), the decode's
-// first flagged step, and the last point p's budget shares with the
-// decode's (gen.Resume.Rebudget). Every step before it is bit for bit the
-// clean decode's, with no fault fired and no check flagged, so p's tokens,
-// steps, fired and detected are what a decode from the prompt's end
-// computes; a KV strike on a row p shares goes through State.SetKV, which
-// makes it p's own, so the entry is never written.
+// fork starts p inside ent, its prompt's clean decode, where the fork
+// rule puts it (gen.Record.Fork). A KV strike on a row p shares goes
+// through State.SetKV, which makes it p's own: the entry is never written.
 func (e *Engine) fork(p *pending, ent prefixEntry) {
-	dec, maxNew := ent.clean, p.req.MaxNew
-	g := min(faults.Reach(*p.site, dec.tokens), dec.flagAt, len(dec.resume)-1, min(maxNew, dec.maxNew)-1)
-	p.clean, p.from, p.at = dec, ent.prefix, dec.resume[g].Rebudget(maxNew)
-	p.tm.forked, p.tm.resumedAt = true, g
+	w := gen.Watch{MaxNew: p.req.MaxNew}
+	if a := e.cfg.Inject.ABFT; a != nil {
+		w.Checker, w.AllLayers, w.Tol = true, a.AllLayers, a.Tol
+	}
+	p.clean, p.fork = &ent, ent.rec.Fork(*p.site, w)
+	p.tm.forked, p.tm.resumedAt = true, p.fork.Pos-len(p.req.Prompt)
 }
 
 // isDraining reports whether shutdown has begun.
@@ -647,7 +627,7 @@ func (e *Engine) admit(loop *gen.Loop[*flight], p *pending) {
 	}
 	var s *gen.Seq[*flight]
 	if p.clean != nil {
-		s = loop.AdmitFork(p.from, p.at, 0, arm, f)
+		s = loop.AdmitFork(p.fork.From, p.fork.At, p.fork.Depth, arm, f)
 		e.met.observeFork(p.tm.resumedAt)
 	} else {
 		s = loop.Admit(p.st, p.prefix, gen.Defaults(p.req.MaxNew), arm, f)
@@ -774,7 +754,7 @@ func (e *Engine) finish(p *pending, tokens []int, steps int, err error, fired bo
 	// decode's text: most outputs under injection are.
 	switch {
 	case e.cfg.Vocab == nil:
-	case p.clean != nil && slices.Equal(tokens, p.clean.tokens):
+	case p.clean != nil && slices.Equal(tokens, p.clean.rec.Tokens):
 		resp.Text = p.clean.text
 	default:
 		resp.Text = e.cfg.Vocab.Decode(tokens)

@@ -23,9 +23,9 @@ const admitSightings = 3
 // prompt is always prefilled clean — fault and checker are armed at
 // admission, after it — so its rows are a pure function of its tokens and
 // any request may read another's. An engine that injects caches more: the
-// prompt decoded clean (cleanDecode), its rows the prompt's and then the
+// prompt decoded clean (a gen.Record), its rows the prompt's and then the
 // decode's, which an injected request of the prompt enters at the first
-// step its fault can reach (Engine.prefill). Any other prompt forks only
+// step its fault can reach (Engine.fork). Any other prompt forks only
 // the prompt rows of either kind of entry.
 //
 // Entries are few (the budget is a few dozen prompts) and lookup wants
@@ -50,28 +50,12 @@ type prefixEntry struct {
 	// prefix holds the prompt's rows: the state at its end, or the state a
 	// clean decode of it finished on.
 	prefix *model.Prefix
-	// clean, when non-nil, is that decode.
-	clean *cleanDecode
-	used  uint64
-}
-
-// cleanDecode is a prompt's greedy decode with no fault armed: what an
-// injected request of the prompt computes up to the first step its fault
-// can reach.
-type cleanDecode struct {
-	// resume holds one point per step, point g following the choice of
-	// token g (gen.ResumableGreedy), to fork the entry's prefix at.
-	resume []gen.Resume
-	tokens []int
-	// text is tokens decoded by the engine's vocabulary ("" without one):
-	// a response with these tokens shares it.
-	text   string
-	maxNew int
-	// flagAt is the first step at which an all-layer, detect-only checker
-	// over the engine's table flagged the decode, len(resume) when none
-	// did or the engine checks nothing: a request's checker, whatever its
-	// scope or policy, flags no row of an earlier step.
-	flagAt int
+	// rec, when non-nil, is that decode (Engine.decodeClean), and text its
+	// tokens decoded by the engine's vocabulary ("" without one): a
+	// response with these tokens shares it.
+	rec  *gen.Record
+	text string
+	used uint64
 }
 
 // holds reports whether the entry serves every request for prompt, so
@@ -79,7 +63,7 @@ type cleanDecode struct {
 // prompt it begins with, a clean decode only its own.
 func (e *prefixEntry) holds(prompt []int) bool {
 	n := commonPrefix(e.prompt, prompt)
-	return n == len(prompt) && (e.clean == nil || n == len(e.prompt))
+	return n == len(prompt) && (e.rec == nil || n == len(e.prompt))
 }
 
 // newPrefixCache sizes the cache for m behind a batch of width rows:
@@ -94,7 +78,7 @@ func newPrefixCache(m *model.Model, width int, met *Metrics) *prefixCache {
 // the most leading tokens with it — prompt's own among equals — and how
 // many of them a request for prompt may prefill from: at most
 // len(prompt)-1, since the last token must be computed for its logits.
-// hit.clean is nil unless the entry is prompt's own clean decode. admit
+// hit.rec is nil unless the entry is prompt's own clean decode. admit
 // reports that the caller should insert an entry for prompt once it has
 // one: this is at least its third sighting and no entry holds it.
 func (c *prefixCache) lookup(prompt []int) (hit prefixEntry, reuse int, admit bool) {
@@ -125,7 +109,7 @@ func (c *prefixCache) lookup(prompt []int) (hit prefixEntry, reuse int, admit bo
 		e.used = c.tick
 		hit, held = *e, e.holds(prompt)
 		if !held {
-			hit.clean = nil // another prompt's decode: only its prompt rows serve
+			hit.rec = nil // another prompt's decode: only its prompt rows serve
 		}
 	}
 	return hit, min(lcp, len(prompt)-1), sightings >= admitSightings && !held
