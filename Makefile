@@ -26,13 +26,15 @@ lint:
 build:
 	$(GO) build ./...
 
-## cross: the row kernel, Q·K, exp, SiLU, softmax max/scale and BF16
-## rounding assembly is amd64-only; the Go fallbacks must compile and vet
-## clean where the .s files do not. The portable Q·K and softmax loops
-## must also round every product on its own there: the arm64 listing
-## (-gcflags=-S, replayed from the build cache) of each function in
-## NO_FMA must exist and hold no fused multiply-add.
-NO_FMA = internal/model:scoreKeysPortable internal/tensor:maxRowPortable internal/tensor:scaleRowPortable
+## cross: the row kernel, Q·K, exp, SiLU, softmax max/scale, ABFT
+## checksum lanes and BF16 rounding assembly is amd64-only; the Go
+## fallbacks must compile and vet clean where the .s files do not. The
+## portable Q·K, softmax and checksum loops must also round every product
+## on its own there: the arm64 listing (-gcflags=-S, replayed from the
+## build cache) of each function in NO_FMA must exist and hold no fused
+## multiply-add.
+NO_FMA = internal/model:scoreKeysPortable internal/tensor:maxRowPortable internal/tensor:scaleRowPortable \
+	internal/tensor:checkRow1 internal/tensor:checkRow4From
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/model/ ./internal/numerics/
@@ -55,7 +57,8 @@ test:
 ## one model with every row's checker on one shared checksum table,
 ## the sharded prefill (a prompt's rows in shards under a strike and a
 ## correcting checker), forks of one shared Prefix in time and in depth,
-## the checksum table, one checker called on a prefill's rows at once,
+## the checksum table, one checker called on a prefill's shards at once
+## (one call per layer and shard, against one position per pass),
 ## rows reading different weight strikes over one model's weights;
 ## the campaign runtime, its baseline evaluated beside the pool and its
 ## workers' lanes; serving with its lanes and its prefix cache, whose
@@ -64,7 +67,7 @@ test:
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|AdmitFork|TableConcurrent|CheckerConcurrent|StrikeRowsShareNoWrite)' \
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|AdmitFork|TableConcurrent|CheckerConcurrent|CheckerSpans|StrikeRowsShareNoWrite)' \
 		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/ ./internal/faults/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops|TrialsOverlapBaseline|PipelinedBaselineStream|CancelDuringBaseline)' ./internal/core/
@@ -107,6 +110,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFlipBits$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzGenerateRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKernel$$' -fuzztime 10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckSpan$$' -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzSiLUMul$$' -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzSoftmaxRow$$' -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreKeys$$' -fuzztime 10s ./internal/model/

@@ -149,9 +149,10 @@ type Stats struct {
 // Checker, observing that trial's batch row or armed on its worker's
 // model clone; what Checkers share is the Table, which none of them
 // writes. One trial's rows may be checked at once — a prefill runs its
-// positions in shards (model.Observers) — so a check that passes touches
-// only an atomic counter, and one that flags takes the Checker's lock
-// for its event and its repair.
+// positions in shards (model.Observers), each shard one call per layer —
+// so a call owns no scratch and touches only an atomic counter, once, for
+// all its rows; a row that flags takes the Checker's lock for its event
+// and its repair.
 type Checker struct {
 	policy mitigate.Policy
 	table  *Table
@@ -219,34 +220,62 @@ func (c *Checker) Stats() Stats {
 	return Stats{Checks: int(c.checks.Load()), Flagged: c.flagged, Corrected: c.corrected, Skipped: c.skipped}
 }
 
-// CheckLinear implements model.LinearChecker: it verifies the output row
-// of a protected layer and, under a correcting policy, repairs it in
-// place via the mitigate escalation (recompute, verify, fall back to
-// zeroing the row). A layer the table does not hold (the LM head) is
-// never checked.
-func (c *Checker) CheckLinear(ref model.LayerRef, pos int, w model.Weight, in, out []float32) {
-	c.Check(ref, pos, w, in, out)
+// checkGroup is how many rows Check hands the checksum kernel at once:
+// their verdicts live in Check's frame, so a check allocates nothing.
+const checkGroup = 32
+
+// CheckLinear implements model.LinearChecker: it verifies the output rows
+// of a protected layer and, under a correcting policy, repairs each
+// flagged row in place via the mitigate escalation (recompute, verify,
+// fall back to zeroing the row). A layer the table does not hold (the LM
+// head) is never checked.
+func (c *Checker) CheckLinear(ref model.LayerRef, w model.Weight, pos []int, in, out []float32) {
+	c.Check(ref, w, pos, in, out, nil)
 }
 
-// Check is CheckLinear reporting its verdict on this one row: whether the
-// row was checked and whether it flagged.
-func (c *Checker) Check(ref model.LayerRef, pos int, w model.Weight, in, out []float32) (checked, flagged bool) {
-	if !c.all && !slices.Contains(c.site, ref) {
-		return false, false
+// Check is CheckLinear reporting its verdicts: whether it checked the
+// rows — all of them or none, by layer — and, when flagged is non-nil,
+// each checked row's verdict in flagged[pos[i]]. flagged is indexed by
+// position, so calls at once on distinct positions write distinct slots.
+// The site filter, the table lookup and the counter are paid once per
+// call; the rows' checksums run side by side (tensor.Checksums.CheckSpan);
+// flagged rows take the lock one by one, in row order.
+func (c *Checker) Check(ref model.LayerRef, w model.Weight, pos []int, in, out []float32, flagged []bool) (checked bool) {
+	rows := len(pos)
+	if rows == 0 || !c.all && !slices.Contains(c.site, ref) {
+		return false
 	}
 	ls := c.table.sums[ref]
 	if ls == nil {
-		return false, false
+		return false
 	}
-	c.checks.Add(1)
-	ok, dev, scale := ls.cs.CheckRow(in, out, ls.tol)
-	if ok {
-		return true, false
+	c.checks.Add(int64(rows))
+	k, n := len(in)/rows, len(out)/rows
+	var ok [checkGroup]bool
+	var dev, scale [checkGroup]float64
+	for g := 0; g < rows; g += checkGroup {
+		e := min(g+checkGroup, rows)
+		ls.cs.CheckSpan(in[g*k:e*k], out[g*n:e*n], ls.tol, ok[:e-g], dev[:e-g], scale[:e-g])
+		for i := g; i < e; i++ {
+			if flagged != nil {
+				flagged[pos[i]] = !ok[i-g]
+			}
+			if !ok[i-g] {
+				c.flag(ls, Event{Ref: ref, Pos: pos[i], Deviation: dev[i-g], Scale: scale[i-g]}, w,
+					in[i*k:(i+1)*k], out[i*n:(i+1)*n])
+			}
+		}
 	}
+	return true
+}
+
+// flag records a flagged row's event and, under a correcting policy,
+// repairs the row.
+func (c *Checker) flag(ls *layerSums, ev Event, w model.Weight, in, out []float32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flagged++
-	ev := Event{Ref: ref, Pos: pos, Deviation: dev, Scale: scale, Action: mitigate.ActionDetect}
+	ev.Action = mitigate.ActionDetect
 	if c.policy != mitigate.PolicyDetect {
 		if cap(c.scratch) < len(out) {
 			c.scratch = make([]float32, len(out))
@@ -267,5 +296,4 @@ func (c *Checker) Check(ref model.LayerRef, pos int, w model.Weight, in, out []f
 		}
 	}
 	c.events = append(c.events, ev)
-	return true, true
 }

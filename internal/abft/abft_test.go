@@ -125,7 +125,7 @@ func TestDetectsExponentFlipMissesLowMantissa(t *testing.T) {
 
 	// Clean output passes.
 	ch := fresh()
-	ch.CheckLinear(ref, 0, w, in, out)
+	ch.CheckLinear(ref, w, []int{0}, in, out)
 	if ch.Stats().Flagged != 0 {
 		t.Fatal("clean output flagged")
 	}
@@ -134,7 +134,7 @@ func TestDetectsExponentFlipMissesLowMantissa(t *testing.T) {
 	corrupted := append([]float32(nil), out...)
 	corrupted[3] = float32(numerics.FlipBits(numerics.BF16, float64(corrupted[3]), 14))
 	ch = fresh()
-	ch.CheckLinear(ref, 0, w, in, corrupted)
+	ch.CheckLinear(ref, w, []int{0}, in, corrupted)
 	if ch.Stats().Flagged != 1 {
 		t.Fatalf("exponent-MSB flip not flagged (value %g -> %g)", out[3], corrupted[3])
 	}
@@ -162,7 +162,7 @@ func TestDetectsExponentFlipMissesLowMantissa(t *testing.T) {
 	corrupted = append([]float32(nil), out...)
 	corrupted[victim] = float32(numerics.FlipBits(numerics.BF16, float64(corrupted[victim]), 0))
 	ch = fresh()
-	ch.CheckLinear(ref, 0, w, in, corrupted)
+	ch.CheckLinear(ref, w, []int{0}, in, corrupted)
 	if ch.Stats().Flagged != 0 {
 		t.Fatal("sub-threshold mantissa flip flagged; tolerance is too tight")
 	}
@@ -171,7 +171,7 @@ func TestDetectsExponentFlipMissesLowMantissa(t *testing.T) {
 	corrupted = append([]float32(nil), out...)
 	corrupted[0] = float32(math.NaN())
 	ch = fresh()
-	ch.CheckLinear(ref, 0, w, in, corrupted)
+	ch.CheckLinear(ref, w, []int{0}, in, corrupted)
 	if ch.Stats().Flagged != 1 {
 		t.Fatal("NaN output not flagged")
 	}
@@ -184,7 +184,7 @@ func TestCorrectRestoresBitIdenticalOutput(t *testing.T) {
 
 	corrupted := append([]float32(nil), out...)
 	corrupted[7] = float32(numerics.FlipBits(numerics.BF16, float64(corrupted[7]), 14))
-	ch.CheckLinear(ref, 5, w, in, corrupted)
+	ch.CheckLinear(ref, w, []int{5}, in, corrupted)
 
 	st := ch.Stats()
 	if st.Flagged != 1 || st.Corrected != 1 {
@@ -212,7 +212,7 @@ func TestSkipZeroesPersistentCorruption(t *testing.T) {
 
 	out := make([]float32, w.Out())
 	w.Forward(out, in)
-	ch.CheckLinear(ref, 0, w, in, out)
+	ch.CheckLinear(ref, w, []int{0}, in, out)
 
 	st := ch.Stats()
 	if st.Flagged != 1 || st.Skipped != 1 || st.Corrected != 0 {
@@ -232,7 +232,7 @@ func TestSkipZeroesPersistentCorruption(t *testing.T) {
 	defer restore2()
 	w.Forward(out, in)
 	before := append([]float32(nil), out...)
-	ch2.CheckLinear(ref, 0, w, in, out)
+	ch2.CheckLinear(ref, w, []int{0}, in, out)
 	if st := ch2.Stats(); st.Flagged != 1 || st.Corrected != 0 || st.Skipped != 0 {
 		t.Fatalf("stats = %+v, want flag without correction", st)
 	}
@@ -295,7 +295,7 @@ func checkAt(t *testing.T, m *model.Model, p Protection, table *Table, site []mo
 	}
 	out := make([]float32, lw.Out())
 	lw.Forward(out, in)
-	ck.CheckLinear(at, 0, lw, in, out)
+	ck.CheckLinear(at, lw, []int{0}, in, out)
 	return ck.Stats()
 }
 
@@ -520,7 +520,9 @@ func TestCheckerConcurrentRows(t *testing.T) {
 
 // TestCheckerAllocs keeps arming from ever enumerating the model per
 // trial again: an all-layer Checker is one allocation, a site-only one
-// adds its copy of the site list.
+// adds its copy of the site list. And a check allocates nothing: a span
+// of rows longer than one kernel group, through CheckLinear and through
+// Check with a verdict buffer.
 func TestCheckerAllocs(t *testing.T) {
 	m := testModel(t, false)
 	table := Protection{}.Table(m)
@@ -533,6 +535,92 @@ func TestCheckerAllocs(t *testing.T) {
 		t.Errorf("site-only Checker: %v allocations, want <= 2", n)
 	}
 	_ = sink
+
+	w, err := m.Layer(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = checkGroup + 9
+	k, n := w.In(), w.Out()
+	pos := make([]int, rows)
+	in, out := make([]float32, rows*k), make([]float32, rows*n)
+	for i := range pos {
+		pos[i] = i
+		for p := range k {
+			in[i*k+p] = float32(math.Sin(float64(i*k+p) + 0.5))
+		}
+		w.Forward(out[i*n:(i+1)*n], in[i*k:(i+1)*k])
+	}
+	ck := over(t, Protection{AllLayers: true}, table)
+	flagged := make([]bool, rows)
+	if n := testing.AllocsPerRun(100, func() { ck.CheckLinear(ref, w, pos, in, out) }); n != 0 {
+		t.Errorf("CheckLinear over %d rows: %v allocations, want 0", rows, n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ck.Check(ref, w, pos, in, out, flagged) }); n != 0 {
+		t.Errorf("Check over %d rows: %v allocations, want 0", rows, n)
+	}
+	if st := ck.Stats(); st.Checks != 2*101*rows || st.Flagged != 0 {
+		t.Fatalf("stats %+v: want %d clean checks", st, 2*101*rows)
+	}
+}
+
+// TestCheckerSpansMatchDecodeSteps: a prefill checks each layer's rows in
+// one call per shard, a DecodeStep its one row. A correcting all-layer
+// Checker must count, record and repair the same whichever way the
+// positions came: under a resident fault, a prefill on one to three
+// threads (sharded), and under a transient corruption of chosen output
+// rows, a prefill whose hook keeps it one shard (one call per layer over
+// all 100 positions, past several kernel groups) — each against the
+// prompt fed one position per pass, its Stats, its Events in order and
+// its logits.
+func TestCheckerSpansMatchDecodeSteps(t *testing.T) {
+	m := testModel(t, false)
+	p := Protection{AllLayers: true, Policy: mitigate.PolicyCorrectOrSkip}
+	table := p.Table(m)
+	prompt := tasks.NewSelfRefSuite("abft-spans", 5, 1, 100, 4, nil).Instances[0].Prompt
+	site := faults.Site{Fault: faults.Mem2Bit, Layer: model.LayerRef{Block: 2, Kind: model.KindDown, Expert: -1},
+		Row: 7, Col: 1, Bits: []int{13, 14}}
+	// strike flips an exponent bit of one output element of block 0's V
+	// projection at every seventh position: a transient the recompute
+	// repairs.
+	strike := func(ref model.LayerRef, pos int, out []float32) {
+		if ref.Block == 0 && ref.Kind == model.KindV && pos%7 == 3 {
+			out[5] = float32(numerics.FlipBits(numerics.BF16, float64(out[5]), 14))
+		}
+	}
+	run := func(threads int, sequential, resident bool) (*Checker, []float32) {
+		clone := m.CloneShared()
+		clone.SetThreads(threads)
+		clone.SetSequentialPrefill(sequential)
+		if resident {
+			if _, err := faults.Arm(clone, site, 0); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			clone.AddHook(strike)
+		}
+		ck := over(t, p, table)
+		clone.SetChecker(ck)
+		return ck, slices.Clone(clone.NewState().Prefill(prompt))
+	}
+	for _, resident := range []bool{true, false} {
+		want, wantLogits := run(1, true, resident)
+		if st := want.Stats(); st.Flagged == 0 || !resident && st.Corrected == 0 {
+			t.Fatalf("resident=%v: reference stats %+v: nothing to compare", resident, st)
+		}
+		for _, threads := range []int{1, 2, 3} {
+			got, gotLogits := run(threads, false, resident)
+			if got.Stats() != want.Stats() {
+				t.Fatalf("resident=%v threads=%d: stats %+v, per-position reference %+v", resident, threads, got.Stats(), want.Stats())
+			}
+			if !slices.Equal(got.Events(), want.Events()) {
+				t.Fatalf("resident=%v threads=%d: events differ from the per-position reference", resident, threads)
+			}
+			if !slices.Equal(gotLogits, wantLogits) {
+				t.Fatalf("resident=%v threads=%d: logits differ from the per-position reference", resident, threads)
+			}
+		}
+	}
 }
 
 func TestDefaultTolScaling(t *testing.T) {

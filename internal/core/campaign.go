@@ -248,16 +248,17 @@ func (sp *spanTimes) spans() []trace.Span {
 // timedChecker wraps the worker's LinearChecker to measure total time
 // inside checks; the mitigation share is recovered from the inner
 // checker's own clock so detection and repair report as separate phases.
-// A sharded prefill checks its rows at once, so the time is summed
-// atomically, over every row's check.
+// The clock is read once on each side of a call, which checks a run of
+// rows — a prefill shard's positions, a decode row — and a sharded
+// prefill's shards call at once, so the time is summed atomically.
 type timedChecker struct {
 	inner model.LinearChecker
 	total atomic.Int64 // nanoseconds
 }
 
-func (tc *timedChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight, in, out []float32) {
+func (tc *timedChecker) CheckLinear(ref model.LayerRef, w model.Weight, pos []int, in, out []float32) {
 	start := now()
-	tc.inner.CheckLinear(ref, pos, w, in, out)
+	tc.inner.CheckLinear(ref, w, pos, in, out)
 	tc.total.Add(int64(since(start)))
 }
 

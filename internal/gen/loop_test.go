@@ -281,7 +281,7 @@ func decoded(m *model.Model, prompt []int, s Settings) (*model.Prefix, []Resume)
 
 type countingChecker struct{ n *int }
 
-func (c countingChecker) CheckLinear(model.LayerRef, int, model.Weight, []float32, []float32) {
+func (c countingChecker) CheckLinear(model.LayerRef, model.Weight, []int, []float32, []float32) {
 	*c.n++
 }
 

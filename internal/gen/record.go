@@ -24,10 +24,11 @@ type Record struct {
 	maxNew int
 }
 
-// Checker is a linear-layer checker reporting its verdict on each row:
-// whether it checked the row and whether the row flagged (abft.Checker).
+// Checker is a linear-layer checker reporting its verdicts on a run of
+// rows (abft.Checker): whether it checked them, and each checked row's
+// verdict in flagged[pos[i]], a buffer indexed by position.
 type Checker interface {
-	Check(ref model.LayerRef, pos int, w model.Weight, in, out []float32) (checked, flagged bool)
+	Check(ref model.LayerRef, w model.Weight, pos []int, in, out []float32, flagged []bool) (checked bool)
 }
 
 // RecordOpts asks NewRecord for a ledger: the inference runs under
@@ -47,7 +48,7 @@ type RecordOpts struct {
 func NewRecord(m *model.Model, st *model.State, prompt []int, s Settings, opts RecordOpts) (*Record, Result) {
 	var lc *ledgerChecker
 	if opts.Ledger != nil {
-		lc = &ledgerChecker{inner: opts.Ledger, flag: make([]int, m.Cfg.MaxSeq)}
+		lc = &ledgerChecker{inner: opts.Ledger, flag: make([]int, m.Cfg.MaxSeq), flagged: make([]bool, m.Cfg.MaxSeq)}
 		for range 2 * m.Cfg.NBlocks {
 			lc.checks = append(lc.checks, make([]int, m.Cfg.MaxSeq))
 		}
@@ -163,21 +164,25 @@ func (l *Ledger) Skipped(from, fork, n int) int {
 }
 
 // ledgerChecker counts inner's checks by (sublayer, position), and at
-// each position one more than the lowest sublayer flagged there. Rows
-// checked at once are at distinct positions (model.Observers), so each
-// writes only its own slots.
+// each position one more than the lowest sublayer flagged there; flagged
+// is inner's verdicts by position. Rows checked at once are at distinct
+// positions (model.Observers), so each writes only its own slots.
 type ledgerChecker struct {
-	inner  Checker
-	checks [][]int
-	flag   []int
+	inner   Checker
+	checks  [][]int
+	flag    []int
+	flagged []bool
 }
 
-func (lc *ledgerChecker) CheckLinear(ref model.LayerRef, pos int, w model.Weight, in, out []float32) {
-	checked, flagged := lc.inner.Check(ref, pos, w, in, out)
-	if s := ref.Sublayer(); checked && s >= 0 {
-		lc.checks[s][pos]++
-		if flagged && (lc.flag[pos] == 0 || s < lc.flag[pos]-1) {
-			lc.flag[pos] = s + 1
+func (lc *ledgerChecker) CheckLinear(ref model.LayerRef, w model.Weight, pos []int, in, out []float32) {
+	s := ref.Sublayer()
+	if !lc.inner.Check(ref, w, pos, in, out, lc.flagged) || s < 0 {
+		return
+	}
+	for _, p := range pos {
+		lc.checks[s][p]++
+		if lc.flagged[p] && (lc.flag[p] == 0 || s < lc.flag[p]-1) {
+			lc.flag[p] = s + 1
 		}
 	}
 }

@@ -13,8 +13,11 @@ import (
 // sublayer sub and position pos.
 type flagAt struct{ sub, pos int }
 
-func (f flagAt) Check(ref model.LayerRef, pos int, _ model.Weight, _, _ []float32) (bool, bool) {
-	return true, ref.Sublayer() == f.sub && pos == f.pos
+func (f flagAt) Check(ref model.LayerRef, _ model.Weight, pos []int, _, _ []float32, flagged []bool) bool {
+	for _, p := range pos {
+		flagged[p] = ref.Sublayer() == f.sub && p == f.pos
+	}
+	return true
 }
 
 // TestRecordHoldsTheDecode: a greedy record holds the clean decode's
@@ -85,9 +88,9 @@ func TestRecordLedger(t *testing.T) {
 	}
 
 	// A position keeps its lowest flagged sublayer; the LM head has none.
-	lc = &ledgerChecker{inner: everyRow{}, checks: [][]int{{0}, {0}, {0}, {0}}, flag: []int{0}}
+	lc = &ledgerChecker{inner: everyRow{}, checks: [][]int{{0}, {0}, {0}, {0}}, flag: []int{0}, flagged: []bool{false}}
 	for _, ref := range []model.LayerRef{{Block: 1, Kind: model.KindUp}, {Block: 0, Kind: model.KindGate}, {Block: 1, Kind: model.KindQ}, {Block: -1, Kind: model.KindLMHead}} {
-		lc.CheckLinear(ref, 0, nil, nil, nil)
+		lc.CheckLinear(ref, nil, []int{0}, nil, nil)
 	}
 	if l := lc.ledger(0, 0, 1); l.lowest != 1 || l.first != 0 || l.Skipped(4, 0, 1) != 3 {
 		t.Fatalf("lowest %d, first %d, checks %d; want 1, 0, 3", l.lowest, l.first, l.Skipped(4, 0, 1))
@@ -97,8 +100,11 @@ func TestRecordLedger(t *testing.T) {
 // everyRow checks and flags every row.
 type everyRow struct{}
 
-func (everyRow) Check(model.LayerRef, int, model.Weight, []float32, []float32) (bool, bool) {
-	return true, true
+func (everyRow) Check(_ model.LayerRef, _ model.Weight, pos []int, _, _ []float32, flagged []bool) bool {
+	for _, p := range pos {
+		flagged[p] = true
+	}
+	return true
 }
 
 // TestForkRule is the fork rule's table: each row is a run of one site

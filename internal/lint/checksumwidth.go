@@ -26,8 +26,9 @@ var AnalyzerChecksumWidth = &Analyzer{
 }
 
 // checksumFuncNames marks the tensor-package functions that belong to the
-// checksum path; in package abft every function is checksum math.
-var checksumFuncNames = []string{"Checksum", "Checked", "CheckRow"}
+// checksum path, exported or not (checkRow4 is CheckRow's four-row
+// kernel); in package abft every function is checksum math.
+var checksumFuncNames = []string{"Checksum", "Checked", "CheckRow", "CheckSpan"}
 
 func runChecksumWidth(p *Pass) {
 	allFuncs := p.Types != nil && p.Types.Name() == "abft"
@@ -40,6 +41,7 @@ func runChecksumWidth(p *Pass) {
 }
 
 func isChecksumFuncName(name string) bool {
+	name = strings.ToUpper(name[:1]) + name[1:]
 	for _, frag := range checksumFuncNames {
 		if strings.Contains(name, frag) {
 			return true

@@ -88,12 +88,12 @@ func (p *Pass) isHookSignature(ft *ast.FuncType) bool {
 }
 
 // isCheckerSignature matches model.LinearChecker.CheckLinear:
-// func(LayerRef, int, Weight, in, out []float32).
+// func(LayerRef, Weight, pos []int, in, out []float32).
 func (p *Pass) isCheckerSignature(ft *ast.FuncType) bool {
 	params := p.sigParamTypes(ft)
 	return len(params) == 5 &&
 		typeNamed(params[0], "LayerRef") &&
-		basicKind(params[1]) == types.Int &&
+		isSliceOf(params[2], types.Int) &&
 		isSliceOf(params[3], types.Float32) &&
 		isSliceOf(params[4], types.Float32)
 }

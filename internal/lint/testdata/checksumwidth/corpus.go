@@ -2,7 +2,8 @@
 
 // Package checksumwidth is the linter corpus for the checksumwidth
 // analyzer: in checksum-path functions (name contains Checksum, Checked,
-// or CheckRow), loop accumulation must be float64.
+// CheckRow or CheckSpan, with its first letter in either case), loop
+// accumulation must be float64.
 package checksumwidth
 
 // RowChecksum accumulates correctly in float64 alongside a float32
@@ -26,6 +27,30 @@ func CheckRowDelta(xs []float32) float32 {
 		d = d + xs[i] // want `float32 checksum accumulator`
 	}
 	return d
+}
+
+// CheckSpanNarrow runs four rows' chains side by side, one of them in
+// float32: flagged like any other checksum accumulator.
+func CheckSpanNarrow(x []float32, k int) [4]float64 {
+	var e0, e1, e2 float64
+	var e3 float32
+	for p := 0; p < k; p++ {
+		e0 += float64(x[p])
+		e1 += float64(x[k+p])
+		e2 += float64(x[2*k+p])
+		e3 += x[3*k+p] // want `float32 checksum accumulator`
+	}
+	return [4]float64{e0, e1, e2, float64(e3)}
+}
+
+// checkRow4Narrow is an unexported kernel of the same path: the rule
+// covers it too.
+func checkRow4Narrow(out []float32) float32 {
+	var s float32
+	for _, v := range out {
+		s = s + v // want `float32 checksum accumulator`
+	}
+	return s
 }
 
 // MatMulCheckedScale narrows only outside any loop: the rule targets

@@ -148,12 +148,15 @@ func badLoopHook(l *Loop[int]) func(LayerRef, int, []float32) {
 // checker mirrors a LinearChecker implementation.
 type checker struct{ events int }
 
-// CheckLinear may update its own state and repair out in place, but the
-// input activation row is read-only.
-func (c *checker) CheckLinear(ref LayerRef, pos int, w Weight, in, out []float32) {
-	c.events++
-	out[pos] = 0
+// CheckLinear may update its own state and repair its output rows in
+// place, but the input activation rows are read-only.
+func (c *checker) CheckLinear(ref LayerRef, w Weight, pos []int, in, out []float32) {
+	c.events += len(pos)
+	out[pos[0]] = 0
 	in[0] = 0 // want `checker writes its input activation row`
+	for i := range pos {
+		in[i] += 1 // want `checker writes its input activation row`
+	}
 }
 
 // notAHook has a different signature, so none of the hook rules apply.

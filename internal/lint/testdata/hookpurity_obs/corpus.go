@@ -91,7 +91,7 @@ type checker struct {
 
 // CheckLinear aliasing its input activation row is flagged the same
 // way: in must stay untouched and unretained.
-func (c *checker) CheckLinear(ref LayerRef, step int, w Weight, in, out []float32) {
+func (c *checker) CheckLinear(ref LayerRef, w Weight, pos []int, in, out []float32) {
 	c.rec.last = in // want `stores an alias of its input row into escaping state`
 	out[0] = out[0]
 }

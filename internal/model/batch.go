@@ -98,7 +98,7 @@ func (b *Batch) Step(rows []*DecodeRow) {
 		views[i] = row.St.row(row.St.Pos, row.Tok, &row.Observers)
 	}
 	m.forwardStack(b.sk, views, 0, n)
-	m.linearRows(views, LayerRef{-1, KindLMHead, -1}, m.LMHead, b.sk.x, b.l, 0, n)
+	m.linearRows(b.sk, views, LayerRef{-1, KindLMHead, -1}, m.LMHead, b.sk.x, b.l, 0, n)
 	for i, row := range rows {
 		copy(row.Logits, b.l.Row(i))
 		row.St.Pos++

@@ -21,8 +21,10 @@ type recordingChecker struct {
 	calls []hookKey
 }
 
-func (c *recordingChecker) CheckLinear(ref LayerRef, pos int, w Weight, in, out []float32) {
-	c.calls = append(c.calls, hookKey{ref, pos})
+func (c *recordingChecker) CheckLinear(ref LayerRef, w Weight, pos []int, in, out []float32) {
+	for _, p := range pos {
+		c.calls = append(c.calls, hookKey{ref, p})
+	}
 }
 
 // Batch.Step is pinned at every (threads, rows) shape below: one thread,

@@ -147,7 +147,7 @@ func (st *State) decodeStep(tok int, obs *Observers) []float32 {
 	st.reserveNext(1)
 	rows := [1]stackRow{st.row(st.Pos, tok, obs)}
 	m.forwardStack(st.sk, rows[:], 0, 1)
-	m.linearRow(&rows[0].obs, LayerRef{-1, KindLMHead, -1}, st.Pos, m.LMHead, st.sk.x.Row(0), st.logits)
+	m.linearRow(&rows[0].obs, LayerRef{-1, KindLMHead, -1}, st.sk.pos[:1], m.LMHead, st.sk.x.Row(0), st.logits)
 	st.Pos++
 	return st.logits
 }
@@ -155,8 +155,8 @@ func (st *State) decodeStep(tok int, obs *Observers) []float32 {
 // mlpForward computes dst = down(silu(gate(h)) * up(h)) with ff1, ff2 and
 // ffa as its hidden scratch. base carries the block and expert indices;
 // its Kind field is overwritten per projection. obs observe the three
-// projections.
-func (m *Model) mlpForward(obs *Observers, mlp *MLPWeights, base LayerRef, pos int, dst, h, ff1, ff2, ffa []float32) {
+// projections of the row at position pos[0].
+func (m *Model) mlpForward(obs *Observers, mlp *MLPWeights, base LayerRef, pos []int, dst, h, ff1, ff2, ffa []float32) {
 	base.Kind = KindGate
 	m.linearRow(obs, base, pos, mlp.WGate, h, ff1)
 	base.Kind = KindUp
@@ -206,7 +206,7 @@ func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 	clear(mix)
 	h, ff1, ff2, ffa := sk.h.Row(r), sk.ff1.Row(r), sk.ff2.Row(r), sk.ffa.Row(r)
 	for i, e := range sel {
-		m.mlpForward(&row.obs, blk.Experts[e], LayerRef{bi, 0, e}, row.pos, out, h, ff1, ff2, ffa)
+		m.mlpForward(&row.obs, blk.Experts[e], LayerRef{bi, 0, e}, sk.pos[r:r+1], out, h, ff1, ff2, ffa)
 		w := probs[i]
 		for j, v := range out {
 			mix[j] += w * v
@@ -290,30 +290,30 @@ func (o *Observers) embedding(m *Model, tok int) []float32 {
 	return m.Embed.Row(tok)
 }
 
-// linearRow computes out = in · w for one row under obs, through the
-// row's strike when it addresses ref, and finishes it (finishLinear).
-func (m *Model) linearRow(obs *Observers, ref LayerRef, pos int, w Weight, in, out []float32) {
+// linearRow computes out = in · w for the one row at position pos[0]
+// under obs, as linearRows does a run of rows.
+func (m *Model) linearRow(obs *Observers, ref LayerRef, pos []int, w Weight, in, out []float32) {
 	w = obs.weight(ref, w)
 	w.Forward(out, in)
-	m.finishLinear(obs, ref, pos, w, in, out)
+	for _, h := range obs.Hooks {
+		h(ref, pos[0], out)
+	}
+	m.checkRound(obs.Checker, ref, w, pos, in, out)
 }
 
-// finishLinear applies the row's forward hooks to a linear layer's
-// output, runs its checker if one is armed, and requantizes the output
+// checkRound finishes a linear layer's output rows, whose hooks have run:
+// c, when armed, checks them in one call, and then they are requantized
 // to the model datatype. Hooks run before rounding so an injected bit
 // pattern is exactly the DType value; the checker runs after the hooks
 // (it must see the fault) and before rounding (so its noise floor is the
 // float32 kernel, not the storage datatype). w and in are the layer's
-// weight and input row, which the checker needs to form the expected
-// checksum and recompute a flagged output: w is the struck view where the
-// row's strike addresses the layer, so a correcting checker recomputes
-// through the fault.
-func (m *Model) finishLinear(obs *Observers, ref LayerRef, pos int, w Weight, in, out []float32) {
-	for _, h := range obs.Hooks {
-		h(ref, pos, out)
-	}
-	if obs.Checker != nil {
-		obs.Checker.CheckLinear(ref, pos, w, in, out)
+// weight and input rows, which the checker needs to form the expected
+// checksums and recompute a flagged output: w is the struck view where
+// the rows' strike addresses the layer, so a correcting checker
+// recomputes through the fault.
+func (m *Model) checkRound(c LinearChecker, ref LayerRef, w Weight, pos []int, in, out []float32) {
+	if c != nil {
+		c.CheckLinear(ref, w, pos, in, out)
 	}
 	numerics.RoundSlice(m.Cfg.DType, out)
 }

@@ -63,12 +63,12 @@ func (st *State) prefill(prompt []int, obs *Observers) []float32 {
 		// Hooks observe (and may mutate) the LM-head output of every
 		// position in the sequential path; keep that visible behaviour.
 		L := tensor.New(n, cfg.Vocab)
-		m.linearRows(rows, lmHead, m.LMHead, sk.x, L, 0, n)
+		m.linearRows(sk, rows, lmHead, m.LMHead, sk.x, L, 0, n)
 		copy(st.logits, L.Row(n-1))
 	} else {
 		// Without hooks the intermediate logits are unobservable and
 		// immediately overwritten — compute only the final row.
-		m.linearRow(&rows[n-1].obs, lmHead, rows[n-1].pos, m.LMHead, sk.x.Row(n-1), st.logits)
+		m.linearRow(&rows[n-1].obs, lmHead, sk.pos[n-1:n], m.LMHead, sk.x.Row(n-1), st.logits)
 	}
 	m.putPrefillStack(sk, n)
 

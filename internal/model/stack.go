@@ -34,6 +34,7 @@ type stack struct {
 	ff1, ff2, ffa         *tensor.Tensor // rows × FFHidden
 	scores                *tensor.Tensor // rows × MaxSeq: a row's attention scores
 	qf                    []float64      // rows × HeadDim: a row's query head in float64
+	pos                   []int          // rows: a row's position, for its checker (forwardStack)
 	r                     *tensor.Tensor // rows × NumExperts (MoE only)
 	mo                    *tensor.Tensor // rows × DModel: an expert's output (MoE only)
 	sel                   []int          // NBlocks × rows × TopK: each block's selected experts (MoE only)
@@ -58,6 +59,7 @@ func (m *Model) newStack(rows int) *stack {
 		ffa:    tensor.New(rows, cfg.FFHidden),
 		scores: tensor.New(rows, cfg.MaxSeq),
 		qf:     make([]float64, rows*cfg.HeadDim()),
+		pos:    make([]int, rows),
 	}
 	if cfg.IsMoE() {
 		k := min(cfg.TopK, cfg.NumExperts)
@@ -101,12 +103,32 @@ func (sk *stack) selAt(bi, r, k int) []int {
 func span(t *tensor.Tensor, r0, r1 int) []float32 { return t.Data[r0*t.Cols : r1*t.Cols] }
 
 // linearRows runs rows [r0, r1) of in through w into out, each row under
-// its own row's observers (linearRow), in row order. in is row-aligned
-// with out: a checker verifies each row against the exact input row its
-// product consumed.
-func (m *Model) linearRows(rows []stackRow, ref LayerRef, w Weight, in, out *tensor.Tensor, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		m.linearRow(&rows[i].obs, ref, rows[i].pos, w, in.Row(i), out.Row(i))
+// its own row's observers. It takes the rows in runs of consecutive rows
+// that share a checker and read one weight (the row's strike may replace
+// w): each row's product and hooks, in row order, then the run's one
+// check and its rounding (checkRound). A prefill's rows share their
+// observers, so a shard of it is one run; a decode batch's rows each
+// carry their own checker, and run one by one. A row's own order — hooks,
+// check, rounding — is the one-row pass's, and no row's observers touch
+// another row (forwardStack), so every value is bit-identical to running
+// the rows one at a time. in is row-aligned with out: a checker verifies
+// each row against the exact input row its product consumed.
+func (m *Model) linearRows(sk *stack, rows []stackRow, ref LayerRef, w Weight, in, out *tensor.Tensor, r0, r1 int) {
+	for a := r0; a < r1; {
+		obs := &rows[a].obs
+		wa := obs.weight(ref, w)
+		b := a + 1
+		for b < r1 && rows[b].obs.Checker == obs.Checker && rows[b].obs.weight(ref, w) == wa {
+			b++
+		}
+		for i := a; i < b; i++ {
+			wa.Forward(out.Row(i), in.Row(i))
+			for _, h := range rows[i].obs.Hooks {
+				h(ref, rows[i].pos, out.Row(i))
+			}
+		}
+		m.checkRound(obs.Checker, ref, wa, sk.pos[a:b], span(in, a, b), span(out, a, b))
+		a = b
 	}
 }
 
@@ -144,7 +166,8 @@ const minShardRows = 16
 //   - A row's observers run once per layer on that row only, in the
 //     block's layer order (stacking makes the global order layer-major,
 //     never a row's own), and attention hooks fire after the head mix and
-//     before out-proj. A row's strike is read only by that row: its
+//     before out-proj. A checker shared by consecutive rows sees them in
+//     one call per layer (linearRows), each row its own slice of it. A row's strike is read only by that row: its
 //     embedding row, its norm gain, or the one column of its struck
 //     linear that the flipped element feeds (StruckWeight).
 //   - Attention at (state, pos) reads that state's K/V rows 0..pos and
@@ -176,6 +199,9 @@ const minShardRows = 16
 // checksum table, the Prefix several states may read their first rows
 // from.
 func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1 int) {
+	for i := r0; i < r1; i++ {
+		sk.pos[i] = rows[i].pos
+	}
 	for r0 < r1 {
 		r := r0 + 1
 		for r < r1 && rows[r].from == rows[r0].from {
@@ -377,9 +403,9 @@ func (p *pass) qkv(bi, a, b int) {
 	copy(span(sk.h, a, b), span(sk.x, a, b))
 	p.norm(sk.h, LayerRef{bi, KindAttnNorm, -1}, blk.AttnNorm, a, b)
 
-	m.linearRows(p.rows, LayerRef{bi, KindQ, -1}, blk.Wq, sk.h, sk.q, a, b)
-	m.linearRows(p.rows, LayerRef{bi, KindK, -1}, blk.Wk, sk.h, sk.kb, a, b)
-	m.linearRows(p.rows, LayerRef{bi, KindV, -1}, blk.Wv, sk.h, sk.vb, a, b)
+	m.linearRows(sk, p.rows, LayerRef{bi, KindQ, -1}, blk.Wq, sk.h, sk.q, a, b)
+	m.linearRows(sk, p.rows, LayerRef{bi, KindK, -1}, blk.Wk, sk.h, sk.kb, a, b)
+	m.linearRows(sk, p.rows, LayerRef{bi, KindV, -1}, blk.Wv, sk.h, sk.vb, a, b)
 
 	for i := a; i < b; i++ {
 		row := &p.rows[i]
@@ -403,7 +429,7 @@ func (p *pass) attend(bi, a, b int) {
 			h(attnRef, row.pos, sk.a.Row(i))
 		}
 	}
-	m.linearRows(p.rows, LayerRef{bi, KindOut, -1}, blk.Wo, sk.a, sk.h, a, b)
+	m.linearRows(sk, p.rows, LayerRef{bi, KindOut, -1}, blk.Wo, sk.a, sk.h, a, b)
 	addRows(sk.x, sk.h, a, b)
 }
 
@@ -415,15 +441,15 @@ func (p *pass) mlp(bi, a, b int) {
 	p.norm(sk.h, LayerRef{bi, KindMLPNorm, -1}, blk.MLPNorm, a, b)
 
 	if blk.Router != nil {
-		m.linearRows(p.rows, LayerRef{bi, KindRouter, -1}, blk.Router, sk.h, sk.r, a, b)
+		m.linearRows(sk, p.rows, LayerRef{bi, KindRouter, -1}, blk.Router, sk.h, sk.r, a, b)
 		for i := a; i < b; i++ {
 			m.moeMix(sk, &p.rows[i], i, blk, bi)
 		}
 	} else {
-		m.linearRows(p.rows, LayerRef{bi, KindGate, -1}, blk.MLP.WGate, sk.h, sk.ff1, a, b)
-		m.linearRows(p.rows, LayerRef{bi, KindUp, -1}, blk.MLP.WUp, sk.h, sk.ff2, a, b)
+		m.linearRows(sk, p.rows, LayerRef{bi, KindGate, -1}, blk.MLP.WGate, sk.h, sk.ff1, a, b)
+		m.linearRows(sk, p.rows, LayerRef{bi, KindUp, -1}, blk.MLP.WUp, sk.h, sk.ff2, a, b)
 		tensor.SiLUMul(span(sk.ffa, a, b), span(sk.ff1, a, b), span(sk.ff2, a, b))
-		m.linearRows(p.rows, LayerRef{bi, KindDown, -1}, blk.MLP.WDown, sk.ffa, sk.d, a, b)
+		m.linearRows(sk, p.rows, LayerRef{bi, KindDown, -1}, blk.MLP.WDown, sk.ffa, sk.d, a, b)
 	}
 	addRows(sk.x, sk.d, a, b)
 }

@@ -34,8 +34,11 @@ func record(dst *[]obsCall) Hook {
 	}
 }
 
-func (l *obsLog) CheckLinear(ref LayerRef, pos int, w Weight, in, out []float32) {
-	record(&l.checks)(ref, pos, out)
+func (l *obsLog) CheckLinear(ref LayerRef, w Weight, pos []int, in, out []float32) {
+	n := w.Out()
+	for i, p := range pos {
+		record(&l.checks)(ref, p, out[i*n:(i+1)*n])
+	}
 }
 
 // byPosition reorders a stacked pass's layer-major call sequences into
@@ -171,7 +174,14 @@ func newSumChecker(m *Model) *sumChecker {
 	return c
 }
 
-func (c *sumChecker) CheckLinear(ref LayerRef, pos int, w Weight, in, out []float32) {
+func (c *sumChecker) CheckLinear(ref LayerRef, w Weight, pos []int, in, out []float32) {
+	k, n := w.In(), w.Out()
+	for i, p := range pos {
+		c.checkRow(ref, w, p, in[i*k:(i+1)*k], out[i*n:(i+1)*n])
+	}
+}
+
+func (c *sumChecker) checkRow(ref LayerRef, w Weight, pos int, in, out []float32) {
 	cs, ok := c.sums[ref]
 	if !ok {
 		return

@@ -306,15 +306,21 @@ func (m *Model) AddAttnHook(h Hook) { m.obs.AttnHooks = append(m.obs.AttnHooks, 
 func (m *Model) ClearAttnHooks() { m.obs.AttnHooks = nil }
 
 // LinearChecker verifies — and under a correcting policy may repair in
-// place — the output vector of a linear layer. CheckLinear runs after the
+// place — the output rows of a linear layer. CheckLinear runs after the
 // forward hooks (so it observes injected faults exactly as a deployed
-// detector would) and before requantization to the model datatype. in is
-// the input activation row the layer consumed; implementations must not
-// retain in or out past the call. Unlike Hook this carries the layer's
-// weight and input, which checksum-based detection (internal/abft) needs
-// to form the expected output checksum and to recompute a flagged row.
+// detector would) and before requantization to the model datatype, once
+// per run of a pass's rows that share the checker and the weight they
+// read: a prefill's positions (one call per shard), one decode row. pos
+// holds the rows' positions; in holds their input activation rows, w.In()
+// each, back to back, and out their output rows, w.Out() each. A checker
+// may repair out; it must leave in untouched, and retain none of the
+// three past the call. Unlike Hook this carries the layer's weight and
+// input, which checksum-based detection (internal/abft) needs to form the
+// expected output checksum and to recompute a flagged row. Rows are
+// grouped by comparing checkers with ==, so a checker's dynamic type must
+// be comparable (a pointer is).
 type LinearChecker interface {
-	CheckLinear(ref LayerRef, pos int, w Weight, in, out []float32)
+	CheckLinear(ref LayerRef, w Weight, pos []int, in, out []float32)
 }
 
 // SetChecker installs (nil removes) the model's linear checker. Exactly

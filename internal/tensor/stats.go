@@ -6,45 +6,6 @@ import (
 	"strings"
 )
 
-// ColumnMaxAbs returns, per column, the maximum absolute value. A memory
-// fault in a weight corrupts one GEMM output column (Figure 5), so a
-// spike in exactly one entry of this profile is the memory-fault
-// signature.
-func (t *Tensor) ColumnMaxAbs() []float64 {
-	out := make([]float64, t.Cols)
-	for r := 0; r < t.Rows; r++ {
-		row := t.Row(r)
-		for c, v := range row {
-			a := math.Abs(float64(v))
-			if math.IsNaN(a) {
-				a = math.Inf(1)
-			}
-			if a > out[c] {
-				out[c] = a
-			}
-		}
-	}
-	return out
-}
-
-// RowMaxAbs returns, per row, the maximum absolute value — the
-// computational-fault signature (Figure 6) is a spike in one row.
-func (t *Tensor) RowMaxAbs() []float64 {
-	out := make([]float64, t.Rows)
-	for r := 0; r < t.Rows; r++ {
-		for _, v := range t.Row(r) {
-			a := math.Abs(float64(v))
-			if math.IsNaN(a) {
-				a = math.Inf(1)
-			}
-			if a > out[r] {
-				out[r] = a
-			}
-		}
-	}
-	return out
-}
-
 // CorruptionMask compares t against a reference and returns a boolean
 // matrix marking elements that differ by more than tol (relative to the
 // reference magnitude, with an absolute floor). It drives the propagation

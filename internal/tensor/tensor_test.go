@@ -339,18 +339,6 @@ func TestCorruptionMaskAndSummary(t *testing.T) {
 	}
 }
 
-func TestColumnRowMaxAbs(t *testing.T) {
-	x := FromSlice(2, 3, []float32{1, -5, 2, 0, 3, float32(math.Inf(1))})
-	cols := x.ColumnMaxAbs()
-	if cols[0] != 1 || cols[1] != 5 || !math.IsInf(cols[2], 1) {
-		t.Fatalf("ColumnMaxAbs = %v", cols)
-	}
-	rows := x.RowMaxAbs()
-	if rows[0] != 5 || !math.IsInf(rows[1], 1) {
-		t.Fatalf("RowMaxAbs = %v", rows)
-	}
-}
-
 func TestHeatmapMarksExtremes(t *testing.T) {
 	x := New(3, 3)
 	x.Fill(1)
