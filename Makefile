@@ -57,17 +57,19 @@ test:
 ## one model with every row's checker on one shared checksum table,
 ## the sharded prefill (a prompt's rows in shards under a strike and a
 ## correcting checker), forks of one shared Prefix in time and in depth,
+## depth planes recorded on a state that reads a Prefix,
 ## the checksum table, one checker called on a prefill's shards at once
 ## (one call per layer and shard, against one position per pass),
 ## rows reading different weight strikes over one model's weights;
 ## the campaign runtime, its baseline evaluated beside the pool and its
 ## workers' lanes; serving with its lanes and its prefix cache, whose
-## entries injected requests fork as clean decodes; the fan-in and
+## entries injected requests fork as clean decodes, in time and in depth
+## (lanes reading one entry's planes at once); the fan-in and
 ## recorders. CI runs this target, so the lists live here only.
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|AdmitFork|TableConcurrent|CheckerConcurrent|CheckerSpans|StrikeRowsShareNoWrite)' \
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|RecordDepth|AdmitFork|TableConcurrent|CheckerConcurrent|CheckerSpans|StrikeRowsShareNoWrite)' \
 		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/ ./internal/faults/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops|TrialsOverlapBaseline|PipelinedBaselineStream|CancelDuringBaseline)' ./internal/core/

@@ -270,19 +270,27 @@ func (c *Checker) Check(ref model.LayerRef, w model.Weight, pos []int, in, out [
 }
 
 // flag records a flagged row's event and, under a correcting policy,
-// repairs the row.
+// repairs the row. A nil w (no hook touched the row) has it escalate
+// without the recompute, which would reproduce the row
+// (model.LinearChecker).
 func (c *Checker) flag(ls *layerSums, ev Event, w model.Weight, in, out []float32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flagged++
 	ev.Action = mitigate.ActionDetect
 	if c.policy != mitigate.PolicyDetect {
-		if cap(c.scratch) < len(out) {
-			c.scratch = make([]float32, len(out))
+		var (
+			recompute func(dst []float32)
+			scratch   []float32
+		)
+		if w != nil {
+			if cap(c.scratch) < len(out) {
+				c.scratch = make([]float32, len(out))
+			}
+			recompute, scratch = func(dst []float32) { w.Forward(dst, in) }, c.scratch[:len(out)]
 		}
 		mitStart := time.Now() //llmfi:allow determinism mitigation-latency telemetry; never feeds the detection decision
-		ev.Action = mitigate.Respond(c.policy, out, c.scratch[:len(out)],
-			func(dst []float32) { w.Forward(dst, in) },
+		ev.Action = mitigate.Respond(c.policy, out, scratch, recompute,
 			func(cand []float32) bool {
 				ok, _, _ := ls.cs.CheckRow(in, cand, ls.tol)
 				return ok

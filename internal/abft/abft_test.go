@@ -243,6 +243,59 @@ func TestSkipZeroesPersistentCorruption(t *testing.T) {
 	}
 }
 
+// TestUnhookedRowsEscalateWithoutRecompute: under a resident weight fault
+// a flagged row recomputes to the same bits, so the model hands the
+// checker no weight for rows no hook touched, and the escalation skips
+// the recompute. A no-op hook makes the model hand it the weight, and so
+// recompute: under both correcting policies the counts, the events and
+// every logit of a prefill and decode must be the same either way.
+func TestUnhookedRowsEscalateWithoutRecompute(t *testing.T) {
+	for _, pol := range []mitigate.Policy{mitigate.PolicyCorrect, mitigate.PolicyCorrectOrSkip} {
+		m := testModel(t, false)
+		p := Protection{Policy: pol, AllLayers: true}
+		table := p.Table(m)
+		w, err := m.Layer(model.LayerRef{Block: 1, Kind: model.KindQ, Expert: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.(*model.Dense).FlipBits(2, 3, []int{14})()
+		prompt := make([]int, 40)
+		for i := range prompt {
+			prompt[i] = token.NumReserved + i*7%50
+		}
+		run := func(hooked bool) (Stats, []Event, [][]float32) {
+			ck := over(t, p, table)
+			m.SetChecker(ck)
+			defer m.SetChecker(nil)
+			if hooked {
+				m.AddHook(func(model.LayerRef, int, []float32) {})
+				defer m.PopHook()
+			}
+			st := m.NewState()
+			logits := [][]float32{slices.Clone(st.Prefill(prompt))}
+			for _, tok := range prompt[:4] {
+				logits = append(logits, slices.Clone(st.DecodeStep(tok)))
+			}
+			return ck.Stats(), ck.Events(), logits
+		}
+		stats, events, logits := run(false)
+		hStats, hEvents, hLogits := run(true)
+		if stats.Flagged == 0 || stats.Corrected != 0 || stats != hStats {
+			t.Fatalf("%v: %+v without a hook, %+v with one: want equal, with flags and no correction", pol, stats, hStats)
+		}
+		if !slices.Equal(events, hEvents) {
+			t.Fatalf("%v: events differ without a hook", pol)
+		}
+		for i := range logits {
+			for j := range logits[i] {
+				if math.Float32bits(logits[i][j]) != math.Float32bits(hLogits[i][j]) {
+					t.Fatalf("%v: logit %d of pass %d is %g without a hook, %g with one", pol, j, i, logits[i][j], hLogits[i][j])
+				}
+			}
+		}
+	}
+}
+
 // genericWeight hides the *model.Dense concrete type so newLayerSums
 // takes the interface Get path.
 type genericWeight struct{ model.Weight }

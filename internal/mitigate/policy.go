@@ -88,14 +88,19 @@ func (a Action) String() string {
 // (len(out) elements, distinct from out); verify must report whether a
 // candidate output passes the same check that flagged out. scratch is
 // caller-owned recomputation space so per-check responses do not allocate.
+// A nil recompute says the recomputation would reproduce out bit for bit
+// (nothing but the layer's product wrote it), so it would fail verify as
+// out did: the escalation goes straight to its fallback.
 func Respond(p Policy, out, scratch []float32, recompute func(dst []float32), verify func(cand []float32) bool) Action {
 	if p == PolicyDetect {
 		return ActionDetect
 	}
-	recompute(scratch)
-	if verify(scratch) {
-		copy(out, scratch)
-		return ActionCorrect
+	if recompute != nil {
+		recompute(scratch)
+		if verify(scratch) {
+			copy(out, scratch)
+			return ActionCorrect
+		}
 	}
 	if p == PolicyCorrectOrSkip {
 		for i := range out {

@@ -98,3 +98,29 @@ func TestRespondSkipZeroes(t *testing.T) {
 		}
 	}
 }
+
+// TestRespondWithoutRecompute: a nil recompute (the recomputation would
+// reproduce the output) takes the action a recompute that fails to verify
+// takes, and never calls verify.
+func TestRespondWithoutRecompute(t *testing.T) {
+	for p, want := range map[Policy][]float32{
+		PolicyDetect:        {9, 9, 9},
+		PolicyCorrect:       {9, 9, 9},
+		PolicyCorrectOrSkip: {0, 0, 0},
+	} {
+		wantAct, _ := respondCase(t, p, false)
+		out := []float32{9, 9, 9}
+		act := Respond(p, out, nil, nil, func([]float32) bool {
+			t.Fatalf("policy %v: verified without a recompute", p)
+			return false
+		})
+		if act != wantAct {
+			t.Fatalf("policy %v: action %v without a recompute, %v with a failing one", p, act, wantAct)
+		}
+		for i := range want {
+			if out[i] != want[i] {
+				t.Fatalf("policy %v: out = %v, want %v", p, out, want)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -340,5 +341,55 @@ func TestBatchStepGuards(t *testing.T) {
 		if r.Logits[j] != want[j] {
 			t.Fatal(fmt.Sprintf("clamped token logit %d diverges", j))
 		}
+	}
+}
+
+// weightChecker counts the rows it checked by whether it was handed the
+// weight they read: [0] without, [1] with.
+type weightChecker struct{ handed [2]atomic.Int64 }
+
+func (c *weightChecker) CheckLinear(ref LayerRef, w Weight, pos []int, in, out []float32) {
+	i := 0
+	if w != nil {
+		i = 1
+	}
+	c.handed[i].Add(int64(len(pos)))
+}
+
+// TestCheckerHandedWeightOnlyWhenHooked: a checker is handed the weight a
+// run of rows read, to recompute a flagged row through, exactly when a
+// hook touched the rows — otherwise a recompute would reproduce them: in
+// a decode batch a hooked row's checker gets it on every layer and an
+// unhooked row's on none, and so in a prefill under a model hook and
+// without one.
+func TestCheckerHandedWeightOnlyWhenHooked(t *testing.T) {
+	m := MustBuild(testSpec(QwenS))
+	noop := func(LayerRef, int, []float32) {}
+	want := func(what string, c *weightChecker, hooked bool) {
+		t.Helper()
+		with, without := c.handed[1].Load(), c.handed[0].Load()
+		if hooked && (with == 0 || without != 0) || !hooked && (with != 0 || without == 0) {
+			t.Fatalf("%s: %d rows checked with the weight, %d without", what, with, without)
+		}
+	}
+	hooked, plain := &weightChecker{}, &weightChecker{}
+	m.NewBatch(2).Step([]*DecodeRow{
+		{St: m.NewState(), Tok: 3, Observers: Observers{Hooks: []Hook{noop}, Checker: hooked}, Logits: make([]float32, m.Cfg.Vocab)},
+		{St: m.NewState(), Tok: 4, Observers: Observers{Checker: plain}, Logits: make([]float32, m.Cfg.Vocab)},
+	})
+	want("hooked decode row", hooked, true)
+	want("unhooked decode row", plain, false)
+	for _, hook := range []bool{false, true} {
+		c := &weightChecker{}
+		m.SetChecker(c)
+		if hook {
+			m.AddHook(noop)
+		}
+		m.NewState().Prefill(promptOf(m.Cfg.MaxSeq, m.Cfg.Vocab))
+		m.SetChecker(nil)
+		if hook {
+			m.PopHook()
+		}
+		want(fmt.Sprintf("prefill, model hook %v", hook), c, hook)
 	}
 }

@@ -63,12 +63,15 @@ func (pl *planes) bytes() int {
 // RecordDepth makes the state record, at every position from lo on that
 // it runs, the residual row entering each sublayer and the token it is
 // fed; Snapshot keeps them in the Prefix for ForkDepth, which forks in
-// depth at positions lo and up only. It must be called on a state at
-// position 0 that reads no prefix.
+// depth at positions lo and up only. The state must not have run past lo:
+// a fork of a prefix (ForkInto) records from its fork position on, since
+// the rows it reads by reference all lie below, and Snapshot flattens
+// them. A depth fork records nothing: its matched passes skip the
+// sublayers it would record.
 func (st *State) RecordDepth(lo int) {
 	cfg := &st.m.Cfg
-	if st.Pos != 0 || st.base != nil || lo < 0 || lo > cfg.MaxSeq {
-		panic(fmt.Sprintf("model: RecordDepth from %d on a state at %d (reads a prefix: %v)", lo, st.Pos, st.base != nil))
+	if lo < st.Pos || st.from != 0 || lo > cfg.MaxSeq {
+		panic(fmt.Sprintf("model: RecordDepth from %d on a state at %d (a depth fork: %v)", lo, st.Pos, st.from != 0))
 	}
 	rows := cfg.MaxSeq - lo
 	st.rec = &planes{lo: lo, res: slab(2*cfg.NBlocks-1, rows*cfg.DModel), toks: make([]int, rows)}

@@ -369,3 +369,54 @@ func TestDepthForkPlanesFrom(t *testing.T) {
 	}()
 	part.ForkDepth(m, nil, lo-1, 1)
 }
+
+// TestRecordDepthOnPrefixFork: a state forked from a prefix (ForkInto)
+// records depth planes from its fork position or any later one, and the
+// snapshot of its run — planes, tokens, K/V rows, expert trace — is bit
+// for bit a fresh state's recording the same run from the same position.
+// Recording from below the fork position, or on a depth fork, panics.
+func TestRecordDepthOnPrefixFork(t *testing.T) {
+	const half = 4
+	for _, moe := range []bool{false, true} {
+		m := MustBuild(depthSpec(moe))
+		d := m.Cfg.DModel
+		prompt := promptOf(9, m.Cfg.Vocab)
+		toks := []int{5, 9, 2, 7}
+		px := depthPrefix(m, 0, prompt[:half], nil)
+		for _, at := range []int{0, 2, half} {
+			for _, lo := range []int{at, len(prompt), len(prompt) + 2} {
+				name := fmt.Sprintf("moe=%v fork at %d, planes from %d", moe, at, lo)
+				want := depthPrefix(m, lo, prompt, toks)
+				st := px.ForkInto(m, nil, at)
+				st.RecordDepth(lo)
+				st.Prefill(prompt[at:])
+				for _, tok := range toks {
+					st.DecodeStep(tok)
+				}
+				got := st.Snapshot()
+				if got.depth.lo != lo || !reflect.DeepEqual(got.depth.toks, want.depth.toks) {
+					t.Fatalf("%s: planes from %d fed %v, want %v", name, got.depth.lo, got.depth.toks, want.depth.toks)
+				}
+				for s := 1; s < 2*m.Cfg.NBlocks; s++ {
+					for pos := lo; pos < got.Pos(); pos++ {
+						sameBits(t, fmt.Sprintf("%s: sublayer %d at %d", name, s, pos), got.depth.at(s, pos, d), want.depth.at(s, pos, d))
+					}
+				}
+				if !reflect.DeepEqual(got, want) || got.Bytes() != want.Bytes() {
+					t.Fatalf("%s: the snapshot differs from a fresh state's", name)
+				}
+			}
+		}
+		mustPanic := func(what string, f func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("moe=%v: %s did not panic", moe, what)
+				}
+			}()
+			f()
+		}
+		mustPanic("recording below the fork position", func() { px.ForkInto(m, nil, half).RecordDepth(half - 1) })
+		mustPanic("recording on a depth fork", func() { px.ForkDepth(m, nil, 1, 1).RecordDepth(half) })
+	}
+}

@@ -298,7 +298,7 @@ func (m *Model) linearRow(obs *Observers, ref LayerRef, pos []int, w Weight, in,
 	for _, h := range obs.Hooks {
 		h(ref, pos[0], out)
 	}
-	m.checkRound(obs.Checker, ref, w, pos, in, out)
+	m.checkRound(obs.Checker, ref, w, len(obs.Hooks) > 0, pos, in, out)
 }
 
 // checkRound finishes a linear layer's output rows, whose hooks have run:
@@ -310,9 +310,15 @@ func (m *Model) linearRow(obs *Observers, ref LayerRef, pos []int, w Weight, in,
 // weight and input rows, which the checker needs to form the expected
 // checksums and recompute a flagged output: w is the struck view where
 // the rows' strike addresses the layer, so a correcting checker
-// recomputes through the fault.
-func (m *Model) checkRound(c LinearChecker, ref LayerRef, w Weight, pos []int, in, out []float32) {
+// recomputes through the fault. Only a hook makes an output row differ
+// from in·w, so the checker is handed w only when a hook ran on one of
+// the rows (hooked; LinearChecker): otherwise a recompute would give the
+// same bits.
+func (m *Model) checkRound(c LinearChecker, ref LayerRef, w Weight, hooked bool, pos []int, in, out []float32) {
 	if c != nil {
+		if !hooked {
+			w = nil
+		}
 		c.CheckLinear(ref, w, pos, in, out)
 	}
 	numerics.RoundSlice(m.Cfg.DType, out)

@@ -75,6 +75,17 @@ type Prefix struct {
 // Pos is the number of positions the prefix holds.
 func (p *Prefix) Pos() int { return p.pos }
 
+// PositionBytes is what a Prefix of a model of this configuration holds
+// for one position (Bytes): its K/V rows and, when depth is set, its
+// depth planes' residual rows and token.
+func (c *Config) PositionBytes(depth bool) int {
+	n := 2 * c.NBlocks * c.DModel * 4
+	if depth {
+		n += (2*c.NBlocks-1)*c.DModel*4 + 8
+	}
+	return n
+}
+
 // Bytes is the size of the prefix's cached rows and depth planes, what a
 // budget over prefixes counts; the K planes' padding, at most kAlign-1
 // positions a block, is not counted.

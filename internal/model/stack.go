@@ -121,13 +121,15 @@ func (m *Model) linearRows(sk *stack, rows []stackRow, ref LayerRef, w Weight, i
 		for b < r1 && rows[b].obs.Checker == obs.Checker && rows[b].obs.weight(ref, w) == wa {
 			b++
 		}
+		hooked := false
 		for i := a; i < b; i++ {
 			wa.Forward(out.Row(i), in.Row(i))
 			for _, h := range rows[i].obs.Hooks {
 				h(ref, rows[i].pos, out.Row(i))
 			}
+			hooked = hooked || len(rows[i].obs.Hooks) > 0
 		}
-		m.checkRound(obs.Checker, ref, wa, sk.pos[a:b], span(in, a, b), span(out, a, b))
+		m.checkRound(obs.Checker, ref, wa, hooked, sk.pos[a:b], span(in, a, b), span(out, a, b))
 		a = b
 	}
 }

@@ -311,12 +311,15 @@ func (m *Model) ClearAttnHooks() { m.obs.AttnHooks = nil }
 // detector would) and before requantization to the model datatype, once
 // per run of a pass's rows that share the checker and the weight they
 // read: a prefill's positions (one call per shard), one decode row. pos
-// holds the rows' positions; in holds their input activation rows, w.In()
-// each, back to back, and out their output rows, w.Out() each. A checker
-// may repair out; it must leave in untouched, and retain none of the
-// three past the call. Unlike Hook this carries the layer's weight and
-// input, which checksum-based detection (internal/abft) needs to form the
-// expected output checksum and to recompute a flagged row. Rows are
+// holds the rows' positions; in holds their input activation rows,
+// len(in)/len(pos) each, back to back, and out their output rows,
+// len(out)/len(pos) each. A checker may repair out; it must leave in
+// untouched, and retain none of the three past the call. Unlike Hook this
+// carries the layer's input, which checksum-based detection
+// (internal/abft) needs to form the expected output checksum, and the
+// weight the rows read, to recompute a flagged row through. w is nil when
+// no hook touched the rows: each output is then in·w to the bit, and a
+// recompute would reproduce it, corruption and all. Rows are
 // grouped by comparing checkers with ==, so a checker's dynamic type must
 // be comparable (a pointer is).
 type LinearChecker interface {

@@ -21,7 +21,9 @@
 // (prefixCache, Engine.prefill). Under injection such a prompt is decoded
 // clean once too, and a later request of it starts at the first step its
 // fault can reach, forking the clean decode's rows and resume points
-// (gen.Record, Engine.fork): no step before it can differ.
+// (gen.Record, Engine.fork): no step before it can differ. The decode
+// keeps its residual planes, so each later step whose token matches the
+// clean one starts at the fault's sublayer: nothing below it can differ.
 package serve
 
 import (
@@ -171,8 +173,9 @@ type reqTiming struct {
 	prefill   time.Duration
 	reused    int // prompt tokens forked from the prefix cache
 
-	forked    bool // the request entered its prompt's clean decode
-	resumedAt int  // at this step: the decode steps it skipped
+	forked       bool // the request entered its prompt's clean decode
+	resumedAt    int  // at this step: the decode steps it skipped
+	resumedDepth int  // at this sublayer of each step that matched it
 }
 
 // pending is a prefilled request waiting for a batch slot. It starts from
@@ -296,7 +299,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		queue: make(chan *pending, 2*cfg.Width),
 		done:  make(chan struct{}),
 	}
-	e.cache = newPrefixCache(cfg.Model, cfg.Width, e.met)
+	e.cache = newPrefixCache(cfg.Model, cfg.Width, cfg.Inject != nil, e.met)
 	if inj := cfg.Inject; inj != nil {
 		if len(inj.Surfaces) == 0 {
 			inj.Surfaces = []faults.Surface{faults.SurfaceLinear}
@@ -486,7 +489,9 @@ func forkPrompt(m *model.Model, px *model.Prefix, reuse int) *model.State {
 
 // decodeClean computes and caches prompt's entry on an injecting engine:
 // its clean decode to maxNew tokens from the rows of px below reuse
-// (gen.NewRecord), under Inject.ABFT on a clone counting a ledger.
+// (gen.NewRecord), under Inject.ABFT on a clone counting a ledger. The
+// decode records its depth planes from the prompt's end: a served fault
+// strikes decode steps only, so no fork reads a plane below it.
 func (e *Engine) decodeClean(prompt []int, px *model.Prefix, reuse, maxNew int) prefixEntry {
 	m := e.m
 	var ro gen.RecordOpts
@@ -496,7 +501,9 @@ func (e *Engine) decodeClean(prompt []int, px *model.Prefix, reuse, maxNew int) 
 		ro.Ledger, _ = abft.Protection{AllLayers: true}.Checker(e.table)
 		ro.Tol = e.cfg.Inject.ABFT.Tol
 	}
-	rec, _ := gen.NewRecord(m, forkPrompt(m, px, reuse), prompt, gen.Defaults(maxNew), ro)
+	st := forkPrompt(m, px, reuse)
+	st.RecordDepth(len(prompt))
+	rec, _ := gen.NewRecord(m, st, prompt, gen.Defaults(maxNew), ro)
 	ent := prefixEntry{prompt: prompt, prefix: rec.Prefix, rec: rec}
 	if e.cfg.Vocab != nil {
 		ent.text = e.cfg.Vocab.Decode(rec.Tokens)
@@ -506,7 +513,8 @@ func (e *Engine) decodeClean(prompt []int, px *model.Prefix, reuse, maxNew int) 
 }
 
 // fork starts p inside ent, its prompt's clean decode, where the fork
-// rule puts it (gen.Record.Fork). A KV strike on a row p shares goes
+// rule puts it (gen.Record.Fork): at a step, and at a sublayer of each
+// step that matches the decode's. A KV strike on a row p shares goes
 // through State.SetKV, which makes it p's own: the entry is never written.
 func (e *Engine) fork(p *pending, ent prefixEntry) {
 	w := gen.Watch{MaxNew: p.req.MaxNew}
@@ -514,7 +522,7 @@ func (e *Engine) fork(p *pending, ent prefixEntry) {
 		w.Checker, w.AllLayers, w.Tol = true, a.AllLayers, a.Tol
 	}
 	p.clean, p.fork = &ent, ent.rec.Fork(*p.site, w)
-	p.tm.forked, p.tm.resumedAt = true, p.fork.Pos-len(p.req.Prompt)
+	p.tm.forked, p.tm.resumedAt, p.tm.resumedDepth = true, p.fork.Pos-len(p.req.Prompt), max(p.fork.Depth, 0)
 }
 
 // isDraining reports whether shutdown has begun.
@@ -713,8 +721,12 @@ func (e *Engine) step(loop *gen.Loop[*flight]) {
 }
 
 // retire takes a finished or abandoned request off the loop and answers
-// it.
+// it, counting the sublayer-positions a depth fork read from its clean
+// decode instead of computing.
 func (e *Engine) retire(loop *gen.Loop[*flight], s *gen.Seq[*flight], err error) {
+	if d := s.Owner.p.fork.Depth; d > 0 {
+		e.met.observeDepthSkipped(d * s.State().DepthMatched())
+	}
 	loop.Release(s)
 	e.respond(s.Owner, s.Result(), err)
 }
@@ -839,7 +851,8 @@ func (e *Engine) recordRequestSpans(resp Response, st reqStatus, start time.Time
 			start, tm.ttft))
 		var attrs []obs.Attr
 		if tm.forked {
-			attrs = append(attrs, obs.Int("resumed_at", int64(tm.resumedAt)))
+			attrs = append(attrs, obs.Int("resumed_at", int64(tm.resumedAt)),
+				obs.Int("resumed_depth", int64(tm.resumedDepth)))
 		}
 		sp := obs.NewSpan(rec.Child(tm.root), tm.root.Span, "decode",
 			tm.admitted, latency-tm.ttft, attrs...)

@@ -69,7 +69,7 @@ type Metrics struct {
 	prefillHits, prefillMisses   atomic.Int64
 	tokensReused, tokensComputed atomic.Int64
 	cacheBytes, cacheEvictions   atomic.Int64
-	stepsSkipped                 atomic.Int64
+	stepsSkipped, depthSkipped   atomic.Int64
 }
 
 // NewMetrics returns zeroed serving metrics.
@@ -129,6 +129,11 @@ func (m *Metrics) observePrefill(reused, computed int) {
 // clean decode, skipping its first steps.
 func (m *Metrics) observeFork(skipped int) { m.stepsSkipped.Add(int64(skipped)) }
 
+// observeDepthSkipped records the sublayer-positions one depth-forked
+// request read from its prompt's clean decode: its fork's sublayer times
+// the steps that matched.
+func (m *Metrics) observeDepthSkipped(rows int) { m.depthSkipped.Add(int64(rows)) }
+
 // observePrefixCache records one insertion into the prefix cache: the
 // entries it evicted and the bytes the cache holds after it.
 func (m *Metrics) observePrefixCache(evicted, bytes int) {
@@ -167,6 +172,12 @@ type MetricsSnapshot struct {
 	// DecodeStepsSkipped counts the decode steps injected requests did not
 	// run because they forked their prompt's cached clean decode past them.
 	DecodeStepsSkipped int64
+	// DepthSkippedRows counts the sublayer-positions they did not compute
+	// in the steps they ran, because a step that matched the clean decode
+	// started at the fault's sublayer: a request's fork sublayer times its
+	// matching steps (model.State.DepthMatched), as core counts
+	// depth_skipped_rows.
+	DepthSkippedRows int64
 }
 
 // Snapshot samples the counters.
@@ -193,6 +204,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	s.PrefixCacheBytes = m.cacheBytes.Load()
 	s.PrefixCacheEvictions = m.cacheEvictions.Load()
 	s.DecodeStepsSkipped = m.stepsSkipped.Load()
+	s.DepthSkippedRows = m.depthSkipped.Load()
 	return s
 }
 
@@ -231,7 +243,9 @@ func WriteMetricsText(out io.Writer, s MetricsSnapshot) error {
 		prom.Label{Key: "source", Val: "reused"})
 	w.Counter("llmfi_serve_prompt_tokens_total", "Prompt tokens by whether their KV rows were reused from the prefix cache or computed.", s.PromptTokensComputed,
 		prom.Label{Key: "source", Val: "computed"})
-	w.Gauge("llmfi_serve_prefix_cache_bytes", "KV bytes held by the prefix cache.", float64(s.PrefixCacheBytes))
+	w.Gauge("llmfi_serve_prefix_cache_bytes", "Bytes held by the prefix cache: KV rows and depth planes.", float64(s.PrefixCacheBytes))
 	w.Counter("llmfi_serve_prefix_cache_evictions_total", "Prefixes evicted from the prefix cache.", s.PrefixCacheEvictions)
+	w.Counter("llmfi_serve_decode_steps_skipped_total", "Decode steps injected requests skipped by forking their prompt's cached clean decode.", s.DecodeStepsSkipped)
+	w.Counter("llmfi_serve_depth_skipped_rows_total", "Sublayer-positions depth-forked requests read from their prompt's clean decode instead of computing.", s.DepthSkippedRows)
 	return w.Flush()
 }

@@ -40,6 +40,9 @@ func TestMetricsGoldenExposition(t *testing.T) {
 	m.observePrefill(12, 8)
 	m.observePrefixCache(0, 81920)
 	m.observePrefixCache(2, 61440)
+	m.observeFork(5)
+	m.observeFork(0)
+	m.observeDepthSkipped(36)
 
 	var b strings.Builder
 	if err := WriteMetricsText(&b, m.Snapshot()); err != nil {

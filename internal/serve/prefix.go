@@ -24,9 +24,10 @@ const admitSightings = 3
 // admission, after it — so its rows are a pure function of its tokens and
 // any request may read another's. An engine that injects caches more: the
 // prompt decoded clean (a gen.Record), its rows the prompt's and then the
-// decode's, which an injected request of the prompt enters at the first
-// step its fault can reach (Engine.fork). Any other prompt forks only
-// the prompt rows of either kind of entry.
+// decode's, with the decode positions' depth planes, which an injected
+// request of the prompt enters at the first step its fault can reach and,
+// in each step that matches, at the first sublayer it can (Engine.fork).
+// Any other prompt forks only the prompt rows of either kind of entry.
 //
 // Entries are few (the budget is a few dozen prompts) and lookup wants
 // the longest common token prefix, not equality, so they are a slice
@@ -68,10 +69,12 @@ func (e *prefixEntry) holds(prompt []int) bool {
 
 // newPrefixCache sizes the cache for m behind a batch of width rows:
 // 3 × width × MaxSeq cached positions, what the batch and its admission
-// queue of 2 × width could hold at full context.
-func newPrefixCache(m *model.Model, width int, met *Metrics) *prefixCache {
+// queue of 2 × width could hold at full context, each counted with its
+// K/V rows and, when depth is set (an injecting engine's clean decodes
+// record them), its depth planes.
+func newPrefixCache(m *model.Model, width int, depth bool, met *Metrics) *prefixCache {
 	cfg := &m.Cfg
-	return &prefixCache{budget: 3 * width * cfg.MaxSeq * 2 * cfg.NBlocks * cfg.DModel * 4, met: met}
+	return &prefixCache{budget: 3 * width * cfg.MaxSeq * cfg.PositionBytes(depth), met: met}
 }
 
 // lookup notes a sighting of prompt and returns the cached entry sharing

@@ -275,9 +275,9 @@ func TestServeMaskedResponseSharesCleanText(t *testing.T) {
 }
 
 // TestServeDecodeSpanCarriesResumedAt: a sampled request that forks its
-// prompt's clean decode says in its decode span at which step it entered
-// it, one that does not says nothing, and the steps sum to the engine's
-// count of decode steps skipped.
+// prompt's clean decode says in its decode span at which step and which
+// sublayer it entered it, one that does not says nothing, and the steps
+// sum to the engine's count of decode steps skipped.
 func TestServeDecodeSpanCarriesResumedAt(t *testing.T) {
 	m, vocab := testServeModel(t)
 	rec := obs.NewRecorder(obs.Config{Service: "serve", Sample: 1})
@@ -291,22 +291,31 @@ func TestServeDecodeSpanCarriesResumedAt(t *testing.T) {
 		}
 	}
 	stop()
-	var decodes, forked, sum int64
+	var decodes, forked, sum, depths, deep int64
 	for _, sp := range rec.Recent(0) {
 		if sp.Name != "decode" {
 			continue
 		}
 		decodes++
 		for _, a := range sp.Attrs {
-			if a.Key == "resumed_at" {
+			switch a.Key {
+			case "resumed_at":
 				forked++
 				sum += a.Int
+			case "resumed_depth":
+				depths++
+				if a.Int > 0 {
+					deep++
+				}
 			}
 		}
 	}
 	skipped := e.Metrics().Snapshot().DecodeStepsSkipped
 	if decodes != requests || forked != requests-2 || sum != skipped || skipped == 0 {
 		t.Fatalf("%d decode spans, %d with resumed_at summing to %d; the engine skipped %d steps", decodes, forked, sum, skipped)
+	}
+	if depths != forked || deep == 0 {
+		t.Fatalf("%d forked decode spans, %d with resumed_depth, %d of them past sublayer 0", forked, depths, deep)
 	}
 }
 
@@ -405,6 +414,86 @@ func TestServeForkMatchesColdEngine(t *testing.T) {
 	}
 	if sharedKV == 0 || eosForks == 0 {
 		t.Fatalf("%d KV strikes on a shared decode row, %d forks at the EOS point: both cases are needed", sharedKV, eosForks)
+	}
+}
+
+// TestServeDepthForkMatchesColdEngine: once an injecting engine has
+// cached a prompt's clean decode with its depth planes, a request of the
+// prompt starts each step that matches the decode at its fault's sublayer
+// and answers exactly as a fresh engine, which computes every sublayer of
+// every step, does — on all five surfaces, with ABFT off, all-layer,
+// site-only correcting, and all-layer under a tolerance so tight that the
+// clean decode flags. The second prompt begins with the first's leading
+// tokens, so its clean decode records its planes on a state forked from
+// the first's entry. A prompt's requests are sent at once, so the
+// engine's lanes read one entry's planes together.
+func TestServeDepthForkMatchesColdEngine(t *testing.T) {
+	m, vocab := testServeModel(t)
+	ctx := context.Background()
+	const maxNew, requests = 10, 24
+	prompts := [][]int{{5, 9, 17, 4, 21, 6, 30}, {5, 9, 17, 4, 12, 25}}
+	arms := []struct {
+		name  string
+		abft  *serve.ABFTConfig
+		tight bool
+	}{
+		{"off", nil, false},
+		{"all-layer", &serve.ABFTConfig{Policy: mitigate.PolicyDetect, AllLayers: true}, false},
+		{"site-only", &serve.ABFTConfig{Policy: mitigate.PolicyCorrect}, false},
+		{"all-layer-tight", &serve.ABFTConfig{Policy: mitigate.PolicyDetect, AllLayers: true, Tol: 1e-12}, true},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := serve.Config{Model: m, Vocab: vocab, Width: 4, Inject: &serve.InjectConfig{
+				Fault: faults.Comp1Bit, Surfaces: faults.Surfaces, Seed: 23, ABFT: arm.abft}}
+			warm, stop := startEngine(t, cfg)
+			defer stop()
+			surfaces := map[string]int{}
+			seed := uint64(0)
+			for i, prompt := range prompts {
+				baseline := gen.Generate(m, prompt, gen.Defaults(maxNew)).Tokens
+				// The third sighting decodes the prompt clean and caches it.
+				reused := warm.Metrics().Snapshot().PromptTokensReused
+				for range 3 {
+					seed++
+					if resp := warm.Submit(ctx, serve.Request{Prompt: prompt, MaxNew: maxNew, Seed: seed}); resp.Err != nil {
+						t.Fatal(resp.Err)
+					}
+				}
+				if i > 0 && warm.Metrics().Snapshot().PromptTokensReused == reused {
+					t.Fatal("the second prompt forked none of the first's rows")
+				}
+				before := warm.Metrics().Snapshot()
+				reqs, got := make([]serve.Request, requests), make([]serve.Response, requests)
+				var wg sync.WaitGroup
+				for j := range reqs {
+					seed++
+					reqs[j] = serve.Request{ID: fmt.Sprint(seed), Prompt: prompt, MaxNew: maxNew, Seed: seed, Baseline: baseline}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got[j] = warm.Submit(ctx, reqs[j])
+					}()
+				}
+				wg.Wait()
+				depth := warm.Metrics().Snapshot().DepthSkippedRows - before.DepthSkippedRows
+				for j, req := range reqs {
+					cold, stopCold := startEngine(t, cfg)
+					want := cold.Submit(ctx, req)
+					stopCold()
+					if got[j].Err != nil || fingerprint(got[j]) != fingerprint(want) {
+						t.Fatalf("request %s %v:\nwarm %s\ncold %s", req.ID, req.Prompt, fingerprint(got[j]), fingerprint(want))
+					}
+					surfaces[got[j].Surface]++
+				}
+				if !arm.tight && depth == 0 {
+					t.Fatalf("prompt %d: no request skipped a sublayer", i)
+				}
+			}
+			if len(surfaces) != len(faults.Surfaces) {
+				t.Fatalf("surfaces %v: the mix must cover all five", surfaces)
+			}
+		})
 	}
 }
 

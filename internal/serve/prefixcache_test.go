@@ -26,7 +26,7 @@ func prefixOf(m *model.Model, prompt []int) *model.Prefix {
 // common prefix, capped one short of the prompt.
 func TestPrefixCacheAdmission(t *testing.T) {
 	m := cacheTestModel()
-	c := newPrefixCache(m, 2, NewMetrics())
+	c := newPrefixCache(m, 2, false, NewMetrics())
 	held := func() int { return int(c.met.Snapshot().PrefixCacheBytes) }
 	a := []int{1, 2, 3, 4, 5, 6}
 	for sighting := 1; sighting <= 3; sighting++ {
@@ -82,7 +82,7 @@ func TestPrefixCacheAdmission(t *testing.T) {
 // budget is dropped.
 func TestPrefixCacheLRU(t *testing.T) {
 	m := cacheTestModel()
-	c := newPrefixCache(m, 1, NewMetrics()) // 3 × 1 × 16 positions
+	c := newPrefixCache(m, 1, false, NewMetrics()) // 3 × 1 × 16 positions
 	state := func() (evicted, bytes int) {
 		s := c.met.Snapshot()
 		return int(s.PrefixCacheEvictions), int(s.PrefixCacheBytes)
@@ -90,6 +90,12 @@ func TestPrefixCacheLRU(t *testing.T) {
 	rowBytes := 2 * m.Cfg.NBlocks * m.Cfg.DModel * 4
 	if c.budget != 48*rowBytes {
 		t.Fatalf("budget %d bytes, want 3 × width × MaxSeq = 48 rows of %d", c.budget, rowBytes)
+	}
+	// Entries with depth planes: each position counts its planes' rows
+	// and token too.
+	planeBytes := (2*m.Cfg.NBlocks-1)*m.Cfg.DModel*4 + 8
+	if got := newPrefixCache(m, 1, true, NewMetrics()).budget; got != 48*(rowBytes+planeBytes) {
+		t.Fatalf("budget with depth planes %d bytes, want 48 positions of %d", got, rowBytes+planeBytes)
 	}
 	prompt := func(i int) []int {
 		p := make([]int, 12)
