@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build cross test race bench bench-compare fuzz cover identity figures-identity pretrain-identity
+.PHONY: check fmt vet lint build cross test race examples bench bench-compare fuzz cover identity figures-identity pretrain-identity
 
 ## check: the full CI gate — formatting, vet, invariant lint, build
 ## (native, and arm64 for the portable row kernel), tests, race detector.
@@ -56,7 +56,8 @@ test:
 ## the row kernel (with its continuation entry), two decode lanes over
 ## one model with every row's checker on one shared checksum table,
 ## the sharded prefill (a prompt's rows in shards under a strike and a
-## correcting checker), forks of one shared Prefix in time and in depth,
+## correcting checker), a state's observers beside an unarmed state of
+## the same model, forks of one shared Prefix in time and in depth,
 ## depth planes recorded on a state that reads a Prefix,
 ## the checksum table, one checker called on a prefill's shards at once
 ## (one call per layer and shard, against one position per pass),
@@ -69,7 +70,7 @@ test:
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|ForkAt|Prefix|DepthFork|RecordDepth|AdmitFork|TableConcurrent|CheckerConcurrent|CheckerSpans|StrikeRowsShareNoWrite)' \
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|StateObservers|ForkAt|Prefix|DepthFork|RecordDepth|AdmitFork|TableConcurrent|CheckerConcurrent|CheckerSpans|StrikeRowsShareNoWrite)' \
 		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/ ./internal/faults/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops|TrialsOverlapBaseline|PipelinedBaselineStream|CancelDuringBaseline)' ./internal/core/
@@ -78,6 +79,13 @@ race:
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(FanIn|Recorder|SpanWriter|FleetTrace|LeaseTrace|HistConcurrent)' \
 		./internal/fabric/ ./internal/obs/ ./internal/prom/
+
+## examples: run every program under examples/ end to end — each arms its
+## faults on the states it runs, the way library callers do (about a
+## second each).
+EXAMPLES = $(sort $(dir $(wildcard examples/*/main.go)))
+examples:
+	@set -e; for ex in $(EXAMPLES); do echo "== $$ex"; $(GO) run ./$$ex; done
 
 ## bench: the repository benchmark (benchmark/, the contract in
 ## BENCHMARK.json): six workloads, each in a fresh child process, three

@@ -59,13 +59,11 @@ func main() {
 		if tr.Outcome.Class == outcome.Masked && tr.Outcome.Changed {
 			inst := suite.Instances[tr.Instance]
 			base := res.Baseline.Instances[tr.Instance]
-			mc := m.Clone()
-			inj, err := faults.Arm(mc, tr.Site, len(inst.Prompt))
+			inj, err := faults.New(m, tr.Site, len(inst.Prompt))
 			if err != nil {
 				log.Fatal(err)
 			}
-			faulty := core.RerunInstance(mc, suite, &inst)
-			inj.Disarm()
+			faulty := core.RerunInstance(m, inj.Observers(), suite, &inst)
 			fmt.Printf("\nrecovery example (site %v):\n", tr.Site)
 			fmt.Printf("  question:   %s\n", suite.Vocab.DecodeAll(inst.Prompt[1:]))
 			fmt.Printf("  fault-free: %s\n", base.Text)

@@ -55,13 +55,11 @@ func main() {
 		if tr.ExpertChanged && tr.Outcome.Changed {
 			inst := suite.Instances[tr.Instance]
 			base := res.Baseline.Instances[tr.Instance]
-			mc := m.Clone()
-			inj, err := faults.Arm(mc, tr.Site, len(inst.Prompt))
+			inj, err := faults.New(m, tr.Site, len(inst.Prompt))
 			if err != nil {
 				log.Fatal(err)
 			}
-			faulty := core.RerunInstance(mc, suite, &inst)
-			inj.Disarm()
+			faulty := core.RerunInstance(m, inj.Observers(), suite, &inst)
 			fmt.Printf("\nexample (site %v):\n  fault-free: %s\n  faulty:     %s\n",
 				tr.Site, base.Text, faulty)
 			break

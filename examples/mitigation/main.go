@@ -32,7 +32,7 @@ func main() {
 
 	// --- Defense 1: range restriction -------------------------------
 	calib := mt.Suite(9001, 16, true) // held-out calibration prompts
-	profile := mitigate.Calibrate(m.Clone(), calib, 0)
+	profile := mitigate.Calibrate(m, calib, 0)
 	fmt.Printf("calibrated %d layer ranges on %d held-out prompts\n\n", profile.Layers(), 16)
 
 	plain, err := core.New(m, suite, faults.Mem2Bit, 200, 99).Run(context.Background())
@@ -52,9 +52,8 @@ func main() {
 		protected.Normalized(metrics.KindAccuracy).Value, restrictor.Clamped())
 
 	// --- Defense 2: ABFT weight checksums ---------------------------
-	wm := m.Clone()
-	wc := mitigate.NewWeightChecksums(wm)
-	sampler, err := faults.NewSampler(wm, nil)
+	wc := mitigate.NewWeightChecksums(m)
+	sampler, err := faults.NewSampler(m, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,14 +62,13 @@ func main() {
 	src := prng.New(7)
 	for i := 0; i < trials; i++ {
 		site := sampler.Sample(src.Split(uint64(i)), faults.Mem2Bit, 1)
-		inj, err := faults.Arm(wm, site, 0)
+		inj, err := faults.New(m, site, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if wc.Detects(wm, site.Layer, site.Col) {
+		if wc.Detects(m, inj.Strike, site.Layer, site.Col) {
 			detected++
 		}
-		inj.Disarm()
 	}
 	fmt.Printf("weight-checksum scan: %d/%d memory faults detected and localized\n", detected, trials)
 	fmt.Println("(detection lets a serving system reload weights instead of emitting SDCs)")

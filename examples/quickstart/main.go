@@ -38,8 +38,8 @@ func main() {
 
 	// 2. A 2-bit memory fault: the exponent MSB (bit 14 of BF16) and one
 	// lower bit of one weight of a middle block's up_proj flipped for one
-	// run — the §3.2 protocol. The run reads the flipped weight; Disarm
-	// takes it off the model.
+	// run — the §3.2 protocol. The run's state reads the flipped weight;
+	// the model itself is never touched.
 	site := faults.Site{
 		Fault: faults.Mem2Bit,
 		Layer: model.LayerRef{Block: 1, Kind: model.KindUp, Expert: -1},
@@ -50,12 +50,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	inj, err := faults.Arm(m, site, len(inst.Prompt))
+	inj, err := faults.New(m, site, len(inst.Prompt))
 	if err != nil {
 		log.Fatal(err)
 	}
-	faulty := gen.Generate(m, inst.Prompt, gen.Defaults(inst.MaxNew))
-	inj.Disarm()
+	st := m.NewState()
+	st.Observers = inj.Observers()
+	faulty := gen.GenerateFrom(m, st, st.Prefill(inst.Prompt), gen.Defaults(inst.MaxNew))
 	fmt.Printf("\nmemory fault at %v: weight %.4g -> %.4g\n", site.Layer, before, after)
 	fmt.Println("faulty:    ", suite.Vocab.Decode(faulty.Tokens))
 
@@ -66,13 +67,13 @@ func main() {
 		Layer: model.LayerRef{Block: 1, Kind: model.KindDown, Expert: -1},
 		Col:   7, Bits: []int{14, 13}, GenIter: 2,
 	}
-	inj, err = faults.Arm(m, comp, len(inst.Prompt))
+	inj, err = faults.New(m, comp, len(inst.Prompt))
 	if err != nil {
 		log.Fatal(err)
 	}
-	faulty = gen.Generate(m, inst.Prompt, gen.Defaults(inst.MaxNew))
-	fired := inj.Fired
-	inj.Disarm()
-	fmt.Printf("\ncomputational fault %v (fired=%v)\n", comp, fired)
+	st = m.NewState()
+	st.Observers = inj.Observers()
+	faulty = gen.GenerateFrom(m, st, st.Prefill(inst.Prompt), gen.Defaults(inst.MaxNew))
+	fmt.Printf("\ncomputational fault %v (fired=%v)\n", comp, inj.Fired)
 	fmt.Println("faulty:    ", suite.Vocab.Decode(faulty.Tokens))
 }

@@ -5,10 +5,11 @@
 // discusses. The checksums are a property of the fault-free model, so
 // they live in one immutable Table, summed once from the model nobody
 // strikes and read by every trial's Checker on whichever clone, batch
-// row or goroutine it runs. A Checker plugs into model.SetChecker, so
-// the check runs after the fault-injection hooks (it observes corrupted
-// values exactly as a deployed detector would) and before datatype
-// rounding (its noise floor is the float32 kernel, not BF16 storage).
+// row or goroutine it runs. A Checker plugs into a state's observers
+// (model.Observers.Checker), so the check runs after the fault-injection
+// hooks (it observes corrupted values exactly as a deployed detector
+// would) and before datatype rounding (its noise floor is the float32
+// kernel, not BF16 storage).
 //
 // Detection physics under the repo's fault models: an exponent-bit flip
 // either multiplies the struck value by 2^2^i — a deviation that dwarfs
@@ -96,9 +97,8 @@ type layerSums struct {
 	tol float64
 }
 
-// Table sums every block linear layer of m under p.Tol. A caller that
-// goes on to strike m itself must build the table first: a model carrying
-// a memory fault's strike hands out the struck weight (LinearLayers).
+// Table sums every block linear layer of m under p.Tol: the clean weights,
+// whatever faults the inferences over m are armed with.
 func (p Protection) Table(m *model.Model) *Table {
 	layers := m.LinearLayers()
 	t := &Table{sums: make(map[model.LayerRef]*layerSums, len(layers))}

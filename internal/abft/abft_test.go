@@ -42,15 +42,14 @@ func checker(t *testing.T, p Protection, m *model.Model, site ...model.LayerRef)
 	return over(t, p, p.Table(m), site...)
 }
 
-// generate runs a short fault-free generation with the checker armed and
-// returns the number of checks performed.
-func generate(t *testing.T, m *model.Model, ch *Checker) int {
+// generate runs a short generation with the checker armed beside strike
+// (nil: fault-free) and returns the number of checks performed.
+func generate(t *testing.T, m *model.Model, ch *Checker, strike *model.Strike) int {
 	t.Helper()
 	suite := tasks.NewSelfRefSuite("abft-noise", 4, 3, 40, 16, nil)
-	m.SetChecker(ch)
-	defer m.SetChecker(nil)
 	for _, inst := range suite.Instances {
 		st := m.NewState()
+		st.Checker, st.Strike = ch, strike
 		logits := st.Prefill(inst.Prompt)
 		gen.GenerateFrom(m, st, append([]float32(nil), logits...),
 			gen.Settings{NumBeams: 1, MaxNewTokens: inst.MaxNew, StopToken: token.EOS, BanSpecials: true})
@@ -68,7 +67,7 @@ func TestDefaultTolClearsNoiseFloor(t *testing.T) {
 		m := testModel(t, moe)
 
 		ch := checker(t, Protection{AllLayers: true}, m)
-		checks := generate(t, m, ch)
+		checks := generate(t, m, ch, nil)
 		if checks == 0 {
 			t.Fatal("no checks ran")
 		}
@@ -80,7 +79,7 @@ func TestDefaultTolClearsNoiseFloor(t *testing.T) {
 		// any achievable float32 deviation, so every check "fails" and
 		// reports its deviation.
 		probe := checker(t, Protection{Tol: 1e-300, AllLayers: true}, m)
-		generate(t, m, probe)
+		generate(t, m, probe, nil)
 		for _, ev := range probe.Events() {
 			w, err := m.Layer(ev.Ref)
 			if err != nil {
@@ -265,13 +264,11 @@ func TestUnhookedRowsEscalateWithoutRecompute(t *testing.T) {
 		}
 		run := func(hooked bool) (Stats, []Event, [][]float32) {
 			ck := over(t, p, table)
-			m.SetChecker(ck)
-			defer m.SetChecker(nil)
-			if hooked {
-				m.AddHook(func(model.LayerRef, int, []float32) {})
-				defer m.PopHook()
-			}
 			st := m.NewState()
+			st.Checker = ck
+			if hooked {
+				st.Hooks = []model.Hook{func(model.LayerRef, int, []float32) {}}
+			}
 			logits := [][]float32{slices.Clone(st.Prefill(prompt))}
 			for _, tok := range prompt[:4] {
 				logits = append(logits, slices.Clone(st.DecodeStep(tok)))
@@ -339,12 +336,15 @@ func TestProtectUnknownLayer(t *testing.T) {
 
 // checkAt runs at's forward pass on m over the input row in, through a
 // new Checker built by p over table, and returns what it counted.
-func checkAt(t *testing.T, m *model.Model, p Protection, table *Table, site []model.LayerRef, at model.LayerRef, in []float32) Stats {
+func checkAt(t *testing.T, m *model.Model, strike *model.Strike, p Protection, table *Table, site []model.LayerRef, at model.LayerRef, in []float32) Stats {
 	t.Helper()
 	ck := over(t, p, table, site...)
 	lw, err := m.Layer(at)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if strike != nil && strike.Ref == at {
+		lw = strike.W
 	}
 	out := make([]float32, lw.Out())
 	lw.Forward(out, in)
@@ -352,12 +352,12 @@ func checkAt(t *testing.T, m *model.Model, p Protection, table *Table, site []mo
 	return ck.Stats()
 }
 
-// TestProtectionCheckerPrecedesFault pins the one ordering left: a caller
-// that strikes the very model it summed builds the table first. A table
-// summed before a memory fault is armed flags the struck layer; one
-// summed after it has taken the corrupted weight for its reference and
-// sees nothing. Also pins which layers the three shapes of Protection
-// cover.
+// TestProtectionCheckerPrecedesFault pins that no ordering is left
+// between summing a table and arming a fault on the same model: a strike
+// is read by the inference it is armed on, never handed out by the
+// model, so a table summed before faults.New and one summed after it both
+// flag the struck layer. Also pins which layers the three shapes of
+// Protection cover.
 func TestProtectionCheckerPrecedesFault(t *testing.T) {
 	m := testModel(t, false)
 	ref, w, in, _ := corruptionCase(t, m)
@@ -369,41 +369,41 @@ func TestProtectionCheckerPrecedesFault(t *testing.T) {
 
 	before := p.Table(m)
 	clean := w.Get(site.Row, site.Col)
-	inj, err := faults.Arm(m, site, 0)
+	inj, err := faults.New(m, site, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := p.Table(m)
+	s := inj.Strike
 
-	if st := checkAt(t, m, p, before, at, ref, in); st.Checks != 1 || st.Flagged != 1 {
+	if st := checkAt(t, m, s, p, before, at, ref, in); st.Checks != 1 || st.Flagged != 1 {
 		t.Errorf("table summed before the fault: %+v at the struck layer, want 1 check 1 flag", st)
 	}
-	if st := checkAt(t, m, p, after, at, ref, in); st.Checks != 1 || st.Flagged != 0 {
-		t.Errorf("table summed after the fault: %+v, want 1 check 0 flags (its reference is the corrupted weight)", st)
+	if st := checkAt(t, m, s, p, after, at, ref, in); st.Checks != 1 || st.Flagged != 1 {
+		t.Errorf("table summed after the fault: %+v, want 1 check 1 flag (its reference is the clean weight)", st)
 	}
-	if st := checkAt(t, m, all, before, nil, ref, in); st.Flagged != 1 {
+	if st := checkAt(t, m, s, all, before, nil, ref, in); st.Flagged != 1 {
 		t.Errorf("all-layer checker at the struck layer: %+v, want a flag", st)
 	}
-	if st := checkAt(t, m, all, before, nil, other, in); st.Checks != 1 || st.Flagged != 0 {
+	if st := checkAt(t, m, s, all, before, nil, other, in); st.Checks != 1 || st.Flagged != 0 {
 		t.Errorf("all-layer checker at a clean layer: %+v, want 1 check 0 flags", st)
 	}
 	lmHead := model.LayerRef{Block: -1, Kind: model.KindLMHead, Expert: -1}
-	if st := checkAt(t, m, all, before, nil, lmHead, in); st.Checks != 0 {
+	if st := checkAt(t, m, s, all, before, nil, lmHead, in); st.Checks != 0 {
 		t.Errorf("all-layer checker at the LM head: %+v, want no checks (not a block linear)", st)
 	}
-	if st := checkAt(t, m, p, before, at, other, in); st.Checks != 0 {
+	if st := checkAt(t, m, s, p, before, at, other, in); st.Checks != 0 {
 		t.Errorf("site-only checker off its site: %+v, want no checks", st)
 	}
-	if st := checkAt(t, m, p, before, nil, ref, in); st.Checks != 0 {
+	if st := checkAt(t, m, s, p, before, nil, ref, in); st.Checks != 0 {
 		t.Errorf("checker with no site: %+v, want no checks", st)
 	}
 
-	inj.Disarm()
 	if got := w.Get(site.Row, site.Col); got != clean {
-		t.Fatalf("weight %g after Disarm, want %g", got, clean)
+		t.Fatalf("weight %g after arming, want %g", got, clean)
 	}
-	if st := checkAt(t, m, p, before, at, ref, in); st.Flagged != 0 {
-		t.Errorf("disarmed: %+v, want no flags", st)
+	if st := checkAt(t, m, nil, p, after, at, ref, in); st.Flagged != 0 {
+		t.Errorf("unstruck: %+v, want no flags", st)
 	}
 }
 
@@ -420,10 +420,11 @@ func weightBits(w model.Weight) []uint64 {
 
 // TestTableFromCleanModelJudgesClone is the argument core and serve rest
 // on: the table is summed from the model nobody strikes, the fault is
-// armed on a copy-on-write clone, and no order between the two matters.
-// The table flags an exponent flip at the struck layer of the clone under
-// site-only and all-layer protection, the summed model's storage stays
-// bit-identical, and after Disarm the same table passes the clone.
+// built over a copy-on-write clone and armed on an inference, and no
+// order between the two matters. The table flags an exponent flip at the
+// struck layer of the clone under site-only and all-layer protection, the
+// summed model's storage stays bit-identical, and without the strike the
+// same table passes the clone.
 func TestTableFromCleanModelJudgesClone(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -451,27 +452,26 @@ func TestTableFromCleanModelJudgesClone(t *testing.T) {
 			// Armed first, summed second: the table still reads m, not the clone.
 			clone := m.CloneShared()
 			site := faults.Site{Fault: faults.Mem2Bit, Layer: tc.ref, Row: 2, Col: 3, Bits: []int{13, 14}}
-			inj, err := faults.Arm(clone, site, 0)
+			inj, err := faults.New(clone, site, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			table := sited.Table(m)
 
-			if st := checkAt(t, clone, sited, table, at, tc.ref, in); st.Checks != 1 || st.Flagged != 1 {
+			if st := checkAt(t, clone, inj.Strike, sited, table, at, tc.ref, in); st.Checks != 1 || st.Flagged != 1 {
 				t.Errorf("site-only on the struck clone: %+v, want 1 check 1 flag", st)
 			}
-			if st := checkAt(t, clone, all, table, nil, tc.ref, in); st.Checks != 1 || st.Flagged != 1 {
+			if st := checkAt(t, clone, inj.Strike, all, table, nil, tc.ref, in); st.Checks != 1 || st.Flagged != 1 {
 				t.Errorf("all-layer on the struck clone: %+v, want 1 check 1 flag", st)
 			}
-			if st := checkAt(t, m, all, table, nil, tc.ref, in); st.Checks != 1 || st.Flagged != 0 {
+			if st := checkAt(t, m, nil, all, table, nil, tc.ref, in); st.Checks != 1 || st.Flagged != 0 {
 				t.Errorf("the summed model while its clone is struck: %+v, want 1 check 0 flags", st)
 			}
 			if got, _ := m.Layer(tc.ref); !slices.Equal(weightBits(got), pristine) {
 				t.Fatal("arming the clone changed the summed model's storage")
 			}
-			inj.Disarm()
 			for _, p := range []Protection{sited, all} {
-				if st := checkAt(t, clone, p, table, at, tc.ref, in); st.Checks != 1 || st.Flagged != 0 {
+				if st := checkAt(t, clone, nil, p, table, at, tc.ref, in); st.Checks != 1 || st.Flagged != 0 {
 					t.Errorf("disarmed clone (all=%v): %+v, want 1 check 0 flags", p.AllLayers, st)
 				}
 			}
@@ -492,14 +492,15 @@ func TestTableConcurrentCheckers(t *testing.T) {
 	site := faults.Site{Fault: faults.Mem2Bit, Layer: model.LayerRef{Block: 1, Kind: model.KindQ, Expert: -1},
 		Row: 2, Col: 3, Bits: []int{13, 14}}
 
-	// flagged generates on clone through a new Checker over the table.
-	flagged := func(clone *model.Model) (checks, flags int) {
+	// flagged generates on clone under strike through a new Checker over
+	// the table.
+	flagged := func(clone *model.Model, strike *model.Strike) (checks, flags int) {
 		ck, err := p.Checker(table)
 		if err != nil {
 			t.Error(err)
 			return 0, 0
 		}
-		checks = generate(t, clone, ck)
+		checks = generate(t, clone, ck, strike)
 		return checks, ck.Stats().Flagged
 	}
 	var wg sync.WaitGroup
@@ -510,17 +511,16 @@ func TestTableConcurrentCheckers(t *testing.T) {
 			clone := m.CloneShared()
 			for round := 0; round < 2; round++ {
 				if g < 2 {
-					inj, err := faults.Arm(clone, site, 0)
+					inj, err := faults.New(clone, site, 0)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if _, flags := flagged(clone); flags == 0 {
+					if _, flags := flagged(clone, inj.Strike); flags == 0 {
 						t.Errorf("goroutine %d round %d: armed clone raised no flag", g, round)
 					}
-					inj.Disarm()
 				}
-				if checks, flags := flagged(clone); checks == 0 || flags != 0 {
+				if checks, flags := flagged(clone, nil); checks == 0 || flags != 0 {
 					t.Errorf("goroutine %d round %d: %d checks %d flags on clean weights, want >0 and 0", g, round, checks, flags)
 				}
 			}
@@ -546,12 +546,14 @@ func TestCheckerConcurrentRows(t *testing.T) {
 		clone := m.CloneShared()
 		clone.SetThreads(threads)
 		clone.SetSequentialPrefill(sequential)
-		if _, err := faults.Arm(clone, site, 0); err != nil {
+		inj, err := faults.New(clone, site, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		ck := over(t, p, table)
-		clone.SetChecker(ck)
-		return ck, slices.Clone(clone.NewState().Prefill(prompt))
+		st := clone.NewState()
+		st.Strike, st.Checker = inj.Strike, ck
+		return ck, slices.Clone(st.Prefill(prompt))
 	}
 	want, wantLogits := run(1, true)
 	if want.Stats().Skipped == 0 {
@@ -645,16 +647,19 @@ func TestCheckerSpansMatchDecodeSteps(t *testing.T) {
 		clone := m.CloneShared()
 		clone.SetThreads(threads)
 		clone.SetSequentialPrefill(sequential)
+		st := clone.NewState()
 		if resident {
-			if _, err := faults.Arm(clone, site, 0); err != nil {
+			inj, err := faults.New(clone, site, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
+			st.Strike = inj.Strike
 		} else {
-			clone.AddHook(strike)
+			st.Hooks = []model.Hook{strike}
 		}
 		ck := over(t, p, table)
-		clone.SetChecker(ck)
-		return ck, slices.Clone(clone.NewState().Prefill(prompt))
+		st.Checker = ck
+		return ck, slices.Clone(st.Prefill(prompt))
 	}
 	for _, resident := range []bool{true, false} {
 		want, wantLogits := run(1, true, resident)

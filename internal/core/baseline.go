@@ -124,9 +124,14 @@ func (c Campaign) EvalBaseline() *Baseline {
 // baselineOpts is what a runner asks of the baseline beyond its scores.
 // None of it changes an output.
 type baselineOpts struct {
+	// hook, when non-nil, observes every instance's inference: the
+	// campaign's ExtraHook, which mitigates the baseline as it does each
+	// trial.
+	hook model.Hook
 	// capMinPos, when non-nil, records each instance's clean per-layer
-	// outputs from position capMinPos(inst) onward (via a temporary hook on
-	// m) into InstanceBaseline.capture for the propagation probes.
+	// outputs from position capMinPos(inst) onward (via a hook on its
+	// inference, after hook) into InstanceBaseline.capture for the
+	// propagation probes.
 	capMinPos func(inst *tasks.Instance) int
 	// depthFrom, when non-nil, records each instance's depth planes from
 	// position depthFrom(inst) on in its record.
@@ -152,10 +157,14 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 	b := &Baseline{Suite: suite, Instances: make([]InstanceBaseline, len(suite.Instances))}
 	for i := range suite.Instances {
 		inst := &suite.Instances[i]
+		var obs model.Observers
+		if opts.hook != nil {
+			obs.Hooks = append(obs.Hooks, opts.hook)
+		}
 		var cc *trace.Capture
 		if opts.capMinPos != nil {
 			cc = trace.NewCapture(opts.capMinPos(inst))
-			m.AddHook(cc.Hook())
+			obs.Hooks = append(obs.Hooks, cc.Hook())
 		}
 		var ro gen.RecordOpts
 		if opts.ledger != nil {
@@ -168,9 +177,8 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 			st = m.NewState()
 			st.RecordDepth(opts.depthFrom(inst))
 		}
-		ib := evalInstance(m, suite, inst, gs, check, true, st, &ro, nil)
+		ib := evalInstance(m, obs, suite, inst, gs, check, true, st, &ro, nil)
 		if cc != nil {
-			m.PopHook()
 			cc.Seal()
 			ib.capture = cc
 		}
@@ -199,19 +207,20 @@ func evalBaseline(m *model.Model, suite *tasks.Suite, gs gen.Settings, check Ans
 	return b
 }
 
-// evalInstance runs one instance on the (possibly fault-armed) model.
-// selfRefOK makes an empty instance reference count as a correct answer
-// (fault-free runs define the reference). ro, when non-nil, additionally
-// keeps what later trials fork from (InstanceBaseline.rec, gen.NewRecord)
-// in the returned baseline. A generative instance runs on st — a fresh
-// state of m recording its depth planes — or, when nil, on a fresh one.
+// evalInstance runs one instance on m under obs (a fault, hooks, a
+// checker, or none). selfRefOK makes an empty instance reference count as
+// a correct answer (fault-free runs define the reference). ro, when
+// non-nil, additionally keeps what later trials fork from
+// (InstanceBaseline.rec, gen.NewRecord) in the returned baseline. A
+// generative instance runs on st — a fresh state of m recording its depth
+// planes — or, when nil, on a fresh one.
 // sp, when non-nil, receives the phase timings (prefill/decode/classify)
 // of a run that keeps no record.
-func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs gen.Settings, check AnswerChecker, selfRefOK bool, st *model.State, ro *gen.RecordOpts, sp *spanTimes) InstanceBaseline {
+func evalInstance(m *model.Model, obs model.Observers, suite *tasks.Suite, inst *tasks.Instance, gs gen.Settings, check AnswerChecker, selfRefOK bool, st *model.State, ro *gen.RecordOpts, sp *spanTimes) InstanceBaseline {
 	var ib InstanceBaseline
 	if suite.Type == tasks.MultipleChoice {
 		decodeStart := now()
-		choice, _ := gen.ChooseOption(m, inst.Prompt, inst.Options)
+		choice, _ := gen.ChooseOption(m, obs, inst.Prompt, inst.Options)
 		if sp != nil {
 			// Option scoring interleaves prefill and scoring passes; the
 			// whole evaluation reports as one decode span (steps 0, so no
@@ -226,6 +235,7 @@ func evalInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance, gs g
 	if st == nil {
 		st = m.NewState()
 	}
+	st.Observers = obs
 	// Expert-trace comparison is only defined for the single-path greedy
 	// mode used by the MoE study (beam search forks states).
 	expertTrace := m.Cfg.IsMoE() && gs.NumBeams <= 1
@@ -293,14 +303,14 @@ func finishGenerative(ib *InstanceBaseline, suite *tasks.Suite, inst *tasks.Inst
 	}
 }
 
-// RerunInstance executes one instance on m (typically with a fault armed
-// by the caller) and returns the output text — the chosen option for
-// multiple-choice suites, the decoded generation otherwise. Campaign
-// trials store metrics rather than full outputs; reports re-run the
-// interesting trials through this to show example outputs (Figures 7,
-// 12, 15).
-func RerunInstance(m *model.Model, suite *tasks.Suite, inst *tasks.Instance) string {
-	ib := evalInstance(m, suite, inst, defaultGen(), DefaultChecker(suite), false, nil, nil, nil)
+// RerunInstance executes one instance on m under obs (typically a fault's,
+// faults.Injection.Observers) and returns the output text — the chosen
+// option for multiple-choice suites, the decoded generation otherwise.
+// Campaign trials store metrics rather than full outputs; reports re-run
+// the interesting trials through this to show example outputs (Figures
+// 7, 12, 15).
+func RerunInstance(m *model.Model, obs model.Observers, suite *tasks.Suite, inst *tasks.Instance) string {
+	ib := evalInstance(m, obs, suite, inst, defaultGen(), DefaultChecker(suite), false, nil, nil, nil)
 	if suite.Type == tasks.MultipleChoice {
 		return suite.Vocab.DecodeAll(inst.Options[ib.Choice])
 	}

@@ -148,7 +148,7 @@ func TestRerunInstanceMatchesBaseline(t *testing.T) {
 	suite := pretrained.QATask().Suite(9, 3)
 	b := EvalBaseline(m, suite, defaultGen(), nil)
 	for i := range suite.Instances {
-		if got := RerunInstance(m, suite, &suite.Instances[i]); got != b.Instances[i].Text {
+		if got := RerunInstance(m, model.Observers{}, suite, &suite.Instances[i]); got != b.Instances[i].Text {
 			t.Fatalf("RerunInstance %d = %q, baseline %q", i, got, b.Instances[i].Text)
 		}
 	}

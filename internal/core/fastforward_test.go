@@ -377,9 +377,9 @@ func seedPromptChecks(c Campaign) func(inst int, site model.LayerRef) int {
 		if err != nil {
 			panic(err)
 		}
-		m := c.Model.CloneShared()
-		m.SetChecker(ck)
-		m.NewState().Prefill(c.Suite.Instances[inst].Prompt)
+		st := c.Model.NewState()
+		st.Checker = ck
+		st.Prefill(c.Suite.Instances[inst].Prompt)
 		memo[k] = ck.Stats().Checks
 		return memo[k]
 	}

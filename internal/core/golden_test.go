@@ -100,8 +100,8 @@ func TestEngineGoldenGenerative(t *testing.T) {
 
 // TestEngineGoldenMC pins multiple-choice rows — each trial's options
 // teacher-forced one after another on one decode-loop row — to the seed
-// path, which scores them through ChooseOption on a model carrying the
-// trial's observers, at widths 1 and 8: dense and MoE, transient and
+// path, which scores them through ChooseOption under the trial's
+// observers, at widths 1 and 8: dense and MoE, transient and
 // memory faults, without ABFT, under a site checker and under all-layer
 // correcting ABFT, and with an ExtraHook that clamps what the fault
 // struck.
@@ -336,8 +336,8 @@ func promptChecks(t *testing.T, c Campaign, tr *Trial) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Model.SetChecker(chk)
-	defer c.Model.SetChecker(nil)
-	c.Model.NewState().Prefill(c.Suite.Instances[tr.Instance].Prompt)
+	st := c.Model.NewState()
+	st.Checker = chk
+	st.Prefill(c.Suite.Instances[tr.Instance].Prompt)
 	return chk.Stats().Checks
 }

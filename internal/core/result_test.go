@@ -229,27 +229,3 @@ func TestExtraHookInstalledForBaselineAndTrials(t *testing.T) {
 		t.Fatal("model unusable after campaign")
 	}
 }
-
-// TestRunKeepsCallerHooks: the runner adds the campaign's ExtraHook to the
-// caller's model for the baseline, and must take off that hook only — one
-// the caller had installed is still there after Run.
-func TestRunKeepsCallerHooks(t *testing.T) {
-	m := testMCModel(t, model.QwenS)
-	suite, err := tasks.NewMCSuite("winogrande", 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noop := func() model.Hook { return func(model.LayerRef, int, []float32) {} }
-	m.AddHook(noop())
-	c := Campaign{Model: m, Suite: suite, Fault: faults.Comp1Bit, Trials: 2, Seed: 2, ExtraHook: noop}
-	if _, err := c.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Observed() {
-		t.Fatal("Run removed a hook the caller had installed on the model")
-	}
-	m.PopHook()
-	if m.Observed() {
-		t.Fatal("Run left its ExtraHook on the caller's model")
-	}
-}

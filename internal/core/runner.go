@@ -235,7 +235,7 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	// Route the trials' ExtraHook installations through the telemetry
 	// counter; the wrapper forwards values untouched, so mitigation
 	// behavior (and golden equivalence) is unchanged. The baseline
-	// installs the campaign's own: its firings are no trial's.
+	// runs under the campaign's own: its firings are no trial's.
 	baseHook := c.ExtraHook
 	if c.ExtraHook != nil {
 		orig := c.ExtraHook
@@ -336,8 +336,9 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 	// once ready[i] is closed, the whole of it once baseDone is. A given
 	// one is published whole up front. Otherwise it is evaluated on its
 	// own goroutine, on c.Model, under the observers that record what the
-	// trials read from it — the workers' clones never see them — and stops
-	// after the instance in hand when runCtx ends, leaving baseline nil.
+	// trials read from it — on its own states, which no trial sees — and
+	// stops after the instance in hand when runCtx ends, leaving baseline
+	// nil.
 	baseline := r.baseline
 	insts := make([]*InstanceBaseline, n)
 	ready := make([]chan struct{}, n)
@@ -365,16 +366,15 @@ func (r *Runner) run(ctx context.Context, emit func(Event)) (*Result, error) {
 		if opts.depthFrom != nil && c.ABFT != nil && c.ABFT.AllLayers {
 			opts.ledger, opts.tol = table, c.ABFT.Tol
 		}
+		if baseHook != nil {
+			opts.hook = baseHook()
+		}
 		go func() {
 			defer close(baseDone)
 			opts.onInstance = func(i int, ib *InstanceBaseline) bool {
 				insts[i] = ib
 				close(ready[i])
 				return runCtx.Err() == nil
-			}
-			if baseHook != nil {
-				c.Model.AddHook(baseHook())
-				defer c.Model.PopHook()
 			}
 			baseline = evalBaseline(c.Model, c.Suite, gs, check, opts)
 		}()

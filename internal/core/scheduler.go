@@ -20,17 +20,17 @@ import (
 // ways, fixed per campaign:
 //
 //   - rows: each trial rides the lane's gen.Loop, its Observers — fault,
-//     extra hook, probe, checker — scoped to its own batch row; how it
+//     extra hook, probe, checker — on its own row's state; how it
 //     enters the loop is admit's. A beam search's hypotheses take turns
 //     on the trial's row. The worker's width max(1, BatchDecode) is split
 //     over its lanes; serial decode is width 1, one lane.
 //   - one at a time (runTrial): the seed path (noPrefixReuse), with the
-//     trial's Observers installed on the worker's model.
+//     trial's Observers on the states its inference runs on.
 //
 // Both go through the same arm and seal, so the trial contract — what is
 // sampled from Split(t), what observes the inference and in which order,
 // how the outcome is assembled — is written once; that a row's inference
-// equals the whole-model one is gen.Loop's argument.
+// equals the serial one is gen.Loop's argument.
 type trialEnv struct {
 	c       Campaign
 	r       *Runner
@@ -66,7 +66,7 @@ type armed struct {
 	checker   *abft.Checker
 	timed     *timedChecker
 	// obs are what observe the trial's inference: its hooks in firing
-	// order — fault, ExtraHook, probe — its checker as the model sees it,
+	// order — fault, ExtraHook, probe — its checker as its state sees it,
 	// and its fault's strike.
 	obs    model.Observers
 	traced bool
@@ -115,6 +115,10 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 	}
 
 	var err error
+	if a.inj, err = faults.New(e.wm, a.site, a.promptLen); err != nil {
+		return fail(err)
+	}
+	a.obs = a.inj.Observers()
 	if c.ABFT != nil {
 		if a.checker, err = c.ABFT.Checker(e.table, a.site.Layer); err != nil {
 			return fail(err)
@@ -122,13 +126,6 @@ func (e *trialEnv) arm(t int) (*armed, error) {
 		a.timed = &timedChecker{inner: a.checker}
 		a.obs.Checker = a.timed
 		a.sp.abftOn = true
-	}
-	if a.inj, err = faults.New(e.wm, a.site, a.promptLen); err != nil {
-		return fail(err)
-	}
-	a.obs.Strike = a.inj.Strike
-	if a.inj.Hook != nil {
-		a.obs.Hooks = append(a.obs.Hooks, a.inj.Hook)
 	}
 	if c.ExtraHook != nil {
 		// Mitigations observe values after the fault hook mutated them.
@@ -373,17 +370,14 @@ func (e *trialEnv) admit(loop *gen.Loop[*armed], a *armed) *gen.Seq[*armed] {
 }
 
 // runTrial executes trial t as one whole inference on the worker's model,
-// under the trial's Observers installed there for its duration: the seed
-// path.
+// under the trial's Observers: the seed path.
 func (e *trialEnv) runTrial(t int) (trialResult, error) {
 	start := now()
 	a, err := e.arm(t)
 	if err != nil {
 		return trialResult{}, err
 	}
-	e.wm.SetObservers(a.obs)
-	ib := evalInstance(e.wm, e.c.Suite, &a.inst, e.gs, e.check, false, nil, nil, &a.sp)
-	e.wm.SetObservers(model.Observers{})
+	ib := evalInstance(e.wm, a.obs, e.c.Suite, &a.inst, e.gs, e.check, false, nil, nil, &a.sp)
 	a.busy = since(start)
 	return e.seal(a, ib), nil
 }

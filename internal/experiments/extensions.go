@@ -60,7 +60,7 @@ func runExt1(ctx context.Context, cfg Config) (*Outcome, error) {
 	// Calibrate the per-layer activation ranges on held-out fault-free
 	// prompts (a different seed than the evaluation suite).
 	calib := pretrained.MathTask().Suite(cfg.Seed+991, 16, true)
-	profile := mitigate.Calibrate(m.Clone(), calib, 16)
+	profile := mitigate.Calibrate(m, calib, 16)
 
 	t := report.NewTable("Fault", "Unprotected NormAcc", "Protected NormAcc", "Recovered%")
 	for _, fm := range []faults.Model{faults.Comp2Bit, faults.Mem2Bit} {
@@ -104,13 +104,12 @@ func runExt2(ctx context.Context, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	wm := m.Clone()
-	wc := mitigate.NewWeightChecksums(wm)
-	if v := wc.Verify(wm); len(v) != 0 {
+	wc := mitigate.NewWeightChecksums(m)
+	if v := wc.Verify(m, nil); len(v) != 0 {
 		return nil, fmt.Errorf("ext2: fault-free model reports %d violations", len(v))
 	}
 
-	sampler, err := faults.NewSampler(wm, nil)
+	sampler, err := faults.NewSampler(m, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -123,18 +122,17 @@ func runExt2(ctx context.Context, cfg Config) (*Outcome, error) {
 			return nil, err
 		}
 		site := sampler.Sample(src.Split(uint64(i)), faults.Mem2Bit, 1)
-		inj, err := faults.Arm(wm, site, 0)
+		inj, err := faults.New(m, site, 0)
 		if err != nil {
 			return nil, err
 		}
-		violations := wc.Verify(wm)
+		violations := wc.Verify(m, inj.Strike)
 		if len(violations) > 0 {
 			detected++
 			if len(violations) == 1 && violations[0].Layer == site.Layer && violations[0].Column == site.Col {
 				localized++
 			}
 		}
-		inj.Disarm()
 	}
 	dRate := float64(detected) / float64(trials)
 	lRate := float64(localized) / float64(trials)

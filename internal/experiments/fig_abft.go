@@ -127,12 +127,12 @@ func frac(num, den int) float64 {
 // drift hits both arms equally.
 func abftOverhead(m *model.Model, suite *tasks.Suite) (base, checked float64, err error) {
 	run := func(ch *abft.Checker) error {
-		if ch != nil {
-			m.SetChecker(ch)
-			defer m.SetChecker(nil)
-		}
 		for _, inst := range suite.Instances {
-			gen.Generate(m, inst.Prompt, gen.Defaults(inst.MaxNew))
+			st := m.NewState()
+			if ch != nil {
+				st.Checker = ch
+			}
+			gen.GenerateFrom(m, st, st.Prefill(inst.Prompt), gen.Defaults(inst.MaxNew))
 		}
 		return nil
 	}

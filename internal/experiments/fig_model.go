@@ -80,7 +80,7 @@ func runFig13(ctx context.Context, cfg Config) (*Outcome, error) {
 		// Neurons: capture the layer's outputs over a sample prompt.
 		ref := model.LayerRef{Block: last, Kind: model.KindDown, Expert: -1}
 		var nvals []float64
-		for _, v := range tracedRun(m.Clone(), suite.Instances[0].Prompt, 0).Layer(ref).Data {
+		for _, v := range tracedRun(m, model.Observers{}, suite.Instances[0].Prompt, 0).Layer(ref).Data {
 			nvals = append(nvals, float64(v))
 		}
 		ns := stats.Summarize(nvals)

@@ -60,7 +60,7 @@ func traceSetup(cfg Config) (*model.Model, []int, []model.LayerRef, error) {
 		{Block: blk + 1, Kind: model.KindUp, Expert: -1},
 		{Block: blk + 1, Kind: model.KindDown, Expert: -1},
 	}
-	return m.Clone(), prompt, refs, nil
+	return m, prompt, refs, nil
 }
 
 func runFig5(ctx context.Context, cfg Config) (*Outcome, error) {
@@ -72,7 +72,7 @@ func runFig5(ctx context.Context, cfg Config) (*Outcome, error) {
 	}
 	const maxNew = 8
 
-	clean := tracedRun(m, prompt, maxNew)
+	clean := tracedRun(m, model.Observers{}, prompt, maxNew)
 
 	// MSB-of-exponent flip of weight (20, 20) in up_proj, as in the paper.
 	msb := m.Cfg.DType.Bits() - 2
@@ -84,12 +84,11 @@ func runFig5(ctx context.Context, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	inj, err := faults.Arm(m, site, len(prompt))
+	inj, err := faults.New(m, site, len(prompt))
 	if err != nil {
 		return nil, err
 	}
-	faulty := tracedRun(m, prompt, maxNew)
-	inj.Disarm()
+	faulty := tracedRun(m, inj.Observers(), prompt, maxNew)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "injected: %v (weight %.4g -> %.4g)\n", site, before, after)
@@ -122,7 +121,7 @@ func runFig6(ctx context.Context, cfg Config) (*Outcome, error) {
 	}
 	const maxNew = 8
 
-	clean := tracedRun(m, prompt, maxNew)
+	clean := tracedRun(m, model.Observers{}, prompt, maxNew)
 
 	// Strike one neuron during prompt processing (token position
 	// len(prompt)/2), so the single-forward-pass propagation is visible
@@ -132,13 +131,12 @@ func runFig6(ctx context.Context, cfg Config) (*Outcome, error) {
 		Fault: faults.Comp2Bit, Layer: refs[0],
 		Col: 20, Bits: []int{msb, msb - 3}, GenIter: len(prompt) / 2,
 	}
-	inj, err := faults.Arm(m, site, 0)
+	inj, err := faults.New(m, site, 0)
 	if err != nil {
 		return nil, err
 	}
-	faulty := tracedRun(m, prompt, maxNew)
+	faulty := tracedRun(m, inj.Observers(), prompt, maxNew)
 	fired := inj.Fired
-	inj.Disarm()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "injected: %v at prompt position %d (fired=%v)\n\n", site, site.GenIter, fired)
@@ -222,15 +220,12 @@ func runFig7(ctx context.Context, cfg Config) (*Outcome, error) {
 // metrics, not full outputs, to keep campaign memory flat).
 func rerunFaulty(res *core.Result, tr core.Trial) string {
 	c := res.Campaign
-	m := c.Model.Clone()
 	inst := c.Suite.Instances[tr.Instance]
-	inj, err := faults.Arm(m, tr.Site, len(inst.Prompt))
+	inj, err := faults.New(c.Model, tr.Site, len(inst.Prompt))
 	if err != nil {
 		return "(rerun failed: " + err.Error() + ")"
 	}
-	defer inj.Disarm()
-	out := core.RerunInstance(m, c.Suite, &inst)
-	return out
+	return core.RerunInstance(c.Model, inj.Observers(), c.Suite, &inst)
 }
 
 func runFig12(ctx context.Context, cfg Config) (*Outcome, error) {

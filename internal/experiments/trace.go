@@ -9,15 +9,16 @@ import (
 	"repro/internal/trace"
 )
 
-// tracedRun generates from m while capturing every layer's output at
-// every token position — the propagation-trace instrument behind Figures
-// 5, 6 and 13, the runtime's own trace.Capture. A fault the caller armed
-// first is seen as the faulty forward produces it.
-func tracedRun(m *model.Model, prompt []int, maxNew int) *trace.Capture {
+// tracedRun generates from m under obs while capturing every layer's
+// output at every token position — the propagation-trace instrument
+// behind Figures 5, 6 and 13, the runtime's own trace.Capture. A fault in
+// obs is seen as the faulty forward produces it.
+func tracedRun(m *model.Model, obs model.Observers, prompt []int, maxNew int) *trace.Capture {
 	c := trace.NewCapture(0)
-	m.AddHook(c.Hook())
-	gen.Generate(m, prompt, gen.Defaults(maxNew))
-	m.ClearHooks()
+	st := m.NewState()
+	st.Observers = obs
+	st.Hooks = append(st.Hooks, c.Hook())
+	gen.GenerateFrom(m, st, st.Prefill(prompt), gen.Defaults(maxNew))
 	return c
 }
 

@@ -146,12 +146,11 @@ func TestMemoryInjectionFlipRestore(t *testing.T) {
 		site := sp.Sample(src, Mem2Bit, 1)
 		w, _ := m.Layer(site.Layer)
 		before := w.Get(site.Row, site.Col)
-		inj, err := Arm(m, site, 0)
+		inj, err := New(m, site, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		during := w.Get(site.Row, site.Col)
-		inj.Disarm()
+		during := inj.Strike.W.Get(site.Row, site.Col)
 		after := w.Get(site.Row, site.Col)
 		if after != before {
 			t.Fatalf("weight not restored: %g -> %g -> %g", before, during, after)
@@ -169,11 +168,12 @@ func TestCompInjectionOneShot(t *testing.T) {
 		Layer: model.LayerRef{Block: 1, Kind: model.KindUp, Expert: -1},
 		Col:   3, Bits: []int{14, 2}, GenIter: 1,
 	}
-	inj, err := Arm(m, site, 2) // fires at absolute position 3
+	inj, err := New(m, site, 2) // fires at absolute position 3
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := m.NewState()
+	st.Observers = inj.Observers()
 	for pos := 0; pos < 6; pos++ {
 		st.DecodeStep(5)
 		if pos < 3 && inj.Fired {
@@ -183,15 +183,14 @@ func TestCompInjectionOneShot(t *testing.T) {
 	if !inj.Fired {
 		t.Fatal("computational fault never fired")
 	}
-	inj.Disarm()
 
-	// After disarm, hooks are gone: a fresh decode is fault-free.
+	// The hook is the armed state's: a fresh decode is fault-free.
 	clean := m.NewState().Prefill([]int{1, 5, 6, 7})
 	m2 := testModel(t, 0)
 	ref := m2.NewState().Prefill([]int{1, 5, 6, 7})
 	for i := range clean {
 		if clean[i] != ref[i] {
-			t.Fatal("model still corrupted after Disarm")
+			t.Fatal("model corrupted by a fault armed on another state")
 		}
 	}
 }
@@ -206,12 +205,13 @@ func TestCompInjectionChangesActivation(t *testing.T) {
 		Layer: model.LayerRef{Block: 0, Kind: model.KindDown, Expert: -1},
 		Col:   1, Bits: []int{14}, GenIter: 0,
 	}
-	inj, err := Arm(m, site, 0) // strike the first prompt token
+	inj, err := New(m, site, 0) // strike the first prompt token
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := m.NewState().Prefill(prompt)
-	inj.Disarm()
+	st := m.NewState()
+	st.Observers = inj.Observers()
+	faulty := st.Prefill(prompt)
 	diff := false
 	for i := range clean {
 		if clean[i] != faulty[i] {
@@ -328,7 +328,7 @@ func TestArmRejectsOutOfRange(t *testing.T) {
 		Layer: model.LayerRef{Block: 0, Kind: model.KindQ, Expert: -1},
 		Row:   10000, Col: 0, Bits: []int{0, 1},
 	}
-	if _, err := Arm(m, site, 0); err == nil {
+	if _, err := New(m, site, 0); err == nil {
 		t.Fatal("expected range error")
 	}
 }

@@ -32,8 +32,7 @@ var fuzzSampler = sync.OnceValue(func() *Sampler {
 // layer rests on: sampled sites flip exactly the fault model's bit count
 // at distinct, sorted, in-range positions; a flip changes exactly those
 // bits of the encoded pattern; and flipping twice is the identity on the
-// format-rounded value (which is what lets Disarm restore memory faults
-// by re-flipping).
+// format-rounded value.
 func FuzzFlipBits(f *testing.F) {
 	f.Add(uint64(1), uint8(0), 1.5)
 	f.Add(uint64(2), uint8(1), -0.0)

@@ -13,9 +13,9 @@ import (
 // strikes.
 //
 // Every site strikes through exactly one observer that New builds and
-// installs nowhere: the caller carries it on the decode-loop row the
-// fault belongs to (gen.Arm), or has Arm install it on the whole model.
-// A weight-resident site (linear memory fault, norm gain, embedding
+// installs nowhere: the caller puts it on the state of the inference the
+// fault belongs to (Observers, gen.Arm), never on the model. A
+// weight-resident site (linear memory fault, norm gain, embedding
 // element) is a Strike — the flipped parameter, read in place of the
 // stored one wherever the forward pass reads it — so no storage is ever
 // written and there is nothing to flip back. A transient site is a Hook,
@@ -37,8 +37,6 @@ type Injection struct {
 	// Fired reports whether the fault struck: a transient one once its
 	// target iteration was reached, a weight-resident one always.
 	Fired bool
-
-	undo func()
 }
 
 // New builds the fault described by site over m's weights, which it only
@@ -90,6 +88,20 @@ func New(m *model.Model, site Site, promptLen int) (*Injection, error) {
 		inj.Fired = true
 	}
 	return inj, nil
+}
+
+// Observers returns the injection's strike, hook or attention hook as the
+// observers of one inference (model.State.Observers); a kv site's strike
+// is BeforeStep's, which the decode loop calls (gen.Arm).
+func (inj *Injection) Observers() model.Observers {
+	obs := model.Observers{Strike: inj.Strike}
+	if inj.Hook != nil {
+		obs.Hooks = []model.Hook{inj.Hook}
+	}
+	if inj.AttnHook != nil {
+		obs.AttnHooks = []model.Hook{inj.AttnHook}
+	}
+	return obs
 }
 
 // Reach returns the first decode step site can change in a greedy decode
@@ -164,42 +176,6 @@ func (inj *Injection) strikeKV(st *model.State, target int) {
 	// SetKV makes the struck row private to st if it is one st shares.
 	st.SetKV(site.Layer, site.Row, site.Col, float32(numerics.FlipBits(numerics.FP32, float64(v), site.Bits...)))
 	inj.Fired = true
-}
-
-// Arm is New for a whole-model inference: the observer goes on m itself,
-// so the next inference over m is the faulty one, and Disarm clears m's
-// observer of that kind wholesale — the caller owns m's hook lists and
-// strike for the trial. A KV strike belongs to one State, which a model
-// has no slot for, so Arm refuses kv sites.
-func Arm(m *model.Model, site Site, promptLen int) (*Injection, error) {
-	if site.Surface == SurfaceKV {
-		return nil, fmt.Errorf("faults: kv site %v is state-scoped; carry New's BeforeStep on the decode loop", site)
-	}
-	inj, err := New(m, site, promptLen)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case inj.Strike != nil:
-		m.SetStrike(inj.Strike)
-		inj.undo = func() { m.SetStrike(nil) }
-	case inj.Hook != nil:
-		m.AddHook(inj.Hook)
-		inj.undo = m.ClearHooks
-	case inj.AttnHook != nil:
-		m.AddAttnHook(inj.AttnHook)
-		inj.undo = m.ClearAttnHooks
-	}
-	return inj, nil
-}
-
-// Disarm takes what Arm installed off the model; on an Injection from New
-// it does nothing.
-func (inj *Injection) Disarm() {
-	if inj.undo != nil {
-		inj.undo()
-		inj.undo = nil
-	}
 }
 
 // FaultValue returns, for a memory fault, the weight value before and

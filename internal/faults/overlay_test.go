@@ -143,13 +143,13 @@ func (r *overlayRun) finish(m *model.Model, st *model.State, ck *abft.Checker) {
 }
 
 // runModel runs the prompt through Prefill and decodes greedily with
-// DecodeStep, under m's own strike and checker.
-func runModel(m *model.Model, ck *abft.Checker) *overlayRun {
-	if ck != nil {
-		m.SetChecker(ck)
-		defer m.SetChecker(nil)
-	}
+// DecodeStep, on a state of m carrying strike and ck.
+func runModel(m *model.Model, strike *model.Strike, ck *abft.Checker) *overlayRun {
 	st := m.NewState()
+	st.Strike = strike
+	if ck != nil {
+		st.Checker = ck
+	}
 	if m.Cfg.IsMoE() {
 		st.EnableExpertTrace()
 	}
@@ -174,9 +174,10 @@ func runRow(m *model.Model, strike *model.Strike, ck *abft.Checker) *overlayRun 
 	if m.Cfg.IsMoE() {
 		st.EnableExpertTrace()
 	}
-	row := &model.DecodeRow{St: st, Observers: model.Observers{Strike: strike}, Logits: make([]float32, m.Cfg.Vocab)}
+	row := &model.DecodeRow{St: st, Logits: make([]float32, m.Cfg.Vocab)}
+	st.Strike = strike
 	if ck != nil {
-		row.Checker = ck
+		st.Checker = ck
 	}
 	clean := &model.DecodeRow{St: other, Logits: make([]float32, m.Cfg.Vocab)}
 	bt := m.NewBatch(2)
@@ -203,7 +204,7 @@ func runRow(m *model.Model, strike *model.Strike, ck *abft.Checker) *overlayRun 
 // row the clean run feeds and one it never does. Linear strikes flip the
 // highest exponent bit below the sign, so they move the output.
 func overlaySites(m *model.Model) []Site {
-	clean := runModel(m, nil)
+	clean := runModel(m, nil, nil)
 	fed := map[int]bool{}
 	for _, tok := range overlayPrompt {
 		fed[tok] = true
@@ -314,7 +315,7 @@ func TestStrikeMatchesStorageFlip(t *testing.T) {
 					}
 					return ck
 				}
-				want := runModel(oracle, checker())
+				want := runModel(oracle, nil, checker())
 				inj, err := New(v.m, site, len(overlayPrompt))
 				if err != nil {
 					t.Fatal(err)
@@ -322,17 +323,15 @@ func TestStrikeMatchesStorageFlip(t *testing.T) {
 				if !inj.Fired || inj.Strike == nil {
 					t.Fatalf("%s %v: fired %v strike %v", v.name, site, inj.Fired, inj.Strike)
 				}
-				v.m.SetStrike(inj.Strike)
-				slot := runModel(v.m, checker())
-				v.m.SetStrike(nil)
+				slot := runModel(v.m, inj.Strike, checker())
 				row := runRow(v.m, inj.Strike, checker())
-				for side, got := range map[string]*overlayRun{"model slot": slot, "batch row": row} {
+				for side, got := range map[string]*overlayRun{"serial": slot, "batch row": row} {
 					if d := got.diff(want); d != "" {
 						t.Fatalf("%s %v abft %s, %s vs storage flip: %s", v.name, site, pname, side, d)
 					}
 				}
 				if pname == "off" {
-					moved = want.diff(runModel(v.m, nil)) != ""
+					moved = want.diff(runModel(v.m, nil, nil)) != ""
 				}
 			}
 			if unfed := site.Surface == SurfaceEmbed && site.Row != overlayPrompt[1]; moved == unfed {
@@ -347,8 +346,8 @@ func TestStrikeMatchesStorageFlip(t *testing.T) {
 
 // TestStrikeRowsShareNoWrite: eight rows in one four-thread Batch.Step,
 // each reading a different weight-resident strike, while another
-// goroutine runs a whole-model Arm on a weight-sharing clone of the same
-// parent. Under -race nothing writes the parent's parameters, and every
+// goroutine generates under each strike in turn on a weight-sharing clone
+// of the same parent. Under -race nothing writes the parent's parameters, and every
 // row decodes exactly what it decodes alone.
 func TestStrikeRowsShareNoWrite(t *testing.T) {
 	parent := NewTestModel(t, 4)
@@ -365,7 +364,8 @@ func TestStrikeRowsShareNoWrite(t *testing.T) {
 	decode := func(m *model.Model, strikes []*model.Strike) [][]int {
 		rows := make([]*model.DecodeRow, len(strikes))
 		for i, s := range strikes {
-			rows[i] = &model.DecodeRow{St: m.NewState(), Observers: model.Observers{Strike: s}, Logits: make([]float32, m.Cfg.Vocab)}
+			rows[i] = &model.DecodeRow{St: m.NewState(), Logits: make([]float32, m.Cfg.Vocab)}
+			rows[i].St.Strike = s
 		}
 		bt := m.NewBatch(len(rows))
 		toks := make([][]int, len(rows))
@@ -400,13 +400,14 @@ func TestStrikeRowsShareNoWrite(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, site := range sites {
-			inj, err := Arm(clone, site, len(overlayPrompt))
+			inj, err := New(clone, site, len(overlayPrompt))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			gen.Generate(clone, overlayPrompt, gen.Defaults(overlayMaxNew))
-			inj.Disarm()
+			st := clone.NewState()
+			st.Observers = inj.Observers()
+			gen.GenerateFrom(clone, st, st.Prefill(overlayPrompt), gen.Defaults(overlayMaxNew))
 		}
 	}()
 	batched := decode(parent, strikes)

@@ -136,9 +136,9 @@ func TestSurfaceSamplingDeterminism(t *testing.T) {
 	}
 }
 
-// TestSurfaceArmDisarmBitIdentity proves the weight-resident surfaces
-// restore the model exactly: after Arm+Disarm, generation is
-// bit-identical to never having armed.
+// TestSurfaceArmDisarmBitIdentity proves arming never touches the model:
+// after New builds any surface's fault, generation on the model is
+// bit-identical to never having built it.
 func TestSurfaceArmDisarmBitIdentity(t *testing.T) {
 	m := NewTestModel(t, 0)
 	clean := surfaceBaseline(m)
@@ -153,13 +153,11 @@ func TestSurfaceArmDisarmBitIdentity(t *testing.T) {
 			Layer: model.LayerRef{Block: 0, Kind: model.KindAttnAct, Expert: -1}, Col: 5, GenIter: 1, Bits: []int{30}},
 	}
 	for _, site := range sites {
-		inj, err := Arm(m, site, len(surfacePrompt))
-		if err != nil {
+		if _, err := New(m, site, len(surfacePrompt)); err != nil {
 			t.Fatalf("%v: %v", site, err)
 		}
-		inj.Disarm()
 		if got := surfaceBaseline(m); !reflect.DeepEqual(got, clean) {
-			t.Fatalf("%v: arm+disarm perturbed generation: %v vs %v", site, got, clean)
+			t.Fatalf("%v: building the fault perturbed generation: %v vs %v", site, got, clean)
 		}
 	}
 	// A KV fault whose BeforeStep never runs leaves the inference
@@ -178,9 +176,9 @@ func TestSurfaceArmDisarmBitIdentity(t *testing.T) {
 }
 
 // TestSurfaceArmValidation pins the arming dispatch rules: which sites
-// New refuses, that each transient site yields exactly its own observer
-// (so a weight-resident or kv site can never ride a row as a hook), and
-// that Arm — which has no State to strike — refuses kv.
+// New refuses, and that each transient site yields exactly its own
+// observer (so a weight-resident or kv site can never ride a row as a
+// hook).
 func TestSurfaceArmValidation(t *testing.T) {
 	m := NewTestModel(t, 0)
 	kv := Site{Fault: Comp1Bit, Surface: SurfaceKV,
@@ -195,9 +193,6 @@ func TestSurfaceArmValidation(t *testing.T) {
 	comp := Site{Fault: Comp1Bit, Layer: q, Col: 1, Bits: []int{3}}
 	mem := Site{Fault: Mem2Bit, Layer: q, Row: 1, Col: 1, Bits: []int{3, 4}}
 
-	if _, err := Arm(m, kv, 4); err == nil {
-		t.Fatal("Arm must reject kv sites")
-	}
 	bad := func(site Site, edit func(*Site)) Site { edit(&site); return site }
 	for name, site := range map[string]Site{
 		"kv on a non-cache kind":   bad(kv, func(s *Site) { s.Layer.Kind = model.KindQ }),
@@ -210,8 +205,7 @@ func TestSurfaceArmValidation(t *testing.T) {
 		"weight col out of range":  bad(mem, func(s *Site) { s.Col = 1 << 20 }),
 		"weight layer nonexistent": bad(mem, func(s *Site) { s.Layer.Block = 99 }),
 	} {
-		if inj, err := New(m, site, 4); err == nil {
-			inj.Disarm()
+		if _, err := New(m, site, 4); err == nil {
 			t.Errorf("New must reject %s", name)
 		}
 	}
@@ -236,7 +230,6 @@ func TestSurfaceArmValidation(t *testing.T) {
 		if transient := c.hook || c.attnHook || c.beforeStep; inj.Fired == transient {
 			t.Errorf("%v: Fired=%v at New (weight-resident faults are live at once, transient ones not yet)", c.site, inj.Fired)
 		}
-		inj.Disarm()
 	}
 }
 
@@ -296,9 +289,9 @@ func loopDecode(m *model.Model, arm gen.Arm, maxNew int) []int {
 // TestNewObserverMatchesWholeModel pins that the one arming path strikes
 // the same way wherever its observer is carried: a row of the decode
 // loop carrying New's observer generates the tokens (and reports the
-// Fired) of the whole-model Arm + Generate, a kv row those of the
-// hand-written BeforeStep loop; and that a weight-resident New writes no
-// parameter of the model its row decodes over.
+// Fired) of the serial GenerateFrom on a state carrying it, a kv row
+// those of the hand-written BeforeStep loop; and that a weight-resident
+// New writes no parameter of the model its row decodes over.
 func TestNewObserverMatchesWholeModel(t *testing.T) {
 	m := NewTestModel(t, 0)
 	baseline := surfaceBaseline(m)
@@ -322,34 +315,27 @@ func TestNewObserverMatchesWholeModel(t *testing.T) {
 			}
 			want, wantFired = decodeWithKV(m, ref, 8), ref.Fired
 		} else {
-			ref, err := Arm(m, site, promptLen)
+			ref, err := New(m, site, promptLen)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantFired = gen.Generate(m, surfacePrompt, gen.Defaults(8)).Tokens, ref.Fired
-			ref.Disarm()
+			st := m.NewState()
+			st.Observers = ref.Observers()
+			want, wantFired = gen.GenerateFrom(m, st, st.Prefill(surfacePrompt), gen.Defaults(8)).Tokens, ref.Fired
 		}
 
 		inj, err := New(m, site, promptLen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arm := gen.Arm{BeforeStep: inj.BeforeStep}
-		if inj.Hook != nil {
-			arm.Hooks = []model.Hook{inj.Hook}
-		}
-		if inj.AttnHook != nil {
-			arm.AttnHooks = []model.Hook{inj.AttnHook}
-		}
-		got := loopDecode(m, arm, 8)
+		got := loopDecode(m, gen.Arm{Observers: inj.Observers(), BeforeStep: inj.BeforeStep}, 8)
 		if !reflect.DeepEqual(got, want) || inj.Fired != wantFired {
 			t.Errorf("%v: row tokens %v fired %v, whole-model %v fired %v", site, got, inj.Fired, want, wantFired)
 		}
 		if wantFired == reflect.DeepEqual(want, baseline) {
 			t.Errorf("%v: fired %v but tokens %v vs baseline %v — the case pins nothing", site, wantFired, want, baseline)
 		}
-		// New installed nothing on m and Disarm has nothing to take off it.
-		inj.Disarm()
+		// New installed nothing on m.
 		if clean := surfaceBaseline(m); !reflect.DeepEqual(clean, baseline) {
 			t.Fatalf("%v: model perturbed after the row retired: %v vs %v", site, clean, baseline)
 		}
@@ -438,13 +424,14 @@ func TestSurfaceOutcomeGoldens(t *testing.T) {
 				tokens = decodeWithKV(m, inj, 8)
 				fired = inj.Fired
 			} else {
-				inj, err := Arm(m, c.site, len(surfacePrompt))
+				inj, err := New(m, c.site, len(surfacePrompt))
 				if err != nil {
 					t.Fatal(err)
 				}
-				tokens = gen.Generate(m, surfacePrompt, gen.Defaults(8)).Tokens
+				st := m.NewState()
+				st.Observers = inj.Observers()
+				tokens = gen.GenerateFrom(m, st, st.Prefill(surfacePrompt), gen.Defaults(8)).Tokens
 				fired = inj.Fired
-				inj.Disarm()
 			}
 			if !fired {
 				t.Fatalf("fault did not fire")

@@ -178,16 +178,14 @@ func TestBeamStepperMatchesContinueBeam(t *testing.T) {
 					s.NumBeams, s.MinNewTokens = beams, minNew
 
 					wantCalls := map[callKey]int{}
-					m.AddHook(oneShot(wantCalls, strikePos))
 					st := m.NewState()
+					st.Hooks = []model.Hook{oneShot(wantCalls, strikePos)}
 					want := continueBeamRef(m, st, st.Prefill(prompt), s)
-					m.ClearHooks()
 
 					serialCalls := map[callKey]int{}
-					m.AddHook(oneShot(serialCalls, strikePos))
 					st = m.NewState()
+					st.Hooks = []model.Hook{oneShot(serialCalls, strikePos)}
 					got := GenerateFrom(m, st, st.Prefill(prompt), s)
-					m.ClearHooks()
 					if !sameResult(got, want) || !reflect.DeepEqual(serialCalls, wantCalls) {
 						t.Fatalf("seed %d beams %d maxNew %d minNew %d: serial %+v, oracle %+v (hooks equal: %v)",
 							seed, beams, maxNew, minNew, got, want, reflect.DeepEqual(serialCalls, wantCalls))
@@ -198,10 +196,9 @@ func TestBeamStepperMatchesContinueBeam(t *testing.T) {
 					rows := map[int]Result{}
 					rowCalls := map[callKey]int{}
 					hook := oneShot(rowCalls, strikePos)
-					m.AddHook(hook) // the prompt's prefill, which Admit takes done
 					st = m.NewState()
+					st.Hooks = []model.Hook{hook} // the prompt's prefill, which Admit takes done
 					logits := st.Prefill(prompt)
-					m.ClearHooks()
 					if sq := l.Admit(st, logits, s, Arm{Observers: model.Observers{Hooks: []model.Hook{hook}}}, 0); sq.Done() {
 						rows[0] = sq.Result()
 						l.Release(sq)

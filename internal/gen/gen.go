@@ -59,10 +59,10 @@ type Result struct {
 	Steps int
 }
 
-// Generate prefills prompt on a fresh state of m and decodes from it
-// (GenerateFrom). The model's registered hooks (fault injectors, tracers)
-// fire during both prefill and generation, and Steps counts the prompt's
-// positions too.
+// Generate prefills prompt on a fresh, unobserved state of m and decodes
+// from it (GenerateFrom); Steps counts the prompt's positions too. A run
+// under observers (fault injectors, tracers) arms a state of its own and
+// goes through GenerateFrom.
 func Generate(m *model.Model, prompt []int, s Settings) Result {
 	st := m.NewState()
 	res := GenerateFrom(m, st, st.Prefill(prompt), s)
@@ -168,20 +168,22 @@ func serial(m *model.Model, st *model.State, logits []float32, sp *Stepper, reco
 // ScoreOption returns the total log-likelihood of option continuing
 // prompt — the multiple-choice scoring rule of §3.3.2 (the model scores
 // each option and the highest wins): a prefill of prompt and the serial
-// loop over Scorer(option), which steps the option's last token too.
-func ScoreOption(m *model.Model, prompt, option []int) float64 {
+// loop over Scorer(option), which steps the option's last token too, on a
+// fresh state of m under obs.
+func ScoreOption(m *model.Model, obs model.Observers, prompt, option []int) float64 {
 	st := m.NewState()
+	st.Observers = obs
 	sp := Scorer(option)
 	serial(m, st, st.Prefill(prompt), &sp, false)
 	return sp.Result().LogProb
 }
 
-// ChooseOption scores every option and returns the one Choose picks
-// together with all scores.
-func ChooseOption(m *model.Model, prompt []int, options [][]int) (int, []float64) {
+// ChooseOption scores every option under obs and returns the one Choose
+// picks together with all scores.
+func ChooseOption(m *model.Model, obs model.Observers, prompt []int, options [][]int) (int, []float64) {
 	scores := make([]float64, len(options))
 	for i, opt := range options {
-		scores[i] = ScoreOption(m, prompt, opt)
+		scores[i] = ScoreOption(m, obs, prompt, opt)
 	}
 	return Choose(scores), scores
 }

@@ -120,7 +120,7 @@ func TestScoreOptionAdditive(t *testing.T) {
 	m := testModel(9)
 	prompt := []int{1, 5, 6}
 	opt := []int{7, 8}
-	got := ScoreOption(m, prompt, opt)
+	got := ScoreOption(m, model.Observers{}, prompt, opt)
 
 	// Manual: sum of per-token log-softmax probabilities.
 	st := m.NewState()
@@ -158,7 +158,7 @@ func TestChooseOptionPicksBest(t *testing.T) {
 	m := testModel(11)
 	prompt := []int{1, 5}
 	options := [][]int{{6}, {7}, {8, 9}}
-	best, scores := ChooseOption(m, prompt, options)
+	best, scores := ChooseOption(m, model.Observers{}, prompt, options)
 	for i, s := range scores {
 		if s > scores[best] {
 			t.Fatalf("option %d score %f beats chosen %d (%f)", i, s, best, scores[best])
@@ -169,13 +169,13 @@ func TestChooseOptionPicksBest(t *testing.T) {
 func TestGenerationStopsOnEOS(t *testing.T) {
 	m := testModel(13)
 	// Force EOS by hooking the LM head and boosting the EOS logit.
-	m.AddHook(func(ref model.LayerRef, pos int, out []float32) {
+	st := m.NewState()
+	st.Hooks = []model.Hook{func(ref model.LayerRef, pos int, out []float32) {
 		if ref.Kind == model.KindLMHead && pos >= 4 {
 			out[token.EOS] = 1e4
 		}
-	})
-	defer m.ClearHooks()
-	res := Generate(m, []int{1, 5}, Defaults(20))
+	}}
+	res := GenerateFrom(m, st, st.Prefill([]int{1, 5}), Defaults(20))
 	if !res.Stopped {
 		t.Fatal("generation should have stopped on EOS")
 	}
@@ -250,8 +250,9 @@ func TestChooseNaNRule(t *testing.T) {
 
 // scoreOptionRef is ScoreOption as it was written before the Scorer, with
 // a decode loop of its own: the oracle the Scorer is pinned to.
-func scoreOptionRef(m *model.Model, prompt, option []int) float64 {
+func scoreOptionRef(m *model.Model, obs model.Observers, prompt, option []int) float64 {
 	st := m.NewState()
+	st.Observers = obs
 	logits := st.Prefill(prompt)
 	var total float64
 	for _, tok := range option {

@@ -82,9 +82,8 @@ func TestLoopShardedMatchesContinueGreedy(t *testing.T) {
 		logits := st.Prefill(prompt(i))
 		var c seen
 		arm := observers(i, &c)
-		m.SetObservers(arm.Observers)
+		st.Observers = arm.Observers
 		res := gen.GenerateFrom(m, st, logits, settings(i))
-		m.SetObservers(model.Observers{})
 		want[i] = record(res, &c)
 	}
 

@@ -3,13 +3,15 @@ package gen
 import "repro/internal/model"
 
 // Arm is what a caller arms on one admitted sequence. Every observer is
-// scoped to that sequence's batch row: it sees, and may strike, only
-// that sequence's activations — its prompt's too, when the loop prefills
-// it (AdmitPrompt). A Loop runs its sequences' observers on the caller's
-// goroutine, but separate loops over one model's weights (lanes) run at
-// once, and a prefill may check its positions in shards
-// (model.Observers), so state observers share must be synchronised;
-// BeforeStep runs on the caller's goroutine, before the step.
+// scoped to that sequence's state (model.State.Observers): it sees, and
+// may strike, only that sequence's activations — its prompt's too, when
+// the loop prefills it (AdmitPrompt), and every hypothesis's of a beam
+// search, whose states are forks of one another. A Loop runs its
+// sequences' observers on the caller's goroutine, but separate loops over
+// one model's weights (lanes) run at once, and a prefill may check its
+// positions in shards (model.Observers), so state observers share must be
+// synchronised; BeforeStep runs on the caller's goroutine, before the
+// step.
 type Arm struct {
 	model.Observers
 	// BeforeStep, when non-nil, runs on the sequence's state immediately
@@ -59,18 +61,18 @@ func (s *Seq[T]) next(maxSeq int) bool {
 // The bit-identity argument lives here and is made once. Each sequence
 // is one Stepper fed exactly the logits the serial loop would feed it:
 // first the prefix logits (Admit), then each Batch.Step output for its
-// own row. A prompt the loop prefills (AdmitPrompt) runs State.Prefill's
-// one body under the row's observers instead of the model's, so its
-// logits, KV rows and observations are those of State.Prefill on a model
-// carrying them. A sequence admitted at a resume point (AdmitFork) starts
-// on a Stepper that has already been fed exactly the logits GenerateFrom
-// would have fed it — by the decode the point was recorded on — over a
-// KV cache holding exactly the rows that decode had written by then: it
-// is the same sequence from that step on, and what the caller arms on the
-// row observes that step and the ones after it. Batch.Step computes every
-// row in MatVec accumulation order with only that row's hooks and checker
-// observing it (model.Batch's contract), so which other sequences share a
-// step — and therefore admission order, width, scheduling, and which
+// own row. A prompt the loop prefills (AdmitPrompt) runs State.Prefill on
+// the row's state, armed before the prefill, so its logits, KV rows and
+// observations are those of any State.Prefill under the same observers. A
+// sequence admitted at a resume point (AdmitFork) starts on a Stepper
+// that has already been fed exactly the logits GenerateFrom would have
+// fed it — by the decode the point was recorded on — over a KV cache
+// holding exactly the rows that decode had written by then: it is the
+// same sequence from that step on, and what the caller arms on its state
+// observes that step and the ones after it. Batch.Step computes every row
+// in MatVec accumulation order with only that row's state's hooks and
+// checker observing it (model.Batch's contract), so which other sequences
+// share a step — and therefore admission order, width, scheduling, and which
 // loop a sequence rides — cannot change any sequence's tokens, hook
 // observations or checker verdicts; only wall-clock. A beam
 // search steps one hypothesis per Step, on the state the serial loop
@@ -175,7 +177,7 @@ func (l *Loop[T]) AdmitPrompt(from *model.Prefix, depth int, prompt []int, sp St
 	}
 	seq := l.seat(row, arm, owner)
 	seq.owned = true
-	row.Prefill(prompt)
+	copy(row.Logits, row.St.Prefill(prompt))
 	seq.sp = sp
 	if seq.next(l.m.Cfg.MaxSeq) {
 		l.live = append(l.live, seq)
@@ -195,10 +197,10 @@ func (l *Loop[T]) takeRow() *model.DecodeRow {
 	return &model.DecodeRow{Logits: make([]float32, l.m.Cfg.Vocab)}
 }
 
-// seat arms row for a new tenant. A recycled row is re-armed whole: any
-// observer slot left standing would strike the next tenant.
+// seat arms the state row holds for a new tenant. Its observers are
+// replaced whole: any slot left standing would strike the new tenant.
 func (l *Loop[T]) seat(row *model.DecodeRow, arm Arm, owner T) *Seq[T] {
-	*row = model.DecodeRow{St: row.St, Observers: arm.Observers, Logits: row.Logits}
+	row.St.Observers = arm.Observers
 	return &Seq[T]{Owner: owner, row: row, beforeStep: arm.BeforeStep}
 }
 

@@ -11,8 +11,9 @@ import (
 
 // serialRef decodes prompt through the seed oracle: GenerateFrom over
 // State.DecodeStep.
-func serialRef(m *model.Model, prompt []int, s Settings) Result {
+func serialRef(m *model.Model, obs model.Observers, prompt []int, s Settings) Result {
 	st := m.NewState()
+	st.Observers = obs
 	return GenerateFrom(m, st, st.Prefill(prompt), s)
 }
 
@@ -40,7 +41,7 @@ func TestLoopMatchesContinueGreedy(t *testing.T) {
 	budgets := []int{9, 0, 14, 1, 6}
 	want := make(map[int]Result)
 	for i, p := range prompts {
-		want[i] = serialRef(m, p, Defaults(budgets[i]))
+		want[i] = serialRef(m, model.Observers{}, p, Defaults(budgets[i]))
 	}
 	for _, width := range []int{0, 1, 2, 8} {
 		l := NewLoop[int](m, width)
@@ -71,7 +72,7 @@ func TestLoopRecycledRowStartsClean(t *testing.T) {
 	m := testModel(6)
 	prompt := []int{1, 5, 6, 3}
 	s := Defaults(10)
-	clean := serialRef(m, prompt, s)
+	clean := serialRef(m, model.Observers{}, prompt, s)
 
 	strike := func(ref model.LayerRef, pos int, out []float32) {
 		for i := range out {
@@ -80,7 +81,7 @@ func TestLoopRecycledRowStartsClean(t *testing.T) {
 	}
 	var checks int
 	l := NewLoop[int](m, 1)
-	from, points := decoded(m, prompt, s)
+	from, points := decoded(m, model.Observers{}, prompt, s)
 	first := l.AdmitFork(from, points[0], 0, Arm{Observers: model.Observers{
 		Hooks:     []model.Hook{strike},
 		AttnHooks: []model.Hook{strike},
@@ -139,11 +140,9 @@ func TestAdmitPromptRowScoped(t *testing.T) {
 		}
 	}
 
-	clean := serialRef(m, prompt, s)
+	clean := serialRef(m, model.Observers{}, prompt, s)
 	var wantCalls, wantPrompted int
-	m.SetObservers(model.Observers{Hooks: []model.Hook{counter(&wantCalls, &wantPrompted)}, Strike: strike})
-	struck := serialRef(m, prompt, s)
-	m.SetObservers(model.Observers{})
+	struck := serialRef(m, model.Observers{Hooks: []model.Hook{counter(&wantCalls, &wantPrompted)}, Strike: strike}, prompt, s)
 	if reflect.DeepEqual(struck, clean) || wantPrompted == 0 {
 		t.Fatalf("the strike left the decode clean (%v) or the hook saw no prompt position (%d)", struck.Tokens, wantPrompted)
 	}
@@ -245,11 +244,11 @@ func TestLoopDrop(t *testing.T) {
 	s := Defaults(12)
 	s.MinNewTokens = 12 // no early stop: both run the full budget
 	a, b := []int{1, 5, 6}, []int{1, 9, 2, 4}
-	want := serialRef(m, b, s)
+	want := serialRef(m, model.Observers{}, b, s)
 
 	l := NewLoop[string](m, 2)
-	fromA, pointsA := decoded(m, a, s)
-	fromB, pointsB := decoded(m, b, s)
+	fromA, pointsA := decoded(m, model.Observers{}, a, s)
+	fromB, pointsB := decoded(m, model.Observers{}, b, s)
 	sa := l.AdmitFork(fromA, pointsA[0], 0, Arm{}, "a")
 	sb := l.AdmitFork(fromB, pointsB[0], 0, Arm{}, "b")
 	l.Step()
@@ -273,8 +272,9 @@ func TestLoopDrop(t *testing.T) {
 // decoded runs the clean greedy decode of prompt and returns a snapshot
 // of the state it finished on with its resume points — what AdmitFork
 // re-enters.
-func decoded(m *model.Model, prompt []int, s Settings) (*model.Prefix, []Resume) {
+func decoded(m *model.Model, obs model.Observers, prompt []int, s Settings) (*model.Prefix, []Resume) {
 	st := m.NewState()
+	st.Observers = obs
 	_, points := ResumableGreedy(m, st, st.Prefill(prompt), s)
 	return st.Snapshot(), points
 }
@@ -341,9 +341,7 @@ func TestAdmitForkAtEveryResumePoint(t *testing.T) {
 			}
 			var n int
 			var early bool
-			m.AddHook(observer(-1, len(tc.prompt), &n, &early))
-			from, points := decoded(m, tc.prompt, tc.s)
-			m.ClearHooks()
+			from, points := decoded(m, model.Observers{Hooks: []model.Hook{observer(-1, len(tc.prompt), &n, &early)}}, tc.prompt, tc.s)
 			clean := points[len(points)-1].sp.Result()
 			if last := points[len(points)-1]; last.live || points[0].pos != len(tc.prompt) ||
 				len(points) < len(clean.Tokens) || clean.Stopped != (tc.eosAt > 0) {
@@ -359,9 +357,8 @@ func TestAdmitForkAtEveryResumePoint(t *testing.T) {
 				var ignored, gotEarly bool
 				st := m.NewState()
 				logits := st.Prefill(tc.prompt)
-				m.AddHook(observer(strikePos, strikePos, &wantCalls, &ignored))
+				st.Hooks = []model.Hook{observer(strikePos, strikePos, &wantCalls, &ignored)}
 				want := GenerateFrom(m, st, logits, tc.s)
-				m.ClearHooks()
 
 				arm := Arm{Observers: model.Observers{Hooks: []model.Hook{observer(strikePos, strikePos, &gotCalls, &gotEarly)}}}
 				seq := l.AdmitFork(from, at, 0, arm, g)
@@ -433,10 +430,8 @@ func TestScorerMatchesScoreOptionLoop(t *testing.T) {
 	wantCalls := make([]map[callKey]int, len(options))
 	for k, opt := range options {
 		wantCalls[k] = map[callKey]int{}
-		m.AddHook(callCounter(wantCalls[k]))
-		want[k] = scoreOptionRef(m, prompt, opt)
-		m.PopHook()
-		if got := ScoreOption(m, prompt, opt); math.Float64bits(got) != math.Float64bits(want[k]) {
+		want[k] = scoreOptionRef(m, model.Observers{Hooks: []model.Hook{callCounter(wantCalls[k])}}, prompt, opt)
+		if got := ScoreOption(m, model.Observers{}, prompt, opt); math.Float64bits(got) != math.Float64bits(want[k]) {
 			t.Fatalf("option %d: ScoreOption %v, the oracle %v", k, got, want[k])
 		}
 		last := callKey{model.LayerRef{Block: -1, Kind: model.KindLMHead, Expert: -1}, len(prompt) + len(opt) - 1}
@@ -477,7 +472,7 @@ func TestScorerMatchesScoreOptionLoop(t *testing.T) {
 		}
 	}
 	for j, p := range greedy {
-		if w := serialRef(m, p, Defaults(6+j)); !reflect.DeepEqual(got[100+j], w) {
+		if w := serialRef(m, model.Observers{}, p, Defaults(6+j)); !reflect.DeepEqual(got[100+j], w) {
 			t.Fatalf("greedy row %d beside the scorers decoded %+v, want %+v", j, got[100+j], w)
 		}
 	}
@@ -504,20 +499,16 @@ func TestRebudgetMatchesDecodeUnderBudget(t *testing.T) {
 		eosAt int
 	}{{"budget", m.Cfg.MaxSeq}, {"eos", len(prompt) + 4}} {
 		t.Run(tc.name, func(t *testing.T) {
-			// The hook rides the model for the serial decodes and the row
-			// for the loop's, which ignores the model's.
-			hook := eos(tc.eosAt)
-			m.AddHook(hook)
-			defer m.ClearHooks()
-			arm := Arm{Observers: model.Observers{Hooks: []model.Hook{hook}}}
+			// The hook rides the serial decodes' states and the row's.
+			arm := Arm{Observers: model.Observers{Hooks: []model.Hook{eos(tc.eosAt)}}}
 			const n = 8
-			from, points := decoded(m, prompt, Defaults(n))
+			from, points := decoded(m, arm.Observers, prompt, Defaults(n))
 			if stopped := points[len(points)-1].sp.Result().Stopped; stopped != (tc.eosAt < m.Cfg.MaxSeq) {
 				t.Fatalf("clean decode stopped %v", stopped)
 			}
 			l := NewLoop[int](m, 1)
 			for _, budget := range []int{3, n, n + 5} {
-				want := serialRef(m, prompt, Defaults(budget))
+				want := serialRef(m, arm.Observers, prompt, Defaults(budget))
 				shared := min(budget, n, len(points))
 				for g := range shared {
 					seq := l.AdmitFork(from, points[g].Rebudget(budget), 0, arm, g)

@@ -42,8 +42,8 @@ type RecordOpts struct {
 // holding prompt's first st.Pos tokens, and records it: the rest of the
 // prompt is prefilled and decoded greedily, or by beam search when
 // s.NumBeams > 1. The snapshot keeps what st records (depth planes, an
-// expert trace). A ledger's checker is installed on m, which must be the
-// caller's own, for the prefill and decode; detect-only, it changes no
+// expert trace). A ledger's checker is installed on st, beside the hooks
+// it carries, for the prefill and decode; detect-only, it changes no
 // output. st is left where the decode finished.
 func NewRecord(m *model.Model, st *model.State, prompt []int, s Settings, opts RecordOpts) (*Record, Result) {
 	var lc *ledgerChecker
@@ -52,8 +52,7 @@ func NewRecord(m *model.Model, st *model.State, prompt []int, s Settings, opts R
 		for range 2 * m.Cfg.NBlocks {
 			lc.checks = append(lc.checks, make([]int, m.Cfg.MaxSeq))
 		}
-		m.SetChecker(lc)
-		defer m.SetChecker(nil)
+		st.Checker = lc
 	}
 	logits := st.Prefill(prompt[st.Pos:])
 	r := &Record{maxNew: s.MaxNewTokens}

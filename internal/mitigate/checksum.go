@@ -51,15 +51,18 @@ type Violation struct {
 	Stored, Observed float64
 }
 
-// Verify recomputes every layer's column sums on m and returns the
-// violations. A fault-free model returns nil; a model carrying a flipped
-// weight returns the faulted layer and column.
-func (wc *WeightChecksums) Verify(m *model.Model) []Violation {
+// Verify recomputes every layer's column sums on m as an inference under
+// strike reads them (nil: none) and returns the violations. A clean read
+// returns nil; a flipped weight returns the faulted layer and column.
+func (wc *WeightChecksums) Verify(m *model.Model, strike *model.Strike) []Violation {
 	var out []Violation
 	check := func(ref model.LayerRef, w model.Weight) {
 		stored, ok := wc.sums[ref]
 		if !ok {
 			return
+		}
+		if strike != nil && strike.Ref == ref && strike.W != nil {
+			w = strike.W
 		}
 		observed := columnSums(w)
 		for c := range stored {
@@ -81,9 +84,9 @@ func (wc *WeightChecksums) Verify(m *model.Model) []Violation {
 }
 
 // Detects reports whether a specific (layer, column) weight fault would
-// be caught: true iff Verify flags that exact column.
-func (wc *WeightChecksums) Detects(m *model.Model, ref model.LayerRef, col int) bool {
-	for _, v := range wc.Verify(m) {
+// be caught under strike: true iff Verify flags that exact column.
+func (wc *WeightChecksums) Detects(m *model.Model, strike *model.Strike, ref model.LayerRef, col int) bool {
+	for _, v := range wc.Verify(m, strike) {
 		if v.Layer == ref && v.Column == col {
 			return true
 		}

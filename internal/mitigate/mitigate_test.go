@@ -84,14 +84,14 @@ func TestRestrictorClampsFaultValues(t *testing.T) {
 		Layer: model.LayerRef{Block: 0, Kind: model.KindUp, Expert: -1},
 		Row:   3, Col: 5, Bits: []int{14, 2},
 	}
-	inj, err := faults.Arm(m, site, len(prompt))
+	inj, err := faults.New(m, site, len(prompt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AddHook(r.Hook())
-	protected := gen.Generate(m, prompt, gen.Defaults(8))
-	m.ClearHooks()
-	inj.Disarm()
+	st := m.NewState()
+	st.Observers = inj.Observers()
+	st.Hooks = append(st.Hooks, r.Hook())
+	protected := gen.GenerateFrom(m, st, st.Prefill(prompt), gen.Defaults(8))
 
 	if r.Clamped() == 0 {
 		t.Fatal("restrictor never clamped despite an MSB fault")
@@ -112,9 +112,9 @@ func TestRestrictorPassesCleanValues(t *testing.T) {
 	r := NewRestrictor(p)
 	prompt := suite.Instances[1].Prompt
 	clean := gen.Generate(m, prompt, gen.Defaults(8))
-	m.AddHook(r.Hook())
-	protected := gen.Generate(m, prompt, gen.Defaults(8))
-	m.ClearHooks()
+	st := m.NewState()
+	st.Hooks = []model.Hook{r.Hook()}
+	protected := gen.GenerateFrom(m, st, st.Prefill(prompt), gen.Defaults(8))
 	// Calibration covered this prompt, so nothing should clamp and the
 	// output must be identical.
 	if r.Clamped() != 0 {
@@ -148,7 +148,7 @@ func TestRestrictorHandlesNaN(t *testing.T) {
 func TestChecksumsCleanModelVerifies(t *testing.T) {
 	m := testModel(t)
 	wc := NewWeightChecksums(m)
-	if v := wc.Verify(m); len(v) != 0 {
+	if v := wc.Verify(m, nil); len(v) != 0 {
 		t.Fatalf("fault-free model reports %d violations", len(v))
 	}
 }
@@ -173,13 +173,11 @@ func TestChecksumsDetectAndLocalize(t *testing.T) {
 		if !hasHigh {
 			return true
 		}
-		inj, err := faults.Arm(m, site, 0)
+		inj, err := faults.New(m, site, 0)
 		if err != nil {
 			return false
 		}
-		ok := wc.Detects(m, site.Layer, site.Col)
-		inj.Disarm()
-		return ok
+		return wc.Detects(m, inj.Strike, site.Layer, site.Col)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -193,13 +191,11 @@ func TestChecksumsRestoreLeavesClean(t *testing.T) {
 	src := prng.New(8)
 	for i := 0; i < 20; i++ {
 		site := sp.Sample(src, faults.Mem2Bit, 1)
-		inj, err := faults.Arm(m, site, 0)
-		if err != nil {
+		if _, err := faults.New(m, site, 0); err != nil {
 			t.Fatal(err)
 		}
-		inj.Disarm()
 	}
-	if v := wc.Verify(m); len(v) != 0 {
+	if v := wc.Verify(m, nil); len(v) != 0 {
 		t.Fatalf("model dirty after flip/restore cycles: %d violations", len(v))
 	}
 }

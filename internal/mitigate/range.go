@@ -85,8 +85,7 @@ func canonExpert(ref model.LayerRef) int {
 // output ranges. maxInstances > 0 truncates the calibration set.
 func Calibrate(m *model.Model, suite *tasks.Suite, maxInstances int) *Profile {
 	p := NewProfile()
-	m.AddHook(p.observeHook())
-	defer m.ClearHooks()
+	hooks := []model.Hook{p.observeHook()}
 	n := 0
 	for i := range suite.Instances {
 		if maxInstances > 0 && n >= maxInstances {
@@ -97,7 +96,9 @@ func Calibrate(m *model.Model, suite *tasks.Suite, maxInstances int) *Profile {
 		if maxNew == 0 {
 			maxNew = 8
 		}
-		gen.Generate(m, inst.Prompt, gen.Defaults(maxNew))
+		st := m.NewState()
+		st.Hooks = hooks
+		gen.GenerateFrom(m, st, st.Prefill(inst.Prompt), gen.Defaults(maxNew))
 		n++
 	}
 	return p

@@ -3,9 +3,9 @@ package model
 import "testing"
 
 // TestAttnHookSerialBatchParity pins the attention-activation hook slot
-// across both decode paths: a mutating hook installed via AddAttnHook on
-// a serial DecodeStep run must produce bit-identical logits to the same
-// hook dispatched through DecodeRow.AttnHooks on a batch row — and the
+// across both decode paths: a mutating hook in a state's AttnHooks on a
+// serial DecodeStep run must produce bit-identical logits to the same
+// hook on a batch row's state — and the
 // sibling batch row, running hook-free, must stay bit-identical to a
 // clean serial run.
 func TestAttnHookSerialBatchParity(t *testing.T) {
@@ -28,8 +28,7 @@ func TestAttnHookSerialBatchParity(t *testing.T) {
 		st := m.NewState()
 		st.Prefill(prompt)
 		if hook != nil {
-			m.AddAttnHook(hook)
-			defer m.ClearAttnHooks()
+			st.AttnHooks = []Hook{hook}
 		}
 		return serialDecode(st, toks)
 	}
@@ -50,7 +49,7 @@ func TestAttnHookSerialBatchParity(t *testing.T) {
 		sts[i].Prefill(p)
 		rows[i] = &DecodeRow{St: sts[i], Logits: make([]float32, vocab)}
 	}
-	rows[0].AttnHooks = []Hook{mutate, capture}
+	rows[0].St.AttnHooks = []Hook{mutate, capture}
 
 	b := m.NewBatch(len(rows))
 	for step := range toks {
@@ -84,16 +83,22 @@ func TestAttnHookSerialBatchParity(t *testing.T) {
 	}
 }
 
-// TestAttnHookIgnoredByBatch pins that model-level attention hooks do NOT
-// fire during Batch.Step — batched trials scope injection per row, so a
-// model-wide hook there would corrupt every row.
+// TestAttnHookIgnoredByBatch pins that an attention hook fires only for
+// the rows whose state carries it: a Batch.Step over other states of the
+// same model never calls a hook armed on a state outside the batch —
+// batched trials scope injection per row, so a hook leaking there would
+// corrupt every row.
 func TestAttnHookIgnoredByBatch(t *testing.T) {
 	spec := testSpec(QwenS)
 	m := MustBuild(spec)
 	vocab := spec.Config.Vocab
 	fired := 0
-	m.AddAttnHook(func(ref LayerRef, pos int, out []float32) { fired++ })
-	defer m.ClearAttnHooks()
+	armed := m.NewState()
+	armed.AttnHooks = []Hook{func(ref LayerRef, pos int, out []float32) { fired++ }}
+	armed.Prefill(promptOf(4, vocab))
+	if fired == 0 {
+		t.Fatal("the armed state's own prefill did not fire its attn hook")
+	}
 
 	st := m.NewState()
 	st.Prefill(promptOf(4, vocab))
@@ -101,6 +106,6 @@ func TestAttnHookIgnoredByBatch(t *testing.T) {
 	row := &DecodeRow{St: st, Tok: 3, Logits: make([]float32, vocab)}
 	m.NewBatch(1).Step([]*DecodeRow{row})
 	if fired != 0 {
-		t.Fatalf("model-level attn hook fired %d times during Batch.Step", fired)
+		t.Fatalf("another state's attn hook fired %d times during Batch.Step", fired)
 	}
 }

@@ -7,21 +7,20 @@ import (
 )
 
 // DecodeRow is one in-flight trial's slot in a decode batch: its private
-// KV-cache state over the shared weights, the token to decode this step,
-// the trial's own Observers (fault, extra hooks, probe, ABFT checker), and
-// the buffer its next-token logits are copied into. A step runs its rows
-// on the caller's goroutine, so a row's observers fire in its serial
-// order there.
+// KV-cache state over the shared weights, which carries the trial's own
+// Observers (fault, extra hooks, probe, ABFT checker), the token to decode
+// this step, and the buffer its next-token logits are copied into. A step
+// runs its rows on the caller's goroutine, so a row's observers fire in
+// its serial order there.
 type DecodeRow struct {
 	// St is the trial's inference state. It must be bound to the same
-	// model the Batch was created from (ForkFor onto the worker clone).
+	// model the Batch was created from (ForkForInto onto the worker
+	// clone). Its Observers watch, and a Strike strikes, this row only:
+	// rows with different strikes share one step, since none of them
+	// writes a weight.
 	St *State
 	// Tok is the token to decode this step.
 	Tok int
-	// Observers watch, and a Strike strikes, this row only: the model's
-	// own do not fire during Batch.Step or the row's Prefill. Rows with
-	// different strikes share one step: none of them writes a weight.
-	Observers
 	// Logits receives the row's next-token logits (len Vocab). The row
 	// owns the buffer; it is overwritten each step.
 	Logits []float32
@@ -35,9 +34,9 @@ type DecodeRow struct {
 // weights (gen.Loop's lanes), never wait on one another, where a step
 // sharded over goroutines would join them every token.
 // Each row reads and writes only its own State and its own rows of the
-// scratch, and its own hooks and checker observe only its own activation
-// rows, so nothing a row computes, shows a hook or hands a checker depends
-// on which rows share its step — every value is bit-identical to the same
+// scratch, and its state's hooks and checker observe only its own
+// activation rows, so nothing a row computes, shows a hook or hands a
+// checker depends on which rows share its step — every value is bit-identical to the same
 // trial stepping alone through State.DecodeStep. A Batch must not be
 // shared between goroutines.
 type Batch struct {
@@ -66,9 +65,8 @@ func (b *Batch) Capacity() int { return len(b.rows) }
 // Step decodes one token for every row: each row's Tok enters at its
 // state's position, the linear layers run as stacked GEMMs over the rows,
 // and each row's next-token logits land in its Logits buffer with its
-// state advanced by one. Rows may sit at different positions. The
-// model's own Observers are ignored; each row's observe its rows (see
-// DecodeRow). The rows run as one stacked pass on the caller's goroutine,
+// state advanced by one. Rows may sit at different positions. Each row
+// runs under its state's Observers (DecodeRow). The rows run as one stacked pass on the caller's goroutine,
 // whatever the model's thread budget: a 16-row step is too small to repay
 // a fork–join of its own.
 func (b *Batch) Step(rows []*DecodeRow) {
@@ -95,7 +93,7 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	}
 	views := b.rows[:n]
 	for i, row := range rows {
-		views[i] = row.St.row(row.St.Pos, row.Tok, &row.Observers)
+		views[i] = row.St.row(row.St.Pos, row.Tok)
 	}
 	m.forwardStack(b.sk, views, 0, n)
 	m.linearRows(b.sk, views, LayerRef{-1, KindLMHead, -1}, m.LMHead, b.sk.x, b.l, 0, n)

@@ -154,11 +154,10 @@ func TestBatchStepPerRowHooks(t *testing.T) {
 			}
 		}
 	}
-	// serial decodes row i alone with hook registered on the model.
+	// serial decodes row i alone with hook on its state.
 	serial := func(i int, hook Hook) [][]float32 {
 		st := shardState(m, i)
-		m.AddHook(hook)
-		defer m.ClearHooks()
+		st.Hooks = []Hook{hook}
 		return shardSerial(st, i)
 	}
 
@@ -185,7 +184,8 @@ func TestBatchStepPerRowHooks(t *testing.T) {
 			if i == faulted {
 				hook = faultOn(i)
 			}
-			rows[i] = &DecodeRow{St: shardState(m, i), Observers: Observers{Hooks: []Hook{hook}}, Logits: make([]float32, vocab)}
+			rows[i] = &DecodeRow{St: shardState(m, i), Logits: make([]float32, vocab)}
+			rows[i].St.Hooks = []Hook{hook}
 		}
 		shardBatch(t, m, rows, want)
 		for i := range rows {
@@ -221,9 +221,8 @@ func TestBatchStepPerRowChecker(t *testing.T) {
 	for i := range want {
 		ref := &recordingChecker{}
 		st := shardState(m, i)
-		m.SetChecker(ref)
+		st.Checker = ref
 		want[i] = shardSerial(st, i)
-		m.SetChecker(nil)
 		wantCalls[i] = ref.calls
 	}
 
@@ -235,7 +234,7 @@ func TestBatchStepPerRowChecker(t *testing.T) {
 			rows[i] = &DecodeRow{St: shardState(m, i), Logits: make([]float32, m.Cfg.Vocab)}
 			if i%2 == 0 {
 				checkers[i] = &recordingChecker{}
-				rows[i].Checker = checkers[i]
+				rows[i].St.Checker = checkers[i]
 			}
 		}
 		shardBatch(t, m, rows, want)
@@ -255,10 +254,11 @@ func TestBatchStepPerRowChecker(t *testing.T) {
 	})
 }
 
-// TestBatchStepIgnoresModelHooks: hooks registered on the model itself
-// must not fire during Batch.Step — per-row contexts are the only
-// observation channel, so a scheduler cannot accidentally leak one
-// trial's instrumentation into every row.
+// TestBatchStepIgnoresModelHooks: hooks armed on a state that is not a
+// row of the batch must not fire during Batch.Step — each row's own
+// state is the only observation channel, so a scheduler cannot leak one
+// trial's instrumentation into every row — and the row decodes as it
+// does serially.
 func TestBatchStepIgnoresModelHooks(t *testing.T) {
 	spec := testSpec(QwenS)
 	m := MustBuild(spec)
@@ -267,15 +267,21 @@ func TestBatchStepIgnoresModelHooks(t *testing.T) {
 	st.Prefill(promptOf(4, vocab))
 	want := serialDecode(st, []int{5})
 
+	fired := false
+	other := m.NewState()
+	other.Hooks = []Hook{func(ref LayerRef, pos int, out []float32) { fired = true }}
+	other.Prefill(promptOf(4, vocab))
+	if !fired {
+		t.Fatal("the armed state's own prefill did not fire its hook")
+	}
+	fired = false
+
 	b0 := m.NewState()
 	b0.Prefill(promptOf(4, vocab))
-	fired := false
-	m.AddHook(func(ref LayerRef, pos int, out []float32) { fired = true })
-	defer m.ClearHooks()
 	rows := []*DecodeRow{{St: b0, Tok: 5, Logits: make([]float32, vocab)}}
 	m.NewBatch(1).Step(rows)
 	if fired {
-		t.Fatal("model-level hook fired during Batch.Step")
+		t.Fatal("another state's hook fired during Batch.Step")
 	}
 	for j := range want[0] {
 		if rows[0].Logits[j] != want[0][j] {
@@ -360,8 +366,8 @@ func (c *weightChecker) CheckLinear(ref LayerRef, w Weight, pos []int, in, out [
 // run of rows read, to recompute a flagged row through, exactly when a
 // hook touched the rows — otherwise a recompute would reproduce them: in
 // a decode batch a hooked row's checker gets it on every layer and an
-// unhooked row's on none, and so in a prefill under a model hook and
-// without one.
+// unhooked row's on none, and so in a prefill under a hook and without
+// one.
 func TestCheckerHandedWeightOnlyWhenHooked(t *testing.T) {
 	m := MustBuild(testSpec(QwenS))
 	noop := func(LayerRef, int, []float32) {}
@@ -373,23 +379,23 @@ func TestCheckerHandedWeightOnlyWhenHooked(t *testing.T) {
 		}
 	}
 	hooked, plain := &weightChecker{}, &weightChecker{}
-	m.NewBatch(2).Step([]*DecodeRow{
-		{St: m.NewState(), Tok: 3, Observers: Observers{Hooks: []Hook{noop}, Checker: hooked}, Logits: make([]float32, m.Cfg.Vocab)},
-		{St: m.NewState(), Tok: 4, Observers: Observers{Checker: plain}, Logits: make([]float32, m.Cfg.Vocab)},
-	})
+	rows := []*DecodeRow{
+		{St: m.NewState(), Tok: 3, Logits: make([]float32, m.Cfg.Vocab)},
+		{St: m.NewState(), Tok: 4, Logits: make([]float32, m.Cfg.Vocab)},
+	}
+	rows[0].St.Observers = Observers{Hooks: []Hook{noop}, Checker: hooked}
+	rows[1].St.Checker = plain
+	m.NewBatch(2).Step(rows)
 	want("hooked decode row", hooked, true)
 	want("unhooked decode row", plain, false)
 	for _, hook := range []bool{false, true} {
 		c := &weightChecker{}
-		m.SetChecker(c)
+		st := m.NewState()
+		st.Checker = c
 		if hook {
-			m.AddHook(noop)
+			st.Hooks = []Hook{noop}
 		}
-		m.NewState().Prefill(promptOf(m.Cfg.MaxSeq, m.Cfg.Vocab))
-		m.SetChecker(nil)
-		if hook {
-			m.PopHook()
-		}
-		want(fmt.Sprintf("prefill, model hook %v", hook), c, hook)
+		st.Prefill(promptOf(m.Cfg.MaxSeq, m.Cfg.Vocab))
+		want(fmt.Sprintf("prefill, hook %v", hook), c, hook)
 	}
 }

@@ -22,11 +22,29 @@ import "fmt"
 
 // planes are a depth record from position lo on: the residual row
 // entering each sublayer s > 0 at every position p ≥ lo run
-// (res[s-1], row p-lo, dModel wide) and the token fed there.
+// (res[s-1], row p-lo, dModel wide) and the token fed there. A recording
+// state's planes hold len(toks) rows, grown as it runs (reserve).
 type planes struct {
 	lo   int
 	res  [][]float32
 	toks []int
+}
+
+// reserve makes room for the positions below pos, keeping the rows
+// recorded so far. Capacity doubles, as a state's own KV rows do
+// (State.reserve), capped at the positions from lo to maxSeq.
+func (pl *planes) reserve(pos, maxSeq, d int) {
+	rows := pos - pl.lo
+	if rows <= len(pl.toks) {
+		return
+	}
+	rows = min(max(rows, 2*len(pl.toks), kAlign), maxSeq-pl.lo)
+	res, toks := slab(len(pl.res), rows*d), make([]int, rows)
+	for s := range res {
+		copy(res[s], pl.res[s])
+	}
+	copy(toks, pl.toks)
+	pl.res, pl.toks = res, toks
 }
 
 // covers reports whether the planes hold position pos (false for none).
@@ -73,8 +91,7 @@ func (st *State) RecordDepth(lo int) {
 	if lo < st.Pos || st.from != 0 || lo > cfg.MaxSeq {
 		panic(fmt.Sprintf("model: RecordDepth from %d on a state at %d (a depth fork: %v)", lo, st.Pos, st.from != 0))
 	}
-	rows := cfg.MaxSeq - lo
-	st.rec = &planes{lo: lo, res: slab(2*cfg.NBlocks-1, rows*cfg.DModel), toks: make([]int, rows)}
+	st.rec = &planes{lo: lo, res: make([][]float32, 2*cfg.NBlocks-1)}
 }
 
 // HasDepth reports whether the prefix's depth planes cover position pos:

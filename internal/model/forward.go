@@ -8,12 +8,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// State holds the mutable per-inference state: the KV cache and scratch
-// buffers. A Model may serve many States; a State must not be shared
-// between goroutines.
+// State holds the mutable per-inference state: the KV cache, scratch
+// buffers and the observers the inference runs under. A Model may serve
+// many States; a State must not be shared between goroutines.
 type State struct {
 	m   *Model
 	Pos int // number of tokens processed so far
+
+	// Observers watch, and may strike, every position the state runs:
+	// Prefill's, DecodeStep's and its rows of a Batch.Step. The model
+	// carries none, so an observer lives as long as the inference it
+	// watches: a Fork carries the state's (a beam's hypotheses are one
+	// inference), every other way to start an inference — NewState,
+	// Reset, Prefix.ForkInto and ForkDepth — starts with none.
+	Observers
 
 	// The KV cache (kv.go): block b's rows [0, nb[b]) read from base, the
 	// rest own.
@@ -52,27 +60,25 @@ func (m *Model) newState(rows int) *State {
 	return st
 }
 
-// Reset rewinds the state to an empty context so the buffers can be
-// reused for a fresh inference.
+// Reset rewinds the state to an empty context, with no observers, so the
+// buffers can be reused for a fresh inference.
 func (st *State) Reset() {
 	st.Pos = 0
+	st.Observers = Observers{}
 	st.base = nil
 	clear(st.nb)
 	st.from, st.matched, st.rec = 0, 0, nil
 	st.ExpertTrace = nil
 }
 
-// Fork returns an independent copy of the state: position and the live
-// prefix of the KV cache are duplicated, scratch buffers are fresh. Beam
-// search forks candidate hypotheses from a shared prefix with this.
-func (st *State) Fork() *State { return st.ForkFor(st.m) }
+// Fork returns an independent copy of the state: position, observers and
+// the live prefix of the KV cache are duplicated, scratch buffers are
+// fresh. Beam search forks candidate hypotheses from a shared prefix with
+// this.
+func (st *State) Fork() *State { return st.ForkAtInto(st.m, nil, st.Pos) }
 
-// ForkFor returns a copy of the state bound to m2, which must be the
-// state's own model or a clone with the same architecture, so that m2's
-// hooks — not the source model's — fire when generation continues.
-func (st *State) ForkFor(m2 *Model) *State { return st.ForkAtInto(m2, nil, st.Pos) }
-
-// ForkForInto is ForkFor recycling a retired state's buffers instead of
+// ForkForInto is Fork bound to m2 — the state's own model or a clone of
+// the same architecture — recycling a retired state's buffers instead of
 // allocating fresh ones: dst must have come from a state constructor on a
 // model of the same architecture, and everything it held is overwritten.
 // A nil dst falls back to a fresh fork.
@@ -81,7 +87,8 @@ func (st *State) ForkForInto(m2 *Model, dst *State) *State {
 }
 
 // ForkAtInto is the positional fork of a live state: dst (a fresh state
-// when nil) becomes the state st was when its cursor stood at pos.
+// when nil) becomes the state st was when its cursor stood at pos, under
+// st's observers.
 // Decoding only ever appends — row p of the KV cache and a position's
 // ExpertTrace entries are written by the step at p and never again — so
 // the first pos rows of a state that has run on are exactly the state a
@@ -103,6 +110,7 @@ func (st *State) ForkAtInto(m2 *Model, dst *State, pos int) *State {
 	}
 	dst.m = m2
 	dst.base, dst.Pos = st.base, pos
+	dst.Observers = st.Observers
 	for b, nb := range st.nb {
 		dst.nb[b] = min(nb, pos)
 	}
@@ -134,20 +142,17 @@ func (st *State) EnableExpertTrace() {
 // DecodeStep runs one token through the model, appending to the KV cache,
 // and returns the next-token logits. It is the one-row case of the
 // stacked pass Prefill and Batch.Step run (forwardStack), under the
-// model's own Observers. The returned slice is reused by the next call;
-// copy it if it must outlive the step.
-func (st *State) DecodeStep(tok int) []float32 { return st.decodeStep(tok, &st.m.obs) }
-
-// decodeStep is DecodeStep under obs.
-func (st *State) decodeStep(tok int, obs *Observers) []float32 {
+// state's Observers. The returned slice is reused by the next call; copy
+// it if it must outlive the step.
+func (st *State) DecodeStep(tok int) []float32 {
 	m := st.m
 	if st.Pos >= m.Cfg.MaxSeq {
 		panic(fmt.Sprintf("model: context overflow (max %d)", m.Cfg.MaxSeq))
 	}
 	st.reserveNext(1)
-	rows := [1]stackRow{st.row(st.Pos, tok, obs)}
+	rows := [1]stackRow{st.row(st.Pos, tok)}
 	m.forwardStack(st.sk, rows[:], 0, 1)
-	m.linearRow(&rows[0].obs, LayerRef{-1, KindLMHead, -1}, st.sk.pos[:1], m.LMHead, st.sk.x.Row(0), st.logits)
+	m.linearRow(&st.Observers, LayerRef{-1, KindLMHead, -1}, st.sk.pos[:1], m.LMHead, st.sk.x.Row(0), st.logits)
 	st.Pos++
 	return st.logits
 }
@@ -206,7 +211,7 @@ func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 	clear(mix)
 	h, ff1, ff2, ffa := sk.h.Row(r), sk.ff1.Row(r), sk.ff2.Row(r), sk.ffa.Row(r)
 	for i, e := range sel {
-		m.mlpForward(&row.obs, blk.Experts[e], LayerRef{bi, 0, e}, sk.pos[r:r+1], out, h, ff1, ff2, ffa)
+		m.mlpForward(&row.st.Observers, blk.Experts[e], LayerRef{bi, 0, e}, sk.pos[r:r+1], out, h, ff1, ff2, ffa)
 		w := probs[i]
 		for j, v := range out {
 			mix[j] += w * v
@@ -216,10 +221,10 @@ func (m *Model) moeMix(sk *stack, row *stackRow, r int, blk *Block, bi int) {
 
 // Strike is a weight-resident fault — a flipped linear weight, norm-gain
 // or embedding element — as an overlay the forward pass reads where the
-// struck parameter is read, on the rows whose Observers carry it: the
-// model's own (SetStrike) or one decode row's. No parameter storage is
-// written, so rows with different strikes share one stacked pass over one
-// set of weights. faults.New builds it.
+// struck parameter is read, on the rows of the states whose Observers
+// carry it. No parameter storage is written, so rows with different
+// strikes share one stacked pass over one set of weights. faults.New
+// builds it.
 type Strike struct {
 	// Ref addresses the struck parameter: a linear layer, a norm gain
 	// (KindAttnNorm, KindMLPNorm, KindFinalNorm) or the embedding table
@@ -233,21 +238,21 @@ type Strike struct {
 	Row int
 }
 
-// Observers are what watch, and may strike, one activation row of a
-// forward pass: hooks on each linear-layer output, attention hooks on each
-// block's post-attention activation, a checker verifying each linear
-// output, and a weight-resident strike the row reads. A model carries one
-// set (AddHook, AddAttnHook, SetChecker, SetStrike) that Prefill and
-// DecodeStep run under; a decode row carries its own (DecodeRow), so rows
-// sharing one stacked pass keep their own injection site and detection
-// verdict. The zero value observes nothing, at no cost.
+// Observers are what watch, and may strike, one inference's activation
+// rows: hooks on each linear-layer output, attention hooks on each block's
+// post-attention activation, a checker verifying each linear output, and a
+// weight-resident strike the rows read. Each State carries its own set
+// (State.Observers), so rows sharing one stacked pass keep their own
+// injection site and detection verdict, and any number of inferences run
+// over one model's weights under observers of their own. The zero value
+// observes nothing, at no cost.
 //
 // One row's observers fire in the serial order, on one goroutine: a
 // decode step runs its rows on the caller's (Batch.Step). Two places call
-// observers concurrently. A prefill's positions share one set of
-// Observers, the model's or the row's, and run in shards (forwardStack):
-// its hooks and attention hooks are spared, since a pass whose rows carry
-// hooks runs as one shard, but a Checker and a Strike are not. And
+// observers concurrently. A prefill's positions share their state's
+// Observers and run in shards (forwardStack): its hooks and attention
+// hooks are spared, since a pass whose state carries hooks runs as one
+// shard, but a Checker and a Strike are not. And
 // separate loops over one model's weights — a campaign's workers and
 // their lanes, the serving engine's lanes — run their rows at once. So
 // whatever observers share must be safe for concurrent calls on distinct

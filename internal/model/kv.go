@@ -131,10 +131,11 @@ func (st *State) Snapshot() *Prefix {
 
 // ForkInto is the O(1) fork: dst (a fresh state when nil) becomes the
 // state the prefix's source was when its cursor stood at pos, bound to m2
-// — the source's model or a clone of the same architecture. dst reads
-// rows below pos from the prefix and appends its own after them, so
-// Prefill, DecodeStep and Batch.Step run on it unchanged; whatever dst
-// held is forgotten, its own rows' allocation kept for the rows to come.
+// — the source's model or a clone of the same architecture — with no
+// observers. dst reads rows below pos from the prefix and appends its own
+// after them, so Prefill, DecodeStep and Batch.Step run on it unchanged;
+// whatever dst held is forgotten, its observers too, its own rows'
+// allocation kept for the rows to come.
 // That rows below pos are the state at pos is ForkAtInto's argument.
 func (p *Prefix) ForkInto(m2 *Model, dst *State, pos int) *State {
 	if m2.Cfg.DModel != p.dModel || m2.Cfg.NBlocks != len(p.kv[planeK]) || m2.Cfg.MaxSeq != p.maxSeq {
@@ -148,6 +149,7 @@ func (p *Prefix) ForkInto(m2 *Model, dst *State, pos int) *State {
 	}
 	dst.m = m2
 	dst.base, dst.Pos = p, pos
+	dst.Observers = Observers{}
 	for b := range dst.nb {
 		dst.nb[b] = pos
 	}
@@ -227,9 +229,13 @@ func (st *State) ownRows(pos int) int {
 	return n
 }
 
-// reserveNext makes room for n more positions after the cursor.
+// reserveNext makes room for n more positions after the cursor, in the
+// depth planes too when the state records them.
 func (st *State) reserveNext(n int) {
 	st.reserve(st.ownRows(st.Pos+n), true)
+	if st.rec != nil {
+		st.rec.reserve(st.Pos+n, st.m.Cfg.MaxSeq, st.m.Cfg.DModel)
+	}
 }
 
 // appendKV stores the key and value rows of position pos, which

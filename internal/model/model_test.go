@@ -112,12 +112,11 @@ func TestCloneIsolatesWeights(t *testing.T) {
 func TestHooksFireAndCanModify(t *testing.T) {
 	m := MustBuild(testSpec(QwenS))
 	fired := map[LayerKind]int{}
-	m.AddHook(func(ref LayerRef, pos int, out []float32) {
-		fired[ref.Kind]++
-	})
 	st := m.NewState()
+	st.Hooks = []Hook{func(ref LayerRef, pos int, out []float32) {
+		fired[ref.Kind]++
+	}}
 	st.Prefill([]int{1, 5})
-	m.ClearHooks()
 	for _, k := range []LayerKind{KindQ, KindK, KindV, KindOut, KindGate, KindUp, KindDown, KindLMHead} {
 		if fired[k] != 2*boolToInt(k != KindLMHead)+2*boolToInt(k == KindLMHead)*1 && fired[k] == 0 {
 			t.Errorf("hook never fired for %v", k)
@@ -144,13 +143,13 @@ func TestHookModificationPropagates(t *testing.T) {
 	clean := m.NewState().Prefill([]int{1, 5, 6})
 	cleanCopy := append([]float32(nil), clean...)
 
-	m.AddHook(func(ref LayerRef, pos int, out []float32) {
+	st := m.NewState()
+	st.Hooks = []Hook{func(ref LayerRef, pos int, out []float32) {
 		if ref.Kind == KindUp && ref.Block == 0 && pos == 1 {
 			out[0] = 1e30
 		}
-	})
-	dirty := m.NewState().Prefill([]int{1, 5, 6})
-	m.ClearHooks()
+	}}
+	dirty := st.Prefill([]int{1, 5, 6})
 	diff := false
 	for i := range dirty {
 		if dirty[i] != cleanCopy[i] {

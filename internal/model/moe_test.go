@@ -21,15 +21,14 @@ func moeSpec() Spec {
 func TestMoERoutingMatchesRouterLogits(t *testing.T) {
 	m := MustBuild(moeSpec())
 	var routerOut [][]float32
-	m.AddHook(func(ref LayerRef, pos int, out []float32) {
+	st := m.NewState()
+	st.Hooks = []Hook{func(ref LayerRef, pos int, out []float32) {
 		if ref.Kind == KindRouter && ref.Block == 0 {
 			routerOut = append(routerOut, append([]float32(nil), out...))
 		}
-	})
-	st := m.NewState()
+	}}
 	st.EnableExpertTrace()
 	st.Prefill([]int{1, 5, 6})
-	m.ClearHooks()
 
 	if len(routerOut) != 3 {
 		t.Fatalf("captured %d router outputs, want 3", len(routerOut))

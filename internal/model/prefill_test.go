@@ -44,10 +44,10 @@ func runPrefill(t *testing.T, spec Spec, prompt []int, sequential, hooked, trace
 	m := MustBuild(spec)
 	m.SetSequentialPrefill(sequential)
 	caps := map[hookKey][]float32{}
-	if hooked {
-		m.AddHook(captureHook(caps))
-	}
 	st := m.NewState()
+	if hooked {
+		st.Hooks = []Hook{captureHook(caps)}
+	}
 	if trace {
 		st.EnableExpertTrace()
 	}
@@ -184,12 +184,12 @@ func TestBatchedPrefillHookMutationPropagates(t *testing.T) {
 	run := func(sequential bool) []float32 {
 		m := MustBuild(spec)
 		m.SetSequentialPrefill(sequential)
-		m.AddHook(func(ref LayerRef, pos int, out []float32) {
+		st := m.NewState()
+		st.Hooks = []Hook{func(ref LayerRef, pos int, out []float32) {
 			if ref == target && pos == 6 {
 				out[3] += 40
 			}
-		})
-		st := m.NewState()
+		}}
 		return append([]float32(nil), st.Prefill(prompt)...)
 	}
 	want := run(true)
@@ -325,7 +325,7 @@ func TestForkForCrossModel(t *testing.T) {
 	a := append([]float32(nil), st.DecodeStep(5)...)
 
 	clone := parent.CloneShared()
-	st2 := snap.ForkFor(clone)
+	st2 := snap.ForkForInto(clone, nil)
 	b := st2.DecodeStep(5)
 	for i := range a {
 		if a[i] != b[i] {
@@ -338,10 +338,10 @@ func TestForkForCrossModel(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("ForkFor across architectures must panic")
+				t.Fatal("ForkForInto across architectures must panic")
 			}
 		}()
-		snap.ForkFor(other)
+		snap.ForkForInto(other, nil)
 	}()
 }
 

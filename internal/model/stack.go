@@ -8,21 +8,19 @@ import (
 
 // stackRow is one activation row of a stacked forward pass: the state
 // whose KV cache it extends and attends over, the position and token it
-// enters at, the sublayer it starts at (0, or a depth fork's while it
-// matches its prefix), and its observers.
+// enters at, and the sublayer it starts at (0, or a depth fork's while it
+// matches its prefix). The row runs under its state's observers.
 type stackRow struct {
 	st       *State
 	pos, tok int
 	from     int
-	obs      Observers
 }
 
-// row is the stack row of the state's position pos fed tok under obs.
-// Rows are made in position order, each before the pass that runs it: a
-// depth fork decides here, once per position, whether the pass may skip
-// (skipTo).
-func (st *State) row(pos, tok int, obs *Observers) stackRow {
-	return stackRow{st: st, pos: pos, tok: tok, from: st.skipTo(pos, tok), obs: *obs}
+// row is the stack row of the state's position pos fed tok. Rows are made
+// in position order, each before the pass that runs it: a depth fork
+// decides here, once per position, whether the pass may skip (skipTo).
+func (st *State) row(pos, tok int) stackRow {
+	return stackRow{st: st, pos: pos, tok: tok, from: st.skipTo(pos, tok)}
 }
 
 // stack is the scratch of a stacked forward pass, one activation row per
@@ -103,7 +101,7 @@ func (sk *stack) selAt(bi, r, k int) []int {
 func span(t *tensor.Tensor, r0, r1 int) []float32 { return t.Data[r0*t.Cols : r1*t.Cols] }
 
 // linearRows runs rows [r0, r1) of in through w into out, each row under
-// its own row's observers. It takes the rows in runs of consecutive rows
+// its state's observers. It takes the rows in runs of consecutive rows
 // that share a checker and read one weight (the row's strike may replace
 // w): each row's product and hooks, in row order, then the run's one
 // check and its rounding (checkRound). A prefill's rows share their
@@ -115,19 +113,19 @@ func span(t *tensor.Tensor, r0, r1 int) []float32 { return t.Data[r0*t.Cols : r1
 // each row against the exact input row its product consumed.
 func (m *Model) linearRows(sk *stack, rows []stackRow, ref LayerRef, w Weight, in, out *tensor.Tensor, r0, r1 int) {
 	for a := r0; a < r1; {
-		obs := &rows[a].obs
+		obs := &rows[a].st.Observers
 		wa := obs.weight(ref, w)
 		b := a + 1
-		for b < r1 && rows[b].obs.Checker == obs.Checker && rows[b].obs.weight(ref, w) == wa {
+		for b < r1 && rows[b].st.Checker == obs.Checker && rows[b].st.weight(ref, w) == wa {
 			b++
 		}
 		hooked := false
 		for i := a; i < b; i++ {
 			wa.Forward(out.Row(i), in.Row(i))
-			for _, h := range rows[i].obs.Hooks {
+			for _, h := range rows[i].st.Hooks {
 				h(ref, rows[i].pos, out.Row(i))
 			}
-			hooked = hooked || len(rows[i].obs.Hooks) > 0
+			hooked = hooked || len(rows[i].st.Hooks) > 0
 		}
 		m.checkRound(obs.Checker, ref, wa, hooked, sk.pos[a:b], span(in, a, b), span(out, a, b))
 		a = b
@@ -233,17 +231,13 @@ type pass struct {
 
 // shards is how many goroutines run rows [r0, r1): one unless the rows
 // are one state's positions, make at least two shards of minShardRows
-// and carry no hooks. A decode batch's rows are different states' and
-// always run on the caller's goroutine (Batch).
+// and the state carries no hooks. A decode batch's rows are different
+// states' and always run on the caller's goroutine (Batch).
 func (p *pass) shards(r0, r1 int) int {
 	n := min(p.m.Threads(), (r1-r0)/minShardRows)
-	if n < 2 || p.rows[r0].st != p.rows[r1-1].st {
+	st := p.rows[r0].st
+	if n < 2 || st != p.rows[r1-1].st || len(st.Hooks) > 0 || len(st.AttnHooks) > 0 {
 		return 1
-	}
-	for i := r0; i < r1; i++ {
-		if o := &p.rows[i].obs; len(o.Hooks) > 0 || len(o.AttnHooks) > 0 {
-			return 1
-		}
 	}
 	return n
 }
@@ -365,7 +359,7 @@ func (p *pass) enter(a, b int) {
 		if tok < 0 || tok >= m.Cfg.Vocab {
 			tok = 0
 		}
-		copy(p.sk.x.Row(i), row.obs.embedding(m, tok))
+		copy(p.sk.x.Row(i), row.st.embedding(m, tok))
 	}
 }
 
@@ -383,7 +377,7 @@ func (p *pass) record(s, a, b int) {
 // row reads for ref.
 func (p *pass) norm(t *tensor.Tensor, ref LayerRef, gain []float32, a, b int) {
 	for i := a; i < b; i++ {
-		tensor.RMSNormRow(t.Row(i), p.rows[i].obs.gain(ref, gain), p.m.Cfg.Eps)
+		tensor.RMSNormRow(t.Row(i), p.rows[i].st.gain(ref, gain), p.m.Cfg.Eps)
 	}
 }
 
@@ -427,7 +421,7 @@ func (p *pass) attend(bi, a, b int) {
 	for i := a; i < b; i++ {
 		row := &p.rows[i]
 		m.attendAt(row.st, bi, row.pos, sk.q.Row(i), sk.a.Row(i), sk.scores.Row(i), sk.qf[i*hd:(i+1)*hd])
-		for _, h := range row.obs.AttnHooks {
+		for _, h := range row.st.AttnHooks {
 			h(attnRef, row.pos, sk.a.Row(i))
 		}
 	}

@@ -112,7 +112,7 @@ func TestStackedForwardMatchesDecodeStep(t *testing.T) {
 	}
 }
 
-// stackedPrefillCase: Prefill of n positions under the model's hooks,
+// stackedPrefillCase: Prefill of n positions under the state's hooks,
 // attention hooks (one of them mutating) and checker, against the same
 // prompt fed through DecodeStep token by token. Hooks keep the pass one
 // shard at every thread count.
@@ -122,11 +122,12 @@ func stackedPrefillCase(t *testing.T, spec Spec) {
 		m.SetThreads(threads)
 		m.SetSequentialPrefill(sequential)
 		log := &obsLog{}
-		m.AddHook(record(&log.hooks))
-		m.AddAttnHook(attnFault(n / 2))
-		m.AddAttnHook(record(&log.attn))
-		m.SetChecker(log)
 		st := m.NewState()
+		st.Observers = Observers{
+			Hooks:     []Hook{record(&log.hooks)},
+			AttnHooks: []Hook{attnFault(n / 2), record(&log.attn)},
+			Checker:   log,
+		}
 		st.EnableExpertTrace()
 		logits := slices.Clone(st.Prefill(promptOf(n, spec.Config.Vocab)))
 		return logits, st, log
@@ -234,9 +235,7 @@ func shardedPrefillCase(t *testing.T, spec Spec) {
 		m := MustBuild(spec)
 		m.SetThreads(threads)
 		m.SetSequentialPrefill(sequential)
-		m.SetStrike(strike)
 		c := newSumChecker(clean)
-		m.SetChecker(c)
 		prompt := promptOf(n, vocab)
 		var st *State
 		if fork {
@@ -248,6 +247,7 @@ func shardedPrefillCase(t *testing.T, spec Spec) {
 				st.EnableExpertTrace()
 			}
 		}
+		st.Strike, st.Checker = strike, c
 		return slices.Clone(st.Prefill(prompt)), st, c
 	}
 	for _, fork := range []bool{false, true} {
@@ -271,6 +271,9 @@ func shardedPrefillCase(t *testing.T, spec Spec) {
 				}
 				// The pass really shards: a fresh state's rows are one run.
 				rows := make([]stackRow, n)
+				for i := range rows {
+					rows[i].st = gotSt
+				}
 				p := pass{m: gotSt.m, rows: rows}
 				if got, want := p.shards(0, n), max(1, min(threads, n/minShardRows)); !fork && got != want {
 					t.Fatalf("%s: %d shards, want %d", name, got, want)
@@ -283,7 +286,7 @@ func shardedPrefillCase(t *testing.T, spec Spec) {
 // stackedStepCase: Batch.Step over rows at ragged positions, each under
 // observers of its own (every row's attention hook mutates at a position
 // of its own), against each row decoding alone through DecodeStep under
-// the same observers registered on the model.
+// the same observers.
 func stackedStepCase(t *testing.T, spec Spec) {
 	const maxRows = 16
 	m := MustBuild(spec)
@@ -296,14 +299,12 @@ func stackedStepCase(t *testing.T, spec Spec) {
 	for i := range wantLogits {
 		wantSts[i] = shardState(m, i)
 		log := &obsLog{}
-		m.AddHook(record(&log.hooks))
-		m.AddAttnHook(fault(i))
-		m.AddAttnHook(record(&log.attn))
-		m.SetChecker(log)
+		wantSts[i].Observers = Observers{
+			Hooks:     []Hook{record(&log.hooks)},
+			AttnHooks: []Hook{fault(i), record(&log.attn)},
+			Checker:   log,
+		}
 		wantLogits[i] = shardSerial(wantSts[i], i)
-		m.ClearHooks()
-		m.ClearAttnHooks()
-		m.SetChecker(nil)
 		wantLogs[i] = log
 	}
 
@@ -315,14 +316,11 @@ func stackedStepCase(t *testing.T, spec Spec) {
 				rows := make([]*DecodeRow, n)
 				for i := range rows {
 					logs[i] = &obsLog{}
-					rows[i] = &DecodeRow{
-						St: shardState(m, i),
-						Observers: Observers{
-							Hooks:     []Hook{record(&logs[i].hooks)},
-							AttnHooks: []Hook{fault(i), record(&logs[i].attn)},
-							Checker:   logs[i],
-						},
-						Logits: make([]float32, vocab),
+					rows[i] = &DecodeRow{St: shardState(m, i), Logits: make([]float32, vocab)}
+					rows[i].St.Observers = Observers{
+						Hooks:     []Hook{record(&logs[i].hooks)},
+						AttnHooks: []Hook{fault(i), record(&logs[i].attn)},
+						Checker:   logs[i],
 					}
 				}
 				shardBatch(t, m, rows, wantLogits)

@@ -176,7 +176,8 @@ type Block struct {
 // Model is a complete decoder-only transformer. Inference never writes
 // its parameter tensors: a weight-resident fault is a Strike the forward
 // pass reads (Observers), so any number of goroutines may run over one
-// model's weights.
+// model's weights. The model carries no observers; each State runs under
+// its own.
 type Model struct {
 	Cfg Config
 
@@ -187,11 +188,6 @@ type Model struct {
 
 	// ropeCos/ropeSin cache cos/sin tables per position and rotary pair.
 	ropeCos, ropeSin [][]float32
-
-	// obs are the model's own observers: what Prefill and DecodeStep run
-	// under, and what Layer, Norm and LinearLayers read the strike of. Not
-	// copied by Clone/CloneShared: each campaign worker arms its own.
-	obs Observers
 
 	// threads bounds the goroutines one forward pass may use — a prefill
 	// for its row shards, a decode batch step for its rows (0 =
@@ -279,32 +275,6 @@ func (m *Model) SetSequentialPrefill(on bool) { m.seqPrefill = on }
 // for computational fault injection (§3.2).
 type Hook func(ref LayerRef, step int, out []float32)
 
-// AddHook registers h; hooks run in registration order.
-func (m *Model) AddHook(h Hook) { m.obs.Hooks = append(m.obs.Hooks, h) }
-
-// PopHook removes the most recently added hook, leaving earlier hooks
-// installed. The tracing layer uses it to unwind a baseline-capture or
-// probe hook without disturbing a campaign's ExtraHook.
-func (m *Model) PopHook() {
-	if n := len(m.obs.Hooks); n > 0 {
-		m.obs.Hooks = m.obs.Hooks[:n-1]
-	}
-}
-
-// AddAttnHook registers h on the attention-activation surface: it fires
-// once per block per position — every DecodeStep and every prompt
-// position of Prefill — on the post-attention row (ref kind KindAttnAct),
-// after the head outputs are mixed and before the out_proj GEMM consumes
-// them. This is a separate slot from the linear-layer
-// hooks so activation-surface injection never perturbs what the linear
-// hooks (probes, ABFT baselines) observe; with no attention hooks
-// registered the decode path is bit-identical by construction — nothing
-// runs.
-func (m *Model) AddAttnHook(h Hook) { m.obs.AttnHooks = append(m.obs.AttnHooks, h) }
-
-// ClearAttnHooks removes all attention-activation hooks.
-func (m *Model) ClearAttnHooks() { m.obs.AttnHooks = nil }
-
 // LinearChecker verifies — and under a correcting policy may repair in
 // place — the output rows of a linear layer. CheckLinear runs after the
 // forward hooks (so it observes injected faults exactly as a deployed
@@ -325,31 +295,6 @@ func (m *Model) ClearAttnHooks() { m.obs.AttnHooks = nil }
 type LinearChecker interface {
 	CheckLinear(ref LayerRef, w Weight, pos []int, in, out []float32)
 }
-
-// SetChecker installs (nil removes) the model's linear checker. Exactly
-// one checker may be active; the campaign engine arms one per trial on
-// each worker's clone.
-func (m *Model) SetChecker(c LinearChecker) { m.obs.Checker = c }
-
-// SetStrike installs (nil removes) the weight-resident fault every
-// forward pass over m reads — Prefill, DecodeStep, and what Layer and
-// LinearLayers hand out. Batch.Step reads each row's own instead.
-func (m *Model) SetStrike(s *Strike) { m.obs.Strike = s }
-
-// SetObservers replaces every observer registered on the model with o; the
-// zero Observers clears them all.
-func (m *Model) SetObservers(o Observers) { m.obs = o }
-
-// Observed reports whether anything is registered on the model itself —
-// a hook, an attention hook, a checker or a strike — that a forward pass
-// over it shows every position to.
-func (m *Model) Observed() bool {
-	o := &m.obs
-	return len(o.Hooks) > 0 || len(o.AttnHooks) > 0 || o.Checker != nil || o.Strike != nil
-}
-
-// ClearHooks removes all hooks.
-func (m *Model) ClearHooks() { m.obs.Hooks = nil }
 
 // Clone returns a deep copy of the model sharing no mutable state with
 // the original. Rotary tables (immutable) are shared.
@@ -398,12 +343,11 @@ func (m *Model) Clone() *Model {
 // CloneShared returns a weight-sharing clone: block and MLP structure is
 // duplicated so weight slots can be swapped per clone, but every weight,
 // the embedding table, and the norm gains are SHARED with the receiver.
-// Hooks and the strike are not copied — each clone arms its own faults
-// and mitigations.
 //
 // Sharing is sound because inference never writes parameters:
 // computational faults and mitigations mutate activations through hooks,
-// and a weight-resident fault is a Strike read over the clean storage. A
+// and a weight-resident fault is a Strike read over the clean storage —
+// observers a State carries, never the model. A
 // caller that writes storage anyway goes through LayerForWrite, which
 // privatizes the targeted weight first.
 func (m *Model) CloneShared() *Model {
@@ -454,8 +398,7 @@ type LayerInfo struct {
 
 // LinearLayers enumerates every linear layer inside the transformer
 // blocks (the paper's injection sites: ~94% of compute). The LM head is
-// excluded, matching §3.2. Order is deterministic. The layer m's strike
-// addresses is its struck view.
+// excluded, matching §3.2. Order is deterministic.
 func (m *Model) LinearLayers() []LayerInfo {
 	var out []LayerInfo
 	for b, blk := range m.Blocks {
@@ -483,25 +426,17 @@ func (m *Model) LinearLayers() []LayerInfo {
 			}
 		}
 	}
-	if s := m.obs.Strike; s != nil && s.W != nil {
-		for i := range out {
-			if out[i].Ref == s.Ref {
-				out[i].Weight = s.W
-			}
-		}
-	}
 	return out
 }
 
-// Layer returns the weight addressed by ref (including KindLMHead) — the
-// struck view if m's strike addresses it — or an error if the address
-// does not exist in this model.
+// Layer returns the weight addressed by ref (including KindLMHead), or an
+// error if the address does not exist in this model.
 func (m *Model) Layer(ref LayerRef) (Weight, error) {
 	slot, err := m.layerSlot(ref)
 	if err != nil {
 		return nil, err
 	}
-	return m.obs.weight(ref, *slot), nil
+	return *slot, nil
 }
 
 // LayerForWrite returns the weight addressed by ref for in-place
@@ -524,8 +459,8 @@ func (m *Model) LayerForWrite(ref LayerRef) (Weight, error) {
 }
 
 // Norm returns the RMSNorm gain vector addressed by ref — KindAttnNorm or
-// KindMLPNorm with a block index, or KindFinalNorm with Block = -1 — the
-// struck one if m's strike addresses it. Callers must not write it.
+// KindMLPNorm with a block index, or KindFinalNorm with Block = -1.
+// Callers must not write it.
 func (m *Model) Norm(ref LayerRef) ([]float32, error) {
 	var g []float32
 	switch {
@@ -540,7 +475,7 @@ func (m *Model) Norm(ref LayerRef) ([]float32, error) {
 	default:
 		return nil, fmt.Errorf("model: %v is not a norm gain", ref)
 	}
-	return m.obs.gain(ref, g), nil
+	return g, nil
 }
 
 // layerSlot returns a pointer to the Weight field addressed by ref.

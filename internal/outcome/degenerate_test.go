@@ -28,13 +28,13 @@ func degenerateRun(t *testing.T, fromPos int, corrupt func(out []float32)) (base
 
 	baseline = gen.Generate(m, prompt, settings).Tokens
 
-	m.AddHook(func(ref model.LayerRef, step int, out []float32) {
+	st := m.NewState()
+	st.Hooks = []model.Hook{func(ref model.LayerRef, step int, out []float32) {
 		if ref.Kind == model.KindLMHead && step >= fromPos {
 			corrupt(out)
 		}
-	})
-	defer m.ClearHooks()
-	faulty = gen.Generate(m, prompt, settings).Tokens
+	}}
+	faulty = gen.GenerateFrom(m, st, st.Prefill(prompt), settings).Tokens
 	return baseline, faulty
 }
 

@@ -448,19 +448,13 @@ func (e *Engine) Submit(ctx context.Context, req Request) Response {
 // injecting engine the entry cached is the prompt's clean decode instead
 // (decodeClean), and a request whose prompt has one computes neither the
 // prompt nor any step its fault cannot reach: it forks the decode (fork).
-// A hook or checker registered on the model itself would be shown every
-// prompt position by a full prefill, so such a model goes uncached; what
-// the engine arms is per request and comes after.
+// Every prompt is computed unobserved: what the engine arms is per
+// request, on the request's own state, and comes after.
 func (e *Engine) prefill(p *pending) {
 	m, prompt := e.m, p.req.Prompt
 	p.tm.prefillAt = time.Now()
-	var (
-		hit   prefixEntry
-		admit bool
-	)
-	if !m.Observed() {
-		hit, p.tm.reused, admit = e.cache.lookup(prompt)
-	}
+	hit, reused, admit := e.cache.lookup(prompt)
+	p.tm.reused = reused
 	switch {
 	case hit.rec != nil:
 		p.tm.reused = len(prompt)
@@ -489,21 +483,19 @@ func forkPrompt(m *model.Model, px *model.Prefix, reuse int) *model.State {
 
 // decodeClean computes and caches prompt's entry on an injecting engine:
 // its clean decode to maxNew tokens from the rows of px below reuse
-// (gen.NewRecord), under Inject.ABFT on a clone counting a ledger. The
+// (gen.NewRecord), under Inject.ABFT counting a ledger on its state. The
 // decode records its depth planes from the prompt's end: a served fault
 // strikes decode steps only, so no fork reads a plane below it.
 func (e *Engine) decodeClean(prompt []int, px *model.Prefix, reuse, maxNew int) prefixEntry {
-	m := e.m
 	var ro gen.RecordOpts
 	if e.table != nil {
-		m = m.CloneShared()
 		// An all-layer checker has no site to refuse.
 		ro.Ledger, _ = abft.Protection{AllLayers: true}.Checker(e.table)
 		ro.Tol = e.cfg.Inject.ABFT.Tol
 	}
-	st := forkPrompt(m, px, reuse)
+	st := forkPrompt(e.m, px, reuse)
 	st.RecordDepth(len(prompt))
-	rec, _ := gen.NewRecord(m, st, prompt, gen.Defaults(maxNew), ro)
+	rec, _ := gen.NewRecord(e.m, st, prompt, gen.Defaults(maxNew), ro)
 	ent := prefixEntry{prompt: prompt, prefix: rec.Prefix, rec: rec}
 	if e.cfg.Vocab != nil {
 		ent.text = e.cfg.Vocab.Decode(rec.Tokens)
@@ -657,10 +649,10 @@ func (e *Engine) admit(loop *gen.Loop[*flight], p *pending) {
 
 // arm builds the request's checker over the engine's table and its fault
 // over the engine's weights, and returns the observers scoped to the
-// request's own row.
+// request's own state.
 func (e *Engine) arm(f *flight) (gen.Arm, error) {
 	site := *f.p.site
-	var arm gen.Arm
+	var checker model.LinearChecker
 	var err error
 	if a := e.cfg.Inject.ABFT; a != nil {
 		// Only a linear site has a checksum to protect; a kv site's
@@ -670,21 +662,15 @@ func (e *Engine) arm(f *flight) (gen.Arm, error) {
 			protect = []model.LayerRef{site.Layer}
 		}
 		if f.checker, err = a.Checker(e.table, protect...); err != nil {
-			return arm, err
+			return gen.Arm{}, err
 		}
-		arm.Checker = f.checker
+		checker = f.checker
 	}
 	if f.inj, err = faults.New(e.m, site, len(f.p.req.Prompt)); err != nil {
-		return arm, err
+		return gen.Arm{}, err
 	}
-	arm.Strike = f.inj.Strike
-	if h := f.inj.Hook; h != nil {
-		arm.Hooks = []model.Hook{h}
-	}
-	if h := f.inj.AttnHook; h != nil {
-		arm.AttnHooks = []model.Hook{h}
-	}
-	arm.BeforeStep = f.inj.BeforeStep
+	arm := gen.Arm{Observers: f.inj.Observers(), BeforeStep: f.inj.BeforeStep}
+	arm.Checker = checker
 	return arm, nil
 }
 

@@ -703,7 +703,7 @@ func TestServeWeightResidentThroughLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clone.SetChecker(ck)
+		st.Checker = ck
 		flipStored(t, clone, site)
 		want := gen.GenerateFrom(clone, st, logits, gen.Defaults(maxNew))
 

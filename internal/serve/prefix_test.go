@@ -13,7 +13,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gen"
 	"repro/internal/mitigate"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/outcome"
 	"repro/internal/serve"
@@ -137,33 +136,6 @@ func TestServePrefixCacheConcurrentSubmitters(t *testing.T) {
 		if resp := clean.Submit(context.Background(), serve.Request{Prompt: prompt, MaxNew: maxNew}); !reflect.DeepEqual(resp.Tokens, want) {
 			t.Fatalf("clean request %d: %v, want %v", i, resp.Tokens, want)
 		}
-	}
-}
-
-// TestServePrefixCacheBypassedUnderModelHook: a hook registered on the
-// engine's model is shown every prompt position of every request, so the
-// engine must not skip any: nothing is cached or reused, and the hook
-// sees the same calls for the fifth sighting of a prompt as for the first.
-func TestServePrefixCacheBypassedUnderModelHook(t *testing.T) {
-	m, vocab := testServeModel(t)
-	calls := 0
-	m.AddHook(func(model.LayerRef, int, []float32) { calls++ })
-	e, stop := startEngine(t, serve.Config{Model: m, Vocab: vocab, Width: 1})
-	defer stop()
-	var first int
-	for i := 0; i < 5; i++ {
-		calls = 0
-		if resp := e.Submit(context.Background(), serve.Request{Prompt: testPrompts()[3], MaxNew: 2}); resp.Err != nil {
-			t.Fatal(resp.Err)
-		}
-		if i == 0 {
-			first = calls
-		} else if calls != first || calls == 0 {
-			t.Fatalf("sighting %d: the model's hook saw %d calls, %d at the first", i+1, calls, first)
-		}
-	}
-	if s := e.Metrics().Snapshot(); s.PrefillHits != 0 || s.PrefixCacheBytes != 0 || s.PrefillMisses != 5 {
-		t.Fatalf("hooked model: %d hits, %d misses, %d bytes cached", s.PrefillHits, s.PrefillMisses, s.PrefixCacheBytes)
 	}
 }
 
