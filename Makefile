@@ -61,7 +61,8 @@ test:
 ## depth planes recorded on a state that reads a Prefix,
 ## the checksum table, one checker called on a prefill's shards at once
 ## (one call per layer and shard, against one position per pass),
-## rows reading different weight strikes over one model's weights;
+## rows reading different weight strikes over one model's weights,
+## a prefill's sharded rows stopping at the last block's K/V write;
 ## the campaign runtime, its baseline evaluated beside the pool and its
 ## workers' lanes; serving with its lanes and its prefix cache, whose
 ## entries injected requests fork as clean decodes, in time and in depth
@@ -70,7 +71,7 @@ test:
 race:
 	$(GO) test -race ./...
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
-		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|StateObservers|ForkAt|Prefix|DepthFork|RecordDepth|AdmitFork|TableConcurrent|CheckerConcurrent|CheckerSpans|StrikeRowsShareNoWrite)' \
+		-run '^Test(RowKernel|BatchStep|LoopSharded|StackedForward|StateObservers|ForkAt|Prefix|DepthFork|RecordDepth|AdmitFork|TableConcurrent|CheckerConcurrent|CheckerSpans|StrikeRowsShareNoWrite|PrefillComputesOnlyReadRows)' \
 		./internal/tensor/ ./internal/model/ ./internal/gen/ ./internal/abft/ ./internal/faults/
 	GORACE=halt_on_error=1 $(GO) test -race -count=1 \
 		-run '^Test(Runner|Trace|Resume|Checkpoint|Batched|FastForward|ScoresDrops|TrialsOverlapBaseline|PipelinedBaselineStream|CancelDuringBaseline)' ./internal/core/

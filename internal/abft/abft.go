@@ -89,7 +89,10 @@ type Protection struct {
 // number of Checkers on any goroutines read it without a rule between
 // them.
 type Table struct {
-	sums map[model.LayerRef]*layerSums
+	// sums is indexed by (block, kind, expert+1) (slot): a check's lookup
+	// is arithmetic, not a hash.
+	sums                 []*layerSums
+	blocks, kinds, slots int
 }
 
 type layerSums struct {
@@ -101,11 +104,34 @@ type layerSums struct {
 // whatever faults the inferences over m are armed with.
 func (p Protection) Table(m *model.Model) *Table {
 	layers := m.LinearLayers()
-	t := &Table{sums: make(map[model.LayerRef]*layerSums, len(layers))}
+	t := &Table{}
 	for _, li := range layers {
-		t.sums[li.Ref] = newLayerSums(li.Weight, p.Tol)
+		t.blocks = max(t.blocks, li.Ref.Block+1)
+		t.kinds = max(t.kinds, int(li.Ref.Kind)+1)
+		t.slots = max(t.slots, li.Ref.Expert+2)
+	}
+	t.sums = make([]*layerSums, t.blocks*t.kinds*t.slots)
+	for _, li := range layers {
+		t.sums[t.slot(li.Ref)] = newLayerSums(li.Weight, p.Tol)
 	}
 	return t
+}
+
+// slot is ref's index in t.sums, or -1 for a layer outside its range.
+func (t *Table) slot(ref model.LayerRef) int {
+	k, e := int(ref.Kind), ref.Expert+1
+	if ref.Block < 0 || ref.Block >= t.blocks || k < 0 || k >= t.kinds || e < 0 || e >= t.slots {
+		return -1
+	}
+	return (ref.Block*t.kinds+k)*t.slots + e
+}
+
+// lookup returns ref's checksums, nil for a layer the table does not hold.
+func (t *Table) lookup(ref model.LayerRef) *layerSums {
+	if i := t.slot(ref); i >= 0 {
+		return t.sums[i]
+	}
+	return nil
 }
 
 // Checker returns one trial's Checker over t, protecting every layer of
@@ -115,7 +141,7 @@ func (p Protection) Checker(t *Table, site ...model.LayerRef) (*Checker, error) 
 	c := &Checker{policy: p.Policy, table: t, all: p.AllLayers}
 	if !c.all {
 		for _, ref := range site {
-			if t.sums[ref] == nil {
+			if t.lookup(ref) == nil {
 				return nil, fmt.Errorf("abft: no checksums for layer %v", ref)
 			}
 		}
@@ -245,7 +271,7 @@ func (c *Checker) Check(ref model.LayerRef, w model.Weight, pos []int, in, out [
 	if rows == 0 || !c.all && !slices.Contains(c.site, ref) {
 		return false
 	}
-	ls := c.table.sums[ref]
+	ls := c.table.lookup(ref)
 	if ls == nil {
 		return false
 	}

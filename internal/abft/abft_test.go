@@ -301,7 +301,7 @@ func TestGenericWeightChecksumPath(t *testing.T) {
 	m := testModel(t, false)
 	ref, w, in, out := corruptionCase(t, m)
 
-	fast := Protection{}.Table(m).sums[ref]
+	fast := Protection{}.Table(m).lookup(ref)
 	slow := newLayerSums(genericWeight{w}, 0)
 	if len(fast.cs.Sum) != len(slow.cs.Sum) || fast.tol != slow.tol {
 		t.Fatal("generic checksum shape/tolerance mismatch")
@@ -330,6 +330,42 @@ func TestProtectUnknownLayer(t *testing.T) {
 		// All-layer protection names no site, so it has none to refuse.
 		if _, err := (Protection{AllLayers: true}).Checker(table, bad); err != nil {
 			t.Fatalf("all-layer Checker(%v): %v", bad, err)
+		}
+	}
+}
+
+// TestTableIndexesEveryBlockLinear: the table's (block, kind, expert)
+// index finds each block linear layer's own sums, dense and MoE, and no
+// sums for anything else — other kinds, the LM head, blocks, experts and
+// kinds outside the model's range.
+func TestTableIndexesEveryBlockLinear(t *testing.T) {
+	for _, moe := range []bool{false, true} {
+		m := testModel(t, moe)
+		table := Protection{}.Table(m)
+		seen := map[*layerSums]bool{}
+		for _, li := range m.LinearLayers() {
+			ls := table.lookup(li.Ref)
+			if ls == nil || seen[ls] || len(ls.cs.Sum) != li.Weight.In() {
+				t.Fatalf("moe=%v %v: sums %v (already another layer's: %v)", moe, li.Ref, ls, seen[ls])
+			}
+			seen[ls] = true
+		}
+		nb, ne := m.Cfg.NBlocks, m.Cfg.NumExperts
+		for _, ref := range []model.LayerRef{
+			{Block: -1, Kind: model.KindLMHead, Expert: -1},
+			{Block: 0, Kind: model.KindAttnNorm, Expert: -1},
+			{Block: 0, Kind: model.KindAttnAct, Expert: -1},
+			{Block: nb, Kind: model.KindQ, Expert: -1},
+			{Block: -1, Kind: model.KindQ, Expert: -1},
+			{Block: 0, Kind: model.KindGate, Expert: ne},
+			{Block: 0, Kind: model.KindGate, Expert: -2},
+			{Block: 0, Kind: model.KindQ, Expert: 0},
+			{Block: 0, Kind: -1, Expert: -1},
+			{Block: 0, Kind: 99, Expert: -1},
+		} {
+			if ls := table.lookup(ref); ls != nil {
+				t.Fatalf("moe=%v %v: the table holds sums for a layer it does not protect", moe, ref)
+			}
 		}
 	}
 }

@@ -344,6 +344,48 @@ func TestStrikeMatchesStorageFlip(t *testing.T) {
 	}
 }
 
+// TestBeamUnderStrikeMatchesStorageFlip: a beam search is one inference,
+// so every hypothesis it forks reads the strike its parent read. For
+// every weight-resident surface, dense and MoE, a beam search on a state
+// reading New's Strike returns exactly what the same search returns over
+// a deep clone whose storage was flipped, whose states carry no
+// observers: a fork that dropped the strike would decode its hypotheses
+// clean, and the reference, forking nothing it could drop, would not.
+func TestBeamUnderStrikeMatchesStorageFlip(t *testing.T) {
+	s := gen.Defaults(overlayMaxNew)
+	s.NumBeams = 3
+	beam := func(m *model.Model, strike *model.Strike) string {
+		st := m.NewState()
+		st.Strike = strike
+		r := gen.GenerateFrom(m, st, append([]float32(nil), st.Prefill(overlayPrompt)...), s)
+		return fmt.Sprintf("tokens %v logprob %x stopped %v steps %d", r.Tokens, math.Float64bits(r.LogProb), r.Stopped, r.Steps)
+	}
+	for _, experts := range []int{0, 4} {
+		m := NewTestModel(t, experts)
+		clean := beam(m, nil)
+		moved := 0
+		for _, site := range overlaySites(m) {
+			oracle := m.Clone()
+			flipStored(t, oracle, site)
+			want := beam(oracle, nil)
+			inj, err := New(m, site, len(overlayPrompt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := beam(m, inj.Strike); got != want {
+				t.Fatalf("experts=%d %v: beam search under the strike %s, over flipped storage %s", experts, site, got, want)
+			}
+			if want != clean {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("experts=%d: no strike moved the beam search, so the test pins nothing", experts)
+		}
+		t.Logf("experts=%d: %d strikes moved the beam search", experts, moved)
+	}
+}
+
 // TestStrikeRowsShareNoWrite: eight rows in one four-thread Batch.Step,
 // each reading a different weight-resident strike, while another
 // goroutine generates under each strike in turn on a weight-sharing clone

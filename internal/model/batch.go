@@ -95,7 +95,7 @@ func (b *Batch) Step(rows []*DecodeRow) {
 	for i, row := range rows {
 		views[i] = row.St.row(row.St.Pos, row.Tok)
 	}
-	m.forwardStack(b.sk, views, 0, n)
+	m.forwardStack(b.sk, views, 0, n, 0)
 	m.linearRows(b.sk, views, LayerRef{-1, KindLMHead, -1}, m.LMHead, b.sk.x, b.l, 0, n)
 	for i, row := range rows {
 		copy(row.Logits, b.l.Row(i))

@@ -151,7 +151,7 @@ func (st *State) DecodeStep(tok int) []float32 {
 	}
 	st.reserveNext(1)
 	rows := [1]stackRow{st.row(st.Pos, tok)}
-	m.forwardStack(st.sk, rows[:], 0, 1)
+	m.forwardStack(st.sk, rows[:], 0, 1, 0)
 	m.linearRow(&st.Observers, LayerRef{-1, KindLMHead, -1}, st.sk.pos[:1], m.LMHead, st.sk.x.Row(0), st.logits)
 	st.Pos++
 	return st.logits

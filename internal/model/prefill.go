@@ -21,6 +21,17 @@ import (
 // shard, when the pass shards). A depth fork's prompt splits at the first
 // token that differs from its prefix's: the positions before it start at
 // the fork's sublayer, the rest at the embedding (forwardStack).
+//
+// The pass computes only what is read. Intermediate logits are
+// unobservable without a hook, so the LM head runs on the last position
+// only; and where the state carries no hook, attention hook, checker or
+// expert trace, and its depth planes do not record the position, a
+// position before the last stops at the last block's K/V write — only
+// its K/V rows are read again (live). A Strike does not keep rows live:
+// it changes what the rows read, not who reads them.
+// TestPrefillComputesOnlyReadRows pins both halves: bit-identical results
+// without observers, and every row run under each of them.
+//
 // SetSequentialPrefill routes it through the seed's per-token order, one
 // DecodeStep per position, which golden tests pin the stacked pass to and
 // before/after benchmarks time.
@@ -48,7 +59,7 @@ func (st *State) Prefill(prompt []int) []float32 {
 	for i, tok := range prompt {
 		rows[i] = st.row(st.Pos+i, tok)
 	}
-	m.forwardStack(sk, rows, 0, n)
+	m.forwardStack(sk, rows, 0, n, st.live(n))
 
 	lmHead := LayerRef{-1, KindLMHead, -1}
 	if len(st.Hooks) > 0 {
@@ -66,4 +77,19 @@ func (st *State) Prefill(prompt []int) []float32 {
 
 	st.Pos += n
 	return st.logits
+}
+
+// live is the first of the n rows of a prefill from st.Pos that anything
+// reads past the last block's K/V write: the last, whose logits Prefill
+// returns, unless an observer watches every row — a hook (the LM head's
+// too), an attention hook, a checker, an expert trace — or the state's
+// depth planes record the row's residuals, from their first position on.
+func (st *State) live(n int) int {
+	if len(st.Hooks) > 0 || len(st.AttnHooks) > 0 || st.Checker != nil || st.ExpertTrace != nil {
+		return 0
+	}
+	if st.rec != nil {
+		return min(n-1, max(st.rec.lo-st.Pos, 0))
+	}
+	return n - 1
 }

@@ -110,7 +110,10 @@ func span(t *tensor.Tensor, r0, r1 int) []float32 { return t.Data[r0*t.Cols : r1
 // check, rounding — is the one-row pass's, and no row's observers touch
 // another row (forwardStack), so every value is bit-identical to running
 // the rows one at a time. in is row-aligned with out: a checker verifies
-// each row against the exact input row its product consumed.
+// each row against the exact input row its product consumed. A pass
+// hands it only the rows it computes: a prefill's rows stop at the last
+// block's K/V write only when no hook or checker would see them
+// (forwardStack, State.Prefill), so an observer is shown every row.
 func (m *Model) linearRows(sk *stack, rows []stackRow, ref LayerRef, w Weight, in, out *tensor.Tensor, r0, r1 int) {
 	for a := r0; a < r1; {
 		obs := &rows[a].st.Observers
@@ -138,10 +141,18 @@ func (m *Model) linearRows(sk *stack, rows []stackRow, ref LayerRef, w Weight, i
 const minShardRows = 16
 
 // forwardStack runs rows [r0, r1) through the transformer as one stacked
-// pass — embed, every block, final norm — leaving each row's normalised
-// residual in sk.x for the caller's LM head. Prefill stacks the positions
-// of one prompt; Batch.Step stacks its independent trials; DecodeStep is
-// the one-row pass.
+// pass — embed, every block, final norm — leaving the normalised residual
+// of each row from live on in sk.x for the caller's LM head. Prefill
+// stacks the positions of one prompt; Batch.Step stacks its independent
+// trials; DecodeStep is the one-row pass.
+//
+// A row before live is one nothing reads past its K/V rows: it stops at
+// the last block's K/V write — its norm, K/V projections, RoPE(K) and
+// appendKV — and skips that block's Q, attention, out-projection and
+// MLP/MoE and the final norm, whose outputs no later row and no caller
+// reads. Only Prefill passes a live past r0, and only where nothing
+// observes those rows (State.Prefill); its sk.x rows before live are
+// left as they stand.
 //
 // A pass over one state's positions (a prefill) of at least
 // 2·minShardRows rows whose observers carry no hooks runs on min(threads, rows/minShardRows) goroutines (the model's
@@ -198,7 +209,7 @@ const minShardRows = 16
 // what a pass never writes: weights, strikes, RoPE tables, a checker's
 // checksum table, the Prefix several states may read their first rows
 // from.
-func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1 int) {
+func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1, live int) {
 	for i := r0; i < r1; i++ {
 		sk.pos[i] = rows[i].pos
 	}
@@ -207,7 +218,7 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1 int) {
 		for r < r1 && rows[r].from == rows[r0].from {
 			r++
 		}
-		p := pass{m: m, sk: sk, rows: rows, from: rows[r0].from}
+		p := pass{m: m, sk: sk, rows: rows, from: rows[r0].from, live: live}
 		if shards := p.shards(r0, r); shards > 1 {
 			p.runSharded(r0, r, shards)
 		} else {
@@ -221,12 +232,13 @@ func (m *Model) forwardStack(sk *stack, rows []stackRow, r0, r1 int) {
 }
 
 // pass is one run of a stacked forward pass: rows that all enter at
-// sublayer from.
+// sublayer from, those before live stopping at the last block's K/V
+// write (forwardStack).
 type pass struct {
-	m    *Model
-	sk   *stack
-	rows []stackRow
-	from int
+	m          *Model
+	sk         *stack
+	rows       []stackRow
+	from, live int
 }
 
 // shards is how many goroutines run rows [r0, r1): one unless the rows
@@ -323,23 +335,34 @@ func (p *pass) segments() int { return len(p.m.Blocks) - (p.from+1)/2 + 1 }
 // starts at one) up to the first K/V write; segment j > 0 finishes the
 // attention whose K/V segment j-1 wrote, runs that block's MLP, and then
 // the next block's attention up to its K/V write, or the final norm
-// after the last block.
+// after the last block, which only the rows from live on run.
 func (p *pass) segment(j, a, b int) {
 	bi := (p.from+1)/2 + j - 1
+	c := p.past(bi, a, b)
 	if j == 0 {
 		p.enter(a, b)
 		if p.from%2 == 1 {
-			p.mlp(bi, a, b)
+			p.mlp(bi, c, b)
 		}
 	} else {
-		p.attend(bi, a, b)
-		p.mlp(bi, a, b)
+		p.attend(bi, c, b)
+		p.mlp(bi, c, b)
 	}
 	if bi+1 < len(p.m.Blocks) {
 		p.qkv(bi+1, a, b)
 		return
 	}
-	p.norm(p.sk.x, LayerRef{-1, KindFinalNorm, -1}, p.m.FinalNorm, a, b)
+	p.norm(p.sk.x, LayerRef{-1, KindFinalNorm, -1}, p.m.FinalNorm, c, b)
+}
+
+// past is the first of rows [a, b) that block bi runs past its K/V
+// write: a, but in the last block the first row from live on (b for
+// none).
+func (p *pass) past(bi, a, b int) int {
+	if bi < len(p.m.Blocks)-1 {
+		return a
+	}
+	return min(max(a, p.live), b)
 }
 
 // enter loads each row's residual at the pass's first sublayer: its
@@ -390,7 +413,8 @@ func addRows(dst, src *tensor.Tensor, a, b int) {
 }
 
 // qkv is block bi's attention up to the join: the pre-attention norm,
-// the Q/K/V projections, RoPE, and each row's K/V write.
+// the Q/K/V projections, RoPE, and each row's K/V write. Rows block bi
+// runs no further (past) get no query.
 func (p *pass) qkv(bi, a, b int) {
 	m, sk, blk := p.m, p.sk, p.m.Blocks[bi]
 	if bi > 0 {
@@ -399,13 +423,16 @@ func (p *pass) qkv(bi, a, b int) {
 	copy(span(sk.h, a, b), span(sk.x, a, b))
 	p.norm(sk.h, LayerRef{bi, KindAttnNorm, -1}, blk.AttnNorm, a, b)
 
-	m.linearRows(sk, p.rows, LayerRef{bi, KindQ, -1}, blk.Wq, sk.h, sk.q, a, b)
+	c := p.past(bi, a, b)
+	m.linearRows(sk, p.rows, LayerRef{bi, KindQ, -1}, blk.Wq, sk.h, sk.q, c, b)
 	m.linearRows(sk, p.rows, LayerRef{bi, KindK, -1}, blk.Wk, sk.h, sk.kb, a, b)
 	m.linearRows(sk, p.rows, LayerRef{bi, KindV, -1}, blk.Wv, sk.h, sk.vb, a, b)
 
 	for i := a; i < b; i++ {
 		row := &p.rows[i]
-		m.applyRoPE(sk.q.Row(i), row.pos)
+		if i >= c {
+			m.applyRoPE(sk.q.Row(i), row.pos)
+		}
 		m.applyRoPE(sk.kb.Row(i), row.pos)
 		row.st.appendKV(bi, row.pos, sk.kb.Row(i), sk.vb.Row(i))
 	}
